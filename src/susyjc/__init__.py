@@ -46,8 +46,6 @@ from .evolution import (
     PhaseIntegrals,
     PhaseLedger,
     eigenframe_rotation,
-    evolution_operator,
-    exact_state,
     general_solution,
     phase_rate_dynamical,
     phase_rate_geometric,

@@ -198,12 +198,8 @@ def berry_phase_numeric(
             f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
             f"instead of 2*pi over [0, {traj.t1}]"
         )
-    rates = np.array(
-        [
-            phase_rate_geometric(sigma, AuxState(th, ph), traj.rates_at(t)[1])
-            for t, th, ph in zip(traj.times, traj.thetas, traj.phis)
-        ]
-    )
+    _, dphi = traj.rates_at(traj.times)
+    rates = phase_rate_geometric(sigma, AuxState(traj.thetas, traj.phis), dphi)
     return float(cumulative_antiderivative(traj.times, rates)(traj.t1))
 
 

@@ -29,14 +29,15 @@ from scipy.optimize import brentq
 
 from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
-from .quadrature import spline_derivative
+from .quadrature import PiecewiseDense, spline_derivative
 
 DEFAULT_THETA_MIN = 1e-8
 
 
 @dataclass(frozen=True)
 class AuxState:
-    """Invariant angles at one instant; phi is continuous (never wrapped)."""
+    """Invariant angles at one instant, or elementwise arrays of them; phi is
+    continuous (never wrapped)."""
 
     theta: float
     phi: float
@@ -53,53 +54,38 @@ class SolverStats:
 
 def aux_rhs(
     state: AuxState,
-    t: float,
+    t,
     params: ModelParams,
     lam: float,
     theta_min: float = DEFAULT_THETA_MIN,
-) -> tuple[float, float]:
-    """(dtheta/dt, dphi/dt) at one point; raises SingularityError at a live pole."""
-    _, _, g = params.evaluate(t)
+):
+    """(dtheta/dt, dphi/dt) at one time or elementwise over arrays of times/angles.
+
+    Scalar input gives plain floats (for the ODE solver), array input gives
+    arrays.  Raises SingularityError at a live pole, stamped with the time of
+    the first offending sample.
+    """
+    omega, omega0, g = params.evaluate(t)
     root = math.sqrt(lam)
     rotated = g * np.exp(1j * state.phi)
     dtheta = -2.0 * root * rotated.imag
     coeff = 2.0 * root * rotated.real
-    sin_t = math.sin(state.theta)
-    if coeff == 0.0:
-        cot_term = 0.0
-    else:
-        if abs(sin_t) < theta_min:
-            raise SingularityError(
-                f"azimuthal equation singular at t={t}: |sin theta|={abs(sin_t):.3e}",
-                time=t,
-            )
-        cot_term = coeff * math.cos(state.theta) / sin_t
-    dphi = params.detuning(t) - cot_term
+    sin_t = np.sin(state.theta)
+    live = coeff != 0.0
+    pole = live & (np.abs(sin_t) < theta_min)
+    if pole.any():
+        first = int(np.argmax(pole))
+        when = float(np.broadcast_to(t, pole.shape).flat[first])
+        worst = abs(float(np.broadcast_to(sin_t, pole.shape).flat[first]))
+        raise SingularityError(
+            f"azimuthal equation singular at t={when}: |sin theta|={worst:.3e}", time=when
+        )
+    # where the coupling term vanishes the pole is absent: divide by 1, not sin
+    cot_term = coeff * np.cos(state.theta) / np.where(live, sin_t, 1.0)
+    dphi = (params.k * omega - omega0) - cot_term
+    if dphi.ndim == 0:
+        return float(dtheta), float(dphi)
     return dtheta, dphi
-
-
-class _PiecewiseDense:
-    """Dense output stitched from per-segment integrations at profile kinks.
-
-    ``edges`` is ascending; ``solutions[i]`` interpolates on
-    [edges[i], edges[i+1]].  Works for any state dimension and dtype.
-    """
-
-    def __init__(self, edges, solutions):
-        self.edges = np.asarray(edges, dtype=float)
-        self.solutions = solutions
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        first = self.solutions[0](self.edges[:1])
-        out = np.empty((first.shape[0], t.size), dtype=first.dtype)
-        for seg in np.unique(idx):
-            mask = idx == seg
-            out[:, mask] = self.solutions[seg](t[mask])
-        return out[:, 0] if scalar else out
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,10 @@ class AuxTrajectory:
         theta, phi = self.angles_at(t)
         return AuxState(float(theta), float(phi))
 
-    def rates_at(self, t: float) -> tuple[float, float]:
-        return aux_rhs(self.state_at(t), float(t), self.params, self.lam)
+    def rates_at(self, t):
+        """(dtheta/dt, dphi/dt) at scalar or array t, from :func:`aux_rhs`."""
+        theta, phi = self.angles_at(t)
+        return aux_rhs(AuxState(theta, phi), t, self.params, self.lam)
 
 
 def solve_aux(
@@ -199,7 +187,7 @@ def solve_aux(
             y0 = sol.y[:, -1]
             n_steps += len(sol.t)
             nfev += sol.nfev
-        return _PiecewiseDense(edges, solutions), n_steps, nfev
+        return PiecewiseDense(edges, solutions), n_steps, nfev
 
     dense, n_steps, total_nfev = integrate(rtol, atol)
 
@@ -207,10 +195,8 @@ def solve_aux(
     # sit an order below the certification budget of 10 * rtol.
     probe = np.linspace(t0, t1, 257)
     probed = dense(probe)
-    rate = 1.0 / (t1 - t0)
-    for tp, th, ph in zip(probe, probed[0], probed[1]):
-        d = aux_rhs(AuxState(float(th), float(ph)), float(tp), params, lam, theta_min=theta_min)
-        rate = max(rate, abs(d[0]), abs(d[1]))
+    rates = aux_rhs(AuxState(probed[0], probed[1]), probe, params, lam, theta_min=theta_min)
+    rate = max(1.0 / (t1 - t0), float(np.max(np.abs(rates))))
     budget = max(10.0 * rtol, 1e-13)
     # factor 4: the nonlinear dynamics carries harmonics well above the raw
     # rate estimate, and truncation error scales as h^5

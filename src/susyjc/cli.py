@@ -12,7 +12,6 @@ import configparser
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,7 +229,7 @@ def _initial_state(cfg: ScenarioConfig, lam: int) -> AuxState:
     return AuxState(theta0, cfg.phi0)
 
 
-def cmd_verify_algebra(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
+def cmd_verify_algebra(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     tol = _get(cp, "verify", "tol", float, 1e-12)
     failures = []
     try:
@@ -268,12 +267,11 @@ def _propagate_one(cfg: ScenarioConfig, m: int):
     return block, traj
 
 
-def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
+def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
     worst_infidelity = 0.0
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        solved = list(pool.map(lambda m: _propagate_one(cfg, m), cfg.m_list))
+    solved = [_propagate_one(cfg, m) for m in cfg.m_list]
 
     for (block, traj), m in zip(solved, cfg.m_list):
         dense_residuals = residual_series(traj, cfg.params, block.lam)
@@ -334,7 +332,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
     return 0
 
 
-def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
+def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     thetas = _get(
         cp,
         "berry",
@@ -368,17 +366,14 @@ def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
             rows.append((theta, sigma, numeric, formula, abs(numeric - formula)))
         return rows
 
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(sweep_point, thetas))
-
     w = CsvWriter(
         out_dir / "berry_sweep.csv",
         ["theta", "sigma", "phase_numeric", "phase_formula", "abs_error"],
         cfg.precision,
     )
     worst = 0.0
-    for rows in results:
-        for row in rows:
+    for theta in thetas:
+        for row in sweep_point(theta):
             w.add(*row)
             worst = max(worst, row[-1])
     w.write()
@@ -386,7 +381,7 @@ def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
     return 0 if worst < tol else 1
 
 
-def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path, jobs: int) -> int:
+def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     xi = _get(cp, "coherent", "xi", float)
     sigma = _get(cp, "coherent", "sigma", int, 1)
     tail = _get(cp, "coherent", "tail", float, 1e-10)
@@ -459,14 +454,13 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI scenario file")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUTPUT_DIR} or ./out)")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers over m-lists / theta sweeps")
 
     args = parser.parse_args(argv)
     command, need_profiles = COMMANDS[args.command]
     try:
         cp, cfg = load_config(args.config, need_profiles=need_profiles)
         out_dir = resolve_out_dir(args.out, cfg.out_dir)
-        return command(cfg, cp, out_dir, args.jobs)
+        return command(cfg, cp, out_dir)
     except (ConfigurationError, TruncationError, EvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

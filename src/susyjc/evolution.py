@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, _segmented_derivative
+from .auxiliary import AuxState, AuxTrajectory, _segmented_derivative, aux_rhs
 from .blocks import SubspaceBlock, embed_state
 from .errors import ConfigurationError, VerificationError
 from .fock import FockSpaceSpec, Operator, build_generators
@@ -163,19 +163,19 @@ def rotated_hamiltonian(
 
 
 def phase_rate_dynamical(
-    sigma: int, t: float, state: AuxState, params: ModelParams, block: SubspaceBlock
-) -> float:
-    """Instantaneous dynamical phase rate for the sigma = +-1 solution."""
+    sigma: int, t, state: AuxState, params: ModelParams, block: SubspaceBlock
+):
+    """Instantaneous dynamical phase rate for the sigma = +-1 solution (scalar or array t)."""
     omega, omega0, g = params.evaluate(t)
     root = math.sqrt(block.lam)
-    drive = root * (g * np.exp(1j * state.phi)).real * math.sin(state.theta)
-    tilt = 0.5 * (omega0 - block.k * omega) * math.cos(state.theta)
+    drive = root * (g * np.exp(1j * state.phi)).real * np.sin(state.theta)
+    tilt = 0.5 * (omega0 - block.k * omega) * np.cos(state.theta)
     return (block.m + block.k / 2.0) * omega - sigma * (drive - tilt)
 
 
-def phase_rate_geometric(sigma: int, state: AuxState, dphi: float) -> float:
+def phase_rate_geometric(sigma: int, state: AuxState, dphi):
     """Instantaneous geometric phase rate: -sigma (phi'/2)(1 - cos theta)."""
-    return -sigma * 0.5 * dphi * (1.0 - math.cos(state.theta))
+    return -sigma * 0.5 * dphi * (1.0 - np.cos(state.theta))
 
 
 @dataclass(frozen=True)
@@ -219,35 +219,17 @@ class PhaseIntegrals:
         params = trajectory.params
 
         ts = trajectory.times
-        theta = trajectory.thetas
-        phi = trajectory.phis
-        omega = np.asarray(params.omega(ts), dtype=float)
-        omega0 = np.asarray(params.omega0(ts), dtype=float)
-        g = np.asarray(params.g_mod(ts), dtype=float) * np.exp(
-            1j * np.asarray(params.g_phase(ts))
-        )
-        root = math.sqrt(block.lam)
-        sin_t = np.sin(theta)
-        cos_t = np.cos(theta)
-
-        coeff = 2.0 * root * (g * np.exp(1j * phi)).real
-        cot_term = np.divide(
-            coeff * cos_t, sin_t, out=np.zeros_like(sin_t), where=coeff != 0.0
-        )
-        dphi = params.k * omega - omega0 - cot_term
-
-        drive = root * (g * np.exp(1j * phi)).real * sin_t
-        tilt = 0.5 * (omega0 - block.k * omega) * cos_t
-        base = (block.m + block.k / 2.0) * omega
-        geo = -0.5 * dphi * (1.0 - cos_t)
-
+        state = AuxState(trajectory.thetas, trajectory.phis)
+        _, dphi = aux_rhs(state, ts, params, block.lam)
         self._phi_d = {
-            +1: cumulative_antiderivative(ts, base - (drive - tilt)),
-            -1: cumulative_antiderivative(ts, base + (drive - tilt)),
+            sigma: cumulative_antiderivative(
+                ts, phase_rate_dynamical(sigma, ts, state, params, block)
+            )
+            for sigma in (+1, -1)
         }
         self._phi_g = {
-            +1: cumulative_antiderivative(ts, geo),
-            -1: cumulative_antiderivative(ts, -geo),
+            sigma: cumulative_antiderivative(ts, phase_rate_geometric(sigma, state, dphi))
+            for sigma in (+1, -1)
         }
 
     def ledger(self, sigma: int, t: float) -> PhaseLedger:
@@ -281,13 +263,6 @@ class ExactSolution:
         return embed_state(self.block, self.block_state_at(t))
 
 
-def exact_state(
-    block: SubspaceBlock, sigma: int, t: float, trajectory: AuxTrajectory
-) -> np.ndarray:
-    """One-shot sampler; prefer ExactSolution when sampling many times."""
-    return ExactSolution(block, sigma, trajectory).state_at(t)
-
-
 class EvolutionOperator:
     """Block evolution operator: V(t) times the per-column phase factors."""
 
@@ -307,12 +282,6 @@ class EvolutionOperator:
     def full_at(self, t: float) -> np.ndarray:
         """Full-space embedding (identity outside the block)."""
         return embed_block_matrix(self.block, self.at(t))
-
-
-def evolution_operator(
-    block: SubspaceBlock, t: float, trajectory: AuxTrajectory
-) -> np.ndarray:
-    return EvolutionOperator(block, trajectory).at(t)
 
 
 def embed_block_matrix(block: SubspaceBlock, mat2: np.ndarray) -> np.ndarray:

@@ -129,10 +129,6 @@ class ModelParams:
     def coupling(self, t):
         return self.evaluate(t)[2]
 
-    def detuning(self, t):
-        """k * omega(t) - omega0(t), the combination driving the azimuthal rate."""
-        return self.k * self.omega(t) - self.omega0(t)
-
     def breakpoints(self, t0: float, t1: float) -> np.ndarray:
         """Sorted interior non-smooth times of all profiles (merged, deduped)."""
         pts = np.concatenate(

@@ -1,4 +1,5 @@
-"""Derivatives and antiderivatives of smooth functions on dense sample grids.
+"""Derivatives and antiderivatives of smooth functions on dense sample grids,
+and dense output of ODE solutions stitched across profile kinks.
 
 Quintic splines give O(h^5) derivatives and O(h^6) running integrals, which
 keeps certification residuals well below the ODE tolerances they audit.
@@ -34,3 +35,27 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, order: int = 5):
         return out if out.ndim else float(out)
 
     return integral
+
+
+class PiecewiseDense:
+    """Dense output stitched from per-segment integrations at profile kinks.
+
+    ``edges`` is ascending; ``solutions[i]`` interpolates on
+    [edges[i], edges[i+1]].  Works for any state dimension and dtype.
+    """
+
+    def __init__(self, edges, solutions):
+        self.edges = np.asarray(edges, dtype=float)
+        self.solutions = solutions
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        scalar = t.ndim == 0
+        t = np.atleast_1d(t)
+        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
+        first = self.solutions[0](self.edges[:1])
+        out = np.empty((first.shape[0], t.size), dtype=first.dtype)
+        for seg in np.unique(idx):
+            mask = idx == seg
+            out[:, mask] = self.solutions[seg](t[mask])
+        return out[:, 0] if scalar else out

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .auxiliary import _PiecewiseDense
 from .errors import ConfigurationError, PropagationError
 from .fock import FockSpaceSpec, Operator, build_generators, build_ladder
 from .profiles import ModelParams
+from .quadrature import PiecewiseDense
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def propagate(
         solutions[i] = sol.sol
         y = sol.y[:, -1]
 
-    states = _PiecewiseDense(edges, solutions)(t_eval).T
+    states = PiecewiseDense(edges, solutions)(t_eval).T
     sol_t = t_eval
     norms = np.linalg.norm(states, axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))

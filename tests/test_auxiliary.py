@@ -31,6 +31,42 @@ def test_rhs_decoupled():
     assert_allclose(dphi, 3.0 - 2.7, rtol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "params,expected",
+    [
+        pytest.param(constant_params(1.0, 3.0, 0.0, k=3), 0.0, id="k3-resonant"),
+        pytest.param(constant_params(1.0, 2.9, 0.0, k=3), 0.1, id="k3-detuned"),
+        pytest.param(constant_params(0.7, 1.0, 0.0, k=2), 0.4, id="k2-detuned"),
+        pytest.param(
+            ModelParams(
+                omega=TimeProfile.constant(1.0),
+                omega0=TimeProfile.table([0.0, 2.0], [3.0, 2.8]),
+                g_mod=TimeProfile.constant(0.0),
+                g_phase=TimeProfile.constant(0.0),
+                k=3,
+            ),
+            3.0 - 2.9,
+            id="table",
+        ),
+    ],
+)
+def test_rhs_decoupled_rate_is_detuning(params, expected):
+    # g = 0: the cot term drops out and dphi is exactly k omega - omega0,
+    # at one time and elementwise over a grid, polar angles included
+    omega, omega0, _ = params.evaluate(1.0)
+    dtheta, dphi = aux_rhs(AuxState(0.9, 0.3), 1.0, params, LAM6)
+    assert dtheta == 0.0
+    assert dphi == params.k * omega - omega0
+    assert_allclose(dphi, expected, rtol=1e-14, atol=1e-15)
+
+    ts = np.linspace(0.0, 2.0, 9)
+    omega, omega0, _ = params.evaluate(ts)
+    thetas = np.linspace(0.0, math.pi, 9)
+    dthetas, dphis = aux_rhs(AuxState(thetas, np.zeros(9)), ts, params, LAM6)
+    assert np.all(dthetas == 0.0)
+    assert np.array_equal(dphis, params.k * omega - omega0)
+
+
 def test_rhs_real_coupling_equator():
     params = constant_params(1.0, 3.0, 0.05)
     dtheta, dphi = aux_rhs(AuxState(math.pi / 2, 0.0), 0.0, params, LAM6)
@@ -63,6 +99,41 @@ def test_rhs_singularity_gate():
     free = constant_params(1.0, 3.0, 0.0)
     dtheta, dphi = aux_rhs(AuxState(0.0, 0.0), 0.0, free, LAM6)
     assert dtheta == 0.0 and dphi == 0.0
+
+
+def test_rhs_array_singularity_reports_first_polar_sample():
+    params = constant_params(1.0, 3.0, 0.05)
+    ts = np.linspace(0.0, 4.0, 9)
+    thetas = np.full(9, 1.0)
+    thetas[5] = 1e-10
+    with pytest.raises(SingularityError) as err:
+        aux_rhs(AuxState(thetas, np.zeros(9)), ts, params, LAM6)
+    assert err.value.time == ts[5]
+
+
+@pytest.mark.parametrize("kind", ["chirp", "table", "sinusoid"])
+def test_rates_at_array_matches_scalar(kind):
+    ts = np.linspace(0.0, 10.0, 11)
+    profiles = {
+        "chirp": dict(g_mod=TimeProfile.chirp(0.05, 0.02, 0.2, 0.01)),
+        "table": dict(omega0=TimeProfile.table(ts, 3.0 + 0.1 * np.sin(0.3 * ts))),
+        "sinusoid": dict(g_phase=TimeProfile.sinusoid(0.0, 0.4, 0.5)),
+    }[kind]
+    base = dict(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(2.9),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+    )
+    params = ModelParams(**{**base, **profiles}, k=3)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6, rtol=1e-10)
+    times = np.linspace(0.0, 10.0, 97)
+    dthetas, dphis = traj.rates_at(times)
+    assert dthetas.shape == dphis.shape == times.shape
+    for t, dtheta, dphi in zip(times, dthetas, dphis):
+        scalar = traj.rates_at(float(t))
+        assert isinstance(scalar[0], float) and isinstance(scalar[1], float)
+        assert_allclose(scalar, (dtheta, dphi), rtol=0, atol=1e-14)
 
 
 def test_solve_decoupled_is_stationary():

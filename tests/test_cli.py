@@ -2,6 +2,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from susyjc.cli import main
 
@@ -125,13 +126,21 @@ def test_propagate_decoupled_low_infidelity(tmp_path):
     assert infid.max() < 1e-10
 
 
-def test_propagate_deterministic_and_jobs_invariant(tmp_path):
+def test_propagate_deterministic(tmp_path):
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1"))
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["propagate", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["propagate", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
+    assert main(["propagate", "--config", cfg, "--out", str(out2)]) == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_jobs_flag_is_gone(tmp_path, capsys):
+    cfg = write(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["propagate", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_berry_sweep(tmp_path, capsys):

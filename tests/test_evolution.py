@@ -24,8 +24,6 @@ from susyjc.evolution import (
     block_hamiltonian,
     coefficients_from_initial,
     eigenframe_rotation,
-    evolution_operator,
-    exact_state,
     general_solution,
     invariant_equation_residual,
     invariant_matrix,
@@ -243,13 +241,6 @@ def test_exact_state_oracle_overlap():
             assert fidelity(sol.state_at(t), psi / np.linalg.norm(psi)) >= 1 - 1e-6
 
 
-def test_exact_state_function_matches_class():
-    params = constant_params(1.0, 3.0, 0.05)
-    block, traj = solved(params, m=0, t1=5.0)
-    sol = ExactSolution(block, -1, traj)
-    assert_allclose(exact_state(block, -1, 3.3, traj), sol.state_at(3.3), atol=1e-14)
-
-
 def test_general_solution_single_component():
     params = constant_params(1.0, 3.0, 0.05)
     block, traj = solved(params, m=0, t1=5.0)
@@ -313,8 +304,6 @@ def test_evolution_operator_properties():
     for col, sol in enumerate(sols):
         psi = sol.state_at(9.4)
         assert_allclose(u94[:, col], [psi[block.upper_index], psi[block.lower_index]], atol=1e-13)
-
-    assert_allclose(evolution_operator(block, 2.0, traj), prop.at(2.0), atol=1e-14)
 
 
 def test_evolution_operator_satisfies_schrodinger():

@@ -82,23 +82,3 @@ def test_negative_modulus_rejected():
     params = constant_params(1.0, 3.0, -0.1)
     with pytest.raises(EvaluationError):
         params.evaluate(0.0)
-
-
-@pytest.mark.parametrize(
-    "omega,omega0,k,expected",
-    [(1.0, 3.0, 3, 0.0), (1.0, 2.9, 3, 0.1), (0.7, 1.0, 2, 0.4)],
-)
-def test_detuning(omega, omega0, k, expected):
-    params = constant_params(omega, omega0, 0.05, k=k)
-    assert_allclose(params.detuning(5.0), expected, atol=1e-15)
-
-
-def test_detuning_with_table_profiles():
-    params = ModelParams(
-        omega=TimeProfile.constant(1.0),
-        omega0=TimeProfile.table([0.0, 2.0], [3.0, 2.8]),
-        g_mod=TimeProfile.constant(0.0),
-        g_phase=TimeProfile.constant(0.0),
-        k=3,
-    )
-    assert_allclose(params.detuning(1.0), 3.0 - 2.9, rtol=1e-14)

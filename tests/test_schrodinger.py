@@ -143,3 +143,22 @@ def test_refining_tolerance_improves_decoupled_phase():
         expected = np.exp(-1j * 2.5 * 20.0) * psi0
         errs.append(np.max(np.abs(result.states[-1] - expected)))
     assert errs[1] < errs[0]
+
+
+def test_oracle_shares_nothing_with_the_analytic_route():
+    # the oracle may use operator builders and profiles, never blocks or angles
+    import susyjc.schrodinger as oracle
+
+    analytic = {
+        "susyjc.auxiliary",
+        "susyjc.evolution",
+        "susyjc.blocks",
+        "susyjc.adiabatic",
+        "susyjc.coherent",
+    }
+    borrowed = sorted(
+        name
+        for name, value in vars(oracle).items()
+        if getattr(value, "__module__", None) in analytic
+    )
+    assert borrowed == []
