@@ -45,11 +45,20 @@ class AuxState:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """Work and tolerances of one angle solve.
+
+    ``rtol``/``atol`` are the requested tolerances; ``refinements`` counts
+    the re-integrations (each at rtol/atol / 16) that certification forced,
+    and ``effective_rtol`` is the rtol of the integration actually kept.
+    """
+
     n_steps: int
     n_rhs_evaluations: int
     rtol: float
     atol: float
     max_residual: float = math.nan
+    refinements: int = 0
+    effective_rtol: float = math.nan
 
 
 def aux_rhs(
@@ -205,6 +214,7 @@ def solve_aux(
 
     times, edge_indices = _segmented_grid(edges, n)
     rtol_i, atol_i = rtol, atol
+    refinements = 0
     while True:
         values = dense(times)
         thetas, phis = values[0], values[1]
@@ -231,13 +241,22 @@ def solve_aux(
             break
         rtol_i /= 16.0
         atol_i /= 16.0
+        refinements += 1
         dense, n_steps, nfev = integrate(rtol_i, atol_i)
         total_nfev += nfev
 
     object.__setattr__(
         traj,
         "stats",
-        SolverStats(n_steps, total_nfev, rtol, atol, max_residual=residual),
+        SolverStats(
+            n_steps,
+            total_nfev,
+            rtol,
+            atol,
+            max_residual=residual,
+            refinements=refinements,
+            effective_rtol=rtol_i,
+        ),
     )
     if certify and residual > 100.0 * rtol:
         raise CertificationError(

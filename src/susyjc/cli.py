@@ -33,7 +33,7 @@ from .errors import (
 from .evolution import ExactSolution, PhaseIntegrals
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import ModelParams, TimeProfile
-from .schrodinger import fidelity, propagate
+from .schrodinger import MAX_NORM_DRIFT, fidelity, propagate
 
 ENV_OUTPUT_DIR = "SUSYJC_OUT"
 
@@ -267,9 +267,17 @@ def _propagate_one(cfg: ScenarioConfig, m: int):
     return block, traj
 
 
+def _print_oracle_drift(drifts) -> None:
+    """The largest (norm, N') drifts over the oracle runs; not a bound line."""
+    norm = max(d[0] for d in drifts)
+    nprime = max(d[1] for d in drifts)
+    print(f"oracle drift: norm {norm:.3g} (bound {MAX_NORM_DRIFT:g}), N' {nprime:.3g}")
+
+
 def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
     worst_infidelity = 0.0
+    oracle_drifts = []
 
     solved = [_propagate_one(cfg, m) for m in cfg.m_list]
 
@@ -296,7 +304,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         w.write()
 
         for sigma in cfg.sigmas:
-            sol = ExactSolution(block, sigma, traj)
+            sol = ExactSolution(block, sigma, traj, phases)
             tag = "plus" if sigma > 0 else "minus"
             header = ["t", "re_upper", "im_upper", "re_lower", "im_lower", "norm_error"]
             if cfg.oracle_enabled:
@@ -310,6 +318,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
                     atol=cfg.oracle_atol,
                     t_eval=ts,
                 )
+                oracle_drifts.append((oracle.norm_drift, oracle.nprime_drift))
             w = CsvWriter(out_dir / f"fidelity_m{m}_sigma_{tag}.csv", header, cfg.precision)
             for i, t in enumerate(ts):
                 psi = sol.state_at(t)
@@ -327,6 +336,8 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
 
     if cfg.oracle_enabled:
         print(f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})")
+        if oracle_drifts:
+            _print_oracle_drift(oracle_drifts)
         return 0 if worst_infidelity < cfg.max_infidelity else 1
     print("oracle disabled; trajectory certification only")
     return 0
@@ -426,6 +437,7 @@ def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         w.add(t, exact, ref, diff)
     w.write()
     print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {max_diff:g})")
+    _print_oracle_drift([(oracle.norm_drift, oracle.nprime_drift)])
     return 0 if worst < max_diff else 1
 
 

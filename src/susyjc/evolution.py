@@ -244,11 +244,25 @@ class PhaseIntegrals:
 class ExactSolution:
     """One particular solution: phase factor times the rotated eigencolumn."""
 
-    def __init__(self, block: SubspaceBlock, sigma: int, trajectory: AuxTrajectory):
+    def __init__(
+        self,
+        block: SubspaceBlock,
+        sigma: int,
+        trajectory: AuxTrajectory,
+        phases: PhaseIntegrals | None = None,
+    ):
+        """``phases`` may be shared: one PhaseIntegrals serves both sigma
+        branches of a block, but it must belong to this trajectory and block."""
         self.block = block
         self.sigma = _check_sigma(sigma)
         self.trajectory = trajectory
-        self.phases = PhaseIntegrals(trajectory, block)
+        if phases is None:
+            phases = PhaseIntegrals(trajectory, block)
+        elif phases.trajectory is not trajectory or phases.block != block:
+            raise ConfigurationError(
+                "phase integrals were built for a different trajectory or block"
+            )
+        self.phases = phases
 
     def ledger_at(self, t: float) -> PhaseLedger:
         return self.phases.ledger(self.sigma, t)

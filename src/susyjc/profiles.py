@@ -7,6 +7,9 @@ keeps them expressible without root-finding.
 
 from __future__ import annotations
 
+import cmath
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +75,10 @@ class TimeProfile:
             raise ConfigurationError(
                 f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}"
             )
+        if self.kind == "table":
+            # Python-float copies of the samples for the scalar path
+            table = tuple(np.asarray(a, dtype=float).tolist() for a in (self.times, self.values))
+            object.__setattr__(self, "_table", table)
 
     def knots(self, t0: float, t1: float) -> np.ndarray:
         """Interior times where the profile is not smooth (table breakpoints)."""
@@ -81,6 +88,40 @@ class TimeProfile:
         return np.asarray(self.times[inside], dtype=float)
 
     def __call__(self, t):
+        if _is_scalar(t):
+            # The array path below on one Python float: the same operations
+            # in the same order and the same errors, minus numpy's per-call
+            # overhead (the ODE right-hand sides call this once per step).
+            t = float(t)
+            if self.kind == "constant":
+                out = self.coeffs[0]
+            elif self.kind == "linear":
+                c0, c1 = self.coeffs
+                out = c0 + c1 * t
+            elif self.kind == "sinusoid":
+                c0, amp, freq, ph = self.coeffs
+                out = c0 + amp * _sin(freq * t + ph)
+            elif self.kind == "chirp":
+                c0, amp, freq, sweep, ph = self.coeffs
+                out = c0 + amp * _sin((freq + sweep * t) * t + ph)
+            else:  # table
+                ts, vs = self._table
+                if t < ts[0] or t > ts[-1]:
+                    raise EvaluationError(f"t outside table domain [{ts[0]}, {ts[-1]}]")
+                # as np.interp: nan stays nan, a knot or the right end gives
+                # its sample exactly, else slope * (t - t_j) + v_j
+                j = bisect_right(ts, t) - 1
+                if t != t:
+                    out = t
+                elif j == len(ts) - 1 or ts[j] == t:
+                    out = vs[j]
+                else:
+                    slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+                    out = slope * (t - ts[j]) + vs[j]
+            if not math.isfinite(out):
+                raise EvaluationError(f"profile {self.kind} evaluated non-finite at t={t}")
+            return out
+
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             out = np.full_like(t, self.coeffs[0])
@@ -104,6 +145,18 @@ class TimeProfile:
         return out if out.ndim else float(out)
 
 
+def _is_scalar(t) -> bool:
+    """True for one time: a Python or numpy real scalar, or a 0-d array."""
+    return isinstance(t, (float, int, np.floating)) or (
+        isinstance(t, np.ndarray) and t.ndim == 0
+    )
+
+
+def _sin(x: float) -> float:
+    # np.sin gives nan at +-inf where math.sin raises
+    return math.sin(x) if math.isfinite(x) else math.nan
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Mode frequency, transition frequency and polar coupling profiles."""
@@ -120,6 +173,13 @@ class ModelParams:
 
     def evaluate(self, t):
         """(omega, omega0, g) at time t; g is returned as a complex scalar."""
+        if _is_scalar(t):
+            t = float(t)
+            mod = self.g_mod(t)
+            if mod < 0:
+                raise EvaluationError(f"coupling modulus negative at t={t}")
+            g = mod * cmath.exp(1j * self.g_phase(t))
+            return self.omega(t), self.omega0(t), g
         mod = self.g_mod(t)
         if np.any(np.asarray(mod) < 0):
             raise EvaluationError(f"coupling modulus negative at t={t}")

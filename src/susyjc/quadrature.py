@@ -47,15 +47,20 @@ class PiecewiseDense:
     def __init__(self, edges, solutions):
         self.edges = np.asarray(edges, dtype=float)
         self.solutions = solutions
+        first = solutions[0](self.edges[:1])
+        self._rows, self._dtype = first.shape[0], first.dtype
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        first = self.solutions[0](self.edges[:1])
-        out = np.empty((first.shape[0], t.size), dtype=first.dtype)
-        for seg in np.unique(idx):
-            mask = idx == seg
-            out[:, mask] = self.solutions[seg](t[mask])
+        if t.size == 1:
+            # one time (every state_at/angles_at): its segment's own output
+            out = self.solutions[idx[0]](t)
+        else:
+            out = np.empty((self._rows, t.size), dtype=self._dtype)
+            for seg in np.unique(idx):
+                mask = idx == seg
+                out[:, mask] = self.solutions[seg](t[mask])
         return out[:, 0] if scalar else out

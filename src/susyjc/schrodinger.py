@@ -20,6 +20,9 @@ from .profiles import ModelParams
 from .quadrature import PiecewiseDense
 
 
+MAX_NORM_DRIFT = 1e-9
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     times: np.ndarray
@@ -28,11 +31,44 @@ class PropagationResult:
     nprime_drift: float
 
 
-def _structure_matrices(spec: FockSpaceSpec):
-    gen = build_generators(spec)
-    a, adag = build_ladder(spec)
-    number = adag.matrix @ a.matrix
-    return number, 0.5 * gen.sigma_z.matrix, gen.Q.matrix, gen.Qdag.matrix, gen.Nprime.matrix
+@dataclass(frozen=True)
+class _Structure:
+    """H(t)'s pieces in the form the right-hand side applies them.
+
+    In the atom-major basis adag a and sigma_z are diagonal, Q = adag^k
+    sigma_- only links excited level m to ground level m + k (flat index
+    cutoff + k further on) and Qdag the reverse.  All four are read off
+    the operator builders' matrices, not re-derived.
+    """
+
+    number: np.ndarray  # diagonal of adag a
+    half_sz: np.ndarray  # diagonal of sigma_z / 2
+    q: np.ndarray  # Q[cutoff + k + m, m], m = 0 .. cutoff - k - 1
+    qdag: np.ndarray  # Qdag[m, cutoff + k + m]
+    nprime: np.ndarray  # dense N', for the drift diagnostic only
+
+    @classmethod
+    def for_space(cls, spec: FockSpaceSpec) -> "_Structure":
+        gen = build_generators(spec)
+        a, adag = build_ladder(spec)
+        shift = spec.cutoff + spec.k
+        return cls(
+            number=np.diagonal(adag.matrix @ a.matrix).real,
+            half_sz=0.5 * np.diagonal(gen.sigma_z.matrix).real,
+            q=np.diagonal(gen.Q.matrix, offset=-shift).real,
+            qdag=np.diagonal(gen.Qdag.matrix, offset=shift).real,
+            nprime=gen.Nprime.matrix,
+        )
+
+
+def _apply_hamiltonian(structure: _Structure, omega, omega0, g, y: np.ndarray) -> np.ndarray:
+    """H y for H = w adag a + (w0/2) sigma_z + g Q + g* Qdag: one diagonal
+    scaling plus the two k-shifted slice updates of Q and Qdag."""
+    n = structure.q.size
+    hy = (omega * structure.number + omega0 * structure.half_sz) * y
+    hy[-n:] += (g * structure.q) * y[:n]
+    hy[:n] += (g.conjugate() * structure.qdag) * y[-n:]
+    return hy
 
 
 def propagate(
@@ -43,7 +79,7 @@ def propagate(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     t_eval: np.ndarray | None = None,
-    max_norm_drift: float = 1e-9,
+    max_norm_drift: float = MAX_NORM_DRIFT,
     max_leakage: float = 1e-8,
 ) -> PropagationResult:
     """Integrate the Schrodinger equation from a normalized initial state.
@@ -69,12 +105,13 @@ def propagate(
             f"support must stay below photon level {top}"
         )
 
-    number, half_sz, q_mat, qd_mat, nprime = _structure_matrices(spec)
+    structure = _Structure.for_space(spec)
 
     def rhs(t, y):
         omega, omega0, g = params.evaluate(t)
-        hy = omega * (number @ y) + omega0 * (half_sz @ y) + g * (q_mat @ y) + np.conj(g) * (qd_mat @ y)
-        return -1j * hy
+        hy = _apply_hamiltonian(structure, omega, omega0, g, y)
+        hy *= -1j
+        return hy
 
     t0, t1 = float(window[0]), float(window[1])
     if t_eval is None:
@@ -116,7 +153,7 @@ def propagate(
             f"run rejected: guard-band amplitude {guard_pop:.3e} exceeds {max_leakage:g}"
         )
 
-    expectations = np.einsum("ti,ij,tj->t", states.conj(), nprime, states).real
+    expectations = np.einsum("ti,ij,tj->t", states.conj(), structure.nprime, states).real
     nprime_drift = float(np.max(np.abs(expectations - expectations[0])))
 
     return PropagationResult(

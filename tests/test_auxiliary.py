@@ -279,3 +279,31 @@ def test_residual_series_shape_and_export_columns():
     series = residual_series(traj, params, LAM6)
     assert series.shape == traj.times.shape
     assert np.all(series >= 0)
+
+
+def test_solver_stats_first_try_certification():
+    params = constant_params(1.0, 2.8, 0.05)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, LAM6, rtol=1e-10)
+    assert traj.stats.refinements == 0
+    assert traj.stats.effective_rtol == traj.stats.rtol == 1e-10
+
+
+def test_solver_stats_record_refinement():
+    # the m = 10 block of a chirp/table/sinusoid drive certifies only after
+    # one tighter pass; the stats must say so and keep the requested rtol
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+        g_mod=TimeProfile.table([0.0, 2.5, 5.0, 7.5, 10.0], [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=3,
+    )
+    rtol = 1e-10
+    traj = solve_aux(
+        AuxState(1.0471975511965976, 0.0), (0.0, 10.0), params, lambda_value(10, 3),
+        rtol=rtol, atol=1e-12,
+    )
+    assert traj.stats.refinements == 1
+    assert traj.stats.effective_rtol == rtol / 16
+    assert traj.stats.rtol == rtol
+    assert traj.stats.max_residual <= 100 * rtol

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,38 @@ def test_propagate_deterministic(tmp_path):
     assert main(["propagate", "--config", cfg, "--out", str(out2)]) == 0
     for name in sorted(p.name for p in out1.iterdir()):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_oracle_drift_line_follows_bound_line(tmp_path, capsys):
+    cfg = write(tmp_path, BASE)
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    cfg_xi0 = write(tmp_path, BASE + "\n[coherent]\nxi = 0.0\n", "c.ini")
+    assert main(["coherent", "--config", cfg_xi0, "--out", str(tmp_path / "c")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    drift = re.compile(r"^oracle drift: norm (\S+) \(bound 1e-09\), N' (\S+)$")
+    for bound_label in ("max oracle infidelity: ", "max |sigma_z exact - oracle|: "):
+        at = next(i for i, line in enumerate(lines) if line.startswith(bound_label))
+        match = drift.match(lines[at + 1])
+        assert match, lines[at + 1]
+        assert 0.0 <= float(match[1]) < 1e-9
+        assert 0.0 <= float(match[2]) < 1e-6
+    assert sum(line.startswith("max ") for line in lines) == 2  # the two bound lines only
+
+
+def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
+    from susyjc.evolution import PhaseIntegrals
+
+    built = []
+    original = PhaseIntegrals.__init__
+
+    def counting(self, trajectory, block):
+        built.append(block.m)
+        original(self, trajectory, block)
+
+    monkeypatch.setattr(PhaseIntegrals, "__init__", counting)
+    cfg = BASE.replace("m = 0", "m = 0, 1").replace("enabled = true", "enabled = false")
+    assert main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert built == [0, 1]
 
 
 def test_jobs_flag_is_gone(tmp_path, capsys):

@@ -241,6 +241,24 @@ def test_exact_state_oracle_overlap():
             assert fidelity(sol.state_at(t), psi / np.linalg.norm(psi)) >= 1 - 1e-6
 
 
+def test_exact_solution_shares_phase_integrals():
+    params = constant_params(1.0, 2.8, 0.05)
+    block, traj = solved(params, m=1, t1=5.0)
+    phases = PhaseIntegrals(traj, block)
+    for sigma in (+1, -1):
+        shared = ExactSolution(block, sigma, traj, phases)
+        own = ExactSolution(block, sigma, traj)
+        assert shared.phases is phases
+        for t in np.linspace(0.0, 5.0, 7):
+            assert np.array_equal(shared.state_at(t), own.state_at(t))
+
+    _, other = solved(params, m=1, t1=5.0)
+    with pytest.raises(ConfigurationError, match="different trajectory"):
+        ExactSolution(block, +1, other, phases)
+    with pytest.raises(ConfigurationError, match="different trajectory or block"):
+        ExactSolution(SubspaceBlock.for_space(FockSpaceSpec(cutoff=24, k=3), 1), +1, traj, phases)
+
+
 def test_general_solution_single_component():
     params = constant_params(1.0, 3.0, 0.05)
     block, traj = solved(params, m=0, t1=5.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -82,3 +84,84 @@ def test_negative_modulus_rejected():
     params = constant_params(1.0, 3.0, -0.1)
     with pytest.raises(EvaluationError):
         params.evaluate(0.0)
+
+
+# One profile of every kind; the table has interior knots at 0.7, 2.5 and 4.0.
+TABLE_TIMES = [0.0, 0.7, 2.5, 4.0, 6.0]
+EVERY_KIND = {
+    "constant": TimeProfile.constant(2.75),
+    "linear": TimeProfile.linear(3.0, -0.013),
+    "sinusoid": TimeProfile.sinusoid(1.0, 0.2, 0.7, 0.3),
+    "chirp": TimeProfile.chirp(3.0, 0.2, 0.5, 0.05, 0.1),
+    "table": TimeProfile.table(TABLE_TIMES, [0.05, 0.08, 0.04, 0.07, 0.05]),
+}
+# table knots, both table ends, and times inside the panels
+SAMPLE_TIMES = np.unique(np.concatenate([TABLE_TIMES, np.linspace(0.0, 6.0, 37), [1e-9, 6.0 - 1e-12]]))
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_KIND))
+def test_scalar_path_is_bit_identical_to_array_call(kind):
+    profile = EVERY_KIND[kind]
+    from_array = profile(SAMPLE_TIMES)
+    for t, expected in zip(SAMPLE_TIMES.tolist(), from_array.tolist()):
+        for value in (t, np.float64(t), np.array(t)):
+            got = profile(value)
+            assert type(got) is float
+            assert got == expected, (kind, t, type(value))
+    ints = np.arange(7)
+    for t, expected in zip(ints.tolist(), profile(ints).tolist()):
+        assert profile(t) == expected, (kind, t)
+
+
+def test_scalar_evaluate_is_bit_identical_to_array_call():
+    params = ModelParams(
+        omega=EVERY_KIND["sinusoid"],
+        omega0=EVERY_KIND["chirp"],
+        g_mod=EVERY_KIND["table"],
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=3,
+    )
+    omegas, omega0s, gs = params.evaluate(SAMPLE_TIMES)
+    for i, t in enumerate(SAMPLE_TIMES.tolist()):
+        for value in (t, np.float64(t), np.array(t)):
+            omega, omega0, g = params.evaluate(value)
+            assert (omega, omega0, g) == (omegas[i], omega0s[i], gs[i]), (t, type(value))
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_non_finite_and_out_of_domain_raise_in_both_paths(as_array):
+    def call(profile, t):
+        return profile(np.array([0.0, t]) if as_array else t)
+
+    with pytest.raises(EvaluationError, match="non-finite"):
+        call(TimeProfile.constant(math.inf), 1.0)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        call(TimeProfile.linear(0.0, 1.0), math.nan)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        call(EVERY_KIND["table"], math.nan)
+    with np.errstate(invalid="ignore"):  # numpy warns on sin(inf)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            call(EVERY_KIND["sinusoid"], math.inf)
+        with pytest.raises(EvaluationError, match="non-finite"):
+            call(EVERY_KIND["chirp"], -math.inf)
+    for t in (-1e-9, 6.0 + 1e-9, math.inf):
+        with pytest.raises(EvaluationError, match="outside table domain"):
+            call(EVERY_KIND["table"], t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [2.0, np.float64(2.0), np.array(2.0), np.array([0.5, 2.0])],
+    ids=["float", "float64", "0-d", "array"],
+)
+def test_negative_modulus_rejected_in_both_paths(t):
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.linear(0.1, -0.1),  # negative after t = 1
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    params.evaluate(0.5)
+    with pytest.raises(EvaluationError, match="modulus negative"):
+        params.evaluate(t)

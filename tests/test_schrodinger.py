@@ -162,3 +162,32 @@ def test_oracle_shares_nothing_with_the_analytic_route():
         if getattr(value, "__module__", None) in analytic
     )
     assert borrowed == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_structured_rhs_matches_dense_hamiltonian(k):
+    # the oracle applies H as diagonals plus k-shifted slices; it must act
+    # exactly like the dense matrix, truncated top photon levels included
+    from susyjc import ModelParams, TimeProfile, build_hamiltonian
+    from susyjc.schrodinger import _apply_hamiltonian, _Structure
+
+    spec = FockSpaceSpec(cutoff=12, k=k)
+    knots = [0.0, 2.5, 5.0, 7.5, 10.0]
+    params = ModelParams(
+        omega=TimeProfile.sinusoid(1.0, 0.1, 0.4),
+        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=k,
+    )
+    structure = _Structure.for_space(spec)
+    rng = np.random.default_rng(k)
+    top = np.zeros((2, spec.cutoff), dtype=complex)
+    top[:, -2 * k :] = 1.0 + 0.5j  # only the levels where truncation cuts the ladder
+    for t in (0.0, 1.3, 2.5, 6.1, 10.0):
+        omega, omega0, g = params.evaluate(t)
+        dense = build_hamiltonian(spec, params, t).matrix
+        for psi in (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim), top.ravel()):
+            want = dense @ psi
+            got = _apply_hamiltonian(structure, omega, omega0, g, psi)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (k, t)
