@@ -21,7 +21,7 @@ angles are legitimate.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,6 +32,7 @@ from .profiles import ModelParams
 from .quadrature import PiecewiseDense, spline_derivative
 
 DEFAULT_THETA_MIN = 1e-8
+_SAMPLE_CAP = 60001  # largest solve_aux grid; denser dynamics is certified or rejected on it
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class SolverStats:
     ``rtol``/``atol`` are the requested tolerances; ``refinements`` counts
     the re-integrations (each at rtol/atol / 16) that certification forced,
     and ``effective_rtol`` is the rtol of the integration actually kept.
+    ``n_samples`` is the size of the certified sample grid, and
+    ``sample_cap_hit`` marks a grid cut down to the sample cap.
     """
 
     n_steps: int
@@ -59,6 +62,8 @@ class SolverStats:
     max_residual: float = math.nan
     refinements: int = 0
     effective_rtol: float = math.nan
+    n_samples: int = 0
+    sample_cap_hit: bool = False
 
 
 def aux_rhs(
@@ -126,24 +131,21 @@ class AuxTrajectory:
     def _check_window(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
-            raise ConfigurationError(f"t={t} outside trajectory window [{lo}, {hi}]")
+        outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+        if outside.any():
+            count = f"; {outside.sum()} of {t.size} times outside" if t.ndim else ""
+            first = t[outside].flat[0]
+            raise ConfigurationError(f"t={first} outside trajectory window [{lo}, {hi}]{count}")
         return t
 
-    def angles_at(self, t):
-        """(theta, phi) arrays from the dense ODE output."""
-        t = self._check_window(t)
-        out = self._dense(t)
-        return out[0], out[1]
-
-    def state_at(self, t: float) -> AuxState:
-        theta, phi = self.angles_at(t)
-        return AuxState(float(theta), float(phi))
+    def state_at(self, t) -> AuxState:
+        """Angles from the dense ODE output: floats at scalar t, arrays over an array of times."""
+        theta, phi = self._dense(self._check_window(t))
+        return AuxState(theta, phi) if theta.ndim else AuxState(float(theta), float(phi))
 
     def rates_at(self, t):
         """(dtheta/dt, dphi/dt) at scalar or array t, from :func:`aux_rhs`."""
-        theta, phi = self.angles_at(t)
-        return aux_rhs(AuxState(theta, phi), t, self.params, self.lam)
+        return aux_rhs(self.state_at(t), t, self.params, self.lam)
 
 
 def solve_aux(
@@ -210,16 +212,17 @@ def solve_aux(
     # factor 4: the nonlinear dynamics carries harmonics well above the raw
     # rate estimate, and truncation error scales as h^5
     n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
-    n = int(np.clip(n_auto, n_samples, 60001))
+    n = int(np.clip(n_auto, n_samples, _SAMPLE_CAP))
+    capped = max(n_auto, n_samples) > _SAMPLE_CAP
 
     times, edge_indices = _segmented_grid(edges, n)
+    coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
     rtol_i, atol_i = rtol, atol
     refinements = 0
     while True:
         values = dense(times)
         thetas, phis = values[0], values[1]
 
-        coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
         if coupled and np.min(np.abs(np.sin(thetas))) < theta_min:
             worst = times[int(np.argmin(np.abs(np.sin(thetas))))]
             raise SingularityError(
@@ -245,24 +248,23 @@ def solve_aux(
         dense, n_steps, nfev = integrate(rtol_i, atol_i)
         total_nfev += nfev
 
-    object.__setattr__(
-        traj,
-        "stats",
-        SolverStats(
-            n_steps,
-            total_nfev,
-            rtol,
-            atol,
-            max_residual=residual,
-            refinements=refinements,
-            effective_rtol=rtol_i,
-        ),
-    )
     if certify and residual > 100.0 * rtol:
+        cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
         raise CertificationError(
-            f"angle trajectory residual {residual:.3e} exceeds 100*rtol={100 * rtol:.3e}"
+            f"angle trajectory residual {residual:.3e} exceeds 100*rtol={100 * rtol:.3e}{cap}"
         )
-    return traj
+    stats = SolverStats(
+        n_steps,
+        total_nfev,
+        rtol,
+        atol,
+        max_residual=residual,
+        refinements=refinements,
+        effective_rtol=rtol_i,
+        n_samples=times.size,
+        sample_cap_hit=capped,
+    )
+    return replace(traj, stats=stats)
 
 
 def _segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:

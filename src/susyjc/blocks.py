@@ -78,20 +78,20 @@ def project_block(op, block: SubspaceBlock) -> np.ndarray:
 
 
 def embed_state(block: SubspaceBlock, components) -> np.ndarray:
-    """Place a 2-vector at the block's basis indices, zeros elsewhere."""
+    """Place 2-vectors (last axis) at the block's basis indices, zeros elsewhere."""
     c = np.asarray(components, dtype=complex)
-    if c.shape != (2,):
+    if c.shape[-1:] != (2,):
         raise ConfigurationError(f"expected a 2-component vector, got shape {c.shape}")
-    vec = np.zeros(2 * block.cutoff, dtype=complex)
-    vec[block.upper_index] = c[0]
-    vec[block.lower_index] = c[1]
+    vec = np.zeros(c.shape[:-1] + (2 * block.cutoff,), dtype=complex)
+    vec[..., block.upper_index] = c[..., 0]
+    vec[..., block.lower_index] = c[..., 1]
     return vec
 
 
 def block_components(block: SubspaceBlock, state: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`embed_state`: read the block's two amplitudes."""
+    """Inverse of :func:`embed_state`: read the block's two amplitudes (last axis)."""
     state = np.asarray(state)
-    return np.array([state[block.upper_index], state[block.lower_index]], dtype=complex)
+    return state[..., [block.upper_index, block.lower_index]].astype(complex)
 
 
 def verify_block_closure(

@@ -33,7 +33,7 @@ from .errors import (
 from .evolution import ExactSolution, PhaseIntegrals
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import ModelParams, TimeProfile
-from .schrodinger import MAX_NORM_DRIFT, fidelity, propagate
+from .schrodinger import MAX_NORM_DRIFT, propagate
 
 ENV_OUTPUT_DIR = "SUSYJC_OUT"
 
@@ -284,10 +284,10 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     for (block, traj), m in zip(solved, cfg.m_list):
         dense_residuals = residual_series(traj, cfg.params, block.lam)
         residuals = np.interp(ts, traj.times, dense_residuals)
-        thetas, phis = traj.angles_at(ts)
+        angles = traj.state_at(ts)
 
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
-        for row in zip(ts, thetas, phis, residuals):
+        for row in zip(ts, angles.theta, angles.phi, residuals):
             w.add(*row)
         w.write()
 
@@ -297,20 +297,22 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        for t in ts:
-            plus = phases.ledger(+1, t)
-            minus = phases.ledger(-1, t)
-            w.add(t, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g)
+        plus, minus = phases.ledger(+1, ts), phases.ledger(-1, ts)
+        for row in zip(ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g):
+            w.add(*row)
         w.write()
 
         for sigma in cfg.sigmas:
-            sol = ExactSolution(block, sigma, traj, phases)
+            psis = ExactSolution(block, sigma, traj, phases).state_at(ts)
+            comps = block_components(block, psis)
+            columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
+            columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
             tag = "plus" if sigma > 0 else "minus"
             header = ["t", "re_upper", "im_upper", "re_lower", "im_lower", "norm_error"]
             if cfg.oracle_enabled:
                 header += ["oracle_infidelity", "oracle_norm_error", "block_population"]
                 oracle = propagate(
-                    sol.state_at(0.0),
+                    psis[0],
                     (0.0, cfg.t_final),
                     cfg.params,
                     cfg.spec,
@@ -319,18 +321,13 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
                     t_eval=ts,
                 )
                 oracle_drifts.append((oracle.norm_drift, oracle.nprime_drift))
+                ref_norms = np.linalg.norm(oracle.states, axis=1)
+                infid = 1.0 - np.abs(np.sum(psis.conj() * oracle.states, axis=1)) / ref_norms
+                worst_infidelity = max(worst_infidelity, float(np.max(infid)))
+                pops = np.sum(np.abs(block_components(block, oracle.states)) ** 2, axis=1)
+                columns += [infid, np.abs(ref_norms - 1.0), pops]
             w = CsvWriter(out_dir / f"fidelity_m{m}_sigma_{tag}.csv", header, cfg.precision)
-            for i, t in enumerate(ts):
-                psi = sol.state_at(t)
-                comp = block_components(block, psi)
-                norm_err = abs(np.linalg.norm(psi) - 1.0)
-                row = [t, comp[0].real, comp[0].imag, comp[1].real, comp[1].imag, norm_err]
-                if cfg.oracle_enabled:
-                    ref = oracle.states[i]
-                    infid = 1.0 - fidelity(psi, ref / np.linalg.norm(ref))
-                    worst_infidelity = max(worst_infidelity, infid)
-                    pop = float(np.sum(np.abs(block_components(block, ref)) ** 2))
-                    row += [infid, abs(np.linalg.norm(ref) - 1.0), pop]
+            for row in zip(*columns):
                 w.add(*row)
             w.write()
 
@@ -411,9 +408,9 @@ def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         atol=cfg.aux_atol,
     )
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
-    psi0 = build_coherent_state(cspec, 0.0, solutions)
+    exact_vecs = build_coherent_state(cspec, ts, solutions)
     oracle = propagate(
-        psi0 / np.linalg.norm(psi0),
+        exact_vecs[0] / np.linalg.norm(exact_vecs[0]),
         (0.0, cfg.t_final),
         cfg.params,
         cfg.spec,
@@ -427,14 +424,12 @@ def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         ["t", "sigma_z_exact", "sigma_z_oracle", "abs_diff"],
         cfg.precision,
     )
-    worst = 0.0
-    for i, t in enumerate(ts):
-        exact_vec = build_coherent_state(cspec, float(t), solutions)
-        exact = atomic_inversion(exact_vec / np.linalg.norm(exact_vec))
-        ref = atomic_inversion(oracle.states[i] / np.linalg.norm(oracle.states[i]))
-        diff = abs(exact - ref)
-        worst = max(worst, diff)
-        w.add(t, exact, ref, diff)
+    exact = atomic_inversion(exact_vecs / np.linalg.norm(exact_vecs, axis=1, keepdims=True))
+    ref = atomic_inversion(oracle.states / np.linalg.norm(oracle.states, axis=1, keepdims=True))
+    diff = np.abs(exact - ref)
+    worst = float(np.max(diff))
+    for row in zip(ts, exact, ref, diff):
+        w.add(*row)
     w.write()
     print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {max_diff:g})")
     _print_oracle_drift([(oracle.norm_drift, oracle.nprime_drift)])

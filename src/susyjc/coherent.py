@@ -115,15 +115,15 @@ def solve_block_family(
     return solutions
 
 
-def build_coherent_state(cspec: CoherentSpec, t: float, solutions) -> np.ndarray:
-    """Weighted superposition of the per-m solutions at time t."""
+def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
+    """Weighted superposition of the per-m solutions at time t ((n, dim) for n times)."""
     solutions = list(solutions)
     if len(solutions) != cspec.m_max + 1:
         raise ConfigurationError(
             f"expected {cspec.m_max + 1} block solutions, got {len(solutions)}"
         )
     w = cspec.weights()
-    out = np.zeros(2 * solutions[0].block.cutoff, dtype=complex)
+    out = np.zeros(np.shape(t) + (2 * solutions[0].block.cutoff,), dtype=complex)
     for weight, sol in zip(w, solutions):
         if sol.sigma != cspec.sigma:
             raise ConfigurationError(
@@ -134,8 +134,9 @@ def build_coherent_state(cspec: CoherentSpec, t: float, solutions) -> np.ndarray
     return out
 
 
-def atomic_inversion(state: np.ndarray) -> float:
-    """<sigma_z> of a full-space state: excited population minus ground."""
-    state = np.asarray(state)
-    half = state.size // 2
-    return float(np.sum(np.abs(state[:half]) ** 2) - np.sum(np.abs(state[half:]) ** 2))
+def atomic_inversion(state: np.ndarray):
+    """<sigma_z> of full-space states (last axis): excited population minus ground."""
+    pops = np.abs(np.asarray(state)) ** 2
+    half = pops.shape[-1] // 2
+    out = np.sum(pops[..., :half], axis=-1) - np.sum(pops[..., half:], axis=-1)
+    return out if out.ndim else float(out)

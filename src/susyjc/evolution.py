@@ -40,12 +40,20 @@ def rotation_parameter(state: AuxState, lam: float) -> complex:
     return -(state.theta / 2.0) * np.exp(-1j * state.phi) / math.sqrt(lam)
 
 
+def _stack2x2(a, b, c, d) -> np.ndarray:
+    """Complex [[a, b], [c, d]]: (2, 2) for scalar entries, (n, 2, 2) for arrays."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    out = np.empty(a.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
 def eigenframe_rotation(state: AuxState) -> np.ndarray:
-    """2x2 unitary rotating the block invariant onto sigma_z."""
-    c = math.cos(state.theta / 2.0)
-    s = math.sin(state.theta / 2.0)
+    """2x2 unitary rotating the block invariant onto sigma_z (stacked for array angles)."""
+    c = np.cos(state.theta / 2.0)
+    s = np.sin(state.theta / 2.0)
     ph = np.exp(1j * state.phi)
-    return np.array([[c, s * ph], [-s * np.conj(ph), c]], dtype=complex)
+    return _stack2x2(c, s * ph, -s * np.conj(ph), c)
 
 
 def eigenframe_rotation_derivative(
@@ -66,13 +74,11 @@ def eigenframe_rotation_derivative(
 
 
 def invariant_matrix(state: AuxState) -> np.ndarray:
-    """Block form of the invariant at the given angles."""
-    sin_t = math.sin(state.theta)
-    cos_t = math.cos(state.theta)
+    """Block form of the invariant at the given angles (stacked for array angles)."""
+    sin_t = np.sin(state.theta)
+    cos_t = np.cos(state.theta)
     ph = np.exp(1j * state.phi)
-    return np.array(
-        [[cos_t, -sin_t * ph], [-sin_t * np.conj(ph), -cos_t]], dtype=complex
-    )
+    return _stack2x2(cos_t, -sin_t * ph, -sin_t * np.conj(ph), -cos_t)
 
 
 def invariant_operator(spec: FockSpaceSpec, state: AuxState, lam: float) -> Operator:
@@ -97,17 +103,13 @@ def rotated_invariant_residual(state: AuxState, tol: float | None = None) -> flo
     return res
 
 
-def block_hamiltonian(block: SubspaceBlock, params: ModelParams, t: float) -> np.ndarray:
-    """2x2 restriction of H(t) to the block, ordered (upper, lower)."""
+def block_hamiltonian(block: SubspaceBlock, params: ModelParams, t) -> np.ndarray:
+    """2x2 restriction of H(t) to the block, ordered (upper, lower); (n, 2, 2) for array t."""
     omega, omega0, g = params.evaluate(t)
     root = math.sqrt(block.lam)
-    return np.array(
-        [
-            [block.m * omega + 0.5 * omega0, np.conj(g) * root],
-            [g * root, (block.m + block.k) * omega - 0.5 * omega0],
-        ],
-        dtype=complex,
-    )
+    upper = block.m * omega + 0.5 * omega0
+    lower = (block.m + block.k) * omega - 0.5 * omega0
+    return _stack2x2(upper, np.conj(g) * root, g * root, lower)
 
 
 def rotated_hamiltonian(
@@ -180,7 +182,8 @@ def phase_rate_geometric(sigma: int, state: AuxState, dphi):
 
 @dataclass(frozen=True)
 class PhaseLedger:
-    """Accumulated phase integrals; the solution carries exp(-i (phi_d + phi_g))."""
+    """Accumulated phase integrals (arrays for an array of times); the solution
+    carries exp(-i (phi_d + phi_g))."""
 
     sigma: int
     phi_d: float
@@ -232,7 +235,8 @@ class PhaseIntegrals:
             for sigma in (+1, -1)
         }
 
-    def ledger(self, sigma: int, t: float) -> PhaseLedger:
+    def ledger(self, sigma: int, t) -> PhaseLedger:
+        """Both integrals at scalar t (floats) or elementwise over an array of times."""
         _check_sigma(sigma)
         return PhaseLedger(
             sigma=sigma,
@@ -264,16 +268,15 @@ class ExactSolution:
             )
         self.phases = phases
 
-    def ledger_at(self, t: float) -> PhaseLedger:
-        return self.phases.ledger(self.sigma, t)
-
-    def block_state_at(self, t: float) -> np.ndarray:
+    def block_state_at(self, t) -> np.ndarray:
+        """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""
         state = self.trajectory.state_at(t)
         column = 0 if self.sigma == +1 else 1
-        return self.ledger_at(t).factor * eigenframe_rotation(state)[:, column]
+        factor = np.expand_dims(self.phases.ledger(self.sigma, t).factor, -1)
+        return factor * eigenframe_rotation(state)[..., :, column]
 
-    def state_at(self, t: float) -> np.ndarray:
-        """Full-space unit vector at time t."""
+    def state_at(self, t) -> np.ndarray:
+        """Full-space unit vector at time t: (dim,), or (n, dim) for an array of times."""
         return embed_state(self.block, self.block_state_at(t))
 
 
@@ -344,13 +347,8 @@ def invariant_equation_residual(trajectory: AuxTrajectory, block: SubspaceBlock)
     spline differentiation, independent of the angle equations.
     """
     ts = trajectory.times
-    n = ts.size
-    inv = np.empty((n, 2, 2), dtype=complex)
-    ham = np.empty((n, 2, 2), dtype=complex)
-    for i, t in enumerate(ts):
-        state = AuxState(trajectory.thetas[i], trajectory.phis[i])
-        inv[i] = invariant_matrix(state)
-        ham[i] = block_hamiltonian(block, trajectory.params, float(t))
+    inv = invariant_matrix(AuxState(trajectory.thetas, trajectory.phis))
+    ham = block_hamiltonian(block, trajectory.params, ts)
     dinv = _segmented_derivative(ts, inv, trajectory.edge_indices)
     comm = inv @ ham - ham @ inv
     return float(np.max(np.abs(dinv - 1j * comm)))

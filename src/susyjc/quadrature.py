@@ -56,7 +56,7 @@ class PiecewiseDense:
         t = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
         if t.size == 1:
-            # one time (every state_at/angles_at): its segment's own output
+            # one time (every scalar state_at): its segment's own output
             out = self.solutions[idx[0]](t)
         else:
             out = np.empty((self._rows, t.size), dtype=self._dtype)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from susyjc import (
     AuxState,
+    CertificationError,
     ConfigurationError,
     ModelParams,
     SingularityError,
@@ -17,7 +18,7 @@ from susyjc import (
     residual_check,
     solve_aux,
 )
-from susyjc.auxiliary import AuxTrajectory, residual_series
+from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, residual_series
 from susyjc.quadrature import spline_derivative
 
 LAM6 = lambda_value(0, 3)
@@ -307,3 +308,38 @@ def test_solver_stats_record_refinement():
     assert traj.stats.effective_rtol == rtol / 16
     assert traj.stats.rtol == rtol
     assert traj.stats.max_residual <= 100 * rtol
+
+
+@pytest.mark.parametrize(
+    "omega,n_samples,capped",
+    [
+        pytest.param(5.0, _SAMPLE_CAP, True, id="detuning-15-capped"),
+        pytest.param(4.0, 49784, False, id="detuning-12-uncapped"),
+    ],
+)
+def test_solver_stats_record_grid_size_and_cap(omega, n_samples, capped):
+    # g = 0: the angle rate is the detuning k omega - omega0 = 3 omega, and
+    # the density rule asks for more samples than the cap from 15 on
+    params = constant_params(omega, 0.0, 0.0)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6)
+    assert traj.stats.n_samples == traj.times.size == n_samples
+    assert traj.stats.sample_cap_hit is capped
+
+
+def test_certification_error_names_the_sample_cap():
+    params = constant_params(400.0 / 3.0, 0.0, 0.0)
+    with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples"):
+        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6)
+
+
+def test_window_error_names_first_outside_time_not_the_grid():
+    params = constant_params(1.0, 3.0, 0.05)
+    traj = solve_aux(AuxState(1.0, 0.0), (0.0, 1.0), params, LAM6)
+    grid = np.linspace(0.0, 1.0, 201)
+    grid[150] = 1.5
+    with pytest.raises(ConfigurationError) as err:
+        traj.state_at(grid)
+    message = str(err.value)
+    assert message == "t=1.5 outside trajectory window [0.0, 1.0]; 1 of 201 times outside"
+    with pytest.raises(ConfigurationError, match=r"^t=-0.5 outside trajectory window \[0.0, 1.0\]$"):
+        traj.state_at(-0.5)

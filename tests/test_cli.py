@@ -168,6 +168,39 @@ def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
     assert built == [0, 1]
 
 
+def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
+    # the exact states are sampled on the whole time grid in one call:
+    # one state_at per (m, sigma) in propagate, one superposition per coherent run
+    from susyjc import cli
+    from susyjc.coherent import CoherentSpec
+    from susyjc.evolution import ExactSolution
+
+    calls = {"state_at": [], "coherent": 0}
+    state_at = ExactSolution.state_at
+    build = cli.build_coherent_state
+
+    def counting_state_at(self, t):
+        calls["state_at"].append((self.block.m, self.sigma))
+        return state_at(self, t)
+
+    def counting_build(*args):
+        calls["coherent"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(ExactSolution, "state_at", counting_state_at)
+    monkeypatch.setattr(cli, "build_coherent_state", counting_build)
+    cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1"))
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    assert calls["state_at"] == [(0, 1), (0, -1), (1, 1), (1, -1)]
+
+    calls["state_at"].clear()
+    cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
+    assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    assert calls["coherent"] == 1
+    m_max = CoherentSpec.for_xi(0.5).m_max
+    assert sorted(calls["state_at"]) == [(m, 1) for m in range(m_max + 1)]
+
+
 def test_jobs_flag_is_gone(tmp_path, capsys):
     cfg = write(tmp_path, BASE)
     with pytest.raises(SystemExit) as exc:

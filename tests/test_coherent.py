@@ -87,6 +87,22 @@ def test_atomic_inversion_basis_states():
     assert atomic_inversion(SPEC.basis_state(1, 7)) == -1.0
 
 
+@pytest.mark.parametrize("sigma", [+1, -1])
+def test_coherent_state_on_a_grid_matches_stacked_scalar_calls(sigma):
+    # one call on the time grid is bit-identical to stacking the scalar
+    # calls, time axis first, and so is the inversion over the last axis
+    cs, sols = family(0.5, t1=5.0, sigma=sigma)
+    ts = np.linspace(0.0, 5.0, 21)
+    vecs = build_coherent_state(cs, ts, sols)
+    scalar_vecs = [build_coherent_state(cs, float(t), sols) for t in ts]
+    assert vecs.shape == (ts.size, 2 * SPEC.cutoff) and scalar_vecs[0].shape == (2 * SPEC.cutoff,)
+    assert np.array_equal(vecs, np.stack(scalar_vecs))
+    inversion = atomic_inversion(vecs)
+    scalar_inversion = [atomic_inversion(v) for v in scalar_vecs]
+    assert type(scalar_inversion[0]) is float and inversion.shape == ts.shape
+    assert np.array_equal(inversion, scalar_inversion)
+
+
 @pytest.mark.parametrize("xi", [0.5, 1.0])
 def test_inversion_matches_oracle(xi):
     cs, sols = family(xi)

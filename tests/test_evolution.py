@@ -10,13 +10,16 @@ from susyjc import (
     ConfigurationError,
     FockSpaceSpec,
     SubspaceBlock,
+    block_components,
     build_generators,
     constant_params,
+    embed_state,
     fidelity,
     project_block,
     propagate,
     solve_aux,
 )
+from susyjc.auxiliary import _segmented_derivative
 from susyjc.evolution import (
     EvolutionOperator,
     ExactSolution,
@@ -428,3 +431,85 @@ def test_invariant_equation_residual_certified_and_sensitive():
         _dense=traj._dense,
     )
     assert invariant_equation_residual(bumped, block) > 1e-4
+
+
+def _grid_trajectory(kind):
+    """(block, trajectory, window end) for the array-vs-scalar equality tests."""
+    from susyjc import ModelParams, TimeProfile
+    from susyjc.adiabatic import build_adiabatic_scenario, solve_scenario
+
+    if kind == "berry":
+        scenario = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(1.0), m=1, k=3)
+        block = SubspaceBlock.for_space(SPEC, scenario.m)
+        return block, solve_scenario(scenario), scenario.period
+    knots = np.linspace(0.0, 10.0, 11)
+    profiles = {
+        "constant": {},
+        "chirp": dict(g_mod=TimeProfile.chirp(0.05, 0.02, 0.2, 0.01)),
+        "table": dict(omega0=TimeProfile.table(knots, 3.0 + 0.1 * np.sin(0.3 * knots))),
+        "sinusoid": dict(g_phase=TimeProfile.sinusoid(0.0, 0.4, 0.5)),
+    }[kind]
+    base = dict(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(2.9),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+    )
+    params = ModelParams(**{**base, **profiles}, k=3)
+    block, traj = solved(params, m=2, t1=10.0)
+    return block, traj, 10.0
+
+
+GRID_KINDS = ["constant", "chirp", "table", "sinusoid", "berry"]
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_solution_layer_array_call_matches_stacked_scalar_calls(kind):
+    # one call on a time grid is bit-identical to stacking the scalar calls,
+    # time axis first; the grid hits the window ends (and table knots)
+    block, traj, t1 = _grid_trajectory(kind)
+    params = traj.params
+    ts = np.linspace(0.0, t1, 41)
+
+    state = traj.state_at(ts)
+    scalar_states = [traj.state_at(float(t)) for t in ts]
+    assert all(type(s.theta) is float and type(s.phi) is float for s in scalar_states)
+    assert np.array_equal(state.theta, [s.theta for s in scalar_states])
+    assert np.array_equal(state.phi, [s.phi for s in scalar_states])
+
+    for build, stacked in (
+        (eigenframe_rotation, [eigenframe_rotation(s) for s in scalar_states]),
+        (invariant_matrix, [invariant_matrix(s) for s in scalar_states]),
+    ):
+        out = build(state)
+        assert out.shape == (ts.size, 2, 2) and stacked[0].shape == (2, 2)
+        assert np.array_equal(out, np.stack(stacked))
+    ham = block_hamiltonian(block, params, ts)
+    assert ham.shape == (ts.size, 2, 2)
+    assert np.array_equal(ham, np.stack([block_hamiltonian(block, params, float(t)) for t in ts]))
+
+    phases = PhaseIntegrals(traj, block)
+    for sigma in (+1, -1):
+        ledger = phases.ledger(sigma, ts)
+        scalar_ledgers = [phases.ledger(sigma, float(t)) for t in ts]
+        assert type(scalar_ledgers[0].phi_d) is float
+        assert np.array_equal(ledger.phi_d, [lg.phi_d for lg in scalar_ledgers])
+        assert np.array_equal(ledger.phi_g, [lg.phi_g for lg in scalar_ledgers])
+
+        sol = ExactSolution(block, sigma, traj, phases)
+        amplitudes = sol.block_state_at(ts)
+        assert amplitudes.shape == (ts.size, 2)
+        assert np.array_equal(amplitudes, np.stack([sol.block_state_at(float(t)) for t in ts]))
+        psis = sol.state_at(ts)
+        scalar_psis = [sol.state_at(float(t)) for t in ts]
+        assert psis.shape == (ts.size, 2 * SPEC.cutoff) and scalar_psis[0].shape == (2 * SPEC.cutoff,)
+        assert np.array_equal(psis, np.stack(scalar_psis))
+        assert np.array_equal(block_components(block, psis), amplitudes)
+        assert np.array_equal(embed_state(block, amplitudes), psis)
+
+    # invariant_equation_residual: the same as from per-sample matrices
+    inv = np.stack([invariant_matrix(AuxState(*angles)) for angles in zip(traj.thetas, traj.phis)])
+    ham = np.stack([block_hamiltonian(block, params, float(t)) for t in traj.times])
+    dinv = _segmented_derivative(traj.times, inv, traj.edge_indices)
+    expected = float(np.max(np.abs(dinv - 1j * (inv @ ham - ham @ inv))))
+    assert invariant_equation_residual(traj, block) == expected
