@@ -33,6 +33,7 @@ from .quadrature import PiecewiseDense, spline_derivative
 
 DEFAULT_THETA_MIN = 1e-8
 _SAMPLE_CAP = 60001  # largest solve_aux grid; denser dynamics is certified or rejected on it
+_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,16 @@ class SolverStats:
 
     ``rtol``/``atol`` are the requested tolerances; ``refinements`` counts
     the re-integrations (each at rtol/atol / 16) that certification forced,
-    and ``effective_rtol`` is the rtol of the integration actually kept.
-    ``n_samples`` is the size of the certified sample grid, and
-    ``sample_cap_hit`` marks a grid cut down to the sample cap.
+    and ``effective_rtol`` is the rtol handed to the solver for the
+    integration actually kept.  ``n_samples`` is the size of the certified
+    sample grid, and ``sample_cap_hit`` marks a grid cut down to the sample
+    cap.
+
+    A block family integrated in one solve (``_solve_family``) shares
+    ``n_steps``, ``n_rhs_evaluations``, ``refinements`` and
+    ``effective_rtol`` (the family's rtol / sqrt(M), see there) among its M
+    members; ``max_residual``, ``n_samples`` and ``sample_cap_hit`` are each
+    member's own.
     """
 
     n_steps: int
@@ -70,17 +78,19 @@ def aux_rhs(
     state: AuxState,
     t,
     params: ModelParams,
-    lam: float,
+    lam,
     theta_min: float = DEFAULT_THETA_MIN,
 ):
     """(dtheta/dt, dphi/dt) at one time or elementwise over arrays of times/angles.
 
-    Scalar input gives plain floats (for the ODE solver), array input gives
-    arrays.  Raises SingularityError at a live pole, stamped with the time of
-    the first offending sample.
+    ``lam`` is a number or an array that broadcasts against the angles (one
+    lambda per family member).  Scalar input gives plain floats (for the ODE
+    solver), array input gives arrays.  Raises SingularityError at a live
+    pole, stamped with the time of the first offending sample (and, for an
+    array ``lam``, naming that sample's lambda).
     """
     omega, omega0, g = params.evaluate(t)
-    root = math.sqrt(lam)
+    root = np.sqrt(lam) if isinstance(lam, np.ndarray) else math.sqrt(lam)
     rotated = g * np.exp(1j * state.phi)
     dtheta = -2.0 * root * rotated.imag
     coeff = 2.0 * root * rotated.real
@@ -91,8 +101,12 @@ def aux_rhs(
         first = int(np.argmax(pole))
         when = float(np.broadcast_to(t, pole.shape).flat[first])
         worst = abs(float(np.broadcast_to(sin_t, pole.shape).flat[first]))
+        member = ""
+        if isinstance(lam, np.ndarray):
+            member = f" (lambda={float(np.broadcast_to(lam, pole.shape).flat[first])})"
         raise SingularityError(
-            f"azimuthal equation singular at t={when}: |sin theta|={worst:.3e}", time=when
+            f"azimuthal equation singular at t={when}: |sin theta|={worst:.3e}{member}",
+            time=when,
         )
     # where the coupling term vanishes the pole is absent: divide by 1, not sin
     cot_term = coeff * np.cos(state.theta) / np.where(live, sin_t, 1.0)
@@ -169,12 +183,69 @@ def solve_aux(
     transparently refined beyond the requested tolerance until the
     certificate holds (CertificationError if it cannot be met).
     """
+    return _solve_family(
+        initial, window, params, [lam], rtol, atol, n_samples, theta_min, certify
+    )[0]
+
+
+class _MemberRows:
+    """One member's (theta, phi) rows of a family's dense output: rows j and
+    M + j of the (2M,) state, taken as a view."""
+
+    def __init__(self, dense, member: int, members: int):
+        self._dense = dense
+        self._rows = slice(member, None, members)
+
+    def __call__(self, t):
+        return self._dense(t)[self._rows]
+
+
+def _solve_family(
+    initial: AuxState,
+    window: tuple[float, float],
+    params: ModelParams,
+    lams,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    n_samples: int = 2001,
+    theta_min: float = DEFAULT_THETA_MIN,
+    certify: bool = True,
+) -> list[AuxTrajectory]:
+    """:func:`solve_aux` for M lambdas from the same initial angles, in one solve.
+
+    The state is (2M,): the M thetas, then the M phis, so scipy's per-step
+    cost is paid once per step for the whole family.  Its error norm is an
+    RMS over all 2M components, so the solver gets rtol/sqrt(M) and
+    atol/sqrt(M): no member's local error exceeds what a solo solve allows.
+    Each member keeps its own sample grid, polar check and certificate; if
+    any member fails certification, the whole family is re-integrated at
+    rtol/16.  The solver's rtol never goes below scipy's floor of 100 eps
+    (the last refinement of a family can ask for less).  Errors raised for
+    one member name its lambda.  M = 1 is :func:`solve_aux` exactly (scalar
+    right-hand side, unscaled tolerances).
+    """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ConfigurationError(f"window must satisfy t1 > t0, got {window}")
+    members = len(lams)
+    solo = members == 1
+    shrink = math.sqrt(members)
+    lam_vec = np.asarray(lams, dtype=float)
 
-    def rhs(t, y):
-        return aux_rhs(AuxState(y[0], y[1]), t, params, lam, theta_min=theta_min)
+    if solo:
+        lam = lams[0]
+
+        def rhs(t, y):
+            return aux_rhs(AuxState(y[0], y[1]), t, params, lam, theta_min=theta_min)
+
+    else:
+
+        def rhs(t, y):
+            state = AuxState(y[:members], y[members:])
+            return np.concatenate(aux_rhs(state, t, params, lam_vec, theta_min=theta_min))
+
+    def located(message, member_lam):
+        return message if solo else f"{message} (lambda={float(member_lam)})"
 
     # Table profiles are only piecewise smooth; integrating segment by
     # segment keeps the solver and the certification splines away from the
@@ -182,13 +253,20 @@ def solve_aux(
     edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
 
     def integrate(rt, at):
-        y0 = [initial.theta, initial.phi]
+        y0 = [initial.theta] * members + [initial.phi] * members
+        solver_rtol = max(rt / shrink, _RTOL_FLOOR)
         solutions = []
         n_steps = 0
         nfev = 0
         for a, b in zip(edges[:-1], edges[1:]):
             sol = solve_ivp(
-                rhs, (a, b), y0, method="DOP853", rtol=rt, atol=at, dense_output=True
+                rhs,
+                (a, b),
+                y0,
+                method="DOP853",
+                rtol=solver_rtol,
+                atol=at / shrink,
+                dense_output=True,
             )
             if not sol.success:
                 raise SingularityError(
@@ -198,73 +276,97 @@ def solve_aux(
             y0 = sol.y[:, -1]
             n_steps += len(sol.t)
             nfev += sol.nfev
-        return PiecewiseDense(edges, solutions), n_steps, nfev
+        return PiecewiseDense(edges, solutions), n_steps, nfev, solver_rtol
 
-    dense, n_steps, total_nfev = integrate(rtol, atol)
+    dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
-    # Sample density rule: spline-derivative error ~ (h * rate)^5 * rate must
-    # sit an order below the certification budget of 10 * rtol.
+    # Sample density rule, per member: spline-derivative error
+    # ~ (h * rate)^5 * rate must sit an order below the certification
+    # budget of 10 * rtol.
     probe = np.linspace(t0, t1, 257)
     probed = dense(probe)
-    rates = aux_rhs(AuxState(probed[0], probed[1]), probe, params, lam, theta_min=theta_min)
-    rate = max(1.0 / (t1 - t0), float(np.max(np.abs(rates))))
+    rates = aux_rhs(
+        AuxState(probed[:members], probed[members:]),
+        probe,
+        params,
+        lam if solo else lam_vec[:, None],
+        theta_min=theta_min,
+    )
+    peaks = np.max(np.abs(rates), axis=(0, 2))
     budget = max(10.0 * rtol, 1e-13)
-    # factor 4: the nonlinear dynamics carries harmonics well above the raw
-    # rate estimate, and truncation error scales as h^5
-    n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
-    n = int(np.clip(n_auto, n_samples, _SAMPLE_CAP))
-    capped = max(n_auto, n_samples) > _SAMPLE_CAP
+    grids = []
+    for peak in peaks:
+        rate = max(1.0 / (t1 - t0), float(peak))
+        # factor 4: the nonlinear dynamics carries harmonics well above the
+        # raw rate estimate, and truncation error scales as h^5
+        n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
+        n = int(np.clip(n_auto, n_samples, _SAMPLE_CAP))
+        times, edge_indices = _segmented_grid(edges, n)
+        coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
+        grids.append((times, edge_indices, coupled, max(n_auto, n_samples) > _SAMPLE_CAP))
 
-    times, edge_indices = _segmented_grid(edges, n)
-    coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
     rtol_i, atol_i = rtol, atol
     refinements = 0
     while True:
-        values = dense(times)
-        thetas, phis = values[0], values[1]
+        trajs = []
+        residuals = []
+        # one member's grid at a time: the union of the grids would hold
+        # all 2M rows on every member's samples at once
+        for j, (lam_j, (times, edge_indices, coupled, _)) in enumerate(zip(lams, grids)):
+            member_dense = dense if solo else _MemberRows(dense, j, members)
+            thetas, phis = np.array(member_dense(times))
 
-        if coupled and np.min(np.abs(np.sin(thetas))) < theta_min:
-            worst = times[int(np.argmin(np.abs(np.sin(thetas))))]
-            raise SingularityError(
-                f"trajectory reached a polar angle singularity near t={worst}", time=worst
+            if coupled and np.min(np.abs(np.sin(thetas))) < theta_min:
+                worst = times[int(np.argmin(np.abs(np.sin(thetas))))]
+                raise SingularityError(
+                    located(f"trajectory reached a polar angle singularity near t={worst}", lam_j),
+                    time=worst,
+                )
+
+            traj = AuxTrajectory(
+                times=times,
+                thetas=thetas,
+                phis=phis,
+                params=params,
+                lam=float(lam_j),
+                stats=SolverStats(n_steps, total_nfev, rtol, atol),
+                edge_indices=edge_indices,
+                _dense=member_dense,
             )
-
-        traj = AuxTrajectory(
-            times=times,
-            thetas=thetas,
-            phis=phis,
-            params=params,
-            lam=float(lam),
-            stats=SolverStats(n_steps, total_nfev, rtol, atol),
-            edge_indices=edge_indices,
-            _dense=dense,
-        )
-        residual = residual_check(traj, params, lam)
-        if not certify or residual <= 100.0 * rtol or rtol_i < rtol / 1000.0:
+            trajs.append(traj)
+            residuals.append(residual_check(traj, params, lam_j))
+        if not certify or max(residuals) <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
         rtol_i /= 16.0
         atol_i /= 16.0
         refinements += 1
-        dense, n_steps, nfev = integrate(rtol_i, atol_i)
+        dense, n_steps, nfev, solver_rtol = integrate(rtol_i, atol_i)
         total_nfev += nfev
 
-    if certify and residual > 100.0 * rtol:
-        cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
-        raise CertificationError(
-            f"angle trajectory residual {residual:.3e} exceeds 100*rtol={100 * rtol:.3e}{cap}"
+    out = []
+    for traj, residual, (times, _, _, capped) in zip(trajs, residuals, grids):
+        if certify and residual > 100.0 * rtol:
+            cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
+            raise CertificationError(
+                located(
+                    f"angle trajectory residual {residual:.3e} exceeds "
+                    f"100*rtol={100 * rtol:.3e}{cap}",
+                    traj.lam,
+                )
+            )
+        stats = SolverStats(
+            n_steps,
+            total_nfev,
+            rtol,
+            atol,
+            max_residual=residual,
+            refinements=refinements,
+            effective_rtol=solver_rtol,
+            n_samples=times.size,
+            sample_cap_hit=capped,
         )
-    stats = SolverStats(
-        n_steps,
-        total_nfev,
-        rtol,
-        atol,
-        max_residual=residual,
-        refinements=refinements,
-        effective_rtol=rtol_i,
-        n_samples=times.size,
-        sample_cap_hit=capped,
-    )
-    return replace(traj, stats=stats)
+        out.append(replace(traj, stats=stats))
+    return out
 
 
 def _segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, solve_aux
+from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
 from .errors import ConfigurationError, TruncationError
 from .evolution import ExactSolution
@@ -101,18 +101,19 @@ def solve_block_family(
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> list[ExactSolution]:
-    """Exact solutions for m = 0 .. m_max, all from the same initial angles."""
+    """Exact solutions for m = 0 .. m_max, all from the same initial angles.
+
+    The angle equations of all blocks are integrated in one solve; each
+    block's trajectory is still sampled and certified on its own grid.
+    """
     if spec.cutoff < cspec.m_max + spec.k + spec.guard + 1:
         raise TruncationError(
             f"cutoff {spec.cutoff} too small for m_max={cspec.m_max}: "
             f"need at least {cspec.m_max + spec.k + spec.guard + 1}"
         )
-    solutions = []
-    for m in range(cspec.m_max + 1):
-        block = SubspaceBlock.for_space(spec, m)
-        traj = solve_aux(initial, window, params, block.lam, rtol=rtol, atol=atol)
-        solutions.append(ExactSolution(block, cspec.sigma, traj))
-    return solutions
+    blocks = [SubspaceBlock.for_space(spec, m) for m in range(cspec.m_max + 1)]
+    trajs = _solve_family(initial, window, params, [b.lam for b in blocks], rtol=rtol, atol=atol)
+    return [ExactSolution(block, cspec.sigma, traj) for block, traj in zip(blocks, trajs)]
 
 
 def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:

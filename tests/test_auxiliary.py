@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from susyjc import (
@@ -10,6 +12,7 @@ from susyjc import (
     ConfigurationError,
     ModelParams,
     SingularityError,
+    SusyJCError,
     TimeProfile,
     adiabatic_matched_theta,
     aux_rhs,
@@ -18,7 +21,7 @@ from susyjc import (
     residual_check,
     solve_aux,
 )
-from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, residual_series
+from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, _solve_family, residual_series
 from susyjc.quadrature import spline_derivative
 
 LAM6 = lambda_value(0, 3)
@@ -343,3 +346,55 @@ def test_window_error_names_first_outside_time_not_the_grid():
     assert message == "t=1.5 outside trajectory window [0.0, 1.0]; 1 of 201 times outside"
     with pytest.raises(ConfigurationError, match=r"^t=-0.5 outside trajectory window \[0.0, 1.0\]$"):
         traj.state_at(-0.5)
+
+
+def test_family_certification_error_names_a_lambda_and_the_sample_cap():
+    # the decoupled detuning-400 solve above, as a two-member family: the
+    # message locates the failing member; a solo solve names no lambda
+    params = constant_params(400.0 / 3.0, 0.0, 0.0)
+    with pytest.raises(CertificationError) as err:
+        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, [LAM6, lambda_value(1, 3)])
+    message = str(err.value)
+    assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=6.0)")
+
+
+def test_family_singularity_error_names_the_member_at_the_pole():
+    # imaginary coupling drives theta into the pole; the larger lambda gets
+    # there first, and the error names it, not the family's first member
+    params = constant_params(1.0, 3.0, 0.3, math.pi / 2)
+    lams = [LAM6, lambda_value(2, 3)]
+    with pytest.raises(SingularityError, match=r"\(lambda=60\.0\)$") as err:
+        _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), params, lams)
+    assert err.value.time is not None
+    with pytest.raises(SingularityError) as solo:
+        solve_aux(AuxState(0.35, 0.0), (0.0, 20.0), params, lams[1])
+    assert "lambda" not in str(solo.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=15, database=None)
+@given(
+    theta0=st.floats(0.3, math.pi - 0.3),
+    g=st.floats(0.01, 0.08),
+    detuning=st.floats(-0.2, 0.2),
+    ms=st.sets(st.integers(0, 6), min_size=1, max_size=7),
+    t_final=st.floats(0.2, 2.0),
+)
+def test_family_members_match_their_solo_solves(theta0, g, detuning, ms, t_final):
+    # one batched solve of an m-subset gives every member the trajectory of
+    # its own solve_aux, or a typed error
+    params = constant_params(1.0, 3.0 - detuning, g)
+    lams = [lambda_value(m, 3) for m in sorted(ms)]
+    initial = AuxState(theta0, 0.0)
+    try:
+        family = _solve_family(initial, (0.0, t_final), params, lams)
+    except SusyJCError:
+        return
+    assert [member.lam for member in family] == [float(lam) for lam in lams]
+    for lam, member in zip(lams, family):
+        try:
+            solo = solve_aux(initial, (0.0, t_final), params, lam)
+        except SusyJCError:
+            continue
+        got = member.state_at(solo.times)
+        assert np.max(np.abs(got.theta - solo.thetas)) <= 1e-7
+        assert np.max(np.abs(got.phi - solo.phis)) <= 1e-7

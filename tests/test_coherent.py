@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from susyjc import (
     AuxState,
     FockSpaceSpec,
+    ModelParams,
+    TimeProfile,
     TruncationError,
     atomic_inversion,
     build_coherent_state,
@@ -14,6 +16,7 @@ from susyjc import (
     propagate,
     solve_block_family,
 )
+from susyjc import auxiliary
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
@@ -139,3 +142,39 @@ def test_inversion_shows_nontrivial_dynamics():
         for t in np.linspace(0.0, 20.0, 41)
     ]
     assert np.ptp(values) > 0.5  # the inversion actually oscillates
+
+
+def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
+    # a table coupling splits the window into segments; the whole family is
+    # one solve_ivp call per segment per pass, not one per block
+    calls = []
+    real_solve_ivp = auxiliary.solve_ivp
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(args[1])
+        return real_solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(auxiliary, "solve_ivp", counting_solve_ivp)
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.table([0.0, 2.0, 4.0], [0.05, 0.08, 0.04]),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    rtol = 1e-10
+    cs = CoherentSpec.for_xi(0.5)
+    sols = solve_block_family(cs, SPEC, params, (0.0, 4.0), AuxState(math.pi / 3, 0.0), rtol=rtol)
+    stats = [sol.trajectory.stats for sol in sols]
+    segments = len(params.breakpoints(0.0, 4.0)) + 1
+    assert len(sols) == cs.m_max + 1 > 1 and segments == 2
+    assert len(calls) == (1 + stats[0].refinements) * segments
+    shared = {(s.n_steps, s.n_rhs_evaluations, s.refinements, s.effective_rtol) for s in stats}
+    assert len(shared) == 1
+    # the error norm is an RMS over the family: the solver gets rtol / sqrt(M)
+    assert stats[0].effective_rtol == rtol / 16 ** stats[0].refinements / math.sqrt(len(sols))
+    for sol, s in zip(sols, stats):
+        assert s.max_residual <= 100 * rtol
+        assert s.n_samples == sol.trajectory.times.size
+        assert sol.trajectory.lam == sol.block.lam
+    assert len({s.n_samples for s in stats}) > 1  # each block sized its own grid
