@@ -26,6 +26,7 @@ from .errors import ConfigurationError, CycleError
 from .evolution import (
     SIGMA_Z2,
     EvolutionOperator,
+    _check_sigma,
     block_hamiltonian,
     invariant_matrix,
     phase_rate_geometric,
@@ -33,6 +34,9 @@ from .evolution import (
 from .fock import Operator
 from .profiles import ModelParams, TimeProfile
 from .quadrature import cumulative_antiderivative
+
+_COS_GUARD = 1e-6  # the H-I relation divides by cos theta
+_CLOSURE_TOL = 1e-6  # largest |phi sweep - 2 pi| accepted as one closed cycle
 
 
 @dataclass(frozen=True)
@@ -101,16 +105,14 @@ def build_adiabatic_scenario(
     )
 
 
-def hamiltonian_invariant_relation_residual(
-    scenario: AdiabaticScenario, t: float, cos_guard: float = 1e-6
-) -> float:
+def hamiltonian_invariant_relation_residual(scenario: AdiabaticScenario, t: float) -> float:
     """Block residual of H = w N - w/2 - c I with c = ((k-1) w - w0) / (2 cos theta).
 
     The coefficient reads (2w - w0)/(2 cos theta) in the three-photon case.
     Requires cos theta bounded away from zero.
     """
     theta = scenario.theta
-    if abs(math.cos(theta)) < cos_guard:
+    if abs(math.cos(theta)) < _COS_GUARD:
         raise ConfigurationError(
             f"relation undefined near theta = pi/2: |cos theta| = {abs(math.cos(theta)):.3e}"
         )
@@ -173,8 +175,7 @@ def solve_scenario(
 
 def berry_phase_cycle(theta: float, sigma: int) -> float:
     """Closed-cycle geometric phase: -sigma pi (1 - cos theta)."""
-    if sigma not in (+1, -1):
-        raise ConfigurationError(f"sigma must be +1 or -1, got {sigma}")
+    _check_sigma(sigma)
     return -sigma * math.pi * (1.0 - math.cos(theta))
 
 
@@ -183,17 +184,15 @@ def berry_phase_numeric(
     sigma: int,
     t_final: float | None = None,
     rtol: float = 1e-10,
-    closure_tol: float = 1e-6,
 ) -> float:
     """Geometric phase integrated along the solved trajectory over one cycle.
 
     Raises CycleError unless phi advances by exactly 2 pi over the window.
     """
-    if sigma not in (+1, -1):
-        raise ConfigurationError(f"sigma must be +1 or -1, got {sigma}")
+    _check_sigma(sigma)
     traj = solve_scenario(scenario, t_final=t_final, rtol=rtol)
     sweep = traj.phis[-1] - traj.phis[0]
-    if abs(sweep - 2.0 * math.pi) > closure_tol:
+    if abs(sweep - 2.0 * math.pi) > _CLOSURE_TOL:
         raise CycleError(
             f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
             f"instead of 2*pi over [0, {traj.t1}]"

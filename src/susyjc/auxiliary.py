@@ -31,7 +31,8 @@ from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
 from .quadrature import PiecewiseDense, spline_derivative
 
-DEFAULT_THETA_MIN = 1e-8
+THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
+_MIN_SAMPLES = 2001  # smallest solve_aux grid
 _SAMPLE_CAP = 60001  # largest solve_aux grid; denser dynamics is certified or rejected on it
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
 
@@ -74,13 +75,7 @@ class SolverStats:
     sample_cap_hit: bool = False
 
 
-def aux_rhs(
-    state: AuxState,
-    t,
-    params: ModelParams,
-    lam,
-    theta_min: float = DEFAULT_THETA_MIN,
-):
+def aux_rhs(state: AuxState, t, params: ModelParams, lam):
     """(dtheta/dt, dphi/dt) at one time or elementwise over arrays of times/angles.
 
     ``lam`` is a number or an array that broadcasts against the angles (one
@@ -96,7 +91,7 @@ def aux_rhs(
     coeff = 2.0 * root * rotated.real
     sin_t = np.sin(state.theta)
     live = coeff != 0.0
-    pole = live & (np.abs(sin_t) < theta_min)
+    pole = live & (np.abs(sin_t) < THETA_MIN)
     if pole.any():
         first = int(np.argmax(pole))
         when = float(np.broadcast_to(t, pole.shape).flat[first])
@@ -169,8 +164,6 @@ def solve_aux(
     lam: float,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    n_samples: int = 2001,
-    theta_min: float = DEFAULT_THETA_MIN,
     certify: bool = True,
 ) -> AuxTrajectory:
     """Adaptive integration of the angle equations over ``window``.
@@ -183,9 +176,7 @@ def solve_aux(
     transparently refined beyond the requested tolerance until the
     certificate holds (CertificationError if it cannot be met).
     """
-    return _solve_family(
-        initial, window, params, [lam], rtol, atol, n_samples, theta_min, certify
-    )[0]
+    return _solve_family(initial, window, params, [lam], rtol, atol, certify)[0]
 
 
 class _MemberRows:
@@ -207,8 +198,6 @@ def _solve_family(
     lams,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    n_samples: int = 2001,
-    theta_min: float = DEFAULT_THETA_MIN,
     certify: bool = True,
 ) -> list[AuxTrajectory]:
     """:func:`solve_aux` for M lambdas from the same initial angles, in one solve.
@@ -236,13 +225,13 @@ def _solve_family(
         lam = lams[0]
 
         def rhs(t, y):
-            return aux_rhs(AuxState(y[0], y[1]), t, params, lam, theta_min=theta_min)
+            return aux_rhs(AuxState(y[0], y[1]), t, params, lam)
 
     else:
 
         def rhs(t, y):
             state = AuxState(y[:members], y[members:])
-            return np.concatenate(aux_rhs(state, t, params, lam_vec, theta_min=theta_min))
+            return np.concatenate(aux_rhs(state, t, params, lam_vec))
 
     def located(message, member_lam):
         return message if solo else f"{message} (lambda={float(member_lam)})"
@@ -290,7 +279,6 @@ def _solve_family(
         probe,
         params,
         lam if solo else lam_vec[:, None],
-        theta_min=theta_min,
     )
     peaks = np.max(np.abs(rates), axis=(0, 2))
     budget = max(10.0 * rtol, 1e-13)
@@ -300,10 +288,10 @@ def _solve_family(
         # factor 4: the nonlinear dynamics carries harmonics well above the
         # raw rate estimate, and truncation error scales as h^5
         n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
-        n = int(np.clip(n_auto, n_samples, _SAMPLE_CAP))
+        n = int(np.clip(n_auto, _MIN_SAMPLES, _SAMPLE_CAP))
         times, edge_indices = _segmented_grid(edges, n)
         coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
-        grids.append((times, edge_indices, coupled, max(n_auto, n_samples) > _SAMPLE_CAP))
+        grids.append((times, edge_indices, coupled, n_auto > _SAMPLE_CAP))
 
     rtol_i, atol_i = rtol, atol
     refinements = 0
@@ -316,7 +304,7 @@ def _solve_family(
             member_dense = dense if solo else _MemberRows(dense, j, members)
             thetas, phis = np.array(member_dense(times))
 
-            if coupled and np.min(np.abs(np.sin(thetas))) < theta_min:
+            if coupled and np.min(np.abs(np.sin(thetas))) < THETA_MIN:
                 worst = times[int(np.argmin(np.abs(np.sin(thetas))))]
                 raise SingularityError(
                     located(f"trajectory reached a polar angle singularity near t={worst}", lam_j),
@@ -371,8 +359,6 @@ def _solve_family(
 
 def _segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
     """Sample grid of ~n points containing every segment edge exactly."""
-    if len(edges) == 2:
-        return np.linspace(edges[0], edges[-1], n), (0, n - 1)
     span = edges[-1] - edges[0]
     pieces = []
     edge_indices = [0]
@@ -418,9 +404,7 @@ def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.
     dtheta = _segmented_derivative(ts, theta, traj.edge_indices)
     dphi = _segmented_derivative(ts, phi, traj.edge_indices)
 
-    omega = np.asarray(params.omega(ts), dtype=float)
-    omega0 = np.asarray(params.omega0(ts), dtype=float)
-    g = np.asarray(params.g_mod(ts), dtype=float) * np.exp(1j * np.asarray(params.g_phase(ts)))
+    omega, omega0, g = params.evaluate(ts)
     root = math.sqrt(lam)
     det = params.k * omega - omega0
 
@@ -441,13 +425,13 @@ def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> floa
     return float(np.max(residual_series(traj, params, lam)))
 
 
-def adiabatic_matched_theta(params: ModelParams, lam: float, t: float = 0.0) -> float:
-    """Initial polar angle solving the steady-azimuth constraint at time ``t``.
+def adiabatic_matched_theta(params: ModelParams, lam: float) -> float:
+    """Initial polar angle solving the steady-azimuth constraint at t = 0.
 
     Solves (k w - w0 - w) sin(theta) = 2 |g| sqrt(lam) cos(theta) for theta
     in (0, pi) by bisection.  Requires a nonzero coupling modulus.
     """
-    omega, omega0, g = params.evaluate(t)
+    omega, omega0, g = params.evaluate(0.0)
     b = 2.0 * abs(g) * math.sqrt(lam)
     a = params.k * omega - omega0 - omega
     if b == 0.0:

@@ -116,7 +116,6 @@ class ScenarioConfig:
     adiabatic_matched: bool
     aux_rtol: float
     aux_atol: float
-    aux_samples: int
     t_final: float
     samples: int
     sigmas: list[int]
@@ -164,7 +163,6 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
         adiabatic_matched=adiabatic_matched,
         aux_rtol=_get(cp, "aux", "rtol", float, 1e-10),
         aux_atol=_get(cp, "aux", "atol", float, 1e-12),
-        aux_samples=_get(cp, "aux", "samples", int, 2001),
         t_final=_get(cp, "run", "t_final", float, 20.0),
         samples=_get(cp, "run", "samples", int, 201),
         sigmas=_get(cp, "run", "sigma", _int_list, [1, -1]),
@@ -178,6 +176,11 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
     for sigma in cfg.sigmas:
         if sigma not in (1, -1):
             raise ConfigurationError(f"run.sigma entries must be +1 or -1, got {sigma}")
+    # one sample is t = 0 alone, where exact and oracle agree by construction
+    if cfg.samples < 2:
+        raise ConfigurationError(f"run.samples must be at least 2, got {cfg.samples}")
+    if cfg.precision < 1:
+        raise ConfigurationError(f"output.precision must be at least 1, got {cfg.precision}")
     if theta0 is not None and not 0.0 <= theta0 <= math.pi:
         raise ConfigurationError(f"aux.theta0 must lie in [0, pi], got {theta0}")
     if need_profiles:
@@ -253,20 +256,6 @@ def cmd_verify_algebra(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     return 1 if failures else 0
 
 
-def _propagate_one(cfg: ScenarioConfig, m: int):
-    block = SubspaceBlock.for_space(cfg.spec, m)
-    traj = solve_aux(
-        _initial_state(cfg, block.lam),
-        (0.0, cfg.t_final),
-        cfg.params,
-        block.lam,
-        rtol=cfg.aux_rtol,
-        atol=cfg.aux_atol,
-        n_samples=cfg.aux_samples,
-    )
-    return block, traj
-
-
 def _print_oracle_drift(drifts) -> None:
     """The largest (norm, N') drifts over the oracle runs; not a bound line."""
     norm = max(d[0] for d in drifts)
@@ -279,9 +268,20 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     worst_infidelity = 0.0
     oracle_drifts = []
 
-    solved = [_propagate_one(cfg, m) for m in cfg.m_list]
+    blocks = [SubspaceBlock.for_space(cfg.spec, m) for m in cfg.m_list]
+    trajs = [
+        solve_aux(
+            _initial_state(cfg, block.lam),
+            (0.0, cfg.t_final),
+            cfg.params,
+            block.lam,
+            rtol=cfg.aux_rtol,
+            atol=cfg.aux_atol,
+        )
+        for block in blocks
+    ]
 
-    for (block, traj), m in zip(solved, cfg.m_list):
+    for block, traj, m in zip(blocks, trajs, cfg.m_list):
         dense_residuals = residual_series(traj, cfg.params, block.lam)
         residuals = np.interp(ts, traj.times, dense_residuals)
         angles = traj.state_at(ts)
@@ -392,10 +392,9 @@ def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
 def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     xi = _get(cp, "coherent", "xi", float)
     sigma = _get(cp, "coherent", "sigma", int, 1)
-    tail = _get(cp, "coherent", "tail", float, 1e-10)
     max_diff = _get(cp, "coherent", "max_diff", float, 1e-6)
 
-    cspec = CoherentSpec.for_xi(xi, sigma=sigma, tail_bound=tail)
+    cspec = CoherentSpec.for_xi(xi, sigma=sigma)
     lam0 = SubspaceBlock.for_space(cfg.spec, 0).lam
     initial = _initial_state(cfg, lam0)
     solutions = solve_block_family(

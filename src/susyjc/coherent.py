@@ -17,11 +17,11 @@ import numpy as np
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
 from .errors import ConfigurationError, TruncationError
-from .evolution import ExactSolution
+from .evolution import ExactSolution, _check_sigma
 from .fock import FockSpaceSpec
 from .profiles import ModelParams
 
-DEFAULT_TAIL_BOUND = 1e-10
+TAIL_BOUND = 1e-10  # largest Poisson weight a truncation may drop
 
 
 def poisson_tail(xi: float, m_max: int) -> float:
@@ -42,13 +42,13 @@ def poisson_tail(xi: float, m_max: int) -> float:
     return total
 
 
-def m_max_for_tail(xi: float, bound: float = DEFAULT_TAIL_BOUND) -> int:
-    """Smallest truncation with Poisson tail weight below ``bound``."""
+def m_max_for_tail(xi: float) -> int:
+    """Smallest truncation with Poisson tail weight below ``TAIL_BOUND``."""
     m = 0
-    while poisson_tail(xi, m) >= bound:
+    while poisson_tail(xi, m) >= TAIL_BOUND:
         m += 1
         if m > 100000:
-            raise TruncationError(f"no truncation reaches tail bound {bound} for xi={xi}")
+            raise TruncationError(f"no truncation reaches tail bound {TAIL_BOUND} for xi={xi}")
     return m
 
 
@@ -59,25 +59,23 @@ class CoherentSpec:
     xi: float
     m_max: int
     sigma: int = +1
-    tail_bound: float = DEFAULT_TAIL_BOUND
 
     def __post_init__(self):
         if self.xi < 0:
             raise ConfigurationError(f"xi must be nonnegative, got {self.xi}")
         if self.m_max < 0:
             raise ConfigurationError(f"m_max must be nonnegative, got {self.m_max}")
-        if self.sigma not in (+1, -1):
-            raise ConfigurationError(f"sigma must be +1 or -1, got {self.sigma}")
+        _check_sigma(self.sigma)
         tail = poisson_tail(self.xi, self.m_max)
-        if tail >= self.tail_bound:
+        if tail >= TAIL_BOUND:
             raise TruncationError(
                 f"truncation m_max={self.m_max} leaves tail weight {tail:.3e} "
-                f">= {self.tail_bound:g} for xi={self.xi}"
+                f">= {TAIL_BOUND:g} for xi={self.xi}"
             )
 
     @classmethod
-    def for_xi(cls, xi: float, sigma: int = +1, tail_bound: float = DEFAULT_TAIL_BOUND):
-        return cls(xi=xi, m_max=m_max_for_tail(xi, tail_bound), sigma=sigma, tail_bound=tail_bound)
+    def for_xi(cls, xi: float, sigma: int = +1):
+        return cls(xi=xi, m_max=m_max_for_tail(xi), sigma=sigma)
 
     def weights(self) -> np.ndarray:
         """e^{-xi^2/2} xi^m / sqrt(m!) for m = 0 .. m_max."""

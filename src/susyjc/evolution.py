@@ -281,20 +281,20 @@ class ExactSolution:
 
 
 class EvolutionOperator:
-    """Block evolution operator: V(t) times the per-column phase factors."""
+    """Block evolution operator: its columns are the sigma = +1 and -1 exact
+    solutions, which share one PhaseIntegrals."""
 
     def __init__(self, block: SubspaceBlock, trajectory: AuxTrajectory):
         self.block = block
         self.trajectory = trajectory
-        self.phases = PhaseIntegrals(trajectory, block)
-
-    def at(self, t: float) -> np.ndarray:
-        """2x2 propagator; its columns are the two exact block solutions."""
-        v = eigenframe_rotation(self.trajectory.state_at(t))
-        factors = np.array(
-            [self.phases.ledger(+1, t).factor, self.phases.ledger(-1, t).factor]
+        phases = PhaseIntegrals(trajectory, block)
+        self.solutions = tuple(
+            ExactSolution(block, sigma, trajectory, phases) for sigma in (+1, -1)
         )
-        return v * factors[np.newaxis, :]
+
+    def at(self, t) -> np.ndarray:
+        """2x2 propagator at scalar t, or (n, 2, 2) for an array of times."""
+        return np.stack([sol.block_state_at(t) for sol in self.solutions], axis=-1)
 
     def full_at(self, t: float) -> np.ndarray:
         """Full-space embedding (identity outside the block)."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, EvaluationError, VerificationError
+from .errors import ConfigurationError, VerificationError
 
 EXCITED = 0
 GROUND = 1
@@ -184,18 +184,11 @@ def build_generators(spec: FockSpaceSpec) -> Generators:
     )
 
 
-def _evaluate_params(params, t: float) -> tuple[float, float, complex]:
-    omega, omega0, g = params.evaluate(t)
-    if not (np.isfinite(omega) and np.isfinite(omega0) and np.isfinite(g)):
-        raise EvaluationError(f"non-finite model parameters at t={t}")
-    return omega, omega0, g
-
-
 def build_hamiltonian(spec: FockSpaceSpec, params, t: float) -> Operator:
     """H(t) = w adag a + (w0/2) sigma_z + g adag^k sigma_- + g* a^k sigma_+."""
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
-    omega, omega0, g = _evaluate_params(params, t)
+    omega, omega0, g = params.evaluate(t)
     gen = build_generators(spec)
     number = np.kron(np.eye(2), np.diag(np.arange(spec.cutoff, dtype=float))).astype(complex)
     mat = (
@@ -215,7 +208,7 @@ def build_hamiltonian_susy(spec: FockSpaceSpec, params, t: float) -> Operator:
     """
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
-    omega, omega0, g = _evaluate_params(params, t)
+    omega, omega0, g = params.evaluate(t)
     gen = build_generators(spec)
     eye = np.eye(spec.dim, dtype=complex)
     mat = (

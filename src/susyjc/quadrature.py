@@ -10,11 +10,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
+SPLINE_ORDER = 5  # quintic; fewer samples than that lower it to len(ts) - 1
 
-def spline_derivative(ts: np.ndarray, ys: np.ndarray, order: int = 5) -> np.ndarray:
+
+def spline_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """d(ys)/dt sampled at ts; ys may have trailing axes (splined along axis 0)."""
     ts = np.asarray(ts, dtype=float)
-    order = min(order, ts.size - 1)
+    order = min(SPLINE_ORDER, ts.size - 1)
     if np.iscomplexobj(ys):
         re = make_interp_spline(ts, np.real(ys), k=order, axis=0).derivative()(ts)
         im = make_interp_spline(ts, np.imag(ys), k=order, axis=0).derivative()(ts)
@@ -22,10 +24,10 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, order: int = 5) -> np.ndar
     return make_interp_spline(ts, ys, k=order, axis=0).derivative()(ts)
 
 
-def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, order: int = 5):
+def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys)."""
     ts = np.asarray(ts, dtype=float)
-    order = min(order, ts.size - 1)
+    order = min(SPLINE_ORDER, ts.size - 1)
     anti = make_interp_spline(ts, np.asarray(ys, dtype=float), k=order).antiderivative()
     f0 = anti(ts[0])
 

@@ -21,6 +21,7 @@ from .quadrature import PiecewiseDense
 
 
 MAX_NORM_DRIFT = 1e-9
+MAX_LEAKAGE = 1e-8  # largest amplitude allowed in the guard band
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,14 @@ def propagate(
     atol: float = 1e-12,
     t_eval: np.ndarray | None = None,
     max_norm_drift: float = MAX_NORM_DRIFT,
-    max_leakage: float = 1e-8,
 ) -> PropagationResult:
     """Integrate the Schrodinger equation from a normalized initial state.
 
     The initial state must keep at least ``spec.guard`` photon levels free
     below the cutoff; because H never couples across blocks, any population
-    reaching the guard band flags an integration bug and rejects the run,
-    as does a norm drift beyond ``max_norm_drift``.
+    reaching the guard band (amplitude above ``MAX_LEAKAGE``) flags an
+    integration bug and rejects the run, as does a norm drift beyond
+    ``max_norm_drift``.
     """
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
@@ -148,9 +149,9 @@ def propagate(
         )
 
     guard_pop = np.max(np.abs(states.reshape(len(states), 2, spec.cutoff)[:, :, top:]))
-    if guard_pop > max_leakage:
+    if guard_pop > MAX_LEAKAGE:
         raise PropagationError(
-            f"run rejected: guard-band amplitude {guard_pop:.3e} exceeds {max_leakage:g}"
+            f"run rejected: guard-band amplitude {guard_pop:.3e} exceeds {MAX_LEAKAGE:g}"
         )
 
     expectations = np.einsum("ti,ij,tj->t", states.conj(), structure.nprime, states).real

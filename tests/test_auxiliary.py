@@ -318,6 +318,7 @@ def test_solver_stats_record_refinement():
     [
         pytest.param(5.0, _SAMPLE_CAP, True, id="detuning-15-capped"),
         pytest.param(4.0, 49784, False, id="detuning-12-uncapped"),
+        pytest.param(0.1, 2001, False, id="detuning-0.3-floor"),
     ],
 )
 def test_solver_stats_record_grid_size_and_cap(omega, n_samples, capped):

@@ -259,11 +259,27 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
 
 
-def test_theta0_range_validated_before_computation(tmp_path, capsys):
-    cfg = BASE.replace("theta0 = 1.0471975511965976", "theta0 = 4.0")
-    code = main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize(
+    "old,new,key",
+    [
+        pytest.param("theta0 = 1.0471975511965976", "theta0 = 4.0", "aux.theta0", id="theta0-4.0"),
+        pytest.param("samples = 41", "samples = 0", "run.samples", id="samples-0"),
+        pytest.param("samples = 41", "samples = -3", "run.samples", id="samples-minus-3"),
+        # one sample would compare exact and oracle at t = 0 only
+        pytest.param("samples = 41", "samples = 1", "run.samples", id="samples-1"),
+        pytest.param(
+            "[oracle]", "[output]\nprecision = -1\n\n[oracle]", "output.precision",
+            id="precision-minus-1",
+        ),
+    ],
+)
+def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):
+    cfg = BASE.replace(old, new)
+    out = tmp_path / "o"
+    code = main(["propagate", "--config", write(tmp_path, cfg), "--out", str(out)])
     assert code == 2
-    assert "aux.theta0" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # rejected at load time, before any output
 
 
 def test_singularity_surfaces_with_time_stamp(tmp_path, capsys):

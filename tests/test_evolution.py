@@ -507,6 +507,15 @@ def test_solution_layer_array_call_matches_stacked_scalar_calls(kind):
         assert np.array_equal(block_components(block, psis), amplitudes)
         assert np.array_equal(embed_state(block, amplitudes), psis)
 
+    # the evolution operator's columns are the two exact solutions
+    prop = EvolutionOperator(block, traj)
+    u = prop.at(ts)
+    assert u.shape == (ts.size, 2, 2)
+    assert np.array_equal(u, np.stack([prop.at(float(t)) for t in ts]))
+    for column, sigma in enumerate((+1, -1)):
+        sol = ExactSolution(block, sigma, traj, phases)
+        assert np.array_equal(u[..., column], sol.block_state_at(ts))
+
     # invariant_equation_residual: the same as from per-sample matrices
     inv = np.stack([invariant_matrix(AuxState(*angles)) for angles in zip(traj.thetas, traj.phis)])
     ham = np.stack([block_hamiltonian(block, params, float(t)) for t in traj.times])
