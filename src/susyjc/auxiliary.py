@@ -117,7 +117,9 @@ class AuxTrajectory:
 
     ``edge_indices`` marks segment boundaries in ``times`` when the model
     profiles have interior kinks (table breakpoints); derivative-based
-    checks treat each segment separately.
+    checks treat each segment separately.  ``residuals`` is the
+    :func:`residual_series` on ``times`` for the trajectory's own params
+    and lam, as certification computed it (None on a hand-built trajectory).
     """
 
     times: np.ndarray
@@ -127,6 +129,7 @@ class AuxTrajectory:
     lam: float
     stats: SolverStats
     edge_indices: tuple | None = None
+    residuals: np.ndarray | None = None
     _dense: object = field(repr=False, default=None)
 
     @property
@@ -321,6 +324,7 @@ def _solve_family(
                 edge_indices=edge_indices,
                 _dense=member_dense,
             )
+            traj = replace(traj, residuals=residual_series(traj, params, lam_j))
             trajs.append(traj)
             residuals.append(residual_check(traj, params, lam_j))
         if not certify or max(residuals) <= 100.0 * rtol or rtol_i < rtol / 1000.0:
@@ -419,10 +423,16 @@ def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.
 
 
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:
-    """Max complex residual of the printed angle equations along a trajectory."""
+    """Max complex residual of the printed angle equations along a trajectory.
+
+    Reuses ``traj.residuals`` when ``params`` and ``lam`` are the
+    trajectory's own, which is how certification calls it.
+    """
     if traj.times.size == 0:
         raise ConfigurationError("empty trajectory")
-    return float(np.max(residual_series(traj, params, lam)))
+    own = traj.residuals is not None and params is traj.params and lam == traj.lam
+    series = traj.residuals if own else residual_series(traj, params, lam)
+    return float(np.max(series))
 
 
 def adiabatic_matched_theta(params: ModelParams, lam: float) -> float:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .adiabatic import berry_phase_cycle, berry_phase_numeric, build_adiabatic_scenario
-from .auxiliary import AuxState, adiabatic_matched_theta, residual_series, solve_aux
+from .auxiliary import AuxState, adiabatic_matched_theta, solve_aux
 from .blocks import SubspaceBlock, block_components, verify_block_closure
 from .coherent import CoherentSpec, atomic_inversion, build_coherent_state, solve_block_family
 from .errors import (
@@ -282,8 +282,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     ]
 
     for block, traj, m in zip(blocks, trajs, cfg.m_list):
-        dense_residuals = residual_series(traj, cfg.params, block.lam)
-        residuals = np.interp(ts, traj.times, dense_residuals)
+        residuals = np.interp(ts, traj.times, traj.residuals)
         angles = traj.state_at(ts)
 
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)

@@ -283,6 +283,11 @@ def test_residual_series_shape_and_export_columns():
     series = residual_series(traj, params, LAM6)
     assert series.shape == traj.times.shape
     assert np.all(series >= 0)
+    # certification keeps the series it computed, for the CSV column
+    assert np.array_equal(traj.residuals, series)
+    assert traj.stats.max_residual == np.max(series)
+    # other params than the trajectory's own are not answered from the cache
+    assert residual_check(traj, constant_params(1.0, 2.9, 0.05), LAM6) > 1e-3
 
 
 def test_solver_stats_first_try_certification():

@@ -132,15 +132,36 @@ def test_table_profile_keeps_drift_budget():
 
 
 def test_refining_tolerance_improves_decoupled_phase():
-    params = constant_params(1.0, 3.0, 0.0)
+    # constant profiles, g = 0: the rotating frame removes the whole phase,
+    # so the oracle is exact at any tolerance
     psi0 = SPEC.basis_state(EXCITED, 1)
+    for rtol in (1e-6, 5e-7):
+        result = propagate(
+            psi0, (0.0, 20.0), constant_params(1.0, 3.0, 0.0), SPEC, rtol=rtol,
+            atol=rtol * 1e-2, max_norm_drift=1e-4, t_eval=[20.0],
+        )
+        expected = np.exp(-1j * 2.5 * 20.0) * psi0
+        assert np.max(np.abs(result.states[-1] - expected)) <= 1e-14
+
+    # an omega0 ramp leaves the phase -i b t^2 / 4 to integrate; its closed
+    # form is exp(-i (m w t + (a t + b t^2 / 2) / 2)) for omega0 = a + b t
+    from susyjc import ModelParams, TimeProfile
+
+    a, b = 3.0, 0.05
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.linear(a, b),
+        g_mod=TimeProfile.constant(0.0),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
     errs = []
     for rtol in (1e-6, 5e-7):
         result = propagate(
             psi0, (0.0, 20.0), params, SPEC, rtol=rtol, atol=rtol * 1e-2,
             max_norm_drift=1e-4, t_eval=[20.0],
         )
-        expected = np.exp(-1j * 2.5 * 20.0) * psi0
+        expected = np.exp(-1j * (20.0 + (a * 20.0 + b * 20.0**2 / 2) / 2)) * psi0
         errs.append(np.max(np.abs(result.states[-1] - expected)))
     assert errs[1] < errs[0]
 
@@ -191,3 +212,96 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
             want = dense @ psi
             got = _apply_hamiltonian(structure, omega, omega0, g, psi)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (k, t)
+
+
+def _superposition(spec, ms, seed):
+    """A normalized state spread over both levels of blocks ``ms``."""
+    rng = np.random.default_rng(seed)
+    psi = np.zeros(spec.dim, dtype=complex)
+    for m in ms:
+        block = SubspaceBlock.for_space(spec, m)
+        amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi[[block.upper_index, block.lower_index]] = amps
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_matches_matrix_exponential_for_constant_coupled_h(k):
+    # detuned (k w != w0) and complex g, so the Q links carry a phase in the
+    # rotating frame; the window starts at t0 != 0, so tau = t - t0 counts
+    from scipy.linalg import expm
+
+    from susyjc import build_hamiltonian
+
+    spec = FockSpaceSpec(cutoff=14, k=k)
+    params = constant_params(1.0, k * 1.0 - 0.2, 0.07, g_phase=0.6, k=k)
+    psi0 = _superposition(spec, range(4), seed=k)
+    h = build_hamiltonian(spec, params, 0.0).matrix
+    t0, t1 = 1.5, 21.5
+    ts = np.linspace(t0, t1, 9)
+    result = propagate(psi0, (t0, t1), params, spec, t_eval=ts)
+    for t, psi in zip(ts, result.states):
+        assert np.max(np.abs(psi - expm(-1j * h * (t - t0)) @ psi0)) < 1e-8, (k, t)
+
+
+@pytest.mark.parametrize("window", [(0.5, 10.0), (9.5, 0.0)], ids=["forward", "backward"])
+def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
+    # the chirp, table and sinusoid kinds of the driven scenario, against a
+    # lab-frame dense-matrix integration kept here, leg by leg between knots,
+    # with H(t) assembled from the operator builders' matrices
+    from scipy.integrate import solve_ivp
+
+    from susyjc import ModelParams, TimeProfile, build_ladder
+
+    spec = FockSpaceSpec(cutoff=16, k=3)
+    knots = [0.0, 2.5, 5.0, 7.5, 10.0]
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=3,
+    )
+    psi0 = _superposition(spec, [0, 2, 5], seed=7)
+    t0, t1 = window
+    ts = np.linspace(t0, t1, 11)
+
+    gen = build_generators(spec)
+    a_op, adag = build_ladder(spec)
+    number = adag.matrix @ a_op.matrix
+    half_sz = 0.5 * gen.sigma_z.matrix
+    q, qdag = gen.Q.matrix, gen.Qdag.matrix
+
+    def lab_rhs(t, y):
+        omega, omega0, g = params.evaluate(t)
+        return -1j * ((omega * number + omega0 * half_sz + g * q + np.conj(g) * qdag) @ y)
+
+    lo, hi = sorted(window)
+    inner = [x for x in knots if lo < x < hi]
+    edges = [t0] + (inner if t1 > t0 else inner[::-1]) + [t1]
+    want = np.empty((len(ts), spec.dim), dtype=complex)
+    y = psi0
+    for a, b in zip(edges[:-1], edges[1:]):
+        sol = solve_ivp(lab_rhs, (a, b), y, method="DOP853", rtol=1e-12, atol=1e-14, dense_output=True)
+        inside = (ts - a) * (ts - b) <= 0
+        want[inside] = sol.sol(ts[inside]).T
+        y = sol.y[:, -1]
+
+    result = propagate(psi0, window, params, spec, t_eval=ts)
+    for t, psi, ref in zip(ts, result.states, want):
+        assert np.max(np.abs(psi - ref)) < 1e-8, t
+
+
+def test_oracle_work_budget_on_the_resonant_block():
+    # resonant.ini's m = 2, sigma = +1 run at its rtol; in the lab frame the
+    # solver followed the free phases and needed 2522 right-hand sides
+    from susyjc.evolution import ExactSolution
+
+    spec = FockSpaceSpec(cutoff=32, k=3, guard=3)
+    params = constant_params(1.0, 3.0, 0.05)
+    block = SubspaceBlock.for_space(spec, 2)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, block.lam, rtol=1e-10)
+    psi0 = ExactSolution(block, +1, traj).state_at(0.0)
+    ts = np.linspace(0.0, 20.0, 201)
+    result = propagate(psi0, (0.0, 20.0), params, spec, rtol=1e-10, atol=1e-12, t_eval=ts)
+    assert 0 < result.n_steps < result.n_rhs_evaluations < 1000
