@@ -199,7 +199,7 @@ def berry_phase_numeric(
         )
     _, dphi = traj.rates_at(traj.times)
     rates = phase_rate_geometric(sigma, AuxState(traj.thetas, traj.phis), dphi)
-    return float(cumulative_antiderivative(traj.times, rates)(traj.t1))
+    return float(cumulative_antiderivative(traj.times, rates, traj.edge_indices)(traj.t1))
 
 
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):

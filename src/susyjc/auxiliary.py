@@ -16,6 +16,10 @@ raises SingularityError there whenever the cot coefficient is nonzero; no
 regularization is applied, since masking the pole would corrupt geometric
 phases.  (With g identically zero the pole term is absent and polar initial
 angles are legitimate.)
+
+Table profiles have kinks.  The integration, the sample grid and the spline
+derivatives of the certification are each split at them by
+:mod:`susyjc.quadrature`; this module never handles a segment itself.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
-from .quadrature import PiecewiseDense, spline_derivative
+from .quadrature import integrate_segments, segmented_grid, spline_derivative
 
 THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
 _MIN_SAMPLES = 2001  # smallest solve_aux grid
@@ -50,6 +53,9 @@ class AuxState:
 class SolverStats:
     """Work and tolerances of one angle solve.
 
+    ``n_steps`` counts the solver's accepted steps and ``n_rhs_evaluations``
+    its right-hand-side calls, both summed over the segments between profile
+    kinks (as ``PropagationResult`` counts them for the oracle).
     ``rtol``/``atol`` are the requested tolerances; ``refinements`` counts
     the re-integrations (each at rtol/atol / 16) that certification forced,
     and ``effective_rtol`` is the rtol handed to the solver for the
@@ -116,8 +122,9 @@ class AuxTrajectory:
     """Sampled angle solution plus the dense interpolant that produced it.
 
     ``edge_indices`` marks segment boundaries in ``times`` when the model
-    profiles have interior kinks (table breakpoints); derivative-based
-    checks treat each segment separately.  ``residuals`` is the
+    profiles have interior kinks (table breakpoints); the spline derivatives
+    and the phase integrals pass it to :mod:`susyjc.quadrature`, which
+    treats each segment separately.  ``residuals`` is the
     :func:`residual_series` on ``times`` for the trajectory's own params
     and lam, as certification computed it (None on a hand-built trajectory).
     """
@@ -239,36 +246,14 @@ def _solve_family(
     def located(message, member_lam):
         return message if solo else f"{message} (lambda={float(member_lam)})"
 
-    # Table profiles are only piecewise smooth; integrating segment by
-    # segment keeps the solver and the certification splines away from the
-    # kinks ("predictable error behavior").
-    edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
+    def failed(message, time):
+        return SingularityError(f"angle integration failed: {message}", time=time)
 
     def integrate(rt, at):
         y0 = [initial.theta] * members + [initial.phi] * members
         solver_rtol = max(rt / shrink, _RTOL_FLOOR)
-        solutions = []
-        n_steps = 0
-        nfev = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            sol = solve_ivp(
-                rhs,
-                (a, b),
-                y0,
-                method="DOP853",
-                rtol=solver_rtol,
-                atol=at / shrink,
-                dense_output=True,
-            )
-            if not sol.success:
-                raise SingularityError(
-                    f"angle integration failed: {sol.message}", time=sol.t[-1]
-                )
-            solutions.append(sol.sol)
-            y0 = sol.y[:, -1]
-            n_steps += len(sol.t)
-            nfev += sol.nfev
-        return PiecewiseDense(edges, solutions), n_steps, nfev, solver_rtol
+        found = integrate_segments(rhs, (t0, t1), y0, params, solver_rtol, at / shrink, failed)
+        return (*found, solver_rtol)
 
     dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
@@ -292,7 +277,7 @@ def _solve_family(
         # raw rate estimate, and truncation error scales as h^5
         n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
         n = int(np.clip(n_auto, _MIN_SAMPLES, _SAMPLE_CAP))
-        times, edge_indices = _segmented_grid(edges, n)
+        times, edge_indices = segmented_grid(dense.edges, n)
         coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
         grids.append((times, edge_indices, coupled, n_auto > _SAMPLE_CAP))
 
@@ -361,36 +346,6 @@ def _solve_family(
     return out
 
 
-def _segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
-    """Sample grid of ~n points containing every segment edge exactly."""
-    span = edges[-1] - edges[0]
-    pieces = []
-    edge_indices = [0]
-    end = 0
-    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        count = max(8, int(round(n * (b - a) / span)))
-        seg = np.linspace(a, b, count)
-        if i == 0:
-            pieces.append(seg)
-            end = count - 1
-        else:
-            pieces.append(seg[1:])
-            end += count - 1
-        edge_indices.append(end)
-    return np.concatenate(pieces), tuple(edge_indices)
-
-
-def _segmented_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices) -> np.ndarray:
-    """Spline derivative per smooth segment (the angles have kinks at profile
-    breakpoints; one global spline would ring across them)."""
-    if edge_indices is None or len(edge_indices) <= 2:
-        return spline_derivative(ts, ys)
-    out = np.empty_like(ys)
-    for a, b in zip(edge_indices[:-1], edge_indices[1:]):
-        out[a : b + 1] = spline_derivative(ts[a : b + 1], ys[a : b + 1])
-    return out
-
-
 def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.ndarray:
     """Per-sample max modulus of the two complex angle equations.
 
@@ -405,8 +360,8 @@ def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.
     ts = traj.times
     theta = traj.thetas
     phi = traj.phis
-    dtheta = _segmented_derivative(ts, theta, traj.edge_indices)
-    dphi = _segmented_derivative(ts, phi, traj.edge_indices)
+    dtheta = spline_derivative(ts, theta, traj.edge_indices)
+    dphi = spline_derivative(ts, phi, traj.edge_indices)
 
     omega, omega0, g = params.evaluate(ts)
     root = math.sqrt(lam)

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, _segmented_derivative, aux_rhs
+from .auxiliary import AuxState, AuxTrajectory, aux_rhs
 from .blocks import SubspaceBlock, embed_state
 from .errors import ConfigurationError, VerificationError
 from .fock import FockSpaceSpec, Operator, build_generators
 from .profiles import ModelParams
-from .quadrature import cumulative_antiderivative
+from .quadrature import cumulative_antiderivative, spline_derivative
 
 SIGMA_Z2 = np.diag([1.0 + 0j, -1.0 + 0j])
 
@@ -209,7 +209,10 @@ class PhaseIntegrals:
 
     Integrands are sampled on the trajectory's dense grid and accumulated
     with quintic-spline antiderivatives (composite order-6 quadrature whose
-    nodes follow the ODE sampling).
+    nodes follow the ODE sampling).  The integrands have kinks at table
+    knots, so the trajectory's ``edge_indices`` give one spline per smooth
+    segment, and each running integral carries its value across the edges
+    (:func:`susyjc.quadrature.cumulative_antiderivative`).
     """
 
     def __init__(self, trajectory: AuxTrajectory, block: SubspaceBlock):
@@ -222,16 +225,19 @@ class PhaseIntegrals:
         params = trajectory.params
 
         ts = trajectory.times
+        edge_indices = trajectory.edge_indices
         state = AuxState(trajectory.thetas, trajectory.phis)
         _, dphi = aux_rhs(state, ts, params, block.lam)
         self._phi_d = {
             sigma: cumulative_antiderivative(
-                ts, phase_rate_dynamical(sigma, ts, state, params, block)
+                ts, phase_rate_dynamical(sigma, ts, state, params, block), edge_indices
             )
             for sigma in (+1, -1)
         }
         self._phi_g = {
-            sigma: cumulative_antiderivative(ts, phase_rate_geometric(sigma, state, dphi))
+            sigma: cumulative_antiderivative(
+                ts, phase_rate_geometric(sigma, state, dphi), edge_indices
+            )
             for sigma in (+1, -1)
         }
 
@@ -349,6 +355,6 @@ def invariant_equation_residual(trajectory: AuxTrajectory, block: SubspaceBlock)
     ts = trajectory.times
     inv = invariant_matrix(AuxState(trajectory.thetas, trajectory.phis))
     ham = block_hamiltonian(block, trajectory.params, ts)
-    dinv = _segmented_derivative(ts, inv, trajectory.edge_indices)
+    dinv = spline_derivative(ts, inv, trajectory.edge_indices)
     comm = inv @ ham - ham @ inv
     return float(np.max(np.abs(dinv - 1j * comm)))

@@ -1,49 +1,30 @@
-"""Derivatives and antiderivatives of smooth functions on dense sample grids,
-and dense output of ODE solutions stitched across profile kinks.
+"""The one module that splits work at the profiles' kinks.
 
-Quintic splines give O(h^5) derivatives and O(h^6) running integrals, which
-keeps certification residuals well below the ODE tolerances they audit.
+Table knots (``params.breakpoints``) cut a window into segments on which
+H(t) is smooth.  The ODE solves of the angle route and the oracle, the sample
+grid (its edges at ``edge_indices``), the spline derivatives and the running
+integrals are split at them here and nowhere else.  Quintic splines give
+O(h^5) derivatives and O(h^6) running integrals, which keeps certification
+residuals well below the ODE tolerances they audit.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
 SPLINE_ORDER = 5  # quintic; fewer samples than that lower it to len(ts) - 1
-
-
-def spline_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """d(ys)/dt sampled at ts; ys may have trailing axes (splined along axis 0)."""
-    ts = np.asarray(ts, dtype=float)
-    order = min(SPLINE_ORDER, ts.size - 1)
-    if np.iscomplexobj(ys):
-        re = make_interp_spline(ts, np.real(ys), k=order, axis=0).derivative()(ts)
-        im = make_interp_spline(ts, np.imag(ys), k=order, axis=0).derivative()(ts)
-        return re + 1j * im
-    return make_interp_spline(ts, ys, k=order, axis=0).derivative()(ts)
-
-
-def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray):
-    """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys)."""
-    ts = np.asarray(ts, dtype=float)
-    order = min(SPLINE_ORDER, ts.size - 1)
-    anti = make_interp_spline(ts, np.asarray(ys, dtype=float), k=order).antiderivative()
-    f0 = anti(ts[0])
-
-    def integral(t):
-        t = np.asarray(t, dtype=float)
-        out = anti(t) - f0
-        return out if out.ndim else float(out)
-
-    return integral
 
 
 class PiecewiseDense:
     """Dense output stitched from per-segment integrations at profile kinks.
 
     ``edges`` is ascending; ``solutions[i]`` interpolates on
-    [edges[i], edges[i+1]].  Works for any state dimension and dtype.
+    [edges[i], edges[i+1]], and an edge belongs to the segment it starts.
+    Works for any state dimension and dtype.
     """
 
     def __init__(self, edges, solutions):
@@ -57,12 +38,103 @@ class PiecewiseDense:
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        if t.size == 1:
-            # one time (every scalar state_at): its segment's own output
-            out = self.solutions[idx[0]](t)
-        else:
-            out = np.empty((self._rows, t.size), dtype=self._dtype)
-            for seg in np.unique(idx):
-                mask = idx == seg
-                out[:, mask] = self.solutions[seg](t[mask])
+        out = np.empty((self._rows, t.size), dtype=self._dtype)
+        for seg in np.unique(idx):
+            mask = idx == seg
+            out[:, mask] = self.solutions[seg](t[mask])
         return out[:, 0] if scalar else out
+
+
+def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
+    """DOP853 with dense output over ``window``, restarted at every profile kink.
+
+    ``window`` may run backward (t1 < t0).  Returns ``(dense, n_steps,
+    n_rhs_evaluations)``: a :class:`PiecewiseDense`, the accepted steps and
+    the right-hand-side calls, both summed over the segments.  A failed
+    segment raises ``failure(message, time)`` at the time the solver reached.
+    """
+    t0, t1 = float(window[0]), float(window[1])
+    kinks = params.breakpoints(min(t0, t1), max(t0, t1))
+    points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
+    solutions = []
+    y, n_steps, n_rhs = y0, 0, 0
+    for span in zip(points[:-1], points[1:]):
+        sol = solve_ivp(rhs, span, y, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+        if not sol.success:
+            raise failure(sol.message, float(sol.t[-1]))
+        solutions.append(sol.sol)
+        y = sol.y[:, -1]
+        n_steps += sol.t.size - 1
+        n_rhs += sol.nfev
+    if t1 < t0:
+        points, solutions = points[::-1], solutions[::-1]
+    return PiecewiseDense(points, solutions), n_steps, n_rhs
+
+
+def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
+    """Sample grid of ~n points containing every edge exactly, and ``edge_indices``."""
+    span = edges[-1] - edges[0]
+    counts = [max(8, int(round(n * (b - a) / span))) for a, b in zip(edges[:-1], edges[1:])]
+    pieces = [np.linspace(a, b, c) for a, b, c in zip(edges[:-1], edges[1:], counts)]
+    # neighbouring segments share their edge sample
+    times = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
+    return times, tuple(accumulate((c - 1 for c in counts), initial=0))
+
+
+def _spline(ts: np.ndarray, ys: np.ndarray):
+    return make_interp_spline(ts, ys, k=min(SPLINE_ORDER, ts.size - 1), axis=0)
+
+
+def _bounds(edge_indices, size: int) -> list:
+    """Sample indices of the segment edges; the whole grid is one segment if None."""
+    return [0, size - 1] if edge_indices is None else list(edge_indices)
+
+
+def _real_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices) -> np.ndarray:
+    bounds = _bounds(edge_indices, ts.size)
+    pieces = [
+        _spline(ts[a : b + 1], ys[a : b + 1]).derivative()(ts[a : b + 1])
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    # an edge sample takes the value of the segment that starts there
+    return np.concatenate([piece[:-1] for piece in pieces[:-1]] + [pieces[-1]])
+
+
+def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.ndarray:
+    """d(ys)/dt sampled at ts; ys may have trailing axes (splined along axis 0).
+
+    With ``edge_indices`` each smooth segment gets its own spline: one
+    global spline would ring across the kinks.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys)
+    if np.iscomplexobj(ys):
+        re = _real_derivative(ts, ys.real, edge_indices)
+        return re + 1j * _real_derivative(ts, ys.imag, edge_indices)
+    return _real_derivative(ts, ys, edge_indices)
+
+
+def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
+    """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
+
+    With ``edge_indices`` each smooth segment gets its own spline, and F
+    carries the integral over the segments before it, so it stays continuous
+    across the edges.  F takes a scalar (float out) or an array of times.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    bounds = _bounds(edge_indices, ts.size)
+    pieces = []
+    carried = 0.0
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        anti = _spline(ts[a : b + 1], ys[a : b + 1]).antiderivative()
+        base = anti(ts[a])
+        pieces.append(lambda t, anti=anti, shift=carried - base: anti(t) + shift)
+        carried = carried + (anti(ts[b]) - base)
+    dense = PiecewiseDense(ts[bounds], pieces)
+
+    def integral(t):
+        out = dense(t)[0]
+        return out if out.ndim else float(out)
+
+    return integral

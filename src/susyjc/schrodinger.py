@@ -27,12 +27,11 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConfigurationError, PropagationError
 from .fock import FockSpaceSpec, Operator, build_generators, build_ladder
 from .profiles import ModelParams
-from .quadrature import PiecewiseDense
+from .quadrature import integrate_segments
 
 
 MAX_NORM_DRIFT = 1e-9
@@ -44,7 +43,7 @@ class PropagationResult:
     """Lab-frame states on ``times`` plus the run's diagnostics and work.
 
     ``n_steps`` (accepted solver steps) and ``n_rhs_evaluations`` are summed
-    over the legs between profile kinks.
+    over the segments between profile kinks.
     """
 
     times: np.ndarray
@@ -149,31 +148,11 @@ def propagate(
         t_eval = np.linspace(t0, t1, 401)
     t_eval = np.asarray(t_eval, dtype=float)
 
-    # integrate between profile kinks (table breakpoints) so adaptive steps
-    # never straddle a non-smooth point of H(t)
-    lo, hi = min(t0, t1), max(t0, t1)
-    edges = np.concatenate([[lo], params.breakpoints(lo, hi), [hi]])
-    n_legs = len(edges) - 1
-    legs = list(zip(edges[:-1], edges[1:], range(n_legs)))
-    if t1 < t0:
-        legs = [(b, a, i) for a, b, i in reversed(legs)]
+    def failed(message, time):
+        return PropagationError(f"integration failed: {message}")
 
-    solutions: list = [None] * n_legs
-    c = psi0
-    n_steps = 0
-    n_rhs = 0
-    for a, b, i in legs:
-        sol = solve_ivp(
-            rhs, (a, b), c, method="DOP853", rtol=rtol, atol=atol, dense_output=True
-        )
-        if not sol.success:
-            raise PropagationError(f"integration failed: {sol.message}")
-        solutions[i] = sol.sol
-        c = sol.y[:, -1]
-        n_steps += len(sol.t) - 1
-        n_rhs += sol.nfev
-
-    rotating = PiecewiseDense(edges, solutions)(t_eval).T
+    dense, n_steps, n_rhs = integrate_segments(rhs, (t0, t1), psi0, params, rtol, atol, failed)
+    rotating = dense(t_eval).T
     states = rotating * np.exp(-1j * np.outer(t_eval - t0, energies))
     norms = np.linalg.norm(states, axis=1)
     norm_drift = float(np.max(np.abs(norms - 1.0)))
@@ -204,12 +183,6 @@ def propagate(
 def fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
     """|<psi1|psi2>|; global phase drops out."""
     return float(abs(np.vdot(np.asarray(psi1), np.asarray(psi2))))
-
-
-def expectation(op, psi: np.ndarray) -> float:
-    mat = op.matrix if isinstance(op, Operator) else np.asarray(op)
-    psi = np.asarray(psi)
-    return float(np.real(np.vdot(psi, mat @ psi)))
 
 
 def invariant_expectation_drift(op, result: PropagationResult) -> float:

@@ -297,6 +297,35 @@ def test_solver_stats_first_try_certification():
     assert traj.stats.effective_rtol == traj.stats.rtol == 1e-10
 
 
+def test_solver_stats_count_accepted_steps_over_segments():
+    # n_steps counts accepted steps, as PropagationResult does: the same
+    # DOP853 runs between the table knots, replayed here, take that many
+    from scipy.integrate import solve_ivp
+
+    knots = [0.0, 1.5, 3.0, 4.5, 6.0]
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    initial = AuxState(math.pi / 3, 0.0)
+    traj = solve_aux(initial, (0.0, 6.0), params, LAM6, rtol=1e-10, atol=1e-12)
+    assert traj.stats.refinements == 0
+
+    def rhs(t, y):
+        return aux_rhs(AuxState(y[0], y[1]), t, params, LAM6)
+
+    y, steps, calls = [initial.theta, initial.phi], 0, 0
+    for a, b in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+        y = sol.y[:, -1]
+        steps += sol.t.size - 1
+        calls += sol.nfev
+    assert (traj.stats.n_steps, traj.stats.n_rhs_evaluations) == (steps, calls)
+
+
 def test_solver_stats_record_refinement():
     # the m = 10 block of a chirp/table/sinusoid drive certifies only after
     # one tighter pass; the stats must say so and keep the requested rtol

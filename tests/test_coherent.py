@@ -16,7 +16,7 @@ from susyjc import (
     propagate,
     solve_block_family,
 )
-from susyjc import auxiliary
+from susyjc import quadrature
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
@@ -148,13 +148,13 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     # a table coupling splits the window into segments; the whole family is
     # one solve_ivp call per segment per pass, not one per block
     calls = []
-    real_solve_ivp = auxiliary.solve_ivp
+    real_solve_ivp = quadrature.solve_ivp
 
     def counting_solve_ivp(*args, **kwargs):
         calls.append(args[1])
         return real_solve_ivp(*args, **kwargs)
 
-    monkeypatch.setattr(auxiliary, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(quadrature, "solve_ivp", counting_solve_ivp)
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
         omega0=TimeProfile.constant(3.0),

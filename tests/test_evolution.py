@@ -19,7 +19,6 @@ from susyjc import (
     propagate,
     solve_aux,
 )
-from susyjc.auxiliary import _segmented_derivative
 from susyjc.evolution import (
     EvolutionOperator,
     ExactSolution,
@@ -37,6 +36,7 @@ from susyjc.evolution import (
     rotated_invariant_residual,
     rotation_parameter,
 )
+from susyjc.quadrature import spline_derivative
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
 
@@ -364,6 +364,45 @@ def test_phase_ledger_geometry_only_depends_on_angles():
     assert abs(ledgers[0] - ledgers[1]) < 1e-8
 
 
+def test_phase_integrals_across_table_kinks_match_closed_form():
+    # g = 0 with a table omega0: theta is frozen, phi' = k w - w0(t), and
+    # both phase rates are piecewise linear in t, so their integrals have
+    # closed forms; one spline across the kinks misses them by up to ~7e-8
+    from susyjc import ModelParams, TimeProfile
+
+    knots = np.array([0.0, 1.0, 2.5, 4.0])
+    values = np.array([3.0, 3.4, 2.8, 3.1])
+    w, theta, k = 1.0, math.pi / 3, 3
+    params = ModelParams(
+        omega=TimeProfile.constant(w),
+        omega0=TimeProfile.table(knots, values),
+        g_mod=TimeProfile.constant(0.0),
+        g_phase=TimeProfile.constant(0.0),
+        k=k,
+    )
+    block = SubspaceBlock.for_space(SPEC, 1)
+    traj = solve_aux(AuxState(theta, 0.0), (0.0, 4.0), params, block.lam)
+    phases = PhaseIntegrals(traj, block)
+
+    def omega0_integral(t):
+        # exact trapezoids of the piecewise-linear table up to t
+        nodes = np.append(knots[knots < t], t)
+        heights = np.interp(nodes, knots, values)
+        return float(np.sum(np.diff(nodes) * 0.5 * (heights[1:] + heights[:-1])))
+
+    ts = np.array([0.0, 0.4, 1.0, 1.7, 2.5, 3.2, 4.0])
+    for sigma in (+1, -1):
+        ledger = phases.ledger(sigma, ts)
+        for i, t in enumerate(ts):
+            drive = omega0_integral(t) - k * w * t  # integral of w0 - k w
+            phi_d = (block.m + k / 2) * w * t + sigma * 0.5 * math.cos(theta) * drive
+            phi_g = sigma * 0.5 * (1 - math.cos(theta)) * drive
+            assert abs(ledger.phi_d[i] - phi_d) <= 1e-12, (sigma, t)
+            assert abs(ledger.phi_g[i] - phi_g) <= 1e-12, (sigma, t)
+            scalar = phases.ledger(sigma, float(t))
+            assert (scalar.phi_d, scalar.phi_g) == (ledger.phi_d[i], ledger.phi_g[i])
+
+
 def test_table_profile_solution_vs_oracle():
     # kinked driving, full chain: certified angles -> exact state -> oracle
     from susyjc import ModelParams, TimeProfile
@@ -519,6 +558,6 @@ def test_solution_layer_array_call_matches_stacked_scalar_calls(kind):
     # invariant_equation_residual: the same as from per-sample matrices
     inv = np.stack([invariant_matrix(AuxState(*angles)) for angles in zip(traj.thetas, traj.phis)])
     ham = np.stack([block_hamiltonian(block, params, float(t)) for t in traj.times])
-    dinv = _segmented_derivative(traj.times, inv, traj.edge_indices)
+    dinv = spline_derivative(traj.times, inv, traj.edge_indices)
     expected = float(np.max(np.abs(dinv - 1j * (inv @ ham - ham @ inv))))
     assert invariant_equation_residual(traj, block) == expected

@@ -1,6 +1,12 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
+from scipy.integrate import solve_ivp
+from scipy.interpolate import make_interp_spline
+
+import susyjc
 
 from susyjc import AuxState, ModelParams, TimeProfile, lambda_value, solve_aux
 from susyjc.quadrature import PiecewiseDense
@@ -30,3 +36,15 @@ def test_piecewise_dense_single_time_matches_array_column():
         one = dense(times[i : i + 1])
         assert one.shape == (2, 1)
         assert np.array_equal(one[:, 0], columns[:, i]), t
+
+
+def test_only_quadrature_integrates_or_splines():
+    # segments are handled in one module: no other module binds the ODE
+    # solver or the spline constructor
+    binders = {
+        info.name
+        for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
+        for value in vars(importlib.import_module(info.name)).values()
+        if value is solve_ivp or value is make_interp_spline
+    }
+    assert binders == {"susyjc.quadrature"}
