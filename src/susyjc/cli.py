@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import math
 import os
 import sys
@@ -32,15 +33,24 @@ from .errors import (
 )
 from .evolution import ExactSolution, PhaseIntegrals
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
-from .profiles import ModelParams, TimeProfile
+from .profiles import PROFILE_KINDS, ModelParams, TimeProfile
 from .schrodinger import MAX_NORM_DRIFT, propagate
 
 ENV_OUTPUT_DIR = "SUSYJC_OUT"
 
-_REQUIRED = object()
+_REQUIRED = inspect.Parameter.empty  # a key without a default must be set
 
 
-def _get(cp, section: str, key: str, cast, default=_REQUIRED):
+class _Scenario(configparser.ConfigParser):
+    """An INI scenario that records every (section, key) looked up, set or not."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: set[tuple[str, str]] = set()
+
+
+def _get(cp: _Scenario, section: str, key: str, cast, default=_REQUIRED):
+    cp.seen.add((section, key))
     if not cp.has_option(section, key):
         if default is _REQUIRED:
             raise ConfigurationError(f"missing required key {section}.{key}")
@@ -69,41 +79,22 @@ def _int_list(raw: str) -> list[int]:
     return [int(tok) for tok in raw.split(",") if tok.strip()]
 
 
-def _profile(cp, name: str) -> TimeProfile:
-    section = "profiles"
-    kind = _get(cp, section, f"{name}.kind", str).strip()
-    key = f"{section}.{name}"
-    if kind == "constant":
-        return TimeProfile.constant(_get(cp, section, f"{name}.value", float))
-    if kind == "linear":
-        return TimeProfile.linear(
-            _get(cp, section, f"{name}.intercept", float),
-            _get(cp, section, f"{name}.slope", float),
-        )
-    if kind == "sinusoid":
-        return TimeProfile.sinusoid(
-            _get(cp, section, f"{name}.offset", float),
-            _get(cp, section, f"{name}.amplitude", float),
-            _get(cp, section, f"{name}.frequency", float),
-            _get(cp, section, f"{name}.phase", float, 0.0),
-        )
-    if kind == "chirp":
-        return TimeProfile.chirp(
-            _get(cp, section, f"{name}.offset", float),
-            _get(cp, section, f"{name}.amplitude", float),
-            _get(cp, section, f"{name}.frequency", float),
-            _get(cp, section, f"{name}.sweep", float),
-            _get(cp, section, f"{name}.phase", float, 0.0),
-        )
-    if kind == "table":
-        try:
-            return TimeProfile.table(
-                _get(cp, section, f"{name}.times", _float_list),
-                _get(cp, section, f"{name}.values", _float_list),
-            )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{key}: {exc}") from exc
-    raise ConfigurationError(f"{key}.kind: unknown profile kind {kind!r}")
+def _profile(cp: _Scenario, name: str) -> TimeProfile:
+    """The profile's keys, their order and defaults are its constructor's parameters."""
+    key = f"profiles.{name}"
+    kind = _get(cp, "profiles", f"{name}.kind", str).strip()
+    if kind not in PROFILE_KINDS:
+        raise ConfigurationError(f"{key}.kind: unknown profile kind {kind!r}")
+    constructor = getattr(TimeProfile, kind)
+    cast = _float_list if kind == "table" else float
+    args = [
+        _get(cp, "profiles", f"{name}.{p.name}", cast, p.default)
+        for p in inspect.signature(constructor).parameters.values()
+    ]
+    try:
+        return constructor(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,12 +116,23 @@ class ScenarioConfig:
     max_infidelity: float
     out_dir: str | None
     precision: int
+    verify_tol: float
+    berry_thetas: list[float]
+    berry_sigmas: list[int]
+    berry_m: int
+    berry_g_mod: float
+    berry_omega: float
+    berry_t_final: float | None
+    berry_tol: float
+    coherent_xi: float | None
+    coherent_sigma: int
+    coherent_max_diff: float
 
 
-def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.ConfigParser, ScenarioConfig]:
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
+    """Every key any command reads is read here; a key left unread is exit 2."""
+    cp = _Scenario()
+    if not cp.read(path):
         raise ConfigurationError(f"config file not found: {path}")
 
     k = _get(cp, "space", "k", int, 3)
@@ -141,26 +143,16 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
     for m in m_list:
         SubspaceBlock.for_space(spec, m)  # validated before any computation
 
-    params = None
-    if need_profiles:
-        params = ModelParams(
-            omega=_profile(cp, "omega"),
-            omega0=_profile(cp, "omega0"),
-            g_mod=_profile(cp, "g_mod"),
-            g_phase=_profile(cp, "g_phase"),
-            k=k,
-        )
-
-    adiabatic_matched = _get(cp, "aux", "adiabatic_matched", _bool, False)
-    theta0 = _get(cp, "aux", "theta0", float, None)
+    names = ("omega", "omega0", "g_mod", "g_phase")
+    params = ModelParams(*(_profile(cp, n) for n in names), k=k) if need_profiles else None
 
     cfg = ScenarioConfig(
         spec=spec,
         m_list=m_list,
         params=params,
-        theta0=theta0,
+        adiabatic_matched=_get(cp, "aux", "adiabatic_matched", _bool, False),
+        theta0=_get(cp, "aux", "theta0", float, None),
         phi0=_get(cp, "aux", "phi0", float, 0.0),
-        adiabatic_matched=adiabatic_matched,
         aux_rtol=_get(cp, "aux", "rtol", float, 1e-10),
         aux_atol=_get(cp, "aux", "atol", float, 1e-12),
         t_final=_get(cp, "run", "t_final", float, 20.0),
@@ -172,7 +164,24 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
         max_infidelity=_get(cp, "oracle", "max_infidelity", float, 1e-6),
         out_dir=_get(cp, "output", "directory", str, None),
         precision=_get(cp, "output", "precision", int, 12),
+        verify_tol=_get(cp, "verify", "tol", float, 1e-12),
+        berry_thetas=_get(
+            cp, "berry", "thetas", _float_list, [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
+        ),
+        berry_sigmas=_get(cp, "berry", "sigma", _int_list, [1, -1]),
+        berry_m=_get(cp, "berry", "m", int, 0),
+        berry_g_mod=_get(cp, "berry", "g_mod", float, 0.05),
+        berry_omega=_get(cp, "berry", "omega", float, 1.0),
+        berry_t_final=_get(cp, "berry", "t_final", float, None),
+        berry_tol=_get(cp, "berry", "tol", float, 1e-3),
+        coherent_xi=_get(cp, "coherent", "xi", float, None),
+        coherent_sigma=_get(cp, "coherent", "sigma", int, 1),
+        coherent_max_diff=_get(cp, "coherent", "max_diff", float, 1e-6),
     )
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in cp.seen:
+                raise ConfigurationError(f"{section}.{key}: this command does not read this key")
     for sigma in cfg.sigmas:
         if sigma not in (1, -1):
             raise ConfigurationError(f"run.sigma entries must be +1 or -1, got {sigma}")
@@ -181,8 +190,8 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
         raise ConfigurationError(f"run.samples must be at least 2, got {cfg.samples}")
     if cfg.precision < 1:
         raise ConfigurationError(f"output.precision must be at least 1, got {cfg.precision}")
-    if theta0 is not None and not 0.0 <= theta0 <= math.pi:
-        raise ConfigurationError(f"aux.theta0 must lie in [0, pi], got {theta0}")
+    if cfg.theta0 is not None and not 0.0 <= cfg.theta0 <= math.pi:
+        raise ConfigurationError(f"aux.theta0 must lie in [0, pi], got {cfg.theta0}")
     if need_profiles:
         # profiles must be evaluable on the run window before any computation
         probe = np.linspace(0.0, cfg.t_final, 7)
@@ -192,7 +201,7 @@ def load_config(path: str, need_profiles: bool = True) -> tuple[configparser.Con
             raise ConfigurationError(
                 f"profiles not evaluable on [0, {cfg.t_final}]: {exc}"
             ) from exc
-    return cp, cfg
+    return cfg
 
 
 def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
@@ -207,17 +216,12 @@ class CsvWriter:
         self.path = path
         self.header = header
         self.fmt = f"{{:.{precision}g}}"
-        self.rows: list[str] = []
 
-    def add(self, *values):
-        self.rows.append(",".join(self.fmt.format(float(v)) for v in values))
-
-    def write(self):
+    def write(self, columns):
+        """One line per row of the equal-length ``columns``, after the header."""
+        rows = (",".join(self.fmt.format(float(v)) for v in row) + "\n" for row in zip(*columns))
         with open(self.path, "w") as fh:
-            fh.write(",".join(self.header) + "\n")
-            fh.write("\n".join(self.rows))
-            if self.rows:
-                fh.write("\n")
+            fh.write(",".join(self.header) + "\n" + "".join(rows))
 
 
 def _initial_state(cfg: ScenarioConfig, lam: int) -> AuxState:
@@ -232,11 +236,10 @@ def _initial_state(cfg: ScenarioConfig, lam: int) -> AuxState:
     return AuxState(theta0, cfg.phi0)
 
 
-def cmd_verify_algebra(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
-    tol = _get(cp, "verify", "tol", float, 1e-12)
+def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> int:
     failures = []
     try:
-        report = verify_algebra(cfg.spec, tol=tol)
+        report = verify_algebra(cfg.spec, tol=cfg.verify_tol)
         for name, residual in report.items():
             print(f"PASS  {name}: {residual:.3e}")
     except VerificationError as exc:
@@ -248,7 +251,7 @@ def cmd_verify_algebra(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     for m in cfg.m_list:
         block = SubspaceBlock.for_space(cfg.spec, m)
         try:
-            residual = verify_block_closure(block, hams, tol=tol, generators=gen)
+            residual = verify_block_closure(block, hams, tol=cfg.verify_tol, generators=gen)
             print(f"PASS  block m={m} closure/quasialgebra: {residual:.3e}")
         except VerificationError as exc:
             print(f"FAIL  {exc}")
@@ -263,7 +266,7 @@ def _print_oracle_drift(drifts) -> None:
     print(f"oracle drift: norm {norm:.3g} (bound {MAX_NORM_DRIFT:g}), N' {nprime:.3g}")
 
 
-def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
+def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
     worst_infidelity = 0.0
     oracle_drifts = []
@@ -286,9 +289,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         angles = traj.state_at(ts)
 
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
-        for row in zip(ts, angles.theta, angles.phi, residuals):
-            w.add(*row)
-        w.write()
+        w.write([ts, angles.theta, angles.phi, residuals])
 
         phases = PhaseIntegrals(traj, block)
         w = CsvWriter(
@@ -297,9 +298,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
             cfg.precision,
         )
         plus, minus = phases.ledger(+1, ts), phases.ledger(-1, ts)
-        for row in zip(ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g):
-            w.add(*row)
-        w.write()
+        w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
 
         for sigma in cfg.sigmas:
             psis = ExactSolution(block, sigma, traj, phases).state_at(ts)
@@ -325,10 +324,7 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
                 worst_infidelity = max(worst_infidelity, float(np.max(infid)))
                 pops = np.sum(np.abs(block_components(block, oracle.states)) ** 2, axis=1)
                 columns += [infid, np.abs(ref_norms - 1.0), pops]
-            w = CsvWriter(out_dir / f"fidelity_m{m}_sigma_{tag}.csv", header, cfg.precision)
-            for row in zip(*columns):
-                w.add(*row)
-            w.write()
+            CsvWriter(out_dir / f"fidelity_m{m}_sigma_{tag}.csv", header, cfg.precision).write(columns)
 
     if cfg.oracle_enabled:
         print(f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})")
@@ -339,54 +335,41 @@ def cmd_propagate(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
     return 0
 
 
-def cmd_berry(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
-    thetas = _get(
-        cp,
-        "berry",
-        "thetas",
-        _float_list,
-        [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3],
-    )
-    sigmas = _get(cp, "berry", "sigma", _int_list, [1, -1])
-    m = _get(cp, "berry", "m", int, 0)
-    g_mod = _get(cp, "berry", "g_mod", float, 0.05)
-    omega = _get(cp, "berry", "omega", float, 1.0)
-    t_final = _get(cp, "berry", "t_final", float, None)
-    tol = _get(cp, "berry", "tol", float, 1e-3)
-
-    w = CsvWriter(
-        out_dir / "berry_sweep.csv",
-        ["theta", "sigma", "phase_numeric", "phase_formula", "abs_error"],
-        cfg.precision,
-    )
-    worst = 0.0
-    for theta in thetas:
+def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> int:
+    rows = []
+    for theta in cfg.berry_thetas:
         # at the poles the solid angle is degenerate and no azimuth dynamics
         # exists; the cycle phase is the formula value exactly
         degenerate = abs(math.sin(theta)) < 1e-12
-        if not degenerate and sigmas:
+        if not degenerate and cfg.berry_sigmas:
             scenario = build_adiabatic_scenario(
-                theta, TimeProfile.constant(omega), m=m, k=cfg.spec.k, g_mod=g_mod
+                theta,
+                TimeProfile.constant(cfg.berry_omega),
+                m=cfg.berry_m,
+                k=cfg.spec.k,
+                g_mod=cfg.berry_g_mod,
             )
             # one solve per theta: the trajectory does not depend on sigma and
             # the phase is odd in it, so sigma * (the +1 phase) is bit-exact
-            plus = berry_phase_numeric(scenario, +1, t_final=t_final, rtol=cfg.aux_rtol)
-        for sigma in sigmas:
+            plus = berry_phase_numeric(scenario, +1, t_final=cfg.berry_t_final, rtol=cfg.aux_rtol)
+        for sigma in cfg.berry_sigmas:
             formula = berry_phase_cycle(theta, sigma)
             numeric = formula if degenerate else sigma * plus
-            w.add(theta, sigma, numeric, formula, abs(numeric - formula))
-            worst = max(worst, abs(numeric - formula))
-    w.write()
-    print(f"max |numeric - formula|: {worst:.3e} (bound {tol:g})")
-    return 0 if worst < tol else 1
+            rows.append((theta, sigma, numeric, formula, abs(numeric - formula)))
+    CsvWriter(
+        out_dir / "berry_sweep.csv",
+        ["theta", "sigma", "phase_numeric", "phase_formula", "abs_error"],
+        cfg.precision,
+    ).write(zip(*rows))
+    worst = max((row[-1] for row in rows), default=0.0)
+    print(f"max |numeric - formula|: {worst:.3e} (bound {cfg.berry_tol:g})")
+    return 0 if worst < cfg.berry_tol else 1
 
 
-def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
-    xi = _get(cp, "coherent", "xi", float)
-    sigma = _get(cp, "coherent", "sigma", int, 1)
-    max_diff = _get(cp, "coherent", "max_diff", float, 1e-6)
-
-    cspec = CoherentSpec.for_xi(xi, sigma=sigma)
+def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
+    if cfg.coherent_xi is None:
+        raise ConfigurationError("missing required key coherent.xi")
+    cspec = CoherentSpec.for_xi(cfg.coherent_xi, sigma=cfg.coherent_sigma)
     lam0 = SubspaceBlock.for_space(cfg.spec, 0).lam
     initial = _initial_state(cfg, lam0)
     solutions = solve_block_family(
@@ -410,21 +393,18 @@ def cmd_coherent(cfg: ScenarioConfig, cp, out_dir: Path) -> int:
         t_eval=ts,
     )
 
-    w = CsvWriter(
-        out_dir / "inversion.csv",
-        ["t", "sigma_z_exact", "sigma_z_oracle", "abs_diff"],
-        cfg.precision,
-    )
     exact = atomic_inversion(exact_vecs / np.linalg.norm(exact_vecs, axis=1, keepdims=True))
     ref = atomic_inversion(oracle.states / np.linalg.norm(oracle.states, axis=1, keepdims=True))
     diff = np.abs(exact - ref)
     worst = float(np.max(diff))
-    for row in zip(ts, exact, ref, diff):
-        w.add(*row)
-    w.write()
-    print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {max_diff:g})")
+    CsvWriter(
+        out_dir / "inversion.csv",
+        ["t", "sigma_z_exact", "sigma_z_oracle", "abs_diff"],
+        cfg.precision,
+    ).write([ts, exact, ref, diff])
+    print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {cfg.coherent_max_diff:g})")
     _print_oracle_drift([(oracle.norm_drift, oracle.nprime_drift)])
-    return 0 if worst < max_diff else 1
+    return 0 if worst < cfg.coherent_max_diff else 1
 
 
 COMMANDS = {
@@ -456,9 +436,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command, need_profiles = COMMANDS[args.command]
     try:
-        cp, cfg = load_config(args.config, need_profiles=need_profiles)
-        out_dir = resolve_out_dir(args.out, cfg.out_dir)
-        return command(cfg, cp, out_dir)
+        cfg = load_config(args.config, need_profiles=need_profiles)
+        return command(cfg, resolve_out_dir(args.out, cfg.out_dir))
     except (ConfigurationError, TruncationError, EvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

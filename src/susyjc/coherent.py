@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import pdtrc
 
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
@@ -25,21 +26,8 @@ TAIL_BOUND = 1e-10  # largest Poisson weight a truncation may drop
 
 
 def poisson_tail(xi: float, m_max: int) -> float:
-    """e^{-xi^2} sum_{m > m_max} xi^{2m} / m!, summed to convergence."""
-    if xi == 0.0:
-        return 0.0
-    x = xi * xi
-    log_term = -x + (m_max + 1) * math.log(x) - math.lgamma(m_max + 2)
-    term = math.exp(log_term)
-    total = 0.0
-    m = m_max + 1
-    while term > 1e-18 * max(total, 1e-300):
-        total += term
-        m += 1
-        term *= x / m
-        if m > m_max + 10000:
-            break
-    return total
+    """e^{-xi^2} sum_{m > m_max} xi^{2m} / m!: the Poisson(xi^2) survival function."""
+    return float(pdtrc(m_max, xi * xi))
 
 
 def m_max_for_tail(xi: float) -> int:

@@ -234,21 +234,18 @@ class PhaseIntegrals:
             )
             for sigma in (+1, -1)
         }
-        self._phi_g = {
-            sigma: cumulative_antiderivative(
-                ts, phase_rate_geometric(sigma, state, dphi), edge_indices
-            )
-            for sigma in (+1, -1)
-        }
+        # the geometric rate is odd in sigma, and the spline fit and its
+        # evaluation are sign-symmetric, so sigma = -1 is the exact negation
+        self._phi_g_plus = cumulative_antiderivative(
+            ts, phase_rate_geometric(+1, state, dphi), edge_indices
+        )
 
     def ledger(self, sigma: int, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         _check_sigma(sigma)
-        return PhaseLedger(
-            sigma=sigma,
-            phi_d=self._phi_d[sigma](t),
-            phi_g=self._phi_g[sigma](t),
-        )
+        phi_g = self._phi_g_plus(t)
+        # 0.0 - x negates x exactly and keeps the start value +0.0
+        return PhaseLedger(sigma, self._phi_d[sigma](t), phi_g if sigma > 0 else 0.0 - phi_g)
 
 
 class ExactSolution:

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyjc.cli import main
+from susyjc.cli import COMMANDS, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = """\
 [space]
@@ -271,6 +273,29 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
             "[oracle]", "[output]\nprecision = -1\n\n[oracle]", "output.precision",
             id="precision-minus-1",
         ),
+        # a key that no reader looks up is rejected, not silently defaulted
+        pytest.param(
+            "theta0 = 1.0471975511965976",
+            "theta0 = 1.0471975511965976\nrtoll = 1e-6",
+            "aux.rtoll",
+            id="unread-aux-rtoll",
+        ),
+        pytest.param(
+            "theta0 = 1.0471975511965976",
+            "theta0 = 1.0471975511965976\nsamples = 5",
+            "aux.samples",
+            id="unread-aux-samples",
+        ),
+        pytest.param(
+            "[oracle]", "[coherent]\ntail = 0.1\n\n[oracle]", "coherent.tail", id="unread-coherent-tail"
+        ),
+        pytest.param("[oracle]", "[bogus]\nx = 1\n\n[oracle]", "bogus.x", id="unread-section"),
+        pytest.param(
+            "omega.value = 1.0",
+            "omega.value = 1.0\nomega.slope = 0.1",
+            "profiles.omega.slope",
+            id="unread-profile-key",
+        ),
     ],
 )
 def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):
@@ -280,6 +305,29 @@ def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, k
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()  # rejected at load time, before any output
+
+
+def test_berry_rejects_profile_keys(tmp_path, capsys):
+    # berry builds its own scenarios and does not read [profiles]
+    cfg = BERRY + "\n[profiles]\nomega.kind = constant\nomega.value = 1.0\n"
+    out = tmp_path / "o"
+    code = main(["berry", "--config", write(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    assert "profiles.omega.kind" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [
+        ("verify-algebra", "configs/resonant.ini"),
+        ("propagate", "configs/resonant.ini"),
+        ("berry", "configs/berry.ini"),
+    ],
+)
+def test_readme_configs_load_under_their_commands(command, config):
+    need_profiles = COMMANDS[command][1]
+    load_config(str(ROOT / config), need_profiles=need_profiles)
 
 
 def test_singularity_surfaces_with_time_stamp(tmp_path, capsys):
