@@ -64,10 +64,10 @@ class SolverStats:
     cap.
 
     A block family integrated in one solve (``_solve_family``) shares
-    ``n_steps``, ``n_rhs_evaluations``, ``refinements`` and
-    ``effective_rtol`` (the family's rtol / sqrt(M), see there) among its M
-    members; ``max_residual``, ``n_samples`` and ``sample_cap_hit`` are each
-    member's own.
+    everything but ``max_residual`` among its M members: the work, the
+    refinements, ``effective_rtol`` (the family's rtol / sqrt(M), see there)
+    and the one sample grid with its size and cap flag.  ``max_residual`` is
+    each member's own.
     """
 
     n_steps: int
@@ -190,8 +190,8 @@ def solve_aux(
 
 
 class _MemberRows:
-    """One member's (theta, phi) rows of a family's dense output: rows j and
-    M + j of the (2M,) state, taken as a view."""
+    """One member's (theta, phi) rows of a family's dense output, rows j and
+    M + j of the (2M,) state: the member's ``state_at``."""
 
     def __init__(self, dense, member: int, members: int):
         self._dense = dense
@@ -216,12 +216,15 @@ def _solve_family(
     cost is paid once per step for the whole family.  Its error norm is an
     RMS over all 2M components, so the solver gets rtol/sqrt(M) and
     atol/sqrt(M): no member's local error exceeds what a solo solve allows.
-    Each member keeps its own sample grid, polar check and certificate; if
-    any member fails certification, the whole family is re-integrated at
-    rtol/16.  The solver's rtol never goes below scipy's floor of 100 eps
-    (the last refinement of a family can ask for less).  Errors raised for
-    one member name its lambda.  M = 1 is :func:`solve_aux` exactly (scalar
-    right-hand side, unscaled tolerances).
+    The family shares one sample grid, sized by the density rule for its
+    fastest member.  Each certification pass evaluates the dense output on
+    it once, (2M, n), checks the poles over that block, and takes the spline
+    derivatives of all M thetas in one call and of all M phis in another.
+    Each member is then certified on its own; if any fails, the whole family
+    is re-integrated at rtol/16.  The solver's rtol never goes below scipy's
+    floor of 100 eps (the last refinement of a family can ask for less).
+    Errors raised for one member name its lambda.  M = 1 is
+    :func:`solve_aux` exactly (scalar right-hand side, unscaled tolerances).
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -257,71 +260,76 @@ def _solve_family(
 
     dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
-    # Sample density rule, per member: spline-derivative error
-    # ~ (h * rate)^5 * rate must sit an order below the certification
+    # Sample density rule, sized for the fastest member: spline-derivative
+    # error ~ (h * rate)^5 * rate must sit an order below the certification
     # budget of 10 * rtol.
     probe = np.linspace(t0, t1, 257)
-    probed = dense(probe)
-    rates = aux_rhs(
-        AuxState(probed[:members], probed[members:]),
-        probe,
-        params,
-        lam if solo else lam_vec[:, None],
-    )
-    peaks = np.max(np.abs(rates), axis=(0, 2))
+    probed = AuxState(*np.split(dense(probe), 2))
+    rates = aux_rhs(probed, probe, params, lam if solo else lam_vec[:, None])
     budget = max(10.0 * rtol, 1e-13)
-    grids = []
-    for peak in peaks:
-        rate = max(1.0 / (t1 - t0), float(peak))
-        # factor 4: the nonlinear dynamics carries harmonics well above the
-        # raw rate estimate, and truncation error scales as h^5
-        n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
-        n = int(np.clip(n_auto, _MIN_SAMPLES, _SAMPLE_CAP))
-        times, edge_indices = segmented_grid(dense.edges, n)
-        coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
-        grids.append((times, edge_indices, coupled, n_auto > _SAMPLE_CAP))
+    rate = max(1.0 / (t1 - t0), float(np.max(np.abs(rates))))
+    # factor 4: the nonlinear dynamics carries harmonics well above the
+    # raw rate estimate, and truncation error scales as h^5
+    n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
+    capped = n_auto > _SAMPLE_CAP
+    n = int(np.clip(n_auto, _MIN_SAMPLES, _SAMPLE_CAP))
+    times, edge_indices = segmented_grid(dense.edges, n)
+    coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
+    omega, omega0, g = params.evaluate(times)
+    detuning = params.k * omega - omega0
 
-    rtol_i, atol_i = rtol, atol
-    refinements = 0
-    while True:
-        trajs = []
-        residuals = []
-        # one member's grid at a time: the union of the grids would hold
-        # all 2M rows on every member's samples at once
-        for j, (lam_j, (times, edge_indices, coupled, _)) in enumerate(zip(lams, grids)):
-            member_dense = dense if solo else _MemberRows(dense, j, members)
-            thetas, phis = np.array(member_dense(times))
-
-            if coupled and np.min(np.abs(np.sin(thetas))) < THETA_MIN:
-                worst = times[int(np.argmin(np.abs(np.sin(thetas))))]
-                raise SingularityError(
-                    located(f"trajectory reached a polar angle singularity near t={worst}", lam_j),
-                    time=worst,
-                )
-
-            traj = AuxTrajectory(
+    def certify_pass(dense):
+        # one (2M, n) sample block; member j's trajectory holds views of rows j and M + j
+        thetas, phis = np.split(dense(times), 2)
+        if coupled:
+            j, i = np.unravel_index(np.argmin(np.abs(np.sin(thetas))), thetas.shape)
+            if abs(np.sin(thetas[j, i])) < THETA_MIN:
+                worst = times[i]
+                message = f"trajectory reached a polar angle singularity near t={worst}"
+                raise SingularityError(located(message, lams[j]), time=worst)
+        dthetas = spline_derivative(times, thetas.T, edge_indices)
+        dphis = spline_derivative(times, phis.T, edge_indices)
+        trajs = [
+            AuxTrajectory(
                 times=times,
-                thetas=thetas,
-                phis=phis,
+                thetas=thetas[j],
+                phis=phis[j],
                 params=params,
                 lam=float(lam_j),
                 stats=SolverStats(n_steps, total_nfev, rtol, atol),
                 edge_indices=edge_indices,
-                _dense=member_dense,
+                residuals=_printed_residual(
+                    thetas[j], phis[j], dthetas[:, j], dphis[:, j], detuning, g, lam_j
+                ),
+                _dense=dense if solo else _MemberRows(dense, j, members),
             )
-            traj = replace(traj, residuals=residual_series(traj, params, lam_j))
-            trajs.append(traj)
-            residuals.append(residual_check(traj, params, lam_j))
+            for j, lam_j in enumerate(lams)
+        ]
+        return trajs, [residual_check(traj, params, traj.lam) for traj in trajs]
+
+    rtol_i, atol_i, refinements = rtol, atol, 0
+    while True:
+        trajs, residuals = certify_pass(dense)
         if not certify or max(residuals) <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
+        del trajs  # frees the rejected pass before the next one samples
         rtol_i /= 16.0
         atol_i /= 16.0
         refinements += 1
         dense, n_steps, nfev, solver_rtol = integrate(rtol_i, atol_i)
         total_nfev += nfev
 
-    out = []
-    for traj, residual, (times, _, _, capped) in zip(trajs, residuals, grids):
+    stats = SolverStats(
+        n_steps,
+        total_nfev,
+        rtol,
+        atol,
+        refinements=refinements,
+        effective_rtol=solver_rtol,
+        n_samples=times.size,
+        sample_cap_hit=capped,
+    )
+    for traj, residual in zip(trajs, residuals):
         if certify and residual > 100.0 * rtol:
             cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
             raise CertificationError(
@@ -331,50 +339,42 @@ def _solve_family(
                     traj.lam,
                 )
             )
-        stats = SolverStats(
-            n_steps,
-            total_nfev,
-            rtol,
-            atol,
-            max_residual=residual,
-            refinements=refinements,
-            effective_rtol=solver_rtol,
-            n_samples=times.size,
-            sample_cap_hit=capped,
-        )
-        out.append(replace(traj, stats=stats))
-    return out
+    return [
+        replace(traj, stats=replace(stats, max_residual=r)) for traj, r in zip(trajs, residuals)
+    ]
 
 
-def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.ndarray:
-    """Per-sample max modulus of the two complex angle equations.
-
-    Both equations are evaluated verbatim, with theta-dot and phi-dot taken
-    from spline derivatives of the sampled solution (independent of the
-    real-form right-hand side used to integrate):
+def _printed_residual(theta, phi, dtheta, dphi, detuning, g, lam) -> np.ndarray:
+    """Per-sample max modulus of the two complex angle equations as printed,
 
         E1 = th' cos(th) e^{-i phi} - i ph' sin(th) e^{-i phi}
              + i [ (k w - w0) sin(th) e^{-i phi} - 2 g sqrt(lam) cos(th) ]
         E2 = th' - i sqrt(lam) [ g e^{i phi} - g* e^{-i phi} ]
+
+    with ``detuning`` = k w - w0 and ``g`` sampled alongside the angles.
     """
-    ts = traj.times
-    theta = traj.thetas
-    phi = traj.phis
-    dtheta = spline_derivative(ts, theta, traj.edge_indices)
-    dphi = spline_derivative(ts, phi, traj.edge_indices)
-
-    omega, omega0, g = params.evaluate(ts)
     root = math.sqrt(lam)
-    det = params.k * omega - omega0
-
     e_m = np.exp(-1j * phi)
     eq1 = (
         dtheta * np.cos(theta) * e_m
         - 1j * dphi * np.sin(theta) * e_m
-        + 1j * (det * np.sin(theta) * e_m - 2.0 * g * root * np.cos(theta))
+        + 1j * (detuning * np.sin(theta) * e_m - 2.0 * g * root * np.cos(theta))
     )
     eq2 = dtheta - 1j * root * (g * np.exp(1j * phi) - np.conj(g) * e_m)
     return np.maximum(np.abs(eq1), np.abs(eq2))
+
+
+def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.ndarray:
+    """:func:`_printed_residual` along ``traj`` for ``params`` and ``lam``.
+
+    theta-dot and phi-dot are spline derivatives of the sampled solution,
+    independent of the real-form right-hand side used to integrate.
+    """
+    omega, omega0, g = params.evaluate(traj.times)
+    detuning = params.k * omega - omega0
+    dtheta = spline_derivative(traj.times, traj.thetas, traj.edge_indices)
+    dphi = spline_derivative(traj.times, traj.phis, traj.edge_indices)
+    return _printed_residual(traj.thetas, traj.phis, dtheta, dphi, detuning, g, lam)
 
 
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:

@@ -71,6 +71,20 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _tolerance(raw: str) -> float:
+    value = _finite(raw)
+    if not value > 0:
+        raise ValueError("expected a number > 0")
+    return value
+
+
 def _float_list(raw: str) -> list[float]:
     return [float(tok) for tok in raw.split(",") if tok.strip()]
 
@@ -153,14 +167,14 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         adiabatic_matched=_get(cp, "aux", "adiabatic_matched", _bool, False),
         theta0=_get(cp, "aux", "theta0", float, None),
         phi0=_get(cp, "aux", "phi0", float, 0.0),
-        aux_rtol=_get(cp, "aux", "rtol", float, 1e-10),
-        aux_atol=_get(cp, "aux", "atol", float, 1e-12),
+        aux_rtol=_get(cp, "aux", "rtol", _tolerance, 1e-10),
+        aux_atol=_get(cp, "aux", "atol", _tolerance, 1e-12),
         t_final=_get(cp, "run", "t_final", float, 20.0),
         samples=_get(cp, "run", "samples", int, 201),
         sigmas=_get(cp, "run", "sigma", _int_list, [1, -1]),
         oracle_enabled=_get(cp, "oracle", "enabled", _bool, True),
-        oracle_rtol=_get(cp, "oracle", "rtol", float, 1e-10),
-        oracle_atol=_get(cp, "oracle", "atol", float, 1e-12),
+        oracle_rtol=_get(cp, "oracle", "rtol", _tolerance, 1e-10),
+        oracle_atol=_get(cp, "oracle", "atol", _tolerance, 1e-12),
         max_infidelity=_get(cp, "oracle", "max_infidelity", float, 1e-6),
         out_dir=_get(cp, "output", "directory", str, None),
         precision=_get(cp, "output", "precision", int, 12),
@@ -174,7 +188,7 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         berry_omega=_get(cp, "berry", "omega", float, 1.0),
         berry_t_final=_get(cp, "berry", "t_final", float, None),
         berry_tol=_get(cp, "berry", "tol", float, 1e-3),
-        coherent_xi=_get(cp, "coherent", "xi", float, None),
+        coherent_xi=_get(cp, "coherent", "xi", _finite, None),
         coherent_sigma=_get(cp, "coherent", "sigma", int, 1),
         coherent_max_diff=_get(cp, "coherent", "max_diff", float, 1e-6),
     )
@@ -185,6 +199,14 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
     for sigma in cfg.sigmas:
         if sigma not in (1, -1):
             raise ConfigurationError(f"run.sigma entries must be +1 or -1, got {sigma}")
+    # the oracle rejects a state that reaches the guard band; say so before any solve
+    top = spec.cutoff - spec.guard
+    for m in m_list:
+        if cfg.oracle_enabled and m + k >= top:
+            raise ConfigurationError(
+                f"space.m = {m} puts the block's ground level m + k = {m + k} in the oracle's "
+                f"guard band (photon levels {top} and up); lower m or raise space.cutoff"
+            )
     # one sample is t = 0 alone, where exact and oracle agree by construction
     if cfg.samples < 2:
         raise ConfigurationError(f"run.samples must be at least 2, got {cfg.samples}")

@@ -49,8 +49,8 @@ class CoherentSpec:
     sigma: int = +1
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ConfigurationError(f"xi must be nonnegative, got {self.xi}")
+        if not 0 <= self.xi < math.inf:  # nan fails too
+            raise ConfigurationError(f"xi must be finite and nonnegative, got {self.xi}")
         if self.m_max < 0:
             raise ConfigurationError(f"m_max must be nonnegative, got {self.m_max}")
         _check_sigma(self.sigma)
@@ -89,8 +89,8 @@ def solve_block_family(
 ) -> list[ExactSolution]:
     """Exact solutions for m = 0 .. m_max, all from the same initial angles.
 
-    The angle equations of all blocks are integrated in one solve; each
-    block's trajectory is still sampled and certified on its own grid.
+    The angle equations of all blocks are integrated in one solve and
+    sampled on one shared grid; each block is still certified on its own.
     """
     if spec.cutoff < cspec.m_max + spec.k + spec.guard + 1:
         raise TruncationError(

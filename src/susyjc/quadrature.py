@@ -96,6 +96,8 @@ def _real_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices) -> np.ndarray
         _spline(ts[a : b + 1], ys[a : b + 1]).derivative()(ts[a : b + 1])
         for a, b in zip(bounds[:-1], bounds[1:])
     ]
+    if len(pieces) == 1:  # no kinks: spare the copy of a whole sample block
+        return pieces[0]
     # an edge sample takes the value of the segment that starts there
     return np.concatenate([piece[:-1] for piece in pieces[:-1]] + [pieces[-1]])
 

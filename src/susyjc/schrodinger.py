@@ -56,31 +56,32 @@ class PropagationResult:
 
 @dataclass(frozen=True)
 class _Structure:
-    """H(t)'s pieces in the form the right-hand side applies them.
+    """H(t)'s pieces, and N', as the vectors the right-hand side applies.
 
-    In the atom-major basis adag a and sigma_z are diagonal, Q = adag^k
+    In the atom-major basis adag a, sigma_z and N' are diagonal.  Q = adag^k
     sigma_- only links excited level m to ground level m + k (flat index
-    cutoff + k further on) and Qdag the reverse.  All four are read off
-    the operator builders' matrices, not re-derived.
+    cutoff + k further on), and Qdag = Q^T links them back with the same
+    real entries, so one vector ``q`` serves both links.  All are read off
+    the operator builders' matrices, not re-derived: adag a's diagonal is
+    the squared superdiagonal of the ladder's a.
     """
 
     number: np.ndarray  # diagonal of adag a
     half_sz: np.ndarray  # diagonal of sigma_z / 2
-    q: np.ndarray  # Q[cutoff + k + m, m], m = 0 .. cutoff - k - 1
-    qdag: np.ndarray  # Qdag[m, cutoff + k + m]
-    nprime: np.ndarray  # dense N', for the drift diagnostic only
+    q: np.ndarray  # Q[cutoff + k + m, m] = Qdag[m, cutoff + k + m], m = 0 .. cutoff - k - 1
+    nprime: np.ndarray  # diagonal of N', for the drift diagnostic only
 
     @classmethod
     def for_space(cls, spec: FockSpaceSpec) -> "_Structure":
         gen = build_generators(spec)
-        a, adag = build_ladder(spec)
-        shift = spec.cutoff + spec.k
+        a, _ = build_ladder(spec)
+        # (adag a)[i, i] = a[i - 1, i]^2, and 0 at i = 0, which has no level below
+        number = np.concatenate([[0.0], np.diagonal(a.matrix, offset=1).real ** 2])
         return cls(
-            number=np.diagonal(adag.matrix @ a.matrix).real,
+            number=number,
             half_sz=0.5 * np.diagonal(gen.sigma_z.matrix).real,
-            q=np.diagonal(gen.Q.matrix, offset=-shift).real,
-            qdag=np.diagonal(gen.Qdag.matrix, offset=shift).real,
-            nprime=gen.Nprime.matrix,
+            q=np.diagonal(gen.Q.matrix, offset=-(spec.cutoff + spec.k)).real,
+            nprime=np.diagonal(gen.Nprime.matrix).real,
         )
 
 
@@ -90,7 +91,7 @@ def _apply_hamiltonian(structure: _Structure, omega, omega0, g, y: np.ndarray) -
     n = structure.q.size
     hy = (omega * structure.number + omega0 * structure.half_sz) * y
     hy[-n:] += (g * structure.q) * y[:n]
-    hy[:n] += (g.conjugate() * structure.qdag) * y[-n:]
+    hy[:n] += (g.conjugate() * structure.q) * y[-n:]
     return hy
 
 
@@ -167,7 +168,7 @@ def propagate(
             f"run rejected: guard-band amplitude {guard_pop:.3e} exceeds {MAX_LEAKAGE:g}"
         )
 
-    expectations = np.einsum("ti,ij,tj->t", states.conj(), structure.nprime, states).real
+    expectations = (np.abs(states) ** 2) @ structure.nprime
     nprime_drift = float(np.max(np.abs(expectations - expectations[0])))
 
     return PropagationResult(

@@ -22,7 +22,7 @@ from susyjc import (
     solve_aux,
 )
 from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, _solve_family, residual_series
-from susyjc.quadrature import spline_derivative
+from susyjc.quadrature import PiecewiseDense, spline_derivative
 
 LAM6 = lambda_value(0, 3)
 
@@ -391,6 +391,26 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
         _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, [LAM6, lambda_value(1, 3)])
     message = str(err.value)
     assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=6.0)")
+
+
+def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
+    # the 257-point rate probe, then one (2M, n) sample block per
+    # certification pass, whatever the number of members
+    sizes = []
+    real_call = PiecewiseDense.__call__
+
+    def counting_call(self, t):
+        sizes.append(np.size(t))
+        return real_call(self, t)
+
+    monkeypatch.setattr(PiecewiseDense, "__call__", counting_call)
+    lams = [lambda_value(m, 3) for m in (0, 5, 10)]
+    params = constant_params(1.0, 3.0, 0.05)
+    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams)
+    stats = family[0].stats
+    assert stats.refinements >= 1
+    assert len(sizes) == 1 + (1 + stats.refinements)
+    assert sizes[0] == 257 and set(sizes[1:]) == {stats.n_samples}
 
 
 def test_family_singularity_error_names_the_member_at_the_pole():

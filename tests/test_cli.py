@@ -53,6 +53,10 @@ tol = 1e-3
 """
 
 
+THETA0 = "theta0 = 1.0471975511965976"
+ORACLE = "enabled = true"
+
+
 def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -296,6 +300,18 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
             "profiles.omega.slope",
             id="unread-profile-key",
         ),
+        # a nan tolerance never lets the solver finish a step; a negative one
+        # would surface as a failed certificate against a negative bound
+        pytest.param(THETA0, THETA0 + "\nrtol = nan", "aux.rtol", id="aux-rtol-nan"),
+        pytest.param(THETA0, THETA0 + "\natol = nan", "aux.atol", id="aux-atol-nan"),
+        pytest.param(THETA0, THETA0 + "\nrtol = -1e-10", "aux.rtol", id="aux-rtol-negative"),
+        pytest.param(ORACLE, ORACLE + "\nrtol = nan", "oracle.rtol", id="oracle-rtol-nan"),
+        pytest.param(ORACLE, ORACLE + "\natol = -1", "oracle.atol", id="oracle-atol-minus-1"),
+        pytest.param(
+            "[oracle]", "[coherent]\nxi = nan\n\n[oracle]", "coherent.xi", id="coherent-xi-nan"
+        ),
+        # block m = 26 reaches the oracle's guard band: ground level 29 >= 32 - 3
+        pytest.param("m = 0", "m = 26", "space.m", id="m-in-oracle-guard-band"),
     ],
 )
 def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):
@@ -305,6 +321,14 @@ def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, k
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()  # rejected at load time, before any output
+
+
+def test_guard_band_check_needs_the_oracle(tmp_path):
+    # without the oracle nothing populates the guard band: block m = 26 runs
+    cfg = BASE.replace("m = 0", "m = 26").replace("enabled = true", "enabled = false")
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "trajectory_m26.csv").exists()
 
 
 def test_berry_rejects_profile_keys(tmp_path, capsys):

@@ -190,6 +190,7 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
     # the oracle applies H as diagonals plus k-shifted slices; it must act
     # exactly like the dense matrix, truncated top photon levels included
     from susyjc import ModelParams, TimeProfile, build_hamiltonian
+    from susyjc.fock import build_generators
     from susyjc.schrodinger import _apply_hamiltonian, _Structure
 
     spec = FockSpaceSpec(cutoff=12, k=k)
@@ -202,6 +203,8 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
         k=k,
     )
     structure = _Structure.for_space(spec)
+    # N' is diagonal too: its vector is the whole matrix the drift check needs
+    assert np.array_equal(np.diag(structure.nprime), build_generators(spec).Nprime.matrix)
     rng = np.random.default_rng(k)
     top = np.zeros((2, spec.cutoff), dtype=complex)
     top[:, -2 * k :] = 1.0 + 0.5j  # only the levels where truncation cuts the ladder
