@@ -26,14 +26,13 @@ from .errors import ConfigurationError, CycleError
 from .evolution import (
     SIGMA_Z2,
     EvolutionOperator,
+    PhaseIntegrals,
     _check_sigma,
     block_hamiltonian,
     invariant_matrix,
-    phase_rate_geometric,
 )
 from .fock import Operator
 from .profiles import ModelParams, TimeProfile
-from .quadrature import cumulative_antiderivative
 
 _COS_GUARD = 1e-6  # the H-I relation divides by cos theta
 _CLOSURE_TOL = 1e-6  # largest |phi sweep - 2 pi| accepted as one closed cycle
@@ -54,6 +53,10 @@ class AdiabaticScenario:
     @property
     def lam(self) -> int:
         return lambda_value(self.m, self.k)
+
+    @property
+    def block(self) -> SubspaceBlock:
+        return SubspaceBlock(m=self.m, k=self.k, cutoff=self.m + self.k + 1)
 
     def initial_state(self) -> AuxState:
         return AuxState(self.theta, self.phi0)
@@ -120,8 +123,7 @@ def hamiltonian_invariant_relation_residual(scenario: AdiabaticScenario, t: floa
     w = float(params.omega(t))
     w0 = float(params.omega0(t))
     k = scenario.k
-    block = SubspaceBlock(m=scenario.m, k=k, cutoff=scenario.m + k + 1)
-    h2 = block_hamiltonian(block, params, t)
+    h2 = block_hamiltonian(scenario.block, params, t)
 
     phi_t = scenario.phi0 + w * t
     inv = invariant_matrix(AuxState(theta, phi_t))
@@ -185,7 +187,7 @@ def berry_phase_numeric(
     t_final: float | None = None,
     rtol: float = 1e-10,
 ) -> float:
-    """Geometric phase integrated along the solved trajectory over one cycle.
+    """Geometric phase over one cycle: the block's PhaseIntegrals on the solved trajectory.
 
     Raises CycleError unless phi advances by exactly 2 pi over the window.
     """
@@ -197,9 +199,7 @@ def berry_phase_numeric(
             f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
             f"instead of 2*pi over [0, {traj.t1}]"
         )
-    _, dphi = traj.rates_at(traj.times)
-    rates = phase_rate_geometric(sigma, AuxState(traj.thetas, traj.phis), dphi)
-    return float(cumulative_antiderivative(traj.times, rates, traj.edge_indices)(traj.t1))
+    return PhaseIntegrals(traj, scenario.block).ledger(sigma, traj.t1).phi_g
 
 
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):

@@ -78,7 +78,7 @@ def _finite(raw: str) -> float:
     return value
 
 
-def _tolerance(raw: str) -> float:
+def _positive(raw: str) -> float:
     value = _finite(raw)
     if not value > 0:
         raise ValueError("expected a number > 0")
@@ -146,8 +146,11 @@ class ScenarioConfig:
 def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
     """Every key any command reads is read here; a key left unread is exit 2."""
     cp = _Scenario()
-    if not cp.read(path):
-        raise ConfigurationError(f"config file not found: {path}")
+    try:
+        if not cp.read(path):
+            raise ConfigurationError(f"config file not found: {path}")
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigurationError(f"unreadable config: {exc}") from exc
 
     k = _get(cp, "space", "k", int, 3)
     cutoff = _get(cp, "space", "cutoff", int)
@@ -166,39 +169,40 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         params=params,
         adiabatic_matched=_get(cp, "aux", "adiabatic_matched", _bool, False),
         theta0=_get(cp, "aux", "theta0", float, None),
-        phi0=_get(cp, "aux", "phi0", float, 0.0),
-        aux_rtol=_get(cp, "aux", "rtol", _tolerance, 1e-10),
-        aux_atol=_get(cp, "aux", "atol", _tolerance, 1e-12),
-        t_final=_get(cp, "run", "t_final", float, 20.0),
+        phi0=_get(cp, "aux", "phi0", _finite, 0.0),
+        aux_rtol=_get(cp, "aux", "rtol", _positive, 1e-10),
+        aux_atol=_get(cp, "aux", "atol", _positive, 1e-12),
+        t_final=_get(cp, "run", "t_final", _positive, 20.0),
         samples=_get(cp, "run", "samples", int, 201),
         sigmas=_get(cp, "run", "sigma", _int_list, [1, -1]),
         oracle_enabled=_get(cp, "oracle", "enabled", _bool, True),
-        oracle_rtol=_get(cp, "oracle", "rtol", _tolerance, 1e-10),
-        oracle_atol=_get(cp, "oracle", "atol", _tolerance, 1e-12),
-        max_infidelity=_get(cp, "oracle", "max_infidelity", float, 1e-6),
+        oracle_rtol=_get(cp, "oracle", "rtol", _positive, 1e-10),
+        oracle_atol=_get(cp, "oracle", "atol", _positive, 1e-12),
+        max_infidelity=_get(cp, "oracle", "max_infidelity", _positive, 1e-6),
         out_dir=_get(cp, "output", "directory", str, None),
         precision=_get(cp, "output", "precision", int, 12),
-        verify_tol=_get(cp, "verify", "tol", float, 1e-12),
+        verify_tol=_get(cp, "verify", "tol", _positive, 1e-12),
         berry_thetas=_get(
             cp, "berry", "thetas", _float_list, [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
         ),
         berry_sigmas=_get(cp, "berry", "sigma", _int_list, [1, -1]),
         berry_m=_get(cp, "berry", "m", int, 0),
-        berry_g_mod=_get(cp, "berry", "g_mod", float, 0.05),
-        berry_omega=_get(cp, "berry", "omega", float, 1.0),
-        berry_t_final=_get(cp, "berry", "t_final", float, None),
-        berry_tol=_get(cp, "berry", "tol", float, 1e-3),
+        berry_g_mod=_get(cp, "berry", "g_mod", _finite, 0.05),
+        berry_omega=_get(cp, "berry", "omega", _finite, 1.0),
+        berry_t_final=_get(cp, "berry", "t_final", _positive, None),
+        berry_tol=_get(cp, "berry", "tol", _positive, 1e-3),
         coherent_xi=_get(cp, "coherent", "xi", _finite, None),
         coherent_sigma=_get(cp, "coherent", "sigma", int, 1),
-        coherent_max_diff=_get(cp, "coherent", "max_diff", float, 1e-6),
+        coherent_max_diff=_get(cp, "coherent", "max_diff", _positive, 1e-6),
     )
     for section in cp.sections():
         for key in cp.options(section):
             if (section, key) not in cp.seen:
                 raise ConfigurationError(f"{section}.{key}: this command does not read this key")
-    for sigma in cfg.sigmas:
+    sigmas = [("run.sigma", s) for s in cfg.sigmas] + [("berry.sigma", s) for s in cfg.berry_sigmas]
+    for key, sigma in sigmas + [("coherent.sigma", cfg.coherent_sigma)]:
         if sigma not in (1, -1):
-            raise ConfigurationError(f"run.sigma entries must be +1 or -1, got {sigma}")
+            raise ConfigurationError(f"{key} must be +1 or -1, got {sigma}")
     # the oracle rejects a state that reaches the guard band; say so before any solve
     top = spec.cutoff - spec.guard
     for m in m_list:

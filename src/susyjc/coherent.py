@@ -18,7 +18,7 @@ from scipy.special import pdtrc
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
 from .errors import ConfigurationError, TruncationError
-from .evolution import ExactSolution, _check_sigma
+from .evolution import ExactSolution, _check_sigma, general_solution
 from .fock import FockSpaceSpec
 from .profiles import ModelParams
 
@@ -109,16 +109,13 @@ def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
         raise ConfigurationError(
             f"expected {cspec.m_max + 1} block solutions, got {len(solutions)}"
         )
-    w = cspec.weights()
-    out = np.zeros(np.shape(t) + (2 * solutions[0].block.cutoff,), dtype=complex)
-    for weight, sol in zip(w, solutions):
+    for sol in solutions:
         if sol.sigma != cspec.sigma:
             raise ConfigurationError(
                 f"block solution branch sigma={sol.sigma} does not match "
                 f"the superposition sigma={cspec.sigma}"
             )
-        out += weight * sol.state_at(t)
-    return out
+    return general_solution(zip(cspec.weights(), solutions), t)
 
 
 def atomic_inversion(state: np.ndarray):

@@ -212,7 +212,8 @@ class PhaseIntegrals:
     nodes follow the ODE sampling).  The integrands have kinks at table
     knots, so the trajectory's ``edge_indices`` give one spline per smooth
     segment, and each running integral carries its value across the edges
-    (:func:`susyjc.quadrature.cumulative_antiderivative`).
+    (:func:`susyjc.quadrature.cumulative_antiderivative`).  The three
+    integrands (phi_d for sigma = +-1, phi_g for +1) share one fit per segment.
     """
 
     def __init__(self, trajectory: AuxTrajectory, block: SubspaceBlock):
@@ -225,27 +226,25 @@ class PhaseIntegrals:
         params = trajectory.params
 
         ts = trajectory.times
-        edge_indices = trajectory.edge_indices
         state = AuxState(trajectory.thetas, trajectory.phis)
         _, dphi = aux_rhs(state, ts, params, block.lam)
-        self._phi_d = {
-            sigma: cumulative_antiderivative(
-                ts, phase_rate_dynamical(sigma, ts, state, params, block), edge_indices
-            )
-            for sigma in (+1, -1)
-        }
+        rates = [phase_rate_dynamical(sigma, ts, state, params, block) for sigma in (+1, -1)]
         # the geometric rate is odd in sigma, and the spline fit and its
         # evaluation are sign-symmetric, so sigma = -1 is the exact negation
-        self._phi_g_plus = cumulative_antiderivative(
-            ts, phase_rate_geometric(+1, state, dphi), edge_indices
+        rates.append(phase_rate_geometric(+1, state, dphi))
+        self._integrals = cumulative_antiderivative(
+            ts, np.stack(rates, axis=1), trajectory.edge_indices
         )
 
     def ledger(self, sigma: int, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         _check_sigma(sigma)
-        phi_g = self._phi_g_plus(t)
+        rows = self._integrals(t)  # (3,) at a scalar t, (3, n_t) over n_t times
+        phi_d_plus, phi_d_minus, phi_g = rows.tolist() if rows.ndim == 1 else rows
+        if sigma > 0:
+            return PhaseLedger(sigma, phi_d_plus, phi_g)
         # 0.0 - x negates x exactly and keeps the start value +0.0
-        return PhaseLedger(sigma, self._phi_d[sigma](t), phi_g if sigma > 0 else 0.0 - phi_g)
+        return PhaseLedger(sigma, phi_d_minus, 0.0 - phi_g)
 
 
 class ExactSolution:
@@ -315,8 +314,8 @@ def embed_block_matrix(block: SubspaceBlock, mat2: np.ndarray) -> np.ndarray:
     return full
 
 
-def general_solution(components, t: float) -> np.ndarray:
-    """Superposition sum_n C_n psi_n(t) of exact solutions.
+def general_solution(components, t) -> np.ndarray:
+    """Superposition sum_n C_n psi_n(t) of exact solutions ((n, dim) for n times).
 
     ``components`` is a sequence of (coefficient, ExactSolution) pairs with
     sum |C_n|^2 = 1.  All solutions must live on the same truncated space.
@@ -330,7 +329,7 @@ def general_solution(components, t: float) -> np.ndarray:
     cutoffs = {sol.block.cutoff for _, sol in components}
     if len(cutoffs) != 1:
         raise ConfigurationError(f"solutions live on different cutoffs: {sorted(cutoffs)}")
-    out = np.zeros(2 * cutoffs.pop(), dtype=complex)
+    out = np.zeros(np.shape(t) + (2 * cutoffs.pop(),), dtype=complex)
     for c, sol in components:
         out += c * sol.state_at(t)
     return out

@@ -119,24 +119,23 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
 
-    With ``edge_indices`` each smooth segment gets its own spline, and F
-    carries the integral over the segments before it, so it stays continuous
-    across the edges.  F takes a scalar (float out) or an array of times.
+    ``ys`` is (n,) or (n, K), time first; the K columns share one spline fit
+    per segment.  With ``edge_indices`` each smooth segment gets its own
+    spline, and F carries the integral over the segments before it, so it
+    stays continuous across the edges.  F(t) has shape ys.shape[1:] at a
+    scalar t and ys.shape[1:] + (n_t,) over an array of n_t times.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    columns = ys.reshape(ts.size, -1)
     bounds = _bounds(edge_indices, ts.size)
     pieces = []
     carried = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
-        anti = _spline(ts[a : b + 1], ys[a : b + 1]).antiderivative()
+        anti = _spline(ts[a : b + 1], columns[a : b + 1]).antiderivative()
         base = anti(ts[a])
-        pieces.append(lambda t, anti=anti, shift=carried - base: anti(t) + shift)
+        # PiecewiseDense passes an array of n_t times and wants (K, n_t) back
+        pieces.append(lambda t, anti=anti, shift=carried - base: (anti(t) + shift).T)
         carried = carried + (anti(ts[b]) - base)
     dense = PiecewiseDense(ts[bounds], pieces)
-
-    def integral(t):
-        out = dense(t)[0]
-        return out if out.ndim else float(out)
-
-    return integral
+    return dense if ys.ndim > 1 else lambda t: dense(t)[0]

@@ -57,6 +57,11 @@ THETA0 = "theta0 = 1.0471975511965976"
 ORACLE = "enabled = true"
 
 
+def section(name, line):
+    """(old, new) replacements that add ``[name]`` with one ``line`` to BASE."""
+    return "[oracle]", f"[{name}]\n{line}\n\n[oracle]"
+
+
 def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -312,6 +317,36 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
         ),
         # block m = 26 reaches the oracle's guard band: ground level 29 >= 32 - 3
         pytest.param("m = 0", "m = 26", "space.m", id="m-in-oracle-guard-band"),
+        # an infinite window hangs the solve; nan, 0 and negative ones mean nothing
+        pytest.param("t_final = 8.0", "t_final = inf", "run.t_final", id="run-t-final-inf"),
+        pytest.param("t_final = 8.0", "t_final = nan", "run.t_final", id="run-t-final-nan"),
+        pytest.param("t_final = 8.0", "t_final = 0", "run.t_final", id="run-t-final-0"),
+        pytest.param("t_final = 8.0", "t_final = -8.0", "run.t_final", id="run-t-final-negative"),
+        pytest.param(*section("berry", "t_final = inf"), "berry.t_final", id="berry-t-final-inf"),
+        # a nan bound used to run the whole propagation and then fail every comparison
+        pytest.param(
+            "max_infidelity = 1e-6",
+            "max_infidelity = nan",
+            "oracle.max_infidelity",
+            id="oracle-max-infidelity-nan",
+        ),
+        pytest.param(
+            "max_infidelity = 1e-6",
+            "max_infidelity = -1e-6",
+            "oracle.max_infidelity",
+            id="oracle-max-infidelity-negative",
+        ),
+        pytest.param(*section("verify", "tol = nan"), "verify.tol", id="verify-tol-nan"),
+        pytest.param(*section("berry", "tol = inf"), "berry.tol", id="berry-tol-inf"),
+        pytest.param(
+            *section("coherent", "max_diff = nan"), "coherent.max_diff", id="coherent-max-diff-nan"
+        ),
+        pytest.param(THETA0, THETA0 + "\nphi0 = inf", "aux.phi0", id="aux-phi0-inf"),
+        pytest.param(*section("berry", "g_mod = nan"), "berry.g_mod", id="berry-g-mod-nan"),
+        pytest.param(*section("berry", "omega = inf"), "berry.omega", id="berry-omega-inf"),
+        # a bad branch used to surface only after the first Berry cycle was solved
+        pytest.param(*section("berry", "sigma = 1, 2"), "berry.sigma", id="berry-sigma-2"),
+        pytest.param(*section("coherent", "sigma = 0"), "coherent.sigma", id="coherent-sigma-0"),
     ],
 )
 def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):
@@ -321,6 +356,25 @@ def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, k
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()  # rejected at load time, before any output
+
+
+@pytest.mark.parametrize(
+    "text,located",
+    [
+        pytest.param(
+            BASE.replace("samples = 41", "samples = 41\nsamples = 5"), "[line 23]", id="key-twice"
+        ),
+        pytest.param(BASE + "\n[run]\nsamples = 5\n", "[line 28]", id="section-twice"),
+        pytest.param("k = 3\n" + BASE, "line: 1", id="no-section-header"),
+    ],
+)
+def test_unparsable_config_is_exit_2_naming_file_and_line(tmp_path, capsys, text, located):
+    out = tmp_path / "o"
+    code = main(["propagate", "--config", write(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "scenario.ini" in err and located in err
+    assert not out.exists()
 
 
 def test_guard_band_check_needs_the_oracle(tmp_path):

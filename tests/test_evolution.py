@@ -292,6 +292,10 @@ def test_general_solution_coupled_superposition_vs_oracle():
     result = propagate(psi0, (0.0, 20.0), params, SPEC, rtol=1e-11, atol=1e-13, t_eval=ts)
     for t, psi in zip(result.times, result.states):
         assert fidelity(general_solution(comps, t), psi / np.linalg.norm(psi)) >= 1 - 1e-8
+    # on the time grid: bit for bit the stacked scalar calls, time axis first
+    grid = general_solution(comps, ts)
+    assert grid.shape == (ts.size, 2 * SPEC.cutoff)
+    assert np.array_equal(grid, np.stack([general_solution(comps, float(t)) for t in ts]))
 
 
 def test_general_solution_requires_normalized_coefficients():

@@ -8,8 +8,10 @@ from scipy.interpolate import make_interp_spline
 
 import susyjc
 
-from susyjc import AuxState, ModelParams, TimeProfile, lambda_value, solve_aux
-from susyjc.quadrature import PiecewiseDense
+from susyjc import AuxState, ModelParams, SubspaceBlock, TimeProfile, lambda_value, solve_aux
+from susyjc import quadrature
+from susyjc.evolution import PhaseIntegrals
+from susyjc.quadrature import PiecewiseDense, cumulative_antiderivative, segmented_grid
 
 
 def test_piecewise_dense_single_time_matches_array_column():
@@ -48,3 +50,66 @@ def test_only_quadrature_integrates_or_splines():
         if value is solve_ivp or value is make_interp_spline
     }
     assert binders == {"susyjc.quadrature"}
+
+
+def test_only_evolution_integrates_phases():
+    # PhaseIntegrals is the one home of the phase integrals: no other module
+    # binds the running integral or the geometric rate
+    for home, name in (
+        ("susyjc.quadrature", "cumulative_antiderivative"),
+        ("susyjc.evolution", "phase_rate_geometric"),
+    ):
+        target = getattr(importlib.import_module(home), name)
+        binders = {
+            info.name
+            for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
+            if any(value is target for value in vars(importlib.import_module(info.name)).values())
+        }
+        assert binders - {home} <= {"susyjc.evolution"}, name
+        assert "susyjc.evolution" in binders, name
+
+
+def test_multi_column_antiderivative_matches_per_column_calls():
+    # (n, K) integrands share one fit per segment, and each column is bit for
+    # bit its own 1-D call, at scalar and array times, across the kinks
+    ts, edge_indices = segmented_grid(np.array([0.0, 2.5, 5.0, 7.5, 10.0]), 400)
+    ys = np.stack(
+        [np.sin(1.3 * ts) + np.abs(ts - 5.0), np.cos(ts) * np.abs(ts - 2.5), np.exp(-0.1 * ts)],
+        axis=1,
+    )
+    together = cumulative_antiderivative(ts, ys, edge_indices)
+    alone = [cumulative_antiderivative(ts, ys[:, j], edge_indices) for j in range(ys.shape[1])]
+    times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
+    grid = together(times)
+    assert grid.shape == (ys.shape[1], times.size)
+    for j, column in enumerate(alone):
+        assert np.array_equal(grid[j], column(times)), j
+    for i, t in enumerate(times):
+        single = together(float(t))
+        assert single.shape == (ys.shape[1],)
+        assert np.array_equal(single, grid[:, i]), t
+        assert np.array_equal(single, [column(float(t)) for column in alone]), t
+
+
+def test_phase_integrals_fit_once_per_segment(monkeypatch):
+    # phi_d for both branches and phi_g share one spline fit per smooth segment
+    knots = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=3,
+    )
+    block = SubspaceBlock(m=2, k=3, cutoff=8)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args[0].size)
+        return make_interp_spline(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "make_interp_spline", counted)
+    PhaseIntegrals(traj, block)
+    assert len(fits) == len(traj.edge_indices) - 1 == 4
+    assert sum(fits) == traj.times.size + 3  # each interior edge sample starts and ends a fit
