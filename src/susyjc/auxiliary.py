@@ -191,14 +191,48 @@ def solve_aux(
 
 class _MemberRows:
     """One member's (theta, phi) rows of a family's dense output, rows j and
-    M + j of the (2M,) state: the member's ``state_at``."""
+    M + j of the (2M,) state: the member's own ``state_at``.
 
-    def __init__(self, dense, member: int, members: int):
-        self._dense = dense
-        self._rows = slice(member, None, members)
+    Each call evaluates all 2M rows to keep two.  A reader of the whole
+    family takes the rows of every member from one call instead
+    (:func:`family_angles`).
+    """
+
+    def __init__(self, family, member: int, members: int):
+        self.family = family
+        self.member = member
+        self.members = members
 
     def __call__(self, t):
-        return self._dense(t)[self._rows]
+        return self.family(t)[self.member :: self.members]
+
+
+def family_angles(trajectories):
+    """The angles of the M members of one family solve, from one call of its
+    dense output: ``angles(t)`` is an AuxState of (M,) arrays, or of (M, n_t)
+    arrays over n_t times.
+
+    A single trajectory reads its own dense output.  More than one must be
+    the members of one solve, in the solve's order (ConfigurationError
+    otherwise).
+    """
+    first = trajectories[0]
+    dense = first._dense
+    if len(trajectories) > 1:
+        rows = [traj._dense for traj in trajectories]
+        one_solve = all(isinstance(r, _MemberRows) for r in rows) and [
+            (r.family, r.member, r.members) for r in rows
+        ] == [(rows[0].family, j, len(rows)) for j in range(len(rows))]
+        if not one_solve:
+            raise ConfigurationError(
+                "trajectories are not the members of one family solve, in its order"
+            )
+        dense = rows[0].family
+
+    def angles(t) -> AuxState:
+        return AuxState(*np.split(dense(first._check_window(t)), 2))
+
+    return angles
 
 
 def _solve_family(

@@ -42,10 +42,13 @@ _REQUIRED = inspect.Parameter.empty  # a key without a default must be set
 
 
 class _Scenario(configparser.ConfigParser):
-    """An INI scenario that records every (section, key) looked up, set or not."""
+    """An INI scenario that records every (section, key) looked up, set or not.
+
+    Values are read literally: no scenario uses ``%`` interpolation.
+    """
 
     def __init__(self):
-        super().__init__()
+        super().__init__(interpolation=None)
         self.seen: set[tuple[str, str]] = set()
 
 
@@ -82,6 +85,13 @@ def _positive(raw: str) -> float:
     value = _finite(raw)
     if not value > 0:
         raise ValueError("expected a number > 0")
+    return value
+
+
+def _nonnegative(raw: str) -> float:
+    value = _finite(raw)
+    if not value >= 0:
+        raise ValueError("expected a number >= 0")
     return value
 
 
@@ -187,8 +197,8 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         ),
         berry_sigmas=_get(cp, "berry", "sigma", _int_list, [1, -1]),
         berry_m=_get(cp, "berry", "m", int, 0),
-        berry_g_mod=_get(cp, "berry", "g_mod", _finite, 0.05),
-        berry_omega=_get(cp, "berry", "omega", _finite, 1.0),
+        berry_g_mod=_get(cp, "berry", "g_mod", _nonnegative, 0.05),
+        berry_omega=_get(cp, "berry", "omega", _positive, 1.0),
         berry_t_final=_get(cp, "berry", "t_final", _positive, None),
         berry_tol=_get(cp, "berry", "tol", _positive, 1e-3),
         coherent_xi=_get(cp, "coherent", "xi", _finite, None),
@@ -218,6 +228,9 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         raise ConfigurationError(f"output.precision must be at least 1, got {cfg.precision}")
     if cfg.theta0 is not None and not 0.0 <= cfg.theta0 <= math.pi:
         raise ConfigurationError(f"aux.theta0 must lie in [0, pi], got {cfg.theta0}")
+    for theta in cfg.berry_thetas:
+        if not 0.0 <= theta <= math.pi:
+            raise ConfigurationError(f"berry.thetas entries must lie in [0, pi], got {theta}")
     if need_profiles:
         # profiles must be evaluable on the run window before any computation
         probe = np.linspace(0.0, cfg.t_final, 7)
@@ -231,10 +244,9 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
 
 
 def resolve_out_dir(flag_value: str | None, cfg_value: str | None) -> Path:
-    chosen = flag_value or cfg_value or os.environ.get(ENV_OUTPUT_DIR) or "out"
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; the first CSV written creates it, so a run
+    rejected before any output leaves none behind."""
+    return Path(flag_value or cfg_value or os.environ.get(ENV_OUTPUT_DIR) or "out")
 
 
 class CsvWriter:
@@ -246,6 +258,7 @@ class CsvWriter:
     def write(self, columns):
         """One line per row of the equal-length ``columns``, after the header."""
         rows = (",".join(self.fmt.format(float(v)) for v in row) + "\n" for row in zip(*columns))
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w") as fh:
             fh.write(",".join(self.header) + "\n" + "".join(rows))
 

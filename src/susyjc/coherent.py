@@ -5,6 +5,11 @@ distinct m are orthogonal, so with the truncation tail below 1e-10 the
 state stays normalized to that accuracy.  All per-m trajectories share one
 (theta0, phi0): each block has its own lambda and hence its own trajectory,
 and a common initial rotation is what makes the superposition well-defined.
+
+The blocks m = 0 .. m_max are one family: one angle solve, one sample grid
+and one phase fit (:class:`susyjc.evolution.BlockFamily`).  The
+superposition reads the family's angles and phases in one evaluation each,
+on a scalar time or on a whole time grid.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from scipy.special import pdtrc
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
 from .errors import ConfigurationError, TruncationError
-from .evolution import ExactSolution, _check_sigma, general_solution
+from .evolution import BlockFamily, ExactSolution, _check_sigma, general_solution
 from .fock import FockSpaceSpec
 from .profiles import ModelParams
 
@@ -99,11 +104,15 @@ def solve_block_family(
         )
     blocks = [SubspaceBlock.for_space(spec, m) for m in range(cspec.m_max + 1)]
     trajs = _solve_family(initial, window, params, [b.lam for b in blocks], rtol=rtol, atol=atol)
-    return [ExactSolution(block, cspec.sigma, traj) for block, traj in zip(blocks, trajs)]
+    return BlockFamily(trajs, blocks).solutions(cspec.sigma)
 
 
 def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
-    """Weighted superposition of the per-m solutions at time t ((n, dim) for n times)."""
+    """Weighted superposition of the per-m solutions at time t ((n, dim) for n times).
+
+    The solutions must come from one :func:`solve_block_family` call, whose
+    family is then evaluated once for all of them.
+    """
     solutions = list(solutions)
     if len(solutions) != cspec.m_max + 1:
         raise ConfigurationError(
@@ -115,6 +124,11 @@ def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
                 f"block solution branch sigma={sol.sigma} does not match "
                 f"the superposition sigma={cspec.sigma}"
             )
+    families = {sol.phases.family for sol in solutions}
+    if len(families) > 1:
+        raise ConfigurationError(
+            f"block solutions come from {len(families)} different family solves, not one"
+        )
     return general_solution(zip(cspec.weights(), solutions), t)
 
 

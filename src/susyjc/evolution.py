@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, aux_rhs
+from .auxiliary import AuxState, AuxTrajectory, aux_rhs, family_angles
 from .blocks import SubspaceBlock, embed_state
 from .errors import ConfigurationError, VerificationError
 from .fock import FockSpaceSpec, Operator, build_generators
@@ -204,6 +204,72 @@ def _check_sigma(sigma: int) -> int:
     return sigma
 
 
+def _phase_rates(trajectory: AuxTrajectory, block: SubspaceBlock) -> np.ndarray:
+    """(n, 3) phase integrands on the trajectory's grid: phi_d for sigma = +1
+    and -1, then phi_g for +1."""
+    if abs(trajectory.lam - block.lam) > 0:
+        raise ConfigurationError(
+            f"trajectory lambda={trajectory.lam} does not match block lambda={block.lam}"
+        )
+    params = trajectory.params
+    ts = trajectory.times
+    state = AuxState(trajectory.thetas, trajectory.phis)
+    _, dphi = aux_rhs(state, ts, params, block.lam)
+    rates = [phase_rate_dynamical(sigma, ts, state, params, block) for sigma in (+1, -1)]
+    # the geometric rate is odd in sigma, and the spline fit and its
+    # evaluation are sign-symmetric, so sigma = -1 is the exact negation
+    rates.append(phase_rate_geometric(+1, state, dphi))
+    return np.stack(rates, axis=1)
+
+
+def _ledger(sigma: int, rows) -> PhaseLedger:
+    """The sigma branch's ledger from one block's three integral rows: (3,)
+    at a scalar time (floats), (3, n_t) over n_t times."""
+    phi_d_plus, phi_d_minus, phi_g = rows.tolist() if rows.ndim == 1 else rows
+    if sigma > 0:
+        return PhaseLedger(sigma, phi_d_plus, phi_g)
+    # 0.0 - x negates x exactly and keeps the start value +0.0
+    return PhaseLedger(sigma, phi_d_minus, 0.0 - phi_g)
+
+
+def _amplitudes(state: AuxState, ledger: PhaseLedger) -> np.ndarray:
+    """Block amplitudes: the phase factor times the rotation's sigma column."""
+    column = 0 if ledger.sigma == +1 else 1
+    factor = np.expand_dims(ledger.factor, -1)
+    return factor * eigenframe_rotation(state)[..., :, column]
+
+
+class BlockFamily:
+    """The layer that the M blocks of one angle solve read from.
+
+    The members' angles come from one call of the solve's dense output
+    (:func:`susyjc.auxiliary.family_angles`), and their phase integrals from
+    one fit of all 3M integrands: phi_d for sigma = +1 and -1, then phi_g for
+    +1, member after member, one spline per smooth segment
+    (:func:`susyjc.quadrature.cumulative_antiderivative`).  Member j's rows
+    are 3j .. 3j + 2.  A member's :class:`PhaseIntegrals` reads its own rows;
+    :func:`general_solution` evaluates the family once per call.
+    """
+
+    def __init__(self, trajectories, blocks):
+        self.trajectories = tuple(trajectories)
+        self.blocks = tuple(blocks)
+        self.angles = family_angles(self.trajectories)
+        rates = np.concatenate(
+            [_phase_rates(traj, block) for traj, block in zip(self.trajectories, self.blocks)],
+            axis=1,
+        )
+        first = self.trajectories[0]
+        self.integrals = cumulative_antiderivative(first.times, rates, first.edge_indices)
+
+    def solutions(self, sigma: int) -> list[ExactSolution]:
+        """The members' sigma solutions, each reading its rows of this family."""
+        return [
+            ExactSolution(block, sigma, traj, PhaseIntegrals._member(self, j))
+            for j, (block, traj) in enumerate(zip(self.blocks, self.trajectories))
+        ]
+
+
 class PhaseIntegrals:
     """Running dynamical/geometric phase integrals along one trajectory.
 
@@ -214,37 +280,31 @@ class PhaseIntegrals:
     segment, and each running integral carries its value across the edges
     (:func:`susyjc.quadrature.cumulative_antiderivative`).  The three
     integrands (phi_d for sigma = +-1, phi_g for +1) share one fit per segment.
+    Built from a trajectory and its block, this is the one-member
+    :class:`BlockFamily`; a member of a larger family reads its three rows of
+    the family's fit.
     """
 
     def __init__(self, trajectory: AuxTrajectory, block: SubspaceBlock):
-        if abs(trajectory.lam - block.lam) > 0:
-            raise ConfigurationError(
-                f"trajectory lambda={trajectory.lam} does not match block lambda={block.lam}"
-            )
-        self.trajectory = trajectory
-        self.block = block
-        params = trajectory.params
+        self._read(BlockFamily([trajectory], [block]), 0)
 
-        ts = trajectory.times
-        state = AuxState(trajectory.thetas, trajectory.phis)
-        _, dphi = aux_rhs(state, ts, params, block.lam)
-        rates = [phase_rate_dynamical(sigma, ts, state, params, block) for sigma in (+1, -1)]
-        # the geometric rate is odd in sigma, and the spline fit and its
-        # evaluation are sign-symmetric, so sigma = -1 is the exact negation
-        rates.append(phase_rate_geometric(+1, state, dphi))
-        self._integrals = cumulative_antiderivative(
-            ts, np.stack(rates, axis=1), trajectory.edge_indices
-        )
+    @classmethod
+    def _member(cls, family: BlockFamily, member: int) -> PhaseIntegrals:
+        phases = cls.__new__(cls)
+        phases._read(family, member)
+        return phases
+
+    def _read(self, family: BlockFamily, member: int):
+        self.family = family
+        self.member = member
+        self.trajectory = family.trajectories[member]
+        self.block = family.blocks[member]
 
     def ledger(self, sigma: int, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         _check_sigma(sigma)
-        rows = self._integrals(t)  # (3,) at a scalar t, (3, n_t) over n_t times
-        phi_d_plus, phi_d_minus, phi_g = rows.tolist() if rows.ndim == 1 else rows
-        if sigma > 0:
-            return PhaseLedger(sigma, phi_d_plus, phi_g)
-        # 0.0 - x negates x exactly and keeps the start value +0.0
-        return PhaseLedger(sigma, phi_d_minus, 0.0 - phi_g)
+        j = 3 * self.member
+        return _ledger(sigma, self.family.integrals(t)[j : j + 3])
 
 
 class ExactSolution:
@@ -272,10 +332,7 @@ class ExactSolution:
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""
-        state = self.trajectory.state_at(t)
-        column = 0 if self.sigma == +1 else 1
-        factor = np.expand_dims(self.phases.ledger(self.sigma, t).factor, -1)
-        return factor * eigenframe_rotation(state)[..., :, column]
+        return _amplitudes(self.trajectory.state_at(t), self.phases.ledger(self.sigma, t))
 
     def state_at(self, t) -> np.ndarray:
         """Full-space unit vector at time t: (dim,), or (n, dim) for an array of times."""
@@ -319,6 +376,9 @@ def general_solution(components, t) -> np.ndarray:
 
     ``components`` is a sequence of (coefficient, ExactSolution) pairs with
     sum |C_n|^2 = 1.  All solutions must live on the same truncated space.
+    Each :class:`BlockFamily` among them is evaluated once, angles and
+    phases, and each solution's weighted amplitudes are added at its block's
+    two indices.
     """
     components = list(components)
     if not components:
@@ -330,8 +390,16 @@ def general_solution(components, t) -> np.ndarray:
     if len(cutoffs) != 1:
         raise ConfigurationError(f"solutions live on different cutoffs: {sorted(cutoffs)}")
     out = np.zeros(np.shape(t) + (2 * cutoffs.pop(),), dtype=complex)
+    evaluated = {}  # one angle and one phase evaluation per family, this call only
     for c, sol in components:
-        out += c * sol.state_at(t)
+        family, j = sol.phases.family, sol.phases.member
+        if family not in evaluated:
+            evaluated[family] = (family.angles(t), family.integrals(t))
+        angles, integrals = evaluated[family]
+        ledger = _ledger(sol.sigma, integrals[3 * j : 3 * j + 3])
+        weighted = c * _amplitudes(AuxState(angles.theta[j], angles.phi[j]), ledger)
+        out[..., sol.block.upper_index] += weighted[..., 0]
+        out[..., sol.block.lower_index] += weighted[..., 1]
     return out
 
 

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline, make_interp_spline
 
 SPLINE_ORDER = 5  # quintic; fewer samples than that lower it to len(ts) - 1
 
@@ -116,6 +116,27 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
     return _real_derivative(ts, ys, edge_indices)
 
 
+def _antiderivative(spline):
+    """``spline.antiderivative()`` with one new coefficient array.
+
+    The same arithmetic as scipy's (``splantider``: the running sum of
+    c_i (t_{i+k+1} - t_i) / (k + 1), padded with a leading zero and k + 2
+    copies of the total), written into its output.  scipy's route makes
+    four more copies of the coefficients, and for a block family's (n, 3M)
+    phase integrands those set the run's peak memory.
+    """
+    t, c, k = spline.t, spline.c, spline.k
+    n = c.shape[0]
+    out = np.empty((n + k + 3,) + c.shape[1:])
+    out[0] = 0.0
+    body = out[1 : n + 1]
+    np.multiply(c, (t[k + 1 :] - t[: -k - 1]).reshape((-1,) + (1,) * (c.ndim - 1)), out=body)
+    np.cumsum(body, axis=0, out=body)
+    body /= k + 1
+    out[n + 1 :] = body[-1]
+    return BSpline.construct_fast(np.concatenate([t[:1], t, t[-1:]]), out, k + 1)
+
+
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
 
@@ -132,7 +153,7 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
     pieces = []
     carried = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
-        anti = _spline(ts[a : b + 1], columns[a : b + 1]).antiderivative()
+        anti = _antiderivative(_spline(ts[a : b + 1], columns[a : b + 1]))
         base = anti(ts[a])
         # PiecewiseDense passes an array of n_t times and wants (K, n_t) back
         pieces.append(lambda t, anti=anti, shift=carried - base: (anti(t) + shift).T)

@@ -1,8 +1,10 @@
-"""The names and options the benchmark in perfbench/ reaches into the package by.
+"""The names and options the benchmark in perfbench/ reaches into the package by,
+and the benchmark's own correctness gate.
 
 perfbench/ is read, never changed, here: a rename in the package that its
 tracer or its setup probe no longer finds fails this test instead of
-silently emptying a per-layer metric or failing a benchmark run.
+silently emptying a per-layer metric or failing a benchmark run, and a
+workload whose output the benchmark would reject fails it too.
 """
 
 import importlib
@@ -21,6 +23,11 @@ def perfbench(monkeypatch):
     return importlib.import_module("tracer"), importlib.import_module("workloads")
 
 
+@pytest.fixture
+def checks(perfbench):
+    return importlib.import_module("checks")
+
+
 def test_tracer_targets_resolve_in_the_package(perfbench):
     tracer, _ = perfbench
     for name, (_, module, path, _) in tracer.TARGETS.items():
@@ -33,3 +40,19 @@ def test_workload_configs_load_as_the_setup_probe_loads_them(perfbench):
     for workload in workloads.WORKLOADS.values():
         need_profiles = cli.COMMANDS[workload.command][1]
         cli.load_config(str(ROOT / workload.config), need_profiles=need_profiles)
+
+
+def test_seed_0_workloads_pass_the_benchmark_gate(perfbench, checks, tmp_path, capsys):
+    # each workload's committed config, run as the benchmark runs it at seed 0
+    # and checked against the recorded reference; nothing is written under
+    # the checkout
+    _, workloads = perfbench
+    for name, workload in workloads.WORKLOADS.items():
+        prepared = workloads.Prepared(workload, 0, tmp_path, ROOT / workload.config, None)
+        out_dir = tmp_path / name
+        capsys.readouterr()
+        code = cli.main(prepared.argv(prepared.config, out_dir))
+        stdout = capsys.readouterr().out
+        reference = checks.reference_files(name)
+        assert reference, name
+        assert checks.check_run(prepared, code, stdout, out_dir, reference, None) == [], name

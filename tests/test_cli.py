@@ -181,14 +181,17 @@ def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
 
 def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
     # the exact states are sampled on the whole time grid in one call:
-    # one state_at per (m, sigma) in propagate, one superposition per coherent run
+    # one state_at per (m, sigma) in propagate; one superposition per coherent
+    # run, which reads the block family once and no member on its own
     from susyjc import cli
     from susyjc.coherent import CoherentSpec
     from susyjc.evolution import ExactSolution
+    from susyjc.quadrature import PiecewiseDense
 
-    calls = {"state_at": [], "coherent": 0}
+    calls = {"state_at": [], "coherent": 0, "family_rows": []}
     state_at = ExactSolution.state_at
     build = cli.build_coherent_state
+    dense_call = PiecewiseDense.__call__
 
     def counting_state_at(self, t):
         calls["state_at"].append((self.block.m, self.sigma))
@@ -196,7 +199,15 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
 
     def counting_build(*args):
         calls["coherent"] += 1
-        return build(*args)
+        monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
+        try:
+            return build(*args)
+        finally:
+            monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
+
+    def counting_dense(self, t):
+        calls["family_rows"].append(self._rows)
+        return dense_call(self, t)
 
     monkeypatch.setattr(ExactSolution, "state_at", counting_state_at)
     monkeypatch.setattr(cli, "build_coherent_state", counting_build)
@@ -208,8 +219,10 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
     assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert calls["coherent"] == 1
-    m_max = CoherentSpec.for_xi(0.5).m_max
-    assert sorted(calls["state_at"]) == [(m, 1) for m in range(m_max + 1)]
+    members = CoherentSpec.for_xi(0.5).m_max + 1
+    # the family's (2M,) angle output once, its (3M,) phase integrals once
+    assert calls["family_rows"] == [2 * members, 3 * members]
+    assert calls["state_at"] == []
 
 
 def test_jobs_flag_is_gone(tmp_path, capsys):
@@ -375,6 +388,48 @@ def test_unparsable_config_is_exit_2_naming_file_and_line(tmp_path, capsys, text
     err = capsys.readouterr().err
     assert "scenario.ini" in err and located in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,text,key",
+    [
+        pytest.param(
+            "berry", BERRY.replace("omega = 1.0", "omega = -1.0"), "berry.omega", id="omega-negative"
+        ),
+        pytest.param(
+            "berry", BERRY.replace("omega = 1.0", "omega = 0.0"), "berry.omega", id="omega-zero"
+        ),
+        pytest.param(
+            "berry", BERRY.replace("g_mod = 0.05", "g_mod = -0.05"), "berry.g_mod", id="g-mod-negative"
+        ),
+        pytest.param(
+            "berry", BERRY.replace("1.5707963267948966", "4.0"), "berry.thetas", id="theta-above-pi"
+        ),
+        # sin(2 pi) rounds below the pole test, so 2 pi used to pass as a pole
+        pytest.param(
+            "berry",
+            BERRY.replace("1.5707963267948966", "6.283185307179586"),
+            "berry.thetas",
+            id="theta-two-pi",
+        ),
+        pytest.param("coherent", BASE, "coherent.xi", id="coherent-xi-missing"),
+    ],
+)
+def test_config_error_leaves_no_output_directory(tmp_path, capsys, command, text, key):
+    out = tmp_path / "o"
+    code = main([command, "--config", write(tmp_path, text), "--out", str(out)])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_values_are_read_literally(tmp_path, monkeypatch):
+    # a % in a value is a character, not the start of an interpolation
+    cfg = write(tmp_path, BERRY + "\n[output]\ndirectory = out%x\n")
+    assert load_config(cfg, need_profiles=False).out_dir == "out%x"
+    monkeypatch.chdir(tmp_path)
+    assert main(["berry", "--config", cfg]) == 0
+    assert (tmp_path / "out%x" / "berry_sweep.csv").exists()
 
 
 def test_guard_band_check_needs_the_oracle(tmp_path):

@@ -18,6 +18,17 @@ from susyjc import (
 )
 from susyjc import quadrature
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
+from susyjc.errors import ConfigurationError
+from susyjc.evolution import BlockFamily, ExactSolution
+from susyjc.quadrature import PiecewiseDense
+
+TABLE_PARAMS = ModelParams(
+    omega=TimeProfile.constant(1.0),
+    omega0=TimeProfile.constant(3.0),
+    g_mod=TimeProfile.table([0.0, 2.0, 4.0], [0.05, 0.08, 0.04]),
+    g_phase=TimeProfile.constant(0.0),
+    k=3,
+)
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
 PARAMS = constant_params(1.0, 3.0, 0.05)
@@ -155,13 +166,7 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
         return real_solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "solve_ivp", counting_solve_ivp)
-    params = ModelParams(
-        omega=TimeProfile.constant(1.0),
-        omega0=TimeProfile.constant(3.0),
-        g_mod=TimeProfile.table([0.0, 2.0, 4.0], [0.05, 0.08, 0.04]),
-        g_phase=TimeProfile.constant(0.0),
-        k=3,
-    )
+    params = TABLE_PARAMS
     rtol = 1e-10
     cs = CoherentSpec.for_xi(0.5)
     sols = solve_block_family(cs, SPEC, params, (0.0, 4.0), AuxState(math.pi / 3, 0.0), rtol=rtol)
@@ -180,3 +185,60 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     # one grid for the whole family, sized by its fastest block
     assert len({s.n_samples for s in stats}) == 1
     assert all(sol.trajectory.times is sols[0].trajectory.times for sol in sols)
+
+
+@pytest.mark.parametrize("times", [2.5, np.linspace(0.0, 5.0, 21)], ids=["scalar", "grid"])
+def test_superposition_evaluates_the_family_once(monkeypatch, times):
+    # one call of the family's (2M,) angle output and one of its (3M,) phase
+    # integrals, whatever the number of members; no member is sampled alone
+    cs, sols = family(1.0, t1=5.0)
+    rows = []
+    dense_call = PiecewiseDense.__call__
+
+    def counting_dense(self, t):
+        rows.append(self._rows)
+        return dense_call(self, t)
+
+    def no_state_at(self, t):
+        raise AssertionError("a member was sampled on its own")
+
+    monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
+    monkeypatch.setattr(ExactSolution, "state_at", no_state_at)
+    build_coherent_state(cs, times, sols)
+    members = cs.m_max + 1
+    assert members > 1 and rows == [2 * members, 3 * members]
+
+
+def test_family_fits_its_phases_once_per_segment(monkeypatch):
+    # per segment: a theta and a phi spline derivative per certification
+    # pass, then one phase fit for the whole family
+    fits = []
+    real_spline = quadrature.make_interp_spline
+
+    def counting_spline(*args, **kwargs):
+        fits.append(args[1].shape)
+        return real_spline(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "make_interp_spline", counting_spline)
+    cs = CoherentSpec.for_xi(0.5)
+    sols = solve_block_family(cs, SPEC, TABLE_PARAMS, (0.0, 4.0), AuxState(math.pi / 3, 0.0))
+    segments = len(TABLE_PARAMS.breakpoints(0.0, 4.0)) + 1
+    passes = 1 + sols[0].trajectory.stats.refinements
+    members = cs.m_max + 1
+    assert segments == 2 and members > 1
+    assert len(fits) == segments * (2 * passes + 1)
+    assert [shape[1] for shape in fits[-segments:]] == [3 * members] * segments
+    # every member reads its own rows of that one fit
+    assert len({id(sol.phases.family) for sol in sols}) == 1
+    assert [sol.phases.member for sol in sols] == list(range(members))
+
+
+def test_superposition_rejects_solutions_of_two_family_solves():
+    cs, first = family(0.5, t1=2.0)
+    _, second = family(0.5, t1=2.0)
+    mixed = first[:1] + second[1:]
+    with pytest.raises(ConfigurationError, match="2 different family solves"):
+        build_coherent_state(cs, 1.0, mixed)
+    # nor can one family layer be stitched together from two solves
+    with pytest.raises(ConfigurationError, match="not the members of one family solve"):
+        BlockFamily([sol.trajectory for sol in mixed], [sol.block for sol in mixed])

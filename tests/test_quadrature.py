@@ -3,6 +3,7 @@ import math
 import pkgutil
 
 import numpy as np
+import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import make_interp_spline
 
@@ -11,7 +12,13 @@ import susyjc
 from susyjc import AuxState, ModelParams, SubspaceBlock, TimeProfile, lambda_value, solve_aux
 from susyjc import quadrature
 from susyjc.evolution import PhaseIntegrals
-from susyjc.quadrature import PiecewiseDense, cumulative_antiderivative, segmented_grid
+from susyjc.quadrature import (
+    PiecewiseDense,
+    _antiderivative,
+    _spline,
+    cumulative_antiderivative,
+    segmented_grid,
+)
 
 
 def test_piecewise_dense_single_time_matches_array_column():
@@ -89,6 +96,19 @@ def test_multi_column_antiderivative_matches_per_column_calls():
         assert single.shape == (ys.shape[1],)
         assert np.array_equal(single, grid[:, i]), t
         assert np.array_equal(single, [column(float(t)) for column in alone]), t
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1-D", "2-D", "3-D"])
+def test_antiderivative_matches_scipy_bit_for_bit(shape):
+    # the running integral is written into one array, with scipy's arithmetic
+    ts = np.linspace(0.0, 3.0, 60)
+    ys = np.sin(np.multiply.outer(ts, np.arange(1.0, 1.0 + np.prod(shape, dtype=int))))
+    spline = _spline(ts, ys.reshape(ts.shape + shape))
+    ours, theirs = _antiderivative(spline), spline.antiderivative()
+    assert ours.k == theirs.k and np.array_equal(ours.t, theirs.t)
+    assert ours.c.shape == theirs.c.shape and np.array_equal(ours.c, theirs.c)
+    times = np.linspace(0.0, 3.0, 41)
+    assert np.array_equal(ours(times), theirs(times))
 
 
 def test_phase_integrals_fit_once_per_segment(monkeypatch):
