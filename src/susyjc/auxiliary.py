@@ -127,6 +127,11 @@ class AuxTrajectory:
     treats each segment separately.  ``residuals`` is the
     :func:`residual_series` on ``times`` for the trajectory's own params
     and lam, as certification computed it (None on a hand-built trajectory).
+
+    ``_dense`` is the dense output of the solve that produced the
+    trajectory: (2M,) rows, the M thetas then the M phis of its members
+    (M = 1 for :func:`solve_aux`).  ``_member`` is this trajectory's index
+    j among them, so its angles are rows j and M + j.
     """
 
     times: np.ndarray
@@ -138,6 +143,7 @@ class AuxTrajectory:
     edge_indices: tuple | None = None
     residuals: np.ndarray | None = None
     _dense: object = field(repr=False, default=None)
+    _member: int = field(repr=False, default=0)
 
     @property
     def t0(self) -> float:
@@ -159,7 +165,8 @@ class AuxTrajectory:
 
     def state_at(self, t) -> AuxState:
         """Angles from the dense ODE output: floats at scalar t, arrays over an array of times."""
-        theta, phi = self._dense(self._check_window(t))
+        rows = self._dense(self._check_window(t))
+        theta, phi = rows[self._member], rows[rows.shape[0] // 2 + self._member]
         return AuxState(theta, phi) if theta.ndim else AuxState(float(theta), float(phi))
 
     def rates_at(self, t):
@@ -189,48 +196,26 @@ def solve_aux(
     return _solve_family(initial, window, params, [lam], rtol, atol, certify)[0]
 
 
-class _MemberRows:
-    """One member's (theta, phi) rows of a family's dense output, rows j and
-    M + j of the (2M,) state: the member's own ``state_at``.
-
-    Each call evaluates all 2M rows to keep two.  A reader of the whole
-    family takes the rows of every member from one call instead
-    (:func:`family_angles`).
-    """
-
-    def __init__(self, family, member: int, members: int):
-        self.family = family
-        self.member = member
-        self.members = members
-
-    def __call__(self, t):
-        return self.family(t)[self.member :: self.members]
-
-
 def family_angles(trajectories):
-    """The angles of the M members of one family solve, from one call of its
-    dense output: ``angles(t)`` is an AuxState of (M,) arrays, or of (M, n_t)
+    """The angles of K consecutive members of one solve, from one call of its
+    dense output: ``angles(t)`` is an AuxState of (K,) arrays, or of (K, n_t)
     arrays over n_t times.
 
-    A single trajectory reads its own dense output.  More than one must be
-    the members of one solve, in the solve's order (ConfigurationError
-    otherwise).
+    The trajectories must share one dense output (by identity) and carry
+    consecutive member indices, in the solve's order (ConfigurationError
+    otherwise); a single trajectory is always its own family.
     """
     first = trajectories[0]
-    dense = first._dense
-    if len(trajectories) > 1:
-        rows = [traj._dense for traj in trajectories]
-        one_solve = all(isinstance(r, _MemberRows) for r in rows) and [
-            (r.family, r.member, r.members) for r in rows
-        ] == [(rows[0].family, j, len(rows)) for j in range(len(rows))]
-        if not one_solve:
-            raise ConfigurationError(
-                "trajectories are not the members of one family solve, in its order"
-            )
-        dense = rows[0].family
+    rows = slice(first._member, first._member + len(trajectories))
+    members = enumerate(trajectories, first._member)
+    if any(traj._dense is not first._dense or traj._member != j for j, traj in members):
+        raise ConfigurationError(
+            "trajectories are not the members of one family solve, in its order"
+        )
 
     def angles(t) -> AuxState:
-        return AuxState(*np.split(dense(first._check_window(t)), 2))
+        sample = first._dense(first._check_window(t))
+        return AuxState(sample[rows], sample[sample.shape[0] // 2 :][rows])
 
     return angles
 
@@ -335,7 +320,8 @@ def _solve_family(
                 residuals=_printed_residual(
                     thetas[j], phis[j], dthetas[:, j], dphis[:, j], detuning, g, lam_j
                 ),
-                _dense=dense if solo else _MemberRows(dense, j, members),
+                _dense=dense,
+                _member=j,
             )
             for j, lam_j in enumerate(lams)
         ]

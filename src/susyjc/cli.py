@@ -95,12 +95,19 @@ def _nonnegative(raw: str) -> float:
     return value
 
 
+def _list(cast, raw: str) -> list:
+    values = [cast(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("expected at least one entry")
+    return values
+
+
 def _float_list(raw: str) -> list[float]:
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+    return _list(float, raw)
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    return _list(int, raw)
 
 
 def _profile(cp: _Scenario, name: str) -> TimeProfile:

@@ -232,23 +232,27 @@ def _ledger(sigma: int, rows) -> PhaseLedger:
     return PhaseLedger(sigma, phi_d_minus, 0.0 - phi_g)
 
 
-def _amplitudes(state: AuxState, ledger: PhaseLedger) -> np.ndarray:
-    """Block amplitudes: the phase factor times the rotation's sigma column."""
-    column = 0 if ledger.sigma == +1 else 1
+def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
+    """A member's sigma amplitudes from one :meth:`BlockFamily.sample`: the
+    phase factor times the rotation's sigma column."""
+    angles, integrals = sample
+    state = AuxState(angles.theta[member], angles.phi[member])
+    ledger = _ledger(sigma, integrals[3 * member : 3 * member + 3])
     factor = np.expand_dims(ledger.factor, -1)
-    return factor * eigenframe_rotation(state)[..., :, column]
+    return factor * eigenframe_rotation(state)[..., :, 0 if sigma == +1 else 1]
 
 
 class BlockFamily:
-    """The layer that the M blocks of one angle solve read from.
+    """The layer that the blocks of one angle solve read from.
 
-    The members' angles come from one call of the solve's dense output
-    (:func:`susyjc.auxiliary.family_angles`), and their phase integrals from
-    one fit of all 3M integrands: phi_d for sigma = +1 and -1, then phi_g for
-    +1, member after member, one spline per smooth segment
-    (:func:`susyjc.quadrature.cumulative_antiderivative`).  Member j's rows
-    are 3j .. 3j + 2.  A member's :class:`PhaseIntegrals` reads its own rows;
-    :func:`general_solution` evaluates the family once per call.
+    Their phase integrals are one fit of all 3K integrands: phi_d for
+    sigma = +1 and -1, then phi_g for +1, member after member, one spline
+    per smooth segment (:func:`susyjc.quadrature.cumulative_antiderivative`);
+    member j's rows are 3j .. 3j + 2.  :meth:`sample` makes one call of the
+    solve's dense output (:func:`susyjc.auxiliary.family_angles`) and one of
+    these integrals, and every reader of amplitudes takes them from one
+    sample: :meth:`ExactSolution.block_state_at`,
+    :meth:`EvolutionOperator.at` and :func:`general_solution`.
     """
 
     def __init__(self, trajectories, blocks):
@@ -261,6 +265,10 @@ class BlockFamily:
         )
         first = self.trajectories[0]
         self.integrals = cumulative_antiderivative(first.times, rates, first.edge_indices)
+
+    def sample(self, t):
+        """(angles, integrals) of every member at scalar t or over an array of times."""
+        return self.angles(t), self.integrals(t)
 
     def solutions(self, sigma: int) -> list[ExactSolution]:
         """The members' sigma solutions, each reading its rows of this family."""
@@ -332,7 +340,7 @@ class ExactSolution:
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""
-        return _amplitudes(self.trajectory.state_at(t), self.phases.ledger(self.sigma, t))
+        return _amplitudes(self.phases.family.sample(t), self.phases.member, self.sigma)
 
     def state_at(self, t) -> np.ndarray:
         """Full-space unit vector at time t: (dim,), or (n, dim) for an array of times."""
@@ -341,19 +349,18 @@ class ExactSolution:
 
 class EvolutionOperator:
     """Block evolution operator: its columns are the sigma = +1 and -1 exact
-    solutions, which share one PhaseIntegrals."""
+    solutions, both read from one family sample per :meth:`at` call."""
 
     def __init__(self, block: SubspaceBlock, trajectory: AuxTrajectory):
         self.block = block
         self.trajectory = trajectory
-        phases = PhaseIntegrals(trajectory, block)
-        self.solutions = tuple(
-            ExactSolution(block, sigma, trajectory, phases) for sigma in (+1, -1)
-        )
+        self.phases = PhaseIntegrals(trajectory, block)
 
     def at(self, t) -> np.ndarray:
         """2x2 propagator at scalar t, or (n, 2, 2) for an array of times."""
-        return np.stack([sol.block_state_at(t) for sol in self.solutions], axis=-1)
+        sample = self.phases.family.sample(t)
+        member = self.phases.member
+        return np.stack([_amplitudes(sample, member, s) for s in (+1, -1)], axis=-1)
 
     def full_at(self, t: float) -> np.ndarray:
         """Full-space embedding (identity outside the block)."""
@@ -376,9 +383,8 @@ def general_solution(components, t) -> np.ndarray:
 
     ``components`` is a sequence of (coefficient, ExactSolution) pairs with
     sum |C_n|^2 = 1.  All solutions must live on the same truncated space.
-    Each :class:`BlockFamily` among them is evaluated once, angles and
-    phases, and each solution's weighted amplitudes are added at its block's
-    two indices.
+    Each :class:`BlockFamily` among them is sampled once, and each
+    solution's weighted amplitudes are added at its block's two indices.
     """
     components = list(components)
     if not components:
@@ -390,14 +396,12 @@ def general_solution(components, t) -> np.ndarray:
     if len(cutoffs) != 1:
         raise ConfigurationError(f"solutions live on different cutoffs: {sorted(cutoffs)}")
     out = np.zeros(np.shape(t) + (2 * cutoffs.pop(),), dtype=complex)
-    evaluated = {}  # one angle and one phase evaluation per family, this call only
+    samples = {}  # one sample per family, this call only
     for c, sol in components:
-        family, j = sol.phases.family, sol.phases.member
-        if family not in evaluated:
-            evaluated[family] = (family.angles(t), family.integrals(t))
-        angles, integrals = evaluated[family]
-        ledger = _ledger(sol.sigma, integrals[3 * j : 3 * j + 3])
-        weighted = c * _amplitudes(AuxState(angles.theta[j], angles.phi[j]), ledger)
+        family = sol.phases.family
+        if family not in samples:
+            samples[family] = family.sample(t)
+        weighted = c * _amplitudes(samples[family], sol.phases.member, sol.sigma)
         out[..., sol.block.upper_index] += weighted[..., 0]
         out[..., sol.block.lower_index] += weighted[..., 1]
     return out

@@ -360,6 +360,11 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
         # a bad branch used to surface only after the first Berry cycle was solved
         pytest.param(*section("berry", "sigma = 1, 2"), "berry.sigma", id="berry-sigma-2"),
         pytest.param(*section("coherent", "sigma = 0"), "coherent.sigma", id="coherent-sigma-0"),
+        # an empty list would run no block, branch or angle and pass vacuously
+        pytest.param("samples = 41", "samples = 41\nsigma =", "run.sigma", id="run-sigma-empty"),
+        pytest.param("m = 0", "m =", "space.m", id="space-m-empty"),
+        pytest.param(*section("berry", "thetas ="), "berry.thetas", id="berry-thetas-empty"),
+        pytest.param(*section("berry", "sigma = ,"), "berry.sigma", id="berry-sigma-empty"),
     ],
 )
 def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):

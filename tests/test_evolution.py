@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -10,6 +12,7 @@ from susyjc import (
     ConfigurationError,
     FockSpaceSpec,
     SubspaceBlock,
+    SusyJCError,
     block_components,
     build_generators,
     constant_params,
@@ -36,7 +39,7 @@ from susyjc.evolution import (
     rotated_invariant_residual,
     rotation_parameter,
 )
-from susyjc.quadrature import spline_derivative
+from susyjc.quadrature import PiecewiseDense, spline_derivative
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
 
@@ -346,6 +349,24 @@ def test_evolution_operator_satisfies_schrodinger():
     assert errors[1] < 5e-7  # O(h^2) convergence
 
 
+@pytest.mark.parametrize("times", [9.4, np.linspace(0.0, 20.0, 41)], ids=["scalar", "grid"])
+def test_evolution_operator_samples_its_block_once_per_call(monkeypatch, times):
+    # both columns come from one call of the (2,) angle output and one of
+    # the (3,) phase integrals
+    block, traj = solved(constant_params(1.0, 2.8, 0.05), m=1)
+    prop = EvolutionOperator(block, traj)
+    rows = []
+    dense_call = PiecewiseDense.__call__
+
+    def counting_dense(self, t):
+        rows.append(self._rows)
+        return dense_call(self, t)
+
+    monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
+    prop.at(times)
+    assert rows == [2, 3]
+
+
 def test_phase_ledger_geometry_only_depends_on_angles():
     # two models with different couplings/frequencies but the same frozen
     # (theta, phi) trajectory accumulate the same geometric phase
@@ -431,6 +452,52 @@ def test_table_profile_solution_vs_oracle():
         assert fidelity(general_solution(comps, t), psi / np.linalg.norm(psi)) >= 1 - 1e-6
         # the oracle starts from the exact state, so the global phase is comparable
         assert np.max(np.abs(general_solution(comps, t) - psi)) <= 1e-8
+
+
+def _driven_params(kind, k, t_final):
+    """Near-resonant k-photon parameters with one profile driven by ``kind``."""
+    from susyjc import ModelParams, TimeProfile
+
+    knots = np.linspace(0.0, t_final, 6)
+    driven = {
+        "sinusoid": dict(g_phase=TimeProfile.sinusoid(0.0, 0.4, 0.5)),
+        "chirp": dict(g_mod=TimeProfile.chirp(0.05, 0.02, 0.2, 0.01)),
+        "table": dict(omega0=TimeProfile.table(knots, k - 0.1 + 0.1 * np.sin(0.3 * knots))),
+    }[kind]
+    base = dict(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(k - 0.1),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+    )
+    return ModelParams(**{**base, **driven}, k=k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(
+    k=st.integers(1, 3),
+    m=st.integers(0, 3),
+    theta0=st.floats(0.3, math.pi - 0.3),
+    t_final=st.floats(0.5, 5.0),
+    kind=st.sampled_from(["sinusoid", "chirp", "table"]),
+)
+def test_exact_solutions_match_the_oracle_amplitude_by_amplitude(k, m, theta0, t_final, kind):
+    # phase-sensitive: the oracle starts from the exact state, so a wrong
+    # global phase of either branch shows up as an amplitude error
+    spec = FockSpaceSpec(cutoff=16, k=k)
+    params = _driven_params(kind, k, t_final)
+    block = SubspaceBlock.for_space(spec, m)
+    ts = np.linspace(0.0, t_final, 11)
+    try:
+        traj = solve_aux(AuxState(theta0, 0.0), (0.0, t_final), params, block.lam)
+        for sigma in (+1, -1):
+            sol = ExactSolution(block, sigma, traj)
+            oracle = propagate(
+                sol.state_at(0.0), (0.0, t_final), params, spec, rtol=1e-11, atol=1e-13, t_eval=ts
+            )
+            assert np.max(np.abs(sol.state_at(ts) - oracle.states)) <= 1e-8, sigma
+    except SusyJCError:
+        return
 
 
 @pytest.mark.parametrize("k", [1, 2])
