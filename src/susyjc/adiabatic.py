@@ -26,7 +26,7 @@ from .errors import ConfigurationError, CycleError
 from .evolution import (
     SIGMA_Z2,
     EvolutionOperator,
-    PhaseIntegrals,
+    ExactSolution,
     _check_sigma,
     block_hamiltonian,
     invariant_matrix,
@@ -187,7 +187,7 @@ def berry_phase_numeric(
     t_final: float | None = None,
     rtol: float = 1e-10,
 ) -> float:
-    """Geometric phase over one cycle: the block's PhaseIntegrals on the solved trajectory.
+    """Geometric phase over one cycle: the sigma solution's phi_g on the solved trajectory.
 
     Raises CycleError unless phi advances by exactly 2 pi over the window.
     """
@@ -199,7 +199,7 @@ def berry_phase_numeric(
             f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
             f"instead of 2*pi over [0, {traj.t1}]"
         )
-    return PhaseIntegrals(traj, scenario.block).ledger(sigma, traj.t1).phi_g
+    return ExactSolution(scenario.block, sigma, traj).ledger(traj.t1).phi_g
 
 
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):

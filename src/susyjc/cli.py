@@ -107,7 +107,10 @@ def _float_list(raw: str) -> list[float]:
 
 
 def _int_list(raw: str) -> list[int]:
-    return _list(int, raw)
+    values = _list(int, raw)
+    if len(set(values)) < len(values):
+        raise ValueError("an entry is repeated")
+    return values
 
 
 def _profile(cp: _Scenario, name: str) -> TimeProfile:
@@ -337,17 +340,18 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
         w.write([ts, angles.theta, angles.phi, residuals])
 
-        phases = PhaseIntegrals(traj, block)
+        phases = PhaseIntegrals([traj], [block])
+        solutions = {sigma: ExactSolution(block, sigma, traj, phases) for sigma in (+1, -1)}
         w = CsvWriter(
             out_dir / f"phases_m{m}.csv",
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        plus, minus = phases.ledger(+1, ts), phases.ledger(-1, ts)
+        plus, minus = solutions[+1].ledger(ts), solutions[-1].ledger(ts)
         w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
 
         for sigma in cfg.sigmas:
-            psis = ExactSolution(block, sigma, traj, phases).state_at(ts)
+            psis = solutions[sigma].state_at(ts)
             comps = block_components(block, psis)
             columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
             columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
@@ -453,11 +457,12 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
     return 0 if worst < cfg.coherent_max_diff else 1
 
 
+# name -> (command, need_profiles, help text)
 COMMANDS = {
-    "verify-algebra": (cmd_verify_algebra, True),
-    "propagate": (cmd_propagate, True),
-    "berry": (cmd_berry, False),
-    "coherent": (cmd_coherent, True),
+    "verify-algebra": (cmd_verify_algebra, True, "check the generator identities and block closure"),
+    "propagate": (cmd_propagate, True, "solve the angle ODEs and cross-validate exact solutions"),
+    "berry": (cmd_berry, False, "sweep closed-cycle geometric phases against the solid-angle law"),
+    "coherent": (cmd_coherent, True, "compare coherent-state atomic inversion with the integrator"),
 }
 
 
@@ -469,18 +474,13 @@ def main(argv=None) -> int:
         "brute-force integrator, sweep Berry phases, build coherent states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("verify-algebra", "check the generator identities and block closure"),
-        ("propagate", "solve the angle ODEs and cross-validate exact solutions"),
-        ("berry", "sweep closed-cycle geometric phases against the solid-angle law"),
-        ("coherent", "compare coherent-state atomic inversion with the integrator"),
-    ]:
+    for name, (_, _, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="INI scenario file")
         p.add_argument("--out", default=None, help=f"output directory (default ${ENV_OUTPUT_DIR} or ./out)")
 
     args = parser.parse_args(argv)
-    command, need_profiles = COMMANDS[args.command]
+    command, need_profiles, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, need_profiles=need_profiles)
         return command(cfg, resolve_out_dir(args.out, cfg.out_dir))

@@ -7,7 +7,7 @@ state stays normalized to that accuracy.  All per-m trajectories share one
 and a common initial rotation is what makes the superposition well-defined.
 
 The blocks m = 0 .. m_max are one family: one angle solve, one sample grid
-and one phase fit (:class:`susyjc.evolution.BlockFamily`).  The
+and one phase fit (:class:`susyjc.evolution.PhaseIntegrals`).  The
 superposition reads the family's angles and phases in one evaluation each,
 on a scalar time or on a whole time grid.
 """
@@ -23,7 +23,7 @@ from scipy.special import pdtrc
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
 from .errors import ConfigurationError, TruncationError
-from .evolution import BlockFamily, ExactSolution, _check_sigma, general_solution
+from .evolution import ExactSolution, PhaseIntegrals, _check_sigma, general_solution
 from .fock import FockSpaceSpec
 from .profiles import ModelParams
 
@@ -104,7 +104,8 @@ def solve_block_family(
         )
     blocks = [SubspaceBlock.for_space(spec, m) for m in range(cspec.m_max + 1)]
     trajs = _solve_family(initial, window, params, [b.lam for b in blocks], rtol=rtol, atol=atol)
-    return BlockFamily(trajs, blocks).solutions(cspec.sigma)
+    phases = PhaseIntegrals(trajs, blocks)
+    return [ExactSolution(b, cspec.sigma, traj, phases) for b, traj in zip(blocks, trajs)]
 
 
 def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
@@ -124,7 +125,7 @@ def build_coherent_state(cspec: CoherentSpec, t, solutions) -> np.ndarray:
                 f"block solution branch sigma={sol.sigma} does not match "
                 f"the superposition sigma={cspec.sigma}"
             )
-    families = {sol.phases.family for sol in solutions}
+    families = {sol.phases for sol in solutions}
     if len(families) > 1:
         raise ConfigurationError(
             f"block solutions come from {len(families)} different family solves, not one"

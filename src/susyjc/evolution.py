@@ -233,7 +233,7 @@ def _ledger(sigma: int, rows) -> PhaseLedger:
 
 
 def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
-    """A member's sigma amplitudes from one :meth:`BlockFamily.sample`: the
+    """A member's sigma amplitudes from one :meth:`PhaseIntegrals.sample`: the
     phase factor times the rotation's sigma column."""
     angles, integrals = sample
     state = AuxState(angles.theta[member], angles.phi[member])
@@ -242,17 +242,21 @@ def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
     return factor * eigenframe_rotation(state)[..., :, 0 if sigma == +1 else 1]
 
 
-class BlockFamily:
-    """The layer that the blocks of one angle solve read from.
+class PhaseIntegrals:
+    """Running dynamical/geometric phase integrals of the blocks of one angle solve.
 
-    Their phase integrals are one fit of all 3K integrands: phi_d for
-    sigma = +1 and -1, then phi_g for +1, member after member, one spline
-    per smooth segment (:func:`susyjc.quadrature.cumulative_antiderivative`);
-    member j's rows are 3j .. 3j + 2.  :meth:`sample` makes one call of the
-    solve's dense output (:func:`susyjc.auxiliary.family_angles`) and one of
-    these integrals, and every reader of amplitudes takes them from one
-    sample: :meth:`ExactSolution.block_state_at`,
-    :meth:`EvolutionOperator.at` and :func:`general_solution`.
+    The integrands of all M blocks are sampled on the solve's dense grid and
+    fitted at once: phi_d for sigma = +1 and -1, then phi_g for +1, member
+    after member, so member j's rows are 3j .. 3j + 2.  They are accumulated
+    with quintic-spline antiderivatives (composite order-6 quadrature whose
+    nodes follow the ODE sampling), one spline per smooth segment between
+    the trajectory's ``edge_indices``, each running integral carrying its
+    value across the edges (:func:`susyjc.quadrature.cumulative_antiderivative`).
+    :meth:`sample` makes one call of the solve's dense output
+    (:func:`susyjc.auxiliary.family_angles`) and one of these integrals, and
+    every reader of amplitudes takes them from one sample:
+    :meth:`ExactSolution.block_state_at`, :meth:`EvolutionOperator.at` and
+    :func:`general_solution`.
     """
 
     def __init__(self, trajectories, blocks):
@@ -270,50 +274,6 @@ class BlockFamily:
         """(angles, integrals) of every member at scalar t or over an array of times."""
         return self.angles(t), self.integrals(t)
 
-    def solutions(self, sigma: int) -> list[ExactSolution]:
-        """The members' sigma solutions, each reading its rows of this family."""
-        return [
-            ExactSolution(block, sigma, traj, PhaseIntegrals._member(self, j))
-            for j, (block, traj) in enumerate(zip(self.blocks, self.trajectories))
-        ]
-
-
-class PhaseIntegrals:
-    """Running dynamical/geometric phase integrals along one trajectory.
-
-    Integrands are sampled on the trajectory's dense grid and accumulated
-    with quintic-spline antiderivatives (composite order-6 quadrature whose
-    nodes follow the ODE sampling).  The integrands have kinks at table
-    knots, so the trajectory's ``edge_indices`` give one spline per smooth
-    segment, and each running integral carries its value across the edges
-    (:func:`susyjc.quadrature.cumulative_antiderivative`).  The three
-    integrands (phi_d for sigma = +-1, phi_g for +1) share one fit per segment.
-    Built from a trajectory and its block, this is the one-member
-    :class:`BlockFamily`; a member of a larger family reads its three rows of
-    the family's fit.
-    """
-
-    def __init__(self, trajectory: AuxTrajectory, block: SubspaceBlock):
-        self._read(BlockFamily([trajectory], [block]), 0)
-
-    @classmethod
-    def _member(cls, family: BlockFamily, member: int) -> PhaseIntegrals:
-        phases = cls.__new__(cls)
-        phases._read(family, member)
-        return phases
-
-    def _read(self, family: BlockFamily, member: int):
-        self.family = family
-        self.member = member
-        self.trajectory = family.trajectories[member]
-        self.block = family.blocks[member]
-
-    def ledger(self, sigma: int, t) -> PhaseLedger:
-        """Both integrals at scalar t (floats) or elementwise over an array of times."""
-        _check_sigma(sigma)
-        j = 3 * self.member
-        return _ledger(sigma, self.family.integrals(t)[j : j + 3])
-
 
 class ExactSolution:
     """One particular solution: phase factor times the rotated eigencolumn."""
@@ -325,22 +285,29 @@ class ExactSolution:
         trajectory: AuxTrajectory,
         phases: PhaseIntegrals | None = None,
     ):
-        """``phases`` may be shared: one PhaseIntegrals serves both sigma
-        branches of a block, but it must belong to this trajectory and block."""
+        """``phases`` may be shared by both sigma branches and by every block
+        of one solve, but it must hold this trajectory and block."""
         self.block = block
         self.sigma = _check_sigma(sigma)
         self.trajectory = trajectory
         if phases is None:
-            phases = PhaseIntegrals(trajectory, block)
-        elif phases.trajectory is not trajectory or phases.block != block:
+            phases = PhaseIntegrals([trajectory], [block])
+        member = next((j for j, traj in enumerate(phases.trajectories) if traj is trajectory), None)
+        if member is None or phases.blocks[member] != block:
             raise ConfigurationError(
                 "phase integrals were built for a different trajectory or block"
             )
         self.phases = phases
+        self.member = member
+
+    def ledger(self, t) -> PhaseLedger:
+        """Both integrals at scalar t (floats) or elementwise over an array of times."""
+        j = 3 * self.member
+        return _ledger(self.sigma, self.phases.integrals(t)[j : j + 3])
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""
-        return _amplitudes(self.phases.family.sample(t), self.phases.member, self.sigma)
+        return _amplitudes(self.phases.sample(t), self.member, self.sigma)
 
     def state_at(self, t) -> np.ndarray:
         """Full-space unit vector at time t: (dim,), or (n, dim) for an array of times."""
@@ -349,18 +316,17 @@ class ExactSolution:
 
 class EvolutionOperator:
     """Block evolution operator: its columns are the sigma = +1 and -1 exact
-    solutions, both read from one family sample per :meth:`at` call."""
+    solutions, both read from one sample of its phase integrals per :meth:`at` call."""
 
     def __init__(self, block: SubspaceBlock, trajectory: AuxTrajectory):
         self.block = block
         self.trajectory = trajectory
-        self.phases = PhaseIntegrals(trajectory, block)
+        self.phases = PhaseIntegrals([trajectory], [block])
 
     def at(self, t) -> np.ndarray:
         """2x2 propagator at scalar t, or (n, 2, 2) for an array of times."""
-        sample = self.phases.family.sample(t)
-        member = self.phases.member
-        return np.stack([_amplitudes(sample, member, s) for s in (+1, -1)], axis=-1)
+        sample = self.phases.sample(t)
+        return np.stack([_amplitudes(sample, 0, s) for s in (+1, -1)], axis=-1)
 
     def full_at(self, t: float) -> np.ndarray:
         """Full-space embedding (identity outside the block)."""
@@ -383,7 +349,7 @@ def general_solution(components, t) -> np.ndarray:
 
     ``components`` is a sequence of (coefficient, ExactSolution) pairs with
     sum |C_n|^2 = 1.  All solutions must live on the same truncated space.
-    Each :class:`BlockFamily` among them is sampled once, and each
+    Each :class:`PhaseIntegrals` among them is sampled once, and each
     solution's weighted amplitudes are added at its block's two indices.
     """
     components = list(components)
@@ -396,12 +362,11 @@ def general_solution(components, t) -> np.ndarray:
     if len(cutoffs) != 1:
         raise ConfigurationError(f"solutions live on different cutoffs: {sorted(cutoffs)}")
     out = np.zeros(np.shape(t) + (2 * cutoffs.pop(),), dtype=complex)
-    samples = {}  # one sample per family, this call only
+    samples = {}  # one sample per solve, this call only
     for c, sol in components:
-        family = sol.phases.family
-        if family not in samples:
-            samples[family] = family.sample(t)
-        weighted = c * _amplitudes(samples[family], sol.phases.member, sol.sigma)
+        if sol.phases not in samples:
+            samples[sol.phases] = sol.phases.sample(t)
+        weighted = c * _amplitudes(samples[sol.phases], sol.member, sol.sigma)
         out[..., sol.block.upper_index] += weighted[..., 0]
         out[..., sol.block.lower_index] += weighted[..., 1]
     return out

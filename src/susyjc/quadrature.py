@@ -134,7 +134,7 @@ def _antiderivative(spline):
     np.cumsum(body, axis=0, out=body)
     body /= k + 1
     out[n + 1 :] = body[-1]
-    return BSpline.construct_fast(np.concatenate([t[:1], t, t[-1:]]), out, k + 1)
+    return BSpline(np.concatenate([t[:1], t, t[-1:]]), out, k + 1)
 
 
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):

@@ -164,19 +164,28 @@ def test_oracle_drift_line_follows_bound_line(tmp_path, capsys):
 
 
 def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
+    # propagate: one per block, shared by both branches and the phases CSV;
+    # coherent: one for the whole block family of its one angle solve
+    from susyjc.coherent import CoherentSpec
     from susyjc.evolution import PhaseIntegrals
 
     built = []
     original = PhaseIntegrals.__init__
 
-    def counting(self, trajectory, block):
-        built.append(block.m)
-        original(self, trajectory, block)
+    def counting(self, trajectories, blocks):
+        built.append([block.m for block in blocks])
+        original(self, trajectories, blocks)
 
     monkeypatch.setattr(PhaseIntegrals, "__init__", counting)
     cfg = BASE.replace("m = 0", "m = 0, 1").replace("enabled = true", "enabled = false")
     assert main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
-    assert built == [0, 1]
+    assert built == [[0], [1]]
+
+    built.clear()
+    cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
+    assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    m_max = CoherentSpec.for_xi(0.5).m_max
+    assert m_max > 0 and built == [list(range(m_max + 1))]
 
 
 def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
@@ -365,6 +374,10 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
         pytest.param("m = 0", "m =", "space.m", id="space-m-empty"),
         pytest.param(*section("berry", "thetas ="), "berry.thetas", id="berry-thetas-empty"),
         pytest.param(*section("berry", "sigma = ,"), "berry.sigma", id="berry-sigma-empty"),
+        # a repeated block or branch would be solved, checked and written twice
+        pytest.param("m = 0", "m = 0, 0", "space.m", id="space-m-repeated"),
+        pytest.param("samples = 41", "samples = 41\nsigma = 1, -1, 1", "run.sigma", id="run-sigma-repeated"),
+        pytest.param(*section("berry", "sigma = -1, -1"), "berry.sigma", id="berry-sigma-repeated"),
     ],
 )
 def test_theta0_range_validated_before_computation(tmp_path, capsys, old, new, key):

@@ -19,7 +19,7 @@ from susyjc import (
 from susyjc import quadrature
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
 from susyjc.errors import ConfigurationError
-from susyjc.evolution import BlockFamily, ExactSolution
+from susyjc.evolution import ExactSolution, PhaseIntegrals
 from susyjc.quadrature import PiecewiseDense
 
 TABLE_PARAMS = ModelParams(
@@ -229,8 +229,8 @@ def test_family_fits_its_phases_once_per_segment(monkeypatch):
     assert len(fits) == segments * (2 * passes + 1)
     assert [shape[1] for shape in fits[-segments:]] == [3 * members] * segments
     # every member reads its own rows of that one fit
-    assert len({id(sol.phases.family) for sol in sols}) == 1
-    assert [sol.phases.member for sol in sols] == list(range(members))
+    assert len({id(sol.phases) for sol in sols}) == 1
+    assert [sol.member for sol in sols] == list(range(members))
 
 
 def test_superposition_rejects_solutions_of_two_family_solves():
@@ -241,4 +241,4 @@ def test_superposition_rejects_solutions_of_two_family_solves():
         build_coherent_state(cs, 1.0, mixed)
     # nor can one family layer be stitched together from two solves
     with pytest.raises(ConfigurationError, match="not the members of one family solve"):
-        BlockFamily([sol.trajectory for sol in mixed], [sol.block for sol in mixed])
+        PhaseIntegrals([sol.trajectory for sol in mixed], [sol.block for sol in mixed])

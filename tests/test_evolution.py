@@ -250,7 +250,7 @@ def test_exact_state_oracle_overlap():
 def test_exact_solution_shares_phase_integrals():
     params = constant_params(1.0, 2.8, 0.05)
     block, traj = solved(params, m=1, t1=5.0)
-    phases = PhaseIntegrals(traj, block)
+    phases = PhaseIntegrals([traj], [block])
     for sigma in (+1, -1):
         shared = ExactSolution(block, sigma, traj, phases)
         own = ExactSolution(block, sigma, traj)
@@ -385,7 +385,7 @@ def test_phase_ledger_geometry_only_depends_on_angles():
             k=3,
         )
         traj = solve_aux(AuxState(theta, 0.0), (0.0, 2 * math.pi), params, block.lam, rtol=1e-11)
-        ledgers.append(PhaseIntegrals(traj, block).ledger(+1, 2 * math.pi).phi_g)
+        ledgers.append(ExactSolution(block, +1, traj).ledger(2 * math.pi).phi_g)
     assert abs(ledgers[0] - ledgers[1]) < 1e-8
 
 
@@ -407,7 +407,7 @@ def test_phase_integrals_across_table_kinks_match_closed_form():
     )
     block = SubspaceBlock.for_space(SPEC, 1)
     traj = solve_aux(AuxState(theta, 0.0), (0.0, 4.0), params, block.lam)
-    phases = PhaseIntegrals(traj, block)
+    phases = PhaseIntegrals([traj], [block])
 
     def omega0_integral(t):
         # exact trapezoids of the piecewise-linear table up to t
@@ -417,14 +417,15 @@ def test_phase_integrals_across_table_kinks_match_closed_form():
 
     ts = np.array([0.0, 0.4, 1.0, 1.7, 2.5, 3.2, 4.0])
     for sigma in (+1, -1):
-        ledger = phases.ledger(sigma, ts)
+        sol = ExactSolution(block, sigma, traj, phases)
+        ledger = sol.ledger(ts)
         for i, t in enumerate(ts):
             drive = omega0_integral(t) - k * w * t  # integral of w0 - k w
             phi_d = (block.m + k / 2) * w * t + sigma * 0.5 * math.cos(theta) * drive
             phi_g = sigma * 0.5 * (1 - math.cos(theta)) * drive
             assert abs(ledger.phi_d[i] - phi_d) <= 1e-12, (sigma, t)
             assert abs(ledger.phi_g[i] - phi_g) <= 1e-12, (sigma, t)
-            scalar = phases.ledger(sigma, float(t))
+            scalar = sol.ledger(float(t))
             assert (scalar.phi_d, scalar.phi_g) == (ledger.phi_d[i], ledger.phi_g[i])
 
 
@@ -600,15 +601,15 @@ def test_solution_layer_array_call_matches_stacked_scalar_calls(kind):
     assert ham.shape == (ts.size, 2, 2)
     assert np.array_equal(ham, np.stack([block_hamiltonian(block, params, float(t)) for t in ts]))
 
-    phases = PhaseIntegrals(traj, block)
+    phases = PhaseIntegrals([traj], [block])
     for sigma in (+1, -1):
-        ledger = phases.ledger(sigma, ts)
-        scalar_ledgers = [phases.ledger(sigma, float(t)) for t in ts]
+        sol = ExactSolution(block, sigma, traj, phases)
+        ledger = sol.ledger(ts)
+        scalar_ledgers = [sol.ledger(float(t)) for t in ts]
         assert type(scalar_ledgers[0].phi_d) is float
         assert np.array_equal(ledger.phi_d, [lg.phi_d for lg in scalar_ledgers])
         assert np.array_equal(ledger.phi_g, [lg.phi_g for lg in scalar_ledgers])
 
-        sol = ExactSolution(block, sigma, traj, phases)
         amplitudes = sol.block_state_at(ts)
         assert amplitudes.shape == (ts.size, 2)
         assert np.array_equal(amplitudes, np.stack([sol.block_state_at(float(t)) for t in ts]))

@@ -130,6 +130,6 @@ def test_phase_integrals_fit_once_per_segment(monkeypatch):
         return make_interp_spline(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "make_interp_spline", counted)
-    PhaseIntegrals(traj, block)
+    PhaseIntegrals([traj], [block])
     assert len(fits) == len(traj.edge_indices) - 1 == 4
     assert sum(fits) == traj.times.size + 3  # each interior edge sample starts and ends a fit
