@@ -20,7 +20,7 @@ import numpy as np
 
 from .adiabatic import berry_phase_cycle, berry_phase_numeric, build_adiabatic_scenario
 from .auxiliary import AuxState, adiabatic_matched_theta, solve_aux
-from .blocks import SubspaceBlock, block_components, verify_block_closure
+from .blocks import SubspaceBlock, block_components, embed_state, verify_block_closure
 from .coherent import CoherentSpec, atomic_inversion, build_coherent_state, solve_block_family
 from .errors import (
     ConfigurationError,
@@ -31,7 +31,7 @@ from .errors import (
     TruncationError,
     VerificationError,
 )
-from .evolution import ExactSolution, PhaseIntegrals
+from .evolution import PhaseIntegrals, _amplitudes, _ledger
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import PROFILE_KINDS, ModelParams, TimeProfile
 from .schrodinger import MAX_NORM_DRIFT, propagate
@@ -335,23 +335,23 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
 
     for block, traj, m in zip(blocks, trajs, cfg.m_list):
         residuals = np.interp(ts, traj.times, traj.residuals)
-        angles = traj.state_at(ts)
+        # one sample of the block's angles and phase integrals feeds every CSV below
+        sample = PhaseIntegrals([traj], [block]).sample(ts)
+        angles, integrals = sample
 
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
-        w.write([ts, angles.theta, angles.phi, residuals])
+        w.write([ts, angles.theta[0], angles.phi[0], residuals])
 
-        phases = PhaseIntegrals([traj], [block])
-        solutions = {sigma: ExactSolution(block, sigma, traj, phases) for sigma in (+1, -1)}
         w = CsvWriter(
             out_dir / f"phases_m{m}.csv",
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        plus, minus = solutions[+1].ledger(ts), solutions[-1].ledger(ts)
+        plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
         w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
 
         for sigma in cfg.sigmas:
-            psis = solutions[sigma].state_at(ts)
+            psis = embed_state(block, _amplitudes(sample, 0, sigma))
             comps = block_components(block, psis)
             columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
             columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))

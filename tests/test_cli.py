@@ -190,14 +190,15 @@ def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
 
 def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
     # the exact states are sampled on the whole time grid in one call:
-    # one state_at per (m, sigma) in propagate; one superposition per coherent
-    # run, which reads the block family once and no member on its own
+    # propagate samples each block's angles and phase integrals once for all
+    # of its CSVs; coherent builds one superposition, which reads the block
+    # family once and no member on its own
     from susyjc import cli
     from susyjc.coherent import CoherentSpec
     from susyjc.evolution import ExactSolution
     from susyjc.quadrature import PiecewiseDense
 
-    calls = {"state_at": [], "coherent": 0, "family_rows": []}
+    calls = {"state_at": [], "coherent": 0, "family_rows": [], "grid_rows": []}
     state_at = ExactSolution.state_at
     build = cli.build_coherent_state
     dense_call = PiecewiseDense.__call__
@@ -218,13 +219,21 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
         calls["family_rows"].append(self._rows)
         return dense_call(self, t)
 
+    def counting_grid(self, t):
+        if np.size(t) == 41:  # the output grid, not the solves' own samples
+            calls["grid_rows"].append(self._rows)
+        return dense_call(self, t)
+
     monkeypatch.setattr(ExactSolution, "state_at", counting_state_at)
     monkeypatch.setattr(cli, "build_coherent_state", counting_build)
-    cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1"))
+    monkeypatch.setattr(PiecewiseDense, "__call__", counting_grid)
+    cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1").replace(ORACLE, "enabled = false"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    assert calls["state_at"] == [(0, 1), (0, -1), (1, 1), (1, -1)]
+    # per block: its (2,) angle output once, its (3,) phase integrals once
+    assert calls["grid_rows"] == [2, 3, 2, 3]
+    assert calls["state_at"] == []
 
-    calls["state_at"].clear()
+    monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
     cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
     assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert calls["coherent"] == 1
