@@ -49,26 +49,32 @@ def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
     """DOP853 with dense output over ``window``, restarted at every profile kink.
 
     ``window`` may run backward (t1 < t0).  Returns ``(dense, n_steps,
-    n_rhs_evaluations)``: a :class:`PiecewiseDense`, the accepted steps and
-    the right-hand-side calls, both summed over the segments.  A failed
-    segment raises ``failure(message, time)`` at the time the solver reached.
+    n_rhs_evaluations, steps)``: a :class:`PiecewiseDense`, the accepted
+    steps and the right-hand-side calls, both summed over the segments, and
+    ``steps = (times, states)``, the solver's step boundaries in integration
+    order (each segment's, its first and last included) and the states
+    there, one column per time.  A failed segment raises
+    ``failure(message, time)`` at the time the solver reached.
     """
     t0, t1 = float(window[0]), float(window[1])
     kinks = params.breakpoints(min(t0, t1), max(t0, t1))
     points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
-    solutions = []
+    solutions, times, states = [], [], []
     y, n_steps, n_rhs = y0, 0, 0
     for span in zip(points[:-1], points[1:]):
         sol = solve_ivp(rhs, span, y, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
         if not sol.success:
             raise failure(sol.message, float(sol.t[-1]))
         solutions.append(sol.sol)
+        times.append(sol.t)
+        states.append(sol.y)
         y = sol.y[:, -1]
         n_steps += sol.t.size - 1
         n_rhs += sol.nfev
+    steps = (np.concatenate(times), np.concatenate(states, axis=1))
     if t1 < t0:
         points, solutions = points[::-1], solutions[::-1]
-    return PiecewiseDense(points, solutions), n_steps, n_rhs
+    return PiecewiseDense(points, solutions), n_steps, n_rhs, steps
 
 
 def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:

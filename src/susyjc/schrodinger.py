@@ -152,7 +152,7 @@ def propagate(
     def failed(message, time):
         return PropagationError(f"integration failed: {message}")
 
-    dense, n_steps, n_rhs = integrate_segments(rhs, (t0, t1), psi0, params, rtol, atol, failed)
+    dense, n_steps, n_rhs, _ = integrate_segments(rhs, (t0, t1), psi0, params, rtol, atol, failed)
     rotating = dense(t_eval).T
     states = rotating * np.exp(-1j * np.outer(t_eval - t0, energies))
     norms = np.linalg.norm(states, axis=1)

@@ -294,7 +294,9 @@ def test_solver_stats_first_try_certification():
     params = constant_params(1.0, 2.8, 0.05)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, LAM6, rtol=1e-10)
     assert traj.stats.refinements == 0
-    assert traj.stats.effective_rtol == traj.stats.rtol == 1e-10
+    # the first pass runs one refinement notch below the requested rtol
+    assert traj.stats.rtol == 1e-10
+    assert traj.stats.effective_rtol == 1e-10 / 16
 
 
 def test_solver_stats_count_accepted_steps_over_segments():
@@ -314,37 +316,100 @@ def test_solver_stats_count_accepted_steps_over_segments():
     traj = solve_aux(initial, (0.0, 6.0), params, LAM6, rtol=1e-10, atol=1e-12)
     assert traj.stats.refinements == 0
 
-    def rhs(t, y):
-        return aux_rhs(AuxState(y[0], y[1]), t, params, LAM6)
+    def rhs(t, n):
+        # the invariant's vector: dn/dt = 2 h x n (resonant, so no rotating frame)
+        omega, omega0, g = params.evaluate(t)
+        h = [math.sqrt(LAM6) * g.real, math.sqrt(LAM6) * g.imag, 0.5 * (omega0 - 3 * omega)]
+        return 2.0 * np.cross(h, n)
 
-    y, steps, calls = [initial.theta, initial.phi], 0, 0
+    sin_t = math.sin(initial.theta)
+    y = [-sin_t * math.cos(initial.phi), sin_t * math.sin(initial.phi), math.cos(initial.theta)]
+    steps, calls = 0, 0
     for a, b in zip(knots[:-1], knots[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+        sol = solve_ivp(
+            rhs, (a, b), y, method="DOP853", rtol=1e-10 / 16, atol=1e-12 / 16, dense_output=True
+        )
         y = sol.y[:, -1]
         steps += sol.t.size - 1
         calls += sol.nfev
     assert (traj.stats.n_steps, traj.stats.n_rhs_evaluations) == (steps, calls)
 
 
+# the chirp/table/sinusoid drive of the benchmark's driven scenario
+DRIVEN = ModelParams(
+    omega=TimeProfile.constant(1.0),
+    omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+    g_mod=TimeProfile.table([0.0, 2.5, 5.0, 7.5, 10.0], [0.05, 0.08, 0.04, 0.07, 0.05]),
+    g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+    k=3,
+)
+
+
 def test_solver_stats_record_refinement():
-    # the m = 10 block of a chirp/table/sinusoid drive certifies only after
-    # one tighter pass; the stats must say so and keep the requested rtol
-    params = ModelParams(
-        omega=TimeProfile.constant(1.0),
-        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
-        g_mod=TimeProfile.table([0.0, 2.5, 5.0, 7.5, 10.0], [0.05, 0.08, 0.04, 0.07, 0.05]),
-        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
-        k=3,
-    )
+    # at a loose atol, the m = 2 block of a chirp/table/sinusoid drive
+    # certifies only after one tighter pass; the stats must say so and keep
+    # the requested rtol
     rtol = 1e-10
     traj = solve_aux(
-        AuxState(1.0471975511965976, 0.0), (0.0, 10.0), params, lambda_value(10, 3),
-        rtol=rtol, atol=1e-12,
+        AuxState(1.0471975511965976, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3),
+        rtol=rtol, atol=1e-8,
     )
     assert traj.stats.refinements == 1
-    assert traj.stats.effective_rtol == rtol / 16
+    assert traj.stats.effective_rtol == rtol / 16**2  # the first pass is at rtol / 16
     assert traj.stats.rtol == rtol
     assert traj.stats.max_residual <= 100 * rtol
+
+
+def test_solver_stats_record_the_norm_deviation():
+    # the integrated invariant vectors stay unit vectors on the kept grid
+    traj = solve_aux(
+        AuxState(1.0471975511965976, 0.0), (0.0, 10.0), DRIVEN, lambda_value(10, 3),
+        rtol=1e-10, atol=1e-12,
+    )
+    assert 0.0 <= traj.stats.max_norm_deviation <= 1e-9
+
+
+def _precession(n0, h, ts):
+    """n0 rotated about h by the angle 2 |h| t (Rodrigues): dn/dt = 2 h x n for constant h."""
+    size = np.linalg.norm(h)
+    axis = h / size
+    alpha = 2.0 * size * ts[:, None]
+    return (
+        n0 * np.cos(alpha)
+        + np.cross(axis, n0) * np.sin(alpha)
+        + axis * np.dot(axis, n0) * (1.0 - np.cos(alpha))
+    )
+
+
+@pytest.mark.parametrize(
+    "k,omega0,g_mod,g_phase,ms",
+    [
+        pytest.param(1, 0.8, 0.05, 0.7, (2,), id="k1-solo"),
+        pytest.param(2, 2.6, 0.05, -1.1, (0, 1, 3), id="k2-family"),
+        pytest.param(3, 2.9, 0.05, 2.0, (1,), id="k3-solo"),
+        pytest.param(3, 3.2, 0.03, -2.5, (0, 2, 4), id="k3-family"),
+    ],
+)
+def test_constant_profiles_match_the_exact_precession(k, omega0, g_mod, g_phase, ms):
+    # constant detuning and complex g: the invariant's vector precesses about
+    # h = (sqrt(lam) Re g, sqrt(lam) Im g, (w0 - k w) / 2) at the rate 2 |h|
+    params = constant_params(1.0, omega0, g_mod, g_phase, k=k)
+    theta0, phi0 = 1.1, 0.4
+    lams = [lambda_value(m, k) for m in ms]
+    trajs = _solve_family(AuxState(theta0, phi0), (0.0, 10.0), params, lams)
+    g = g_mod * np.exp(1j * g_phase)
+    n0 = np.array(
+        [-math.sin(theta0) * math.cos(phi0), math.sin(theta0) * math.sin(phi0), math.cos(theta0)]
+    )
+    for lam, traj in zip(lams, trajs):
+        root = math.sqrt(lam)
+        h = np.array([root * g.real, root * g.imag, 0.5 * (omega0 - k * 1.0)])
+        n = _precession(n0, h, traj.times)
+        theta = np.arctan2(np.hypot(n[:, 0], n[:, 1]), n[:, 2])
+        assert np.min(np.sin(theta)) > 0.1  # the reference azimuth stays well defined
+        phi = np.unwrap(np.concatenate([[phi0], np.arctan2(n[:, 1], -n[:, 0])]))[1:]
+        assert np.max(np.abs(traj.thetas - theta)) <= 1e-8
+        assert np.max(np.abs(traj.phis - phi)) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -406,7 +471,8 @@ def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
     monkeypatch.setattr(PiecewiseDense, "__call__", counting_call)
     lams = [lambda_value(m, 3) for m in (0, 5, 10)]
     params = constant_params(1.0, 3.0, 0.05)
-    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams)
+    # a loose atol makes the family refine
+    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams, atol=1e-7)
     stats = family[0].stats
     assert stats.refinements >= 1
     assert len(sizes) == 1 + (1 + stats.refinements)
@@ -424,6 +490,21 @@ def test_family_singularity_error_names_the_member_at_the_pole():
     with pytest.raises(SingularityError) as solo:
         solve_aux(AuxState(0.35, 0.0), (0.0, 20.0), params, lams[1])
     assert "lambda" not in str(solo.value)
+
+
+def test_pole_time_belongs_to_the_trajectory():
+    # an imaginary coupling turns the lambda = 60 vector about y, through the
+    # pole at t = theta0 / (2 sqrt(lam) |g|); the error reports that time,
+    # whether the member is solved alone or inside a family
+    params = constant_params(1.0, 3.0, 0.3, math.pi / 2)
+    lam = lambda_value(2, 3)
+    times = []
+    for lams in ([LAM6, lam], [lam]):
+        with pytest.raises(SingularityError) as err:
+            _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), params, lams)
+        times.append(err.value.time)
+    assert abs(times[0] - times[1]) <= 1e-6
+    assert abs(times[1] - 0.35 / (0.6 * math.sqrt(lam))) <= 1e-6
 
 
 @settings(derandomize=True, deadline=None, max_examples=15, database=None)

@@ -483,6 +483,25 @@ def _driven_params(kind, k, t_final):
     kind=st.sampled_from(["sinusoid", "chirp", "table"]),
 )
 def test_exact_solutions_match_the_oracle_amplitude_by_amplitude(k, m, theta0, t_final, kind):
+    _match_the_oracle_amplitude_by_amplitude(k, m, theta0, t_final, kind)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(
+    k=st.integers(1, 3),
+    m=st.integers(0, 3),
+    theta0=st.one_of(st.floats(0.02, 0.3), st.floats(math.pi - 0.3, math.pi - 0.02)),
+    t_final=st.floats(0.5, 5.0),
+    kind=st.sampled_from(["sinusoid", "chirp", "table"]),
+)
+def test_exact_solutions_near_the_poles_match_the_oracle(k, m, theta0, t_final, kind):
+    # initial angles within 0.3 of a pole, where the azimuth turns fastest
+    _match_the_oracle_amplitude_by_amplitude(k, m, theta0, t_final, kind)
+
+
+def _match_the_oracle_amplitude_by_amplitude(k, m, theta0, t_final, kind):
+    """Both exact solutions within 1e-8 of the oracle, amplitude by amplitude,
+    or a typed SusyJCError."""
     # phase-sensitive: the oracle starts from the exact state, so a wrong
     # global phase of either branch shows up as an amplitude error
     spec = FockSpaceSpec(cutoff=16, k=k)
