@@ -119,9 +119,9 @@ def aux_rhs(state: AuxState, t, params: ModelParams, lam):
 
     ``lam`` is a number or an array that broadcasts against the angles (one
     lambda per family member).  Scalar input gives plain floats, array input
-    gives arrays.  Raises SingularityError at a live
-    pole, stamped with the time of the first offending sample (and, for an
-    array ``lam``, naming that sample's lambda).
+    gives arrays.  Raises SingularityError at a live pole, stamped with the
+    time of the first offending sample (and, for an array ``lam``, naming
+    that sample's lambda).
     """
     omega, omega0, g = params.evaluate(t)
     root = np.sqrt(lam) if isinstance(lam, np.ndarray) else math.sqrt(lam)
@@ -411,7 +411,8 @@ def _solve_family(
     detuning = params.k * omega - omega0
 
     def certify_pass(vectors, to_angles, dense):
-        # one (3M, n) sample block; member j's trajectory holds views of rows j and M + j
+        # one (3M, n) vector block per pass; member j's trajectory holds views
+        # of its angle rows j and M + j
         block = vectors(times)
         pole = _first_pole(vectors, times, block) if coupled else None
         if pole is not None:
@@ -420,7 +421,7 @@ def _solve_family(
             raise SingularityError(located(message, lams[j]), time=float(worst))
         thetas, phis = np.split(to_angles(block, times), 2)
         norms = np.sqrt(np.sum(block.reshape(3, members, -1) ** 2, axis=0))
-        drifts = np.max(np.abs(norms - 1.0), axis=1)
+        deviations = np.max(np.abs(norms - 1.0), axis=1)
         dthetas = spline_derivative(times, thetas.T, edge_indices)
         dphis = spline_derivative(times, phis.T, edge_indices)
         trajs = [
@@ -440,11 +441,11 @@ def _solve_family(
             )
             for j, lam_j in enumerate(lams)
         ]
-        return trajs, [residual_check(traj, params, traj.lam) for traj in trajs], drifts
+        return trajs, [residual_check(traj, params, traj.lam) for traj in trajs], deviations
 
     rtol_i, atol_i, refinements = rtol, atol, 0
     while True:
-        trajs, residuals, drifts = certify_pass(vectors, to_angles, dense)
+        trajs, residuals, deviations = certify_pass(vectors, to_angles, dense)
         if not certify or max(residuals) <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
         del trajs  # frees the rejected pass before the next one samples
@@ -476,7 +477,7 @@ def _solve_family(
             )
     return [
         replace(traj, stats=replace(stats, max_residual=r, max_norm_deviation=float(d)))
-        for traj, r, d in zip(trajs, residuals, drifts)
+        for traj, r, d in zip(trajs, residuals, deviations)
     ]
 
 
