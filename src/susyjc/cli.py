@@ -26,6 +26,7 @@ from .errors import (
     ConfigurationError,
     CycleError,
     EvaluationError,
+    PropagationError,
     SingularityError,
     SusyJCError,
     TruncationError,
@@ -34,7 +35,7 @@ from .errors import (
 from .evolution import PhaseIntegrals, _amplitudes, _ledger
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import PROFILE_KINDS, ModelParams, TimeProfile
-from .schrodinger import MAX_NORM_DRIFT, propagate
+from .schrodinger import MAX_AMPLITUDE_ERROR, MAX_NORM_DRIFT, propagate
 
 ENV_OUTPUT_DIR = "SUSYJC_OUT"
 
@@ -267,10 +268,12 @@ class CsvWriter:
 
     def write(self, columns):
         """One line per row of the equal-length ``columns``, after the header."""
-        rows = (",".join(self.fmt.format(float(v)) for v in row) + "\n" for row in zip(*columns))
+        columns = [np.asarray(column, dtype=float).tolist() for column in columns]
+        line = ",".join([self.fmt] * len(columns)) + "\n"
+        rows = "".join(line.format(*row) for row in zip(*columns))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w") as fh:
-            fh.write(",".join(self.header) + "\n" + "".join(rows))
+            fh.write(",".join(self.header) + "\n" + rows)
 
 
 def _initial_state(cfg: ScenarioConfig, lam: int) -> AuxState:
@@ -308,17 +311,16 @@ def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> int:
     return 1 if failures else 0
 
 
-def _print_oracle_drift(drifts) -> None:
-    """The largest (norm, N') drifts over the oracle runs; not a bound line."""
-    norm = max(d[0] for d in drifts)
-    nprime = max(d[1] for d in drifts)
-    print(f"oracle drift: norm {norm:.3g} (bound {MAX_NORM_DRIFT:g}), N' {nprime:.3g}")
+def _print_oracle_drift(oracle) -> None:
+    """The oracle's worst (norm, N') drifts over its runs; not a bound line."""
+    print(
+        f"oracle drift: norm {oracle.norm_drift:.3g} (bound {MAX_NORM_DRIFT:g}), "
+        f"N' {oracle.nprime_drift:.3g}"
+    )
 
 
 def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
-    worst_infidelity = 0.0
-    oracle_drifts = []
 
     blocks = [SubspaceBlock.for_space(cfg.spec, m) for m in cfg.m_list]
     trajs = [
@@ -333,6 +335,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
         for block in blocks
     ]
 
+    runs = []  # (block, sigma, the block's exact amplitudes on ts), one per oracle column
     for block, traj, m in zip(blocks, trajs, cfg.m_list):
         residuals = np.interp(ts, traj.times, traj.residuals)
         # one sample of the block's angles and phase integrals feeds every CSV below
@@ -349,38 +352,54 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
         )
         plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
         w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
+        runs += [(block, sigma, _amplitudes(sample, 0, sigma)) for sigma in cfg.sigmas]
 
-        for sigma in cfg.sigmas:
-            psis = embed_state(block, _amplitudes(sample, 0, sigma))
-            comps = block_components(block, psis)
-            columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
-            columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
-            tag = "plus" if sigma > 0 else "minus"
-            header = ["t", "re_upper", "im_upper", "re_lower", "im_lower", "norm_error"]
-            if cfg.oracle_enabled:
-                header += ["oracle_infidelity", "oracle_norm_error", "block_population"]
-                oracle = propagate(
-                    psis[0],
-                    (0.0, cfg.t_final),
-                    cfg.params,
-                    cfg.spec,
-                    rtol=cfg.oracle_rtol,
-                    atol=cfg.oracle_atol,
-                    t_eval=ts,
-                )
-                oracle_drifts.append((oracle.norm_drift, oracle.nprime_drift))
-                ref_norms = np.linalg.norm(oracle.states, axis=1)
-                infid = 1.0 - np.abs(np.sum(psis.conj() * oracle.states, axis=1)) / ref_norms
-                worst_infidelity = max(worst_infidelity, float(np.max(infid)))
-                pops = np.sum(np.abs(block_components(block, oracle.states)) ** 2, axis=1)
-                columns += [infid, np.abs(ref_norms - 1.0), pops]
-            CsvWriter(out_dir / f"fidelity_m{m}_sigma_{tag}.csv", header, cfg.precision).write(columns)
+    if cfg.oracle_enabled:
+        # every (block, sigma) run is one column of one oracle integration
+        initial = np.array([embed_state(block, amps[0]) for block, _, amps in runs])
+        try:
+            oracle = propagate(
+                initial,
+                (0.0, cfg.t_final),
+                cfg.params,
+                cfg.spec,
+                rtol=cfg.oracle_rtol,
+                atol=cfg.oracle_atol,
+                t_eval=ts,
+            )
+        except PropagationError as exc:
+            if exc.column is None:
+                raise
+            block, sigma, _ = runs[exc.column]
+            raise PropagationError(f"{exc} (m = {block.m}, sigma = {sigma:+d})", exc.column) from exc
+    worst_infidelity = worst_amplitude = 0.0
+
+    for i, (block, sigma, amps) in enumerate(runs):
+        psis = embed_state(block, amps)
+        comps = block_components(block, psis)
+        columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
+        columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
+        tag = "plus" if sigma > 0 else "minus"
+        header = ["t", "re_upper", "im_upper", "re_lower", "im_lower", "norm_error"]
+        if cfg.oracle_enabled:
+            header += ["oracle_infidelity", "oracle_norm_error", "block_population"]
+            states = oracle.states[i]
+            ref_norms = np.linalg.norm(states, axis=1)
+            infid = 1.0 - np.abs(np.sum(psis.conj() * states, axis=1)) / ref_norms
+            worst_infidelity = max(worst_infidelity, float(np.max(infid)))
+            # phase-sensitive, unlike the infidelity
+            error = float(np.max(np.linalg.norm(psis - states, axis=1)))
+            worst_amplitude = max(worst_amplitude, error)
+            pops = np.sum(np.abs(block_components(block, states)) ** 2, axis=1)
+            columns += [infid, np.abs(ref_norms - 1.0), pops]
+        CsvWriter(out_dir / f"fidelity_m{block.m}_sigma_{tag}.csv", header, cfg.precision).write(columns)
 
     if cfg.oracle_enabled:
         print(f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})")
-        if oracle_drifts:
-            _print_oracle_drift(oracle_drifts)
-        return 0 if worst_infidelity < cfg.max_infidelity else 1
+        _print_oracle_drift(oracle)
+        print(f"max oracle amplitude error: {worst_amplitude:.3e} (bound {MAX_AMPLITUDE_ERROR:g})")
+        passed = worst_infidelity < cfg.max_infidelity and worst_amplitude <= MAX_AMPLITUDE_ERROR
+        return 0 if passed else 1
     print("oracle disabled; trajectory certification only")
     return 0
 
@@ -453,7 +472,7 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
         cfg.precision,
     ).write([ts, exact, ref, diff])
     print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {cfg.coherent_max_diff:g})")
-    _print_oracle_drift([(oracle.norm_drift, oracle.nprime_drift)])
+    _print_oracle_drift(oracle)
     return 0 if worst < cfg.coherent_max_diff else 1
 
 

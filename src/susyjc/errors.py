@@ -30,7 +30,14 @@ class CertificationError(SusyJCError, RuntimeError):
 
 
 class PropagationError(SusyJCError, RuntimeError):
-    """A direct Schrodinger run was rejected (norm drift or boundary leakage)."""
+    """A direct Schrodinger run was rejected (norm drift or boundary leakage).
+
+    ``column`` is the rejected run's row in a stacked call, None otherwise.
+    """
+
+    def __init__(self, message, column):
+        super().__init__(message)
+        self.column = column
 
 
 class CycleError(SusyJCError, RuntimeError):

@@ -160,7 +160,13 @@ def test_oracle_drift_line_follows_bound_line(tmp_path, capsys):
         assert match, lines[at + 1]
         assert 0.0 <= float(match[1]) < 1e-9
         assert 0.0 <= float(match[2]) < 1e-6
-    assert sum(line.startswith("max ") for line in lines) == 2  # the two bound lines only
+    # the bound lines only: the drift line is not one
+    labels = [line.split(":")[0] for line in lines if line.startswith("max ")]
+    assert labels == [
+        "max oracle infidelity",
+        "max oracle amplitude error",
+        "max |sigma_z exact - oracle|",
+    ]
 
 
 def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
@@ -522,3 +528,71 @@ def test_adiabatic_matched_initial_condition(tmp_path):
     # matched angle solves the steady constraint and stays put
     assert np.max(np.abs(theta - theta[0])) < 1e-7
     assert abs(theta[0] - math.pi / 3) < 1e-10
+
+def test_propagate_makes_one_oracle_call_for_every_block_and_sigma(tmp_path, monkeypatch):
+    # 3 m x 2 sigma runs are the six columns of one integration, stacked in
+    # the order m, then sigma
+    from susyjc import cli
+
+    shapes = []
+
+    def counting(initial, *args, **kwargs):
+        shapes.append(np.shape(initial))
+        return propagate(initial, *args, **kwargs)
+
+    propagate = cli.propagate
+    monkeypatch.setattr(cli, "propagate", counting)
+    cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1, 2"))
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    assert shapes == [(6, 64)]
+    assert len(list(out.glob("fidelity_*.csv"))) == 6
+
+
+def test_a_drifting_oracle_column_is_named_by_block_and_sigma(tmp_path, capsys):
+    # at a loose oracle rtol the worst column's drift rejects the whole run,
+    # and the message turns the column into its (m, sigma)
+    cfg = BASE.replace("m = 0", "m = 0, 1") + "rtol = 1e-4\n"
+    code = main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    found = re.search(r"norm drift \S+ in column (\d) exceeds 1e-09 \(m = (\d), sigma = ([+-]1)\)", err)
+    assert found, err
+    column, m, sigma = int(found[1]), int(found[2]), int(found[3])
+    assert (m, sigma) == [(0, 1), (0, -1), (1, 1), (1, -1)][column]
+
+
+def test_a_growing_phase_error_fails_propagate(tmp_path, capsys, monkeypatch):
+    # phi_d off by one part in 1e7 leaves the infidelity at ~delta^2 / 2,
+    # far under its bound, but the amplitude error sees the phase
+    import susyjc.evolution as evolution
+
+    ledger = evolution._ledger
+
+    def skewed(sigma, rows):
+        exact = ledger(sigma, rows)
+        return evolution.PhaseLedger(sigma, exact.phi_d * (1.0 + 1e-7), exact.phi_g)
+
+    monkeypatch.setattr(evolution, "_ledger", skewed)
+    code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert code == 1
+    infidelity = re.search(r"^max oracle infidelity: (\S+) \(bound 1e-06\)$", out, re.M)
+    amplitude = re.search(r"^max oracle amplitude error: (\S+) \(bound 1e-08\)$", out, re.M)
+    assert float(infidelity[1]) < 1e-6
+    assert float(amplitude[1]) > 1e-8
+
+
+def test_csv_writer_formats_every_value_as_before(tmp_path):
+    # one row template over .tolist() columns writes what formatting each
+    # value on its own wrote, ints (berry's sigma) and signed zeros included
+    from susyjc.cli import CsvWriter
+
+    values = [0.0, -0.0, 1, -1, 1e-300, 123456789.123456789, -2.5e17, math.pi, 1 / 3]
+    columns = [np.array(values), np.array(values[::-1]) * 1e-7, values]
+    path = tmp_path / "x.csv"
+    CsvWriter(path, ["a", "b", "c"], 12).write(columns)
+    want = "a,b,c\n" + "".join(
+        ",".join("{:.12g}".format(float(v)) for v in row) + "\n" for row in zip(*columns)
+    )
+    assert path.read_text() == want

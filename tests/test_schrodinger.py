@@ -308,3 +308,91 @@ def test_oracle_work_budget_on_the_resonant_block():
     ts = np.linspace(0.0, 20.0, 201)
     result = propagate(psi0, (0.0, 20.0), params, spec, rtol=1e-10, atol=1e-12, t_eval=ts)
     assert 0 < result.n_steps < result.n_rhs_evaluations < 1000
+
+
+def _resonant_runs():
+    """resonant.ini's six exact initial states, (m, sigma) for m = 0, 1, 2 and
+    sigma = +1, -1, in the order the CLI stacks them."""
+    from susyjc.evolution import ExactSolution
+
+    spec = FockSpaceSpec(cutoff=32, k=3, guard=3)
+    params = constant_params(1.0, 3.0, 0.05)
+    states = []
+    for m in (0, 1, 2):
+        block = SubspaceBlock.for_space(spec, m)
+        traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, block.lam, rtol=1e-10)
+        states += [ExactSolution(block, sigma, traj).state_at(0.0) for sigma in (+1, -1)]
+    return spec, params, np.array(states)
+
+
+def test_a_one_row_stack_is_the_single_state_call():
+    # one state is the R = 1 case of the stacked code, bit for bit
+    params = constant_params(1.0, 2.8, 0.05, g_phase=0.4)
+    block = SubspaceBlock.for_space(SPEC, 1)
+    psi0 = embed_state(block, [1 / math.sqrt(2), 1j / math.sqrt(2)])
+    ts = np.linspace(0.0, 20.0, 41)
+    one = propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=ts)
+    stack = propagate(psi0[None, :], (0.0, 20.0), params, SPEC, t_eval=ts)
+    assert one.states.shape == (41, SPEC.dim) and stack.states.shape == (1, 41, SPEC.dim)
+    assert np.array_equal(stack.states[0], one.states)
+    assert (stack.norm_drift, stack.nprime_drift) == (one.norm_drift, one.nprime_drift)
+    assert (stack.n_steps, stack.n_rhs_evaluations) == (one.n_steps, one.n_rhs_evaluations)
+
+
+def test_stacked_columns_match_their_solo_runs():
+    # resonant.ini's six oracle runs as one solve at rtol / sqrt(6): each
+    # column agrees with its solo run, and drifts well inside the 1e-9 bound
+    # that the solo runs came within 2 % of
+    spec, params, initial = _resonant_runs()
+    ts = np.linspace(0.0, 20.0, 201)
+    stack = propagate(initial, (0.0, 20.0), params, spec, t_eval=ts)
+    assert stack.states.shape == (6, 201, spec.dim)
+    assert stack.n_rhs_evaluations <= 400  # the six solo runs take 1392
+    drifts = np.max(np.abs(np.linalg.norm(stack.states, axis=-1) - 1.0), axis=-1)
+    assert np.max(drifts) == stack.norm_drift <= 6e-10
+    for psi0, states in zip(initial, stack.states):
+        solo = propagate(psi0, (0.0, 20.0), params, spec, t_eval=ts)
+        assert np.max(np.abs(states - solo.states)) < 2e-9
+
+
+@pytest.mark.parametrize("rtol", [1e-13, 4e-14])
+def test_a_tight_stack_stays_above_the_solver_floor(rtol):
+    # rtol / sqrt(6) is clamped at scipy's floor of 100 eps instead of
+    # tripping its warning (4e-14 / sqrt(6) lies below the floor)
+    import warnings
+
+    spec, params, initial = _resonant_runs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = propagate(initial, (0.0, 1.0), params, spec, rtol=rtol, atol=1e-15)
+    assert result.norm_drift < 1e-12
+
+
+def test_a_bad_row_in_a_stack_is_named():
+    params = constant_params(1.0, 3.0, 0.05)
+    good = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    top = SPEC.basis_state(EXCITED, SPEC.cutoff - 1)
+    with pytest.raises(ConfigurationError, match="initial state row 1 must be normalized"):
+        propagate(np.array([good, 2 * good, good]), (0.0, 1.0), params, SPEC)
+    with pytest.raises(ConfigurationError, match="initial state row 2 occupies the top"):
+        propagate(np.array([good, good, top]), (0.0, 1.0), params, SPEC)
+    with pytest.raises(ConfigurationError, match=r"expected \(64,\) or \(R, 64\)"):
+        propagate(np.array([good[:-1]] * 3), (0.0, 1.0), params, SPEC)
+
+
+def test_drift_rejection_names_the_worst_column():
+    # ground levels 0 .. k - 1 have no Q partner, so with constant profiles
+    # they stand still in the rotating frame and cannot drift; the coupled
+    # column in between is the only one a loose rtol lets drift
+    from susyjc import GROUND
+
+    params = constant_params(1.0, 2.8, 0.05)
+    coupled = embed_state(SubspaceBlock.for_space(SPEC, 1), [1.0, 0.0])
+    stack = np.array([SPEC.basis_state(GROUND, 0), coupled, SPEC.basis_state(GROUND, 1)])
+    with pytest.raises(PropagationError, match=r"norm drift \S+ in column 1 exceeds 1e-12") as exc:
+        propagate(stack, (0.0, 20.0), params, SPEC, rtol=1e-4, atol=1e-6, max_norm_drift=1e-12)
+    assert exc.value.column == 1
+    # one state has no column to name
+    with pytest.raises(PropagationError, match=r"norm drift \S+ exceeds") as exc:
+        propagate(coupled, (0.0, 20.0), params, SPEC, rtol=1e-4, atol=1e-6, max_norm_drift=1e-12)
+    assert exc.value.column is None
