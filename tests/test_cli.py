@@ -529,18 +529,19 @@ def test_adiabatic_matched_initial_condition(tmp_path):
     assert np.max(np.abs(theta - theta[0])) < 1e-7
     assert abs(theta[0] - math.pi / 3) < 1e-10
 
+
 def test_propagate_makes_one_oracle_call_for_every_block_and_sigma(tmp_path, monkeypatch):
     # 3 m x 2 sigma runs are the six columns of one integration, stacked in
     # the order m, then sigma
     from susyjc import cli
 
     shapes = []
+    original = cli.propagate
 
     def counting(initial, *args, **kwargs):
         shapes.append(np.shape(initial))
-        return propagate(initial, *args, **kwargs)
+        return original(initial, *args, **kwargs)
 
-    propagate = cli.propagate
     monkeypatch.setattr(cli, "propagate", counting)
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1, 2"))
     out = tmp_path / "o"
