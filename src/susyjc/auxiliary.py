@@ -7,46 +7,38 @@ phi(t), or equivalently by the unit vector
 
 on the block.  The invariant equation dI/dt = i[I, H] is then the linear
 precession dn/dt = 2 h x n about h = (sqrt(lam) Re g, sqrt(lam) Im g,
-(w0 - k w)/2), read off the block Hamiltonian.  This vector form is what
-gets integrated: it is linear, has no chart and no pole.  It is integrated
-in the frame that rotates about z at Delta0 = k w(t0) - w0(t0), the frame
-of H's uncoupled diagonal at t0 in which the oracle
-(:mod:`susyjc.schrodinger`) runs too: there n' = R_z(-Delta0 (t - t0)) n
-obeys dn'/dt = 2 h' x n' with g' = g e^{+i Delta0 (t - t0)} and
-h'_z = (w0 - k w + Delta0)/2, and stands still wherever the drive is
-resonant and uncoupled.  A block family of M lambdas is one (3M,) state.
+(w0 - k w)/2), with no chart and no pole; this is what gets integrated, in
+the oracle's frame (:mod:`susyjc.schrodinger`), which rotates about z at
+Delta0 = k w(t0) - w0(t0): n' = R_z(-Delta0 (t - t0)) n obeys
+dn'/dt = 2 h' x n' with g' = g e^{+i Delta0 (t - t0)} and
+h'_z = (w0 - k w + Delta0)/2, and stands still under a resonant, uncoupled
+drive.
 
-The dense output is read back as angles, (2M,) rows for every reader:
-theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0).
-phi is continuous (never wrapped): at any time it takes the branch nearest
-the unwrapped phi at the start of the accepted solver step that holds the
-time, and those step values are unwrapped from phi0 along the solve.  Away
-from the poles no accepted step turns the azimuth by pi at the tolerances
-used here, so this branch is the continuous one.  The conversion is
-elementwise, so a scalar time and a grid give the same values.
+The exact solutions carry exp(-i (phi_d + phi_g)), the Lewis-Riesenfeld
+construction, with phi_g a Berry-type geometric phase.  Both phase rates
+are functions of n, so the solve also integrates, per member,
 
-The real angle pair
+    B' = h.n,    G' = -(phi'/2)(1 - cos th)
+                    = h_z (1 - z) - z (h'_x x' + h'_y y') / (1 + z),
 
-    dtheta/dt = -2 sqrt(lam) Im(g e^{i phi})
-    dphi/dt   = (k w - w0) - 2 sqrt(lam) Re(g e^{i phi}) cot(theta)
+and phi_d(sigma) = (m + k/2) int w + sigma B, phi_g(sigma) = sigma G
+(:class:`susyjc.evolution.PhaseIntegrals`).  The dense output is read back
+as (4M,) rows for every reader: the thetas, the phis, then B and G, with
+theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0)
+kept continuous (:func:`_angle_chart`).
 
-stays the home of the angle rates (:func:`aux_rhs`: the density rule's
-probe, ``rates_at`` and the phase integrands).  Neither it nor the vector
-form is trusted: every accepted trajectory is re-certified against the
-complex angle equations as printed (residual_check), with derivatives taken
-by spline differentiation of the solution samples.
+The chart rates (theta', phi') keep their home in :func:`aux_rhs`.  No
+route is trusted: every accepted trajectory is certified against the
+complex angle equations as printed (residual_check), by spline derivatives
+of two smooth functions of the sampled angles (:func:`_printed_residual`).
+That is the sample grid's one job.
 
-The angle chart has genuine poles at theta in {0, pi}, where the azimuth is
-undefined.  A coupled trajectory whose |sin theta| drops below THETA_MIN
-raises SingularityError at the time it does so, located on the vector
-output between the samples of the certification grid; no regularization is
-applied, since masking the pole would corrupt geometric phases.  (With g
-identically zero the pole term is absent and polar initial angles are
-legitimate.)
-
-Table profiles have kinks.  The integration, the sample grid and the spline
-derivatives of the certification are each split at them by
-:mod:`susyjc.quadrature`; this module never handles a segment itself.
+The chart has genuine poles at theta in {0, pi}.  A coupled trajectory
+whose |sin theta| drops below THETA_MIN raises SingularityError at that
+time, located between the grid's samples; no regularization is applied, as
+masking the pole would corrupt geometric phases.  (With g identically zero
+polar initial angles are legitimate.)  The integration, the grid and the
+spline derivatives are split at table kinks by :mod:`susyjc.quadrature`.
 """
 
 from __future__ import annotations
@@ -60,11 +52,18 @@ from scipy.optimize import brentq
 
 from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
-from .quadrature import PiecewiseDense, integrate_segments, segmented_grid, spline_derivative
+from .quadrature import (
+    PiecewiseDense,
+    check_window,
+    integrate_segments,
+    segmented_grid,
+    spline_derivative,
+)
 
 THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
 _MIN_SAMPLES = 2001  # smallest solve_aux grid
 _SAMPLE_CAP = 60001  # largest solve_aux grid; denser dynamics is certified or rejected on it
+_CHUNK = 1 << 14  # most samples, over all members, that one certification spline fit takes
 _RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
 _TWO_PI = 2.0 * math.pi
 
@@ -82,24 +81,17 @@ class AuxState:
 class SolverStats:
     """Work and tolerances of one angle solve.
 
-    ``n_steps`` counts the solver's accepted steps and ``n_rhs_evaluations``
-    its right-hand-side calls, both summed over the segments between profile
-    kinks (as ``PropagationResult`` counts them for the oracle).
-    ``rtol``/``atol`` are the requested tolerances.  The first integration
-    runs at rtol/16 and atol/16; ``refinements`` counts the re-integrations
-    (each a further /16) that certification forced, and ``effective_rtol``
-    is the rtol handed to the solver for the integration actually kept.
-    ``n_samples`` is the size of the certified sample grid, and
-    ``sample_cap_hit`` marks a grid cut down to the sample cap.
-    ``max_norm_deviation`` is the largest ||n| - 1| of the integrated
-    invariant vector on that grid.
-
-    A block family integrated in one solve (``_solve_family``) shares
-    everything but ``max_residual`` and ``max_norm_deviation`` among its M
-    members: the work, the refinements, ``effective_rtol`` (the family's
-    rtol / sqrt(M), see there) and the one sample grid with its size and
-    cap flag.  ``max_residual`` and ``max_norm_deviation`` are each
-    member's own.
+    ``n_steps`` (accepted steps) and ``n_rhs_evaluations`` are summed over
+    the segments between profile kinks, as ``PropagationResult`` counts
+    them.  ``rtol``/``atol`` are the requested tolerances; the first
+    integration runs at rtol/16 and atol/16, ``refinements`` counts the
+    re-integrations (each a further /16) that certification forced, and
+    ``effective_rtol`` is the solver rtol of the integration kept.
+    ``n_samples`` is the size of the certified grid, ``sample_cap_hit``
+    marks a grid cut down to the cap, and ``max_norm_deviation`` is the
+    largest ||n| - 1| of the integrated vector on it.  The members of one
+    family solve (``_solve_family``) share everything but ``max_residual``
+    and ``max_norm_deviation``.
     """
 
     n_steps: int
@@ -114,17 +106,18 @@ class SolverStats:
     max_norm_deviation: float = math.nan
 
 
-def aux_rhs(state: AuxState, t, params: ModelParams, lam):
-    """(dtheta/dt, dphi/dt) at one time or elementwise over arrays of times/angles.
+def aux_rhs(state: AuxState, t, params: ModelParams, lam: float):
+    """(dtheta/dt, dphi/dt) at one time or elementwise over arrays of times/angles:
 
-    ``lam`` is a number or an array that broadcasts against the angles (one
-    lambda per family member).  Scalar input gives plain floats, array input
-    gives arrays.  Raises SingularityError at a live pole, stamped with the
-    time of the first offending sample (and, for an array ``lam``, naming
-    that sample's lambda).
+        dtheta/dt = -2 sqrt(lam) Im(g e^{i phi})
+        dphi/dt   = (k w - w0) - 2 sqrt(lam) Re(g e^{i phi}) cot(theta)
+
+    Scalar input gives plain floats, array input gives arrays.  Raises
+    SingularityError at a live pole, stamped with the time of the first
+    offending sample.
     """
     omega, omega0, g = params.evaluate(t)
-    root = np.sqrt(lam) if isinstance(lam, np.ndarray) else math.sqrt(lam)
+    root = math.sqrt(lam)
     rotated = g * np.exp(1j * state.phi)
     dtheta = -2.0 * root * rotated.imag
     coeff = 2.0 * root * rotated.real
@@ -135,12 +128,8 @@ def aux_rhs(state: AuxState, t, params: ModelParams, lam):
         first = int(np.argmax(pole))
         when = float(np.broadcast_to(t, pole.shape).flat[first])
         worst = abs(float(np.broadcast_to(sin_t, pole.shape).flat[first]))
-        member = ""
-        if isinstance(lam, np.ndarray):
-            member = f" (lambda={float(np.broadcast_to(lam, pole.shape).flat[first])})"
         raise SingularityError(
-            f"azimuthal equation singular at t={when}: |sin theta|={worst:.3e}{member}",
-            time=when,
+            f"azimuthal equation singular at t={when}: |sin theta|={worst:.3e}", time=when
         )
     # where the coupling term vanishes the pole is absent: divide by 1, not sin
     cot_term = coeff * np.cos(state.theta) / np.where(live, sin_t, 1.0)
@@ -154,17 +143,13 @@ def aux_rhs(state: AuxState, t, params: ModelParams, lam):
 class AuxTrajectory:
     """Sampled angle solution plus the dense interpolant that produced it.
 
-    ``edge_indices`` marks segment boundaries in ``times`` when the model
-    profiles have interior kinks (table breakpoints); the spline derivatives
-    and the phase integrals pass it to :mod:`susyjc.quadrature`, which
-    treats each segment separately.  ``residuals`` is the
+    ``edge_indices`` marks the segment edges in ``times`` at the profiles'
+    kinks, for :mod:`susyjc.quadrature`.  ``residuals`` is the
     :func:`residual_series` on ``times`` for the trajectory's own params
-    and lam, as certification computed it (None on a hand-built trajectory).
-
-    ``_dense`` is the dense output of the solve that produced the
-    trajectory: (2M,) rows, the M thetas then the M phis of its members
-    (M = 1 for :func:`solve_aux`).  ``_member`` is this trajectory's index
-    j among them, so its angles are rows j and M + j.
+    and lam, as certification computed it (None on a hand-built one).
+    ``_dense`` is its solve's dense output, (4M,) rows (module docstring),
+    and ``_member`` its index j among the M members: its angles are rows j
+    and M + j.
     """
 
     times: np.ndarray
@@ -187,19 +172,12 @@ class AuxTrajectory:
         return float(self.times[-1])
 
     def _check_window(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = min(self.t0, self.t1), max(self.t0, self.t1)
-        outside = (t < lo - 1e-12) | (t > hi + 1e-12)
-        if outside.any():
-            count = f"; {outside.sum()} of {t.size} times outside" if t.ndim else ""
-            first = t[outside].flat[0]
-            raise ConfigurationError(f"t={first} outside trajectory window [{lo}, {hi}]{count}")
-        return t
+        return check_window(t, self.t0, self.t1, "trajectory")
 
     def state_at(self, t) -> AuxState:
         """Angles from the dense ODE output: floats at scalar t, arrays over an array of times."""
         rows = self._dense(self._check_window(t))
-        theta, phi = rows[self._member], rows[rows.shape[0] // 2 + self._member]
+        theta, phi = rows[self._member], rows[rows.shape[0] // 4 + self._member]
         return AuxState(theta, phi) if theta.ndim else AuxState(float(theta), float(phi))
 
     def rates_at(self, t):
@@ -217,27 +195,20 @@ def solve_aux(
     certify: bool = True,
 ) -> AuxTrajectory:
     """Adaptive integration of the angle equations over ``window``, as the
-    invariant's vector in the rotating frame (see the module docstring).
-
-    The trajectory is sampled densely enough that quintic-spline
-    interpolation stays below the certification budget even for fast
-    (large-lambda) dynamics, and is certified by substituting the sampled
-    angles into the printed complex equations: max residual <= 100 * rtol.
-    When the solver's own dense-output error dominates, the integration is
-    transparently refined beyond the requested tolerance until the
-    certificate holds (CertificationError if it cannot be met).
+    invariant's frame vector with B and G alongside (module docstring),
+    certified against the printed complex equations on its sample grid: max
+    residual <= 100 * rtol.  While the solver's error dominates, it is
+    refined beyond the requested tolerance (CertificationError if that fails).
     """
     return _solve_family(initial, window, params, [lam], rtol, atol, certify)[0]
 
 
-def family_angles(trajectories):
-    """The angles of K consecutive members of one solve, from one call of its
-    dense output: ``angles(t)`` is an AuxState of (K,) arrays, or of (K, n_t)
-    arrays over n_t times.
-
-    The trajectories must share one dense output (by identity) and carry
-    consecutive member indices, in the solve's order (ConfigurationError
-    otherwise); a single trajectory is always its own family.
+def family_sample(trajectories):
+    """``sample(t)``: (angles, B, G) of K consecutive members of one solve
+    from one call of its dense output, (K,) arrays each, or (K, n_t) over
+    n_t times.  The trajectories must share one dense output (by identity)
+    and carry consecutive member indices in the solve's order
+    (ConfigurationError otherwise); one trajectory is its own family.
     """
     first = trajectories[0]
     rows = slice(first._member, first._member + len(trajectories))
@@ -247,56 +218,67 @@ def family_angles(trajectories):
             "trajectories are not the members of one family solve, in its order"
         )
 
-    def angles(t) -> AuxState:
-        sample = first._dense(first._check_window(t))
-        return AuxState(sample[rows], sample[sample.shape[0] // 2 :][rows])
+    def sample(t):
+        theta, phi, b, g = np.split(first._dense(first._check_window(t)), 4)
+        return AuxState(theta[rows], phi[rows]), b[rows], g[rows]
 
-    return angles
+    return sample
 
 
 def _bloch_rhs(params: ModelParams, lams, t0: float, delta0: float):
-    """dn'/dt = 2 h' x n' for the (3M,) state of M unit vectors: the M x's,
-    the M y's, then the M z's.
-
-    h' = (sqrt(lam) Re g', sqrt(lam) Im g', (w0 - k w + Delta0)/2), with
-    g' = g exp(+i Delta0 (t - t0)): the invariant's vector in the frame that
-    rotates about z at Delta0.  For M = 1 it runs on Python floats.
+    """Rates of the (5M,) state of M members (module docstring): the frame
+    vectors' M x's, y's and z's, then the M B's and G's.  The gauge pole of
+    G' at z = -1 is live only while the in-plane drive is, and a coupled
+    start at a pole is rejected before the solve.  Python floats, member by
+    member, beat numpy's per-call cost on (M,) arrays here.
     """
-    solo = len(lams) == 1
     k = params.k
+    members = len(lams)
     # 2 sqrt(lam), so that the components below are 2 h' directly
-    roots = 2.0 * math.sqrt(lams[0]) if solo else 2.0 * np.sqrt(np.asarray(lams, dtype=float))
+    roots = [2.0 * math.sqrt(lam) for lam in lams]
 
-    def rhs(t, n):
+    def rhs(t, state):
         omega, omega0, g = params.evaluate(t)
         g = g * cmath.exp(1j * delta0 * (t - t0))
-        hx, hy, hz = roots * g.real, roots * g.imag, omega0 - k * omega + delta0
-        x, y, z = n.tolist() if solo else n.reshape(3, -1)
-        rate = (hy * z - hz * y, hz * x - hx * z, hx * y - hy * x)
-        return rate if solo else np.concatenate(rate)
+        gx, gy = g.real, g.imag
+        tilt = omega0 - k * omega  # 2 h_z
+        hz = tilt + delta0
+        values = state.tolist()
+        dx, dy, dz, db, dg = [], [], [], [], []
+        for root, x, y, z in zip(roots, values, values[members:], values[2 * members :]):
+            hx, hy = root * gx, root * gy
+            inplane = hx * x + hy * y
+            # 2 G' = tilt (1 - z) - z inplane / (1 + z)
+            pull = tilt + inplane / (1.0 + z) if inplane else tilt
+            dx.append(hy * z - hz * y)
+            dy.append(hz * x - hx * z)
+            dz.append(hx * y - hy * x)
+            db.append(0.5 * (inplane + tilt * z))
+            dg.append(0.5 * (tilt - z * pull))
+        return dx + dy + dz + db + dg
 
     return rhs
 
 
-def _angle_chart(steps, phi0: float, t0: float, delta0: float):
-    """``to_angles(n, t)``: the (2M, n_t) angle rows (thetas, then lab-frame
-    phis) of a (3M, n_t) block of rotating-frame vectors at the times t.
+def _angle_chart(steps, members: int, phi0: float, t0: float, delta0: float):
+    """``to_angles(n, t)``: the (2M, n_t) thetas and lab-frame phis of the M
+    frame vectors in the first 3M rows of solve states n at the times t.
 
-    theta = atan2(hypot(x, y), z) and phi = atan2(y, -x) + Delta0 (t - t0).
     phi is taken on the branch nearest the unwrapped phi at the start of the
-    accepted solver step that contains t.  These bases are unwrapped from
-    phi0 along ``steps``, the solve's (times, states) at its step boundaries
-    (:func:`susyjc.quadrature.integrate_segments`), across the segments.
-    The conversion is elementwise, so any set of times gives the same values.
+    accepted solver step that holds t, unwrapped from phi0 along ``steps``
+    (the solve's step boundaries and states, across the segments).  Away
+    from the poles no accepted step turns the azimuth by pi at the
+    tolerances used here, so phi is continuous (never wrapped).  The
+    conversion is elementwise: any set of times gives the same values.
     """
     nodes, states = steps
-    x, y, _ = np.split(states, 3)
-    start = np.full((x.shape[0], 1), float(phi0))
+    x, y = states[:members], states[members : 2 * members]
+    start = np.full((members, 1), float(phi0))
     bases = np.unwrap(np.concatenate([start, np.arctan2(y, -x)], axis=1), axis=1)[:, 1:]
     last = nodes.size - 1
 
     def to_angles(n, t):
-        x, y, z = np.split(n, 3)
+        x, y, z = n[:members], n[members : 2 * members], n[2 * members : 3 * members]
         base = bases[:, np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)]
         turn = np.arctan2(y, -x) - base
         phi = base + (turn - _TWO_PI * np.round(turn / _TWO_PI)) + delta0 * (t - t0)
@@ -305,16 +287,14 @@ def _angle_chart(steps, phi0: float, t0: float, delta0: float):
     return to_angles
 
 
-def _first_pole(vectors: PiecewiseDense, times, n):
-    """(time, member) of the earliest |sin theta| < THETA_MIN, or None.
+def _first_pole(vectors: PiecewiseDense, times, n, members: int):
+    """(time, member) of the earliest |sin theta| < THETA_MIN in the solve
+    states ``n`` on ``times`` (x and y rows first), or None.
 
     A pole is at a sample, or between two samples across which a member's
-    in-plane part (x, y) reverses direction.  There it is located as the
-    point of the path where (x, y) is perpendicular to the chord between the
-    two samples: the crossing itself when the path runs through the pole,
-    its closest approach to the pole otherwise.
+    (x, y) reverses direction, located where (x, y) is perpendicular to the
+    chord between them: the crossing itself, or the closest approach.
     """
-    members = n.shape[0] // 3
     x, y = n[:members], n[members : 2 * members]
     found = [(times[i], j) for j, i in zip(*np.nonzero(np.hypot(x, y) < THETA_MIN))]
     reversed_ = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] < 0
@@ -332,6 +312,15 @@ def _first_pole(vectors: PiecewiseDense, times, n):
     return min(found) if found else None
 
 
+def _frame(params: ModelParams, times):
+    """(Delta0 tau, k w - w0 - Delta0, g e^{i Delta0 tau}) on a time grid:
+    the solve's frame, with Delta0 = k w - w0 at tau = t - times[0] = 0."""
+    omega, omega0, g = params.evaluate(times)
+    detuning = params.k * omega - omega0
+    turn = detuning[0] * (times - times[0])
+    return turn, detuning - detuning[0], g * np.exp(1j * turn)
+
+
 def _solve_family(
     initial: AuxState,
     window: tuple[float, float],
@@ -343,22 +332,22 @@ def _solve_family(
 ) -> list[AuxTrajectory]:
     """:func:`solve_aux` for M lambdas from the same initial angles, in one solve.
 
-    The state is (3M,): the M members' invariant vectors (see the module
-    docstring), so scipy's per-step cost is paid once per step for the whole
-    family.  Its error norm is an RMS over all 3M components, so the solver
-    gets rtol/sqrt(M) and atol/sqrt(M): no member's local error exceeds what
-    a solo solve allows.  The first integration runs at rtol/16 and
-    atol/16, one refinement notch below the request.  The family shares one
-    sample grid, sized by the density rule for its fastest member.  Each
-    certification pass evaluates the vectors on it once, (3M, n), checks the
-    poles over that block, converts it to the (2M, n) angles, and takes the
-    spline derivatives of all M thetas in one call and of all M phis in
-    another.  Each member is then certified on its own; if any fails, the
-    whole family is re-integrated at a further rtol/16.  The solver's rtol
-    never goes below scipy's floor of 100 eps (the last refinement of a
-    family can ask for less).  Errors raised for one member name its lambda.
-    M = 1 is :func:`solve_aux` exactly (Python-float right-hand side,
-    unscaled tolerances).
+    The state is (5M,): the M members' frame vectors, then their B and G,
+    both zero at t0 (module docstring), so scipy's per-step cost is paid
+    once per step for the whole family.  Its error norm is an RMS over all
+    components, so the solver gets rtol/sqrt(M) and atol/sqrt(M): no
+    member's local error exceeds what a solo solve allows.  B and G are held
+    to the vectors' absolute accuracy: their atol is the solver's rtol.  The
+    first integration runs at rtol/16 and atol/16, one refinement notch
+    below the request.
+
+    The family shares one sample grid, sized for its fastest member before
+    the solve.  Each certification pass evaluates the solve on it once,
+    (5M, n), checks the poles, converts the vector rows to the (2M, n)
+    angles and certifies each member (:func:`_printed_residual`); if any
+    fails, the whole family is re-integrated at a further rtol/16.  The
+    solver's rtol never goes below scipy's floor of 100 eps.  Errors raised
+    for one member name its lambda.  M = 1 is :func:`solve_aux` exactly.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -366,64 +355,83 @@ def _solve_family(
     members = len(lams)
     solo = members == 1
     shrink = math.sqrt(members)
-    lam_vec = np.asarray(lams, dtype=float)
-    omega, omega0, _ = params.evaluate(t0)
-    delta0 = params.k * omega - omega0  # the frame of H's uncoupled diagonal at t0
-    rhs = _bloch_rhs(params, lams, t0, delta0)
-    sin_t = math.sin(initial.theta)
-    n0 = [-sin_t * math.cos(initial.phi), sin_t * math.sin(initial.phi), math.cos(initial.theta)]
+    lam_rows = np.asarray(lams, dtype=float)[:, None]
 
     def located(message, member_lam):
         return message if solo else f"{message} (lambda={float(member_lam)})"
+
+    def at_pole(time, member_lam):
+        message = f"trajectory reached a polar angle singularity near t={time}"
+        return SingularityError(located(message, member_lam), time=float(time))
+
+    omega, omega0, _ = params.evaluate(t0)
+    delta0 = params.k * omega - omega0  # the frame of H's uncoupled diagonal at t0
+
+    # Sample density rule, from the profiles on the floor grid: a component
+    # of amplitude a at rate w of the frame vector costs the certificate's
+    # spline derivatives ~ a w (h w)^5, kept within 10 * rtol, an order below
+    # its bound.  The vector precesses at 2 |h'| (a = 1); h''s coupling part
+    # c = 2 sqrt(lam) |g| turns at Delta0 + (arg g)', a wobble of a = c / w.
+    edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
+    times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
+    frame = _frame(params, times)
+    coupling = 2.0 * math.sqrt(max(lams)) * np.abs(frame[2])
+    precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
+    turning = float(np.max(np.abs(delta0 + np.gradient(params.g_phase(times), times))))
+    budget = max(10.0 * rtol, 1e-13)
+    rates = precession * (precession / budget) ** 0.2
+    rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** 0.2)
+    # factor 2: the motion's harmonics sit above these rates
+    n_auto = 2 * int(np.ceil((t1 - t0) * rates))
+    capped = n_auto > _SAMPLE_CAP
+    if n_auto > _MIN_SAMPLES:
+        times, edge_indices = segmented_grid(edges, min(n_auto, _SAMPLE_CAP))
+        frame = _frame(params, times)
+    coupled = bool(np.any(frame[2] != 0))
+    if coupled and abs(math.sin(initial.theta)) < THETA_MIN:
+        raise at_pole(t0, lams[0])
+
+    rhs = _bloch_rhs(params, lams, t0, delta0)
+    sin_t = math.sin(initial.theta)
+    n0 = [-sin_t * math.cos(initial.phi), sin_t * math.sin(initial.phi), math.cos(initial.theta)]
+    y0 = np.concatenate([np.repeat(n0, members), np.zeros(2 * members)])
 
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
 
     def integrate(rt, at):
-        y0 = np.repeat(n0, members)
         solver_rtol = max(rt / (16.0 * shrink), _RTOL_FLOOR)
-        found = integrate_segments(
-            rhs, (t0, t1), y0, params, solver_rtol, at / (16.0 * shrink), failed
+        atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
+        vectors, n_steps, nfev, steps = integrate_segments(
+            rhs, (t0, t1), y0, params, solver_rtol, atols, failed
         )
-        vectors, n_steps, nfev, steps = found
-        to_angles = _angle_chart(steps, initial.phi, t0, delta0)
-        pieces = [lambda t, sol=sol: to_angles(sol(t), t) for sol in vectors.solutions]
+        to_angles = _angle_chart(steps, members, initial.phi, t0, delta0)
+
+        def rows(state, t):
+            return np.concatenate([to_angles(state, t), state[3 * members :]])
+
+        pieces = [lambda t, sol=sol: rows(sol(t), t) for sol in vectors.solutions]
         return vectors, to_angles, PiecewiseDense(vectors.edges, pieces), n_steps, nfev, solver_rtol
 
     vectors, to_angles, dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
-    # Sample density rule, sized for the fastest member: spline-derivative
-    # error ~ (h * rate)^5 * rate must sit an order below the certification
-    # budget of 10 * rtol.
-    probe = np.linspace(t0, t1, 257)
-    probed = AuxState(*np.split(dense(probe), 2))
-    rates = aux_rhs(probed, probe, params, lams[0] if solo else lam_vec[:, None])
-    budget = max(10.0 * rtol, 1e-13)
-    rate = max(1.0 / (t1 - t0), float(np.max(np.abs(rates))))
-    # factor 4: the nonlinear dynamics carries harmonics well above the
-    # raw rate estimate, and truncation error scales as h^5
-    n_auto = 4 * int(np.ceil((t1 - t0) * rate * (rate / budget) ** 0.2))
-    capped = n_auto > _SAMPLE_CAP
-    n = int(np.clip(n_auto, _MIN_SAMPLES, _SAMPLE_CAP))
-    times, edge_indices = segmented_grid(dense.edges, n)
-    coupled = bool(np.any(np.abs(params.g_mod(times)) > 0))
-    omega, omega0, g = params.evaluate(times)
-    detuning = params.k * omega - omega0
-
     def certify_pass(vectors, to_angles, dense):
-        # one (3M, n) vector block per pass; member j's trajectory holds views
-        # of its angle rows j and M + j
-        block = vectors(times)
-        pole = _first_pole(vectors, times, block) if coupled else None
+        block = vectors(times)  # (5M, n); member j keeps views of angle rows j, M + j
+        pole = _first_pole(vectors, times, block, members) if coupled else None
         if pole is not None:
-            worst, j = pole
-            message = f"trajectory reached a polar angle singularity near t={worst}"
-            raise SingularityError(located(message, lams[j]), time=float(worst))
+            raise at_pole(pole[0], lams[pole[1]])
         thetas, phis = np.split(to_angles(block, times), 2)
-        norms = np.sqrt(np.sum(block.reshape(3, members, -1) ** 2, axis=0))
+        norms = np.sqrt(np.sum(block[: 3 * members].reshape(3, members, -1) ** 2, axis=0))
         deviations = np.max(np.abs(norms - 1.0), axis=1)
-        dthetas = spline_derivative(times, thetas.T, edge_indices)
-        dphis = spline_derivative(times, phis.T, edge_indices)
+        del block, norms
+        step = max(1, _CHUNK // times.size)  # members per certification spline fit
+        chunks = [slice(j, j + step) for j in range(0, members, step)]
+        series = np.concatenate(
+            [
+                _printed_residual(times, edge_indices, thetas[c], phis[c], frame, lam_rows[c])
+                for c in chunks
+            ]
+        )
         trajs = [
             AuxTrajectory(
                 times=times,
@@ -433,9 +441,7 @@ def _solve_family(
                 lam=float(lam_j),
                 stats=SolverStats(n_steps, total_nfev, rtol, atol),
                 edge_indices=edge_indices,
-                residuals=_printed_residual(
-                    thetas[j], phis[j], dthetas[:, j], dphis[:, j], detuning, g, lam_j
-                ),
+                residuals=series[j],
                 _dense=dense,
                 _member=j,
             )
@@ -481,37 +487,44 @@ def _solve_family(
     ]
 
 
-def _printed_residual(theta, phi, dtheta, dphi, detuning, g, lam) -> np.ndarray:
+def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray:
     """Per-sample max modulus of the two complex angle equations as printed,
 
         E1 = th' cos(th) e^{-i phi} - i ph' sin(th) e^{-i phi}
              + i [ (k w - w0) sin(th) e^{-i phi} - 2 g sqrt(lam) cos(th) ]
         E2 = th' - i sqrt(lam) [ g e^{i phi} - g* e^{-i phi} ]
 
-    with ``detuning`` = k w - w0 and ``g`` sampled alongside the angles.
+    on sampled angles ((n,), or (K, n) with a (K, 1) ``lam``), with
+    ``frame`` = :func:`_frame` on ``times``.  The derivatives are spline
+    derivatives of s~ = sin(th) e^{-i phi~} and c = cos(th), phi~ = phi -
+    Delta0 tau: the frame vector's -(x' + i y') and z', smooth near a pole
+    and at rest under free precession.  The first two terms of E1 are
+    d/dt (sin th e^{-i phi}), so E1 has the modulus of
+
+        E1 e^{i Delta0 tau} = s~' + i ((k w - w0 - Delta0) s~ - 2 g' sqrt(lam) c),
+
+    and th' = c Re(s~' e^{i phi~}) - sin(th) c' needs no division.
     """
-    root = math.sqrt(lam)
-    e_m = np.exp(-1j * phi)
-    eq1 = (
-        dtheta * np.cos(theta) * e_m
-        - 1j * dphi * np.sin(theta) * e_m
-        + 1j * (detuning * np.sin(theta) * e_m - 2.0 * g * root * np.cos(theta))
-    )
-    eq2 = dtheta - 1j * root * (g * np.exp(1j * phi) - np.conj(g) * e_m)
+    turn, offset, g_frame = frame
+    root = np.sqrt(lam)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    e_m = np.exp(-1j * (phi - turn))  # e^{-i phi~}
+    s = sin_t * e_m
+    parts = np.stack([s.real, s.imag, cos_t]).T  # time first for the splines
+    ds_re, ds_im, dc = spline_derivative(times, parts, edge_indices).T
+    ds = ds_re + 1j * ds_im
+    eq1 = ds + 1j * (offset * s - 2.0 * root * g_frame * cos_t)
+    dtheta = cos_t * (ds * np.conj(e_m)).real - sin_t * dc
+    rotated = g_frame * np.conj(e_m)  # g e^{i phi}
+    eq2 = dtheta - 1j * root * (rotated - np.conj(rotated))
     return np.maximum(np.abs(eq1), np.abs(eq2))
 
 
 def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.ndarray:
-    """:func:`_printed_residual` along ``traj`` for ``params`` and ``lam``.
-
-    theta-dot and phi-dot are spline derivatives of the sampled solution,
-    independent of the real-form right-hand side used to integrate.
-    """
-    omega, omega0, g = params.evaluate(traj.times)
-    detuning = params.k * omega - omega0
-    dtheta = spline_derivative(traj.times, traj.thetas, traj.edge_indices)
-    dphi = spline_derivative(traj.times, traj.phis, traj.edge_indices)
-    return _printed_residual(traj.thetas, traj.phis, dtheta, dphi, detuning, g, lam)
+    """:func:`_printed_residual` along ``traj`` for ``params`` and ``lam``: its
+    derivatives come from the samples, not from the integrated right-hand side."""
+    frame = _frame(params, traj.times)
+    return _printed_residual(traj.times, traj.edge_indices, traj.thetas, traj.phis, frame, lam)
 
 
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:

@@ -6,10 +6,9 @@ state stays normalized to that accuracy.  All per-m trajectories share one
 (theta0, phi0): each block has its own lambda and hence its own trajectory,
 and a common initial rotation is what makes the superposition well-defined.
 
-The blocks m = 0 .. m_max are one family: one angle solve, one sample grid
-and one phase fit (:class:`susyjc.evolution.PhaseIntegrals`).  The
-superposition reads the family's angles and phases in one evaluation each,
-on a scalar time or on a whole time grid.
+The blocks m = 0 .. m_max are one family: one angle solve, phases
+included, and one sample grid (:class:`susyjc.evolution.PhaseIntegrals`).
+The superposition reads it once, at a scalar time or on a time grid.
 """
 
 from __future__ import annotations

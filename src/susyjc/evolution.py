@@ -14,8 +14,10 @@ brings it to diag(+1, -1).  V is the closed form of the 2x2 exponential of
 beta Q - beta* Qdag with beta = -(th/2) e^{-i phi} / sqrt(lam); its sign
 conventions are certified in the tests against a brute-force matrix
 exponential.  Exact solutions are V applied to a sigma_z eigencolumn times
-exp(-i (Phi_d + Phi_g)), with both phase integrals accumulated by
-high-order quadrature on the dense ODE output.
+exp(-i (Phi_d + Phi_g)), the Lewis-Riesenfeld construction with Phi_g a
+Berry-type geometric phase.  The angle solve integrates both phases
+(:class:`PhaseIntegrals`); ``phase_rate_dynamical`` and
+``phase_rate_geometric`` keep the chart form of their rates.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, aux_rhs, family_angles
+from .auxiliary import AuxState, AuxTrajectory, family_sample
 from .blocks import SubspaceBlock, embed_state
 from .errors import ConfigurationError, VerificationError
 from .fock import FockSpaceSpec, Operator, build_generators
@@ -204,24 +206,6 @@ def _check_sigma(sigma: int) -> int:
     return sigma
 
 
-def _phase_rates(trajectory: AuxTrajectory, block: SubspaceBlock) -> np.ndarray:
-    """(n, 3) phase integrands on the trajectory's grid: phi_d for sigma = +1
-    and -1, then phi_g for +1."""
-    if abs(trajectory.lam - block.lam) > 0:
-        raise ConfigurationError(
-            f"trajectory lambda={trajectory.lam} does not match block lambda={block.lam}"
-        )
-    params = trajectory.params
-    ts = trajectory.times
-    state = AuxState(trajectory.thetas, trajectory.phis)
-    _, dphi = aux_rhs(state, ts, params, block.lam)
-    rates = [phase_rate_dynamical(sigma, ts, state, params, block) for sigma in (+1, -1)]
-    # the geometric rate is odd in sigma, and the spline fit and its
-    # evaluation are sign-symmetric, so sigma = -1 is the exact negation
-    rates.append(phase_rate_geometric(+1, state, dphi))
-    return np.stack(rates, axis=1)
-
-
 def _ledger(sigma: int, rows) -> PhaseLedger:
     """The sigma branch's ledger from one block's three integral rows: (3,)
     at a scalar time (floats), (3, n_t) over n_t times."""
@@ -243,36 +227,37 @@ def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
 
 
 class PhaseIntegrals:
-    """Running dynamical/geometric phase integrals of the blocks of one angle solve.
+    """Running dynamical/geometric phase integrals of the blocks of one angle solve:
 
-    The integrands of all M blocks are sampled on the solve's dense grid and
-    fitted at once: phi_d for sigma = +1 and -1, then phi_g for +1, member
-    after member, so member j's rows are 3j .. 3j + 2.  They are accumulated
-    with quintic-spline antiderivatives (composite order-6 quadrature whose
-    nodes follow the ODE sampling), one spline per smooth segment between
-    the trajectory's ``edge_indices``, each running integral carrying its
-    value across the edges (:func:`susyjc.quadrature.cumulative_antiderivative`).
-    :meth:`sample` makes one call of the solve's dense output
-    (:func:`susyjc.auxiliary.family_angles`) and one of these integrals, and
-    every reader of amplitudes takes them from one sample:
-    :meth:`ExactSolution.block_state_at`, :meth:`EvolutionOperator.at` and
-    :func:`general_solution`.
+        phi_d(sigma) = (m + k/2) int w + sigma B,    phi_g(sigma) = sigma G,
+
+    with B and G from the solve (:mod:`susyjc.auxiliary`) and int w, shared
+    by the M blocks, a spline integral on its grid (the one quadrature left).
+    :meth:`sample` makes one call of the solve's dense output and one of
+    int w; its rows are phi_d for sigma = +1 and -1, then phi_g for +1, so
+    member j's are 3j .. 3j + 2.  Every reader of amplitudes takes them from
+    one sample: :meth:`ExactSolution.block_state_at`,
+    :meth:`EvolutionOperator.at` and :func:`general_solution`.
     """
 
     def __init__(self, trajectories, blocks):
         self.trajectories = tuple(trajectories)
         self.blocks = tuple(blocks)
-        self.angles = family_angles(self.trajectories)
-        rates = np.concatenate(
-            [_phase_rates(traj, block) for traj, block in zip(self.trajectories, self.blocks)],
-            axis=1,
-        )
+        if any(traj.lam != block.lam for traj, block in zip(self.trajectories, self.blocks)):
+            raise ConfigurationError("a trajectory's lambda does not match its block's")
+        self._family = family_sample(self.trajectories)
+        self._levels = np.array([block.m + block.k / 2.0 for block in self.blocks])
         first = self.trajectories[0]
-        self.integrals = cumulative_antiderivative(first.times, rates, first.edge_indices)
+        omega = first.params.omega(first.times)
+        self._omega_integral = cumulative_antiderivative(first.times, omega, first.edge_indices)
 
     def sample(self, t):
         """(angles, integrals) of every member at scalar t or over an array of times."""
-        return self.angles(t), self.integrals(t)
+        angles, b, g = self._family(t)
+        omega_integral = self._omega_integral(t)
+        levels = np.multiply.outer(self._levels, omega_integral)
+        integrals = np.stack([levels + b, levels - b, g], axis=1)
+        return angles, integrals.reshape((-1,) + np.shape(omega_integral))
 
 
 class ExactSolution:
@@ -303,7 +288,7 @@ class ExactSolution:
     def ledger(self, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         j = 3 * self.member
-        return _ledger(self.sigma, self.phases.integrals(t)[j : j + 3])
+        return _ledger(self.sigma, self.phases.sample(t)[1][j : j + 3])
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""

@@ -3,9 +3,9 @@
 Table knots (``params.breakpoints``) cut a window into segments on which
 H(t) is smooth.  The ODE solves of the angle route and the oracle, the sample
 grid (its edges at ``edge_indices``), the spline derivatives and the running
-integrals are split at them here and nowhere else.  Quintic splines give
-O(h^5) derivatives and O(h^6) running integrals, which keeps certification
-residuals well below the ODE tolerances they audit.
+integral of the mode frequency are split at them here and nowhere else.
+Quintic splines give O(h^5) derivatives, which keeps certification residuals
+well below the ODE tolerances they audit, and O(h^6) running integrals.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline, make_interp_spline
+from scipy.interpolate import make_interp_spline
+
+from .errors import ConfigurationError
 
 SPLINE_ORDER = 5  # quintic; fewer samples than that lower it to len(ts) - 1
 
@@ -43,6 +45,19 @@ class PiecewiseDense:
             mask = idx == seg
             out[:, mask] = self.solutions[seg](t[mask])
         return out[:, 0] if scalar else out
+
+
+def check_window(t, a: float, b: float, name: str) -> np.ndarray:
+    """``t`` as a float array, or a ConfigurationError naming the first time
+    outside the window between a and b (and, for an array, how many are)."""
+    t = np.asarray(t, dtype=float)
+    lo, hi = min(a, b), max(a, b)
+    outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+    if outside.any():
+        count = f"; {outside.sum()} of {t.size} times outside" if t.ndim else ""
+        first = t[outside].flat[0]
+        raise ConfigurationError(f"t={first} outside {name} window [{lo}, {hi}]{count}")
+    return t
 
 
 def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
@@ -78,13 +93,15 @@ def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
 
 
 def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
-    """Sample grid of ~n points containing every edge exactly, and ``edge_indices``."""
-    span = edges[-1] - edges[0]
-    counts = [max(8, int(round(n * (b - a) / span))) for a, b in zip(edges[:-1], edges[1:])]
-    pieces = [np.linspace(a, b, c) for a, b, c in zip(edges[:-1], edges[1:], counts)]
+    """Sample grid of n points containing every edge exactly, and ``edge_indices``:
+    each segment gets its share of the n - 1 gaps by length, but at least 7."""
+    shares = np.round((n - 1) * (edges - edges[0]) / (edges[-1] - edges[0]))
+    gaps = np.maximum(7, np.diff(shares).astype(int))
+    bounds = tuple(accumulate(gaps.tolist(), initial=0))
+    pieces = [np.linspace(a, b, c + 1) for a, b, c in zip(edges[:-1], edges[1:], gaps)]
     # neighbouring segments share their edge sample
     times = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
-    return times, tuple(accumulate((c - 1 for c in counts), initial=0))
+    return times, bounds
 
 
 def _spline(ts: np.ndarray, ys: np.ndarray):
@@ -122,27 +139,6 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
     return _real_derivative(ts, ys, edge_indices)
 
 
-def _antiderivative(spline):
-    """``spline.antiderivative()`` with one new coefficient array.
-
-    The same arithmetic as scipy's (``splantider``: the running sum of
-    c_i (t_{i+k+1} - t_i) / (k + 1), padded with a leading zero and k + 2
-    copies of the total), written into its output.  scipy's route makes
-    four more copies of the coefficients, and for a block family's (n, 3M)
-    phase integrands those set the run's peak memory.
-    """
-    t, c, k = spline.t, spline.c, spline.k
-    n = c.shape[0]
-    out = np.empty((n + k + 3,) + c.shape[1:])
-    out[0] = 0.0
-    body = out[1 : n + 1]
-    np.multiply(c, (t[k + 1 :] - t[: -k - 1]).reshape((-1,) + (1,) * (c.ndim - 1)), out=body)
-    np.cumsum(body, axis=0, out=body)
-    body /= k + 1
-    out[n + 1 :] = body[-1]
-    return BSpline(np.concatenate([t[:1], t, t[-1:]]), out, k + 1)
-
-
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
 
@@ -159,7 +155,7 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
     pieces = []
     carried = 0.0
     for a, b in zip(bounds[:-1], bounds[1:]):
-        anti = _antiderivative(_spline(ts[a : b + 1], columns[a : b + 1]))
+        anti = _spline(ts[a : b + 1], columns[a : b + 1]).antiderivative()
         base = anti(ts[a])
         # PiecewiseDense passes an array of n_t times and wants (K, n_t) back
         pieces.append(lambda t, anti=anti, shift=carried - base: (anti(t) + shift).T)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigurationError, PropagationError
 from .fock import FockSpaceSpec, Operator, build_generators, build_ladder
 from .profiles import ModelParams
-from .quadrature import integrate_segments
+from .quadrature import check_window, integrate_segments
 
 
 MAX_NORM_DRIFT = 1e-9
@@ -137,7 +137,7 @@ def propagate(
     (amplitude above ``MAX_LEAKAGE``) flags an integration bug and rejects
     the run, as does a column whose norm drifts beyond ``max_norm_drift``;
     the ``PropagationError`` names the worst column (``column``, None for
-    one state).
+    one state).  A ``t_eval`` time outside the window is a ConfigurationError.
     """
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
@@ -178,9 +178,8 @@ def propagate(
         hc *= -1j
         return hc.reshape(-1)
 
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 401)
-    t_eval = np.asarray(t_eval, dtype=float)
+    t_eval = np.linspace(t0, t1, 401) if t_eval is None else t_eval
+    t_eval = check_window(t_eval, t0, t1, "propagation")
 
     def failed(message, time):
         return PropagationError(f"integration failed: {message}", None)

@@ -265,6 +265,21 @@ def test_table_profile_certifies_via_segmented_integration():
         assert np.min(np.abs(ts - traj.times[idx])) == 0.0
 
 
+def test_table_profile_grid_at_the_floor_has_exactly_the_floor_samples():
+    # four segments share three edge samples; the grid still has 2001
+    knots = [0.0, 2.5, 5.0, 7.5, 10.0]
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.table(knots, [0.05, 0.06, 0.04, 0.05, 0.05]),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6)
+    assert traj.times.size == traj.stats.n_samples == 2001
+    assert [traj.times[i] for i in traj.edge_indices] == knots
+
+
 def test_chirp_profile_certifies():
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
@@ -413,26 +428,67 @@ def test_constant_profiles_match_the_exact_precession(k, omega0, g_mod, g_phase,
 
 
 @pytest.mark.parametrize(
-    "omega,n_samples,capped",
+    "params,lam,n_samples,capped",
     [
-        pytest.param(5.0, _SAMPLE_CAP, True, id="detuning-15-capped"),
-        pytest.param(4.0, 49784, False, id="detuning-12-uncapped"),
-        pytest.param(0.1, 2001, False, id="detuning-0.3-floor"),
+        pytest.param(constant_params(1.0, 3.0, 2.0), 1716, _SAMPLE_CAP, True, id="g2-lambda1716-capped"),
+        pytest.param(constant_params(1.0, 3.0, 0.05), 1716, 6948, False, id="g0.05-lambda1716-uncapped"),
+        pytest.param(constant_params(0.1, 0.0, 0.0), LAM6, 2001, False, id="detuning-0.3-floor"),
     ],
 )
-def test_solver_stats_record_grid_size_and_cap(omega, n_samples, capped):
-    # g = 0: the angle rate is the detuning k omega - omega0 = 3 omega, and
-    # the density rule asks for more samples than the cap from 15 on
-    params = constant_params(omega, 0.0, 0.0)
-    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6)
+def test_solver_stats_record_grid_size_and_cap(params, lam, n_samples, capped):
+    # the density rule follows the frame vector's precession rate 2 |h'|,
+    # 2 sqrt(lam) |g| at resonance: it asks for more samples than the cap at
+    # g = 2, lambda = 1716; at g = 0 the vector stands still in the frame
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lam, certify=False)
     assert traj.stats.n_samples == traj.times.size == n_samples
     assert traj.stats.sample_cap_hit is capped
 
 
+# resonant, g = 2: lambda = 1716 precesses too fast to certify on the capped grid
+CAPPED = constant_params(1.0, 3.0, 2.0)
+
+
 def test_certification_error_names_the_sample_cap():
-    params = constant_params(400.0 / 3.0, 0.0, 0.0)
-    with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples"):
-        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, LAM6)
+    with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
+        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, 1716)
+
+
+@pytest.mark.parametrize(
+    "theta0,params,lam",
+    [
+        pytest.param(0.02, constant_params(1.0, 3.0, 0.05), 1716, id="near-pole-lambda1716"),
+        pytest.param(math.pi / 3, constant_params(400.0 / 3.0, 0.0, 0.0), LAM6, id="g0-detuning400"),
+    ],
+)
+def test_smooth_certificate_needs_no_cap_and_no_refinement(theta0, params, lam):
+    # near the pole phi turns fast, and at g = 0 it turns at the detuning;
+    # the frame vector does neither, so its grid stays small and the first
+    # integration certifies
+    traj = solve_aux(AuxState(theta0, 0.0), (0.0, 10.0), params, lam)
+    assert traj.stats.refinements == 0 and not traj.stats.sample_cap_hit
+    assert traj.stats.n_samples < _SAMPLE_CAP
+    assert traj.stats.max_residual <= 1e-8
+
+
+def test_detuned_coupled_drive_sizes_the_grid_for_its_turn():
+    # at detuning 10 the coupling turns in the frame at Delta0 = 10, far
+    # faster than the precession 2 |h'| = 1.8: the grid follows the turn
+    params = constant_params(1.0, -7.0, 0.05)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lambda_value(5, 3))
+    assert traj.stats.n_samples > 4 * 2001
+    assert traj.stats.refinements == 0 and traj.stats.max_residual <= 1e-8
+
+
+def test_largest_coupled_lambda_that_certifies_within_the_cap():
+    # resonant drive, g = 0.05: every m up to 102 certifies on the capped
+    # grid after one refinement; from m = 103 the grid error there exceeds
+    # the bound, and the error names the cap
+    params = constant_params(1.0, 3.0, 0.05)
+    initial = AuxState(math.pi / 3, 0.0)
+    traj = solve_aux(initial, (0.0, 10.0), params, lambda_value(102, 3))
+    assert traj.stats.sample_cap_hit and traj.stats.max_residual <= 1e-8
+    with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
+        solve_aux(initial, (0.0, 10.0), params, lambda_value(103, 3))
 
 
 def test_window_error_names_first_outside_time_not_the_grid():
@@ -449,18 +505,17 @@ def test_window_error_names_first_outside_time_not_the_grid():
 
 
 def test_family_certification_error_names_a_lambda_and_the_sample_cap():
-    # the decoupled detuning-400 solve above, as a two-member family: the
-    # message locates the failing member; a solo solve names no lambda
-    params = constant_params(400.0 / 3.0, 0.0, 0.0)
+    # the capped solve above, with a slow member beside it: the message
+    # locates the failing member; a solo solve names no lambda
     with pytest.raises(CertificationError) as err:
-        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, [LAM6, lambda_value(1, 3)])
+        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, [LAM6, 1716])
     message = str(err.value)
-    assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=6.0)")
+    assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=1716.0)")
 
 
 def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
-    # the 257-point rate probe, then one (2M, n) sample block per
-    # certification pass, whatever the number of members
+    # one (5M, n) sample block per certification pass, whatever the number
+    # of members; the grid is sized from the profiles, with no probe
     sizes = []
     real_call = PiecewiseDense.__call__
 
@@ -475,8 +530,8 @@ def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
     family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams, atol=1e-7)
     stats = family[0].stats
     assert stats.refinements >= 1
-    assert len(sizes) == 1 + (1 + stats.refinements)
-    assert sizes[0] == 257 and set(sizes[1:]) == {stats.n_samples}
+    assert len(sizes) == 1 + stats.refinements
+    assert set(sizes) == {stats.n_samples}
 
 
 def test_family_singularity_error_names_the_member_at_the_pole():

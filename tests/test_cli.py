@@ -166,6 +166,7 @@ def test_oracle_drift_line_follows_bound_line(tmp_path, capsys):
         "max oracle infidelity",
         "max oracle amplitude error",
         "max |sigma_z exact - oracle|",
+        "max oracle amplitude error",
     ]
 
 
@@ -235,8 +236,8 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     monkeypatch.setattr(PiecewiseDense, "__call__", counting_grid)
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1").replace(ORACLE, "enabled = false"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    # per block: its (2,) angle output once, its (3,) phase integrals once
-    assert calls["grid_rows"] == [2, 3, 2, 3]
+    # per block: its (4,) angle and phase output once, its int w once
+    assert calls["grid_rows"] == [4, 1, 4, 1]
     assert calls["state_at"] == []
 
     monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
@@ -244,8 +245,8 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert calls["coherent"] == 1
     members = CoherentSpec.for_xi(0.5).m_max + 1
-    # the family's (2M,) angle output once, its (3M,) phase integrals once
-    assert calls["family_rows"] == [2 * members, 3 * members]
+    # the family's (4M,) angle and phase output once, its int w once
+    assert calls["family_rows"] == [4 * members, 1]
     assert calls["state_at"] == []
 
 
@@ -582,6 +583,37 @@ def test_a_growing_phase_error_fails_propagate(tmp_path, capsys, monkeypatch):
     amplitude = re.search(r"^max oracle amplitude error: (\S+) \(bound 1e-08\)$", out, re.M)
     assert float(infidelity[1]) < 1e-6
     assert float(amplitude[1]) > 1e-8
+
+
+def test_a_block_phase_error_fails_coherent(tmp_path, capsys, monkeypatch):
+    # every block's phi_d off by one part in 1e7: <sigma_z> cannot see block
+    # phases, so its line stays under its bound, but the whole state's
+    # amplitude error does see them
+    import susyjc.evolution as evolution
+
+    ledger = evolution._ledger
+
+    def skewed(sigma, rows):
+        exact = ledger(sigma, rows)
+        return evolution.PhaseLedger(sigma, exact.phi_d * (1.0 + 1e-7), exact.phi_g)
+
+    monkeypatch.setattr(evolution, "_ledger", skewed)
+    cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
+    code = main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")])
+    out = capsys.readouterr().out
+    assert code == 1
+    inversion = re.search(r"^max \|sigma_z exact - oracle\|: (\S+) \(bound 1e-06\)$", out, re.M)
+    amplitude = re.search(r"^max oracle amplitude error: (\S+) \(bound 1e-08\)$", out, re.M)
+    assert float(inversion[1]) < 1e-6
+    assert float(amplitude[1]) > 1e-8
+
+
+def test_coherent_amplitude_error_is_small_on_working_code(tmp_path, capsys):
+    cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 1.0\n", "c.ini")
+    assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    out = capsys.readouterr().out
+    amplitude = re.search(r"^max oracle amplitude error: (\S+) \(bound 1e-08\)$", out, re.M)
+    assert float(amplitude[1]) <= 1e-9
 
 
 def test_csv_writer_formats_every_value_as_before(tmp_path):

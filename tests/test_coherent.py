@@ -191,8 +191,8 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
 
 @pytest.mark.parametrize("times", [2.5, np.linspace(0.0, 5.0, 21)], ids=["scalar", "grid"])
 def test_superposition_evaluates_the_family_once(monkeypatch, times):
-    # one call of the family's (2M,) angle output and one of its (3M,) phase
-    # integrals, whatever the number of members; no member is sampled alone
+    # one call of the family's (4M,) angle and phase output and one of its
+    # int w, whatever the number of members; no member is sampled alone
     cs, sols = family(1.0, t1=5.0)
     rows = []
     dense_call = PiecewiseDense.__call__
@@ -208,12 +208,13 @@ def test_superposition_evaluates_the_family_once(monkeypatch, times):
     monkeypatch.setattr(ExactSolution, "state_at", no_state_at)
     build_coherent_state(cs, times, sols)
     members = cs.m_max + 1
-    assert members > 1 and rows == [2 * members, 3 * members]
+    assert members > 1 and rows == [4 * members, 1]
 
 
 def test_family_fits_its_phases_once_per_segment(monkeypatch):
-    # per segment: a theta and a phi spline derivative per certification
-    # pass, then one phase fit for the whole family
+    # per segment: each certification pass differentiates every member, a
+    # chunk of members per spline fit, then one fit of int w serves the whole
+    # family; the phases themselves come with the solve
     fits = []
     real_spline = quadrature.make_interp_spline
 
@@ -228,9 +229,12 @@ def test_family_fits_its_phases_once_per_segment(monkeypatch):
     passes = 1 + sols[0].trajectory.stats.refinements
     members = cs.m_max + 1
     assert segments == 2 and members > 1
-    assert len(fits) == segments * (2 * passes + 1)
-    assert [shape[1] for shape in fits[-segments:]] == [3 * members] * segments
-    # every member reads its own rows of that one fit
+    certification, omega = fits[:-segments], fits[-segments:]
+    # s~ (real and imaginary parts) and cos theta of each member
+    assert {shape[-1] for shape in certification} == {3}
+    assert sum(shape[1] for shape in certification) == segments * passes * members
+    assert [shape[1:] for shape in omega] == [(1,)] * segments
+    # every member reads its own rows of the one solve
     assert len({id(sol.phases) for sol in sols}) == 1
     assert [sol.member for sol in sols] == list(range(members))
 

@@ -12,13 +12,7 @@ import susyjc
 from susyjc import AuxState, ModelParams, SubspaceBlock, TimeProfile, lambda_value, solve_aux
 from susyjc import quadrature
 from susyjc.evolution import PhaseIntegrals
-from susyjc.quadrature import (
-    PiecewiseDense,
-    _antiderivative,
-    _spline,
-    cumulative_antiderivative,
-    segmented_grid,
-)
+from susyjc.quadrature import PiecewiseDense, _spline, cumulative_antiderivative, segmented_grid
 
 
 def test_piecewise_dense_single_time_matches_array_column():
@@ -35,16 +29,35 @@ def test_piecewise_dense_single_time_matches_array_column():
     assert isinstance(dense, PiecewiseDense) and len(dense.solutions) == 4
     # interior edges, both ends, and times inside segments
     times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
-    columns = dense(times)
-    assert columns.shape == (2, times.size)
+    columns = dense(times)  # theta, phi, B, G
+    assert columns.shape == (4, times.size)
     for i, t in enumerate(times):
         single = dense(t)
-        assert single.shape == (2,)
+        assert single.shape == (4,)
         assert np.array_equal(single, columns[:, i]), t
         assert np.array_equal(dense(float(t)), columns[:, i]), t
         one = dense(times[i : i + 1])
-        assert one.shape == (2, 1)
+        assert one.shape == (4, 1)
         assert np.array_equal(one[:, 0], columns[:, i]), t
+
+
+@pytest.mark.parametrize(
+    "edges", [[0.0, 10.0], [0.0, 2.5, 5.0, 7.5, 10.0], [0.0, 0.3, 7.1, 9.9, 10.0]]
+)
+@pytest.mark.parametrize("n", [2001, 4590, 60001])
+def test_segmented_grid_has_exactly_n_samples(edges, n):
+    times, edge_indices = segmented_grid(np.array(edges), n)
+    assert times.size == n
+    assert [times[i] for i in edge_indices] == edges
+    # each segment is uniform
+    for a, b in zip(edge_indices[:-1], edge_indices[1:]):
+        assert np.ptp(np.diff(times[a : b + 1])) <= 1e-12 * (edges[-1] - edges[0])
+
+
+def test_segmented_grid_gives_a_short_segment_eight_samples():
+    # 0.01 of the window would get 2 of 2000 gaps; it gets 7, the grid 5 more
+    times, edge_indices = segmented_grid(np.array([0.0, 9.99, 10.0]), 2001)
+    assert edge_indices == (0, 1998, 2005) and times.size == 2006
 
 
 def test_only_quadrature_integrates_or_splines():
@@ -100,19 +113,20 @@ def test_multi_column_antiderivative_matches_per_column_calls():
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1-D", "2-D", "3-D"])
 def test_antiderivative_matches_scipy_bit_for_bit(shape):
-    # the running integral is written into one array, with scipy's arithmetic
+    # on one segment the running integral is scipy's spline antiderivative,
+    # less its start value, column by column
     ts = np.linspace(0.0, 3.0, 60)
     ys = np.sin(np.multiply.outer(ts, np.arange(1.0, 1.0 + np.prod(shape, dtype=int))))
-    spline = _spline(ts, ys.reshape(ts.shape + shape))
-    ours, theirs = _antiderivative(spline), spline.antiderivative()
-    assert ours.k == theirs.k and np.array_equal(ours.t, theirs.t)
-    assert ours.c.shape == theirs.c.shape and np.array_equal(ours.c, theirs.c)
+    ours = cumulative_antiderivative(ts, ys.reshape(ts.shape + shape))
+    theirs = _spline(ts, ys).antiderivative()
     times = np.linspace(0.0, 3.0, 41)
-    assert np.array_equal(ours(times), theirs(times))
+    expected = (theirs(times) - theirs(ts[0])).T
+    assert np.array_equal(ours(times), expected if shape else expected[0])
 
 
 def test_phase_integrals_fit_once_per_segment(monkeypatch):
-    # phi_d for both branches and phi_g share one spline fit per smooth segment
+    # the phases come with the solve; int w, the one running integral left
+    # to quadrature, takes one spline fit per smooth segment
     knots = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
     params = ModelParams(
         omega=TimeProfile.constant(1.0),

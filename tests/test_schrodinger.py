@@ -72,6 +72,19 @@ def test_norm_drift_rejection():
         propagate(psi0, (0.0, 20.0), params, SPEC, rtol=1e-4, atol=1e-6, max_norm_drift=1e-12)
 
 
+@pytest.mark.parametrize("late", [21.0, 40.0])
+def test_t_eval_outside_the_window_is_rejected_naming_the_first_time(late):
+    # a time past the window was extrapolated (21) or failed as a norm drift
+    # (40); it is a configuration error that names the time, before any solve
+    params = constant_params(1.0, 2.8, 0.05)
+    psi0 = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    message = rf"^t={late} outside propagation window \[0.0, 20.0\]; 1 of 2 times outside$"
+    with pytest.raises(ConfigurationError, match=message):
+        propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=[5.0, late])
+    with pytest.raises(ConfigurationError, match=r"^t=-1.0 outside"):
+        propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=[-1.0, 5.0, late])
+
+
 def test_fidelity_cases():
     a = np.zeros(4, dtype=complex)
     a[0] = 1.0
