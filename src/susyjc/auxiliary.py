@@ -29,16 +29,18 @@ kept continuous (:func:`_angle_chart`).
 
 The chart rates (theta', phi') keep their home in :func:`aux_rhs`.  No
 route is trusted: every accepted trajectory is certified against the
-complex angle equations as printed (residual_check), by spline derivatives
-of two smooth functions of the sampled angles (:func:`_printed_residual`).
-That is the sample grid's one job.
+complex angle equations as printed (residual_check), by sixth-order
+finite-difference derivatives of two smooth functions of the sampled angles
+(:func:`_printed_residual`).  That is the sample grid's one job.
 
 The chart has genuine poles at theta in {0, pi}.  A coupled trajectory
 whose |sin theta| drops below THETA_MIN raises SingularityError at that
 time, located between the grid's samples; no regularization is applied, as
 masking the pole would corrupt geometric phases.  (With g identically zero
-polar initial angles are legitimate.)  The integration, the grid and the
-spline derivatives are split at table kinks by :mod:`susyjc.quadrature`.
+polar initial angles are legitimate.)  The integration (DOP853), the grid
+and the derivatives are split at table kinks by :mod:`susyjc.quadrature`,
+which owns the solver and its rtol floor; the pole locator and
+:func:`adiabatic_matched_theta` find their roots by bisection.
 """
 
 from __future__ import annotations
@@ -48,11 +50,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
 from .quadrature import (
+    RTOL_FLOOR,
     PiecewiseDense,
     check_window,
     integrate_segments,
@@ -63,8 +65,7 @@ from .quadrature import (
 THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
 _MIN_SAMPLES = 2001  # smallest solve_aux grid
 _SAMPLE_CAP = 60001  # largest solve_aux grid; denser dynamics is certified or rejected on it
-_CHUNK = 1 << 14  # most samples, over all members, that one certification spline fit takes
-_RTOL_FLOOR = 100 * np.finfo(float).eps  # scipy raises a smaller rtol to this, with a warning
+_CHUNK = 1 << 14  # most samples, over all members, that one certification derivative takes
 _TWO_PI = 2.0 * math.pi
 
 
@@ -305,7 +306,7 @@ def _first_pole(vectors: PiecewiseDense, times, n, members: int):
             v = vectors(t)
             return v[j] * cx + v[members + j] * cy
 
-        t = brentq(along, times[i], times[i + 1])
+        t = _bisect(along, times[i], times[i + 1], 2e-12)
         v = vectors(t)
         if math.hypot(v[j], v[members + j]) < THETA_MIN:
             found.append((t, j))
@@ -333,9 +334,9 @@ def _solve_family(
     """:func:`solve_aux` for M lambdas from the same initial angles, in one solve.
 
     The state is (5M,): the M members' frame vectors, then their B and G,
-    both zero at t0 (module docstring), so scipy's per-step cost is paid
-    once per step for the whole family.  Its error norm is an RMS over all
-    components, so the solver gets rtol/sqrt(M) and atol/sqrt(M): no
+    both zero at t0 (module docstring), so the solver's per-step cost is
+    paid once per step for the whole family.  Its error norm is an RMS over
+    all components, so the solver gets rtol/sqrt(M) and atol/sqrt(M): no
     member's local error exceeds what a solo solve allows.  B and G are held
     to the vectors' absolute accuracy: their atol is the solver's rtol.  The
     first integration runs at rtol/16 and atol/16, one refinement notch
@@ -345,9 +346,12 @@ def _solve_family(
     the solve.  Each certification pass evaluates the solve on it once,
     (5M, n), checks the poles, converts the vector rows to the (2M, n)
     angles and certifies each member (:func:`_printed_residual`); if any
-    fails, the whole family is re-integrated at a further rtol/16.  The
-    solver's rtol never goes below scipy's floor of 100 eps.  Errors raised
-    for one member name its lambda.  M = 1 is :func:`solve_aux` exactly.
+    fails, the whole family is re-integrated at a further rtol/16, up to
+    three times; on a grid cut to the cap it stops as soon as a refinement
+    lowers the worst residual by less than a factor of 2, since the grid's
+    error then holds it up.  The solver's rtol is clamped at the solver's
+    floor of 100 eps (``quadrature.RTOL_FLOOR``).  Errors raised for one
+    member name its lambda.  M = 1 is :func:`solve_aux` exactly.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -368,10 +372,11 @@ def _solve_family(
     delta0 = params.k * omega - omega0  # the frame of H's uncoupled diagonal at t0
 
     # Sample density rule, from the profiles on the floor grid: a component
-    # of amplitude a at rate w of the frame vector costs the certificate's
-    # spline derivatives ~ a w (h w)^5, kept within 10 * rtol, an order below
-    # its bound.  The vector precesses at 2 |h'| (a = 1); h''s coupling part
-    # c = 2 sqrt(lam) |g| turns at Delta0 + (arg g)', a wobble of a = c / w.
+    # of amplitude a at rate w of the frame vector costs a quintic spline's
+    # derivative ~ a w (h w)^5, kept within 10 * rtol, an order below the
+    # bound (the certificate's sixth-order stencils do better).  The vector
+    # precesses at 2 |h'| (a = 1); h''s coupling part c = 2 sqrt(lam) |g|
+    # turns at Delta0 + (arg g)', a wobble of a = c / w.
     edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
     times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
     frame = _frame(params, times)
@@ -400,7 +405,7 @@ def _solve_family(
         return SingularityError(f"angle integration failed: {message}", time=time)
 
     def integrate(rt, at):
-        solver_rtol = max(rt / (16.0 * shrink), _RTOL_FLOOR)
+        solver_rtol = max(rt / (16.0 * shrink), RTOL_FLOOR)
         atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
         vectors, n_steps, nfev, steps = integrate_segments(
             rhs, (t0, t1), y0, params, solver_rtol, atols, failed
@@ -424,7 +429,7 @@ def _solve_family(
         norms = np.sqrt(np.sum(block[: 3 * members].reshape(3, members, -1) ** 2, axis=0))
         deviations = np.max(np.abs(norms - 1.0), axis=1)
         del block, norms
-        step = max(1, _CHUNK // times.size)  # members per certification spline fit
+        step = max(1, _CHUNK // times.size)  # members per certification derivative
         chunks = [slice(j, j + step) for j in range(0, members, step)]
         series = np.concatenate(
             [
@@ -449,11 +454,15 @@ def _solve_family(
         ]
         return trajs, [residual_check(traj, params, traj.lam) for traj in trajs], deviations
 
-    rtol_i, atol_i, refinements = rtol, atol, 0
+    rtol_i, atol_i, refinements, previous = rtol, atol, 0, math.inf
     while True:
         trajs, residuals, deviations = certify_pass(vectors, to_angles, dense)
-        if not certify or max(residuals) <= 100.0 * rtol or rtol_i < rtol / 1000.0:
+        worst = max(residuals)
+        if not certify or worst <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
+        if capped and worst > 0.5 * previous:
+            break  # the capped grid's error, not the ODE's, holds the residual up
+        previous = worst
         del trajs  # frees the rejected pass before the next one samples
         rtol_i /= 16.0
         atol_i /= 16.0
@@ -495,10 +504,10 @@ def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray
         E2 = th' - i sqrt(lam) [ g e^{i phi} - g* e^{-i phi} ]
 
     on sampled angles ((n,), or (K, n) with a (K, 1) ``lam``), with
-    ``frame`` = :func:`_frame` on ``times``.  The derivatives are spline
-    derivatives of s~ = sin(th) e^{-i phi~} and c = cos(th), phi~ = phi -
-    Delta0 tau: the frame vector's -(x' + i y') and z', smooth near a pole
-    and at rest under free precession.  The first two terms of E1 are
+    ``frame`` = :func:`_frame` on ``times``.  The derivatives are
+    sixth-order finite differences of s~ = sin(th) e^{-i phi~} and
+    c = cos(th), phi~ = phi - Delta0 tau: the frame vector's -(x' + i y')
+    and z', smooth near a pole and at rest under free precession.  The first two terms of E1 are
     d/dt (sin th e^{-i phi}), so E1 has the modulus of
 
         E1 e^{i Delta0 tau} = s~' + i ((k w - w0 - Delta0) s~ - 2 g' sqrt(lam) c),
@@ -510,7 +519,7 @@ def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     e_m = np.exp(-1j * (phi - turn))  # e^{-i phi~}
     s = sin_t * e_m
-    parts = np.stack([s.real, s.imag, cos_t]).T  # time first for the splines
+    parts = np.stack([s.real, s.imag, cos_t]).T  # time first for the stencils
     ds_re, ds_im, dc = spline_derivative(times, parts, edge_indices).T
     ds = ds_re + 1j * ds_im
     eq1 = ds + 1j * (offset * s - 2.0 * root * g_frame * cos_t)
@@ -556,4 +565,23 @@ def adiabatic_matched_theta(params: ModelParams, lam: float) -> float:
         return a * math.sin(theta) - b * math.cos(theta)
 
     eps = 1e-12
-    return float(brentq(f, eps, math.pi - eps, xtol=1e-14, rtol=8.9e-16))
+    return _bisect(f, eps, math.pi - eps, 1e-14)
+
+
+def _bisect(f, a: float, b: float, xtol: float) -> float:
+    """A root of f between a and b, across which f changes sign, to xtol
+    (or to the resolution of floats)."""
+    a, b = float(a), float(b)
+    negative = f(a) < 0
+    while abs(b - a) > xtol:
+        mid = 0.5 * (a + b)
+        if mid in (a, b):
+            break
+        value = f(mid)
+        if value == 0:
+            return mid
+        if (value < 0) == negative:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .auxiliary import AuxState, _solve_family
 from .blocks import SubspaceBlock
@@ -30,8 +29,19 @@ TAIL_BOUND = 1e-10  # largest Poisson weight a truncation may drop
 
 
 def poisson_tail(xi: float, m_max: int) -> float:
-    """e^{-xi^2} sum_{m > m_max} xi^{2m} / m!: the Poisson(xi^2) survival function."""
-    return float(pdtrc(m_max, xi * xi))
+    """e^{-xi^2} sum_{m > m_max} xi^{2m} / m!: the Poisson(xi^2) survival
+    function, summed in log space from its first term to convergence."""
+    if xi == 0.0:
+        return 0.0
+    x = xi * xi
+    m = m_max + 1
+    term = math.exp(-x + m * math.log(x) - math.lgamma(m + 1))
+    total = 0.0
+    while term > 1e-18 * total and m <= m_max + 10000:
+        total += term
+        m += 1
+        term *= x / m
+    return total
 
 
 def m_max_for_tail(xi: float) -> int:

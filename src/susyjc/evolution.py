@@ -17,7 +17,10 @@ exponential.  Exact solutions are V applied to a sigma_z eigencolumn times
 exp(-i (Phi_d + Phi_g)), the Lewis-Riesenfeld construction with Phi_g a
 Berry-type geometric phase.  The angle solve integrates both phases
 (:class:`PhaseIntegrals`); ``phase_rate_dynamical`` and
-``phase_rate_geometric`` keep the chart form of their rates.
+``phase_rate_geometric`` keep the chart form of their rates.  The running
+integral of w and the derivative in :func:`invariant_equation_residual` are
+sixth-order quadrature and finite differences of the samples
+(:mod:`susyjc.quadrature`).
 """
 
 from __future__ import annotations
@@ -232,7 +235,8 @@ class PhaseIntegrals:
         phi_d(sigma) = (m + k/2) int w + sigma B,    phi_g(sigma) = sigma G,
 
     with B and G from the solve (:mod:`susyjc.auxiliary`) and int w, shared
-    by the M blocks, a spline integral on its grid (the one quadrature left).
+    by the M blocks, a sixth-order quadrature of the samples on its grid
+    (the one quadrature left).
     :meth:`sample` makes one call of the solve's dense output and one of
     int w; its rows are phi_d for sigma = +1 and -1, then phi_g for +1, so
     member j's are 3j .. 3j + 2.  Every reader of amplitudes takes them from
@@ -368,7 +372,7 @@ def invariant_equation_residual(trajectory: AuxTrajectory, block: SubspaceBlock)
     """Max entry of dI/dt + (1/i)[I, H] on the block along the trajectory.
 
     I is rebuilt from the sampled angles; its time derivative is taken by
-    spline differentiation, independent of the angle equations.
+    sixth-order finite differences, independent of the angle equations.
     """
     ts = trajectory.times
     inv = invariant_matrix(AuxState(trajectory.thetas, trajectory.phis))

@@ -21,8 +21,8 @@ every check runs on them.  The frame is standard quantum mechanics and
 borrows nothing from the invariant theory.
 
 Several runs share one integration: an (R, dim) stack of initial states is
-integrated as the R columns of one (R dim,) state, so scipy's per-step cost
-is paid once per step for all of them.  DOP853's error norm is an RMS over
+integrated as the R columns of one (R dim,) state, so the solver's per-step
+cost is paid once per step for all of them.  DOP853's error norm is an RMS over
 all components, so the solver gets rtol/sqrt(R) and atol/sqrt(R): no
 column's local error criterion is looser than its solo run's.  Every check
 (normalization, guard band, norm drift) runs on each column, and a
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigurationError, PropagationError
 from .fock import FockSpaceSpec, Operator, build_generators, build_ladder
 from .profiles import ModelParams
-from .quadrature import check_window, integrate_segments
+from .quadrature import RTOL_FLOOR, check_window, integrate_segments
 
 
 MAX_NORM_DRIFT = 1e-9
@@ -49,9 +49,6 @@ MAX_LEAKAGE = 1e-8  # largest amplitude allowed in the guard band
 # largest max_t |psi_exact - psi_oracle| a caller should accept: ten times the
 # oracle's own error, and, unlike an infidelity, sensitive to a block's phase
 MAX_AMPLITUDE_ERROR = 1e-8
-# scipy raises a smaller rtol to this, with a warning; the oracle keeps its own
-# copy of the angle solver's constant, as it shares nothing with that route
-_RTOL_FLOOR = 100 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,8 @@ def propagate(
 
     ``initial`` is one state, (dim,), or a stack of R states, (R, dim),
     integrated together as the columns of one solve at rtol/sqrt(R) and
-    atol/sqrt(R) (module docstring); scipy's floor of 100 eps bounds the
-    solver's rtol from below.  Each state must be normalized and keep at
+    atol/sqrt(R) (module docstring), the solver's rtol clamped at its floor
+    of 100 eps (``quadrature.RTOL_FLOOR``).  Each state must be normalized and keep at
     least ``spec.guard`` photon levels free below the cutoff; a row that
     is not is a ``ConfigurationError`` that names it.  Because H never
     couples across blocks, any column that populates the guard band
@@ -185,7 +182,7 @@ def propagate(
         return PropagationError(f"integration failed: {message}", None)
 
     shrink = math.sqrt(n_runs)
-    solver_rtol = max(rtol / shrink, _RTOL_FLOOR)
+    solver_rtol = max(rtol / shrink, RTOL_FLOOR)
     dense, n_steps, n_rhs, _ = integrate_segments(
         rhs, (t0, t1), columns.reshape(-1), params, solver_rtol, atol / shrink, failed
     )

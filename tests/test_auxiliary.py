@@ -21,7 +21,8 @@ from susyjc import (
     residual_check,
     solve_aux,
 )
-from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, _solve_family, residual_series
+from susyjc import auxiliary
+from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, _bisect, _solve_family, residual_series
 from susyjc.quadrature import PiecewiseDense, spline_derivative
 
 LAM6 = lambda_value(0, 3)
@@ -247,6 +248,39 @@ def test_adiabatic_matched_theta_solves_constraint():
         adiabatic_matched_theta(constant_params(1.0, 2.5, 0.0), lam)
 
 
+@pytest.mark.parametrize(
+    "omega0,g_mod,m", [(2.5, 0.05, 1), (3.0, 0.3, 0), (1.0, 2.0, 5), (4.9, 1e-4, 2)]
+)
+def test_adiabatic_matched_theta_matches_brentq(omega0, g_mod, m):
+    # bisection finds the root that scipy's brentq finds on the same bracket
+    from scipy.optimize import brentq
+
+    params = constant_params(1.0, omega0, g_mod)
+    lam = lambda_value(m, 3)
+    a, b = 3.0 - omega0 - 1.0, 2.0 * g_mod * math.sqrt(lam)
+    def f(theta):
+        return a * math.sin(theta) - b * math.cos(theta)
+
+    reference = brentq(f, 1e-12, math.pi - 1e-12, xtol=1e-14, rtol=8.9e-16)
+    assert abs(adiabatic_matched_theta(params, lam) - reference) <= 2e-14
+
+
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        (lambda t: math.cos(t) - t, 0.0, 1.0),
+        (lambda t: t**3 - 2.0, -1.0, 5.0),
+        (lambda t: math.tanh(40.0 * (t - 1.43)), 1.4, 1.5),
+        (lambda t: 1e-9 * (t - 0.7), 0.7 - 3e-12, 2.0),
+    ],
+)
+def test_pole_bisection_matches_brentq(f, a, b):
+    # the pole locator's bisection against brentq at its default tolerance
+    from scipy.optimize import brentq
+
+    assert abs(_bisect(f, a, b, 2e-12) - brentq(f, a, b)) <= 4e-12
+
+
 def test_table_profile_certifies_via_segmented_integration():
     # piecewise-linear driving has kinks; certification must hold anyway
     ts = np.linspace(0.0, 20.0, 21)
@@ -444,13 +478,25 @@ def test_solver_stats_record_grid_size_and_cap(params, lam, n_samples, capped):
     assert traj.stats.sample_cap_hit is capped
 
 
-# resonant, g = 2: lambda = 1716 precesses too fast to certify on the capped grid
-CAPPED = constant_params(1.0, 3.0, 2.0)
+# resonant, g = 3: lambda = 1716 precesses too fast to certify on the capped
+# grid (9.08e-8 after the first pass, 9.02e-8 after one refinement)
+CAPPED = constant_params(1.0, 3.0, 3.0)
 
 
-def test_certification_error_names_the_sample_cap():
+def test_certification_error_names_the_sample_cap(monkeypatch):
+    # the first refinement lowers the residual by less than a factor of 2:
+    # the grid, not the ODE, holds it up, so the error comes after 2 passes
+    passes = []
+    real = auxiliary.integrate_segments
+
+    def counting(*args, **kwargs):
+        passes.append(args[4])  # the solver rtol
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(auxiliary, "integrate_segments", counting)
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
         solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, 1716)
+    assert len(passes) == 2 and passes[1] == passes[0] / 16
 
 
 @pytest.mark.parametrize(
@@ -480,15 +526,15 @@ def test_detuned_coupled_drive_sizes_the_grid_for_its_turn():
 
 
 def test_largest_coupled_lambda_that_certifies_within_the_cap():
-    # resonant drive, g = 0.05: every m up to 102 certifies on the capped
-    # grid after one refinement; from m = 103 the grid error there exceeds
-    # the bound, and the error names the cap
+    # resonant drive, g = 0.05: every m up to 146 certifies on the capped
+    # grid after one or two refinements; from m = 147 the grid error there
+    # exceeds the bound, and the error names the cap
     params = constant_params(1.0, 3.0, 0.05)
     initial = AuxState(math.pi / 3, 0.0)
-    traj = solve_aux(initial, (0.0, 10.0), params, lambda_value(102, 3))
+    traj = solve_aux(initial, (0.0, 10.0), params, lambda_value(146, 3))
     assert traj.stats.sample_cap_hit and traj.stats.max_residual <= 1e-8
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
-        solve_aux(initial, (0.0, 10.0), params, lambda_value(103, 3))
+        solve_aux(initial, (0.0, 10.0), params, lambda_value(147, 3))
 
 
 def test_window_error_names_first_outside_time_not_the_grid():

@@ -48,6 +48,24 @@ def test_tail_criterion():
             assert poisson_tail(xi, m_max - 1) >= 1e-10
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+def test_poisson_tail_matches_pdtrc(xi):
+    # scipy's Poisson survival function is the reference: the tail agrees to
+    # rounding wherever it matters, and every truncation stays where it was
+    from scipy.special import pdtrc
+
+    for m_max in range(0, 80):
+        reference = float(pdtrc(m_max, xi * xi))
+        if reference > 1e-30:  # 20 orders below the truncation bound
+            assert abs(poisson_tail(xi, m_max) - reference) <= 1e-13 * reference
+        else:
+            assert poisson_tail(xi, m_max) <= 1e-30
+    m = 0
+    while pdtrc(m, xi * xi) >= 1e-10:
+        m += 1
+    assert m_max_for_tail(xi) == m
+
+
 def test_spec_validation():
     CoherentSpec(xi=1.0, m_max=12)
     with pytest.raises(TruncationError):
@@ -157,15 +175,15 @@ def test_inversion_shows_nontrivial_dynamics():
 
 def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     # a table coupling splits the window into segments; the whole family is
-    # one solve_ivp call per segment per pass, not one per block
+    # one DOP853 run per segment per pass, not one per block
     calls = []
-    real_solve_ivp = quadrature.solve_ivp
+    real_dop853 = quadrature.dop853
 
-    def counting_solve_ivp(*args, **kwargs):
+    def counting_dop853(*args, **kwargs):
         calls.append(args[1])
-        return real_solve_ivp(*args, **kwargs)
+        return real_dop853(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "solve_ivp", counting_solve_ivp)
+    monkeypatch.setattr(quadrature, "dop853", counting_dop853)
     params = TABLE_PARAMS
     rtol = 1e-10
     cs = CoherentSpec.for_xi(0.5)
@@ -213,16 +231,22 @@ def test_superposition_evaluates_the_family_once(monkeypatch, times):
 
 def test_family_fits_its_phases_once_per_segment(monkeypatch):
     # per segment: each certification pass differentiates every member, a
-    # chunk of members per spline fit, then one fit of int w serves the whole
-    # family; the phases themselves come with the solve
+    # chunk of members per stencil pass, then one running integral of w
+    # serves the whole family; the phases themselves come with the solve
     fits = []
-    real_spline = quadrature.make_interp_spline
+    real_derivative = quadrature._segment_derivative
+    real_antiderivative = quadrature._segment_antiderivative
 
-    def counting_spline(*args, **kwargs):
+    def counting_derivative(*args, **kwargs):
         fits.append(args[1].shape)
-        return real_spline(*args, **kwargs)
+        return real_derivative(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "make_interp_spline", counting_spline)
+    def counting_antiderivative(*args, **kwargs):
+        fits.append(args[1].shape)
+        return real_antiderivative(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_segment_derivative", counting_derivative)
+    monkeypatch.setattr(quadrature, "_segment_antiderivative", counting_antiderivative)
     cs = CoherentSpec.for_xi(0.5)
     sols = solve_block_family(cs, SPEC, TABLE_PARAMS, (0.0, 4.0), AuxState(math.pi / 3, 0.0))
     segments = len(TABLE_PARAMS.breakpoints(0.0, 4.0)) + 1

@@ -1,6 +1,10 @@
+import ast
 import importlib
 import math
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,39 @@ from scipy.interpolate import make_interp_spline
 
 import susyjc
 
-from susyjc import AuxState, ModelParams, SubspaceBlock, TimeProfile, lambda_value, solve_aux
+from susyjc import (
+    AuxState,
+    FockSpaceSpec,
+    ModelParams,
+    SubspaceBlock,
+    TimeProfile,
+    constant_params,
+    embed_state,
+    lambda_value,
+    propagate,
+    solve_aux,
+)
 from susyjc import quadrature
+from susyjc.auxiliary import _solve_family
+from susyjc.errors import ConfigurationError
 from susyjc.evolution import PhaseIntegrals
-from susyjc.quadrature import PiecewiseDense, _spline, cumulative_antiderivative, segmented_grid
+from susyjc.quadrature import (
+    RTOL_FLOOR,
+    PiecewiseDense,
+    cumulative_antiderivative,
+    dop853,
+    segmented_grid,
+    spline_derivative,
+)
+
+# the chirp/table/sinusoid drive of the benchmark's driven scenario
+DRIVEN = ModelParams(
+    omega=TimeProfile.constant(1.0),
+    omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+    g_mod=TimeProfile.table([0.0, 2.5, 5.0, 7.5, 10.0], [0.05, 0.08, 0.04, 0.07, 0.05]),
+    g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+    k=3,
+)
 
 
 def test_piecewise_dense_single_time_matches_array_column():
@@ -62,12 +95,17 @@ def test_segmented_grid_gives_a_short_segment_eight_samples():
 
 def test_only_quadrature_integrates_or_splines():
     # segments are handled in one module: no other module binds the ODE
-    # solver or the spline constructor
+    # solver or the per-segment stencils
+    workers = (
+        quadrature.dop853,
+        quadrature._segment_derivative,
+        quadrature._segment_antiderivative,
+    )
     binders = {
         info.name
         for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
         for value in vars(importlib.import_module(info.name)).values()
-        if value is solve_ivp or value is make_interp_spline
+        if any(value is worker for worker in workers)
     }
     assert binders == {"susyjc.quadrature"}
 
@@ -112,21 +150,29 @@ def test_multi_column_antiderivative_matches_per_column_calls():
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1-D", "2-D", "3-D"])
-def test_antiderivative_matches_scipy_bit_for_bit(shape):
-    # on one segment the running integral is scipy's spline antiderivative,
-    # less its start value, column by column
-    ts = np.linspace(0.0, 3.0, 60)
-    ys = np.sin(np.multiply.outer(ts, np.arange(1.0, 1.0 + np.prod(shape, dtype=int))))
-    ours = cumulative_antiderivative(ts, ys.reshape(ts.shape + shape))
-    theirs = _spline(ts, ys).antiderivative()
-    times = np.linspace(0.0, 3.0, 41)
-    expected = (theirs(times) - theirs(ts[0])).T
-    assert np.array_equal(ours(times), expected if shape else expected[0])
+def test_antiderivative_matches_closed_forms_across_kinks(shape):
+    # sin(j t) + |t - 5| on the segmented floor grid, a kink at the edge
+    # t = 5: each column's running integral is its closed form, at any time
+    # in the window, in the shapes of the integrand's trailing axes
+    ts, edge_indices = segmented_grid(np.array([0.0, 2.5, 5.0, 7.5, 10.0]), 2001)
+    rates = np.arange(1.0, 1.0 + np.prod(shape, dtype=int))
+    kink = np.abs(ts - 5.0)[:, None]
+    ys = np.sin(np.multiply.outer(ts, rates)) + kink
+    ours = cumulative_antiderivative(ts, ys.reshape(ts.shape + shape), edge_indices)
+    times = np.concatenate([np.linspace(0.0, 10.0, 997), [2.5, 5.0, 5.0 + 1e-9, 7.5]])
+    ramp = np.where(times <= 5.0, 5.0 * times - times**2 / 2, 12.5 + (times - 5.0) ** 2 / 2)
+    exact = (1.0 - np.cos(np.multiply.outer(rates, times))) / rates[:, None] + ramp
+    got = ours(times)
+    assert got.shape == ((rates.size,) if shape else ()) + times.shape
+    assert np.max(np.abs(got - (exact if shape else exact[0]))) <= 1e-12
+    at = (1.0 - np.cos(rates * 7.3)) / rates + 12.5 + 2.3**2 / 2  # one scalar time
+    assert np.shape(ours(7.3)) == np.shape(got[..., 0])
+    assert np.max(np.abs(ours(7.3) - (at if shape else at[0]))) <= 1e-12
 
 
 def test_phase_integrals_fit_once_per_segment(monkeypatch):
     # the phases come with the solve; int w, the one running integral left
-    # to quadrature, takes one spline fit per smooth segment
+    # to quadrature, takes one pass per smooth segment
     knots = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
@@ -138,12 +184,182 @@ def test_phase_integrals_fit_once_per_segment(monkeypatch):
     block = SubspaceBlock(m=2, k=3, cutoff=8)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
     fits = []
+    real = quadrature._segment_antiderivative
 
     def counted(*args, **kwargs):
         fits.append(args[0].size)
-        return make_interp_spline(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "make_interp_spline", counted)
+    monkeypatch.setattr(quadrature, "_segment_antiderivative", counted)
     PhaseIntegrals([traj], [block])
     assert len(fits) == len(traj.edge_indices) - 1 == 4
     assert sum(fits) == traj.times.size + 3  # each interior edge sample starts and ends a fit
+
+
+def _captured_runs(monkeypatch, solve):
+    """(args, result) of every DOP853 run that ``solve()`` makes."""
+    runs = []
+
+    def recording(rhs, span, y0, rtol, atol):
+        result = dop853(rhs, span, y0, rtol, atol)
+        runs.append(((rhs, tuple(span), np.array(y0), rtol, atol), result))
+        return result
+
+    monkeypatch.setattr(quadrature, "dop853", recording)
+    solve()
+    monkeypatch.undo()
+    assert runs
+    return runs
+
+
+def _stacked_oracle(window):
+    spec = FockSpaceSpec(cutoff=16, k=3, guard=3)
+    params = constant_params(1.0, 3.0, 0.05)
+    turn = [math.cos(0.4), math.sin(0.4) * 1j]
+    stack = np.array([embed_state(SubspaceBlock.for_space(spec, m), turn) for m in (0, 1, 2)])
+    return lambda: propagate(stack, window, params, spec, t_eval=np.linspace(0.0, 5.0, 11))
+
+
+@pytest.mark.parametrize(
+    "solve,segments",
+    [
+        pytest.param(
+            lambda: _solve_family(
+                AuxState(math.pi / 3, 0.0),
+                (0.0, 10.0),
+                constant_params(1.0, 3.0, 0.05),
+                [lambda_value(m, 3) for m in (0, 1, 2)],
+                certify=False,
+            ),
+            1,
+            id="bloch-family-real",
+        ),
+        pytest.param(_stacked_oracle((0.0, 5.0)), 1, id="stacked-oracle-complex-forward"),
+        pytest.param(_stacked_oracle((5.0, 0.0)), 1, id="stacked-oracle-complex-backward"),
+        pytest.param(
+            lambda: solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3)),
+            4,
+            id="table-kinked-window",
+        ),
+    ],
+)
+def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
+    # scipy's solve_ivp is the reference: the same accepted step times and
+    # right-hand-side calls, and dense output equal to rounding, on the real
+    # (5M,) family vector, the complex stacked oracle both ways and a
+    # window cut at table knots
+    runs = _captured_runs(monkeypatch, solve)
+    assert len(runs) == segments
+    for (rhs, span, y0, rtol, atol), ours in runs:
+        ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+        assert np.array_equal(ours.times, ref.t)
+        assert ours.nfev == ref.nfev
+        assert ours.states.dtype == ref.y.dtype
+        assert np.array_equal(ours.states, ref.y)
+        times = np.linspace(span[0], span[1], 333)
+        scale = np.max(np.abs(ref.sol(times)))
+        assert np.max(np.abs(ours(times) - ref.sol(times))) <= 1e-14 * scale
+        assert np.max(np.abs(ours(times[100]) - ref.sol(times[100]))) <= 1e-14 * scale
+
+
+def test_dop853_rejects_an_rtol_below_its_floor():
+    # the callers clamp at the floor; the solver itself does not clamp quietly
+    with pytest.raises(ConfigurationError, match="below the DOP853 floor"):
+        dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), 0.5 * RTOL_FLOOR, 1e-12)
+    ours = dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), RTOL_FLOOR, 1e-15)
+    assert abs(ours.states[0, -1] - math.exp(-1.0)) < 1e-14
+
+
+def test_dop853_on_an_empty_window_stays_put():
+    ours = dop853(lambda t, y: 1j * y, (2.0, 2.0), np.array([1.0 + 0j, 0.5j]), 1e-10, 1e-12)
+    assert ours.times.tolist() == [2.0] and ours.nfev == 1 and ours.message is None
+    assert np.array_equal(ours(2.0), [1.0, 0.5j])
+    assert ours(np.array([2.0, 2.0])).shape == (2, 2)
+
+
+def _spline_derivative_reference(ts, ys, edge_indices):
+    """Quintic-spline derivative per segment, an edge taking the next segment's value."""
+    out = np.empty_like(ys)
+    for a, b in zip(edge_indices[:-1], edge_indices[1:]):
+        spline = make_interp_spline(ts[a : b + 1], ys[a : b + 1], k=5)
+        out[a : b + 1] = spline.derivative()(ts[a : b + 1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[0.0, 10.0], [0.0, 2.5, 5.0, 7.5, 10.0], [0.0, 0.3, 7.1, 9.99, 10.0]],
+    ids=["smooth", "kinked", "short-segments"],
+)
+def test_stencil_derivative_matches_the_spline_derivative(edges):
+    # sixth-order stencils against the quintic splines they replace, and
+    # both against the exact derivative, with a kink at every interior edge
+    ts, edge_indices = segmented_grid(np.array(edges), 2001)
+    kinks = sum(np.abs(ts - e) for e in edges[1:-1])
+    ys = np.stack([np.sin(1.3 * ts) + kinks, np.cos(0.7 * ts) * np.exp(-0.1 * ts)], axis=1)
+    slope = sum(np.where(ts >= e, 1.0, -1.0) for e in edges[1:-1])  # an edge takes the right side
+    exact = np.stack(
+        [
+            1.3 * np.cos(1.3 * ts) + slope,
+            -np.exp(-0.1 * ts) * (0.7 * np.sin(0.7 * ts) + 0.1 * np.cos(0.7 * ts)),
+        ],
+        axis=1,
+    )
+    ours = spline_derivative(ts, ys, edge_indices)
+    splined = _spline_derivative_reference(ts, ys, edge_indices)
+    assert ours.shape == ys.shape
+    assert np.max(np.abs(ours - exact)) < 1e-9
+    assert np.max(np.abs(ours - splined)) < 1e-8
+    # complex samples with trailing axes: each entry is its own series
+    waves = np.exp(1j * np.multiply.outer(ts, [[0.5, 1.0], [1.5, 2.0]]))
+    dwaves = spline_derivative(ts, waves, edge_indices)
+    assert dwaves.shape == waves.shape and dwaves.dtype == complex
+    assert np.max(np.abs(dwaves - 1j * np.array([[0.5, 1.0], [1.5, 2.0]]) * waves)) < 1e-9
+
+
+def test_stencils_need_a_uniform_segment_of_seven_samples():
+    ts = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(ConfigurationError, match="not uniform"):
+        spline_derivative(ts**2, np.sin(ts))
+    with pytest.raises(ConfigurationError, match="not uniform"):
+        cumulative_antiderivative(np.geomspace(1.0, 2.0, 50), np.sin(ts))
+    # a kinked grid read as one segment is not uniform either
+    grid, _ = segmented_grid(np.array([0.0, 0.3, 10.0]), 200)
+    with pytest.raises(ConfigurationError, match="not uniform"):
+        spline_derivative(grid, np.sin(grid))
+    with pytest.raises(ConfigurationError, match="6 samples is shorter than 7"):
+        spline_derivative(ts[:6], ts[:6])
+    assert np.allclose(spline_derivative(ts[:7], 3.0 * ts[:7]), 3.0)
+    # a short segment far from t = 0 is uniform up to the rounding of its times
+    tiny = np.linspace(5.0, 5.0 + 1e-9, 8)
+    assert np.ptp(np.diff(tiny)) > 1e-6 * 1e-9 / 7
+    assert np.allclose(spline_derivative(tiny, 2.0 * tiny), 2.0, rtol=1e-3)  # rounding / h
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # numpy and the standard library are the whole runtime
+    src = str(Path(susyjc.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import susyjc.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    # not at the top and not inside a function: a lazy import would hide
+    # its cost from the start-up time while every run still pays it
+    package = Path(susyjc.__file__).resolve().parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
