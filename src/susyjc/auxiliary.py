@@ -27,6 +27,10 @@ as (4M,) rows for every reader: the thetas, the phis, then B and G, with
 theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0)
 kept continuous (:func:`_angle_chart`).
 
+The blocks m of a run differ only in lambda, which scales the coupling by
+sqrt(lam), so one solve carries them all as members, from shared initial
+angles or one start each (:func:`_solve_family`); :func:`solve_aux` is M = 1.
+
 The chart rates (theta', phi') keep their home in :func:`aux_rhs`.  No
 route is trusted: every accepted trajectory is certified against the
 complex angle equations as printed (residual_check), by sixth-order
@@ -261,7 +265,7 @@ def _bloch_rhs(params: ModelParams, lams, t0: float, delta0: float):
     return rhs
 
 
-def _angle_chart(steps, members: int, phi0: float, t0: float, delta0: float):
+def _angle_chart(steps, phi0: np.ndarray, t0: float, delta0: float):
     """``to_angles(n, t)``: the (2M, n_t) thetas and lab-frame phis of the M
     frame vectors in the first 3M rows of solve states n at the times t.
 
@@ -273,9 +277,9 @@ def _angle_chart(steps, members: int, phi0: float, t0: float, delta0: float):
     conversion is elementwise: any set of times gives the same values.
     """
     nodes, states = steps
+    members = phi0.size
     x, y = states[:members], states[members : 2 * members]
-    start = np.full((members, 1), float(phi0))
-    bases = np.unwrap(np.concatenate([start, np.arctan2(y, -x)], axis=1), axis=1)[:, 1:]
+    bases = np.unwrap(np.concatenate([phi0[:, None], np.arctan2(y, -x)], axis=1), axis=1)[:, 1:]
     last = nodes.size - 1
 
     def to_angles(n, t):
@@ -331,7 +335,8 @@ def _solve_family(
     atol: float = 1e-12,
     certify: bool = True,
 ) -> list[AuxTrajectory]:
-    """:func:`solve_aux` for M lambdas from the same initial angles, in one solve.
+    """:func:`solve_aux` for M lambdas in one solve, from ``initial``'s float
+    angles, shared, or its (M,) arrays, one start per member.
 
     The state is (5M,): the M members' frame vectors, then their B and G,
     both zero at t0 (module docstring), so the solver's per-step cost is
@@ -357,12 +362,15 @@ def _solve_family(
     if not t1 > t0:
         raise ConfigurationError(f"window must satisfy t1 > t0, got {window}")
     members = len(lams)
-    solo = members == 1
     shrink = math.sqrt(members)
     lam_rows = np.asarray(lams, dtype=float)[:, None]
+    try:
+        theta0, phi0 = np.broadcast_arrays(initial.theta, initial.phi, np.zeros(members))[:2]
+    except ValueError as exc:
+        raise ConfigurationError(f"initial angles do not fit {members} members: {exc}") from exc
 
     def located(message, member_lam):
-        return message if solo else f"{message} (lambda={float(member_lam)})"
+        return message if members == 1 else f"{message} (lambda={float(member_lam)})"
 
     def at_pole(time, member_lam):
         message = f"trajectory reached a polar angle singularity near t={time}"
@@ -393,13 +401,15 @@ def _solve_family(
         times, edge_indices = segmented_grid(edges, min(n_auto, _SAMPLE_CAP))
         frame = _frame(params, times)
     coupled = bool(np.any(frame[2] != 0))
-    if coupled and abs(math.sin(initial.theta)) < THETA_MIN:
-        raise at_pole(t0, lams[0])
+    starts = list(zip(theta0.tolist(), phi0.tolist()))
+    polar = [lam for lam, (theta, _) in zip(lams, starts) if abs(math.sin(theta)) < THETA_MIN]
+    if coupled and polar:
+        raise at_pole(t0, polar[0])
 
     rhs = _bloch_rhs(params, lams, t0, delta0)
-    sin_t = math.sin(initial.theta)
-    n0 = [-sin_t * math.cos(initial.phi), sin_t * math.sin(initial.phi), math.cos(initial.theta)]
-    y0 = np.concatenate([np.repeat(n0, members), np.zeros(2 * members)])
+    # math, not numpy, trigonometry: a shared start gives M copies of one vector
+    n0 = [(-math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)) for a, b in starts]
+    y0 = np.concatenate([np.array(n0).T.ravel(), np.zeros(2 * members)])
 
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
@@ -410,7 +420,7 @@ def _solve_family(
         vectors, n_steps, nfev, steps = integrate_segments(
             rhs, (t0, t1), y0, params, solver_rtol, atols, failed
         )
-        to_angles = _angle_chart(steps, members, initial.phi, t0, delta0)
+        to_angles = _angle_chart(steps, phi0, t0, delta0)
 
         def rows(state, t):
             return np.concatenate([to_angles(state, t), state[3 * members :]])

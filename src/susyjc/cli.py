@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .adiabatic import berry_phase_cycle, berry_phase_numeric, build_adiabatic_scenario
-from .auxiliary import AuxState, adiabatic_matched_theta, solve_aux
+from .auxiliary import AuxState, _solve_family, adiabatic_matched_theta
 from .blocks import SubspaceBlock, block_components, embed_state, verify_block_closure
 from .coherent import CoherentSpec, atomic_inversion, build_coherent_state, solve_block_family
 from .errors import (
@@ -276,16 +276,12 @@ class CsvWriter:
             fh.write(",".join(self.header) + "\n" + rows)
 
 
-def _initial_state(cfg: ScenarioConfig, lam: int) -> AuxState:
+def _theta0(cfg: ScenarioConfig, lam: int) -> float:
     if cfg.adiabatic_matched:
-        theta0 = adiabatic_matched_theta(cfg.params, lam)
-    else:
-        if cfg.theta0 is None:
-            raise ConfigurationError(
-                "missing required key aux.theta0 (or set aux.adiabatic_matched)"
-            )
-        theta0 = cfg.theta0
-    return AuxState(theta0, cfg.phi0)
+        return adiabatic_matched_theta(cfg.params, lam)
+    if cfg.theta0 is None:
+        raise ConfigurationError("missing required key aux.theta0 (or set aux.adiabatic_matched)")
+    return cfg.theta0
 
 
 def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -323,36 +319,29 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
 
     blocks = [SubspaceBlock.for_space(cfg.spec, m) for m in cfg.m_list]
-    trajs = [
-        solve_aux(
-            _initial_state(cfg, block.lam),
-            (0.0, cfg.t_final),
-            cfg.params,
-            block.lam,
-            rtol=cfg.aux_rtol,
-            atol=cfg.aux_atol,
-        )
-        for block in blocks
-    ]
+    lams = [block.lam for block in blocks]
+    initial = AuxState(np.array([_theta0(cfg, lam) for lam in lams]), cfg.phi0)
+    # one angle solve for every block, sampled once for every CSV below
+    trajs = _solve_family(
+        initial, (0.0, cfg.t_final), cfg.params, lams, rtol=cfg.aux_rtol, atol=cfg.aux_atol
+    )
+    sample = PhaseIntegrals(trajs, blocks).sample(ts)
+    angles, integrals = sample
 
     runs = []  # (block, sigma, the block's exact amplitudes on ts), one per oracle column
-    for block, traj, m in zip(blocks, trajs, cfg.m_list):
+    for j, (block, traj, m) in enumerate(zip(blocks, trajs, cfg.m_list)):
         residuals = np.interp(ts, traj.times, traj.residuals)
-        # one sample of the block's angles and phase integrals feeds every CSV below
-        sample = PhaseIntegrals([traj], [block]).sample(ts)
-        angles, integrals = sample
-
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
-        w.write([ts, angles.theta[0], angles.phi[0], residuals])
-
+        w.write([ts, angles.theta[j], angles.phi[j], residuals])
         w = CsvWriter(
             out_dir / f"phases_m{m}.csv",
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
+        rows = integrals[3 * j : 3 * j + 3]
+        plus, minus = _ledger(+1, rows), _ledger(-1, rows)
         w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
-        runs += [(block, sigma, _amplitudes(sample, 0, sigma)) for sigma in cfg.sigmas]
+        runs += [(block, sigma, _amplitudes(sample, j, sigma)) for sigma in cfg.sigmas]
 
     if cfg.oracle_enabled:
         # every (block, sigma) run is one column of one oracle integration
@@ -440,7 +429,7 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
         raise ConfigurationError("missing required key coherent.xi")
     cspec = CoherentSpec.for_xi(cfg.coherent_xi, sigma=cfg.coherent_sigma)
     lam0 = SubspaceBlock.for_space(cfg.spec, 0).lam
-    initial = _initial_state(cfg, lam0)
+    initial = AuxState(_theta0(cfg, lam0), cfg.phi0)
     solutions = solve_block_family(
         cspec,
         cfg.spec,

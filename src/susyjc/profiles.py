@@ -87,41 +87,41 @@ class TimeProfile:
         inside = (self.times > t0) & (self.times < t1)
         return np.asarray(self.times[inside], dtype=float)
 
+    def _at(self, t: float) -> float:
+        """The profile at one float t: ``__call__``'s array operations in the same
+        order, with the same errors, minus numpy's per-call cost (for ODE rates)."""
+        if self.kind == "constant":
+            out = self.coeffs[0]
+        elif self.kind == "linear":
+            c0, c1 = self.coeffs
+            out = c0 + c1 * t
+        elif self.kind == "sinusoid":
+            c0, amp, freq, ph = self.coeffs
+            out = c0 + amp * _sin(freq * t + ph)
+        elif self.kind == "chirp":
+            c0, amp, freq, sweep, ph = self.coeffs
+            out = c0 + amp * _sin((freq + sweep * t) * t + ph)
+        else:  # table
+            ts, vs = self._table
+            if t < ts[0] or t > ts[-1]:
+                raise EvaluationError(f"t outside table domain [{ts[0]}, {ts[-1]}]")
+            # as np.interp: nan stays nan, a knot or the right end gives
+            # its sample exactly, else slope * (t - t_j) + v_j
+            j = bisect_right(ts, t) - 1
+            if t != t:
+                out = t
+            elif j == len(ts) - 1 or ts[j] == t:
+                out = vs[j]
+            else:
+                slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+                out = slope * (t - ts[j]) + vs[j]
+        if not math.isfinite(out):
+            raise EvaluationError(f"profile {self.kind} evaluated non-finite at t={t}")
+        return out
+
     def __call__(self, t):
         if _is_scalar(t):
-            # The array path below on one Python float: the same operations
-            # in the same order and the same errors, minus numpy's per-call
-            # overhead (the ODE right-hand sides call this once per step).
-            t = float(t)
-            if self.kind == "constant":
-                out = self.coeffs[0]
-            elif self.kind == "linear":
-                c0, c1 = self.coeffs
-                out = c0 + c1 * t
-            elif self.kind == "sinusoid":
-                c0, amp, freq, ph = self.coeffs
-                out = c0 + amp * _sin(freq * t + ph)
-            elif self.kind == "chirp":
-                c0, amp, freq, sweep, ph = self.coeffs
-                out = c0 + amp * _sin((freq + sweep * t) * t + ph)
-            else:  # table
-                ts, vs = self._table
-                if t < ts[0] or t > ts[-1]:
-                    raise EvaluationError(f"t outside table domain [{ts[0]}, {ts[-1]}]")
-                # as np.interp: nan stays nan, a knot or the right end gives
-                # its sample exactly, else slope * (t - t_j) + v_j
-                j = bisect_right(ts, t) - 1
-                if t != t:
-                    out = t
-                elif j == len(ts) - 1 or ts[j] == t:
-                    out = vs[j]
-                else:
-                    slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
-                    out = slope * (t - ts[j]) + vs[j]
-            if not math.isfinite(out):
-                raise EvaluationError(f"profile {self.kind} evaluated non-finite at t={t}")
-            return out
-
+            return self._at(float(t))
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
             out = np.full_like(t, self.coeffs[0])
@@ -173,13 +173,13 @@ class ModelParams:
 
     def evaluate(self, t):
         """(omega, omega0, g) at time t; g is returned as a complex scalar."""
-        if _is_scalar(t):
+        if _is_scalar(t):  # once, for the four profiles
             t = float(t)
-            mod = self.g_mod(t)
+            mod = self.g_mod._at(t)
             if mod < 0:
                 raise EvaluationError(f"coupling modulus negative at t={t}")
-            g = mod * cmath.exp(1j * self.g_phase(t))
-            return self.omega(t), self.omega0(t), g
+            g = mod * cmath.exp(1j * self.g_phase._at(t))
+            return self.omega._at(t), self.omega0._at(t), g
         mod = self.g_mod(t)
         if np.any(np.asarray(mod) < 0):
             raise EvaluationError(f"coupling modulus negative at t={t}")

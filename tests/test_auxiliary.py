@@ -635,3 +635,34 @@ def test_family_members_match_their_solo_solves(theta0, g, detuning, ms, t_final
         got = member.state_at(solo.times)
         assert np.max(np.abs(got.theta - solo.thetas)) <= 1e-7
         assert np.max(np.abs(got.phi - solo.phis)) <= 1e-7
+
+
+def test_family_members_start_from_their_own_angles():
+    # an (M,) initial gives each member its own start, as its solo solve;
+    # M equal entries build the scalar start's state bit for bit
+    params = constant_params(1.0, 3.0, 0.05)
+    lams = [LAM6, lambda_value(1, 3)]
+    starts = [(math.pi / 3, 0.0), (2.0, 0.5)]
+    initial = AuxState(np.array([s[0] for s in starts]), np.array([s[1] for s in starts]))
+    family = _solve_family(initial, (0.0, 8.0), params, lams)
+    for (theta0, phi0), lam, member in zip(starts, lams, family):
+        solo = solve_aux(AuxState(theta0, phi0), (0.0, 8.0), params, lam)
+        got = member.state_at(solo.times)
+        assert (member.thetas[0], member.phis[0]) == (theta0, phi0)
+        assert np.max(np.abs(got.theta - solo.thetas)) <= 1e-9
+        assert np.max(np.abs(got.phi - solo.phis)) <= 1e-9
+    shared = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 8.0), params, lams)
+    copies = _solve_family(AuxState(np.full(2, math.pi / 3), np.zeros(2)), (0.0, 8.0), params, lams)
+    for a, b in zip(shared, copies):
+        assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis)
+
+
+def test_family_start_at_a_pole_names_that_member():
+    params = constant_params(1.0, 3.0, 0.05)
+    lams = [LAM6, lambda_value(1, 3)]
+    initial = AuxState(np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(SingularityError, match=r"\(lambda=24\.0\)$") as err:
+        _solve_family(initial, (0.0, 1.0), params, lams)
+    assert err.value.time == 0.0
+    with pytest.raises(ConfigurationError, match="do not fit 2 members"):
+        _solve_family(AuxState(np.ones(3), 0.0), (0.0, 1.0), params, lams)

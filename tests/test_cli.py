@@ -170,9 +170,10 @@ def test_oracle_drift_line_follows_bound_line(tmp_path, capsys):
     ]
 
 
-def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
-    # propagate: one per block, shared by both branches and the phases CSV;
-    # coherent: one for the whole block family of its one angle solve
+def test_propagate_builds_one_phase_integrals_for_all_its_blocks(tmp_path, monkeypatch):
+    # one per run, on its one angle solve: propagate's holds all of its
+    # blocks, shared by both branches and the phases CSVs; coherent's holds
+    # the whole block family
     from susyjc.coherent import CoherentSpec
     from susyjc.evolution import PhaseIntegrals
 
@@ -186,7 +187,7 @@ def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
     monkeypatch.setattr(PhaseIntegrals, "__init__", counting)
     cfg = BASE.replace("m = 0", "m = 0, 1").replace("enabled = true", "enabled = false")
     assert main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
-    assert built == [[0], [1]]
+    assert built == [[0, 1]]
 
     built.clear()
     cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
@@ -197,9 +198,9 @@ def test_propagate_builds_one_phase_integrals_per_block(tmp_path, monkeypatch):
 
 def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
     # the exact states are sampled on the whole time grid in one call:
-    # propagate samples each block's angles and phase integrals once for all
-    # of its CSVs; coherent builds one superposition, which reads the block
-    # family once and no member on its own
+    # propagate samples the angles and phase integrals of all of its blocks
+    # once for all of its CSVs; coherent builds one superposition, which reads
+    # the block family once and no member on its own
     from susyjc import cli
     from susyjc.coherent import CoherentSpec
     from susyjc.evolution import ExactSolution
@@ -236,8 +237,8 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     monkeypatch.setattr(PiecewiseDense, "__call__", counting_grid)
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1").replace(ORACLE, "enabled = false"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    # per block: its (4,) angle and phase output once, its int w once
-    assert calls["grid_rows"] == [4, 1, 4, 1]
+    # the (4M,) angle and phase output of the blocks' one solve once, int w once
+    assert calls["grid_rows"] == [8, 1]
     assert calls["state_at"] == []
 
     monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
@@ -529,6 +530,80 @@ def test_adiabatic_matched_initial_condition(tmp_path):
     # matched angle solves the steady constraint and stays put
     assert np.max(np.abs(theta - theta[0])) < 1e-7
     assert abs(theta[0] - math.pi / 3) < 1e-10
+
+
+def test_propagate_blocks_match_their_solo_solves(tmp_path, capsys):
+    # the blocks' one family solve gives every block the angles and phases
+    # of its own solo solve, and the oracle's amplitude bound still holds
+    from susyjc import AuxState, solve_aux
+    from susyjc.blocks import SubspaceBlock
+    from susyjc.evolution import PhaseIntegrals, _ledger
+
+    path = write(tmp_path, BASE.replace("m = 0", "m = 0, 1, 2") + "\n[output]\nprecision = 17\n")
+    cfg = load_config(path)
+    out = tmp_path / "o"
+    assert main(["propagate", "--config", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    amplitude = re.search(r"^max oracle amplitude error: (\S+) \(bound 1e-08\)$", stdout, re.M)
+    assert amplitude and float(amplitude[1]) <= 1e-8
+    ts = np.linspace(0.0, cfg.t_final, cfg.samples)
+    for m in (0, 1, 2):
+        block = SubspaceBlock.for_space(cfg.spec, m)
+        solo = solve_aux(AuxState(cfg.theta0, cfg.phi0), (0.0, cfg.t_final), cfg.params, block.lam)
+        angles, integrals = PhaseIntegrals([solo], [block]).sample(ts)
+        plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
+        expected = {
+            f"trajectory_m{m}.csv": {"theta": angles.theta[0], "phi": angles.phi[0]},
+            f"phases_m{m}.csv": {
+                "phi_d_plus": plus.phi_d,
+                "phi_g_plus": plus.phi_g,
+                "phi_d_minus": minus.phi_d,
+                "phi_g_minus": minus.phi_g,
+            },
+        }
+        for name, columns in expected.items():
+            for column, values in columns.items():
+                assert np.max(np.abs(read_column(out / name, column) - values)) <= 1e-9, (m, column)
+
+
+def test_adiabatic_matched_blocks_start_at_their_own_theta(tmp_path):
+    # matched theta0 depends on lambda: each block of the one solve starts at
+    # its own, and stays there
+    from susyjc import adiabatic_matched_theta
+    from susyjc.blocks import SubspaceBlock
+
+    text = BASE.replace("theta0 = 1.0471975511965976", "adiabatic_matched = true")
+    text = text.replace("m = 0", "m = 0, 1")
+    text = text.replace("omega0.value = 3.0", "omega0.value = 1.8585786437626906")
+    text = text.replace(
+        "g_phase.kind = constant\ng_phase.value = 0.0",
+        "g_phase.kind = linear\ng_phase.intercept = 0.0\ng_phase.slope = -1.0",
+    )
+    path = write(tmp_path, text)
+    cfg = load_config(path)
+    out = tmp_path / "am"
+    assert main(["propagate", "--config", path, "--out", str(out)]) == 0
+    starts = []
+    for m in (0, 1):
+        theta = read_column(out / f"trajectory_m{m}.csv", "theta")
+        lam = SubspaceBlock.for_space(cfg.spec, m).lam
+        assert abs(theta[0] - adiabatic_matched_theta(cfg.params, lam)) < 1e-10
+        assert np.max(np.abs(theta - theta[0])) < 1e-7
+        starts.append(theta[0])
+    assert abs(starts[0] - math.pi / 3) < 1e-10 and abs(starts[1] - starts[0]) > 0.1
+
+
+def test_a_block_at_a_pole_is_named_by_its_lambda(tmp_path, capsys):
+    # in a multi-block run the larger lambda (m = 1) reaches the pole first;
+    # the error names it, and the exit code is the solo run's
+    cfg = BASE.replace("m = 0", "m = 0, 1").replace("g_mod.value = 0.05", "g_mod.value = 0.3")
+    cfg = cfg.replace("g_phase.value = 0.0", "g_phase.value = 1.5707963267948966")
+    cfg = cfg.replace("theta0 = 1.0471975511965976", "theta0 = 0.35")
+    code = main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("verification failure at t=")
+    assert err.rstrip().endswith("(lambda=24.0)")
 
 
 def test_propagate_makes_one_oracle_call_for_every_block_and_sigma(tmp_path, monkeypatch):
