@@ -380,11 +380,11 @@ def _solve_family(
     delta0 = params.k * omega - omega0  # the frame of H's uncoupled diagonal at t0
 
     # Sample density rule, from the profiles on the floor grid: a component
-    # of amplitude a at rate w of the frame vector costs a quintic spline's
-    # derivative ~ a w (h w)^5, kept within 10 * rtol, an order below the
-    # bound (the certificate's sixth-order stencils do better).  The vector
-    # precesses at 2 |h'| (a = 1); h''s coupling part c = 2 sqrt(lam) |g|
-    # turns at Delta0 + (arg g)', a wobble of a = c / w.
+    # of amplitude a at rate w of the frame vector costs the certificate's
+    # sixth-order stencils a derivative error ~ a w (h w)^6, kept within
+    # 10 * rtol, an order below the bound.  The vector precesses at 2 |h'|
+    # (a = 1); h''s coupling part c = 2 sqrt(lam) |g| turns at
+    # Delta0 + (arg g)', a wobble of a = c / w.
     edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
     times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
     frame = _frame(params, times)
@@ -392,8 +392,8 @@ def _solve_family(
     precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
     turning = float(np.max(np.abs(delta0 + np.gradient(params.g_phase(times), times))))
     budget = max(10.0 * rtol, 1e-13)
-    rates = precession * (precession / budget) ** 0.2
-    rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** 0.2)
+    rates = precession * (precession / budget) ** (1 / 6)
+    rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
     # factor 2: the motion's harmonics sit above these rates
     n_auto = 2 * int(np.ceil((t1 - t0) * rates))
     capped = n_auto > _SAMPLE_CAP

@@ -264,13 +264,13 @@ class CsvWriter:
     def __init__(self, path: Path, header: list[str], precision: int):
         self.path = path
         self.header = header
-        self.fmt = f"{{:.{precision}g}}"
+        self.fmt = f"%.{precision}g"
 
     def write(self, columns):
         """One line per row of the equal-length ``columns``, after the header."""
         columns = [np.asarray(column, dtype=float).tolist() for column in columns]
         line = ",".join([self.fmt] * len(columns)) + "\n"
-        rows = "".join(line.format(*row) for row in zip(*columns))
+        rows = "".join([line % row for row in zip(*columns)])
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "w") as fh:
             fh.write(",".join(self.header) + "\n" + rows)

@@ -22,8 +22,16 @@ from susyjc import (
     solve_aux,
 )
 from susyjc import auxiliary
-from susyjc.auxiliary import _SAMPLE_CAP, AuxTrajectory, _bisect, _solve_family, residual_series
-from susyjc.quadrature import PiecewiseDense, spline_derivative
+from susyjc.auxiliary import (
+    _SAMPLE_CAP,
+    AuxTrajectory,
+    _bisect,
+    _frame,
+    _printed_residual,
+    _solve_family,
+    residual_series,
+)
+from susyjc.quadrature import PiecewiseDense, segmented_grid, spline_derivative
 
 LAM6 = lambda_value(0, 3)
 
@@ -465,7 +473,7 @@ def test_constant_profiles_match_the_exact_precession(k, omega0, g_mod, g_phase,
     "params,lam,n_samples,capped",
     [
         pytest.param(constant_params(1.0, 3.0, 2.0), 1716, _SAMPLE_CAP, True, id="g2-lambda1716-capped"),
-        pytest.param(constant_params(1.0, 3.0, 0.05), 1716, 6948, False, id="g0.05-lambda1716-uncapped"),
+        pytest.param(constant_params(1.0, 3.0, 0.05), 1716, 3322, False, id="g0.05-lambda1716-uncapped"),
         pytest.param(constant_params(0.1, 0.0, 0.0), LAM6, 2001, False, id="detuning-0.3-floor"),
     ],
 )
@@ -523,6 +531,39 @@ def test_detuned_coupled_drive_sizes_the_grid_for_its_turn():
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lambda_value(5, 3))
     assert traj.stats.n_samples > 4 * 2001
     assert traj.stats.refinements == 0 and traj.stats.max_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "theta0,t1,params,ms",
+    [
+        pytest.param(0.02, 10.0, constant_params(1.0, 3.0, 0.05), [10], id="near-pole-lambda1716"),
+        pytest.param(math.pi / 3, 5.0, constant_params(1.0, 3.0, 0.05), range(13), id="coherent-xi1"),
+        pytest.param(math.pi / 3, 10.0, DRIVEN, [2, 10], id="driven-table-knots"),
+    ],
+)
+def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, params, ms):
+    # the rule sizes the grid so that the sixth-order stencils add at most
+    # 10 rtol to the printed residual: on a grid twice as dense their error
+    # is 64 times smaller, so each member's worst residual moves by less
+    rtol = 1e-10
+    lams = [lambda_value(m, 3) for m in ms]
+    trajs = _solve_family(AuxState(theta0, 0.0), (0.0, t1), params, lams, rtol=rtol)
+    n = trajs[0].stats.n_samples
+    assert n > 2001 and not trajs[0].stats.sample_cap_hit
+    edges = np.concatenate([[0.0], params.breakpoints(0.0, t1), [t1]])
+    lam_rows = np.array(lams, dtype=float)[:, None]
+    worst = []
+    for size in (n, 2 * n - 1):
+        times, edge_indices = segmented_grid(edges, size)
+        states = [traj.state_at(times) for traj in trajs]
+        thetas = np.array([state.theta for state in states])
+        phis = np.array([state.phi for state in states])
+        frame = _frame(params, times)
+        series = _printed_residual(times, edge_indices, thetas, phis, frame, lam_rows)
+        worst.append(np.max(series, axis=1))
+    # the rule's grid is the one certification ran on
+    assert np.array_equal(worst[0], [traj.stats.max_residual for traj in trajs])
+    assert np.max(np.abs(worst[0] - worst[1])) < 10 * rtol
 
 
 def test_largest_coupled_lambda_that_certifies_within_the_cap():

@@ -692,15 +692,17 @@ def test_coherent_amplitude_error_is_small_on_working_code(tmp_path, capsys):
 
 
 def test_csv_writer_formats_every_value_as_before(tmp_path):
-    # one row template over .tolist() columns writes what formatting each
-    # value on its own wrote, ints (berry's sigma) and signed zeros included
+    # one printf-style row template over .tolist() columns writes the bytes
+    # that str.format wrote for each value on its own: ints (berry's sigma),
+    # signed zeros, nan, the infinities and the extremes of the floats included
     from susyjc.cli import CsvWriter
 
     values = [0.0, -0.0, 1, -1, 1e-300, 123456789.123456789, -2.5e17, math.pi, 1 / 3]
+    values += [math.nan, math.inf, -math.inf, 5e-324, 1.8e308, -1.8e308]
     columns = [np.array(values), np.array(values[::-1]) * 1e-7, values]
     path = tmp_path / "x.csv"
     CsvWriter(path, ["a", "b", "c"], 12).write(columns)
     want = "a,b,c\n" + "".join(
         ",".join("{:.12g}".format(float(v)) for v in row) + "\n" for row in zip(*columns)
     )
-    assert path.read_text() == want
+    assert path.read_bytes() == want.encode()

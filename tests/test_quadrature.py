@@ -196,6 +196,29 @@ def test_phase_integrals_fit_once_per_segment(monkeypatch):
     assert sum(fits) == traj.times.size + 3  # each interior edge sample starts and ends a fit
 
 
+def test_phase_integrals_integrate_a_fast_omega_on_the_certification_grid():
+    # int w is the one quadrature on the certification grid, which is sized
+    # for the angles, not for w: w = 1 + a sin(f t) at f = 20 turns faster
+    # than the m = 10 precession, and int w must still be exact to 1e-11
+    a, f = 0.1, 20.0
+    params = ModelParams(
+        omega=TimeProfile.sinusoid(1.0, a, f),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    block = SubspaceBlock(m=10, k=3, cutoff=16)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
+    assert traj.times.size > 2001  # above the floor: the rule, not the floor, sized it
+    ts = np.linspace(0.0, 10.0, 1001)
+    _, integrals = PhaseIntegrals([traj], [block]).sample(ts)
+    # phi_d(+1) + phi_d(-1) = 2 (m + k/2) int w
+    omega_integral = (integrals[0] + integrals[1]) / (2.0 * (block.m + block.k / 2.0))
+    exact = ts + a * (1.0 - np.cos(f * ts)) / f
+    assert np.max(np.abs(omega_integral - exact)) < 1e-11
+
+
 def _captured_runs(monkeypatch, solve):
     """(args, result) of every DOP853 run that ``solve()`` makes."""
     runs = []
