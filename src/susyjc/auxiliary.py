@@ -33,9 +33,10 @@ angles or one start each (:func:`_solve_family`); :func:`solve_aux` is M = 1.
 
 The chart rates (theta', phi') keep their home in :func:`aux_rhs`.  No
 route is trusted: every accepted trajectory is certified against the
-complex angle equations as printed (residual_check), by sixth-order
-finite-difference derivatives of two smooth functions of the sampled angles
-(:func:`_printed_residual`).  That is the sample grid's one job.
+complex angle equations as printed, by sixth-order finite-difference
+derivatives of two smooth functions of the sampled angles
+(:func:`_printed_residual`; :func:`residual_check` reports its maximum).
+That is the sample grid's one job.
 
 The chart has genuine poles at theta in {0, pi}.  A coupled trajectory
 whose |sin theta| drops below THETA_MIN raises SingularityError at that
@@ -430,7 +431,7 @@ def _solve_family(
 
     vectors, to_angles, dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
-    def certify_pass(vectors, to_angles, dense):
+    def certify_pass(vectors, to_angles):
         block = vectors(times)  # (5M, n); member j keeps views of angle rows j, M + j
         pole = _first_pole(vectors, times, block, members) if coupled else None
         if pole is not None:
@@ -447,33 +448,19 @@ def _solve_family(
                 for c in chunks
             ]
         )
-        trajs = [
-            AuxTrajectory(
-                times=times,
-                thetas=thetas[j],
-                phis=phis[j],
-                params=params,
-                lam=float(lam_j),
-                stats=SolverStats(n_steps, total_nfev, rtol, atol),
-                edge_indices=edge_indices,
-                residuals=series[j],
-                _dense=dense,
-                _member=j,
-            )
-            for j, lam_j in enumerate(lams)
-        ]
-        return trajs, [residual_check(traj, params, traj.lam) for traj in trajs], deviations
+        return thetas, phis, series, deviations
 
     rtol_i, atol_i, refinements, previous = rtol, atol, 0, math.inf
     while True:
-        trajs, residuals, deviations = certify_pass(vectors, to_angles, dense)
+        thetas, phis, series, deviations = certify_pass(vectors, to_angles)
+        residuals = np.max(series, axis=1).tolist()
         worst = max(residuals)
         if not certify or worst <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
         if capped and worst > 0.5 * previous:
             break  # the capped grid's error, not the ODE's, holds the residual up
         previous = worst
-        del trajs  # frees the rejected pass before the next one samples
+        del thetas, phis, series  # frees the rejected pass before the next one samples
         rtol_i /= 16.0
         atol_i /= 16.0
         refinements += 1
@@ -490,19 +477,30 @@ def _solve_family(
         n_samples=times.size,
         sample_cap_hit=capped,
     )
-    for traj, residual in zip(trajs, residuals):
+    for lam, residual in zip(lams, residuals):
         if certify and residual > 100.0 * rtol:
             cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
             raise CertificationError(
                 located(
                     f"angle trajectory residual {residual:.3e} exceeds "
                     f"100*rtol={100 * rtol:.3e}{cap}",
-                    traj.lam,
+                    lam,
                 )
             )
     return [
-        replace(traj, stats=replace(stats, max_residual=r, max_norm_deviation=float(d)))
-        for traj, r, d in zip(trajs, residuals, deviations)
+        AuxTrajectory(
+            times=times,
+            thetas=thetas[j],
+            phis=phis[j],
+            params=params,
+            lam=float(lam),
+            stats=replace(stats, max_residual=residual, max_norm_deviation=float(deviation)),
+            edge_indices=edge_indices,
+            residuals=series[j],
+            _dense=dense,
+            _member=j,
+        )
+        for j, (lam, residual, deviation) in enumerate(zip(lams, residuals, deviations))
     ]
 
 
@@ -549,8 +547,8 @@ def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:
     """Max complex residual of the printed angle equations along a trajectory.
 
-    Reuses ``traj.residuals`` when ``params`` and ``lam`` are the
-    trajectory's own, which is how certification calls it.
+    Reuses ``traj.residuals``, the series certification computed, when
+    ``params`` and ``lam`` are the trajectory's own.
     """
     if traj.times.size == 0:
         raise ConfigurationError("empty trajectory")

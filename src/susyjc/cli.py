@@ -1,6 +1,10 @@
 """Batch front end: INI scenario configs in, CSV artifacts and reports out.
 
-Exit codes: 0 all checks passed, 1 verification failure, 2 usage/config
+Each setting is a :class:`ScenarioConfig` field that names its key, cast and
+default; :func:`load_config` reads them all and rejects any key left unread.
+Each ``cmd_*`` writes its CSVs and returns its checks, and :func:`main`
+prints their lines once the command has returned.  Exit codes: 0 all checks
+passed, 1 a check failed or a verification error was raised, 2 usage/config
 error.  Output is deterministic: fixed significant-digit formatting, no
 timestamps, identical configs produce byte-identical files.
 """
@@ -9,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import inspect
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +29,6 @@ from .blocks import SubspaceBlock, block_components, embed_state, verify_block_c
 from .coherent import CoherentSpec, atomic_inversion, build_coherent_state, solve_block_family
 from .errors import (
     ConfigurationError,
-    CycleError,
     EvaluationError,
     PropagationError,
     SingularityError,
@@ -132,36 +136,45 @@ def _profile(cp: _Scenario, name: str) -> TimeProfile:
         raise ConfigurationError(f"{key}: {exc}") from exc
 
 
+def _key(section: str, key: str, cast, default=_REQUIRED):
+    """A :class:`ScenarioConfig` field that :func:`load_config` reads from ``[section] key``."""
+    return field(metadata={"key": (section, key, cast, default)})
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario's settings; :func:`load_config` reads the keyed ones in this order."""
+
     spec: FockSpaceSpec
     m_list: list[int]
     params: ModelParams
-    theta0: float | None
-    phi0: float
-    adiabatic_matched: bool
-    aux_rtol: float
-    aux_atol: float
-    t_final: float
-    samples: int
-    sigmas: list[int]
-    oracle_enabled: bool
-    oracle_rtol: float
-    oracle_atol: float
-    max_infidelity: float
-    out_dir: str | None
-    precision: int
-    verify_tol: float
-    berry_thetas: list[float]
-    berry_sigmas: list[int]
-    berry_m: int
-    berry_g_mod: float
-    berry_omega: float
-    berry_t_final: float | None
-    berry_tol: float
-    coherent_xi: float | None
-    coherent_sigma: int
-    coherent_max_diff: float
+    adiabatic_matched: bool = _key("aux", "adiabatic_matched", _bool, False)
+    theta0: float | None = _key("aux", "theta0", float, None)
+    phi0: float = _key("aux", "phi0", _finite, 0.0)
+    aux_rtol: float = _key("aux", "rtol", _positive, 1e-10)
+    aux_atol: float = _key("aux", "atol", _positive, 1e-12)
+    t_final: float = _key("run", "t_final", _positive, 20.0)
+    samples: int = _key("run", "samples", int, 201)
+    sigmas: list[int] = _key("run", "sigma", _int_list, [1, -1])
+    oracle_enabled: bool = _key("oracle", "enabled", _bool, True)
+    oracle_rtol: float = _key("oracle", "rtol", _positive, 1e-10)
+    oracle_atol: float = _key("oracle", "atol", _positive, 1e-12)
+    max_infidelity: float = _key("oracle", "max_infidelity", _positive, 1e-6)
+    out_dir: str | None = _key("output", "directory", str, None)
+    precision: int = _key("output", "precision", int, 12)
+    verify_tol: float = _key("verify", "tol", _positive, 1e-12)
+    berry_thetas: list[float] = _key(
+        "berry", "thetas", _float_list, [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
+    )
+    berry_sigmas: list[int] = _key("berry", "sigma", _int_list, [1, -1])
+    berry_m: int = _key("berry", "m", int, 0)
+    berry_g_mod: float = _key("berry", "g_mod", _nonnegative, 0.05)
+    berry_omega: float = _key("berry", "omega", _positive, 1.0)
+    berry_t_final: float | None = _key("berry", "t_final", _positive, None)
+    berry_tol: float = _key("berry", "tol", _positive, 1e-3)
+    coherent_xi: float | None = _key("coherent", "xi", _finite, None)
+    coherent_sigma: int = _key("coherent", "sigma", int, 1)
+    coherent_max_diff: float = _key("coherent", "max_diff", _positive, 1e-6)
 
 
 def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
@@ -184,38 +197,10 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
     names = ("omega", "omega0", "g_mod", "g_phase")
     params = ModelParams(*(_profile(cp, n) for n in names), k=k) if need_profiles else None
 
-    cfg = ScenarioConfig(
-        spec=spec,
-        m_list=m_list,
-        params=params,
-        adiabatic_matched=_get(cp, "aux", "adiabatic_matched", _bool, False),
-        theta0=_get(cp, "aux", "theta0", float, None),
-        phi0=_get(cp, "aux", "phi0", _finite, 0.0),
-        aux_rtol=_get(cp, "aux", "rtol", _positive, 1e-10),
-        aux_atol=_get(cp, "aux", "atol", _positive, 1e-12),
-        t_final=_get(cp, "run", "t_final", _positive, 20.0),
-        samples=_get(cp, "run", "samples", int, 201),
-        sigmas=_get(cp, "run", "sigma", _int_list, [1, -1]),
-        oracle_enabled=_get(cp, "oracle", "enabled", _bool, True),
-        oracle_rtol=_get(cp, "oracle", "rtol", _positive, 1e-10),
-        oracle_atol=_get(cp, "oracle", "atol", _positive, 1e-12),
-        max_infidelity=_get(cp, "oracle", "max_infidelity", _positive, 1e-6),
-        out_dir=_get(cp, "output", "directory", str, None),
-        precision=_get(cp, "output", "precision", int, 12),
-        verify_tol=_get(cp, "verify", "tol", _positive, 1e-12),
-        berry_thetas=_get(
-            cp, "berry", "thetas", _float_list, [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
-        ),
-        berry_sigmas=_get(cp, "berry", "sigma", _int_list, [1, -1]),
-        berry_m=_get(cp, "berry", "m", int, 0),
-        berry_g_mod=_get(cp, "berry", "g_mod", _nonnegative, 0.05),
-        berry_omega=_get(cp, "berry", "omega", _positive, 1.0),
-        berry_t_final=_get(cp, "berry", "t_final", _positive, None),
-        berry_tol=_get(cp, "berry", "tol", _positive, 1e-3),
-        coherent_xi=_get(cp, "coherent", "xi", _finite, None),
-        coherent_sigma=_get(cp, "coherent", "sigma", int, 1),
-        coherent_max_diff=_get(cp, "coherent", "max_diff", _positive, 1e-6),
-    )
+    # each setting from its field's key, copied so that no two configs share a list default
+    keyed = (f for f in fields(ScenarioConfig) if f.metadata)
+    settings = {f.name: copy.copy(_get(cp, *f.metadata["key"])) for f in keyed}
+    cfg = ScenarioConfig(spec, m_list, params, **settings)
     for section in cp.sections():
         for key in cp.options(section):
             if (section, key) not in cp.seen:
@@ -284,15 +269,21 @@ def _theta0(cfg: ScenarioConfig, lam: int) -> float:
     return cfg.theta0
 
 
-def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> int:
-    failures = []
+@dataclass(frozen=True)
+class Check:
+    """A line of a command's report and whether it passed; a line that only informs passes."""
+
+    line: str
+    passed: bool = True
+
+
+def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
+    checks = []
     try:
         report = verify_algebra(cfg.spec, tol=cfg.verify_tol)
-        for name, residual in report.items():
-            print(f"PASS  {name}: {residual:.3e}")
+        checks += [Check(f"PASS  {name}: {residual:.3e}") for name, residual in report.items()]
     except VerificationError as exc:
-        print(f"FAIL  {exc}")
-        failures.append("superalgebra")
+        checks.append(Check(f"FAIL  {exc}", False))
 
     hams = [build_hamiltonian(cfg.spec, cfg.params, t) for t in np.linspace(0, cfg.t_final, 5)]
     gen = build_generators(cfg.spec)
@@ -300,22 +291,26 @@ def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> int:
         block = SubspaceBlock.for_space(cfg.spec, m)
         try:
             residual = verify_block_closure(block, hams, tol=cfg.verify_tol, generators=gen)
-            print(f"PASS  block m={m} closure/quasialgebra: {residual:.3e}")
+            checks.append(Check(f"PASS  block m={m} closure/quasialgebra: {residual:.3e}"))
         except VerificationError as exc:
-            print(f"FAIL  {exc}")
-            failures.append(f"block m={m}")
-    return 1 if failures else 0
+            checks.append(Check(f"FAIL  {exc}", False))
+    return checks
 
 
-def _print_oracle_drift(oracle) -> None:
-    """The oracle's worst (norm, N') drifts over its runs; not a bound line."""
-    print(
-        f"oracle drift: norm {oracle.norm_drift:.3g} (bound {MAX_NORM_DRIFT:g}), "
-        f"N' {oracle.nprime_drift:.3g}"
-    )
+def _oracle_checks(oracle, amplitude: float) -> list[Check]:
+    """The oracle's worst (norm, N') drifts over its runs, which only inform,
+    then the largest amplitude error of the exact states against it."""
+    drift = f"norm {oracle.norm_drift:.3g} (bound {MAX_NORM_DRIFT:g}), N' {oracle.nprime_drift:.3g}"
+    return [
+        Check(f"oracle drift: {drift}"),
+        Check(
+            f"max oracle amplitude error: {amplitude:.3e} (bound {MAX_AMPLITUDE_ERROR:g})",
+            amplitude <= MAX_AMPLITUDE_ERROR,
+        ),
+    ]
 
 
-def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
+def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
 
     blocks = [SubspaceBlock.for_space(cfg.spec, m) for m in cfg.m_list]
@@ -383,17 +378,16 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> int:
             columns += [infid, np.abs(ref_norms - 1.0), pops]
         CsvWriter(out_dir / f"fidelity_m{block.m}_sigma_{tag}.csv", header, cfg.precision).write(columns)
 
-    if cfg.oracle_enabled:
-        print(f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})")
-        _print_oracle_drift(oracle)
-        print(f"max oracle amplitude error: {worst_amplitude:.3e} (bound {MAX_AMPLITUDE_ERROR:g})")
-        passed = worst_infidelity < cfg.max_infidelity and worst_amplitude <= MAX_AMPLITUDE_ERROR
-        return 0 if passed else 1
-    print("oracle disabled; trajectory certification only")
-    return 0
+    if not cfg.oracle_enabled:
+        return [Check("oracle disabled; trajectory certification only")]
+    infidelity = Check(
+        f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})",
+        worst_infidelity < cfg.max_infidelity,
+    )
+    return [infidelity, *_oracle_checks(oracle, worst_amplitude)]
 
 
-def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> int:
+def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     rows = []
     for theta in cfg.berry_thetas:
         # at the poles the solid angle is degenerate and no azimuth dynamics
@@ -420,13 +414,14 @@ def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> int:
         cfg.precision,
     ).write(zip(*rows))
     worst = max((row[-1] for row in rows), default=0.0)
-    print(f"max |numeric - formula|: {worst:.3e} (bound {cfg.berry_tol:g})")
-    return 0 if worst < cfg.berry_tol else 1
+    return [Check(f"max |numeric - formula|: {worst:.3e} (bound {cfg.berry_tol:g})", worst < cfg.berry_tol)]
 
 
-def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
+def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     if cfg.coherent_xi is None:
         raise ConfigurationError("missing required key coherent.xi")
+    if not cfg.oracle_enabled:
+        raise ConfigurationError("oracle.enabled = false: coherent checks its state against the oracle")
     cspec = CoherentSpec.for_xi(cfg.coherent_xi, sigma=cfg.coherent_sigma)
     lam0 = SubspaceBlock.for_space(cfg.spec, 0).lam
     initial = AuxState(_theta0(cfg, lam0), cfg.phi0)
@@ -461,12 +456,13 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> int:
         ["t", "sigma_z_exact", "sigma_z_oracle", "abs_diff"],
         cfg.precision,
     ).write([ts, exact, ref, diff])
-    print(f"max |sigma_z exact - oracle|: {worst:.3e} (bound {cfg.coherent_max_diff:g})")
-    _print_oracle_drift(oracle)
+    inversion = Check(
+        f"max |sigma_z exact - oracle|: {worst:.3e} (bound {cfg.coherent_max_diff:g})",
+        worst < cfg.coherent_max_diff,
+    )
     # the whole state, phase-sensitive: <sigma_z> cannot see the blocks' phases
     amplitude = float(np.max(np.linalg.norm(normalized - oracle.states, axis=1)))
-    print(f"max oracle amplitude error: {amplitude:.3e} (bound {MAX_AMPLITUDE_ERROR:g})")
-    return 0 if worst < cfg.coherent_max_diff and amplitude <= MAX_AMPLITUDE_ERROR else 1
+    return [inversion, *_oracle_checks(oracle, amplitude)]
 
 
 # name -> (command, need_profiles, help text)
@@ -495,7 +491,7 @@ def main(argv=None) -> int:
     command, need_profiles, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config, need_profiles=need_profiles)
-        return command(cfg, resolve_out_dir(args.out, cfg.out_dir))
+        checks = command(cfg, resolve_out_dir(args.out, cfg.out_dir))
     except (ConfigurationError, TruncationError, EvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -503,9 +499,12 @@ def main(argv=None) -> int:
         when = "" if exc.time is None else f" at t={exc.time:.6g}"
         print(f"verification failure{when}: {exc}", file=sys.stderr)
         return 1
-    except (VerificationError, CycleError, SusyJCError) as exc:
+    except SusyJCError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    for check in checks:
+        print(check.line)
+    return 0 if all(check.passed for check in checks) else 1
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
+import ast
+import configparser
+import io
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from susyjc.cli import COMMANDS, load_config, main
+from susyjc.cli import COMMANDS, ConfigurationError, ScenarioConfig, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -448,6 +452,13 @@ def test_unparsable_config_is_exit_2_naming_file_and_line(tmp_path, capsys, text
             id="theta-two-pi",
         ),
         pytest.param("coherent", BASE, "coherent.xi", id="coherent-xi-missing"),
+        # every check of coherent compares with the oracle: without it nothing is checked
+        pytest.param(
+            "coherent",
+            BASE.replace(ORACLE, "enabled = false") + "\n[coherent]\nxi = 0.5\n",
+            "oracle.enabled",
+            id="coherent-oracle-disabled",
+        ),
     ],
 )
 def test_config_error_leaves_no_output_directory(tmp_path, capsys, command, text, key):
@@ -706,3 +717,121 @@ def test_csv_writer_formats_every_value_as_before(tmp_path):
         ",".join("{:.12g}".format(float(v)) for v in row) + "\n" for row in zip(*columns)
     )
     assert path.read_bytes() == want.encode()
+
+
+# a non-default value for every setting read from its own key, each unlike the others
+SETTINGS = {
+    ("aux", "adiabatic_matched"): ("true", True),
+    ("aux", "theta0"): ("0.5", 0.5),
+    ("aux", "phi0"): ("0.25", 0.25),
+    ("aux", "rtol"): ("2e-9", 2e-9),
+    ("aux", "atol"): ("2e-11", 2e-11),
+    ("run", "t_final"): ("4.0", 4.0),
+    ("run", "samples"): ("11", 11),
+    ("run", "sigma"): ("-1, 1", [-1, 1]),
+    ("oracle", "enabled"): ("false", False),
+    ("oracle", "rtol"): ("3e-9", 3e-9),
+    ("oracle", "atol"): ("3e-11", 3e-11),
+    ("oracle", "max_infidelity"): ("1e-5", 1e-5),
+    ("output", "directory"): ("elsewhere", "elsewhere"),
+    ("output", "precision"): ("9", 9),
+    ("verify", "tol"): ("1e-10", 1e-10),
+    ("berry", "thetas"): ("0.75, 1.25", [0.75, 1.25]),
+    ("berry", "sigma"): ("-1", [-1]),
+    ("berry", "m"): ("2", 2),
+    ("berry", "g_mod"): ("0.1", 0.1),
+    ("berry", "omega"): ("2.0", 2.0),
+    ("berry", "t_final"): ("7.0", 7.0),
+    ("berry", "tol"): ("1e-4", 1e-4),
+    ("coherent", "xi"): ("0.5", 0.5),
+    ("coherent", "sigma"): ("-1", -1),
+    ("coherent", "max_diff"): ("1e-5", 1e-5),
+}
+
+
+def with_key(tmp_path, section, key, raw):
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(BASE)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, raw)
+    text = io.StringIO()
+    cp.write(text)
+    return write(tmp_path, text.getvalue())
+
+
+def test_every_keyed_setting_loads_from_its_key(tmp_path):
+    keyed = {f.metadata["key"][:2]: f for f in fields(ScenarioConfig) if f.metadata}
+    assert set(keyed) == set(SETTINGS)
+    base = load_config(write(tmp_path, BASE))
+    for (section, key), (raw, value) in SETTINGS.items():
+        name = keyed[section, key].name
+        assert value != keyed[section, key].metadata["key"][3], name
+        cfg = load_config(with_key(tmp_path, section, key, raw))
+        assert getattr(cfg, name) == value, name
+        # and no other setting moves, nor is a list default shared between configs
+        others = [f.name for f in keyed.values() if f.name != name]
+        assert [getattr(cfg, n) for n in others] == [getattr(base, n) for n in others], name
+        assert not any(getattr(cfg, n) is getattr(base, n) for n in others if type(getattr(base, n)) is list)
+        # a key no field reads is still rejected, in every section
+        with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}x")):
+            load_config(with_key(tmp_path, section, f"{key}x", raw))
+
+
+@pytest.mark.parametrize(
+    "command,text,old,new",
+    [
+        pytest.param("verify-algebra", BASE, "[oracle]", "[verify]\ntol = 1e-20\n\n[oracle]", id="verify"),
+        pytest.param("propagate", BASE, "max_infidelity = 1e-6", "max_infidelity = 1e-20", id="propagate"),
+        pytest.param("berry", BERRY, "tol = 1e-3", "tol = 1e-20", id="berry"),
+        pytest.param(
+            "coherent", BASE + "\n[coherent]\nxi = 0.5\n", "[coherent]", "[coherent]\nmax_diff = 1e-20",
+            id="coherent",
+        ),
+    ],
+)
+def test_stdout_is_the_checks_and_a_failed_check_is_exit_1(
+    tmp_path, capsys, monkeypatch, command, text, old, new
+):
+    # the checks print once the command returns, every line also when one
+    # fails: here a bound below the measured value, the tolerance floor for
+    # verify-algebra
+    from susyjc import cli
+
+    run, need_profiles, help_text = COMMANDS[command]
+    returned = []
+
+    def recording(cfg, out_dir):
+        returned.append(run(cfg, out_dir))
+        return returned[-1]
+
+    monkeypatch.setitem(cli.COMMANDS, command, (recording, need_profiles, help_text))
+    codes, lines = [], []
+    for name, config in (("pass", text), ("fail", text.replace(old, new))):
+        path = write(tmp_path, config, f"{name}.ini")
+        codes.append(main([command, "--config", path, "--out", str(tmp_path / name)]))
+        checks = returned[-1]
+        assert all(isinstance(check, cli.Check) for check in checks)
+        assert capsys.readouterr().out == "".join(check.line + "\n" for check in checks)
+        assert codes[-1] == (0 if all(check.passed for check in checks) else 1)
+        lines.append([check.line.split(":")[0] for check in checks])
+    assert codes == [0, 1]
+    if command != "verify-algebra":  # whose first failing identity ends the list
+        assert lines[0] == lines[1]
+
+
+def test_only_main_prints_to_stdout():
+    # the commands return their checks; only main prints them
+    from susyjc import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    prints = [
+        (getattr(top, "name", None), call.lineno)
+        for top in tree.body
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "print"
+        and not any(keyword.arg == "file" for keyword in call.keywords)
+    ]
+    assert prints and all(name == "main" for name, _ in prints), prints
