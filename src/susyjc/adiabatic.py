@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, solve_aux
+from .auxiliary import AuxState, AuxTrajectory, family_sample, solve_aux
 from .blocks import SubspaceBlock, lambda_value
 from .errors import ConfigurationError, CycleError
 from .evolution import (
     SIGMA_Z2,
     EvolutionOperator,
-    ExactSolution,
     _check_sigma,
     block_hamiltonian,
     invariant_matrix,
@@ -158,16 +157,12 @@ def invariant_from_couplings(scenario: AdiabaticScenario, t: float) -> np.ndarra
 
 
 def solve_scenario(
-    scenario: AdiabaticScenario,
-    t_final: float | None = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
+    scenario: AdiabaticScenario, rtol: float = 1e-10, atol: float = 1e-12
 ) -> AuxTrajectory:
-    """Integrate the angle equations over one cycle (or ``t_final``)."""
-    horizon = scenario.period if t_final is None else float(t_final)
+    """Integrate the angle equations over one cycle, ``(0, scenario.period)``."""
     return solve_aux(
         scenario.initial_state(),
-        (0.0, horizon),
+        (0.0, scenario.period),
         scenario.params,
         scenario.lam,
         rtol=rtol,
@@ -182,24 +177,23 @@ def berry_phase_cycle(theta: float, sigma: int) -> float:
 
 
 def berry_phase_numeric(
-    scenario: AdiabaticScenario,
-    sigma: int,
-    t_final: float | None = None,
-    rtol: float = 1e-10,
+    scenario: AdiabaticScenario, sigma: int, rtol: float = 1e-10, atol: float = 1e-12
 ) -> float:
-    """Geometric phase over one cycle: the sigma solution's phi_g on the solved trajectory.
+    """Geometric phase over one cycle: phi_g = sigma G at the cycle's end,
+    read off the dense output of the scenario's angle solve.
 
-    Raises CycleError unless phi advances by exactly 2 pi over the window.
+    Raises CycleError unless phi advances by exactly 2 pi over the solve.
     """
     _check_sigma(sigma)
-    traj = solve_scenario(scenario, t_final=t_final, rtol=rtol)
+    traj = solve_scenario(scenario, rtol=rtol, atol=atol)
     sweep = traj.phis[-1] - traj.phis[0]
     if abs(sweep - 2.0 * math.pi) > _CLOSURE_TOL:
         raise CycleError(
             f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
             f"instead of 2*pi over [0, {traj.t1}]"
         )
-    return ExactSolution(scenario.block, sigma, traj).ledger(traj.t1).phi_g
+    _, _, g = family_sample([traj])(traj.t1)
+    return float(sigma * g[0])
 
 
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):

@@ -545,16 +545,10 @@ def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.
 
 
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:
-    """Max complex residual of the printed angle equations along a trajectory.
-
-    Reuses ``traj.residuals``, the series certification computed, when
-    ``params`` and ``lam`` are the trajectory's own.
-    """
+    """Max complex residual of the printed angle equations along a trajectory."""
     if traj.times.size == 0:
         raise ConfigurationError("empty trajectory")
-    own = traj.residuals is not None and params is traj.params and lam == traj.lam
-    series = traj.residuals if own else residual_series(traj, params, lam)
-    return float(np.max(series))
+    return float(np.max(residual_series(traj, params, lam)))
 
 
 def adiabatic_matched_theta(params: ModelParams, lam: float) -> float:

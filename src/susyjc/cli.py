@@ -170,7 +170,6 @@ class ScenarioConfig:
     berry_m: int = _key("berry", "m", int, 0)
     berry_g_mod: float = _key("berry", "g_mod", _nonnegative, 0.05)
     berry_omega: float = _key("berry", "omega", _positive, 1.0)
-    berry_t_final: float | None = _key("berry", "t_final", _positive, None)
     berry_tol: float = _key("berry", "tol", _positive, 1e-3)
     coherent_xi: float | None = _key("coherent", "xi", _finite, None)
     coherent_sigma: int = _key("coherent", "sigma", int, 1)
@@ -393,7 +392,7 @@ def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
         # at the poles the solid angle is degenerate and no azimuth dynamics
         # exists; the cycle phase is the formula value exactly
         degenerate = abs(math.sin(theta)) < 1e-12
-        if not degenerate and cfg.berry_sigmas:
+        if not degenerate:
             scenario = build_adiabatic_scenario(
                 theta,
                 TimeProfile.constant(cfg.berry_omega),
@@ -401,9 +400,10 @@ def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
                 k=cfg.spec.k,
                 g_mod=cfg.berry_g_mod,
             )
-            # one solve per theta: the trajectory does not depend on sigma and
-            # the phase is odd in it, so sigma * (the +1 phase) is bit-exact
-            plus = berry_phase_numeric(scenario, +1, t_final=cfg.berry_t_final, rtol=cfg.aux_rtol)
+            # one solve per theta, over one period 2 pi / omega: the trajectory
+            # does not depend on sigma and the phase is odd in it, so
+            # sigma * (the +1 phase) is bit-exact
+            plus = berry_phase_numeric(scenario, +1, rtol=cfg.aux_rtol, atol=cfg.aux_atol)
         for sigma in cfg.berry_sigmas:
             formula = berry_phase_cycle(theta, sigma)
             numeric = formula if degenerate else sigma * plus

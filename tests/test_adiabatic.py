@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,7 +109,7 @@ def test_berry_phase_sign_antisymmetry():
 def test_berry_phase_cycle_closure_enforced():
     scen = build_adiabatic_scenario(math.pi / 3, OMEGA, m=0, k=3, g_mod=0.05)
     with pytest.raises(CycleError):
-        berry_phase_numeric(scen, +1, t_final=5.0)
+        berry_phase_numeric(dataclasses.replace(scen, period=5.0), +1)
 
 
 def test_berry_phase_coupling_invariance():

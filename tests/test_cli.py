@@ -199,6 +199,11 @@ def test_propagate_builds_one_phase_integrals_for_all_its_blocks(tmp_path, monke
     m_max = CoherentSpec.for_xi(0.5).m_max
     assert m_max > 0 and built == [list(range(m_max + 1))]
 
+    # berry reads each cycle's phase off its angle solve and builds none
+    built.clear()
+    assert main(["berry", "--config", write(tmp_path, BERRY, "b.ini"), "--out", str(tmp_path / "b")]) == 0
+    assert built == []
+
 
 def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
     # the exact states are sampled on the whole time grid in one call:
@@ -285,10 +290,30 @@ def test_berry_pole_row_is_zero(tmp_path):
 
 
 def test_berry_cycle_closure_failure(tmp_path, capsys):
+    # a window other than the period used to fail the closure check after the
+    # solve; the cycle is now the scenario's period, so the key is refused at load
     cfg = BERRY + "t_final = 5.0\n"
-    code = main(["berry", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "cycle" in capsys.readouterr().err
+    out = tmp_path / "o"
+    code = main(["berry", "--config", write(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    assert "berry.t_final" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_berry_solves_with_the_aux_tolerances(tmp_path, monkeypatch):
+    from susyjc import adiabatic
+
+    seen = []
+    solve_aux = adiabatic.solve_aux
+
+    def spying(*args, **kwargs):
+        seen.append((kwargs["rtol"], kwargs["atol"]))
+        return solve_aux(*args, **kwargs)
+
+    monkeypatch.setattr(adiabatic, "solve_aux", spying)
+    cfg = write(tmp_path, BERRY + "\n[aux]\nrtol = 2e-10\natol = 1e-9\n")
+    assert main(["berry", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert seen == [(2e-10, 1e-9)] * 2  # one solve per theta
 
 
 def test_coherent_run_and_xi_zero_reduction(tmp_path):
@@ -341,6 +366,11 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
         pytest.param(
             "[oracle]", "[coherent]\ntail = 0.1\n\n[oracle]", "coherent.tail", id="unread-coherent-tail"
         ),
+        # the Berry cycle is its scenario's period 2 pi / omega: no command reads [berry] t_final
+        pytest.param(
+            *section("berry", "t_final = 6.283185307179586"), "berry.t_final", id="unread-berry-t-final"
+        ),
+        pytest.param(*section("berry", "t_final = inf"), "berry.t_final", id="berry-t-final-inf"),
         pytest.param("[oracle]", "[bogus]\nx = 1\n\n[oracle]", "bogus.x", id="unread-section"),
         pytest.param(
             "omega.value = 1.0",
@@ -365,7 +395,6 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
         pytest.param("t_final = 8.0", "t_final = nan", "run.t_final", id="run-t-final-nan"),
         pytest.param("t_final = 8.0", "t_final = 0", "run.t_final", id="run-t-final-0"),
         pytest.param("t_final = 8.0", "t_final = -8.0", "run.t_final", id="run-t-final-negative"),
-        pytest.param(*section("berry", "t_final = inf"), "berry.t_final", id="berry-t-final-inf"),
         # a nan bound used to run the whole propagation and then fail every comparison
         pytest.param(
             "max_infidelity = 1e-6",
@@ -741,7 +770,6 @@ SETTINGS = {
     ("berry", "m"): ("2", 2),
     ("berry", "g_mod"): ("0.1", 0.1),
     ("berry", "omega"): ("2.0", 2.0),
-    ("berry", "t_final"): ("7.0", 7.0),
     ("berry", "tol"): ("1e-4", 1e-4),
     ("coherent", "xi"): ("0.5", 0.5),
     ("coherent", "sigma"): ("-1", -1),
