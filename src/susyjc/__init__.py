@@ -58,7 +58,6 @@ from .fock import (
     GROUND,
     FockSpaceSpec,
     Generators,
-    Operator,
     build_generators,
     build_hamiltonian,
     build_hamiltonian_susy,

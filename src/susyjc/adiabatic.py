@@ -30,7 +30,6 @@ from .evolution import (
     block_hamiltonian,
     invariant_matrix,
 )
-from .fock import Operator
 from .profiles import ModelParams, TimeProfile
 
 _COS_GUARD = 1e-6  # the H-I relation divides by cos theta
@@ -199,13 +198,13 @@ def berry_phase_numeric(
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):
     """Constant of motion t -> U(t) O U^dag(t) built from an ordinary operator.
 
-    ``op`` is a full-space matrix/Operator.  With i dU/dt = H U, the
+    ``op`` is a full-space complex array.  With i dU/dt = H U, the
     conjugation satisfies the invariant equation, so its expectation in any
     solution inside the block is conserved; for O = sigma_z it reproduces
     the angle form of the invariant.  (Conjugating the other way, U^dag O U,
     gives the Heisenberg-picture operator, which is not conserved.)
     """
-    mat = op.matrix if isinstance(op, Operator) else np.asarray(op, dtype=complex)
+    mat = np.asarray(op, dtype=complex)
     propagator = EvolutionOperator(block, trajectory)
 
     def at(t: float) -> np.ndarray:

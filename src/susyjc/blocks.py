@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, VerificationError
-from .fock import EXCITED, GROUND, FockSpaceSpec, Generators, Operator, build_generators
+from .fock import EXCITED, GROUND, FockSpaceSpec, Generators, build_generators
 
 
 def lambda_value(m: int, k: int) -> int:
@@ -66,15 +66,20 @@ class SubspaceBlock:
         return cls(m=m, k=spec.k, cutoff=spec.cutoff)
 
 
-def project_block(op, block: SubspaceBlock) -> np.ndarray:
-    """2x2 restriction of a full-space operator, ordered (upper, lower)."""
-    mat = op.matrix if isinstance(op, Operator) else np.asarray(op)
+def _full_space(op, block: SubspaceBlock) -> np.ndarray:
+    """``op`` as an array, checked to act on the space of the block's cutoff."""
+    mat = np.asarray(op)
     if mat.shape != (2 * block.cutoff, 2 * block.cutoff):
         raise ConfigurationError(
             f"operator shape {mat.shape} does not match block cutoff {block.cutoff}"
         )
+    return mat
+
+
+def project_block(op, block: SubspaceBlock) -> np.ndarray:
+    """2x2 restriction of a full-space operator, ordered (upper, lower)."""
     idx = [block.upper_index, block.lower_index]
-    return mat[np.ix_(idx, idx)].astype(complex)
+    return _full_space(op, block)[np.ix_(idx, idx)].astype(complex)
 
 
 def embed_state(block: SubspaceBlock, components) -> np.ndarray:
@@ -102,7 +107,8 @@ def verify_block_closure(
 ) -> float:
     """Check that H(t) maps the block into itself and the block quasialgebra.
 
-    ``hams`` is an iterable of full-space Hamiltonians (samples in t).
+    ``hams`` is an iterable of full-space Hamiltonians (samples in t); one
+    whose shape is not the block's space is a ConfigurationError.
     Leakage is the max column magnitude of H applied to the block basis,
     read outside the block.  The eigenvalue relations {Qdag,Q} = lambda_m
     and (Qdag-Q)^2 = -lambda_m are reported relative to lambda_m, since
@@ -115,9 +121,8 @@ def verify_block_closure(
     idx = [block.upper_index, block.lower_index]
 
     leakage = 0.0
-    for op in hams:
-        mat = op.matrix if isinstance(op, Operator) else np.asarray(op)
-        cols = mat[:, idx].copy()
+    for ham in hams:
+        cols = _full_space(ham, block)[:, idx].copy()
         cols[idx, :] = 0.0
         leakage = max(leakage, float(np.max(np.abs(cols))))
 

@@ -186,8 +186,12 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         raise ConfigurationError(f"unreadable config: {exc}") from exc
 
     k = _get(cp, "space", "k", int, 3)
-    cutoff = _get(cp, "space", "cutoff", int)
+    # a command that reads no profiles (berry) reads only k of [space]: its
+    # blocks carry their own cutoff, so without one its spec takes the smallest
+    cutoff = _get(cp, "space", "cutoff", int, _REQUIRED if need_profiles else None)
     guard = _get(cp, "space", "guard", int, k)
+    if cutoff is None:
+        cutoff = 2 * k + guard + 1
     spec = FockSpaceSpec(cutoff=cutoff, k=k, guard=guard)
     m_list = _get(cp, "space", "m", _int_list, [0])
     for m in m_list:
@@ -465,7 +469,8 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     return [inversion, *_oracle_checks(oracle, amplitude)]
 
 
-# name -> (command, need_profiles, help text)
+# name -> (command, need_profiles, help text); a command that needs the
+# profiles evaluates them on the Fock space of [space], whose cutoff it requires
 COMMANDS = {
     "verify-algebra": (cmd_verify_algebra, True, "check the generator identities and block closure"),
     "propagate": (cmd_propagate, True, "solve the angle ODEs and cross-validate exact solutions"),

@@ -33,7 +33,7 @@ import numpy as np
 from .auxiliary import AuxState, AuxTrajectory, family_sample
 from .blocks import SubspaceBlock, embed_state
 from .errors import ConfigurationError, VerificationError
-from .fock import FockSpaceSpec, Operator, build_generators
+from .fock import FockSpaceSpec, build_generators
 from .profiles import ModelParams
 from .quadrature import cumulative_antiderivative, spline_derivative
 
@@ -86,14 +86,13 @@ def invariant_matrix(state: AuxState) -> np.ndarray:
     return _stack2x2(cos_t, -sin_t * ph, -sin_t * np.conj(ph), -cos_t)
 
 
-def invariant_operator(spec: FockSpaceSpec, state: AuxState, lam: float) -> Operator:
+def invariant_operator(spec: FockSpaceSpec, state: AuxState, lam: float) -> np.ndarray:
     """Full-space invariant -(sin th / sqrt(lam))(e^{-i phi} Q + e^{i phi} Qdag) + cos th sigma_z."""
     gen = build_generators(spec)
     coeff = -math.sin(state.theta) / math.sqrt(lam)
-    mat = coeff * (
-        np.exp(-1j * state.phi) * gen.Q.matrix + np.exp(1j * state.phi) * gen.Qdag.matrix
-    ) + math.cos(state.theta) * gen.sigma_z.matrix
-    return Operator(mat, spec.cutoff)
+    return coeff * (
+        np.exp(-1j * state.phi) * gen.Q + np.exp(1j * state.phi) * gen.Qdag
+    ) + math.cos(state.theta) * gen.sigma_z
 
 
 def rotated_invariant_residual(state: AuxState, tol: float | None = None) -> float:

@@ -1,5 +1,8 @@
 """Operators on the truncated Fock x two-level space.
 
+Every builder returns plain complex numpy arrays, (2 cutoff, 2 cutoff) on
+the full space, freshly allocated on each call.
+
 Basis convention
 ----------------
 States are ordered atom-major: flat index = atom * cutoff + m, where
@@ -84,44 +87,16 @@ class FockSpaceSpec:
 
 
 @dataclass(frozen=True)
-class Operator:
-    """Dense complex matrix on the truncated space, immutable after construction."""
-
-    matrix: np.ndarray
-    cutoff: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (2 * self.cutoff, 2 * self.cutoff):
-            raise ConfigurationError(
-                f"operator shape {mat.shape} inconsistent with cutoff {self.cutoff}"
-            )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.cutoff
-
-    def dag(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.cutoff)
-
-    def hermiticity_defect(self) -> float:
-        """Max-entry magnitude of A - A^dag."""
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
-
-@dataclass(frozen=True)
 class Generators:
     """The conserved-number / ladder generator set on the full space."""
 
-    N: Operator
-    Nprime: Operator
-    Q: Operator
-    Qdag: Operator
-    sigma_z: Operator
-    sigma_plus: Operator
-    sigma_minus: Operator
+    N: np.ndarray
+    Nprime: np.ndarray
+    Q: np.ndarray
+    Qdag: np.ndarray
+    sigma_z: np.ndarray
+    sigma_plus: np.ndarray
+    sigma_minus: np.ndarray
 
 
 def destroy_matrix(cutoff: int) -> np.ndarray:
@@ -129,12 +104,10 @@ def destroy_matrix(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
-def build_ladder(spec: FockSpaceSpec) -> tuple[Operator, Operator]:
+def build_ladder(spec: FockSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Full-space annihilation/creation pair (a, adag), identity on the atom."""
-    a_f = destroy_matrix(spec.cutoff)
-    eye2 = np.eye(2)
-    a = Operator(np.kron(eye2, a_f), spec.cutoff)
-    return a, a.dag()
+    a = np.kron(np.eye(2), destroy_matrix(spec.cutoff))
+    return a, a.conj().T
 
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -174,33 +147,27 @@ def build_generators(spec: FockSpaceSpec) -> Generators:
     q_mat = np.kron(_SIGMA_MINUS, raise_k)
 
     return Generators(
-        N=Operator(n_mat, C),
-        Nprime=Operator(nprime_mat, C),
-        Q=Operator(q_mat, C),
-        Qdag=Operator(q_mat.conj().T, C),
-        sigma_z=Operator(np.kron(_SIGMA_Z, eye_f), C),
-        sigma_plus=Operator(np.kron(_SIGMA_PLUS, eye_f), C),
-        sigma_minus=Operator(np.kron(_SIGMA_MINUS, eye_f), C),
+        N=n_mat,
+        Nprime=nprime_mat,
+        Q=q_mat,
+        Qdag=q_mat.conj().T,
+        sigma_z=np.kron(_SIGMA_Z, eye_f),
+        sigma_plus=np.kron(_SIGMA_PLUS, eye_f),
+        sigma_minus=np.kron(_SIGMA_MINUS, eye_f),
     )
 
 
-def build_hamiltonian(spec: FockSpaceSpec, params, t: float) -> Operator:
+def build_hamiltonian(spec: FockSpaceSpec, params, t: float) -> np.ndarray:
     """H(t) = w adag a + (w0/2) sigma_z + g adag^k sigma_- + g* a^k sigma_+."""
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
     omega, omega0, g = params.evaluate(t)
     gen = build_generators(spec)
     number = np.kron(np.eye(2), np.diag(np.arange(spec.cutoff, dtype=float))).astype(complex)
-    mat = (
-        omega * number
-        + 0.5 * omega0 * gen.sigma_z.matrix
-        + g * gen.Q.matrix
-        + np.conj(g) * gen.Qdag.matrix
-    )
-    return Operator(mat, spec.cutoff)
+    return omega * number + 0.5 * omega0 * gen.sigma_z + g * gen.Q + np.conj(g) * gen.Qdag
 
 
-def build_hamiltonian_susy(spec: FockSpaceSpec, params, t: float) -> Operator:
+def build_hamiltonian_susy(spec: FockSpaceSpec, params, t: float) -> np.ndarray:
     """Same H(t) assembled from the generator set.
 
     H = w N + (w0 - (k-1) w)/2 sigma_z + g Q + g* Qdag - w/2; the sigma_z
@@ -211,14 +178,13 @@ def build_hamiltonian_susy(spec: FockSpaceSpec, params, t: float) -> Operator:
     omega, omega0, g = params.evaluate(t)
     gen = build_generators(spec)
     eye = np.eye(spec.dim, dtype=complex)
-    mat = (
-        omega * gen.N.matrix
-        + 0.5 * (omega0 - (spec.k - 1) * omega) * gen.sigma_z.matrix
-        + g * gen.Q.matrix
-        + np.conj(g) * gen.Qdag.matrix
+    return (
+        omega * gen.N
+        + 0.5 * (omega0 - (spec.k - 1) * omega) * gen.sigma_z
+        + g * gen.Q
+        + np.conj(g) * gen.Qdag
         - 0.5 * omega * eye
     )
-    return Operator(mat, spec.cutoff)
 
 
 def guarded_indices(spec: FockSpaceSpec, guard: int) -> np.ndarray:
@@ -259,10 +225,10 @@ def verify_algebra(spec: FockSpaceSpec, tol: float = 1e-12) -> dict[str, float]:
     Raises VerificationError listing every identity above ``tol``.
     """
     g = build_generators(spec)
-    Np, Q, Qd = g.Nprime.matrix, g.Q.matrix, g.Qdag.matrix
-    n_diag = np.real(np.diag(g.N.matrix))
+    Np, Q, Qd = g.Nprime, g.Q, g.Qdag
+    n_diag = np.real(np.diag(g.N))
     np_diag = np.real(np.diag(Np))
-    sz_diag = np.real(np.diag(g.sigma_z.matrix))
+    sz_diag = np.real(np.diag(g.sigma_z))
     single = max(spec.guard, spec.k)
     product = max(spec.guard, 2 * spec.k)
     d = Qd - Q

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PropagationError
-from .fock import FockSpaceSpec, Operator, build_generators, build_ladder
+from .fock import FockSpaceSpec, build_generators, build_ladder
 from .profiles import ModelParams
 from .quadrature import RTOL_FLOOR, check_window, integrate_segments
 
@@ -92,12 +92,12 @@ class _Structure:
         gen = build_generators(spec)
         a, _ = build_ladder(spec)
         # (adag a)[i, i] = a[i - 1, i]^2, and 0 at i = 0, which has no level below
-        number = np.concatenate([[0.0], np.diagonal(a.matrix, offset=1).real ** 2])
+        number = np.concatenate([[0.0], np.diagonal(a, offset=1).real ** 2])
         return cls(
             number=number,
-            half_sz=0.5 * np.diagonal(gen.sigma_z.matrix).real,
-            q=np.diagonal(gen.Q.matrix, offset=-(spec.cutoff + spec.k)).real,
-            nprime=np.diagonal(gen.Nprime.matrix).real,
+            half_sz=0.5 * np.diagonal(gen.sigma_z).real,
+            q=np.diagonal(gen.Q, offset=-(spec.cutoff + spec.k)).real,
+            nprime=np.diagonal(gen.Nprime).real,
         )
 
 
@@ -228,13 +228,18 @@ def fidelity(psi1: np.ndarray, psi2: np.ndarray) -> float:
 def invariant_expectation_drift(op, result: PropagationResult) -> float:
     """Max deviation of <psi(t)|O(t)|psi(t)> from its initial value.
 
-    ``op`` may be a constant matrix/Operator or a callable t -> matrix (for
-    invariants rebuilt from a trajectory at each sample).
+    ``op`` may be a constant full-space complex array or a callable
+    t -> array (for invariants rebuilt from a trajectory at each sample).
+    ``result`` holds one run; a stack's (R, n_times, dim) states are a
+    ConfigurationError.
     """
+    if result.states.ndim != 2:
+        raise ConfigurationError(
+            f"expected the states of one run, (n_times, dim), got shape {result.states.shape}"
+        )
     values = []
     for t, psi in zip(result.times, result.states):
-        mat = op(float(t)) if callable(op) else op
-        mat = mat.matrix if isinstance(mat, Operator) else np.asarray(mat)
+        mat = np.asarray(op(float(t)) if callable(op) else op)
         values.append(np.real(np.vdot(psi, mat @ psi)))
     values = np.asarray(values)
     return float(np.max(np.abs(values - values[0])))

@@ -61,7 +61,7 @@ def test_project_sigma_z_and_q():
     q2 = project_block(gen.Q, block)
     assert_allclose(q2, [[0, 0], [math.sqrt(block.lam), 0]], rtol=1e-14)
 
-    comm = project_block(gen.Qdag.matrix @ gen.Q.matrix - gen.Q.matrix @ gen.Qdag.matrix, block)
+    comm = project_block(gen.Qdag @ gen.Q - gen.Q @ gen.Qdag, block)
     assert_allclose(comm, block.lam * np.diag([1.0, -1.0]), rtol=1e-13)
 
 
@@ -81,9 +81,9 @@ def test_projection_is_homomorphism_on_block_operators():
     spec = FockSpaceSpec(cutoff=16, k=3)
     params = constant_params(1.0, 2.8, 0.05, 1.1)
     block = SubspaceBlock.for_space(spec, 1)
-    h = build_hamiltonian(spec, params, 0.3).matrix
+    h = build_hamiltonian(spec, params, 0.3)
     gen = build_generators(spec)
-    dmat = gen.Qdag.matrix - gen.Q.matrix
+    dmat = gen.Qdag - gen.Q
     left = project_block(h @ dmat, block)
     right = project_block(h, block) @ project_block(dmat, block)
     assert_allclose(left, right, atol=1e-12)
@@ -126,7 +126,16 @@ def test_verify_block_closure_detects_leakage():
     spec = FockSpaceSpec(cutoff=16, k=3)
     params = constant_params(1.0, 3.0, 0.05)
     block = SubspaceBlock.for_space(spec, 1)
-    h = build_hamiltonian(spec, params, 0.0).matrix.copy()
+    h = build_hamiltonian(spec, params, 0.0).copy()
     h[block.upper_index + 1, block.upper_index] = 1e-6  # spurious coupling
     with pytest.raises(VerificationError, match="leakage"):
         verify_block_closure(block, [h], tol=1e-13)
+
+
+def test_verify_block_closure_rejects_a_hamiltonian_of_another_cutoff():
+    # cutoff-20 Hamiltonians read at a cutoff-16 block's indices are the wrong basis
+    params = constant_params(1.0, 3.0, 0.05)
+    block = SubspaceBlock.for_space(FockSpaceSpec(cutoff=16, k=3), 2)
+    hams = [build_hamiltonian(FockSpaceSpec(cutoff=20, k=3), params, t) for t in (0.0, 1.0)]
+    with pytest.raises(ConfigurationError, match="cutoff 16"):
+        verify_block_closure(block, hams, tol=1e-13)

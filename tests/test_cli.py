@@ -276,6 +276,11 @@ def test_berry_sweep(tmp_path, capsys):
     assert err.max() < 1e-3
     numeric = read_column(out / "berry_sweep.csv", "phase_numeric")
     assert abs(numeric[2] - (-math.pi)) < 1e-6  # theta = pi/2, sigma = +1
+    # berry reads only k of [space]: without the cutoff its sweep is the same, byte for byte
+    bare = tmp_path / "bare"
+    cfg = write(tmp_path, BERRY.replace("cutoff = 16\n", ""), "bare.ini")
+    assert main(["berry", "--config", cfg, "--out", str(bare)]) == 0
+    assert (bare / "berry_sweep.csv").read_bytes() == (out / "berry_sweep.csv").read_bytes()
 
 
 def test_berry_pole_row_is_zero(tmp_path):
@@ -481,6 +486,10 @@ def test_unparsable_config_is_exit_2_naming_file_and_line(tmp_path, capsys, text
             id="theta-two-pi",
         ),
         pytest.param("coherent", BASE, "coherent.xi", id="coherent-xi-missing"),
+        # berry alone may leave it out: every other command builds the Fock space
+        pytest.param(
+            "propagate", BASE.replace("cutoff = 32\n", ""), "space.cutoff", id="cutoff-missing"
+        ),
         # every check of coherent compares with the oracle: without it nothing is checked
         pytest.param(
             "coherent",

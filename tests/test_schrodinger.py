@@ -125,6 +125,17 @@ def test_invariant_expectation_drift_constant_and_rebuilt():
     assert invariant_expectation_drift(gen.sigma_z, result) > 0.1
 
 
+def test_invariant_expectation_drift_rejects_a_stack():
+    # a stack's states are (R, n_times, dim): one run's drift is not defined on them
+    params = constant_params(1.0, 2.8, 0.05)
+    psi0 = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    ts = np.linspace(0.0, 1.0, 5)
+    stack = propagate(np.array([psi0, psi0]), (0.0, 1.0), params, SPEC, t_eval=ts)
+    assert stack.states.shape == (2, 5, SPEC.dim)
+    with pytest.raises(ConfigurationError, match=rf"\(2, 5, {SPEC.dim}\)"):
+        invariant_expectation_drift(build_generators(SPEC).Nprime, stack)
+
+
 def test_table_profile_keeps_drift_budget():
     # kinks in H(t) must not degrade the run past the rejection threshold
     from susyjc import ModelParams, TimeProfile
@@ -217,13 +228,13 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
     )
     structure = _Structure.for_space(spec)
     # N' is diagonal too: its vector is the whole matrix the drift check needs
-    assert np.array_equal(np.diag(structure.nprime), build_generators(spec).Nprime.matrix)
+    assert np.array_equal(np.diag(structure.nprime), build_generators(spec).Nprime)
     rng = np.random.default_rng(k)
     top = np.zeros((2, spec.cutoff), dtype=complex)
     top[:, -2 * k :] = 1.0 + 0.5j  # only the levels where truncation cuts the ladder
     for t in (0.0, 1.3, 2.5, 6.1, 10.0):
         omega, omega0, g = params.evaluate(t)
-        dense = build_hamiltonian(spec, params, t).matrix
+        dense = build_hamiltonian(spec, params, t)
         for psi in (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim), top.ravel()):
             want = dense @ psi
             got = _apply_hamiltonian(structure, omega, omega0, g, psi)
@@ -252,7 +263,7 @@ def test_oracle_matches_matrix_exponential_for_constant_coupled_h(k):
     spec = FockSpaceSpec(cutoff=14, k=k)
     params = constant_params(1.0, k * 1.0 - 0.2, 0.07, g_phase=0.6, k=k)
     psi0 = _superposition(spec, range(4), seed=k)
-    h = build_hamiltonian(spec, params, 0.0).matrix
+    h = build_hamiltonian(spec, params, 0.0)
     t0, t1 = 1.5, 21.5
     ts = np.linspace(t0, t1, 9)
     result = propagate(psi0, (t0, t1), params, spec, t_eval=ts)
@@ -284,9 +295,9 @@ def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
 
     gen = build_generators(spec)
     a_op, adag = build_ladder(spec)
-    number = adag.matrix @ a_op.matrix
-    half_sz = 0.5 * gen.sigma_z.matrix
-    q, qdag = gen.Q.matrix, gen.Qdag.matrix
+    number = adag @ a_op
+    half_sz = 0.5 * gen.sigma_z
+    q, qdag = gen.Q, gen.Qdag
 
     def lab_rhs(t, y):
         omega, omega0, g = params.evaluate(t)
