@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auxiliary import AuxState, AuxTrajectory, family_sample, solve_aux
-from .blocks import SubspaceBlock, lambda_value
+from .blocks import SubspaceBlock, _full_space, lambda_value
 from .errors import ConfigurationError, CycleError
 from .evolution import (
     SIGMA_Z2,
@@ -198,13 +198,15 @@ def berry_phase_numeric(
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):
     """Constant of motion t -> U(t) O U^dag(t) built from an ordinary operator.
 
-    ``op`` is a full-space complex array.  With i dU/dt = H U, the
-    conjugation satisfies the invariant equation, so its expectation in any
-    solution inside the block is conserved; for O = sigma_z it reproduces
-    the angle form of the invariant.  (Conjugating the other way, U^dag O U,
-    gives the Heisenberg-picture operator, which is not conserved.)
+    ``op`` is a full-space complex array of the block's cutoff; another
+    shape is a ConfigurationError here, not at the first call.  With
+    i dU/dt = H U, the conjugation satisfies the invariant equation, so its
+    expectation in any solution inside the block is conserved; for
+    O = sigma_z it reproduces the angle form of the invariant.  (Conjugating
+    the other way, U^dag O U, gives the Heisenberg-picture operator, which is
+    not conserved.)
     """
-    mat = np.asarray(op, dtype=complex)
+    mat = np.asarray(_full_space(op, block), dtype=complex)
     propagator = EvolutionOperator(block, trajectory)
 
     def at(t: float) -> np.ndarray:

@@ -9,9 +9,11 @@ nowhere else.
 The ODE solver is DOP853, the Dormand-Prince 8(5,3) pair with its 7th-order
 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed., sections
 II.5-II.6), with the error norm, step controller and initial step of the
-widely used scipy implementation, so that it takes the same steps.  Sampled
-series are differentiated with 7-point finite-difference stencils (sixth
-order) on each segment's uniform grid, and integrated with the local
+widely used scipy implementation, so that it takes the same steps.  It
+integrates real states only (the oracle passes the (re, im) view of its
+complex amplitudes), so every per-step product is a real BLAS product.
+Sampled series are differentiated with 7-point finite-difference stencils
+(sixth order) on each segment's uniform grid, and integrated with the local
 degree-5 interpolant (sixth order); the stencil weights come from
 Fornberg's algorithm (Math. Comp. 51, 699 (1988)).  Sixth-order derivatives
 keep certification residuals well below the ODE tolerances they audit.
@@ -200,13 +202,9 @@ _EXPONENT = -1.0 / 8.0  # the error estimate is 7th order
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-def _sq_norm_real(x) -> float:
+def _sq_norm(x) -> float:
     """||x||^2 as the square of numpy's 2-norm: the rounding of scipy's error norm."""
     return math.sqrt(x.dot(x)) ** 2
-
-
-def _sq_norm_complex(x) -> float:
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) ** 2
 
 
 def _rms(x) -> float:
@@ -277,28 +275,27 @@ class Dop853Solution:
 def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
     """Integrate y' = rhs(t, y) over ``span`` (either direction) by DOP853.
 
-    ``y0`` may be real or complex; ``rhs`` may return any sequence, which is
-    cast to y0's dtype.  ``atol`` is a scalar or one value per component.
-    An rtol below ``RTOL_FLOOR`` is a ConfigurationError: callers clamp.
+    The state is real: ``y0`` is cast to float64, and a complex ``y0`` is a
+    ConfigurationError (integrate its real view, as the oracle does).
+    ``rhs`` may return any sequence, which is cast to float64.  ``atol`` is
+    a scalar or one value per component.  An rtol below ``RTOL_FLOOR`` is a
+    ConfigurationError: callers clamp.
     The steps, right-hand-side calls and rounding are those of the scipy
     implementation (error norm, step controller, initial step).
     """
     if not rtol >= RTOL_FLOOR:
         raise ConfigurationError(f"rtol={rtol!r} is below the DOP853 floor {RTOL_FLOOR!r}")
-    y = np.asarray(y0)
-    dtype = complex if np.iscomplexobj(y) else float
-    y = y.astype(dtype)
+    if np.iscomplexobj(y0):
+        raise ConfigurationError("DOP853 integrates real states: pass a complex state's real view")
+    y = np.array(y0, dtype=float)
     atol = np.asarray(atol, dtype=float)
     t, t_end = float(span[0]), float(span[1])
     direction = 1.0 if t_end >= t else -1.0
 
-    def fun(t, y):
-        return np.asarray(rhs(t, y), dtype=dtype)
-
-    K = np.empty((16, y.size), dtype=dtype)  # the stages, one per row
-    K[0] = fun(t, y)
+    K = np.empty((16, y.size))  # the stages, one per row; assignment casts to float
+    K[0] = rhs(t, y)
     nfev = 1 if t == t_end else 2
-    h_abs = _initial_step(fun, t, y, K[0], abs(t_end - t), direction, rtol, atol)
+    h_abs = _initial_step(rhs, t, y, K[0], abs(t_end - t), direction, rtol, atol)
     # stage s at t + c_s h, y + h sum_j a_sj K[j]: (s, c_s, K[:s]^T, a_s[:s])
     stages = [(s, float(_C[s]), K[:s].T, _A[s, :s]) for s in range(16)]
     trial, dense = stages[1:12], stages[13:]  # stage 12 is the new end point's
@@ -309,9 +306,8 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             dy = np.dot(previous, a)
             dy *= h
             dy += y
-            K[s] = rhs(t + c * h, dy)  # the row assignment casts to y's dtype
+            K[s] = rhs(t + c * h, dy)
 
-    sq_norm = _sq_norm_complex if dtype is complex else _sq_norm_real
     times, rows, coefficients = [t], [y], []
     message = None
     while direction * (t - t_end) < 0:
@@ -340,7 +336,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             err5 /= scale
             err3 = np.dot(K13, _E3)
             err3 /= scale
-            err5, err3 = sq_norm(err5), sq_norm(err3)
+            err5, err3 = _sq_norm(err5), _sq_norm(err3)
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:
@@ -357,7 +353,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
         evaluate(dense, t, y, h)
         nfev += 3
         delta = y_new - y
-        F = np.empty((7, y.size), dtype=dtype)
+        F = np.empty((7, y.size))
         F[0] = delta
         F[1] = h * K[0] - delta
         F[2] = 2 * delta - h * (K[12] + K[0])
@@ -367,7 +363,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
         K[0] = K[12]
         times.append(t)
         rows.append(y)
-    stacked = np.array(coefficients) if coefficients else np.empty((0, 7, y.size), dtype)
+    stacked = np.array(coefficients) if coefficients else np.empty((0, 7, y.size))
     return Dop853Solution(times, np.array(rows), stacked, nfev, message)
 
 
@@ -376,21 +372,20 @@ class PiecewiseDense:
 
     ``edges`` is ascending; ``solutions[i]`` interpolates on
     [edges[i], edges[i+1]], and an edge belongs to the segment it starts.
-    Works for any state dimension and dtype.
+    Works for any state dimension; the states are real.
     """
 
     def __init__(self, edges, solutions):
         self.edges = np.asarray(edges, dtype=float)
         self.solutions = solutions
-        first = solutions[0](self.edges[:1])
-        self._rows, self._dtype = first.shape[0], first.dtype
+        self._rows = solutions[0](self.edges[:1]).shape[0]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        out = np.empty((self._rows, t.size), dtype=self._dtype)
+        out = np.empty((self._rows, t.size))
         for seg in np.unique(idx):
             mask = idx == seg
             out[:, mask] = self.solutions[seg](t[mask])

@@ -22,12 +22,15 @@ borrows nothing from the invariant theory.
 
 Several runs share one integration: an (R, dim) stack of initial states is
 integrated as the R columns of one (R dim,) state, so the solver's per-step
-cost is paid once per step for all of them.  DOP853's error norm is an RMS over
-all components, so the solver gets rtol/sqrt(R) and atol/sqrt(R): no
-column's local error criterion is looser than its solo run's.  Every check
-(normalization, guard band, norm drift) runs on each column, and a
-rejection names the worst one.  One state is the R = 1 case of the same
-code.
+cost is paid once per step for all of them.  The solver steps its real
+view, 2 R dim interleaved (re, im) floats: real per-step BLAS products stay
+on one thread at these sizes, where complex ones wake a spinning helper
+thread.  DOP853's error norm is an RMS over all components, and an entry's
+complex error is at most sqrt(2) times the larger of its parts, so the
+solver gets rtol/sqrt(2R) and atol/sqrt(2R): no column's local error
+criterion is looser than its solo complex run's.  Every check (normalization,
+guard band, norm drift) runs on each column, and a rejection names the worst
+one.  One state is the R = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -125,9 +128,9 @@ def propagate(
     """Integrate the Schrodinger equation from normalized initial states.
 
     ``initial`` is one state, (dim,), or a stack of R states, (R, dim),
-    integrated together as the columns of one solve at rtol/sqrt(R) and
-    atol/sqrt(R) (module docstring), the solver's rtol clamped at its floor
-    of 100 eps (``quadrature.RTOL_FLOOR``).  Each state must be normalized and keep at
+    integrated together as one real solve of their 2 R dim (re, im) parts
+    at rtol/sqrt(2R) and atol/sqrt(2R) (module docstring), the solver's rtol
+    clamped at ``quadrature.RTOL_FLOOR`` (100 eps).  Each state must be normalized and keep at
     least ``spec.guard`` photon levels free below the cutoff; a row that
     is not is a ``ConfigurationError`` that names it.  Because H never
     couples across blocks, any column that populates the guard band
@@ -138,7 +141,7 @@ def propagate(
     """
     if params.k != spec.k:
         raise ConfigurationError(f"params.k={params.k} does not match spec.k={spec.k}")
-    psi0 = np.asarray(initial, dtype=complex)
+    psi0 = np.array(initial, dtype=complex)  # a contiguous copy: its real view is y0
     stacked = psi0.ndim == 2
     if psi0.shape[-1:] != (spec.dim,) or psi0.ndim > 2 or psi0.size == 0:
         raise ConfigurationError(
@@ -166,14 +169,13 @@ def propagate(
     energies = omega_ref * structure.number + omega0_ref * structure.half_sz
     gap = spec.k * omega_ref - omega0_ref
 
-    def rhs(t, c):
+    def rhs(t, c):  # c: the (re, im) view of the (R dim,) stack
         omega, omega0, g = params.evaluate(t)
         g_rot = g * cmath.exp(1j * gap * (t - t0))
-        hc = _apply_hamiltonian(
-            structure, omega - omega_ref, omega0 - omega0_ref, g_rot, c.reshape(n_runs, -1)
-        )
+        stack = c.view(complex).reshape(n_runs, -1)
+        hc = _apply_hamiltonian(structure, omega - omega_ref, omega0 - omega0_ref, g_rot, stack)
         hc *= -1j
-        return hc.reshape(-1)
+        return hc.reshape(-1).view(float)
 
     t_eval = np.linspace(t0, t1, 401) if t_eval is None else t_eval
     t_eval = check_window(t_eval, t0, t1, "propagation")
@@ -181,14 +183,14 @@ def propagate(
     def failed(message, time):
         return PropagationError(f"integration failed: {message}", None)
 
-    shrink = math.sqrt(n_runs)
+    shrink = math.sqrt(2 * n_runs)
     solver_rtol = max(rtol / shrink, RTOL_FLOOR)
     dense, n_steps, n_rhs, _ = integrate_segments(
-        rhs, (t0, t1), columns.reshape(-1), params, solver_rtol, atol / shrink, failed
+        rhs, (t0, t1), psi0.reshape(-1).view(float), params, solver_rtol, atol / shrink, failed
     )
-    # (R dim, n_t) -> (R, n_t, dim): column i's states, time axis first
-    rotating = dense(t_eval).reshape(n_runs, spec.dim, -1).transpose(0, 2, 1)
-    states = rotating * np.exp(-1j * np.outer(t_eval - t0, energies))
+    # (2 R dim, n_t) -> (n_t, R dim) complex -> (R, n_t, dim): time axis first
+    rotating = dense(t_eval).T.copy().view(complex).reshape(-1, n_runs, spec.dim)
+    states = rotating.transpose(1, 0, 2) * np.exp(-1j * np.outer(t_eval - t0, energies))
 
     def rejected(what, values, bound):
         worst = int(np.argmax(values))
@@ -230,8 +232,8 @@ def invariant_expectation_drift(op, result: PropagationResult) -> float:
 
     ``op`` may be a constant full-space complex array or a callable
     t -> array (for invariants rebuilt from a trajectory at each sample).
-    ``result`` holds one run; a stack's (R, n_times, dim) states are a
-    ConfigurationError.
+    ``result`` holds one run.  A stack's (R, n_times, dim) states, or an op
+    (a callable's first value) that is not (dim, dim), are a ConfigurationError.
     """
     if result.states.ndim != 2:
         raise ConfigurationError(
@@ -240,6 +242,8 @@ def invariant_expectation_drift(op, result: PropagationResult) -> float:
     values = []
     for t, psi in zip(result.times, result.states):
         mat = np.asarray(op(float(t)) if callable(op) else op)
+        if not values and mat.shape != 2 * psi.shape:  # (dim, dim)
+            raise ConfigurationError(f"operator shape {mat.shape} is not {2 * psi.shape}")
         values.append(np.real(np.vdot(psi, mat @ psi)))
     values = np.asarray(values)
     return float(np.max(np.abs(values - values[0])))

@@ -123,6 +123,18 @@ def test_berry_phase_coupling_invariance():
     assert abs(phases[0] - phases[1]) < 1e-8
 
 
+def test_conjugated_invariant_rejects_an_operator_of_another_cutoff():
+    # checked when the invariant is built, not at its first call
+    from susyjc import build_generators
+
+    params = constant_params(1.0, 2.8, 0.05)
+    block = SubspaceBlock.for_space(FockSpaceSpec(cutoff=16, k=3), 0)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 1.0), params, block.lam)
+    sigma_z = build_generators(FockSpaceSpec(cutoff=20, k=3)).sigma_z
+    with pytest.raises(ConfigurationError, match="does not match block cutoff 16"):
+        conjugated_invariant(block, traj, sigma_z)
+
+
 def test_conjugated_invariant_drift():
     spec = FockSpaceSpec(cutoff=16, k=3)
     params = constant_params(1.0, 2.8, 0.05)

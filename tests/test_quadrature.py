@@ -257,8 +257,8 @@ def _stacked_oracle(window):
             1,
             id="bloch-family-real",
         ),
-        pytest.param(_stacked_oracle((0.0, 5.0)), 1, id="stacked-oracle-complex-forward"),
-        pytest.param(_stacked_oracle((5.0, 0.0)), 1, id="stacked-oracle-complex-backward"),
+        pytest.param(_stacked_oracle((0.0, 5.0)), 1, id="stacked-oracle-forward"),
+        pytest.param(_stacked_oracle((5.0, 0.0)), 1, id="stacked-oracle-backward"),
         pytest.param(
             lambda: solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3)),
             4,
@@ -269,8 +269,8 @@ def _stacked_oracle(window):
 def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
     # scipy's solve_ivp is the reference: the same accepted step times and
     # right-hand-side calls, and dense output equal to rounding, on the real
-    # (5M,) family vector, the complex stacked oracle both ways and a
-    # window cut at table knots
+    # (5M,) family vector, the stacked oracle's (re, im) view both ways and
+    # a window cut at table knots
     runs = _captured_runs(monkeypatch, solve)
     assert len(runs) == segments
     for (rhs, span, y0, rtol, atol), ours in runs:
@@ -293,10 +293,16 @@ def test_dop853_rejects_an_rtol_below_its_floor():
     assert abs(ours.states[0, -1] - math.exp(-1.0)) < 1e-14
 
 
+def test_dop853_rejects_a_complex_state():
+    # the port is real: a complex problem is integrated through its real view
+    with pytest.raises(ConfigurationError, match="real states"):
+        dop853(lambda t, y: 1j * y, (0.0, 1.0), np.array([1.0 + 0j, 0.5j]), 1e-10, 1e-12)
+
+
 def test_dop853_on_an_empty_window_stays_put():
-    ours = dop853(lambda t, y: 1j * y, (2.0, 2.0), np.array([1.0 + 0j, 0.5j]), 1e-10, 1e-12)
+    ours = dop853(lambda t, y: -y, (2.0, 2.0), np.array([1.0, 0.5]), 1e-10, 1e-12)
     assert ours.times.tolist() == [2.0] and ours.nfev == 1 and ours.message is None
-    assert np.array_equal(ours(2.0), [1.0, 0.5j])
+    assert np.array_equal(ours(2.0), [1.0, 0.5])
     assert ours(np.array([2.0, 2.0])).shape == (2, 2)
 
 

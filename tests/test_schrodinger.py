@@ -20,6 +20,7 @@ from susyjc import (
     solve_aux,
 )
 from susyjc.evolution import invariant_operator
+from susyjc.quadrature import RTOL_FLOOR
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
 
@@ -134,6 +135,18 @@ def test_invariant_expectation_drift_rejects_a_stack():
     assert stack.states.shape == (2, 5, SPEC.dim)
     with pytest.raises(ConfigurationError, match=rf"\(2, 5, {SPEC.dim}\)"):
         invariant_expectation_drift(build_generators(SPEC).Nprime, stack)
+
+
+def test_invariant_expectation_drift_rejects_an_operator_of_another_dimension():
+    # a cutoff-20 operator on cutoff-32 states: named up front, not a matmul error
+    params = constant_params(1.0, 2.8, 0.05)
+    psi0 = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    result = propagate(psi0, (0.0, 1.0), params, SPEC, t_eval=np.linspace(0.0, 1.0, 5))
+    small = build_generators(FockSpaceSpec(cutoff=20, k=3)).sigma_z
+    with pytest.raises(ConfigurationError, match=r"operator shape \(40, 40\) is not \(64, 64\)"):
+        invariant_expectation_drift(small, result)
+    with pytest.raises(ConfigurationError, match=r"operator shape \(40, 40\)"):
+        invariant_expectation_drift(lambda t: small, result)
 
 
 def test_table_profile_keeps_drift_budget():
@@ -364,7 +377,7 @@ def test_a_one_row_stack_is_the_single_state_call():
 
 
 def test_stacked_columns_match_their_solo_runs():
-    # resonant.ini's six oracle runs as one solve at rtol / sqrt(6): each
+    # resonant.ini's six oracle runs as one solve at rtol / sqrt(12): each
     # column agrees with its solo run, and drifts well inside the 1e-9 bound
     # that the solo runs came within 2 % of
     spec, params, initial = _resonant_runs()
@@ -381,8 +394,8 @@ def test_stacked_columns_match_their_solo_runs():
 
 @pytest.mark.parametrize("rtol", [1e-13, 4e-14])
 def test_a_tight_stack_stays_above_the_solver_floor(rtol):
-    # rtol / sqrt(6) is clamped at the solver's floor of 100 eps, below which
-    # DOP853 raises a ConfigurationError (4e-14 / sqrt(6) lies below it)
+    # rtol / sqrt(12) is clamped at the solver's floor of 100 eps, below which
+    # DOP853 raises a ConfigurationError (4e-14 / sqrt(12) lies below it)
     spec, params, initial = _resonant_runs()
     result = propagate(initial, (0.0, 1.0), params, spec, rtol=rtol, atol=1e-15)
     assert result.norm_drift < 1e-12
@@ -416,3 +429,45 @@ def test_drift_rejection_names_the_worst_column():
     with pytest.raises(PropagationError, match=r"norm drift \S+ exceeds") as exc:
         propagate(coupled, (0.0, 20.0), params, SPEC, rtol=1e-4, atol=1e-6, max_norm_drift=1e-12)
     assert exc.value.column is None
+
+
+@pytest.mark.parametrize(
+    "rows,rtol,solver_rtol",
+    [
+        pytest.param(1, 1e-10, 1e-10 / math.sqrt(2), id="one-state"),
+        pytest.param(3, 1e-10, 1e-10 / math.sqrt(6), id="stack"),
+        pytest.param(3, 4e-14, RTOL_FLOOR, id="stack-at-the-floor"),
+    ],
+)
+def test_the_solver_steps_the_real_view_at_tolerances_over_sqrt_2r(
+    monkeypatch, rows, rtol, solver_rtol
+):
+    # DOP853 gets the 2 R dim (re, im) floats of the stack, at rtol and atol
+    # over sqrt(2R), and the states come back complex in the usual shapes
+    from susyjc import schrodinger
+
+    solves = []
+    real = schrodinger.integrate_segments
+
+    def recording(rhs, window, y0, params, rtol, atol, failure):
+        solves.append((y0, rtol, atol))
+        return real(rhs, window, y0, params, rtol, atol, failure)
+
+    monkeypatch.setattr(schrodinger, "integrate_segments", recording)
+    params = constant_params(1.0, 2.8, 0.05, g_phase=0.4)
+    stack = np.array([
+        embed_state(SubspaceBlock.for_space(SPEC, m), [math.cos(0.3), 1j * math.sin(0.3)])
+        for m in range(rows)
+    ])  # fmt: skip
+    initial = stack if rows > 1 else stack[0]
+    ts = np.linspace(0.0, 2.0, 9)
+    result = propagate(initial, (0.0, 2.0), params, SPEC, rtol=rtol, atol=1e-12, t_eval=ts)
+
+    [(y0, got_rtol, got_atol)] = solves
+    assert y0.dtype == np.float64 and y0.flags.c_contiguous and y0.shape == (2 * rows * SPEC.dim,)
+    assert np.array_equal(y0.view(complex), stack.reshape(-1))
+    assert got_rtol == pytest.approx(solver_rtol, rel=1e-15)
+    assert got_atol == pytest.approx(1e-12 / math.sqrt(2 * rows), rel=1e-15)
+    assert result.states.dtype == complex
+    assert result.states.shape == ((rows,) if rows > 1 else ()) + (ts.size, SPEC.dim)
+    assert np.array_equal(result.states[..., 0, :], initial)
