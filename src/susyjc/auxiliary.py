@@ -22,10 +22,9 @@ are functions of n, so the solve also integrates, per member,
                     = h_z (1 - z) - z (h'_x x' + h'_y y') / (1 + z),
 
 and phi_d(sigma) = (m + k/2) int w + sigma B, phi_g(sigma) = sigma G
-(:class:`susyjc.evolution.PhaseIntegrals`).  The dense output is read back
-as (4M,) rows for every reader: the thetas, the phis, then B and G, with
-theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0)
-kept continuous (:func:`_angle_chart`).
+(:class:`susyjc.evolution.PhaseIntegrals`).  Readers sample the one dense
+output, (n_t, 5M): B and G are its last 2M columns, and :func:`_angle_chart`
+gives theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0).
 
 The blocks m of a run differ only in lambda, which scales the coupling by
 sqrt(lam), so one solve carries them all as members, from shared initial
@@ -153,9 +152,8 @@ class AuxTrajectory:
     kinks, for :mod:`susyjc.quadrature`.  ``residuals`` is the
     :func:`residual_series` on ``times`` for the trajectory's own params
     and lam, as certification computed it (None on a hand-built one).
-    ``_dense`` is its solve's dense output, (4M,) rows (module docstring),
-    and ``_member`` its index j among the M members: its angles are rows j
-    and M + j.
+    ``_dense`` is its solve's (5M,) dense output, ``_chart`` the solve's
+    :func:`_angle_chart`, and ``_member`` its column among the M members.
     """
 
     times: np.ndarray
@@ -167,6 +165,7 @@ class AuxTrajectory:
     edge_indices: tuple | None = None
     residuals: np.ndarray | None = None
     _dense: object = field(repr=False, default=None)
+    _chart: object = field(repr=False, default=None)
     _member: int = field(repr=False, default=0)
 
     @property
@@ -182,8 +181,8 @@ class AuxTrajectory:
 
     def state_at(self, t) -> AuxState:
         """Angles from the dense ODE output: floats at scalar t, arrays over an array of times."""
-        rows = self._dense(self._check_window(t))
-        theta, phi = rows[self._member], rows[rows.shape[0] // 4 + self._member]
+        t = self._check_window(t)
+        theta, phi = (angles[..., self._member] for angles in self._chart(self._dense(t), t))
         return AuxState(theta, phi) if theta.ndim else AuxState(float(theta), float(phi))
 
     def rates_at(self, t):
@@ -211,13 +210,13 @@ def solve_aux(
 
 def family_sample(trajectories):
     """``sample(t)``: (angles, B, G) of K consecutive members of one solve
-    from one call of its dense output, (K,) arrays each, or (K, n_t) over
+    from one call of its dense output, (K,) arrays each, or (n_t, K) over
     n_t times.  The trajectories must share one dense output (by identity)
     and carry consecutive member indices in the solve's order
     (ConfigurationError otherwise); one trajectory is its own family.
     """
     first = trajectories[0]
-    rows = slice(first._member, first._member + len(trajectories))
+    columns = slice(first._member, first._member + len(trajectories))
     members = enumerate(trajectories, first._member)
     if any(traj._dense is not first._dense or traj._member != j for j, traj in members):
         raise ConfigurationError(
@@ -225,8 +224,11 @@ def family_sample(trajectories):
         )
 
     def sample(t):
-        theta, phi, b, g = np.split(first._dense(first._check_window(t)), 4)
-        return AuxState(theta[rows], phi[rows]), b[rows], g[rows]
+        t = first._check_window(t)
+        state = first._dense(t)
+        theta, phi = first._chart(state, t)
+        b, g = np.split(state, 5, axis=-1)[3:]
+        return AuxState(theta[..., columns], phi[..., columns]), b[..., columns], g[..., columns]
 
     return sample
 
@@ -266,46 +268,47 @@ def _bloch_rhs(params: ModelParams, lams, t0: float, delta0: float):
     return rhs
 
 
-def _angle_chart(steps, phi0: np.ndarray, t0: float, delta0: float):
-    """``to_angles(n, t)``: the (2M, n_t) thetas and lab-frame phis of the M
-    frame vectors in the first 3M rows of solve states n at the times t.
+def _angle_chart(vectors: PiecewiseDense, phi0: np.ndarray, t0: float, delta0: float):
+    """``to_angles(n, t)``: the (n_t, M) thetas and lab-frame phis of the M
+    frame vectors in solve states n, (n_t, 5M) at times t ((M,) at one t).
 
     phi is taken on the branch nearest the unwrapped phi at the start of the
-    accepted solver step that holds t, unwrapped from phi0 along ``steps``
-    (the solve's step boundaries and states, across the segments).  Away
-    from the poles no accepted step turns the azimuth by pi at the
-    tolerances used here, so phi is continuous (never wrapped).  The
-    conversion is elementwise: any set of times gives the same values.
+    accepted solver step that holds t, unwrapped from phi0 along the steps
+    of ``vectors.solutions``.  Away from the poles no accepted step turns
+    the azimuth by pi at the tolerances used here, so phi is continuous
+    (never wrapped).  The conversion is elementwise: any set of times gives
+    the same values.
     """
-    nodes, states = steps
-    members = phi0.size
-    x, y = states[:members], states[members : 2 * members]
-    bases = np.unwrap(np.concatenate([phi0[:, None], np.arctan2(y, -x)], axis=1), axis=1)[:, 1:]
+    nodes = np.concatenate([sol.times for sol in vectors.solutions])
+    states = np.concatenate([sol.states for sol in vectors.solutions])
+    x, y = np.split(states, 5, axis=-1)[:2]
+    bases = np.unwrap(np.concatenate([phi0[None], np.arctan2(y, -x)]), axis=0)[1:]
     last = nodes.size - 1
 
     def to_angles(n, t):
-        x, y, z = n[:members], n[members : 2 * members], n[2 * members : 3 * members]
-        base = bases[:, np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)]
+        x, y, z = np.split(n, 5, axis=-1)[:3]
+        base = bases[np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)]
         turn = np.arctan2(y, -x) - base
-        phi = base + (turn - _TWO_PI * np.round(turn / _TWO_PI)) + delta0 * (t - t0)
-        return np.concatenate([np.arctan2(np.hypot(x, y), z), phi])
+        drift = np.expand_dims(delta0 * (t - t0), -1)  # (n_t, 1) against (n_t, M)
+        phi = base + (turn - _TWO_PI * np.round(turn / _TWO_PI)) + drift
+        return np.arctan2(np.hypot(x, y), z), phi
 
     return to_angles
 
 
 def _first_pole(vectors: PiecewiseDense, times, n, members: int):
     """(time, member) of the earliest |sin theta| < THETA_MIN in the solve
-    states ``n`` on ``times`` (x and y rows first), or None.
+    states ``n``, (n_t, 5M) on ``times`` (x and y columns first), or None.
 
     A pole is at a sample, or between two samples across which a member's
     (x, y) reverses direction, located where (x, y) is perpendicular to the
     chord between them: the crossing itself, or the closest approach.
     """
-    x, y = n[:members], n[members : 2 * members]
-    found = [(times[i], j) for j, i in zip(*np.nonzero(np.hypot(x, y) < THETA_MIN))]
-    reversed_ = x[:, :-1] * x[:, 1:] + y[:, :-1] * y[:, 1:] < 0
-    for j, i in zip(*np.nonzero(reversed_)):
-        cx, cy = x[j, i + 1] - x[j, i], y[j, i + 1] - y[j, i]
+    x, y = n[:, :members], n[:, members : 2 * members]
+    found = [(times[i], j) for i, j in zip(*np.nonzero(np.hypot(x, y) < THETA_MIN))]
+    reversed_ = x[:-1] * x[1:] + y[:-1] * y[1:] < 0
+    for i, j in zip(*np.nonzero(reversed_)):
+        cx, cy = x[i + 1, j] - x[i, j], y[i + 1, j] - y[i, j]
 
         def along(t, j=j, cx=cx, cy=cy):
             v = vectors(t)
@@ -350,8 +353,8 @@ def _solve_family(
 
     The family shares one sample grid, sized for its fastest member before
     the solve.  Each certification pass evaluates the solve on it once,
-    (5M, n), checks the poles, converts the vector rows to the (2M, n)
-    angles and certifies each member (:func:`_printed_residual`); if any
+    (n, 5M), checks the poles, converts the vector columns to the (n, M)
+    thetas and phis and certifies each member (:func:`_printed_residual`); if any
     fails, the whole family is re-integrated at a further rtol/16, up to
     three times; on a grid cut to the cap it stops as soon as a refinement
     lowers the worst residual by less than a factor of 2, since the grid's
@@ -362,9 +365,9 @@ def _solve_family(
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ConfigurationError(f"window must satisfy t1 > t0, got {window}")
+    lams = np.asarray(lams, dtype=float)
     members = len(lams)
     shrink = math.sqrt(members)
-    lam_rows = np.asarray(lams, dtype=float)[:, None]
     try:
         theta0, phi0 = np.broadcast_arrays(initial.theta, initial.phi, np.zeros(members))[:2]
     except ValueError as exc:
@@ -410,7 +413,7 @@ def _solve_family(
     rhs = _bloch_rhs(params, lams, t0, delta0)
     # math, not numpy, trigonometry: a shared start gives M copies of one vector
     n0 = [(-math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)) for a, b in starts]
-    y0 = np.concatenate([np.array(n0).T.ravel(), np.zeros(2 * members)])
+    y0 = np.concatenate([np.array(n0).ravel(order="F"), np.zeros(2 * members)])
 
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
@@ -418,33 +421,27 @@ def _solve_family(
     def integrate(rt, at):
         solver_rtol = max(rt / (16.0 * shrink), RTOL_FLOOR)
         atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
-        vectors, n_steps, nfev, steps = integrate_segments(
-            rhs, (t0, t1), y0, params, solver_rtol, atols, failed
+        vectors, n_steps, nfev = integrate_segments(
+            rhs, window, y0, params, solver_rtol, atols, failed
         )
-        to_angles = _angle_chart(steps, phi0, t0, delta0)
+        return vectors, _angle_chart(vectors, phi0, t0, delta0), n_steps, nfev, solver_rtol
 
-        def rows(state, t):
-            return np.concatenate([to_angles(state, t), state[3 * members :]])
-
-        pieces = [lambda t, sol=sol: rows(sol(t), t) for sol in vectors.solutions]
-        return vectors, to_angles, PiecewiseDense(vectors.edges, pieces), n_steps, nfev, solver_rtol
-
-    vectors, to_angles, dense, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
+    vectors, to_angles, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
 
     def certify_pass(vectors, to_angles):
-        block = vectors(times)  # (5M, n); member j keeps views of angle rows j, M + j
+        block = vectors(times)  # (n, 5M)
         pole = _first_pole(vectors, times, block, members) if coupled else None
         if pole is not None:
             raise at_pole(pole[0], lams[pole[1]])
-        thetas, phis = np.split(to_angles(block, times), 2)
-        norms = np.sqrt(np.sum(block[: 3 * members].reshape(3, members, -1) ** 2, axis=0))
-        deviations = np.max(np.abs(norms - 1.0), axis=1)
+        thetas, phis = to_angles(block, times)  # (n, M) each; member j keeps views of column j
+        norms = np.sqrt(np.sum(block[:, : 3 * members].reshape(-1, 3, members) ** 2, axis=1))
+        deviations = np.max(np.abs(norms - 1.0), axis=0)
         del block, norms
         step = max(1, _CHUNK // times.size)  # members per certification derivative
         chunks = [slice(j, j + step) for j in range(0, members, step)]
-        series = np.concatenate(
+        series = np.hstack(
             [
-                _printed_residual(times, edge_indices, thetas[c], phis[c], frame, lam_rows[c])
+                _printed_residual(times, edge_indices, thetas[:, c], phis[:, c], frame, lams[c])
                 for c in chunks
             ]
         )
@@ -453,7 +450,7 @@ def _solve_family(
     rtol_i, atol_i, refinements, previous = rtol, atol, 0, math.inf
     while True:
         thetas, phis, series, deviations = certify_pass(vectors, to_angles)
-        residuals = np.max(series, axis=1).tolist()
+        residuals = np.max(series, axis=0).tolist()
         worst = max(residuals)
         if not certify or worst <= 100.0 * rtol or rtol_i < rtol / 1000.0:
             break
@@ -464,7 +461,7 @@ def _solve_family(
         rtol_i /= 16.0
         atol_i /= 16.0
         refinements += 1
-        vectors, to_angles, dense, n_steps, nfev, solver_rtol = integrate(rtol_i, atol_i)
+        vectors, to_angles, n_steps, nfev, solver_rtol = integrate(rtol_i, atol_i)
         total_nfev += nfev
 
     stats = SolverStats(
@@ -490,14 +487,15 @@ def _solve_family(
     return [
         AuxTrajectory(
             times=times,
-            thetas=thetas[j],
-            phis=phis[j],
+            thetas=thetas[:, j],
+            phis=phis[:, j],
             params=params,
             lam=float(lam),
             stats=replace(stats, max_residual=residual, max_norm_deviation=float(deviation)),
             edge_indices=edge_indices,
-            residuals=series[j],
-            _dense=dense,
+            residuals=series[:, j],
+            _dense=vectors,
+            _chart=to_angles,
             _member=j,
         )
         for j, (lam, residual, deviation) in enumerate(zip(lams, residuals, deviations))
@@ -511,7 +509,7 @@ def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray
              + i [ (k w - w0) sin(th) e^{-i phi} - 2 g sqrt(lam) cos(th) ]
         E2 = th' - i sqrt(lam) [ g e^{i phi} - g* e^{-i phi} ]
 
-    on sampled angles ((n,), or (K, n) with a (K, 1) ``lam``), with
+    on sampled angles ((n,), or (n, K) with K ``lam`` values), with
     ``frame`` = :func:`_frame` on ``times``.  The derivatives are
     sixth-order finite differences of s~ = sin(th) e^{-i phi~} and
     c = cos(th), phi~ = phi - Delta0 tau: the frame vector's -(x' + i y')
@@ -522,14 +520,14 @@ def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray
 
     and th' = c Re(s~' e^{i phi~}) - sin(th) c' needs no division.
     """
-    turn, offset, g_frame = frame
+    columns = (...,) + (None,) * (np.ndim(theta) - 1)  # the frame's (n,) parts as (n, 1)
+    turn, offset, g_frame = (part[columns] for part in frame)
     root = np.sqrt(lam)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     e_m = np.exp(-1j * (phi - turn))  # e^{-i phi~}
     s = sin_t * e_m
-    parts = np.stack([s.real, s.imag, cos_t]).T  # time first for the stencils
-    ds_re, ds_im, dc = spline_derivative(times, parts, edge_indices).T
-    ds = ds_re + 1j * ds_im
+    derivatives = spline_derivative(times, np.stack([s.real, s.imag, cos_t], axis=-1), edge_indices)
+    ds, dc = derivatives[..., 0] + 1j * derivatives[..., 1], derivatives[..., 2]
     eq1 = ds + 1j * (offset * s - 2.0 * root * g_frame * cos_t)
     dtheta = cos_t * (ds * np.conj(e_m)).real - sin_t * dc
     rotated = g_frame * np.conj(e_m)  # g e^{i phi}

@@ -330,14 +330,14 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     for j, (block, traj, m) in enumerate(zip(blocks, trajs, cfg.m_list)):
         residuals = np.interp(ts, traj.times, traj.residuals)
         w = CsvWriter(out_dir / f"trajectory_m{m}.csv", ["t", "theta", "phi", "residual"], cfg.precision)
-        w.write([ts, angles.theta[j], angles.phi[j], residuals])
+        w.write([ts, angles.theta[:, j], angles.phi[:, j], residuals])
         w = CsvWriter(
             out_dir / f"phases_m{m}.csv",
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        rows = integrals[3 * j : 3 * j + 3]
-        plus, minus = _ledger(+1, rows), _ledger(-1, rows)
+        phases = integrals[:, 3 * j : 3 * j + 3]
+        plus, minus = _ledger(+1, phases), _ledger(-1, phases)
         w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
         runs += [(block, sigma, _amplitudes(sample, j, sigma)) for sigma in cfg.sigmas]
 

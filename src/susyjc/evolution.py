@@ -208,10 +208,11 @@ def _check_sigma(sigma: int) -> int:
     return sigma
 
 
-def _ledger(sigma: int, rows) -> PhaseLedger:
-    """The sigma branch's ledger from one block's three integral rows: (3,)
-    at a scalar time (floats), (3, n_t) over n_t times."""
-    phi_d_plus, phi_d_minus, phi_g = rows.tolist() if rows.ndim == 1 else rows
+def _ledger(sigma: int, integrals) -> PhaseLedger:
+    """The sigma branch's ledger from one block's three integral columns:
+    (3,) at a scalar time (floats), (n_t, 3) over n_t times."""
+    columns = integrals.tolist() if integrals.ndim == 1 else [integrals[:, i] for i in range(3)]
+    phi_d_plus, phi_d_minus, phi_g = columns
     if sigma > 0:
         return PhaseLedger(sigma, phi_d_plus, phi_g)
     # 0.0 - x negates x exactly and keeps the start value +0.0
@@ -222,8 +223,8 @@ def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
     """A member's sigma amplitudes from one :meth:`PhaseIntegrals.sample`: the
     phase factor times the rotation's sigma column."""
     angles, integrals = sample
-    state = AuxState(angles.theta[member], angles.phi[member])
-    ledger = _ledger(sigma, integrals[3 * member : 3 * member + 3])
+    state = AuxState(angles.theta[..., member], angles.phi[..., member])
+    ledger = _ledger(sigma, integrals[..., 3 * member : 3 * member + 3])
     factor = np.expand_dims(ledger.factor, -1)
     return factor * eigenframe_rotation(state)[..., :, 0 if sigma == +1 else 1]
 
@@ -237,9 +238,9 @@ class PhaseIntegrals:
     by the M blocks, a sixth-order quadrature of the samples on its grid
     (the one quadrature left).
     :meth:`sample` makes one call of the solve's dense output and one of
-    int w; its rows are phi_d for sigma = +1 and -1, then phi_g for +1, so
-    member j's are 3j .. 3j + 2.  Every reader of amplitudes takes them from
-    one sample: :meth:`ExactSolution.block_state_at`,
+    int w; its integrals are (n_t, 3M), and member j's columns 3j .. 3j + 2
+    are phi_d for sigma = +1 and -1, then phi_g for +1.  Every reader of
+    amplitudes takes them from one sample: :meth:`ExactSolution.block_state_at`,
     :meth:`EvolutionOperator.at` and :func:`general_solution`.
     """
 
@@ -257,10 +258,9 @@ class PhaseIntegrals:
     def sample(self, t):
         """(angles, integrals) of every member at scalar t or over an array of times."""
         angles, b, g = self._family(t)
-        omega_integral = self._omega_integral(t)
-        levels = np.multiply.outer(self._levels, omega_integral)
-        integrals = np.stack([levels + b, levels - b, g], axis=1)
-        return angles, integrals.reshape((-1,) + np.shape(omega_integral))
+        levels = np.multiply.outer(self._omega_integral(t), self._levels)
+        integrals = np.stack([levels + b, levels - b, g], axis=-1)
+        return angles, integrals.reshape(levels.shape[:-1] + (-1,))
 
 
 class ExactSolution:
@@ -291,7 +291,7 @@ class ExactSolution:
     def ledger(self, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         j = 3 * self.member
-        return _ledger(self.sigma, self.phases.sample(t)[1][j : j + 3])
+        return _ledger(self.sigma, self.phases.sample(t)[1][..., j : j + 3])
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""

@@ -17,7 +17,7 @@ Sampled series are differentiated with 7-point finite-difference stencils
 degree-5 interpolant (sixth order); the stencil weights come from
 Fornberg's algorithm (Math. Comp. 51, 699 (1988)).  Sixth-order derivatives
 keep certification residuals well below the ODE tolerances they audit.
-numpy is the only dependency.
+Sampled arrays are time first, (n_t, n).  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -232,18 +232,17 @@ class Dop853Solution:
     """One DOP853 run: its accepted steps and their dense output.
 
     ``times`` are the step boundaries in integration order, both ends
-    included, ``states`` (n, len(times)) the states there, ``nfev`` the
-    right-hand-side calls (3 per step for the dense output included), and
-    ``message`` None, or why the solver stopped early at ``times[-1]``.
-    Calling it at scalar t gives (n,), over an array of N times (n, N): the
-    step that ends at t (or the first step) interpolates, all times in one
-    vectorized pass.
+    included, ``states`` (len(times), n) the states there, time first,
+    ``nfev`` the right-hand-side calls (3 per step for the dense output
+    included), and ``message`` None, or why the solver stopped early at
+    ``times[-1]``.  Calling it at scalar t gives (n,), over an array of N
+    times (N, n): the step that ends at t (or the first step) interpolates,
+    all times in one vectorized pass.
     """
 
-    def __init__(self, times, rows, coefficients, nfev, message):
+    def __init__(self, times, states, coefficients, nfev, message):
         self.times = np.asarray(times, dtype=float)
-        self._rows = rows  # (len(times), n): the states, time first
-        self.states = rows.T
+        self.states = states
         self._coefficients = coefficients  # (steps, 7, n)
         self._h = np.diff(self.times)
         # step boundaries ascending in the direction of integration
@@ -257,8 +256,8 @@ class Dop853Solution:
         t = np.atleast_1d(t)
         steps = self._h.size
         if steps == 0:  # an empty window
-            out = np.repeat(self._rows[:1], t.size, axis=0)
-            return out[0] if scalar else out.T
+            y = np.repeat(self.states[:1], t.size, axis=0)
+            return y[0] if scalar else y
         idx = np.searchsorted(self._sign * self.times, self._sign * t, side="left") - 1
         np.clip(idx, 0, steps - 1, out=idx)
         x = ((t - self.times[idx]) / self._h[idx])[:, None]
@@ -268,8 +267,8 @@ class Dop853Solution:
         for i in range(5, -1, -1):
             y += coefficients[idx, i]
             y *= rest if i % 2 else x
-        y += self._rows[idx]
-        return y[0] if scalar else y.T
+        y += self.states[idx]
+        return y[0] if scalar else y
 
 
 def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
@@ -308,7 +307,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             dy += y
             K[s] = rhs(t + c * h, dy)
 
-    times, rows, coefficients = [t], [y], []
+    times, states, coefficients = [t], [y], []
     message = None
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -362,9 +361,9 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
         t, y = t_new, y_new
         K[0] = K[12]
         times.append(t)
-        rows.append(y)
+        states.append(y)
     stacked = np.array(coefficients) if coefficients else np.empty((0, 7, y.size))
-    return Dop853Solution(times, np.array(rows), stacked, nfev, message)
+    return Dop853Solution(times, np.array(states), stacked, nfev, message)
 
 
 class PiecewiseDense:
@@ -372,24 +371,29 @@ class PiecewiseDense:
 
     ``edges`` is ascending; ``solutions[i]`` interpolates on
     [edges[i], edges[i+1]], and an edge belongs to the segment it starts.
-    Works for any state dimension; the states are real.
+    Time first: (n_t, n) over n_t times, (0, n) over none, (n,) at a scalar.
     """
 
     def __init__(self, edges, solutions):
         self.edges = np.asarray(edges, dtype=float)
         self.solutions = solutions
-        self._rows = solutions[0](self.edges[:1]).shape[0]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        out = np.empty((self._rows, t.size))
-        for seg in np.unique(idx):
-            mask = idx == seg
-            out[:, mask] = self.solutions[seg](t[mask])
-        return out[:, 0] if scalar else out
+        segments = np.unique(idx)
+        if segments.size <= 1:  # the times of one segment (or none): its output as it is
+            out = self.solutions[segments[0] if segments.size else 0](t)
+        else:
+            out = None
+            for seg in segments:
+                mask = idx == seg
+                piece = self.solutions[seg](t[mask])
+                out = np.empty(t.shape + piece.shape[1:]) if out is None else out
+                out[mask] = piece
+        return out[0] if scalar else out
 
 
 def check_window(t, a: float, b: float, name: str) -> np.ndarray:
@@ -409,33 +413,27 @@ def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
     """:func:`dop853` with dense output over ``window``, restarted at every profile kink.
 
     ``window`` may run backward (t1 < t0).  Returns ``(dense, n_steps,
-    n_rhs_evaluations, steps)``: a :class:`PiecewiseDense`, the accepted
-    steps and the right-hand-side calls, both summed over the segments, and
-    ``steps = (times, states)``, the solver's step boundaries in integration
-    order (each segment's, its first and last included) and the states
-    there, one column per time.  A failed segment raises
-    ``failure(message, time)`` at the time the solver reached.
+    n_rhs_evaluations)``: a :class:`PiecewiseDense`, whose ``solutions`` are
+    the segments' :class:`Dop853Solution` runs in ascending time, and the
+    accepted steps and right-hand-side calls, both summed over the segments.
+    A failed segment raises ``failure(message, time)`` at the time the
+    solver reached.
     """
     t0, t1 = float(window[0]), float(window[1])
     kinks = params.breakpoints(min(t0, t1), max(t0, t1))
     points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
-    solutions = []
-    y, n_steps, n_rhs = y0, 0, 0
+    solutions, y = [], y0
     for span in zip(points[:-1], points[1:]):
         sol = dop853(rhs, span, y, rtol, atol)
         if sol.message is not None:
             raise failure(sol.message, float(sol.times[-1]))
         solutions.append(sol)
-        y = sol.states[:, -1]
-        n_steps += sol.times.size - 1
-        n_rhs += sol.nfev
-    steps = (
-        np.concatenate([sol.times for sol in solutions]),
-        np.concatenate([sol.states for sol in solutions], axis=1),
-    )
+        y = sol.states[-1]
+    n_steps = sum(sol.times.size - 1 for sol in solutions)
+    n_rhs = sum(sol.nfev for sol in solutions)
     if t1 < t0:
         points, solutions = points[::-1], solutions[::-1]
-    return PiecewiseDense(points, solutions), n_steps, n_rhs, steps
+    return PiecewiseDense(points, solutions), n_steps, n_rhs
 
 
 def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
@@ -510,7 +508,7 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
 
 
 def _segment_antiderivative(ts: np.ndarray, columns: np.ndarray, start):
-    """``(F, end)`` on one uniform segment of (n, K) samples: F(t), (K, n_t),
+    """``(F, end)`` on one uniform segment of (n, K) samples: F(t), (n_t, K),
     is ``start`` plus the integral from ts[0] of the degree-5 interpolant
     through the 6 samples around t's interval (shifted at the ends), and
     ``end`` is F(ts[-1]).  Each column is summed on its own, in the same
@@ -533,7 +531,7 @@ def _segment_antiderivative(ts: np.ndarray, columns: np.ndarray, start):
         x = (t - ts[i]) / h
         powers = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)  # x .. x^6
         weights = np.einsum("ijp,ip->ij", _ANTIDERIVATIVE[nodes[i]], powers)
-        return (running[i] + h * combine(weights, i)).T
+        return running[i] + h * combine(weights, i)
 
     return antiderivative, running[-1]
 
@@ -545,9 +543,9 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
     must be uniform with at least 6 samples, F integrates the local degree-5
     interpolant (sixth order); with ``edge_indices`` F carries the integral
     over the segments before it, so it stays continuous across the edges.
-    F(t) has shape ys.shape[1:] at a scalar t and ys.shape[1:] + (n_t,) over
-    an array of n_t times (trailing axes of ys flattened).  (The name is
-    kept for the benchmark's tracer, which wraps it by name.)
+    F(t) is (n_t, K) over n_t times and (K,) at a scalar t, trailing axes of
+    ys flattened to K ((n_t,) and 0-d for (n,) ys).  (The name is kept for
+    the benchmark's tracer, which wraps it by name.)
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -559,4 +557,4 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
         piece, carried = _segment_antiderivative(ts[a : b + 1], columns[a : b + 1], carried)
         pieces.append(piece)
     dense = PiecewiseDense(ts[bounds], pieces)
-    return dense if ys.ndim > 1 else lambda t: dense(t)[0]
+    return dense if ys.ndim > 1 else lambda t: dense(t)[..., 0]

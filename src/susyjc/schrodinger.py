@@ -25,12 +25,13 @@ integrated as the R columns of one (R dim,) state, so the solver's per-step
 cost is paid once per step for all of them.  The solver steps its real
 view, 2 R dim interleaved (re, im) floats: real per-step BLAS products stay
 on one thread at these sizes, where complex ones wake a spinning helper
-thread.  DOP853's error norm is an RMS over all components, and an entry's
+thread.  The time-first (n_t, 2 R dim) dense sample is read, as a view, as
+(n_t, R, dim) amplitudes, and each run's lab-frame states are written from
+it.  DOP853's error norm is an RMS over all components, and an entry's
 complex error is at most sqrt(2) times the larger of its parts, so the
 solver gets rtol/sqrt(2R) and atol/sqrt(2R): no column's local error
-criterion is looser than its solo complex run's.  Every check (normalization,
-guard band, norm drift) runs on each column, and a rejection names the worst
-one.  One state is the R = 1 case of the same code.
+criterion is looser than its solo complex run's.  Every check runs on each
+column, and a rejection names the worst one.  One state is the R = 1 case.
 """
 
 from __future__ import annotations
@@ -185,12 +186,14 @@ def propagate(
 
     shrink = math.sqrt(2 * n_runs)
     solver_rtol = max(rtol / shrink, RTOL_FLOOR)
-    dense, n_steps, n_rhs, _ = integrate_segments(
+    dense, n_steps, n_rhs = integrate_segments(
         rhs, (t0, t1), psi0.reshape(-1).view(float), params, solver_rtol, atol / shrink, failed
     )
-    # (2 R dim, n_t) -> (n_t, R dim) complex -> (R, n_t, dim): time axis first
-    rotating = dense(t_eval).T.copy().view(complex).reshape(-1, n_runs, spec.dim)
-    states = rotating.transpose(1, 0, 2) * np.exp(-1j * np.outer(t_eval - t0, energies))
+    rotating = dense(t_eval).view(complex).reshape(t_eval.size, n_runs, spec.dim)
+    phases = np.exp(-1j * np.outer(t_eval - t0, energies))
+    states = np.empty((n_runs,) + phases.shape, dtype=complex)
+    for run, out in enumerate(states):
+        np.multiply(rotating[:, run], phases, out=out)
 
     def rejected(what, values, bound):
         worst = int(np.argmax(values))

@@ -551,16 +551,16 @@ def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, para
     n = trajs[0].stats.n_samples
     assert n > 2001 and not trajs[0].stats.sample_cap_hit
     edges = np.concatenate([[0.0], params.breakpoints(0.0, t1), [t1]])
-    lam_rows = np.array(lams, dtype=float)[:, None]
+    lam_columns = np.array(lams, dtype=float)[None, :]
     worst = []
     for size in (n, 2 * n - 1):
         times, edge_indices = segmented_grid(edges, size)
         states = [traj.state_at(times) for traj in trajs]
-        thetas = np.array([state.theta for state in states])
-        phis = np.array([state.phi for state in states])
+        thetas = np.stack([state.theta for state in states], axis=-1)
+        phis = np.stack([state.phi for state in states], axis=-1)
         frame = _frame(params, times)
-        series = _printed_residual(times, edge_indices, thetas, phis, frame, lam_rows)
-        worst.append(np.max(series, axis=1))
+        series = _printed_residual(times, edge_indices, thetas, phis, frame, lam_columns)
+        worst.append(np.max(series, axis=0))
     # the rule's grid is the one certification ran on
     assert np.array_equal(worst[0], [traj.stats.max_residual for traj in trajs])
     assert np.max(np.abs(worst[0] - worst[1])) < 10 * rtol
@@ -601,7 +601,7 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
 
 
 def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
-    # one (5M, n) sample block per certification pass, whatever the number
+    # one (n, 5M) sample block per certification pass, whatever the number
     # of members; the grid is sized from the profiles, with no probe
     sizes = []
     real_call = PiecewiseDense.__call__

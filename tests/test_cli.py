@@ -215,7 +215,7 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     from susyjc.evolution import ExactSolution
     from susyjc.quadrature import PiecewiseDense
 
-    calls = {"state_at": [], "coherent": 0, "family_rows": [], "grid_rows": []}
+    calls = {"state_at": [], "coherent": 0, "family_widths": [], "grid_widths": []}
     state_at = ExactSolution.state_at
     build = cli.build_coherent_state
     dense_call = PiecewiseDense.__call__
@@ -233,21 +233,23 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
             monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
 
     def counting_dense(self, t):
-        calls["family_rows"].append(self._rows)
-        return dense_call(self, t)
+        out = dense_call(self, t)
+        calls["family_widths"].append(out.shape[-1])
+        return out
 
     def counting_grid(self, t):
+        out = dense_call(self, t)
         if np.size(t) == 41:  # the output grid, not the solves' own samples
-            calls["grid_rows"].append(self._rows)
-        return dense_call(self, t)
+            calls["grid_widths"].append(out.shape[-1])
+        return out
 
     monkeypatch.setattr(ExactSolution, "state_at", counting_state_at)
     monkeypatch.setattr(cli, "build_coherent_state", counting_build)
     monkeypatch.setattr(PiecewiseDense, "__call__", counting_grid)
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1").replace(ORACLE, "enabled = false"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    # the (4M,) angle and phase output of the blocks' one solve once, int w once
-    assert calls["grid_rows"] == [8, 1]
+    # the (5M,) dense output of the blocks' one solve once, int w once
+    assert calls["grid_widths"] == [10, 1]
     assert calls["state_at"] == []
 
     monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
@@ -255,8 +257,8 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert calls["coherent"] == 1
     members = CoherentSpec.for_xi(0.5).m_max + 1
-    # the family's (4M,) angle and phase output once, its int w once
-    assert calls["family_rows"] == [4 * members, 1]
+    # the family's (5M,) dense output once, its int w once
+    assert calls["family_widths"] == [5 * members, 1]
     assert calls["state_at"] == []
 
 
@@ -602,7 +604,7 @@ def test_propagate_blocks_match_their_solo_solves(tmp_path, capsys):
         angles, integrals = PhaseIntegrals([solo], [block]).sample(ts)
         plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
         expected = {
-            f"trajectory_m{m}.csv": {"theta": angles.theta[0], "phi": angles.phi[0]},
+            f"trajectory_m{m}.csv": {"theta": angles.theta[:, 0], "phi": angles.phi[:, 0]},
             f"phases_m{m}.csv": {
                 "phi_d_plus": plus.phi_d,
                 "phi_g_plus": plus.phi_g,

@@ -209,15 +209,16 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
 
 @pytest.mark.parametrize("times", [2.5, np.linspace(0.0, 5.0, 21)], ids=["scalar", "grid"])
 def test_superposition_evaluates_the_family_once(monkeypatch, times):
-    # one call of the family's (4M,) angle and phase output and one of its
-    # int w, whatever the number of members; no member is sampled alone
+    # one call of the family's (5M,) dense output and one of its int w,
+    # whatever the number of members; no member is sampled alone
     cs, sols = family(1.0, t1=5.0)
-    rows = []
+    widths = []
     dense_call = PiecewiseDense.__call__
 
     def counting_dense(self, t):
-        rows.append(self._rows)
-        return dense_call(self, t)
+        out = dense_call(self, t)
+        widths.append(out.shape[-1])
+        return out
 
     def no_state_at(self, t):
         raise AssertionError("a member was sampled on its own")
@@ -226,7 +227,7 @@ def test_superposition_evaluates_the_family_once(monkeypatch, times):
     monkeypatch.setattr(ExactSolution, "state_at", no_state_at)
     build_coherent_state(cs, times, sols)
     members = cs.m_max + 1
-    assert members > 1 and rows == [4 * members, 1]
+    assert members > 1 and widths == [5 * members, 1]
 
 
 def test_family_fits_its_phases_once_per_segment(monkeypatch):
@@ -258,7 +259,7 @@ def test_family_fits_its_phases_once_per_segment(monkeypatch):
     assert {shape[-1] for shape in certification} == {3}
     assert sum(shape[1] for shape in certification) == segments * passes * members
     assert [shape[1:] for shape in omega] == [(1,)] * segments
-    # every member reads its own rows of the one solve
+    # every member reads its own columns of the one solve
     assert len({id(sol.phases) for sol in sols}) == 1
     assert [sol.member for sol in sols] == list(range(members))
 

@@ -351,20 +351,21 @@ def test_evolution_operator_satisfies_schrodinger():
 
 @pytest.mark.parametrize("times", [9.4, np.linspace(0.0, 20.0, 41)], ids=["scalar", "grid"])
 def test_evolution_operator_samples_its_block_once_per_call(monkeypatch, times):
-    # both columns come from one call of the (4,) angle and phase output and
-    # one of int w
+    # both columns come from one call of the (5,) dense output of the solve
+    # and one of int w
     block, traj = solved(constant_params(1.0, 2.8, 0.05), m=1)
     prop = EvolutionOperator(block, traj)
-    rows = []
+    widths = []
     dense_call = PiecewiseDense.__call__
 
     def counting_dense(self, t):
-        rows.append(self._rows)
-        return dense_call(self, t)
+        out = dense_call(self, t)
+        widths.append(out.shape[-1])
+        return out
 
     monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
     prop.at(times)
-    assert rows == [4, 1]
+    assert widths == [5, 1]
 
 
 def test_phase_ledger_geometry_only_depends_on_angles():

@@ -62,16 +62,17 @@ def test_piecewise_dense_single_time_matches_array_column():
     assert isinstance(dense, PiecewiseDense) and len(dense.solutions) == 4
     # interior edges, both ends, and times inside segments
     times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
-    columns = dense(times)  # theta, phi, B, G
-    assert columns.shape == (4, times.size)
+    rows = dense(times)  # time first: the frame vector x, y, z, then B, G
+    assert rows.shape == (times.size, 5)
     for i, t in enumerate(times):
         single = dense(t)
-        assert single.shape == (4,)
-        assert np.array_equal(single, columns[:, i]), t
-        assert np.array_equal(dense(float(t)), columns[:, i]), t
+        assert single.shape == (5,)
+        assert np.array_equal(single, rows[i]), t
+        assert np.array_equal(dense(float(t)), rows[i]), t
         one = dense(times[i : i + 1])
-        assert one.shape == (4, 1)
-        assert np.array_equal(one[:, 0], columns[:, i]), t
+        assert one.shape == (1, 5)
+        assert np.array_equal(one[0], rows[i]), t
+    assert dense(times[:0]).shape == (0, 5)
 
 
 @pytest.mark.parametrize(
@@ -139,13 +140,13 @@ def test_multi_column_antiderivative_matches_per_column_calls():
     alone = [cumulative_antiderivative(ts, ys[:, j], edge_indices) for j in range(ys.shape[1])]
     times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
     grid = together(times)
-    assert grid.shape == (ys.shape[1], times.size)
+    assert grid.shape == (times.size, ys.shape[1])
     for j, column in enumerate(alone):
-        assert np.array_equal(grid[j], column(times)), j
+        assert np.array_equal(grid[:, j], column(times)), j
     for i, t in enumerate(times):
         single = together(float(t))
         assert single.shape == (ys.shape[1],)
-        assert np.array_equal(single, grid[:, i]), t
+        assert np.array_equal(single, grid[i]), t
         assert np.array_equal(single, [column(float(t)) for column in alone]), t
 
 
@@ -163,10 +164,10 @@ def test_antiderivative_matches_closed_forms_across_kinks(shape):
     ramp = np.where(times <= 5.0, 5.0 * times - times**2 / 2, 12.5 + (times - 5.0) ** 2 / 2)
     exact = (1.0 - np.cos(np.multiply.outer(rates, times))) / rates[:, None] + ramp
     got = ours(times)
-    assert got.shape == ((rates.size,) if shape else ()) + times.shape
-    assert np.max(np.abs(got - (exact if shape else exact[0]))) <= 1e-12
+    assert got.shape == times.shape + ((rates.size,) if shape else ())
+    assert np.max(np.abs(got - (exact.T if shape else exact[0]))) <= 1e-12
     at = (1.0 - np.cos(rates * 7.3)) / rates + 12.5 + 2.3**2 / 2  # one scalar time
-    assert np.shape(ours(7.3)) == np.shape(got[..., 0])
+    assert np.shape(ours(7.3)) == np.shape(got[0])
     assert np.max(np.abs(ours(7.3) - (at if shape else at[0]))) <= 1e-12
 
 
@@ -214,7 +215,7 @@ def test_phase_integrals_integrate_a_fast_omega_on_the_certification_grid():
     ts = np.linspace(0.0, 10.0, 1001)
     _, integrals = PhaseIntegrals([traj], [block]).sample(ts)
     # phi_d(+1) + phi_d(-1) = 2 (m + k/2) int w
-    omega_integral = (integrals[0] + integrals[1]) / (2.0 * (block.m + block.k / 2.0))
+    omega_integral = (integrals[:, 0] + integrals[:, 1]) / (2.0 * (block.m + block.k / 2.0))
     exact = ts + a * (1.0 - np.cos(f * ts)) / f
     assert np.max(np.abs(omega_integral - exact)) < 1e-11
 
@@ -278,10 +279,10 @@ def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
         assert np.array_equal(ours.times, ref.t)
         assert ours.nfev == ref.nfev
         assert ours.states.dtype == ref.y.dtype
-        assert np.array_equal(ours.states, ref.y)
+        assert np.array_equal(ours.states, ref.y.T)
         times = np.linspace(span[0], span[1], 333)
         scale = np.max(np.abs(ref.sol(times)))
-        assert np.max(np.abs(ours(times) - ref.sol(times))) <= 1e-14 * scale
+        assert np.max(np.abs(ours(times) - ref.sol(times).T)) <= 1e-14 * scale
         assert np.max(np.abs(ours(times[100]) - ref.sol(times[100]))) <= 1e-14 * scale
 
 
@@ -290,7 +291,7 @@ def test_dop853_rejects_an_rtol_below_its_floor():
     with pytest.raises(ConfigurationError, match="below the DOP853 floor"):
         dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), 0.5 * RTOL_FLOOR, 1e-12)
     ours = dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), RTOL_FLOOR, 1e-15)
-    assert abs(ours.states[0, -1] - math.exp(-1.0)) < 1e-14
+    assert abs(ours.states[-1, 0] - math.exp(-1.0)) < 1e-14
 
 
 def test_dop853_rejects_a_complex_state():
