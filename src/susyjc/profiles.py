@@ -75,10 +75,10 @@ class TimeProfile:
             raise ConfigurationError(
                 f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}"
             )
-        if self.kind == "table":
-            # Python-float copies of the samples for the scalar path
-            table = tuple(np.asarray(a, dtype=float).tolist() for a in (self.times, self.values))
-            object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_at", _scalar_evaluator(self))
+
+    def __reduce__(self):  # pickled by its fields; unpickling binds ``_at`` again
+        return type(self), (self.kind, self.coeffs, self.times, self.values)
 
     def knots(self, t0: float, t1: float) -> np.ndarray:
         """Interior times where the profile is not smooth (table breakpoints)."""
@@ -86,38 +86,6 @@ class TimeProfile:
             return np.empty(0)
         inside = (self.times > t0) & (self.times < t1)
         return np.asarray(self.times[inside], dtype=float)
-
-    def _at(self, t: float) -> float:
-        """The profile at one float t: ``__call__``'s array operations in the same
-        order, with the same errors, minus numpy's per-call cost (for ODE rates)."""
-        if self.kind == "constant":
-            out = self.coeffs[0]
-        elif self.kind == "linear":
-            c0, c1 = self.coeffs
-            out = c0 + c1 * t
-        elif self.kind == "sinusoid":
-            c0, amp, freq, ph = self.coeffs
-            out = c0 + amp * _sin(freq * t + ph)
-        elif self.kind == "chirp":
-            c0, amp, freq, sweep, ph = self.coeffs
-            out = c0 + amp * _sin((freq + sweep * t) * t + ph)
-        else:  # table
-            ts, vs = self._table
-            if t < ts[0] or t > ts[-1]:
-                raise EvaluationError(f"t outside table domain [{ts[0]}, {ts[-1]}]")
-            # as np.interp: nan stays nan, a knot or the right end gives
-            # its sample exactly, else slope * (t - t_j) + v_j
-            j = bisect_right(ts, t) - 1
-            if t != t:
-                out = t
-            elif j == len(ts) - 1 or ts[j] == t:
-                out = vs[j]
-            else:
-                slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
-                out = slope * (t - ts[j]) + vs[j]
-        if not math.isfinite(out):
-            raise EvaluationError(f"profile {self.kind} evaluated non-finite at t={t}")
-        return out
 
     def __call__(self, t):
         if _is_scalar(t):
@@ -157,6 +125,60 @@ def _sin(x: float) -> float:
     return math.sin(x) if math.isfinite(x) else math.nan
 
 
+def _scalar_evaluator(profile: TimeProfile):
+    """``profile._at``, bound once: the profile at one float t, by one closure
+    per kind that does ``__call__``'s array operations in the same order,
+    with the same errors, minus numpy's per-call cost (for ODE rates)."""
+    kind = profile.kind
+
+    def fail(t):
+        raise EvaluationError(f"profile {kind} evaluated non-finite at t={t}")
+
+    if kind == "constant":
+        (value,) = profile.coeffs
+        return (lambda t: value) if math.isfinite(value) else fail
+    if kind == "linear":
+        c0, c1 = profile.coeffs
+
+        def at(t):
+            out = c0 + c1 * t
+            return out if math.isfinite(out) else fail(t)
+
+    elif kind == "sinusoid":
+        c0, amp, freq, ph = profile.coeffs
+
+        def at(t):
+            out = c0 + amp * _sin(freq * t + ph)
+            return out if math.isfinite(out) else fail(t)
+
+    elif kind == "chirp":
+        c0, amp, freq, sweep, ph = profile.coeffs
+
+        def at(t):
+            out = c0 + amp * _sin((freq + sweep * t) * t + ph)
+            return out if math.isfinite(out) else fail(t)
+
+    else:  # table, on Python-float copies of the samples
+        ts, vs = (np.asarray(a, dtype=float).tolist() for a in (profile.times, profile.values))
+
+        def at(t):
+            if t < ts[0] or t > ts[-1]:
+                raise EvaluationError(f"t outside table domain [{ts[0]}, {ts[-1]}]")
+            # as np.interp: nan stays nan, a knot or the right end gives
+            # its sample exactly, else slope * (t - t_j) + v_j
+            j = bisect_right(ts, t) - 1
+            if t != t:
+                out = t
+            elif j == len(ts) - 1 or ts[j] == t:
+                out = vs[j]
+            else:
+                slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+                out = slope * (t - ts[j]) + vs[j]
+            return out if math.isfinite(out) else fail(t)
+
+    return at
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Mode frequency, transition frequency and polar coupling profiles."""
@@ -170,16 +192,24 @@ class ModelParams:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigurationError(f"k must be a positive integer, got {self.k}")
+        w, w0, modulus, phase = self.omega._at, self.omega0._at, self.g_mod._at, self.g_phase._at
+
+        def at(t):  # evaluate at one float t, bound once for the ODE rates
+            mod = modulus(t)
+            if mod < 0:
+                raise EvaluationError(f"coupling modulus negative at t={t}")
+            g = mod * cmath.exp(1j * phase(t))
+            return w(t), w0(t), g
+
+        object.__setattr__(self, "_at", at)
+
+    def __reduce__(self):  # pickled by its fields; unpickling binds ``_at`` again
+        return type(self), (self.omega, self.omega0, self.g_mod, self.g_phase, self.k)
 
     def evaluate(self, t):
         """(omega, omega0, g) at time t; g is returned as a complex scalar."""
-        if _is_scalar(t):  # once, for the four profiles
-            t = float(t)
-            mod = self.g_mod._at(t)
-            if mod < 0:
-                raise EvaluationError(f"coupling modulus negative at t={t}")
-            g = mod * cmath.exp(1j * self.g_phase._at(t))
-            return self.omega._at(t), self.omega0._at(t), g
+        if _is_scalar(t):
+            return self._at(float(t))
         mod = self.g_mod(t)
         if np.any(np.asarray(mod) < 0):
             raise EvaluationError(f"coupling modulus negative at t={t}")

@@ -162,8 +162,13 @@ _E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     -0.3503288487499736816886487290, 0.3341791187130174790297318841,
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
 ]  # fmt: skip
-_D = np.zeros((4, 16))
-_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
+# a step's 7 dense-output rows are h (_DENSE @ K) + outer(_DELTA, y_new - y):
+# delta, h K0 - delta, 2 delta - h (K0 + K12), then the 4 rows of the stages' weights
+_DELTA = np.array([1.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+_DENSE = np.zeros((7, 16))
+_DENSE[1, 0] = 1.0
+_DENSE[2, [0, 12]] = -1.0
+_DENSE[3:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
     [
         -0.84289382761090128651353491142e1, 0.56671495351937776962531783590,
         -0.30689499459498916912797304727e1, 0.23846676565120698287728149680e1,
@@ -308,6 +313,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             K[s] = rhs(t + c * h, dy)
 
     times, states, coefficients = [t], [y], []
+    abs_y = np.abs(y)  # carried from step to step into the error scale
     message = None
     while direction * (t - t_end) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -328,7 +334,8 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             y_new += y
             K[12] = rhs(t + h, y_new)
             nfev += 12
-            scale = np.maximum(np.abs(y), np.abs(y_new))
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
             scale *= rtol
             scale += atol
             err5 = np.dot(K13, _E5)
@@ -348,17 +355,14 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
             rejected = True
         if message is not None:
             break
-        # the dense output: three more stages and the 7 coefficients
+        # the dense output: three more stages, then the 7 rows in one product
         evaluate(dense, t, y, h)
         nfev += 3
-        delta = y_new - y
-        F = np.empty((7, y.size))
-        F[0] = delta
-        F[1] = h * K[0] - delta
-        F[2] = 2 * delta - h * (K[12] + K[0])
-        F[3:] = h * np.dot(_D, K)
+        F = np.dot(_DENSE, K)
+        F *= h
+        F += np.outer(_DELTA, y_new - y)
         coefficients.append(F)
-        t, y = t_new, y_new
+        t, y, abs_y = t_new, y_new, abs_new
         K[0] = K[12]
         times.append(t)
         states.append(y)

@@ -15,10 +15,12 @@ populated levels, only the slow coupled dynamics.  It obeys
     dc/dt = -i exp(iE tau) (H(t) - E) exp(-iE tau) c,    tau = t - t0,
 
 in which the diagonal part stays H_diag(t) - E and every Q link, which
-spans the same gap k w(t0) - w0(t0), only picks up one scalar phase.  The
-states are returned in the lab frame, psi(t) = exp(-iE(t - t0)) c(t), and
-every check runs on them.  The frame is standard quantum mechanics and
-borrows nothing from the invariant theory.
+spans the same gap k w(t0) - w0(t0), only picks up one scalar phase, so the
+right-hand side is one application of adag a, sigma_z / 2, Q and Qdag with
+-i times w - w(t0), w0 - w0(t0), g exp(i gap tau) and its conjugate
+(``_apply_hamiltonian``).  The states are returned in the lab frame,
+psi(t) = exp(-iE(t - t0)) c(t), and every check runs on them.  The frame is
+standard quantum mechanics and borrows nothing from the invariant theory.
 
 Several runs share one integration: an (R, dim) stack of initial states is
 integrated as the R columns of one (R dim,) state, so the solver's per-step
@@ -76,19 +78,22 @@ class PropagationResult:
 
 @dataclass(frozen=True)
 class _Structure:
-    """H(t)'s pieces, and N', as the vectors the right-hand side applies.
+    """H(t)'s pieces, and N', as the constants the right-hand side applies.
 
     In the atom-major basis adag a, sigma_z and N' are diagonal.  Q = adag^k
-    sigma_- only links excited level m to ground level m + k (flat index
-    cutoff + k further on), and Qdag = Q^T links them back with the same
-    real entries, so one vector ``q`` serves both links.  All are read off
-    the operator builders' matrices, not re-derived: adag a's diagonal is
-    the squared superdiagonal of the ladder's a.
+    sigma_- only links excited level m to ground level m + k, and Qdag = Q^T
+    links them back with the same real entries.  So each of adag a, sigma_z
+    / 2, Q and Qdag weights a level and its partner across its link (the top
+    k excited and bottom k ground levels are their own, with weight 0).  All
+    are read off the operator builders' matrices, not re-derived: adag a's
+    diagonal is the squared superdiagonal of the ladder's a, and the links
+    are Q's nonzero entries.
     """
 
     number: np.ndarray  # diagonal of adag a
     half_sz: np.ndarray  # diagonal of sigma_z / 2
-    q: np.ndarray  # Q[cutoff + k + m, m] = Qdag[m, cutoff + k + m], m = 0 .. cutoff - k - 1
+    pairs: np.ndarray  # (dim, 2): each level's index and its partner's
+    basis: np.ndarray  # (4, 2 dim): the (level, partner) weights of adag a, sz/2, Q, Qdag
     nprime: np.ndarray  # diagonal of N', for the drift diagnostic only
 
     @classmethod
@@ -97,23 +102,32 @@ class _Structure:
         a, _ = build_ladder(spec)
         # (adag a)[i, i] = a[i - 1, i]^2, and 0 at i = 0, which has no level below
         number = np.concatenate([[0.0], np.diagonal(a, offset=1).real ** 2])
+        half_sz = 0.5 * np.diagonal(gen.sigma_z).real
+        ground, excited = np.nonzero(gen.Q)  # Q[ground m + k, excited m]
+        pairs = np.stack([np.arange(spec.dim)] * 2, axis=-1)
+        pairs[ground, 1], pairs[excited, 1] = excited, ground
+        basis = np.zeros((4, spec.dim, 2), dtype=complex)
+        basis[0, :, 0], basis[1, :, 0] = number, half_sz
+        basis[2, ground, 1] = basis[3, excited, 1] = gen.Q[ground, excited].real
         return cls(
             number=number,
-            half_sz=0.5 * np.diagonal(gen.sigma_z).real,
-            q=np.diagonal(gen.Q, offset=-(spec.cutoff + spec.k)).real,
+            half_sz=half_sz,
+            pairs=pairs,
+            basis=basis.reshape(4, -1),
             nprime=np.diagonal(gen.Nprime).real,
         )
 
 
-def _apply_hamiltonian(structure: _Structure, omega, omega0, g, y: np.ndarray) -> np.ndarray:
-    """H y for H = w adag a + (w0/2) sigma_z + g Q + g* Qdag: one diagonal
-    scaling plus the two k-shifted slice updates of Q and Qdag.  H acts on
-    the last axis, so ``y`` may be one state or a stack of them."""
-    n = structure.q.size
-    hy = (omega * structure.number + omega0 * structure.half_sz) * y
-    hy[..., -n:] += (g * structure.q) * y[..., :n]
-    hy[..., :n] += (g.conjugate() * structure.q) * y[..., -n:]
-    return hy
+def _apply_hamiltonian(structure: _Structure, coefficients, y: np.ndarray) -> np.ndarray:
+    """c0 adag a y + c1 (sigma_z / 2) y + c2 Q y + c3 Qdag y: the four
+    ``coefficients`` times the basis give each level's (level, partner)
+    weights, applied by one gather, one product and one sum over the pair.
+    (w, w0, g, g*) gives H y.  The operators act on the last axis, so ``y``
+    may be one state or a stack of them."""
+    weights = np.dot(coefficients, structure.basis).reshape(-1, 2)
+    pairs = np.take(y, structure.pairs, axis=-1)  # (..., dim, 2)
+    pairs *= weights
+    return np.add(pairs[..., 0], pairs[..., 1])
 
 
 def propagate(
@@ -173,9 +187,13 @@ def propagate(
     def rhs(t, c):  # c: the (re, im) view of the (R dim,) stack
         omega, omega0, g = params.evaluate(t)
         g_rot = g * cmath.exp(1j * gap * (t - t0))
-        stack = c.view(complex).reshape(n_runs, -1)
-        hc = _apply_hamiltonian(structure, omega - omega_ref, omega0 - omega0_ref, g_rot, stack)
-        hc *= -1j
+        minus_i_h = (  # -i times H(t) - E's coefficients in the frame
+            -1j * (omega - omega_ref),
+            -1j * (omega0 - omega0_ref),
+            -1j * g_rot,
+            -1j * g_rot.conjugate(),
+        )
+        hc = _apply_hamiltonian(structure, minus_i_h, c.view(complex).reshape(n_runs, -1))
         return hc.reshape(-1).view(float)
 
     t_eval = np.linspace(t0, t1, 401) if t_eval is None else t_eval

@@ -10,6 +10,7 @@ workload whose output the benchmark would reject fails it too.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from susyjc import cli
@@ -56,3 +57,39 @@ def test_seed_0_workloads_pass_the_benchmark_gate(perfbench, checks, tmp_path, c
         reference = checks.reference_files(name)
         assert reference, name
         assert checks.check_run(prepared, code, stdout, out_dir, reference, None) == [], name
+
+
+@pytest.mark.parametrize("config", ["configs/resonant.ini", "perfbench/configs/driven.ini"])
+def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypatch):
+    # the tracer wraps ModelParams.evaluate on the class: it counts
+    # profiles.evaluate.calls there and infers schrodinger.rhs_evals from the
+    # calls made inside propagate, so a right-hand side that bypassed
+    # evaluate would empty both metrics.  Each solve makes one scalar call
+    # per right-hand-side call, plus its frame's at t0.
+    from susyjc import EXCITED, AuxState, ModelParams, SubspaceBlock, propagate
+    from susyjc.auxiliary import _solve_family
+
+    cfg = cli.load_config(str(ROOT / config))
+    window = (0.0, cfg.t_final)
+    m = cfg.m_list[0]
+    scalar_calls = []
+    evaluate = ModelParams.evaluate
+
+    def counted(self, t):
+        if np.ndim(t) == 0:
+            scalar_calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ModelParams, "evaluate", counted)
+    psi0 = cfg.spec.basis_state(EXCITED, m)
+    # the count, not the drift, is under test: a lone basis state drifts more
+    # than the workloads' block states
+    oracle = propagate(
+        psi0, window, cfg.params, cfg.spec, cfg.oracle_rtol, cfg.oracle_atol, max_norm_drift=1e-8
+    )
+    assert len(scalar_calls) == oracle.n_rhs_evaluations + 1
+    scalar_calls.clear()
+    lam = SubspaceBlock.for_space(cfg.spec, m).lam
+    initial = AuxState(cfg.theta0, cfg.phi0)
+    (traj,) = _solve_family(initial, window, cfg.params, [lam], cfg.aux_rtol, cfg.aux_atol)
+    assert len(scalar_calls) == traj.stats.n_rhs_evaluations + 1

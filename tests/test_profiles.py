@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -126,6 +128,24 @@ def test_scalar_evaluate_is_bit_identical_to_array_call():
         for value in (t, np.float64(t), np.array(t)):
             omega, omega0, g = params.evaluate(value)
             assert (omega, omega0, g) == (omegas[i], omega0s[i], gs[i]), (t, type(value))
+
+
+def test_params_pickle_and_copy_with_their_scalar_evaluators():
+    # the bound scalar evaluators are closures: a pickled or copied
+    # ModelParams binds its own from the fields
+    params = ModelParams(
+        omega=EVERY_KIND["linear"],
+        omega0=EVERY_KIND["chirp"],
+        g_mod=EVERY_KIND["table"],
+        g_phase=EVERY_KIND["sinusoid"],
+        k=2,
+    )
+    for clone in (pickle.loads(pickle.dumps(params)), copy.deepcopy(params), copy.copy(params)):
+        assert clone.k == 2
+        for t in SAMPLE_TIMES.tolist():
+            assert clone.evaluate(t) == params.evaluate(t)
+        with pytest.raises(EvaluationError, match="outside table domain"):
+            clone.evaluate(7.0)
 
 
 @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])

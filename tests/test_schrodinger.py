@@ -224,8 +224,10 @@ def test_oracle_shares_nothing_with_the_analytic_route():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_structured_rhs_matches_dense_hamiltonian(k):
-    # the oracle applies H as diagonals plus k-shifted slices; it must act
-    # exactly like the dense matrix, truncated top photon levels included
+    # the oracle applies H as one coefficient product over each level and
+    # its Q partner; it must act exactly like the dense matrix, truncated
+    # top photon levels included, on one state and on a stack, and with
+    # -i folded into the coefficients as the oracle's right-hand side does
     from susyjc import ModelParams, TimeProfile, build_hamiltonian
     from susyjc.fock import build_generators
     from susyjc.schrodinger import _apply_hamiltonian, _Structure
@@ -242,16 +244,36 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
     structure = _Structure.for_space(spec)
     # N' is diagonal too: its vector is the whole matrix the drift check needs
     assert np.array_equal(np.diag(structure.nprime), build_generators(spec).Nprime)
+    # Q links are symmetric: a linked level's partner has it as its partner,
+    # and the top k excited and bottom k ground levels are their own
+    levels, partners = structure.pairs.T
+    assert np.array_equal(levels, np.arange(spec.dim))
+    linked = partners != levels
+    assert np.array_equal(partners[partners[linked]], levels[linked])
+    unlinked = np.r_[spec.cutoff - k : spec.cutoff + k]
+    assert np.array_equal(np.flatnonzero(~linked), unlinked)
     rng = np.random.default_rng(k)
     top = np.zeros((2, spec.cutoff), dtype=complex)
     top[:, -2 * k :] = 1.0 + 0.5j  # only the levels where truncation cuts the ladder
+    bottom = np.zeros((2, spec.cutoff), dtype=complex)
+    bottom[1, :k] = 0.3 - 1.0j  # the ground levels below every Q link
+    stack = np.array(
+        [rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim), top.ravel(), bottom.ravel()]
+    )
     for t in (0.0, 1.3, 2.5, 6.1, 10.0):
         omega, omega0, g = params.evaluate(t)
         dense = build_hamiltonian(spec, params, t)
-        for psi in (rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim), top.ravel()):
-            want = dense @ psi
-            got = _apply_hamiltonian(structure, omega, omega0, g, psi)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), (k, t)
+        coefficients = (omega, omega0, g, g.conjugate())
+        for factor in (1.0, -1j):
+            scaled = tuple(factor * c for c in coefficients)
+            want = factor * (stack @ dense.T)
+            got = _apply_hamiltonian(structure, scaled, stack)
+            assert got.shape == stack.shape
+            for row, (g_row, w_row) in enumerate(zip(got, want)):
+                error = np.linalg.norm(g_row - w_row)
+                assert error <= 1e-13 * np.linalg.norm(w_row), (k, t, factor, row)
+                one = _apply_hamiltonian(structure, scaled, stack[row])
+                assert np.linalg.norm(one - w_row) <= 1e-13 * np.linalg.norm(w_row)
 
 
 def _superposition(spec, ms, seed):
