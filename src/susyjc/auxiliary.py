@@ -59,7 +59,7 @@ from .errors import CertificationError, ConfigurationError, SingularityError
 from .profiles import ModelParams
 from .quadrature import (
     RTOL_FLOOR,
-    PiecewiseDense,
+    Dop853Solution,
     check_window,
     integrate_segments,
     segmented_grid,
@@ -268,20 +268,19 @@ def _bloch_rhs(params: ModelParams, lams, t0: float, delta0: float):
     return rhs
 
 
-def _angle_chart(vectors: PiecewiseDense, phi0: np.ndarray, t0: float, delta0: float):
+def _angle_chart(vectors: Dop853Solution, phi0: np.ndarray, t0: float, delta0: float):
     """``to_angles(n, t)``: the (n_t, M) thetas and lab-frame phis of the M
     frame vectors in solve states n, (n_t, 5M) at times t ((M,) at one t).
 
     phi is taken on the branch nearest the unwrapped phi at the start of the
     accepted solver step that holds t, unwrapped from phi0 along the steps
-    of ``vectors.solutions``.  Away from the poles no accepted step turns
-    the azimuth by pi at the tolerances used here, so phi is continuous
-    (never wrapped).  The conversion is elementwise: any set of times gives
-    the same values.
+    of the forward solve ``vectors``.  Away from the poles no accepted step
+    turns the azimuth by pi at the tolerances used here, so phi is
+    continuous (never wrapped).  The conversion is elementwise: any set of
+    times gives the same values.
     """
-    nodes = np.concatenate([sol.times for sol in vectors.solutions])
-    states = np.concatenate([sol.states for sol in vectors.solutions])
-    x, y = np.split(states, 5, axis=-1)[:2]
+    nodes = vectors.times
+    x, y = np.split(vectors.states, 5, axis=-1)[:2]
     bases = np.unwrap(np.concatenate([phi0[None], np.arctan2(y, -x)]), axis=0)[1:]
     last = nodes.size - 1
 
@@ -296,7 +295,7 @@ def _angle_chart(vectors: PiecewiseDense, phi0: np.ndarray, t0: float, delta0: f
     return to_angles
 
 
-def _first_pole(vectors: PiecewiseDense, times, n, members: int):
+def _first_pole(vectors: Dop853Solution, times, n, members: int):
     """(time, member) of the earliest |sin theta| < THETA_MIN in the solve
     states ``n``, (n_t, 5M) on ``times`` (x and y columns first), or None.
 
@@ -421,12 +420,11 @@ def _solve_family(
     def integrate(rt, at):
         solver_rtol = max(rt / (16.0 * shrink), RTOL_FLOOR)
         atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
-        vectors, n_steps, nfev = integrate_segments(
-            rhs, window, y0, params, solver_rtol, atols, failed
-        )
-        return vectors, _angle_chart(vectors, phi0, t0, delta0), n_steps, nfev, solver_rtol
+        vectors = integrate_segments(rhs, window, y0, params, solver_rtol, atols, failed)
+        return vectors, _angle_chart(vectors, phi0, t0, delta0), solver_rtol
 
-    vectors, to_angles, n_steps, total_nfev, solver_rtol = integrate(rtol, atol)
+    vectors, to_angles, solver_rtol = integrate(rtol, atol)
+    total_nfev = vectors.nfev
 
     def certify_pass(vectors, to_angles):
         block = vectors(times)  # (n, 5M)
@@ -461,11 +459,11 @@ def _solve_family(
         rtol_i /= 16.0
         atol_i /= 16.0
         refinements += 1
-        vectors, to_angles, n_steps, nfev, solver_rtol = integrate(rtol_i, atol_i)
-        total_nfev += nfev
+        vectors, to_angles, solver_rtol = integrate(rtol_i, atol_i)
+        total_nfev += vectors.nfev
 
     stats = SolverStats(
-        n_steps,
+        vectors.times.size - 1,
         total_nfev,
         rtol,
         atol,

@@ -4,7 +4,10 @@ Table knots (``params.breakpoints``) cut a window into segments on which
 H(t) is smooth.  The ODE solves of the angle route and the oracle, the sample
 grid (its edges at ``edge_indices``), the derivatives of sampled series and
 the running integral of the mode frequency are split at them here and
-nowhere else.
+nowhere else.  A kink is a step boundary: the solver restarts there, and its
+runs join into one dense output in which a time on a step boundary belongs
+to the step that starts there in ascending time, as a sample on an edge
+belongs to the segment that starts there.
 
 The ODE solver is DOP853, the Dormand-Prince 8(5,3) pair with its 7th-order
 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed., sections
@@ -234,15 +237,17 @@ def _initial_step(fun, t0, y0, f0, span, direction, rtol, atol) -> float:
 
 
 class Dop853Solution:
-    """One DOP853 run: its accepted steps and their dense output.
+    """DOP853's accepted steps and their dense output, over one integration.
 
     ``times`` are the step boundaries in integration order, both ends
     included, ``states`` (len(times), n) the states there, time first,
     ``nfev`` the right-hand-side calls (3 per step for the dense output
     included), and ``message`` None, or why the solver stopped early at
     ``times[-1]``.  Calling it at scalar t gives (n,), over an array of N
-    times (N, n): the step that ends at t (or the first step) interpolates,
-    all times in one vectorized pass.
+    times (N, n), all times in one vectorized pass.  A kink is a step
+    boundary (:func:`integrate_segments`), and any time on a step boundary
+    belongs to the step that starts there in ascending time, so a kink takes
+    the state the solver restarted from; the first or last step extrapolates.
     """
 
     def __init__(self, times, states, coefficients, nfev, message):
@@ -250,8 +255,10 @@ class Dop853Solution:
         self.states = states
         self._coefficients = coefficients  # (steps, 7, n)
         self._h = np.diff(self.times)
-        # step boundaries ascending in the direction of integration
-        self._sign = -1.0 if self.times[-1] < self.times[0] else 1.0
+        # step boundaries ascending in the direction of integration; a
+        # boundary goes to the step after it forward, before it backward
+        backward = self.times[-1] < self.times[0]
+        self._sign, self._side = (-1.0, "left") if backward else (1.0, "right")
         self.nfev = nfev
         self.message = message
 
@@ -263,7 +270,7 @@ class Dop853Solution:
         if steps == 0:  # an empty window
             y = np.repeat(self.states[:1], t.size, axis=0)
             return y[0] if scalar else y
-        idx = np.searchsorted(self._sign * self.times, self._sign * t, side="left") - 1
+        idx = np.searchsorted(self._sign * self.times, self._sign * t, side=self._side) - 1
         np.clip(idx, 0, steps - 1, out=idx)
         x = ((t - self.times[idx]) / self._h[idx])[:, None]
         rest = 1 - x
@@ -370,42 +377,13 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
     return Dop853Solution(times, np.array(states), stacked, nfev, message)
 
 
-class PiecewiseDense:
-    """Dense output stitched from per-segment integrations at profile kinks.
-
-    ``edges`` is ascending; ``solutions[i]`` interpolates on
-    [edges[i], edges[i+1]], and an edge belongs to the segment it starts.
-    Time first: (n_t, n) over n_t times, (0, n) over none, (n,) at a scalar.
-    """
-
-    def __init__(self, edges, solutions):
-        self.edges = np.asarray(edges, dtype=float)
-        self.solutions = solutions
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        idx = np.clip(np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.solutions) - 1)
-        segments = np.unique(idx)
-        if segments.size <= 1:  # the times of one segment (or none): its output as it is
-            out = self.solutions[segments[0] if segments.size else 0](t)
-        else:
-            out = None
-            for seg in segments:
-                mask = idx == seg
-                piece = self.solutions[seg](t[mask])
-                out = np.empty(t.shape + piece.shape[1:]) if out is None else out
-                out[mask] = piece
-        return out[0] if scalar else out
-
-
 def check_window(t, a: float, b: float, name: str) -> np.ndarray:
     """``t`` as a float array, or a ConfigurationError naming the first time
-    outside the window between a and b (and, for an array, how many are)."""
+    outside the window between a and b, NaN included (and, for an array, how
+    many are)."""
     t = np.asarray(t, dtype=float)
     lo, hi = min(a, b), max(a, b)
-    outside = (t < lo - 1e-12) | (t > hi + 1e-12)
+    outside = ~((t >= lo - 1e-12) & (t <= hi + 1e-12))  # NaN compares False
     if outside.any():
         count = f"; {outside.sum()} of {t.size} times outside" if t.ndim else ""
         first = t[outside].flat[0]
@@ -413,31 +391,34 @@ def check_window(t, a: float, b: float, name: str) -> np.ndarray:
     return t
 
 
-def integrate_segments(rhs, window, y0, params, rtol, atol, failure):
+def integrate_segments(rhs, window, y0, params, rtol, atol, failure) -> Dop853Solution:
     """:func:`dop853` with dense output over ``window``, restarted at every profile kink.
 
-    ``window`` may run backward (t1 < t0).  Returns ``(dense, n_steps,
-    n_rhs_evaluations)``: a :class:`PiecewiseDense`, whose ``solutions`` are
-    the segments' :class:`Dop853Solution` runs in ascending time, and the
-    accepted steps and right-hand-side calls, both summed over the segments.
-    A failed segment raises ``failure(message, time)`` at the time the
-    solver reached.
+    ``window`` may run backward (t1 < t0).  The segments' runs join into one
+    :class:`Dop853Solution` in integration order: each kink is in ``times``
+    once, as a step boundary, and ``nfev`` is summed over the segments.  A
+    failed segment raises ``failure(message, time)`` at the time the solver
+    reached.
     """
     t0, t1 = float(window[0]), float(window[1])
     kinks = params.breakpoints(min(t0, t1), max(t0, t1))
     points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
-    solutions, y = [], y0
+    runs, y = [], y0
     for span in zip(points[:-1], points[1:]):
-        sol = dop853(rhs, span, y, rtol, atol)
-        if sol.message is not None:
-            raise failure(sol.message, float(sol.times[-1]))
-        solutions.append(sol)
-        y = sol.states[-1]
-    n_steps = sum(sol.times.size - 1 for sol in solutions)
-    n_rhs = sum(sol.nfev for sol in solutions)
-    if t1 < t0:
-        points, solutions = points[::-1], solutions[::-1]
-    return PiecewiseDense(points, solutions), n_steps, n_rhs
+        run = dop853(rhs, span, y, rtol, atol)
+        if run.message is not None:
+            raise failure(run.message, float(run.times[-1]))
+        runs.append(run)
+        y = run.states[-1]
+    # a run starts where the one before it ended: its first boundary is a repeat
+    rest = runs[1:]
+    return Dop853Solution(
+        np.concatenate([runs[0].times] + [run.times[1:] for run in rest]),
+        np.concatenate([runs[0].states] + [run.states[1:] for run in rest]),
+        np.concatenate([run._coefficients for run in runs]),
+        sum(run.nfev for run in runs),
+        None,
+    )
 
 
 def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
@@ -511,54 +492,58 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
     return out
 
 
-def _segment_antiderivative(ts: np.ndarray, columns: np.ndarray, start):
-    """``(F, end)`` on one uniform segment of (n, K) samples: F(t), (n_t, K),
-    is ``start`` plus the integral from ts[0] of the degree-5 interpolant
-    through the 6 samples around t's interval (shifted at the ends), and
-    ``end`` is F(ts[-1]).  Each column is summed on its own, in the same
-    order whatever K is."""
-    h = _spacing(ts, 6)
-    n = ts.size
-    # interval i is node o = i - s of the 6-sample stencil that starts at s
-    starts = np.clip(np.arange(n - 1) - 2, 0, n - 6)
-    nodes = np.arange(n - 1) - starts
-
-    def combine(weights, i):  # sum_j weights[:, j] y[starts[i] + j], (len(i), K)
-        return sum(weights[:, j, None] * columns[starts[i] + j] for j in range(6))
-
-    steps = combine(_INTERVAL[nodes], slice(None))
-    running = np.concatenate([np.zeros((1, columns.shape[1])), np.cumsum(h * steps, axis=0)])
-    running += start
-
-    def antiderivative(t):
-        i = np.clip(np.floor((t - ts[0]) / h).astype(int), 0, n - 2)
-        x = (t - ts[i]) / h
-        powers = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)  # x .. x^6
-        weights = np.einsum("ijp,ip->ij", _ANTIDERIVATIVE[nodes[i]], powers)
-        return running[i] + h * combine(weights, i)
-
-    return antiderivative, running[-1]
-
-
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
 
     ``ys`` is (n,) or (n, K), time first.  On each smooth segment, which
-    must be uniform with at least 6 samples, F integrates the local degree-5
-    interpolant (sixth order); with ``edge_indices`` F carries the integral
-    over the segments before it, so it stays continuous across the edges.
-    F(t) is (n_t, K) over n_t times and (K,) at a scalar t, trailing axes of
-    ys flattened to K ((n_t,) and 0-d for (n,) ys).  (The name is kept for
-    the benchmark's tracer, which wraps it by name.)
+    must be uniform with at least 6 samples, F(t) integrates the degree-5
+    interpolant through the 6 samples around t's interval (shifted at the
+    segment's ends; sixth order) and carries the integral over the segments
+    before it, so it stays continuous across the edges; an edge belongs to
+    the segment that starts there.  Each column is summed on its own, in the
+    same order whatever K is.  F(t) is (n_t, K) over n_t times and (K,) at a
+    scalar t, trailing axes of ys flattened to K ((n_t,) and 0-d for (n,)
+    ys).  (The name is kept for the benchmark's tracer, which wraps it by
+    name.)
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     columns = ys.reshape(ts.size, -1)
     bounds = _bounds(edge_indices, ts.size)
-    pieces = []
-    carried = 0.0  # the integral over the segments before this one
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        piece, carried = _segment_antiderivative(ts[a : b + 1], columns[a : b + 1], carried)
-        pieces.append(piece)
-    dense = PiecewiseDense(ts[bounds], pieces)
-    return dense if ys.ndim > 1 else lambda t: dense(t)[..., 0]
+    firsts, lasts = np.array(bounds[:-1]), np.array(bounds[1:])
+    spacings = np.array([_spacing(ts[a : b + 1], 6) for a, b in zip(firsts, lasts)])
+    # interval i, ts[i] .. ts[i + 1], is node nodes[i] of the 6-sample
+    # stencil that starts at starts[i], inside the interval's segment
+    intervals = np.arange(ts.size - 1)
+    segment = np.repeat(np.arange(firsts.size), lasts - firsts)
+    starts = np.clip(intervals - 2, firsts[segment], lasts[segment] - 5)
+    nodes = intervals - starts
+
+    def combine(weights, i):  # sum_j weights[:, j] y[starts[i] + j], (len(i), K)
+        return sum(weights[:, j, None] * columns[starts[i] + j] for j in range(6))
+
+    steps = spacings[segment, None] * combine(_INTERVAL[nodes], intervals)
+    running, carried = [], 0.0  # F at each interval's start; F at the segment's end
+    for a, b in zip(firsts, lasts):
+        piece = np.concatenate([np.zeros((1, columns.shape[1])), np.cumsum(steps[a:b], axis=0)])
+        piece += carried
+        running.append(piece[:-1])
+        carried = piece[-1]
+    running = np.concatenate(running)
+    edges = ts[bounds]
+
+    def antiderivative(t):
+        t = np.asarray(t, dtype=float)
+        scalar = t.ndim == 0
+        t = np.atleast_1d(t)
+        seg = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, firsts.size - 1)
+        first, h = firsts[seg], spacings[seg]
+        i = first + np.clip(np.floor((t - ts[first]) / h).astype(int), 0, lasts[seg] - first - 1)
+        x = (t - ts[i]) / h
+        powers = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)  # x .. x^6
+        weights = np.einsum("ijp,ip->ij", _ANTIDERIVATIVE[nodes[i]], powers)
+        out = running[i] + h[:, None] * combine(weights, i)
+        out = out[0] if scalar else out
+        return out if ys.ndim > 1 else out[..., 0]
+
+    return antiderivative

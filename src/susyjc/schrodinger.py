@@ -204,7 +204,7 @@ def propagate(
 
     shrink = math.sqrt(2 * n_runs)
     solver_rtol = max(rtol / shrink, RTOL_FLOOR)
-    dense, n_steps, n_rhs = integrate_segments(
+    dense = integrate_segments(
         rhs, (t0, t1), psi0.reshape(-1).view(float), params, solver_rtol, atol / shrink, failed
     )
     rotating = dense(t_eval).view(complex).reshape(t_eval.size, n_runs, spec.dim)
@@ -238,8 +238,8 @@ def propagate(
         states=states if stacked else states[0],
         norm_drift=float(np.max(norm_drifts)),
         nprime_drift=nprime_drift,
-        n_steps=n_steps,
-        n_rhs_evaluations=n_rhs,
+        n_steps=dense.times.size - 1,
+        n_rhs_evaluations=dense.nfev,
     )
 
 

@@ -31,7 +31,7 @@ from susyjc.auxiliary import (
     _solve_family,
     residual_series,
 )
-from susyjc.quadrature import PiecewiseDense, segmented_grid, spline_derivative
+from susyjc.quadrature import segmented_grid, spline_derivative
 
 LAM6 = lambda_value(0, 3)
 
@@ -589,6 +589,11 @@ def test_window_error_names_first_outside_time_not_the_grid():
     assert message == "t=1.5 outside trajectory window [0.0, 1.0]; 1 of 201 times outside"
     with pytest.raises(ConfigurationError, match=r"^t=-0.5 outside trajectory window \[0.0, 1.0\]$"):
         traj.state_at(-0.5)
+    # NaN compares False with both ends of the window: it is outside too
+    with pytest.raises(ConfigurationError, match=r"^t=nan outside trajectory window \[0.0, 1.0\]$"):
+        traj.state_at(math.nan)
+    with pytest.raises(ConfigurationError, match=r"^t=nan outside .*; 2 of 3 times outside$"):
+        traj.state_at([0.5, math.nan, math.inf])
 
 
 def test_family_certification_error_names_a_lambda_and_the_sample_cap():
@@ -600,23 +605,16 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
     assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=1716.0)")
 
 
-def test_family_evaluates_its_dense_output_once_per_pass(monkeypatch):
+def test_family_evaluates_its_dense_output_once_per_pass(sample_calls):
     # one (n, 5M) sample block per certification pass, whatever the number
     # of members; the grid is sized from the profiles, with no probe
-    sizes = []
-    real_call = PiecewiseDense.__call__
-
-    def counting_call(self, t):
-        sizes.append(np.size(t))
-        return real_call(self, t)
-
-    monkeypatch.setattr(PiecewiseDense, "__call__", counting_call)
     lams = [lambda_value(m, 3) for m in (0, 5, 10)]
     params = constant_params(1.0, 3.0, 0.05)
     # a loose atol makes the family refine
     family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams, atol=1e-7)
     stats = family[0].stats
     assert stats.refinements >= 1
+    sizes = [size for kind, size, _ in sample_calls if kind == "dense"]
     assert len(sizes) == 1 + stats.refinements
     assert set(sizes) == {stats.n_samples}
 

@@ -205,7 +205,7 @@ def test_propagate_builds_one_phase_integrals_for_all_its_blocks(tmp_path, monke
     assert built == []
 
 
-def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch):
+def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypatch, sample_calls):
     # the exact states are sampled on the whole time grid in one call:
     # propagate samples the angles and phase integrals of all of its blocks
     # once for all of its CSVs; coherent builds one superposition, which reads
@@ -213,12 +213,10 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
     from susyjc import cli
     from susyjc.coherent import CoherentSpec
     from susyjc.evolution import ExactSolution
-    from susyjc.quadrature import PiecewiseDense
 
-    calls = {"state_at": [], "coherent": 0, "family_widths": [], "grid_widths": []}
+    calls = {"state_at": [], "coherent": 0, "family_widths": []}
     state_at = ExactSolution.state_at
     build = cli.build_coherent_state
-    dense_call = PiecewiseDense.__call__
 
     def counting_state_at(self, t):
         calls["state_at"].append((self.block.m, self.sigma))
@@ -226,39 +224,28 @@ def test_solution_layer_is_sampled_once_per_run_not_per_time(tmp_path, monkeypat
 
     def counting_build(*args):
         calls["coherent"] += 1
-        monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
+        start = len(sample_calls)
         try:
             return build(*args)
         finally:
-            monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
-
-    def counting_dense(self, t):
-        out = dense_call(self, t)
-        calls["family_widths"].append(out.shape[-1])
-        return out
-
-    def counting_grid(self, t):
-        out = dense_call(self, t)
-        if np.size(t) == 41:  # the output grid, not the solves' own samples
-            calls["grid_widths"].append(out.shape[-1])
-        return out
+            calls["family_widths"] = [(kind, n) for kind, _, n in sample_calls[start:]]
 
     monkeypatch.setattr(ExactSolution, "state_at", counting_state_at)
     monkeypatch.setattr(cli, "build_coherent_state", counting_build)
-    monkeypatch.setattr(PiecewiseDense, "__call__", counting_grid)
     cfg = write(tmp_path, BASE.replace("m = 0", "m = 0, 1").replace(ORACLE, "enabled = false"))
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    # the (5M,) dense output of the blocks' one solve once, int w once
-    assert calls["grid_widths"] == [10, 1]
+    # the (5M,) dense output of the blocks' one solve once, int w once, on
+    # the output grid (not the solves' own samples)
+    grid_widths = [(kind, n) for kind, size, n in sample_calls if size == 41]
+    assert grid_widths == [("dense", 10), ("int w", 1)]
     assert calls["state_at"] == []
 
-    monkeypatch.setattr(PiecewiseDense, "__call__", dense_call)
     cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
     assert main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
     assert calls["coherent"] == 1
     members = CoherentSpec.for_xi(0.5).m_max + 1
     # the family's (5M,) dense output once, its int w once
-    assert calls["family_widths"] == [5 * members, 1]
+    assert calls["family_widths"] == [("dense", 5 * members), ("int w", 1)]
     assert calls["state_at"] == []
 
 

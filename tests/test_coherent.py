@@ -16,11 +16,10 @@ from susyjc import (
     propagate,
     solve_block_family,
 )
-from susyjc import quadrature
+from susyjc import evolution, quadrature
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
 from susyjc.errors import ConfigurationError
 from susyjc.evolution import ExactSolution, PhaseIntegrals
-from susyjc.quadrature import PiecewiseDense
 
 TABLE_PARAMS = ModelParams(
     omega=TimeProfile.constant(1.0),
@@ -208,26 +207,20 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
 
 
 @pytest.mark.parametrize("times", [2.5, np.linspace(0.0, 5.0, 21)], ids=["scalar", "grid"])
-def test_superposition_evaluates_the_family_once(monkeypatch, times):
+def test_superposition_evaluates_the_family_once(monkeypatch, sample_calls, times):
     # one call of the family's (5M,) dense output and one of its int w,
     # whatever the number of members; no member is sampled alone
     cs, sols = family(1.0, t1=5.0)
-    widths = []
-    dense_call = PiecewiseDense.__call__
-
-    def counting_dense(self, t):
-        out = dense_call(self, t)
-        widths.append(out.shape[-1])
-        return out
 
     def no_state_at(self, t):
         raise AssertionError("a member was sampled on its own")
 
-    monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
     monkeypatch.setattr(ExactSolution, "state_at", no_state_at)
+    sample_calls.clear()
     build_coherent_state(cs, times, sols)
     members = cs.m_max + 1
-    assert members > 1 and widths == [5 * members, 1]
+    widths = [(kind, columns) for kind, _, columns in sample_calls]
+    assert members > 1 and widths == [("dense", 5 * members), ("int w", 1)]
 
 
 def test_family_fits_its_phases_once_per_segment(monkeypatch):
@@ -236,29 +229,29 @@ def test_family_fits_its_phases_once_per_segment(monkeypatch):
     # serves the whole family; the phases themselves come with the solve
     fits = []
     real_derivative = quadrature._segment_derivative
-    real_antiderivative = quadrature._segment_antiderivative
+    real_antiderivative = evolution.cumulative_antiderivative
 
     def counting_derivative(*args, **kwargs):
         fits.append(args[1].shape)
         return real_derivative(*args, **kwargs)
 
-    def counting_antiderivative(*args, **kwargs):
-        fits.append(args[1].shape)
-        return real_antiderivative(*args, **kwargs)
+    def counting_antiderivative(ts, ys, edge_indices):
+        fits.append(("int w", len(edge_indices) - 1, np.size(ys) // np.size(ts)))
+        return real_antiderivative(ts, ys, edge_indices)
 
     monkeypatch.setattr(quadrature, "_segment_derivative", counting_derivative)
-    monkeypatch.setattr(quadrature, "_segment_antiderivative", counting_antiderivative)
+    monkeypatch.setattr(evolution, "cumulative_antiderivative", counting_antiderivative)
     cs = CoherentSpec.for_xi(0.5)
     sols = solve_block_family(cs, SPEC, TABLE_PARAMS, (0.0, 4.0), AuxState(math.pi / 3, 0.0))
     segments = len(TABLE_PARAMS.breakpoints(0.0, 4.0)) + 1
     passes = 1 + sols[0].trajectory.stats.refinements
     members = cs.m_max + 1
     assert segments == 2 and members > 1
-    certification, omega = fits[:-segments], fits[-segments:]
+    certification, omega = fits[:-1], fits[-1]
     # s~ (real and imaginary parts) and cos theta of each member
     assert {shape[-1] for shape in certification} == {3}
     assert sum(shape[1] for shape in certification) == segments * passes * members
-    assert [shape[1:] for shape in omega] == [(1,)] * segments
+    assert omega == ("int w", segments, 1)  # one fit of one column over both segments
     # every member reads its own columns of the one solve
     assert len({id(sol.phases) for sol in sols}) == 1
     assert [sol.member for sol in sols] == list(range(members))

@@ -39,7 +39,7 @@ from susyjc.evolution import (
     rotated_invariant_residual,
     rotation_parameter,
 )
-from susyjc.quadrature import PiecewiseDense, spline_derivative
+from susyjc.quadrature import spline_derivative
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
 
@@ -350,22 +350,14 @@ def test_evolution_operator_satisfies_schrodinger():
 
 
 @pytest.mark.parametrize("times", [9.4, np.linspace(0.0, 20.0, 41)], ids=["scalar", "grid"])
-def test_evolution_operator_samples_its_block_once_per_call(monkeypatch, times):
+def test_evolution_operator_samples_its_block_once_per_call(sample_calls, times):
     # both columns come from one call of the (5,) dense output of the solve
     # and one of int w
     block, traj = solved(constant_params(1.0, 2.8, 0.05), m=1)
     prop = EvolutionOperator(block, traj)
-    widths = []
-    dense_call = PiecewiseDense.__call__
-
-    def counting_dense(self, t):
-        out = dense_call(self, t)
-        widths.append(out.shape[-1])
-        return out
-
-    monkeypatch.setattr(PiecewiseDense, "__call__", counting_dense)
+    sample_calls.clear()
     prop.at(times)
-    assert widths == [5, 1]
+    assert [(kind, columns) for kind, _, columns in sample_calls] == [("dense", 5), ("int w", 1)]
 
 
 def test_phase_ledger_geometry_only_depends_on_angles():

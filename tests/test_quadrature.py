@@ -31,9 +31,10 @@ from susyjc.errors import ConfigurationError
 from susyjc.evolution import PhaseIntegrals
 from susyjc.quadrature import (
     RTOL_FLOOR,
-    PiecewiseDense,
+    Dop853Solution,
     cumulative_antiderivative,
     dop853,
+    integrate_segments,
     segmented_grid,
     spline_derivative,
 )
@@ -48,18 +49,17 @@ DRIVEN = ModelParams(
 )
 
 
-def test_piecewise_dense_single_time_matches_array_column():
-    knots = np.array([0.0, 2.5, 5.0, 7.5, 10.0])
-    params = ModelParams(
-        omega=TimeProfile.constant(1.0),
-        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
-        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
-        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
-        k=3,
-    )
-    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lambda_value(2, 3))
+def test_kinked_solution_single_time_matches_array_column():
+    # a kink is a step boundary: the solve over DRIVEN's table knots is one
+    # DOP853 solution whose step times hold each knot once, and scalar,
+    # array and one-element calls agree bit for bit at and between them
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3))
     dense = traj._dense
-    assert isinstance(dense, PiecewiseDense) and len(dense.solutions) == 4
+    assert isinstance(dense, Dop853Solution)
+    assert np.all(np.diff(dense.times) > 0)
+    for knot in (2.5, 5.0, 7.5):
+        assert np.count_nonzero(dense.times == knot) == 1, knot
+    assert dense.times.size - 1 == traj.stats.n_steps and dense.nfev == traj.stats.n_rhs_evaluations
     # interior edges, both ends, and times inside segments
     times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
     rows = dense(times)  # time first: the frame vector x, y, z, then B, G
@@ -72,7 +72,56 @@ def test_piecewise_dense_single_time_matches_array_column():
         one = dense(times[i : i + 1])
         assert one.shape == (1, 5)
         assert np.array_equal(one[0], rows[i]), t
+    # a knot takes the state the solver restarted from
+    for knot in (2.5, 5.0, 7.5):
+        assert np.array_equal(dense(knot), dense.states[np.flatnonzero(dense.times == knot)[0]])
     assert dense(times[:0]).shape == (0, 5)
+
+
+def test_a_step_boundary_belongs_to_the_step_that_starts_there_in_ascending_time():
+    # two steps whose dense rows miss the next state by 1 (delta row 1, not
+    # 10): at its end a step gives states[i] + 1, at its start states[i]
+    coefficients = np.zeros((2, 7, 1))
+    coefficients[:, 0] = 1.0
+    states = np.array([[0.0], [10.0], [20.0]])
+    forward = Dop853Solution([0.0, 1.0, 2.0], states, coefficients, 0, None)
+    assert [forward(t)[0] for t in (0.0, 1.0, 2.0)] == [0.0, 10.0, 11.0]
+    backward = Dop853Solution([2.0, 1.0, 0.0], states, coefficients, 0, None)
+    assert [backward(t)[0] for t in (0.0, 1.0, 2.0)] == [11.0, 1.0, 0.0]
+    assert np.array_equal(backward(np.array([0.0, 1.0, 2.0]))[:, 0], [11.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("window", [(0.0, 10.0), (10.0, 0.0)], ids=["forward", "backward"])
+def test_a_knot_belongs_to_the_segment_that_starts_there(monkeypatch, window):
+    # integrate_segments joins DRIVEN's four runs into one solution; at each
+    # knot it gives, bit for bit, the value of the run over the segment that
+    # starts there in ascending time, and inside a segment that run's value
+    def rhs(t, y):
+        omega, omega0, g = DRIVEN.evaluate(t)
+        return [omega0 * y[1] - g.real * y[2], -omega0 * y[0], g.real * y[0] - omega * y[2]]
+
+    def failed(message, time):
+        return AssertionError(message)
+
+    def solve():
+        y0 = np.array([0.6, 0.0, 0.8])
+        return integrate_segments(rhs, window, y0, DRIVEN, 1e-10, 1e-12, failed)
+
+    runs = [run for _, run in _captured_runs(monkeypatch, solve)]
+    joined = solve()
+    assert len(runs) == 4 and joined.nfev == sum(run.nfev for run in runs)
+    assert joined.times.size - 1 == sum(run.times.size - 1 for run in runs)
+    assert np.array_equal(joined.times[[0, -1]], window)
+    # the runs in ascending time: segment i is [2.5 i, 2.5 (i + 1)]
+    ascending = runs if window[0] < window[1] else runs[::-1]
+    for i, run in enumerate(ascending):
+        start = 2.5 * i
+        assert np.count_nonzero(joined.times == start) == 1
+        inside = np.linspace(start, start + 2.5, 13)[1:-1]
+        assert np.array_equal(joined(start), run(start)), start
+        assert np.array_equal(joined(np.array([start])), run(np.array([start]))), start
+        assert np.array_equal(joined(inside), run(inside)), start
+    assert np.array_equal(joined(10.0), ascending[-1](10.0))
 
 
 @pytest.mark.parametrize(
@@ -97,11 +146,7 @@ def test_segmented_grid_gives_a_short_segment_eight_samples():
 def test_only_quadrature_integrates_or_splines():
     # segments are handled in one module: no other module binds the ODE
     # solver or the per-segment stencils
-    workers = (
-        quadrature.dop853,
-        quadrature._segment_derivative,
-        quadrature._segment_antiderivative,
-    )
+    workers = (quadrature.dop853, quadrature._segment_derivative, quadrature._spacing)
     binders = {
         info.name
         for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
@@ -185,13 +230,14 @@ def test_phase_integrals_fit_once_per_segment(monkeypatch):
     block = SubspaceBlock(m=2, k=3, cutoff=8)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
     fits = []
-    real = quadrature._segment_antiderivative
+    real = quadrature._spacing
 
-    def counted(*args, **kwargs):
-        fits.append(args[0].size)
-        return real(*args, **kwargs)
+    def counted(ts, fewest):
+        if fewest == 6:  # a segment of the running integral (the stencils check 7)
+            fits.append(ts.size)
+        return real(ts, fewest)
 
-    monkeypatch.setattr(quadrature, "_segment_antiderivative", counted)
+    monkeypatch.setattr(quadrature, "_spacing", counted)
     PhaseIntegrals([traj], [block])
     assert len(fits) == len(traj.edge_indices) - 1 == 4
     assert sum(fits) == traj.times.size + 3  # each interior edge sample starts and ends a fit
