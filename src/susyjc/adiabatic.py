@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, family_sample, solve_aux
+from .auxiliary import AuxState, AuxTrajectory, _solve_family, family_sample, solve_aux
 from .blocks import SubspaceBlock, _full_space, lambda_value
 from .errors import ConfigurationError, CycleError
 from .evolution import (
@@ -176,23 +176,45 @@ def berry_phase_cycle(theta: float, sigma: int) -> float:
 
 
 def berry_phase_numeric(
-    scenario: AdiabaticScenario, sigma: int, rtol: float = 1e-10, atol: float = 1e-12
-) -> float:
-    """Geometric phase over one cycle: phi_g = sigma G at the cycle's end,
-    read off the dense output of the scenario's angle solve.
+    scenarios, sigma: int, rtol: float = 1e-10, atol: float = 1e-12
+) -> list[float]:
+    """Geometric phases over one cycle, one per scenario: phi_g = sigma G at
+    the cycle's end, read off the dense output of one angle solve that
+    carries every scenario as a member (``auxiliary._solve_family``).
 
-    Raises CycleError unless phi advances by exactly 2 pi over the solve.
+    The scenarios must share one period (ConfigurationError naming the
+    periods otherwise).  Raises CycleError, naming the scenario's theta,
+    unless each member's phi advances by exactly 2 pi over the solve.
     """
     _check_sigma(sigma)
-    traj = solve_scenario(scenario, rtol=rtol, atol=atol)
-    sweep = traj.phis[-1] - traj.phis[0]
-    if abs(sweep - 2.0 * math.pi) > _CLOSURE_TOL:
-        raise CycleError(
-            f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
-            f"instead of 2*pi over [0, {traj.t1}]"
+    if not scenarios:
+        return []
+    periods = sorted({scenario.period for scenario in scenarios})
+    if len(periods) > 1:
+        raise ConfigurationError(
+            f"scenarios of one sweep must share one period, got {', '.join(map(str, periods))}"
         )
-    _, _, g = family_sample([traj])(traj.t1)
-    return float(sigma * g[0])
+    initial = AuxState(
+        np.array([scenario.theta for scenario in scenarios]),
+        np.array([scenario.phi0 for scenario in scenarios]),
+    )
+    trajs = _solve_family(
+        initial,
+        (0.0, periods[0]),
+        [scenario.params for scenario in scenarios],
+        [scenario.lam for scenario in scenarios],
+        rtol=rtol,
+        atol=atol,
+    )
+    for scenario, traj in zip(scenarios, trajs):
+        sweep = traj.phis[-1] - traj.phis[0]
+        if abs(sweep - 2.0 * math.pi) > _CLOSURE_TOL:
+            raise CycleError(
+                f"azimuthal cycle does not close: phi advanced by {sweep:.9f} "
+                f"instead of 2*pi over [0, {traj.t1}] (theta0={scenario.theta})"
+            )
+    _, _, g = family_sample(trajs)(trajs[0].t1)
+    return (sigma * g).tolist()
 
 
 def conjugated_invariant(block: SubspaceBlock, trajectory: AuxTrajectory, op):

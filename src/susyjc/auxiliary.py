@@ -9,10 +9,10 @@ on the block.  The invariant equation dI/dt = i[I, H] is then the linear
 precession dn/dt = 2 h x n about h = (sqrt(lam) Re g, sqrt(lam) Im g,
 (w0 - k w)/2), with no chart and no pole; this is what gets integrated, in
 the oracle's frame (:mod:`susyjc.schrodinger`), which rotates about z at
-Delta0 = k w(t0) - w0(t0): n' = R_z(-Delta0 (t - t0)) n obeys
-dn'/dt = 2 h' x n' with g' = g e^{+i Delta0 (t - t0)} and
-h'_z = (w0 - k w + Delta0)/2, and stands still under a resonant, uncoupled
-drive.
+Delta0 = k w(t0) - w0(t0), from the member's own profiles:
+n' = R_z(-Delta0 (t - t0)) n obeys dn'/dt = 2 h' x n' with
+g' = g e^{+i Delta0 (t - t0)} and h'_z = (w0 - k w + Delta0)/2, and stands
+still under a resonant, uncoupled drive.
 
 The exact solutions carry exp(-i (phi_d + phi_g)), the Lewis-Riesenfeld
 construction, with phi_g a Berry-type geometric phase.  Both phase rates
@@ -26,9 +26,11 @@ and phi_d(sigma) = (m + k/2) int w + sigma B, phi_g(sigma) = sigma G
 output, (n_t, 5M): B and G are its last 2M columns, and :func:`_angle_chart`
 gives theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0).
 
-The blocks m of a run differ only in lambda, which scales the coupling by
-sqrt(lam), so one solve carries them all as members, from shared initial
-angles or one start each (:func:`_solve_family`); :func:`solve_aux` is M = 1.
+One solve carries M members, each with its own lambda (which scales the
+coupling by sqrt(lam)), its own start or a shared one, and its own profiles
+(:func:`_solve_family`): the blocks m of a propagate or coherent run share
+one params object and differ only in lambda, and the thetas of a Berry sweep
+each have their own.  :func:`solve_aux` is M = 1.
 
 The chart rates (theta', phi') keep their home in :func:`aux_rhs`.  No
 route is trusted: every accepted trajectory is certified against the
@@ -52,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -205,7 +208,7 @@ def solve_aux(
     residual <= 100 * rtol.  While the solver's error dominates, it is
     refined beyond the requested tolerance (CertificationError if that fails).
     """
-    return _solve_family(initial, window, params, [lam], rtol, atol, certify)[0]
+    return _solve_family(initial, window, [params], [lam], rtol, atol, certify)[0]
 
 
 def family_sample(trajectories):
@@ -233,44 +236,68 @@ def family_sample(trajectories):
     return sample
 
 
-def _bloch_rhs(params: ModelParams, lams, t0: float, delta0: float):
+class _Run(NamedTuple):
+    """Members lo..hi-1 of a family solve, consecutive, that share one params
+    object, and Delta0 of their frame (module docstring)."""
+
+    params: ModelParams
+    delta0: float
+    lo: int
+    hi: int
+
+
+def _bloch_rhs(runs, lams, t0: float):
     """Rates of the (5M,) state of M members (module docstring): the frame
-    vectors' M x's, y's and z's, then the M B's and G's.  The gauge pole of
-    G' at z = -1 is live only while the in-plane drive is, and a coupled
-    start at a pole is rejected before the solve.  Python floats, member by
-    member, beat numpy's per-call cost on (M,) arrays here.
+    vectors' M x's, y's and z's, then the M B's and G's.  Each of the
+    :class:`_Run` s evaluates its profiles once per call for its members.
+    The gauge pole of G' at z = -1 is live only while the in-plane drive is,
+    and a coupled start at a pole is rejected before the solve.  Python
+    floats, member by member, beat numpy's per-call cost on (M,) arrays here.
     """
-    k = params.k
     members = len(lams)
     # 2 sqrt(lam), so that the components below are 2 h' directly
     roots = [2.0 * math.sqrt(lam) for lam in lams]
+    bound = [
+        (
+            run.params.evaluate,
+            run.params.k,
+            run.delta0,
+            roots[run.lo : run.hi],
+            slice(run.lo, run.hi),
+            slice(members + run.lo, members + run.hi),
+            slice(2 * members + run.lo, 2 * members + run.hi),
+        )
+        for run in runs
+    ]
 
     def rhs(t, state):
-        omega, omega0, g = params.evaluate(t)
-        g = g * cmath.exp(1j * delta0 * (t - t0))
-        gx, gy = g.real, g.imag
-        tilt = omega0 - k * omega  # 2 h_z
-        hz = tilt + delta0
         values = state.tolist()
         dx, dy, dz, db, dg = [], [], [], [], []
-        for root, x, y, z in zip(roots, values, values[members:], values[2 * members :]):
-            hx, hy = root * gx, root * gy
-            inplane = hx * x + hy * y
-            # 2 G' = tilt (1 - z) - z inplane / (1 + z)
-            pull = tilt + inplane / (1.0 + z) if inplane else tilt
-            dx.append(hy * z - hz * y)
-            dy.append(hz * x - hx * z)
-            dz.append(hx * y - hy * x)
-            db.append(0.5 * (inplane + tilt * z))
-            dg.append(0.5 * (tilt - z * pull))
+        for evaluate, k, delta0, run_roots, xs, ys, zs in bound:
+            omega, omega0, g = evaluate(t)
+            g = g * cmath.exp(1j * delta0 * (t - t0))
+            gx, gy = g.real, g.imag
+            tilt = omega0 - k * omega  # 2 h_z
+            hz = tilt + delta0
+            for root, x, y, z in zip(run_roots, values[xs], values[ys], values[zs]):
+                hx, hy = root * gx, root * gy
+                inplane = hx * x + hy * y
+                # 2 G' = tilt (1 - z) - z inplane / (1 + z)
+                pull = tilt + inplane / (1.0 + z) if inplane else tilt
+                dx.append(hy * z - hz * y)
+                dy.append(hz * x - hx * z)
+                dz.append(hx * y - hy * x)
+                db.append(0.5 * (inplane + tilt * z))
+                dg.append(0.5 * (tilt - z * pull))
         return dx + dy + dz + db + dg
 
     return rhs
 
 
-def _angle_chart(vectors: Dop853Solution, phi0: np.ndarray, t0: float, delta0: float):
+def _angle_chart(vectors: Dop853Solution, phi0: np.ndarray, t0: float, deltas: np.ndarray):
     """``to_angles(n, t)``: the (n_t, M) thetas and lab-frame phis of the M
-    frame vectors in solve states n, (n_t, 5M) at times t ((M,) at one t).
+    frame vectors in solve states n, (n_t, 5M) at times t ((M,) at one t);
+    member j's frame turns at ``deltas[j]``, its run's Delta0.
 
     phi is taken on the branch nearest the unwrapped phi at the start of the
     accepted solver step that holds t, unwrapped from phi0 along the steps
@@ -288,24 +315,26 @@ def _angle_chart(vectors: Dop853Solution, phi0: np.ndarray, t0: float, delta0: f
         x, y, z = np.split(n, 5, axis=-1)[:3]
         base = bases[np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)]
         turn = np.arctan2(y, -x) - base
-        drift = np.expand_dims(delta0 * (t - t0), -1)  # (n_t, 1) against (n_t, M)
+        drift = np.expand_dims(t - t0, -1) * deltas  # (n_t, M)
         phi = base + (turn - _TWO_PI * np.round(turn / _TWO_PI)) + drift
         return np.arctan2(np.hypot(x, y), z), phi
 
     return to_angles
 
 
-def _first_pole(vectors: Dop853Solution, times, n, members: int):
-    """(time, member) of the earliest |sin theta| < THETA_MIN in the solve
-    states ``n``, (n_t, 5M) on ``times`` (x and y columns first), or None.
+def _first_pole(vectors: Dop853Solution, times, n, live: np.ndarray):
+    """(time, member) of the earliest |sin theta| < THETA_MIN among the
+    ``live`` (coupled) members, an (M,) mask, in the solve states ``n``,
+    (n_t, 5M) on ``times`` (x and y columns first), or None.
 
     A pole is at a sample, or between two samples across which a member's
     (x, y) reverses direction, located where (x, y) is perpendicular to the
     chord between them: the crossing itself, or the closest approach.
     """
+    members = live.size
     x, y = n[:, :members], n[:, members : 2 * members]
-    found = [(times[i], j) for i, j in zip(*np.nonzero(np.hypot(x, y) < THETA_MIN))]
-    reversed_ = x[:-1] * x[1:] + y[:-1] * y[1:] < 0
+    found = [(times[i], j) for i, j in zip(*np.nonzero((np.hypot(x, y) < THETA_MIN) & live))]
+    reversed_ = (x[:-1] * x[1:] + y[:-1] * y[1:] < 0) & live
     for i, j in zip(*np.nonzero(reversed_)):
         cx, cy = x[i + 1, j] - x[i, j], y[i + 1, j] - y[i, j]
 
@@ -332,14 +361,23 @@ def _frame(params: ModelParams, times):
 def _solve_family(
     initial: AuxState,
     window: tuple[float, float],
-    params: ModelParams,
+    params,
     lams,
     rtol: float = 1e-10,
     atol: float = 1e-12,
     certify: bool = True,
 ) -> list[AuxTrajectory]:
-    """:func:`solve_aux` for M lambdas in one solve, from ``initial``'s float
-    angles, shared, or its (M,) arrays, one start per member.
+    """:func:`solve_aux` for M members in one solve: member j has the params
+    object ``params[j]`` and the lambda ``lams[j]``, and starts from
+    ``initial``'s float angles, shared, or from entry j of its (M,) arrays.
+
+    Consecutive members that share one params object (by identity) form a
+    run.  A run's profiles are evaluated once per right-hand-side call for
+    all its members, and the run has one Delta0 frame (module docstring) and
+    one certification :func:`_frame` on the shared grid.  The blocks m of a
+    propagate or coherent run are one run, as they differ only in lambda; a
+    Berry sweep's thetas are one run each.  The grid's edges and the
+    integration's kinks are the union of all runs' kinks.
 
     The state is (5M,): the M members' frame vectors, then their B and G,
     both zero at t0 (module docstring), so the solver's per-step cost is
@@ -350,66 +388,85 @@ def _solve_family(
     first integration runs at rtol/16 and atol/16, one refinement notch
     below the request.
 
-    The family shares one sample grid, sized for its fastest member before
-    the solve.  Each certification pass evaluates the solve on it once,
-    (n, 5M), checks the poles, converts the vector columns to the (n, M)
-    thetas and phis and certifies each member (:func:`_printed_residual`); if any
-    fails, the whole family is re-integrated at a further rtol/16, up to
-    three times; on a grid cut to the cap it stops as soon as a refinement
-    lowers the worst residual by less than a factor of 2, since the grid's
-    error then holds it up.  The solver's rtol is clamped at the solver's
-    floor of 100 eps (``quadrature.RTOL_FLOOR``).  Errors raised for one
-    member name its lambda.  M = 1 is :func:`solve_aux` exactly.
+    The family shares one sample grid, sized before the solve for the run
+    and member that need the densest.  Each certification pass evaluates the
+    solve on it once, (n, 5M), checks the poles, converts the vector columns
+    to the (n, M) thetas and phis and certifies each member
+    (:func:`_printed_residual`); if any fails, the whole family is
+    re-integrated at a further rtol/16, up to three times; on a grid cut to
+    the cap it stops as soon as a refinement lowers the worst residual by
+    less than a factor of 2, since the grid's error then holds it up.  The
+    solver's rtol is clamped at the solver's floor of 100 eps
+    (``quadrature.RTOL_FLOOR``).  Errors raised for one member of a family
+    name its lambda and its initial theta.  M = 1 is :func:`solve_aux`
+    exactly.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
         raise ConfigurationError(f"window must satisfy t1 > t0, got {window}")
     lams = np.asarray(lams, dtype=float)
     members = len(lams)
+    params = list(params)
+    if len(params) != members:
+        raise ConfigurationError(f"{len(params)} params objects do not fit {members} members")
     shrink = math.sqrt(members)
     try:
         theta0, phi0 = np.broadcast_arrays(initial.theta, initial.phi, np.zeros(members))[:2]
     except ValueError as exc:
         raise ConfigurationError(f"initial angles do not fit {members} members: {exc}") from exc
 
-    def located(message, member_lam):
-        return message if members == 1 else f"{message} (lambda={float(member_lam)})"
+    def located(message, j):
+        if members == 1:
+            return message
+        return f"{message} (lambda={float(lams[j])}, theta0={float(theta0[j])})"
 
-    def at_pole(time, member_lam):
+    def at_pole(time, j):
         message = f"trajectory reached a polar angle singularity near t={time}"
-        return SingularityError(located(message, member_lam), time=float(time))
+        return SingularityError(located(message, j), time=float(time))
 
-    omega, omega0, _ = params.evaluate(t0)
-    delta0 = params.k * omega - omega0  # the frame of H's uncoupled diagonal at t0
+    # each run in the frame of its H's uncoupled diagonal at t0
+    firsts = [j for j in range(members) if j == 0 or params[j] is not params[j - 1]]
+    runs = []
+    for lo, hi in zip(firsts, firsts[1:] + [members]):
+        omega, omega0, _ = params[lo].evaluate(t0)
+        runs.append(_Run(params[lo], params[lo].k * omega - omega0, lo, hi))
+    sizes = [run.hi - run.lo for run in runs]
+    deltas = np.repeat([run.delta0 for run in runs], sizes)
 
-    # Sample density rule, from the profiles on the floor grid: a component
-    # of amplitude a at rate w of the frame vector costs the certificate's
-    # sixth-order stencils a derivative error ~ a w (h w)^6, kept within
-    # 10 * rtol, an order below the bound.  The vector precesses at 2 |h'|
-    # (a = 1); h''s coupling part c = 2 sqrt(lam) |g| turns at
-    # Delta0 + (arg g)', a wobble of a = c / w.
-    edges = np.concatenate([[t0], params.breakpoints(t0, t1), [t1]])
+    # Sample density rule, per run from its profiles on the floor grid: a
+    # component of amplitude a at rate w of the frame vector costs the
+    # certificate's sixth-order stencils a derivative error ~ a w (h w)^6,
+    # kept within 10 * rtol, an order below the bound.  The vector precesses
+    # at 2 |h'| (a = 1); h''s coupling part c = 2 sqrt(lam) |g| turns at
+    # Delta0 + (arg g)', a wobble of a = c / w.  The densest run sets the grid.
+    kinks = np.unique(np.concatenate([run.params.breakpoints(t0, t1) for run in runs]))
+    edges = np.concatenate([[t0], kinks, [t1]])
     times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
-    frame = _frame(params, times)
-    coupling = 2.0 * math.sqrt(max(lams)) * np.abs(frame[2])
-    precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
-    turning = float(np.max(np.abs(delta0 + np.gradient(params.g_phase(times), times))))
+    frames = [_frame(run.params, times) for run in runs]
     budget = max(10.0 * rtol, 1e-13)
-    rates = precession * (precession / budget) ** (1 / 6)
-    rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
-    # factor 2: the motion's harmonics sit above these rates
-    n_auto = 2 * int(np.ceil((t1 - t0) * rates))
+
+    def density(run, frame):
+        coupling = 2.0 * math.sqrt(lams[run.lo : run.hi].max()) * np.abs(frame[2])
+        precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
+        phase_rate = np.gradient(run.params.g_phase(times), times)
+        turning = float(np.max(np.abs(run.delta0 + phase_rate)))
+        rates = precession * (precession / budget) ** (1 / 6)
+        rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
+        # factor 2: the motion's harmonics sit above these rates
+        return 2 * int(np.ceil((t1 - t0) * rates))
+
+    n_auto = max(density(run, frame) for run, frame in zip(runs, frames))
     capped = n_auto > _SAMPLE_CAP
     if n_auto > _MIN_SAMPLES:
         times, edge_indices = segmented_grid(edges, min(n_auto, _SAMPLE_CAP))
-        frame = _frame(params, times)
-    coupled = bool(np.any(frame[2] != 0))
+        frames = [_frame(run.params, times) for run in runs]
+    live = np.repeat([bool(np.any(frame[2] != 0)) for frame in frames], sizes)  # coupled members
     starts = list(zip(theta0.tolist(), phi0.tolist()))
-    polar = [lam for lam, (theta, _) in zip(lams, starts) if abs(math.sin(theta)) < THETA_MIN]
-    if coupled and polar:
+    polar = [j for j, (a, _) in enumerate(starts) if live[j] and abs(math.sin(a)) < THETA_MIN]
+    if polar:
         raise at_pole(t0, polar[0])
 
-    rhs = _bloch_rhs(params, lams, t0, delta0)
+    rhs = _bloch_rhs(runs, lams, t0)
     # math, not numpy, trigonometry: a shared start gives M copies of one vector
     n0 = [(-math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)) for a, b in starts]
     y0 = np.concatenate([np.array(n0).ravel(order="F"), np.zeros(2 * members)])
@@ -420,27 +477,31 @@ def _solve_family(
     def integrate(rt, at):
         solver_rtol = max(rt / (16.0 * shrink), RTOL_FLOOR)
         atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
-        vectors = integrate_segments(rhs, window, y0, params, solver_rtol, atols, failed)
-        return vectors, _angle_chart(vectors, phi0, t0, delta0), solver_rtol
+        vectors = integrate_segments(rhs, window, y0, kinks, solver_rtol, atols, failed)
+        return vectors, _angle_chart(vectors, phi0, t0, deltas), solver_rtol
 
     vectors, to_angles, solver_rtol = integrate(rtol, atol)
     total_nfev = vectors.nfev
+    step = max(1, _CHUNK // times.size)  # members per certification derivative
+    chunks = [
+        (frame, slice(j, min(j + step, run.hi)))
+        for frame, run in zip(frames, runs)
+        for j in range(run.lo, run.hi, step)
+    ]
 
     def certify_pass(vectors, to_angles):
         block = vectors(times)  # (n, 5M)
-        pole = _first_pole(vectors, times, block, members) if coupled else None
+        pole = _first_pole(vectors, times, block, live) if live.any() else None
         if pole is not None:
-            raise at_pole(pole[0], lams[pole[1]])
+            raise at_pole(*pole)
         thetas, phis = to_angles(block, times)  # (n, M) each; member j keeps views of column j
         norms = np.sqrt(np.sum(block[:, : 3 * members].reshape(-1, 3, members) ** 2, axis=1))
         deviations = np.max(np.abs(norms - 1.0), axis=0)
         del block, norms
-        step = max(1, _CHUNK // times.size)  # members per certification derivative
-        chunks = [slice(j, j + step) for j in range(0, members, step)]
         series = np.hstack(
             [
                 _printed_residual(times, edge_indices, thetas[:, c], phis[:, c], frame, lams[c])
-                for c in chunks
+                for frame, c in chunks
             ]
         )
         return thetas, phis, series, deviations
@@ -472,14 +533,14 @@ def _solve_family(
         n_samples=times.size,
         sample_cap_hit=capped,
     )
-    for lam, residual in zip(lams, residuals):
+    for j, residual in enumerate(residuals):
         if certify and residual > 100.0 * rtol:
             cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
             raise CertificationError(
                 located(
                     f"angle trajectory residual {residual:.3e} exceeds "
                     f"100*rtol={100 * rtol:.3e}{cap}",
-                    lam,
+                    j,
                 )
             )
     return [
@@ -487,7 +548,7 @@ def _solve_family(
             times=times,
             thetas=thetas[:, j],
             phis=phis[:, j],
-            params=params,
+            params=member_params,
             lam=float(lam),
             stats=replace(stats, max_residual=residual, max_norm_deviation=float(deviation)),
             edge_indices=edge_indices,
@@ -496,7 +557,9 @@ def _solve_family(
             _chart=to_angles,
             _member=j,
         )
-        for j, (lam, residual, deviation) in enumerate(zip(lams, residuals, deviations))
+        for j, (member_params, lam, residual, deviation) in enumerate(
+            zip(params, lams, residuals, deviations)
+        )
     ]
 
 

@@ -320,8 +320,9 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     lams = [block.lam for block in blocks]
     initial = AuxState(np.array([_theta0(cfg, lam) for lam in lams]), cfg.phi0)
     # one angle solve for every block, sampled once for every CSV below
+    params = [cfg.params] * len(lams)
     trajs = _solve_family(
-        initial, (0.0, cfg.t_final), cfg.params, lams, rtol=cfg.aux_rtol, atol=cfg.aux_atol
+        initial, (0.0, cfg.t_final), params, lams, rtol=cfg.aux_rtol, atol=cfg.aux_atol
     )
     sample = PhaseIntegrals(trajs, blocks).sample(ts)
     angles, integrals = sample
@@ -391,26 +392,24 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
 
 
 def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
+    # at the poles the solid angle is degenerate and no azimuth dynamics
+    # exists; the cycle phase is the formula value exactly
+    live = [theta for theta in cfg.berry_thetas if abs(math.sin(theta)) >= 1e-12]
+    omega = TimeProfile.constant(cfg.berry_omega)
+    scenarios = [
+        build_adiabatic_scenario(theta, omega, m=cfg.berry_m, k=cfg.spec.k, g_mod=cfg.berry_g_mod)
+        for theta in live
+    ]
+    # one solve for every theta, over one period 2 pi / omega: the trajectory
+    # does not depend on sigma and the phase is odd in it, so sigma * (the +1
+    # phase) is bit-exact
+    phases = berry_phase_numeric(scenarios, +1, rtol=cfg.aux_rtol, atol=cfg.aux_atol)
+    plus = dict(zip(live, phases))
     rows = []
     for theta in cfg.berry_thetas:
-        # at the poles the solid angle is degenerate and no azimuth dynamics
-        # exists; the cycle phase is the formula value exactly
-        degenerate = abs(math.sin(theta)) < 1e-12
-        if not degenerate:
-            scenario = build_adiabatic_scenario(
-                theta,
-                TimeProfile.constant(cfg.berry_omega),
-                m=cfg.berry_m,
-                k=cfg.spec.k,
-                g_mod=cfg.berry_g_mod,
-            )
-            # one solve per theta, over one period 2 pi / omega: the trajectory
-            # does not depend on sigma and the phase is odd in it, so
-            # sigma * (the +1 phase) is bit-exact
-            plus = berry_phase_numeric(scenario, +1, rtol=cfg.aux_rtol, atol=cfg.aux_atol)
         for sigma in cfg.berry_sigmas:
             formula = berry_phase_cycle(theta, sigma)
-            numeric = formula if degenerate else sigma * plus
+            numeric = sigma * plus[theta] if theta in plus else formula
             rows.append((theta, sigma, numeric, formula, abs(numeric - formula)))
     CsvWriter(
         out_dir / "berry_sweep.csv",

@@ -112,7 +112,8 @@ def solve_block_family(
             f"need at least {cspec.m_max + spec.k + spec.guard + 1}"
         )
     blocks = [SubspaceBlock.for_space(spec, m) for m in range(cspec.m_max + 1)]
-    trajs = _solve_family(initial, window, params, [b.lam for b in blocks], rtol=rtol, atol=atol)
+    lams = [b.lam for b in blocks]
+    trajs = _solve_family(initial, window, [params] * len(lams), lams, rtol=rtol, atol=atol)
     phases = PhaseIntegrals(trajs, blocks)
     return [ExactSolution(b, cspec.sigma, traj, phases) for b, traj in zip(blocks, trajs)]
 

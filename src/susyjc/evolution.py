@@ -236,7 +236,8 @@ class PhaseIntegrals:
 
     with B and G from the solve (:mod:`susyjc.auxiliary`) and int w, shared
     by the M blocks, a sixth-order quadrature of the samples on its grid
-    (the one quadrature left).
+    (the one quadrature left).  The members must share one params object
+    (ConfigurationError otherwise).
     :meth:`sample` makes one call of the solve's dense output and one of
     int w; its integrals are (n_t, 3M), and member j's columns 3j .. 3j + 2
     are phi_d for sigma = +1 and -1, then phi_g for +1.  Every reader of
@@ -252,6 +253,8 @@ class PhaseIntegrals:
         self._family = family_sample(self.trajectories)
         self._levels = np.array([block.m + block.k / 2.0 for block in self.blocks])
         first = self.trajectories[0]
+        if any(traj.params is not first.params for traj in self.trajectories):
+            raise ConfigurationError("the trajectories do not share one params object")
         omega = first.params.omega(first.times)
         self._omega_integral = cumulative_antiderivative(first.times, omega, first.edge_indices)
 

@@ -391,8 +391,9 @@ def check_window(t, a: float, b: float, name: str) -> np.ndarray:
     return t
 
 
-def integrate_segments(rhs, window, y0, params, rtol, atol, failure) -> Dop853Solution:
-    """:func:`dop853` with dense output over ``window``, restarted at every profile kink.
+def integrate_segments(rhs, window, y0, kinks, rtol, atol, failure) -> Dop853Solution:
+    """:func:`dop853` with dense output over ``window``, restarted at every
+    kink: ``kinks`` are the profiles' interior breakpoints, ascending.
 
     ``window`` may run backward (t1 < t0).  The segments' runs join into one
     :class:`Dop853Solution` in integration order: each kink is in ``times``
@@ -401,7 +402,6 @@ def integrate_segments(rhs, window, y0, params, rtol, atol, failure) -> Dop853So
     reached.
     """
     t0, t1 = float(window[0]), float(window[1])
-    kinks = params.breakpoints(min(t0, t1), max(t0, t1))
     points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
     runs, y = [], y0
     for span in zip(points[:-1], points[1:]):

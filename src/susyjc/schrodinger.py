@@ -204,8 +204,9 @@ def propagate(
 
     shrink = math.sqrt(2 * n_runs)
     solver_rtol = max(rtol / shrink, RTOL_FLOOR)
+    kinks = params.breakpoints(min(t0, t1), max(t0, t1))
     dense = integrate_segments(
-        rhs, (t0, t1), psi0.reshape(-1).view(float), params, solver_rtol, atol / shrink, failed
+        rhs, (t0, t1), psi0.reshape(-1).view(float), kinks, solver_rtol, atol / shrink, failed
     )
     rotating = dense(t_eval).view(complex).reshape(t_eval.size, n_runs, spec.dim)
     phases = np.exp(-1j * np.outer(t_eval - t0, energies))

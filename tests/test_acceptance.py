@@ -196,13 +196,13 @@ def test_criterion_6_berry_phase():
     for theta in (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3):
         for sigma in (+1, -1):
             scen = build_adiabatic_scenario(theta, TimeProfile.constant(1.0), m=0, k=3, g_mod=0.05)
-            numeric = berry_phase_numeric(scen, sigma)
+            (numeric,) = berry_phase_numeric([scen], sigma)
             worst = max(worst, abs(numeric - berry_phase_cycle(theta, sigma)))
 
     phases = []
     for g_mod in (0.05, 0.1):
         scen = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(1.0), m=0, k=3, g_mod=g_mod)
-        phases.append(berry_phase_numeric(scen, +1))
+        phases += berry_phase_numeric([scen], +1)
     drift = abs(phases[0] - phases[1])
     report(
         6,

@@ -27,6 +27,7 @@ from susyjc.adiabatic import (
     invariant_from_couplings,
     solve_scenario,
 )
+from susyjc.auxiliary import family_sample
 from susyjc.evolution import invariant_matrix
 
 OMEGA = TimeProfile.constant(1.0)
@@ -90,7 +91,7 @@ def test_invariant_coupling_form_matches_angle_form():
 @pytest.mark.parametrize("sigma", [+1, -1])
 def test_berry_phase_solid_angle_law(theta, sigma):
     scen = build_adiabatic_scenario(theta, OMEGA, m=0, k=3, g_mod=0.05)
-    numeric = berry_phase_numeric(scen, sigma)
+    (numeric,) = berry_phase_numeric([scen], sigma)
     formula = berry_phase_cycle(theta, sigma)
     assert abs(numeric - formula) < 1e-3 * max(abs(formula), 1.0)
 
@@ -109,7 +110,39 @@ def test_berry_phase_sign_antisymmetry():
 def test_berry_phase_cycle_closure_enforced():
     scen = build_adiabatic_scenario(math.pi / 3, OMEGA, m=0, k=3, g_mod=0.05)
     with pytest.raises(CycleError):
-        berry_phase_numeric(dataclasses.replace(scen, period=5.0), +1)
+        berry_phase_numeric([dataclasses.replace(scen, period=5.0)], +1)
+
+
+def test_berry_sweep_matches_the_solo_solves():
+    # one family solve for the sweep: each theta's phase is its solo solve's,
+    # within the two solves' tolerances
+    thetas = (math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3)
+    scenarios = [build_adiabatic_scenario(theta, OMEGA, m=0, k=3, g_mod=0.05) for theta in thetas]
+    phases = berry_phase_numeric(scenarios, -1)
+    assert len(phases) == len(thetas)
+    for scen, phase in zip(scenarios, phases):
+        solo = solve_scenario(scen)
+        _, _, g = family_sample([solo])(solo.t1)
+        assert abs(phase - (-g[0])) <= 1e-9
+
+
+def test_berry_sweep_needs_one_period():
+    fast = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(2.0), m=0)
+    slow = build_adiabatic_scenario(math.pi / 6, OMEGA, m=0)
+    with pytest.raises(ConfigurationError, match="share one period") as err:
+        berry_phase_numeric([slow, fast], +1)
+    assert str(fast.period) in str(err.value) and str(slow.period) in str(err.value)
+    assert berry_phase_numeric([], +1) == []
+
+
+def test_cycle_error_names_the_theta_that_does_not_close():
+    # a window of 5 instead of 2 pi: the first member's cycle fails, by its theta
+    scenarios = [
+        dataclasses.replace(build_adiabatic_scenario(theta, OMEGA, m=0), period=5.0)
+        for theta in (math.pi / 3, math.pi / 2)
+    ]
+    with pytest.raises(CycleError, match=rf"\(theta0={math.pi / 3}\)$"):
+        berry_phase_numeric(scenarios, +1)
 
 
 def test_berry_phase_coupling_invariance():
@@ -119,7 +152,7 @@ def test_berry_phase_coupling_invariance():
     phases = []
     for g_mod in (0.05, 0.1):
         scen = build_adiabatic_scenario(theta, OMEGA, m=0, k=3, g_mod=g_mod)
-        phases.append(berry_phase_numeric(scen, +1))
+        phases += berry_phase_numeric([scen], +1)
     assert abs(phases[0] - phases[1]) < 1e-8
 
 

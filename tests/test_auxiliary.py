@@ -453,7 +453,7 @@ def test_constant_profiles_match_the_exact_precession(k, omega0, g_mod, g_phase,
     params = constant_params(1.0, omega0, g_mod, g_phase, k=k)
     theta0, phi0 = 1.1, 0.4
     lams = [lambda_value(m, k) for m in ms]
-    trajs = _solve_family(AuxState(theta0, phi0), (0.0, 10.0), params, lams)
+    trajs = _solve_family(AuxState(theta0, phi0), (0.0, 10.0), [params] * len(lams), lams)
     g = g_mod * np.exp(1j * g_phase)
     n0 = np.array(
         [-math.sin(theta0) * math.cos(phi0), math.sin(theta0) * math.sin(phi0), math.cos(theta0)]
@@ -547,7 +547,7 @@ def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, para
     # is 64 times smaller, so each member's worst residual moves by less
     rtol = 1e-10
     lams = [lambda_value(m, 3) for m in ms]
-    trajs = _solve_family(AuxState(theta0, 0.0), (0.0, t1), params, lams, rtol=rtol)
+    trajs = _solve_family(AuxState(theta0, 0.0), (0.0, t1), [params] * len(lams), lams, rtol=rtol)
     n = trajs[0].stats.n_samples
     assert n > 2001 and not trajs[0].stats.sample_cap_hit
     edges = np.concatenate([[0.0], params.breakpoints(0.0, t1), [t1]])
@@ -600,9 +600,12 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
     # the capped solve above, with a slow member beside it: the message
     # locates the failing member; a solo solve names no lambda
     with pytest.raises(CertificationError) as err:
-        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, [LAM6, 1716])
+        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), [CAPPED] * 2, [LAM6, 1716])
     message = str(err.value)
-    assert message.endswith(f"on a grid capped at {_SAMPLE_CAP} samples (lambda=1716.0)")
+    theta0 = math.pi / 3
+    assert message.endswith(
+        f"on a grid capped at {_SAMPLE_CAP} samples (lambda=1716.0, theta0={theta0})"
+    )
 
 
 def test_family_evaluates_its_dense_output_once_per_pass(sample_calls):
@@ -611,7 +614,9 @@ def test_family_evaluates_its_dense_output_once_per_pass(sample_calls):
     lams = [lambda_value(m, 3) for m in (0, 5, 10)]
     params = constant_params(1.0, 3.0, 0.05)
     # a loose atol makes the family refine
-    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lams, atol=1e-7)
+    family = _solve_family(
+        AuxState(math.pi / 3, 0.0), (0.0, 10.0), [params] * len(lams), lams, atol=1e-7
+    )
     stats = family[0].stats
     assert stats.refinements >= 1
     sizes = [size for kind, size, _ in sample_calls if kind == "dense"]
@@ -624,8 +629,8 @@ def test_family_singularity_error_names_the_member_at_the_pole():
     # there first, and the error names it, not the family's first member
     params = constant_params(1.0, 3.0, 0.3, math.pi / 2)
     lams = [LAM6, lambda_value(2, 3)]
-    with pytest.raises(SingularityError, match=r"\(lambda=60\.0\)$") as err:
-        _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), params, lams)
+    with pytest.raises(SingularityError, match=r"\(lambda=60\.0, theta0=0\.35\)$") as err:
+        _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), [params] * len(lams), lams)
     assert err.value.time is not None
     with pytest.raises(SingularityError) as solo:
         solve_aux(AuxState(0.35, 0.0), (0.0, 20.0), params, lams[1])
@@ -641,7 +646,7 @@ def test_pole_time_belongs_to_the_trajectory():
     times = []
     for lams in ([LAM6, lam], [lam]):
         with pytest.raises(SingularityError) as err:
-            _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), params, lams)
+            _solve_family(AuxState(0.35, 0.0), (0.0, 20.0), [params] * len(lams), lams)
         times.append(err.value.time)
     assert abs(times[0] - times[1]) <= 1e-6
     assert abs(times[1] - 0.35 / (0.6 * math.sqrt(lam))) <= 1e-6
@@ -662,7 +667,7 @@ def test_family_members_match_their_solo_solves(theta0, g, detuning, ms, t_final
     lams = [lambda_value(m, 3) for m in sorted(ms)]
     initial = AuxState(theta0, 0.0)
     try:
-        family = _solve_family(initial, (0.0, t_final), params, lams)
+        family = _solve_family(initial, (0.0, t_final), [params] * len(lams), lams)
     except SusyJCError:
         return
     assert [member.lam for member in family] == [float(lam) for lam in lams]
@@ -683,15 +688,15 @@ def test_family_members_start_from_their_own_angles():
     lams = [LAM6, lambda_value(1, 3)]
     starts = [(math.pi / 3, 0.0), (2.0, 0.5)]
     initial = AuxState(np.array([s[0] for s in starts]), np.array([s[1] for s in starts]))
-    family = _solve_family(initial, (0.0, 8.0), params, lams)
+    family = _solve_family(initial, (0.0, 8.0), [params] * len(lams), lams)
     for (theta0, phi0), lam, member in zip(starts, lams, family):
         solo = solve_aux(AuxState(theta0, phi0), (0.0, 8.0), params, lam)
         got = member.state_at(solo.times)
         assert (member.thetas[0], member.phis[0]) == (theta0, phi0)
         assert np.max(np.abs(got.theta - solo.thetas)) <= 1e-9
         assert np.max(np.abs(got.phi - solo.phis)) <= 1e-9
-    shared = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 8.0), params, lams)
-    copies = _solve_family(AuxState(np.full(2, math.pi / 3), np.zeros(2)), (0.0, 8.0), params, lams)
+    shared = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 8.0), [params] * 2, lams)
+    copies = _solve_family(AuxState(np.full(2, math.pi / 3), np.zeros(2)), (0.0, 8.0), [params] * 2, lams)
     for a, b in zip(shared, copies):
         assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis)
 
@@ -700,8 +705,61 @@ def test_family_start_at_a_pole_names_that_member():
     params = constant_params(1.0, 3.0, 0.05)
     lams = [LAM6, lambda_value(1, 3)]
     initial = AuxState(np.array([1.0, 0.0]), 0.0)
-    with pytest.raises(SingularityError, match=r"\(lambda=24\.0\)$") as err:
-        _solve_family(initial, (0.0, 1.0), params, lams)
+    with pytest.raises(SingularityError, match=r"\(lambda=24\.0, theta0=0\.0\)$") as err:
+        _solve_family(initial, (0.0, 1.0), [params] * len(lams), lams)
     assert err.value.time == 0.0
     with pytest.raises(ConfigurationError, match="do not fit 2 members"):
-        _solve_family(AuxState(np.ones(3), 0.0), (0.0, 1.0), params, lams)
+        _solve_family(AuxState(np.ones(3), 0.0), (0.0, 1.0), [params] * len(lams), lams)
+
+
+def test_family_start_at_a_pole_names_its_theta_before_integrating(monkeypatch):
+    # two members of equal lambda, one params object each: the coupled second
+    # member starts at the pole, and the error tells it by its theta before
+    # any integration
+    integrations = []
+    monkeypatch.setattr(auxiliary, "integrate_segments", lambda *args: integrations.append(args))
+    params = [constant_params(1.0, 3.0, 0.05), constant_params(1.0, 2.9, 0.05)]
+    initial = AuxState(np.array([1.0, 0.0]), 0.0)
+    with pytest.raises(SingularityError, match=r"\(lambda=6\.0, theta0=0\.0\)$") as err:
+        _solve_family(initial, (0.0, 1.0), params, [LAM6, LAM6])
+    assert err.value.time == 0.0 and integrations == []
+
+
+def test_an_uncoupled_member_may_start_at_a_pole_beside_a_coupled_one():
+    # the pole is live only for a coupled member: an uncoupled one at theta = 0
+    # stands still there, as in its solo solve, and the coupled one runs as alone
+    coupled, free = constant_params(1.0, 3.0, 0.05), constant_params(1.0, 2.5, 0.0)
+    initial = AuxState(np.array([1.0, 0.0]), 0.0)
+    family = _solve_family(initial, (0.0, 5.0), [coupled, free], [LAM6, LAM6])
+    assert np.all(family[1].thetas == 0.0)
+    solo = solve_aux(AuxState(1.0, 0.0), (0.0, 5.0), coupled, LAM6)
+    assert np.max(np.abs(family[0].state_at(solo.times).theta - solo.thetas)) <= 1e-9
+    assert [member.params for member in family] == [coupled, free]
+
+
+def test_members_with_their_own_profiles_match_their_solo_solves():
+    # distinct params objects: each member keeps its own Delta0 frame, kinks
+    # and certification frame; the grid and kinks are the union of theirs,
+    # and the detuned middle member's turn sets the grid's density
+    params = [DRIVEN, constant_params(1.0, -7.0, 0.05, 0.3), constant_params(1.5, 3.0, 0.04)]
+    lams = [lambda_value(2, 3), LAM6, lambda_value(1, 3)]
+    starts = np.array([math.pi / 3, 1.2, 2.0])
+    family = _solve_family(AuxState(starts, 0.0), (0.0, 10.0), params, lams)
+    kinks = DRIVEN.breakpoints(0.0, 10.0)
+    assert set(kinks) <= set(family[0].times[list(family[0].edge_indices)])
+    for theta0, member_params, lam, member in zip(starts, params, lams, family):
+        solo = solve_aux(AuxState(theta0, 0.0), (0.0, 10.0), member_params, lam)
+        assert member.params is member_params and member.stats.max_residual <= 1e-8
+        assert member.stats.n_samples >= solo.stats.n_samples
+        got = member.state_at(solo.times)
+        assert np.max(np.abs(got.theta - solo.thetas)) <= 1e-8
+        assert np.max(np.abs(got.phi - solo.phis)) <= 1e-8
+        # the certificate's residuals are the member's own, on its own frame
+        own = residual_series(member, member_params, lam)
+        assert np.array_equal(own, member.residuals)
+
+
+def test_params_must_fit_the_members():
+    params = constant_params(1.0, 3.0, 0.05)
+    with pytest.raises(ConfigurationError, match="1 params objects do not fit 2 members"):
+        _solve_family(AuxState(1.0, 0.0), (0.0, 1.0), [params], [LAM6, LAM6])

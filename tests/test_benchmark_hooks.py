@@ -65,7 +65,10 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
     # profiles.evaluate.calls there and infers schrodinger.rhs_evals from the
     # calls made inside propagate, so a right-hand side that bypassed
     # evaluate would empty both metrics.  Each solve makes one scalar call
-    # per right-hand-side call, plus its frame's at t0.
+    # per right-hand-side call, plus its frame's at t0, for each distinct
+    # params object of its members.
+    import dataclasses
+
     from susyjc import EXCITED, AuxState, ModelParams, SubspaceBlock, propagate
     from susyjc.auxiliary import _solve_family
 
@@ -91,5 +94,15 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
     scalar_calls.clear()
     lam = SubspaceBlock.for_space(cfg.spec, m).lam
     initial = AuxState(cfg.theta0, cfg.phi0)
-    (traj,) = _solve_family(initial, window, cfg.params, [lam], cfg.aux_rtol, cfg.aux_atol)
+    (traj,) = _solve_family(initial, window, [cfg.params], [lam], cfg.aux_rtol, cfg.aux_atol)
     assert len(scalar_calls) == traj.stats.n_rhs_evaluations + 1
+    # G members: G distinct copies of the profiles cost G calls per call of
+    # the right-hand side, one shared object one call
+    members = 3
+    for params, calls in [
+        ([dataclasses.replace(cfg.params) for _ in range(members)], members),
+        ([cfg.params] * members, 1),
+    ]:
+        scalar_calls.clear()
+        family = _solve_family(initial, window, params, [lam] * members, cfg.aux_rtol, cfg.aux_atol)
+        assert len(scalar_calls) == calls * (family[0].stats.n_rhs_evaluations + 1)

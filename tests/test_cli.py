@@ -283,6 +283,24 @@ def test_berry_pole_row_is_zero(tmp_path):
     assert numeric[0] == 0.0 and numeric[1] == 0.0  # theta = 0, both sigma
 
 
+def test_berry_sweep_is_one_integration(tmp_path, monkeypatch):
+    # every theta of the sweep is a member of one angle solve: one DOP853 run
+    # for the four thetas of configs/berry.ini, which have no profile kinks
+    from susyjc import quadrature
+
+    runs = []
+    dop853 = quadrature.dop853
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return dop853(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "dop853", counting)
+    config = str(ROOT / "configs" / "berry.ini")
+    assert main(["berry", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert len(runs) == 1
+
+
 def test_berry_cycle_closure_failure(tmp_path, capsys):
     # a window other than the period used to fail the closure check after the
     # solve; the cycle is now the scenario's period, so the key is refused at load
@@ -298,16 +316,16 @@ def test_berry_solves_with_the_aux_tolerances(tmp_path, monkeypatch):
     from susyjc import adiabatic
 
     seen = []
-    solve_aux = adiabatic.solve_aux
+    solve = adiabatic._solve_family
 
     def spying(*args, **kwargs):
         seen.append((kwargs["rtol"], kwargs["atol"]))
-        return solve_aux(*args, **kwargs)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(adiabatic, "solve_aux", spying)
+    monkeypatch.setattr(adiabatic, "_solve_family", spying)
     cfg = write(tmp_path, BERRY + "\n[aux]\nrtol = 2e-10\natol = 1e-9\n")
     assert main(["berry", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert seen == [(2e-10, 1e-9)] * 2  # one solve per theta
+    assert seen == [(2e-10, 1e-9)]  # one solve for every theta
 
 
 def test_coherent_run_and_xi_zero_reduction(tmp_path):
@@ -641,7 +659,7 @@ def test_a_block_at_a_pole_is_named_by_its_lambda(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("verification failure at t=")
-    assert err.rstrip().endswith("(lambda=24.0)")
+    assert err.rstrip().endswith("(lambda=24.0, theta0=0.35)")
 
 
 def test_propagate_makes_one_oracle_call_for_every_block_and_sigma(tmp_path, monkeypatch):

@@ -265,6 +265,24 @@ def test_exact_solution_shares_phase_integrals():
         ExactSolution(SubspaceBlock.for_space(FockSpaceSpec(cutoff=24, k=3), 1), +1, traj, phases)
 
 
+def test_phase_integrals_need_members_of_one_params_object():
+    # int w is fitted once for the family, from its first member's profiles:
+    # members with their own profiles would get a wrong phi_d, so they are
+    # refused; each one still gets its own integrals alone
+    from susyjc.auxiliary import _solve_family
+
+    params = [constant_params(1.0, 2.8, 0.05), constant_params(2.0, 5.8, 0.05)]
+    blocks = [SubspaceBlock.for_space(SPEC, m) for m in (0, 1)]
+    trajs = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 2.0), params, [b.lam for b in blocks])
+    with pytest.raises(ConfigurationError, match="do not share one params object"):
+        PhaseIntegrals(trajs, blocks)
+    for block, traj in zip(blocks, trajs):
+        _, solo = solved(traj.params, m=block.m, t1=2.0)
+        alone, reference = ExactSolution(block, +1, traj), ExactSolution(block, +1, solo)
+        for t in (0.7, 2.0):
+            assert abs(alone.ledger(t).phi_d - reference.ledger(t).phi_d) < 1e-8
+
+
 def test_general_solution_single_component():
     params = constant_params(1.0, 3.0, 0.05)
     block, traj = solved(params, m=0, t1=5.0)

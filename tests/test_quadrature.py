@@ -105,7 +105,8 @@ def test_a_knot_belongs_to_the_segment_that_starts_there(monkeypatch, window):
 
     def solve():
         y0 = np.array([0.6, 0.0, 0.8])
-        return integrate_segments(rhs, window, y0, DRIVEN, 1e-10, 1e-12, failed)
+        kinks = DRIVEN.breakpoints(0.0, 10.0)
+        return integrate_segments(rhs, window, y0, kinks, 1e-10, 1e-12, failed)
 
     runs = [run for _, run in _captured_runs(monkeypatch, solve)]
     joined = solve()
@@ -297,7 +298,7 @@ def _stacked_oracle(window):
             lambda: _solve_family(
                 AuxState(math.pi / 3, 0.0),
                 (0.0, 10.0),
-                constant_params(1.0, 3.0, 0.05),
+                [constant_params(1.0, 3.0, 0.05)] * 3,
                 [lambda_value(m, 3) for m in (0, 1, 2)],
                 certify=False,
             ),
