@@ -36,7 +36,7 @@ from .errors import (
     TruncationError,
     VerificationError,
 )
-from .evolution import PhaseIntegrals, _amplitudes, _ledger
+from .evolution import PhaseIntegrals, _amplitudes
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import PROFILE_KINDS, ModelParams, TimeProfile
 from .schrodinger import MAX_AMPLITUDE_ERROR, MAX_NORM_DRIFT, propagate
@@ -225,6 +225,8 @@ def load_config(path: str, need_profiles: bool = True) -> ScenarioConfig:
         raise ConfigurationError(f"run.samples must be at least 2, got {cfg.samples}")
     if cfg.precision < 1:
         raise ConfigurationError(f"output.precision must be at least 1, got {cfg.precision}")
+    if cfg.theta0 is not None and cfg.adiabatic_matched:
+        raise ConfigurationError("aux.theta0 and aux.adiabatic_matched = true both set the start angle")
     if cfg.theta0 is not None and not 0.0 <= cfg.theta0 <= math.pi:
         raise ConfigurationError(f"aux.theta0 must lie in [0, pi], got {cfg.theta0}")
     for theta in cfg.berry_thetas:
@@ -325,7 +327,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
         initial, (0.0, cfg.t_final), params, lams, rtol=cfg.aux_rtol, atol=cfg.aux_atol
     )
     sample = PhaseIntegrals(trajs, blocks).sample(ts)
-    angles, integrals = sample
+    angles, phi_d, phi_g = sample
 
     runs = []  # (block, sigma, the block's exact amplitudes on ts), one per oracle column
     for j, (block, traj, m) in enumerate(zip(blocks, trajs, cfg.m_list)):
@@ -337,9 +339,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
             ["t", "phi_d_plus", "phi_g_plus", "phi_d_minus", "phi_g_minus"],
             cfg.precision,
         )
-        phases = integrals[:, 3 * j : 3 * j + 3]
-        plus, minus = _ledger(+1, phases), _ledger(-1, phases)
-        w.write([ts, plus.phi_d, plus.phi_g, minus.phi_d, minus.phi_g])
+        w.write([ts, phi_d[:, j, 0], phi_g[:, j, 0], phi_d[:, j, 1], phi_g[:, j, 1]])
         runs += [(block, sigma, _amplitudes(sample, j, sigma)) for sigma in cfg.sigmas]
 
     if cfg.oracle_enabled:

@@ -2,7 +2,10 @@ import ast
 import configparser
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -59,6 +62,7 @@ tol = 1e-3
 
 THETA0 = "theta0 = 1.0471975511965976"
 ORACLE = "enabled = true"
+G_MOD = "g_mod.kind = constant\ng_mod.value = 0.05"
 
 
 def section(name, line):
@@ -504,6 +508,39 @@ def test_unparsable_config_is_exit_2_naming_file_and_line(tmp_path, capsys, text
             "oracle.enabled",
             id="coherent-oracle-disabled",
         ),
+        # a given theta0 beside a matched start used to be dropped without a word
+        pytest.param(
+            "propagate",
+            BASE.replace(THETA0, THETA0 + "\nadiabatic_matched = true"),
+            "aux.theta0 and aux.adiabatic_matched = true both set the start angle",
+            id="theta0-and-adiabatic-matched",
+        ),
+        pytest.param(
+            "propagate",
+            BASE.replace(THETA0 + "\n", ""),
+            "missing required key aux.theta0 (or set aux.adiabatic_matched)",
+            id="theta0-missing",
+        ),
+        pytest.param(
+            "propagate",
+            BASE.replace(ORACLE, "enabled = maybe"),
+            "oracle.enabled: 'maybe' (expected a boolean, got 'maybe')",
+            id="oracle-enabled-maybe",
+        ),
+        pytest.param(
+            "propagate",
+            BASE.replace(G_MOD, "g_mod.kind = table\ng_mod.times = 0.0\ng_mod.values = 0.05"),
+            "profiles.g_mod: table profile needs",
+            id="g-mod-table-one-value",
+        ),
+        pytest.param(
+            "propagate",
+            BASE.replace(G_MOD, "g_mod.kind = table\ng_mod.times = 0, 10\ng_mod.values = 0.05, 0.06").replace(
+                "t_final = 8.0", "t_final = 20"
+            ),
+            "profiles not evaluable on [0, 20.0]",
+            id="g-mod-table-short-of-t-final",
+        ),
     ],
 )
 def test_config_error_leaves_no_output_directory(tmp_path, capsys, command, text, key):
@@ -512,6 +549,24 @@ def test_config_error_leaves_no_output_directory(tmp_path, capsys, command, text
     assert code == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_the_module_entry_point_exits_with_the_command_code(tmp_path):
+    # python -m susyjc.cli runs main() in a process of its own and exits with its code
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+
+    def run(command, config, out):
+        argv = [sys.executable, "-m", "susyjc.cli", command, "--config", config, "--out", str(out)]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    berry = run("berry", str(ROOT / "configs" / "berry.ini"), tmp_path / "b")
+    assert berry.returncode == 0, berry.stderr
+    assert re.fullmatch(r"max \|numeric - formula\|: \S+ \(bound 0\.001\)\n", berry.stdout)
+    assert (tmp_path / "b" / "berry_sweep.csv").exists()
+    rejected = run("propagate", write(tmp_path, BASE.replace(ORACLE, "enabled = maybe")), tmp_path / "p")
+    assert rejected.returncode == 2 and rejected.stdout == ""
+    assert rejected.stderr.startswith("config error: bad value for oracle.enabled: 'maybe'")
+    assert not (tmp_path / "p").exists()
 
 
 def test_config_values_are_read_literally(tmp_path, monkeypatch):
@@ -593,7 +648,7 @@ def test_propagate_blocks_match_their_solo_solves(tmp_path, capsys):
     # of its own solo solve, and the oracle's amplitude bound still holds
     from susyjc import AuxState, solve_aux
     from susyjc.blocks import SubspaceBlock
-    from susyjc.evolution import PhaseIntegrals, _ledger
+    from susyjc.evolution import PhaseIntegrals
 
     path = write(tmp_path, BASE.replace("m = 0", "m = 0, 1, 2") + "\n[output]\nprecision = 17\n")
     cfg = load_config(path)
@@ -606,15 +661,14 @@ def test_propagate_blocks_match_their_solo_solves(tmp_path, capsys):
     for m in (0, 1, 2):
         block = SubspaceBlock.for_space(cfg.spec, m)
         solo = solve_aux(AuxState(cfg.theta0, cfg.phi0), (0.0, cfg.t_final), cfg.params, block.lam)
-        angles, integrals = PhaseIntegrals([solo], [block]).sample(ts)
-        plus, minus = _ledger(+1, integrals), _ledger(-1, integrals)
+        angles, phi_d, phi_g = PhaseIntegrals([solo], [block]).sample(ts)
         expected = {
             f"trajectory_m{m}.csv": {"theta": angles.theta[:, 0], "phi": angles.phi[:, 0]},
             f"phases_m{m}.csv": {
-                "phi_d_plus": plus.phi_d,
-                "phi_g_plus": plus.phi_g,
-                "phi_d_minus": minus.phi_d,
-                "phi_g_minus": minus.phi_g,
+                "phi_d_plus": phi_d[:, 0, 0],
+                "phi_g_plus": phi_g[:, 0, 0],
+                "phi_d_minus": phi_d[:, 0, 1],
+                "phi_g_minus": phi_g[:, 0, 1],
             },
         }
         for name, columns in expected.items():
@@ -700,13 +754,13 @@ def test_a_growing_phase_error_fails_propagate(tmp_path, capsys, monkeypatch):
     # far under its bound, but the amplitude error sees the phase
     import susyjc.evolution as evolution
 
-    ledger = evolution._ledger
+    sample = evolution.PhaseIntegrals.sample
 
-    def skewed(sigma, rows):
-        exact = ledger(sigma, rows)
-        return evolution.PhaseLedger(sigma, exact.phi_d * (1.0 + 1e-7), exact.phi_g)
+    def skewed(self, t):
+        angles, phi_d, phi_g = sample(self, t)
+        return angles, phi_d * (1.0 + 1e-7), phi_g
 
-    monkeypatch.setattr(evolution, "_ledger", skewed)
+    monkeypatch.setattr(evolution.PhaseIntegrals, "sample", skewed)
     code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
     out = capsys.readouterr().out
     assert code == 1
@@ -722,13 +776,13 @@ def test_a_block_phase_error_fails_coherent(tmp_path, capsys, monkeypatch):
     # amplitude error does see them
     import susyjc.evolution as evolution
 
-    ledger = evolution._ledger
+    sample = evolution.PhaseIntegrals.sample
 
-    def skewed(sigma, rows):
-        exact = ledger(sigma, rows)
-        return evolution.PhaseLedger(sigma, exact.phi_d * (1.0 + 1e-7), exact.phi_g)
+    def skewed(self, t):
+        angles, phi_d, phi_g = sample(self, t)
+        return angles, phi_d * (1.0 + 1e-7), phi_g
 
-    monkeypatch.setattr(evolution, "_ledger", skewed)
+    monkeypatch.setattr(evolution.PhaseIntegrals, "sample", skewed)
     cfg = write(tmp_path, BASE + "\n[coherent]\nxi = 0.5\n", "c.ini")
     code = main(["coherent", "--config", cfg, "--out", str(tmp_path / "c")])
     out = capsys.readouterr().out
@@ -841,9 +895,9 @@ SETTINGS = {
 }
 
 
-def with_key(tmp_path, section, key, raw):
+def with_key(tmp_path, section, key, raw, text=BASE):
     cp = configparser.ConfigParser(interpolation=None)
-    cp.read_string(BASE)
+    cp.read_string(text)
     if not cp.has_section(section):
         cp.add_section(section)
     cp.set(section, key, raw)
@@ -855,11 +909,13 @@ def with_key(tmp_path, section, key, raw):
 def test_every_keyed_setting_loads_from_its_key(tmp_path):
     keyed = {f.metadata["key"][:2]: f for f in fields(ScenarioConfig) if f.metadata}
     assert set(keyed) == set(SETTINGS)
-    base = load_config(write(tmp_path, BASE))
     for (section, key), (raw, value) in SETTINGS.items():
+        # a matched start replaces theta0: the two together are exit 2
+        text = BASE.replace(THETA0 + "\n", "") if key == "adiabatic_matched" else BASE
+        base = load_config(write(tmp_path, text))
         name = keyed[section, key].name
         assert value != keyed[section, key].metadata["key"][3], name
-        cfg = load_config(with_key(tmp_path, section, key, raw))
+        cfg = load_config(with_key(tmp_path, section, key, raw, text))
         assert getattr(cfg, name) == value, name
         # and no other setting moves, nor is a list default shared between configs
         others = [f.name for f in keyed.values() if f.name != name]
@@ -867,7 +923,7 @@ def test_every_keyed_setting_loads_from_its_key(tmp_path):
         assert not any(getattr(cfg, n) is getattr(base, n) for n in others if type(getattr(base, n)) is list)
         # a key no field reads is still rejected, in every section
         with pytest.raises(ConfigurationError, match=re.escape(f"{section}.{key}x")):
-            load_config(with_key(tmp_path, section, f"{key}x", raw))
+            load_config(with_key(tmp_path, section, f"{key}x", raw, text))
 
 
 @pytest.mark.parametrize(

@@ -260,9 +260,9 @@ def test_phase_integrals_integrate_a_fast_omega_on_the_certification_grid():
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
     assert traj.times.size > 2001  # above the floor: the rule, not the floor, sized it
     ts = np.linspace(0.0, 10.0, 1001)
-    _, integrals = PhaseIntegrals([traj], [block]).sample(ts)
+    _, phi_d, _ = PhaseIntegrals([traj], [block]).sample(ts)
     # phi_d(+1) + phi_d(-1) = 2 (m + k/2) int w
-    omega_integral = (integrals[:, 0] + integrals[:, 1]) / (2.0 * (block.m + block.k / 2.0))
+    omega_integral = (phi_d[:, 0, 0] + phi_d[:, 0, 1]) / (2.0 * (block.m + block.k / 2.0))
     exact = ts + a * (1.0 - np.cos(f * ts)) / f
     assert np.max(np.abs(omega_integral - exact)) < 1e-11
 
@@ -352,6 +352,36 @@ def test_dop853_on_an_empty_window_stays_put():
     assert ours.times.tolist() == [2.0] and ours.nfev == 1 and ours.message is None
     assert np.array_equal(ours(2.0), [1.0, 0.5])
     assert ours(np.array([2.0, 2.0])).shape == (2, 2)
+
+
+def test_dop853_stops_where_scipy_does_when_the_solution_blows_up():
+    # y' = y^2, y(0) = 1 blows up at t = 1: the step falls under the spacing
+    # of the floats there, and the run stops with scipy's message, at
+    # scipy's time, after scipy's steps (and its dense output's calls)
+    rhs = lambda t, y: y**2
+    ours = dop853(rhs, (0.0, 2.0), [1.0], 1e-10, 1e-12)
+    ref = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+    assert ours.message == ref.message == "Required step size is less than spacing between numbers."
+    assert ours.times[-1] == 1.0000000000082259 and ours.times.size == 270
+    assert np.array_equal(ours.times, ref.t) and ours.nfev == ref.nfev
+
+
+def test_a_failed_segment_raises_the_callers_failure_at_the_time_reached(monkeypatch):
+    # the blow-up past a kink at 0.5: the first segment finishes, the second
+    # stops, and its message and time go to ``failure``
+    spans = []
+
+    def recording(rhs, span, y0, rtol, atol):
+        spans.append(tuple(span))
+        return dop853(rhs, span, y0, rtol, atol)
+
+    monkeypatch.setattr(quadrature, "dop853", recording)
+    with pytest.raises(RuntimeError) as info:
+        integrate_segments(
+            lambda t, y: y**2, (0.0, 2.0), np.array([1.0]), np.array([0.5]), 1e-10, 1e-12, RuntimeError
+        )
+    assert spans == [(0.0, 0.5), (0.5, 2.0)]
+    assert info.value.args == ("Required step size is less than spacing between numbers.", 1.000000000007991)
 
 
 def _spline_derivative_reference(ts, ys, edge_indices):

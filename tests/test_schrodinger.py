@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,21 @@ def test_drift_rejection_names_the_worst_column():
     # one state has no column to name
     with pytest.raises(PropagationError, match=r"norm drift \S+ exceeds") as exc:
         propagate(coupled, (0.0, 20.0), params, SPEC, rtol=1e-4, atol=1e-6, max_norm_drift=1e-12)
+    assert exc.value.column is None
+
+
+def test_guard_band_rejection_names_the_leaking_column():
+    # |e, 12> is coupled to |g, 15>, in the guard band from level 13 up, and
+    # at resonance its whole amplitude crosses within the window
+    spec = FockSpaceSpec(cutoff=16, k=3, guard=3)
+    params = constant_params(1.0, 3.0, 0.05)
+    stack = np.array([spec.basis_state(EXCITED, 0), spec.basis_state(EXCITED, 12)])
+    message = "run rejected: guard-band amplitude 1.000e+00{} exceeds 1e-08"
+    with pytest.raises(PropagationError, match=re.escape(message.format(" in column 1"))) as exc:
+        propagate(stack, (0.0, 1.0), params, spec)
+    assert exc.value.column == 1
+    with pytest.raises(PropagationError, match=re.escape(message.format(""))) as exc:
+        propagate(stack[1], (0.0, 1.0), params, spec)
     assert exc.value.column is None
 
 
