@@ -45,8 +45,8 @@ time, located between the grid's samples; no regularization is applied, as
 masking the pole would corrupt geometric phases.  (With g identically zero
 polar initial angles are legitimate.)  The integration (DOP853), the grid
 and the derivatives are split at table kinks by :mod:`susyjc.quadrature`,
-which owns the solver and its rtol floor; the pole locator and
-:func:`adiabatic_matched_theta` find their roots by bisection.
+which owns the solver and its rtol floor; the pole locator finds its root
+by bisection.
 """
 
 from __future__ import annotations
@@ -613,20 +613,14 @@ def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> floa
 def adiabatic_matched_theta(params: ModelParams, lam: float) -> float:
     """Initial polar angle solving the steady-azimuth constraint at t = 0.
 
-    Solves (k w - w0 - w) sin(theta) = 2 |g| sqrt(lam) cos(theta) for theta
-    in (0, pi) by bisection.  Requires a nonzero coupling modulus.
+    The root in (0, pi) of (k w - w0 - w) sin(theta) = 2 |g| sqrt(lam)
+    cos(theta), in closed form.  Requires a nonzero coupling modulus.
     """
     omega, omega0, g = params.evaluate(0.0)
     b = 2.0 * abs(g) * math.sqrt(lam)
-    a = params.k * omega - omega0 - omega
     if b == 0.0:
         raise ConfigurationError("adiabatic matching needs |g| > 0 at the initial time")
-
-    def f(theta):
-        return a * math.sin(theta) - b * math.cos(theta)
-
-    eps = 1e-12
-    return _bisect(f, eps, math.pi - eps, 1e-14)
+    return math.atan2(b, params.k * omega - omega0 - omega)
 
 
 def _bisect(f, a: float, b: float, xtol: float) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .adiabatic import berry_phase_cycle, berry_phase_numeric, build_adiabatic_scenario
-from .auxiliary import AuxState, _solve_family, adiabatic_matched_theta
+from .auxiliary import THETA_MIN, AuxState, _solve_family, adiabatic_matched_theta
 from .blocks import SubspaceBlock, block_components, embed_state, verify_block_closure
 from .coherent import CoherentSpec, atomic_inversion, build_coherent_state, solve_block_family
 from .errors import (
@@ -281,6 +281,11 @@ class Check:
     line: str
     passed: bool = True
 
+    @classmethod
+    def bound(cls, label: str, value: float, bound: float) -> Check:
+        """The report's bound line, which passes while ``value < bound`` (not on NaN)."""
+        return cls(f"max {label}: {value:.3e} (bound {bound:g})", value < bound)
+
 
 def cmd_verify_algebra(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     checks = []
@@ -308,11 +313,17 @@ def _oracle_checks(oracle, amplitude: float) -> list[Check]:
     drift = f"norm {oracle.norm_drift:.3g} (bound {MAX_NORM_DRIFT:g}), N' {oracle.nprime_drift:.3g}"
     return [
         Check(f"oracle drift: {drift}"),
-        Check(
-            f"max oracle amplitude error: {amplitude:.3e} (bound {MAX_AMPLITUDE_ERROR:g})",
-            amplitude <= MAX_AMPLITUDE_ERROR,
-        ),
+        Check.bound("oracle amplitude error", amplitude, MAX_AMPLITUDE_ERROR),
     ]
+
+
+def _oracle(cfg: ScenarioConfig, initial: np.ndarray, ts: np.ndarray):
+    """The brute-force integration of ``initial``, one state or a stack of
+    them, over the run window at the ``[oracle]`` tolerances, sampled at ``ts``."""
+    return propagate(
+        initial, (0.0, cfg.t_final), cfg.params, cfg.spec,
+        rtol=cfg.oracle_rtol, atol=cfg.oracle_atol, t_eval=ts
+    )
 
 
 def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
@@ -346,15 +357,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
         # every (block, sigma) run is one column of one oracle integration
         initial = np.array([embed_state(block, amps[0]) for block, _, amps in runs])
         try:
-            oracle = propagate(
-                initial,
-                (0.0, cfg.t_final),
-                cfg.params,
-                cfg.spec,
-                rtol=cfg.oracle_rtol,
-                atol=cfg.oracle_atol,
-                t_eval=ts,
-            )
+            oracle = _oracle(cfg, initial, ts)
         except PropagationError as exc:
             if exc.column is None:
                 raise
@@ -364,8 +367,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
 
     for i, (block, sigma, amps) in enumerate(runs):
         psis = embed_state(block, amps)
-        comps = block_components(block, psis)
-        columns = [ts, comps[:, 0].real, comps[:, 0].imag, comps[:, 1].real, comps[:, 1].imag]
+        columns = [ts, amps[:, 0].real, amps[:, 0].imag, amps[:, 1].real, amps[:, 1].imag]
         columns.append(np.abs(np.linalg.norm(psis, axis=1) - 1.0))
         tag = "plus" if sigma > 0 else "minus"
         header = ["t", "re_upper", "im_upper", "re_lower", "im_lower", "norm_error"]
@@ -384,17 +386,14 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
 
     if not cfg.oracle_enabled:
         return [Check("oracle disabled; trajectory certification only")]
-    infidelity = Check(
-        f"max oracle infidelity: {worst_infidelity:.3e} (bound {cfg.max_infidelity:g})",
-        worst_infidelity < cfg.max_infidelity,
-    )
+    infidelity = Check.bound("oracle infidelity", worst_infidelity, cfg.max_infidelity)
     return [infidelity, *_oracle_checks(oracle, worst_amplitude)]
 
 
 def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
-    # at the poles the solid angle is degenerate and no azimuth dynamics
-    # exists; the cycle phase is the formula value exactly
-    live = [theta for theta in cfg.berry_thetas if abs(math.sin(theta)) >= 1e-12]
+    # at a pole (|sin theta| < THETA_MIN, where every solve stops) no azimuth
+    # dynamics exists; the cycle phase is the formula value exactly
+    live = [theta for theta in cfg.berry_thetas if abs(math.sin(theta)) >= THETA_MIN]
     omega = TimeProfile.constant(cfg.berry_omega)
     scenarios = [
         build_adiabatic_scenario(theta, omega, m=cfg.berry_m, k=cfg.spec.k, g_mod=cfg.berry_g_mod)
@@ -417,7 +416,7 @@ def cmd_berry(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
         cfg.precision,
     ).write(zip(*rows))
     worst = max((row[-1] for row in rows), default=0.0)
-    return [Check(f"max |numeric - formula|: {worst:.3e} (bound {cfg.berry_tol:g})", worst < cfg.berry_tol)]
+    return [Check.bound("|numeric - formula|", worst, cfg.berry_tol)]
 
 
 def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
@@ -439,15 +438,7 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     )
     ts = np.linspace(0.0, cfg.t_final, cfg.samples)
     exact_vecs = build_coherent_state(cspec, ts, solutions)
-    oracle = propagate(
-        exact_vecs[0] / np.linalg.norm(exact_vecs[0]),
-        (0.0, cfg.t_final),
-        cfg.params,
-        cfg.spec,
-        rtol=cfg.oracle_rtol,
-        atol=cfg.oracle_atol,
-        t_eval=ts,
-    )
+    oracle = _oracle(cfg, exact_vecs[0] / np.linalg.norm(exact_vecs[0]), ts)
 
     normalized = exact_vecs / np.linalg.norm(exact_vecs, axis=1, keepdims=True)
     exact = atomic_inversion(normalized)
@@ -459,10 +450,7 @@ def cmd_coherent(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
         ["t", "sigma_z_exact", "sigma_z_oracle", "abs_diff"],
         cfg.precision,
     ).write([ts, exact, ref, diff])
-    inversion = Check(
-        f"max |sigma_z exact - oracle|: {worst:.3e} (bound {cfg.coherent_max_diff:g})",
-        worst < cfg.coherent_max_diff,
-    )
+    inversion = Check.bound("|sigma_z exact - oracle|", worst, cfg.coherent_max_diff)
     # the whole state, phase-sensitive: <sigma_z> cannot see the blocks' phases
     amplitude = float(np.max(np.linalg.norm(normalized - oracle.states, axis=1)))
     return [inversion, *_oracle_checks(oracle, amplitude)]

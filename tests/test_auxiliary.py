@@ -29,9 +29,11 @@ from susyjc.auxiliary import (
     _frame,
     _printed_residual,
     _solve_family,
+    family_sample,
     residual_series,
 )
 from susyjc.quadrature import segmented_grid, spline_derivative
+from susyjc.schrodinger import MAX_AMPLITUDE_ERROR
 
 LAM6 = lambda_value(0, 3)
 
@@ -566,6 +568,48 @@ def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, para
     assert np.max(np.abs(worst[0] - worst[1])) < 10 * rtol
 
 
+def closed_form_errors(traj: AuxTrajectory, initial: AuxState, t):
+    """Largest errors of a constant-drive solve's n, B and G (mod 2 pi) at
+    the times t against the closed form: n precesses rigidly about h, B is
+    (h . n0) t, and G is half the area that n sweeps, from signed solid
+    angles E(p, a, b) (Van Oosterom & Strackee) in the paper's gauge."""
+    omega, omega0, g = traj.params.evaluate(0.0)
+    root = math.sqrt(traj.lam)
+    h = np.array([root * g.real, root * g.imag, (omega0 - traj.params.k * omega) / 2])
+    axis = h / np.linalg.norm(h)
+    n0 = np.array([-math.sin(initial.theta) * math.cos(initial.phi),
+                   math.sin(initial.theta) * math.sin(initial.phi), math.cos(initial.theta)])
+    angle = 2 * np.linalg.norm(h) * t  # Rodrigues: n = R(axis, angle) n0
+    c, s = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    n = n0 * c + np.cross(axis, n0) * s + np.outer(1 - c, axis * (axis @ n0))
+
+    def area(p):  # E(p, n0, n)
+        return 2 * np.arctan2(np.cross(n0, n) @ p, 1 + p @ n0 + n @ p + n @ n0)
+
+    g_ref = (area(np.array([0.0, 0.0, 1.0])) + angle * (1 - axis @ n0) - area(axis)) / 2
+    angles, b, g_num = family_sample([traj])(t)
+    theta, phi = angles.theta[:, 0], angles.phi[:, 0]
+    n_num = np.stack([-np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], -1)
+    g_diff = (g_num[:, 0] - g_ref + math.pi) % (2 * math.pi) - math.pi
+    return np.max(np.abs(n_num - n)), np.max(np.abs(b[:, 0] - (h @ n0) * t)), np.max(np.abs(g_diff))
+
+
+@pytest.mark.parametrize(
+    "drive,m,initial,t_final",
+    [
+        ((1.0, 3.0, 0.05, 0.0), 2, AuxState(math.pi / 3, 0.0), 10.0),
+        ((1.2, 4.1, 0.2, -1.0), 4, AuxState(0.9, 0.4), 3.3),
+    ],
+)
+def test_constant_drive_solve_matches_the_closed_form(drive, m, initial, t_final):
+    # a third route, independent of the solve and the oracle, for drives
+    # that stay clear of the poles; at rtol 1e-12 the errors read <= 1.1e-12
+    params = constant_params(*drive)
+    traj = solve_aux(initial, (0.0, t_final), params, lambda_value(m, 3), rtol=1e-12, atol=1e-14)
+    errors = closed_form_errors(traj, initial, np.linspace(0.0, t_final, 201))
+    assert max(errors) < 1e-11
+
+
 def test_largest_coupled_lambda_that_certifies_within_the_cap():
     # resonant drive, g = 0.05: every m up to 146 certifies on the capped
     # grid after one or two refinements; from m = 147 the grid error there
@@ -574,6 +618,10 @@ def test_largest_coupled_lambda_that_certifies_within_the_cap():
     initial = AuxState(math.pi / 3, 0.0)
     traj = solve_aux(initial, (0.0, 10.0), params, lambda_value(146, 3))
     assert traj.stats.sample_cap_hit and traj.stats.max_residual <= 1e-8
+    # no oracle reaches m = 146; the closed form checks n, B and G there
+    # (n 2.4e-12, B 3.9e-12, G 4.9e-11)
+    errors = closed_form_errors(traj, initial, np.linspace(0.0, 10.0, 201))
+    assert max(errors) < MAX_AMPLITUDE_ERROR
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
         solve_aux(initial, (0.0, 10.0), params, lambda_value(147, 3))
 
