@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auxiliary import AuxState, AuxTrajectory, _solve_family, family_sample, solve_aux
+from .auxiliary import AuxState, AuxTrajectory, _solve_family, family_sample
 from .blocks import SubspaceBlock, _full_space, lambda_value
 from .errors import ConfigurationError, CycleError
 from .evolution import (
@@ -55,9 +55,6 @@ class AdiabaticScenario:
     @property
     def block(self) -> SubspaceBlock:
         return SubspaceBlock(m=self.m, k=self.k, cutoff=self.m + self.k + 1)
-
-    def initial_state(self) -> AuxState:
-        return AuxState(self.theta, self.phi0)
 
 
 def build_adiabatic_scenario(
@@ -153,20 +150,6 @@ def invariant_from_couplings(scenario: AdiabaticScenario, t: float) -> np.ndarra
     q2 = np.array([[0.0, 0.0], [root, 0.0]], dtype=complex)
     inner = g * q2 + np.conj(g) * q2.conj().T - 0.5 * denom * SIGMA_Z2
     return (-2.0 * math.cos(scenario.theta) / denom) * inner
-
-
-def solve_scenario(
-    scenario: AdiabaticScenario, rtol: float = 1e-10, atol: float = 1e-12
-) -> AuxTrajectory:
-    """Integrate the angle equations over one cycle, ``(0, scenario.period)``."""
-    return solve_aux(
-        scenario.initial_state(),
-        (0.0, scenario.period),
-        scenario.params,
-        scenario.lam,
-        rtol=rtol,
-        atol=atol,
-    )
 
 
 def berry_phase_cycle(theta: float, sigma: int) -> float:

@@ -474,22 +474,21 @@ def _solve_family(
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
 
-    def integrate(rt, at):
-        solver_rtol = max(rt / (16.0 * shrink), RTOL_FLOOR)
-        atols = np.repeat([at / (16.0 * shrink), solver_rtol], [3 * members, 2 * members])
-        vectors = integrate_segments(rhs, window, y0, kinks, solver_rtol, atols, failed)
-        return vectors, _angle_chart(vectors, phi0, t0, deltas), solver_rtol
-
-    vectors, to_angles, solver_rtol = integrate(rtol, atol)
-    total_nfev = vectors.nfev
     step = max(1, _CHUNK // times.size)  # members per certification derivative
     chunks = [
         (frame, slice(j, min(j + step, run.hi)))
         for frame, run in zip(frames, runs)
         for j in range(run.lo, run.hi, step)
     ]
-
-    def certify_pass(vectors, to_angles):
+    total_nfev, previous = 0, math.inf
+    for refinements in range(4):
+        # pass r runs at the request / 16**(r + 1) / sqrt(M) (docstring)
+        solver_rtol = max(rtol / 16.0**refinements / (16.0 * shrink), RTOL_FLOOR)
+        solver_atol = atol / 16.0**refinements / (16.0 * shrink)
+        atols = np.repeat([solver_atol, solver_rtol], [3 * members, 2 * members])
+        vectors = integrate_segments(rhs, window, y0, kinks, solver_rtol, atols, failed)
+        total_nfev += vectors.nfev
+        to_angles = _angle_chart(vectors, phi0, t0, deltas)
         block = vectors(times)  # (n, 5M)
         pole = _first_pole(vectors, times, block, live) if live.any() else None
         if pole is not None:
@@ -504,24 +503,14 @@ def _solve_family(
                 for frame, c in chunks
             ]
         )
-        return thetas, phis, series, deviations
-
-    rtol_i, atol_i, refinements, previous = rtol, atol, 0, math.inf
-    while True:
-        thetas, phis, series, deviations = certify_pass(vectors, to_angles)
         residuals = np.max(series, axis=0).tolist()
         worst = max(residuals)
-        if not certify or worst <= 100.0 * rtol or rtol_i < rtol / 1000.0:
+        if not certify or worst <= 100.0 * rtol or refinements == 3:
             break
         if capped and worst > 0.5 * previous:
             break  # the capped grid's error, not the ODE's, holds the residual up
         previous = worst
         del thetas, phis, series  # frees the rejected pass before the next one samples
-        rtol_i /= 16.0
-        atol_i /= 16.0
-        refinements += 1
-        vectors, to_angles, solver_rtol = integrate(rtol_i, atol_i)
-        total_nfev += vectors.nfev
 
     stats = SolverStats(
         vectors.times.size - 1,

@@ -36,7 +36,7 @@ from .errors import (
     TruncationError,
     VerificationError,
 )
-from .evolution import PhaseIntegrals, _amplitudes
+from .evolution import PhaseIntegrals, _amplitudes, _branch
 from .fock import FockSpaceSpec, build_generators, build_hamiltonian, verify_algebra
 from .profiles import PROFILE_KINDS, ModelParams, TimeProfile
 from .schrodinger import MAX_AMPLITUDE_ERROR, MAX_NORM_DRIFT, propagate
@@ -339,6 +339,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
     )
     sample = PhaseIntegrals(trajs, blocks).sample(ts)
     angles, phi_d, phi_g = sample
+    amplitudes = _amplitudes(sample)  # (n_t, M, 2, 2)
 
     runs = []  # (block, sigma, the block's exact amplitudes on ts), one per oracle column
     for j, (block, traj, m) in enumerate(zip(blocks, trajs, cfg.m_list)):
@@ -351,7 +352,7 @@ def cmd_propagate(cfg: ScenarioConfig, out_dir: Path) -> list[Check]:
             cfg.precision,
         )
         w.write([ts, phi_d[:, j, 0], phi_g[:, j, 0], phi_d[:, j, 1], phi_g[:, j, 1]])
-        runs += [(block, sigma, _amplitudes(sample, j, sigma)) for sigma in cfg.sigmas]
+        runs += [(block, sigma, amplitudes[:, j, :, _branch(sigma)]) for sigma in cfg.sigmas]
 
     if cfg.oracle_enabled:
         # every (block, sigma) run is one column of one oracle integration

@@ -185,14 +185,17 @@ def _check_sigma(sigma: int) -> int:
     return sigma
 
 
-def _amplitudes(sample, member: int, sigma: int) -> np.ndarray:
-    """A member's sigma amplitudes from one :meth:`PhaseIntegrals.sample`: the
-    phase factor times the rotation's sigma column."""
+def _branch(sigma: int) -> int:
+    """The sigma branch's column of the phases and of the rotation."""
+    return 0 if sigma == +1 else 1
+
+
+def _amplitudes(sample) -> np.ndarray:
+    """Every member's amplitudes from one :meth:`PhaseIntegrals.sample`, (..., M,
+    2, 2): each phase factor times the rotation's column of its branch, so
+    member j's sigma branch is ``[..., j, :, _branch(sigma)]``."""
     angles, phi_d, phi_g = sample
-    state = AuxState(angles.theta[..., member], angles.phi[..., member])
-    branch = 0 if sigma == +1 else 1  # also the rotation's sigma column
-    factor = np.exp(-1j * (phi_d[..., member, branch] + phi_g[..., member, branch]))
-    return factor[..., None] * eigenframe_rotation(state)[..., :, branch]
+    return np.exp(-1j * (phi_d + phi_g))[..., None, :] * eigenframe_rotation(angles)
 
 
 class PhaseIntegrals:
@@ -202,14 +205,14 @@ class PhaseIntegrals:
 
     with B and G from the solve (:mod:`susyjc.auxiliary`) and int w, shared
     by the M blocks, a sixth-order quadrature of the samples on its grid
-    (the one quadrature left).  The members must share one params object
-    (ConfigurationError otherwise).
+    (the one quadrature left).  The members must share one params object,
+    whose k is every block's (ConfigurationError otherwise).
     :meth:`sample` makes one call of the solve's dense output and one of
     int w; each of its phase arrays is (n_t, M, 2), or (M, 2) at a scalar
     time: member j's sigma = +1 branch at [..., j, 0] and its -1 branch at
-    [..., j, 1].  Every reader of amplitudes takes them from one sample:
-    :meth:`ExactSolution.block_state_at`, :meth:`EvolutionOperator.at` and
-    :func:`general_solution`.
+    [..., j, 1].  Every reader of amplitudes indexes one :func:`_amplitudes`
+    product of one sample: :meth:`ExactSolution.block_state_at`,
+    :meth:`EvolutionOperator.at` and :func:`general_solution`.
     """
 
     def __init__(self, trajectories, blocks):
@@ -222,6 +225,8 @@ class PhaseIntegrals:
         first = self.trajectories[0]
         if any(traj.params is not first.params for traj in self.trajectories):
             raise ConfigurationError("the trajectories do not share one params object")
+        if any(block.k != first.params.k for block in self.blocks):
+            raise ConfigurationError(f"a block's k does not match params.k={first.params.k}")
         omega = first.params.omega(first.times)
         self._omega_integral = cumulative_antiderivative(first.times, omega, first.edge_indices)
 
@@ -261,7 +266,7 @@ class ExactSolution:
     def ledger(self, t) -> PhaseLedger:
         """Both integrals at scalar t (floats) or elementwise over an array of times."""
         _, phi_d, phi_g = self.phases.sample(t)
-        branch = 0 if self.sigma == +1 else 1
+        branch = _branch(self.sigma)
         d, g = phi_d[..., self.member, branch], phi_g[..., self.member, branch]
         if d.ndim == 0:  # floats at a scalar time
             d, g = d.item(), g.item()
@@ -269,7 +274,7 @@ class ExactSolution:
 
     def block_state_at(self, t) -> np.ndarray:
         """Block amplitudes at time t: (2,), or (n, 2) for an array of times."""
-        return _amplitudes(self.phases.sample(t), self.member, self.sigma)
+        return _amplitudes(self.phases.sample(t))[..., self.member, :, _branch(self.sigma)]
 
     def state_at(self, t) -> np.ndarray:
         """Full-space unit vector at time t: (dim,), or (n, dim) for an array of times."""
@@ -287,8 +292,7 @@ class EvolutionOperator:
 
     def at(self, t) -> np.ndarray:
         """2x2 propagator at scalar t, or (n, 2, 2) for an array of times."""
-        sample = self.phases.sample(t)
-        return np.stack([_amplitudes(sample, 0, s) for s in (+1, -1)], axis=-1)
+        return _amplitudes(self.phases.sample(t))[..., 0, :, :]
 
     def full_at(self, t: float) -> np.ndarray:
         """Full-space embedding (identity outside the block)."""
@@ -324,21 +328,14 @@ def general_solution(components, t) -> np.ndarray:
     if len(cutoffs) != 1:
         raise ConfigurationError(f"solutions live on different cutoffs: {sorted(cutoffs)}")
     out = np.zeros(np.shape(t) + (2 * cutoffs.pop(),), dtype=complex)
-    samples = {}  # one sample per solve, this call only
+    amplitudes = {}  # one sample and product per solve, this call only
     for c, sol in components:
-        if sol.phases not in samples:
-            samples[sol.phases] = sol.phases.sample(t)
-        weighted = c * _amplitudes(samples[sol.phases], sol.member, sol.sigma)
+        if sol.phases not in amplitudes:
+            amplitudes[sol.phases] = _amplitudes(sol.phases.sample(t))
+        weighted = c * amplitudes[sol.phases][..., sol.member, :, _branch(sol.sigma)]
         out[..., sol.block.upper_index] += weighted[..., 0]
         out[..., sol.block.lower_index] += weighted[..., 1]
     return out
-
-
-def coefficients_from_initial(solutions, psi0: np.ndarray) -> np.ndarray:
-    """Expansion coefficients C_n = <psi_n(t0)|psi0> of an initial state."""
-    return np.array(
-        [np.vdot(sol.state_at(sol.trajectory.t0), psi0) for sol in solutions]
-    )
 
 
 def invariant_equation_residual(trajectory: AuxTrajectory, block: SubspaceBlock) -> float:

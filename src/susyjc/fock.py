@@ -74,12 +74,6 @@ class FockSpaceSpec:
             raise ConfigurationError(f"photon number {m} outside 0..{self.cutoff - 1}")
         return atom * self.cutoff + m
 
-    def atom_photon(self, flat: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= flat < self.dim:
-            raise ConfigurationError(f"flat index {flat} outside 0..{self.dim - 1}")
-        return divmod(flat, self.cutoff)
-
     def basis_state(self, atom: int, m: int) -> np.ndarray:
         vec = np.zeros(self.dim, dtype=complex)
         vec[self.index(atom, m)] = 1.0
@@ -95,8 +89,6 @@ class Generators:
     Q: np.ndarray
     Qdag: np.ndarray
     sigma_z: np.ndarray
-    sigma_plus: np.ndarray
-    sigma_minus: np.ndarray
 
 
 def destroy_matrix(cutoff: int) -> np.ndarray:
@@ -111,12 +103,11 @@ def build_ladder(spec: FockSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def build_generators(spec: FockSpaceSpec) -> Generators:
-    """Construct (N, N', Q, Qdag, sigma_z, sigma_+-) on the truncated space.
+    """Construct (N, N', Q, Qdag, sigma_z) on the truncated space.
 
     Q = adag^k sigma_-, Qdag = a^k sigma_+.  N carries atom weight (k-1)/2,
     i.e. N = adag a + ((k-1)/2) sigma_z + 1/2, which keeps the ladder
@@ -152,8 +143,6 @@ def build_generators(spec: FockSpaceSpec) -> Generators:
         Q=q_mat,
         Qdag=q_mat.conj().T,
         sigma_z=np.kron(_SIGMA_Z, eye_f),
-        sigma_plus=np.kron(_SIGMA_PLUS, eye_f),
-        sigma_minus=np.kron(_SIGMA_MINUS, eye_f),
     )
 
 

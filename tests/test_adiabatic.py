@@ -25,7 +25,6 @@ from susyjc.adiabatic import (
     conjugated_invariant,
     hamiltonian_invariant_relation_residual,
     invariant_from_couplings,
-    solve_scenario,
 )
 from susyjc.auxiliary import family_sample
 from susyjc.evolution import invariant_matrix
@@ -59,7 +58,7 @@ def test_scenario_rejects_bad_inputs():
 
 def test_scenario_is_fixed_point_of_angle_equations():
     scen = build_adiabatic_scenario(math.pi / 3, OMEGA, m=1, k=3, g_mod=0.05)
-    traj = solve_scenario(scen)
+    traj = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
     assert np.max(np.abs(traj.thetas - math.pi / 3)) < 1e-8
     for t in np.linspace(0.0, traj.t1, 9):
         dtheta, dphi = traj.rates_at(t)
@@ -121,7 +120,7 @@ def test_berry_sweep_matches_the_solo_solves():
     phases = berry_phase_numeric(scenarios, -1)
     assert len(phases) == len(thetas)
     for scen, phase in zip(scenarios, phases):
-        solo = solve_scenario(scen)
+        solo = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
         _, _, g = family_sample([solo])(solo.t1)
         assert abs(phase - (-g[0])) <= 1e-9
 

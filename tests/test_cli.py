@@ -771,6 +771,56 @@ def test_a_drifting_oracle_column_is_named_by_block_and_sigma(tmp_path, capsys):
     assert (m, sigma) == [(0, 1), (0, -1), (1, 1), (1, -1)][column]
 
 
+def _stop_at_midpoint(monkeypatch, stops):
+    """Make each DOP853 run whose ``y0`` ``stops`` picks end at its span's
+    midpoint with a message, as a solver that gives up there does."""
+    from susyjc import quadrature
+
+    dop853 = quadrature.dop853
+
+    def stopping(rhs, span, y0, rtol, atol):
+        if not stops(y0):
+            return dop853(rhs, span, y0, rtol, atol)
+        run = dop853(rhs, (span[0], 0.5 * (span[0] + span[1])), y0, rtol, atol)
+        run.message = "forced stop"
+        return run
+
+    monkeypatch.setattr(quadrature, "dop853", stopping)
+
+
+def test_a_stopped_angle_integration_is_a_singularity_at_the_time_reached(
+    tmp_path, capsys, monkeypatch
+):
+    # the solver gives up at t = 4 of [0, 8]: the error carries that time
+    from susyjc import AuxState, SingularityError, constant_params, solve_aux
+
+    _stop_at_midpoint(monkeypatch, lambda y0: True)
+    with pytest.raises(SingularityError, match="^angle integration failed: forced stop$") as info:
+        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 8.0), constant_params(1.0, 3.0, 0.05), 6.0)
+    assert info.value.time == 4.0
+    code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "verification failure at t=4: angle integration failed: forced stop" in err
+
+
+def test_a_stopped_oracle_integration_names_no_column(tmp_path, capsys, monkeypatch):
+    # the oracle's stop belongs to no one column, so propagate passes it on
+    # as it is; the angle solve (5 components for one block) runs unstopped
+    from susyjc import FockSpaceSpec, PropagationError, constant_params, propagate
+
+    _stop_at_midpoint(monkeypatch, lambda y0: y0.size > 5)
+    spec = FockSpaceSpec(cutoff=32, k=3)
+    with pytest.raises(PropagationError, match="^integration failed: forced stop$") as info:
+        propagate(spec.basis_state(0, 0), (0.0, 8.0), constant_params(1.0, 3.0, 0.05), spec)
+    assert info.value.column is None
+    code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "verification failure: integration failed: forced stop\n" in err
+    assert "(m = " not in err
+
+
 def test_a_growing_phase_error_fails_propagate(tmp_path, capsys, monkeypatch):
     # phi_d off by one part in 1e7 leaves the infidelity at ~delta^2 / 2,
     # far under its bound, but the amplitude error sees the phase

@@ -27,7 +27,6 @@ from susyjc.evolution import (
     ExactSolution,
     PhaseIntegrals,
     block_hamiltonian,
-    coefficients_from_initial,
     eigenframe_rotation,
     general_solution,
     invariant_equation_residual,
@@ -283,6 +282,19 @@ def test_phase_integrals_need_members_of_one_params_object():
             assert abs(alone.ledger(t).phi_d - reference.ledger(t).phi_d) < 1e-8
 
 
+def test_phase_integrals_refuse_a_block_of_another_k():
+    # solved at the block's own lambda, the pair passes the lambda check, but
+    # its levels m + k/2 would come from k = 2 and its solve from k = 3;
+    # propagate refuses the same pair for its space
+    params = constant_params(1.0, 3.0, 0.05, k=3)
+    block = SubspaceBlock.for_space(FockSpaceSpec(cutoff=16, k=2), 0)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 5.0), params, block.lam)
+    with pytest.raises(ConfigurationError, match=r"a block's k does not match params.k=3"):
+        ExactSolution(block, +1, traj)
+    with pytest.raises(ConfigurationError, match=r"a block's k does not match params.k=3"):
+        PhaseIntegrals([traj], [block])
+
+
 def test_general_solution_single_component():
     params = constant_params(1.0, 3.0, 0.05)
     block, traj = solved(params, m=0, t1=5.0)
@@ -333,7 +345,9 @@ def test_coefficient_recovery():
     sols = [ExactSolution(block, +1, traj), ExactSolution(block, -1, traj)]
     coeffs = np.array([0.6, 0.8j])
     psi0 = general_solution(list(zip(coeffs, sols)), 0.0)
-    assert_allclose(coefficients_from_initial(sols, psi0), coeffs, atol=1e-12)
+    # C_n = <psi_n(t0)|psi0>
+    recovered = [np.vdot(sol.state_at(0.0), psi0) for sol in sols]
+    assert_allclose(recovered, coeffs, atol=1e-12)
 
 
 def test_evolution_operator_properties():
@@ -593,12 +607,13 @@ def test_invariant_equation_residual_certified_and_sensitive():
 def _grid_trajectory(kind):
     """(block, trajectory, window end) for the array-vs-scalar equality tests."""
     from susyjc import ModelParams, TimeProfile
-    from susyjc.adiabatic import build_adiabatic_scenario, solve_scenario
+    from susyjc.adiabatic import build_adiabatic_scenario
 
     if kind == "berry":
-        scenario = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(1.0), m=1, k=3)
-        block = SubspaceBlock.for_space(SPEC, scenario.m)
-        return block, solve_scenario(scenario), scenario.period
+        scen = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(1.0), m=1, k=3)
+        block = SubspaceBlock.for_space(SPEC, scen.m)
+        traj = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
+        return block, traj, scen.period
     knots = np.linspace(0.0, 10.0, 11)
     profiles = {
         "constant": {},

@@ -39,7 +39,7 @@ def test_index_round_trip():
     for atom in (EXCITED, GROUND):
         for m in range(spec.cutoff):
             flat = spec.index(atom, m)
-            assert spec.atom_photon(flat) == (atom, m)
+            assert flat == atom * spec.cutoff + m
     with pytest.raises(ConfigurationError):
         spec.index(EXCITED, spec.cutoff)
 
@@ -120,8 +120,6 @@ def test_verify_algebra_rejects_tampered_generator(monkeypatch):
         Q=good.Q,
         Qdag=good.Qdag,
         sigma_z=good.sigma_z,
-        sigma_plus=good.sigma_plus,
-        sigma_minus=good.sigma_minus,
     )
     monkeypatch.setattr(fock, "build_generators", lambda s: tampered)
     with pytest.raises(VerificationError, match=r"\[N, Q\]"):
