@@ -7,24 +7,35 @@ phi(t), or equivalently by the unit vector
 
 on the block.  The invariant equation dI/dt = i[I, H] is then the linear
 precession dn/dt = 2 h x n about h = (sqrt(lam) Re g, sqrt(lam) Im g,
-(w0 - k w)/2), with no chart and no pole; this is what gets integrated, in
-the oracle's frame (:mod:`susyjc.schrodinger`), which rotates about z at
-Delta0 = k w(t0) - w0(t0), from the member's own profiles:
-n' = R_z(-Delta0 (t - t0)) n obeys dn'/dt = 2 h' x n' with
-g' = g e^{+i Delta0 (t - t0)} and h'_z = (w0 - k w + Delta0)/2, and stands
-still under a resonant, uncoupled drive.
+(w0 - k w)/2), with no chart and no pole.  This is what gets integrated, by
+exact rotations (the sixth-order Magnus scheme of
+:func:`susyjc.magnus.magnus`), in each run's drive frame, which turns
+about z at Delta = -(arg g)'(t0): n' = R_z(Delta (t - t0)) n obeys
+dn'/dt = 2 h' x n' with g' = g e^{+i Delta (t - t0)} and
+h'_z = (w0 - k w + Delta)/2.  For a drive of constant phase this is the lab
+frame.  Under a constant drive, and in the Berry scenarios, whose coupling
+turns at a constant rate, h' is constant there, and one step is exact
+however many turns n makes.
 
 The exact solutions carry exp(-i (phi_d + phi_g)), the Lewis-Riesenfeld
 construction, with phi_g a Berry-type geometric phase.  Both phase rates
-are functions of n, so the solve also integrates, per member,
+are functions of n,
 
     B' = h.n,    G' = -(phi'/2)(1 - cos th)
-                    = h_z (1 - z) - z (h'_x x' + h'_y y') / (1 + z),
+                    = h_z (1 - z) - z (h_x x + h_y y) / (1 + z),
 
 and phi_d(sigma) = (m + k/2) int w + sigma B, phi_g(sigma) = sigma G
-(:class:`susyjc.evolution.PhaseIntegrals`).  Readers sample the one dense
+(:class:`susyjc.evolution.PhaseIntegrals`).  B + G is the phase of each
+step's SU(2) rotation, so the solve has it in closed form; B is a Gauss
+quadrature of h.n on the step's nodes, and G their difference.  The paper
+gauge's pole of G' at theta = pi is not integrated through: it leaves only
+a 2 pi ambiguity, which the chart resolves.  Readers sample the one dense
 output, (n_t, 5M): B and G are its last 2M columns, and :func:`_angle_chart`
-gives theta = atan2(hypot(x', y'), z') and phi = atan2(y', -x') + Delta0 (t - t0).
+gives theta = atan2(hypot(x', y'), z'), phi = atan2(y', -x') + Delta (t - t0)
+and G, phi and G on the branches continuous along the certification grid.
+The certificate works in its own frame, which turns at
+Delta0 = k w(t0) - w0(t0) (:func:`_frame`), where the grid rule resolves
+the motion.
 
 One solve carries M members, each with its own lambda (which scales the
 coupling by sqrt(lam)), its own start or a shared one, and its own profiles
@@ -43,15 +54,14 @@ The chart has genuine poles at theta in {0, pi}.  A coupled trajectory
 whose |sin theta| drops below THETA_MIN raises SingularityError at that
 time, located between the grid's samples; no regularization is applied, as
 masking the pole would corrupt geometric phases.  (With g identically zero
-polar initial angles are legitimate.)  The integration (DOP853), the grid
-and the derivatives are split at table kinks by :mod:`susyjc.quadrature`,
-which owns the solver and its rtol floor; the pole locator finds its root
-by bisection.
+polar initial angles are legitimate.)  The grid and the derivatives are
+split at table kinks by :mod:`susyjc.quadrature`, which owns the rtol
+floor, and the integration takes the kinks as step boundaries; the pole
+locator finds its root by bisection.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -59,15 +69,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CertificationError, ConfigurationError, SingularityError
+from .magnus import MagnusSolution, magnus
 from .profiles import ModelParams
-from .quadrature import (
-    RTOL_FLOOR,
-    Dop853Solution,
-    check_window,
-    integrate_segments,
-    segmented_grid,
-    spline_derivative,
-)
+from .quadrature import RTOL_FLOOR, check_window, segmented_grid, spline_derivative
 
 THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
 _MIN_SAMPLES = 2001  # smallest solve_aux grid
@@ -89,9 +93,11 @@ class AuxState:
 class SolverStats:
     """Work and tolerances of one angle solve.
 
-    ``n_steps`` (accepted steps) and ``n_rhs_evaluations`` are summed over
-    the segments between profile kinks, as ``PropagationResult`` counts
-    them.  ``rtol``/``atol`` are the requested tolerances; the first
+    ``n_steps`` counts the accepted Magnus steps of the integration kept,
+    over all segments between profile kinks, and ``n_rhs_evaluations`` the
+    times at which the profiles were evaluated for them, summed over every
+    integration of the solve (nine per candidate step).  ``rtol``/``atol``
+    are the requested tolerances; the first
     integration runs at rtol/16 and atol/16, ``refinements`` counts the
     re-integrations (each a further /16) that certification forced, and
     ``effective_rtol`` is the solver rtol of the integration kept.
@@ -156,7 +162,8 @@ class AuxTrajectory:
     :func:`residual_series` on ``times`` for the trajectory's own params
     and lam, as certification computed it (None on a hand-built one).
     ``_dense`` is its solve's (5M,) dense output, ``_chart`` the solve's
-    :func:`_angle_chart`, and ``_member`` its column among the M members.
+    chart (:func:`_angle_chart`), and ``_member`` its column among the M
+    members.
     """
 
     times: np.ndarray
@@ -185,7 +192,7 @@ class AuxTrajectory:
     def state_at(self, t) -> AuxState:
         """Angles from the dense ODE output: floats at scalar t, arrays over an array of times."""
         t = self._check_window(t)
-        theta, phi = (angles[..., self._member] for angles in self._chart(self._dense(t), t))
+        theta, phi = (angles[..., self._member] for angles in self._chart(self._dense(t), t)[:2])
         return AuxState(theta, phi) if theta.ndim else AuxState(float(theta), float(phi))
 
     def rates_at(self, t):
@@ -229,8 +236,8 @@ def family_sample(trajectories):
     def sample(t):
         t = first._check_window(t)
         state = first._dense(t)
-        theta, phi = first._chart(state, t)
-        b, g = np.split(state, 5, axis=-1)[3:]
+        theta, phi, g = first._chart(state, t)
+        b = np.split(state, 5, axis=-1)[3]
         return AuxState(theta[..., columns], phi[..., columns]), b[..., columns], g[..., columns]
 
     return sample
@@ -238,94 +245,111 @@ def family_sample(trajectories):
 
 class _Run(NamedTuple):
     """Members lo..hi-1 of a family solve, consecutive, that share one params
-    object, and Delta0 of their frame (module docstring)."""
+    object; ``drive`` is the rate Delta of their integration frame (module
+    docstring), ``detuning`` the rate Delta0 of their certification frame
+    (:func:`_frame`)."""
 
     params: ModelParams
-    delta0: float
+    drive: float
+    detuning: float
     lo: int
     hi: int
 
 
-def _bloch_rhs(runs, lams, t0: float):
-    """Rates of the (5M,) state of M members (module docstring): the frame
-    vectors' M x's, y's and z's, then the M B's and G's.  Each of the
-    :class:`_Run` s evaluates its profiles once per call for its members.
-    The gauge pole of G' at z = -1 is live only while the in-plane drive is,
-    and a coupled start at a pole is rejected before the solve.  Python
-    floats, member by member, beat numpy's per-call cost on (M,) arrays here.
+def _steady(params: ModelParams) -> bool:
+    """Whether h' is constant in the drive frame: constant profiles, and a
+    coupling phase that is constant or linear in time."""
+    fixed = (params.omega, params.omega0, params.g_mod)
+    steady_phase = params.g_phase.kind in ("constant", "linear")
+    return steady_phase and all(p.kind == "constant" for p in fixed)
+
+
+def _generator(runs, lams, t0: float):
+    """``generators(t)``: the generators 2 h' of the M members' frame vectors
+    (module docstring), (3, ..., M) over times t of any shape, each run in
+    its drive frame.  A run's profiles are evaluated once per call for all
+    its members, as arrays; a steady run's (:func:`_steady`) once, at t0,
+    so that its generator is constant to the bit.
     """
-    members = len(lams)
-    # 2 sqrt(lam), so that the components below are 2 h' directly
-    roots = [2.0 * math.sqrt(lam) for lam in lams]
-    bound = [
-        (
-            run.params.evaluate,
-            run.params.k,
-            run.delta0,
-            roots[run.lo : run.hi],
-            slice(run.lo, run.hi),
-            slice(members + run.lo, members + run.hi),
-            slice(2 * members + run.lo, 2 * members + run.hi),
-        )
-        for run in runs
-    ]
+    roots = 2.0 * np.sqrt(lams)  # so that the components below are 2 h'
+    steady = [_steady(run.params) for run in runs]
 
-    def rhs(t, state):
-        values = state.tolist()
-        dx, dy, dz, db, dg = [], [], [], [], []
-        for evaluate, k, delta0, run_roots, xs, ys, zs in bound:
-            omega, omega0, g = evaluate(t)
-            g = g * cmath.exp(1j * delta0 * (t - t0))
-            gx, gy = g.real, g.imag
-            tilt = omega0 - k * omega  # 2 h_z
-            hz = tilt + delta0
-            for root, x, y, z in zip(run_roots, values[xs], values[ys], values[zs]):
-                hx, hy = root * gx, root * gy
-                inplane = hx * x + hy * y
-                # 2 G' = tilt (1 - z) - z inplane / (1 + z)
-                pull = tilt + inplane / (1.0 + z) if inplane else tilt
-                dx.append(hy * z - hz * y)
-                dy.append(hz * x - hx * z)
-                dz.append(hx * y - hy * x)
-                db.append(0.5 * (inplane + tilt * z))
-                dg.append(0.5 * (tilt - z * pull))
-        return dx + dy + dz + db + dg
+    def generators(t):
+        out = np.empty((3,) + np.shape(t) + (roots.size,))
+        for run, fixed in zip(runs, steady):
+            at = t0 if fixed else t
+            omega, omega0, g = run.params.evaluate(at)
+            g = g * np.exp(1j * run.drive * (np.asarray(at) - t0))
+            x, y, z = out[..., run.lo : run.hi]
+            x[...] = np.multiply.outer(g.real, roots[run.lo : run.hi])
+            y[...] = np.multiply.outer(g.imag, roots[run.lo : run.hi])
+            z[...] = np.expand_dims(omega0 - run.params.k * omega + run.drive, -1)
+        return out
 
-    return rhs
+    return generators
 
 
-def _angle_chart(vectors: Dop853Solution, phi0: np.ndarray, t0: float, deltas: np.ndarray):
-    """``to_angles(n, t)``: the (n_t, M) thetas and lab-frame phis of the M
-    frame vectors in solve states n, (n_t, 5M) at times t ((M,) at one t);
-    member j's frame turns at ``deltas[j]``, its run's Delta0.
+def _angle_chart(spins, times, phi0: np.ndarray, t0: float, drives, detunings):
+    """``(to_chart, thetas, phis)``: ``to_chart(n, t)`` gives the (n_t, M)
+    thetas, lab-frame phis and geometric phases G of the M members in solve
+    states n, (n_t, 5M) at times t ((M,) at one t); ``thetas`` and ``phis``
+    are (n, M) on the certification grid ``times``, where the solve gives the
+    vectors and B + G in ``spins``, (n, 4M) (``MagnusSolution.spin``).
+    Member j's solve frame turns at ``drives[j]`` and its certification frame
+    at ``detunings[j]``.
 
-    phi is taken on the branch nearest the unwrapped phi at the start of the
-    accepted solver step that holds t, unwrapped from phi0 along the steps
-    of the forward solve ``vectors``.  Away from the poles no accepted step
-    turns the azimuth by pi at the tolerances used here, so phi is
-    continuous (never wrapped).  The conversion is elementwise: any set of
-    times gives the same values.
+    phi and G are each taken on the branch nearest their values at the grid
+    sample at or before t, which are unwrapped along the grid from phi0 and
+    0 in the certification frame (phi~ = phi - Delta0 tau, and the frame's
+    total phase B + G + Delta0 tau / 2), where the grid resolves the motion:
+    one Magnus step may span many turns.  phi~ is read back from the grid's
+    phis, and only the branch of B + G is read, so the chart keeps it in
+    single precision.  The conversion is elementwise: any set of times
+    gives the same values.
     """
-    nodes = vectors.times
-    x, y = np.split(vectors.states, 5, axis=-1)[:2]
-    bases = np.unwrap(np.concatenate([phi0[None], np.arctan2(y, -x)]), axis=0)[1:]
-    last = nodes.size - 1
+    members = phi0.size
 
-    def to_angles(n, t):
-        x, y, z = np.split(n, 5, axis=-1)[:3]
-        base = bases[np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, last)]
-        turn = np.arctan2(y, -x) - base
-        drift = np.expand_dims(t - t0, -1) * deltas  # (n_t, M)
-        phi = base + (turn - _TWO_PI * np.round(turn / _TWO_PI)) + drift
-        return np.arctan2(np.hypot(x, y), z), phi
+    def azimuth(x, y, tau):  # phi~
+        return np.arctan2(y, -x) + (drives - detunings) * tau
 
-    return to_angles
+    def frame_phase(total, tau):  # B + G in the certification frame
+        return total + 0.5 * detunings * tau
+
+    grid_tau = (times - t0)[:, None]
+    x, y, z, totals = np.split(spins, 4, axis=-1)
+    phis = _unwrap(phi0, azimuth(x, y, grid_tau)) + detunings * grid_tau
+    turns = _unwrap(np.zeros(members), frame_phase(totals, grid_tau)).astype(np.float32)
+    last = times.size - 1
+
+    def to_chart(n, t):
+        x, y, z, b, g = np.split(n, 5, axis=-1)
+        tau = np.expand_dims(t - t0, -1)
+        j = np.clip(np.searchsorted(times, t, side="right") - 1, 0, last)
+        phi = azimuth(x, y, tau)
+        phi = phi + _turns_to(phis[j] - detunings * (times[j, None] - t0), phi) + detunings * tau
+        g = g + _turns_to(turns[j], frame_phase(b + g, tau))
+        return np.arctan2(np.hypot(x, y), z), phi, g
+
+    return to_chart, np.arctan2(np.hypot(x, y), z), phis
 
 
-def _first_pole(vectors: Dop853Solution, times, n, live: np.ndarray):
+def _turns_to(target, angle):
+    """The multiple of 2 pi that takes ``angle`` nearest to ``target``."""
+    return _TWO_PI * np.round((target - angle) / _TWO_PI)
+
+
+def _unwrap(first, angles):
+    """(n, M) ``angles`` made continuous down the first axis from ``first``:
+    each moved by the multiple of 2 pi that puts it nearest the one before."""
+    steps = np.diff(angles, axis=0, prepend=first[None])
+    return angles - _TWO_PI * np.cumsum(np.round(steps / _TWO_PI), axis=0)
+
+
+def _first_pole(vectors: MagnusSolution, times, n, live: np.ndarray):
     """(time, member) of the earliest |sin theta| < THETA_MIN among the
-    ``live`` (coupled) members, an (M,) mask, in the solve states ``n``,
-    (n_t, 5M) on ``times`` (x and y columns first), or None.
+    ``live`` (coupled) members, an (M,) mask, in the solve's vectors ``n``,
+    (n_t, 4M) on ``times`` from ``vectors.spin`` (x and y columns first), or
+    None.
 
     A pole is at a sample, or between two samples across which a member's
     (x, y) reverses direction, located where (x, y) is perpendicular to the
@@ -339,11 +363,11 @@ def _first_pole(vectors: Dop853Solution, times, n, live: np.ndarray):
         cx, cy = x[i + 1, j] - x[i, j], y[i + 1, j] - y[i, j]
 
         def along(t, j=j, cx=cx, cy=cy):
-            v = vectors(t)
+            v = vectors.spin(t)
             return v[j] * cx + v[members + j] * cy
 
         t = _bisect(along, times[i], times[i + 1], 2e-12)
-        v = vectors(t)
+        v = vectors.spin(t)
         if math.hypot(v[j], v[members + j]) < THETA_MIN:
             found.append((t, j))
     return min(found) if found else None
@@ -372,21 +396,19 @@ def _solve_family(
     ``initial``'s float angles, shared, or from entry j of its (M,) arrays.
 
     Consecutive members that share one params object (by identity) form a
-    run.  A run's profiles are evaluated once per right-hand-side call for
-    all its members, and the run has one Delta0 frame (module docstring) and
-    one certification :func:`_frame` on the shared grid.  The blocks m of a
-    propagate or coherent run are one run, as they differ only in lambda; a
-    Berry sweep's thetas are one run each.  The grid's edges and the
+    run.  A run's profiles are evaluated once per generator call for all its
+    members (:func:`_generator`), and the run has one drive frame (module
+    docstring) and one certification :func:`_frame` on the shared grid.  The
+    blocks m of a propagate or coherent run are one run, as they differ only
+    in lambda; a Berry sweep's thetas are one run each.  The grid's edges and the
     integration's kinks are the union of all runs' kinks.
 
     The state is (5M,): the M members' frame vectors, then their B and G,
-    both zero at t0 (module docstring), so the solver's per-step cost is
-    paid once per step for the whole family.  Its error norm is an RMS over
-    all components, so the solver gets rtol/sqrt(M) and atol/sqrt(M): no
-    member's local error exceeds what a solo solve allows.  B and G are held
-    to the vectors' absolute accuracy: their atol is the solver's rtol.  The
-    first integration runs at rtol/16 and atol/16, one refinement notch
-    below the request.
+    both zero at t0 (module docstring), and the family steps together: a
+    step is kept when its worst member's error is within the solver's
+    rtol + atol (the vectors are of unit length), with rtol/sqrt(M) and
+    atol/sqrt(M) as a family's share of the request.  The first integration
+    runs at rtol/16 and atol/16, one refinement notch below the request.
 
     The family shares one sample grid, sized before the solve for the run
     and member that need the densest.  Each certification pass evaluates the
@@ -396,7 +418,7 @@ def _solve_family(
     re-integrated at a further rtol/16, up to three times; on a grid cut to
     the cap it stops as soon as a refinement lowers the worst residual by
     less than a factor of 2, since the grid's error then holds it up.  The
-    solver's rtol is clamped at the solver's floor of 100 eps
+    solver's rtol is clamped at the floor of 100 eps
     (``quadrature.RTOL_FLOOR``).  Errors raised for one member of a family
     name its lambda and its initial theta.  M = 1 is :func:`solve_aux`
     exactly.
@@ -424,14 +446,17 @@ def _solve_family(
         message = f"trajectory reached a polar angle singularity near t={time}"
         return SingularityError(located(message, j), time=float(time))
 
-    # each run in the frame of its H's uncoupled diagonal at t0
+    # each run integrated in its drive frame, certified in the frame of its
+    # H's uncoupled diagonal at t0
     firsts = [j for j in range(members) if j == 0 or params[j] is not params[j - 1]]
     runs = []
     for lo, hi in zip(firsts, firsts[1:] + [members]):
         omega, omega0, _ = params[lo].evaluate(t0)
-        runs.append(_Run(params[lo], params[lo].k * omega - omega0, lo, hi))
+        drive = -params[lo].g_phase.rate(t0)
+        runs.append(_Run(params[lo], drive, params[lo].k * omega - omega0, lo, hi))
     sizes = [run.hi - run.lo for run in runs]
-    deltas = np.repeat([run.delta0 for run in runs], sizes)
+    drives = np.repeat([run.drive for run in runs], sizes)
+    detunings = np.repeat([run.detuning for run in runs], sizes)
 
     # Sample density rule, per run from its profiles on the floor grid: a
     # component of amplitude a at rate w of the frame vector costs the
@@ -449,7 +474,7 @@ def _solve_family(
         coupling = 2.0 * math.sqrt(lams[run.lo : run.hi].max()) * np.abs(frame[2])
         precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
         phase_rate = np.gradient(run.params.g_phase(times), times)
-        turning = float(np.max(np.abs(run.delta0 + phase_rate)))
+        turning = float(np.max(np.abs(run.detuning + phase_rate)))
         rates = precession * (precession / budget) ** (1 / 6)
         rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
         # factor 2: the motion's harmonics sit above these rates
@@ -466,10 +491,9 @@ def _solve_family(
     if polar:
         raise at_pole(t0, polar[0])
 
-    rhs = _bloch_rhs(runs, lams, t0)
+    generators = _generator(runs, lams, t0)
     # math, not numpy, trigonometry: a shared start gives M copies of one vector
     n0 = [(-math.sin(a) * math.cos(b), math.sin(a) * math.sin(b), math.cos(a)) for a, b in starts]
-    y0 = np.concatenate([np.array(n0).ravel(order="F"), np.zeros(2 * members)])
 
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
@@ -485,15 +509,15 @@ def _solve_family(
         # pass r runs at the request / 16**(r + 1) / sqrt(M) (docstring)
         solver_rtol = max(rtol / 16.0**refinements / (16.0 * shrink), RTOL_FLOOR)
         solver_atol = atol / 16.0**refinements / (16.0 * shrink)
-        atols = np.repeat([solver_atol, solver_rtol], [3 * members, 2 * members])
-        vectors = integrate_segments(rhs, window, y0, kinks, solver_rtol, atols, failed)
+        tol = solver_rtol + solver_atol  # the vectors are of unit length
+        vectors = magnus(generators, window, np.transpose(n0), kinks, tol, failed, drives)
         total_nfev += vectors.nfev
-        to_angles = _angle_chart(vectors, phi0, t0, deltas)
-        block = vectors(times)  # (n, 5M)
+        block = vectors.spin(times)  # (n, 4M)
         pole = _first_pole(vectors, times, block, live) if live.any() else None
         if pole is not None:
             raise at_pole(*pole)
-        thetas, phis = to_angles(block, times)  # (n, M) each; member j keeps views of column j
+        # (n, M) each; member j keeps views of column j
+        to_chart, thetas, phis = _angle_chart(block, times, phi0, t0, drives, detunings)
         norms = np.sqrt(np.sum(block[:, : 3 * members].reshape(-1, 3, members) ** 2, axis=1))
         deviations = np.max(np.abs(norms - 1.0), axis=0)
         del block, norms
@@ -543,7 +567,7 @@ def _solve_family(
             edge_indices=edge_indices,
             residuals=series[:, j],
             _dense=vectors,
-            _chart=to_angles,
+            _chart=to_chart,
             _member=j,
         )
         for j, (member_params, lam, residual, deviation) in enumerate(

@@ -488,7 +488,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, TruncationError, EvaluationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SingularityError as exc:
+    except (SingularityError, PropagationError) as exc:
         when = "" if exc.time is None else f" at t={exc.time:.6g}"
         print(f"verification failure{when}: {exc}", file=sys.stderr)
         return 1

@@ -30,14 +30,17 @@ class CertificationError(SusyJCError, RuntimeError):
 
 
 class PropagationError(SusyJCError, RuntimeError):
-    """A direct Schrodinger run was rejected (norm drift or boundary leakage).
+    """A direct Schrodinger run was rejected (norm drift or boundary leakage)
+    or its integration stopped.
 
-    ``column`` is the rejected run's row in a stacked call, None otherwise.
+    ``column`` is the rejected run's row in a stacked call, None otherwise;
+    ``time`` is the time a stopped integration reached, None otherwise.
     """
 
-    def __init__(self, message, column):
+    def __init__(self, message, column, time=None):
         super().__init__(message)
         self.column = column
+        self.time = time
 
 
 class CycleError(SusyJCError, RuntimeError):

@@ -87,6 +87,23 @@ class TimeProfile:
         inside = (self.times > t0) & (self.times < t1)
         return np.asarray(self.times[inside], dtype=float)
 
+    def rate(self, t: float) -> float:
+        """d/dt of the profile at one time t; at a table knot, the slope of
+        the segment that starts there (the last segment's at the end)."""
+        if self.kind == "constant":
+            return 0.0
+        if self.kind == "linear":
+            return self.coeffs[1]
+        if self.kind == "sinusoid":
+            _, amp, freq, ph = self.coeffs
+            return amp * freq * math.cos(freq * t + ph)
+        if self.kind == "chirp":
+            _, amp, freq, sweep, ph = self.coeffs
+            return amp * (freq + 2.0 * sweep * t) * math.cos((freq + sweep * t) * t + ph)
+        ts, vs = self.times, self.values
+        j = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, ts.size - 2))
+        return float((vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]))
+
     def __call__(self, t):
         if _is_scalar(t):
             return self._at(float(t))

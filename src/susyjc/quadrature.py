@@ -1,18 +1,19 @@
-"""The one module that integrates, and splits work at the profiles' kinks.
+"""Segments between the profiles' kinks, and the oracle's integrator.
 
 Table knots (``params.breakpoints``) cut a window into segments on which
-H(t) is smooth.  The ODE solves of the angle route and the oracle, the sample
-grid (its edges at ``edge_indices``), the derivatives of sampled series and
-the running integral of the mode frequency are split at them here and
-nowhere else.  A kink is a step boundary: the solver restarts there, and its
-runs join into one dense output in which a time on a step boundary belongs
-to the step that starts there in ascending time, as a sample on an edge
-belongs to the segment that starts there.
+H(t) is smooth.  The sample grid (its edges at ``edge_indices``), the
+derivatives of sampled series, the running integral of the mode frequency
+and the oracle's ODE solve are split at them here; the angle route's
+integrator (:mod:`susyjc.magnus`) takes them as step boundaries too.  A
+kink is a step boundary: the solver restarts there, and its runs join into
+one dense output in which a time on a step boundary belongs to the step
+that starts there in ascending time, as a sample on an edge belongs to the
+segment that starts there.
 
-The ODE solver is DOP853, the Dormand-Prince 8(5,3) pair with its 7th-order
-dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed., sections
-II.5-II.6), with the error norm, step controller and initial step of the
-widely used scipy implementation, so that it takes the same steps.  It
+The oracle's ODE solver is DOP853, the Dormand-Prince 8(5,3) pair with its
+7th-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed.,
+sections II.5-II.6), with the error norm, step controller and initial step
+of the widely used scipy implementation, so that it takes the same steps.  It
 integrates real states only (the oracle passes the (re, im) view of its
 complex amplitudes), so every per-step product is a real BLAS product.
 Sampled series are differentiated with 7-point finite-difference stencils

@@ -200,7 +200,7 @@ def propagate(
     t_eval = check_window(t_eval, t0, t1, "propagation")
 
     def failed(message, time):
-        return PropagationError(f"integration failed: {message}", None)
+        return PropagationError(f"integration failed: {message}", None, time)
 
     shrink = math.sqrt(2 * n_runs)
     solver_rtol = max(rtol / shrink, RTOL_FLOOR)

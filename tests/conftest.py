@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from susyjc import evolution
-from susyjc.quadrature import Dop853Solution
+from susyjc.magnus import MagnusSolution
 
 
 @pytest.fixture
 def sample_calls(monkeypatch):
-    """Every evaluation, in call order, of a DOP853 dense output, as
-    ("dense", times, columns), and of a running integral that
+    """Every evaluation, in call order, of an angle solve's dense output, as
+    ("dense", times, columns) (5M columns for the whole state, 4M for
+    :meth:`MagnusSolution.spin`), and of a running integral that
     :class:`PhaseIntegrals` fits (int w), as ("int w", times, columns)."""
     calls = []
-    dense_call = Dop853Solution.__call__
+    dense_sample = MagnusSolution._sample
     fit = evolution.cumulative_antiderivative
 
-    def counting_dense(self, t):
-        out = dense_call(self, t)
+    def counting_dense(self, t, dynamical):
+        out = dense_sample(self, t, dynamical)
         calls.append(("dense", np.size(t), out.shape[-1]))
         return out
 
@@ -29,6 +30,6 @@ def sample_calls(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(Dop853Solution, "__call__", counting_dense)
+    monkeypatch.setattr(MagnusSolution, "_sample", counting_dense)
     monkeypatch.setattr(evolution, "cumulative_antiderivative", counting_fit)
     return calls

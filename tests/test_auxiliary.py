@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -197,7 +197,15 @@ def test_perturbed_trajectory_fails_residual():
 
 
 def test_residual_decreases_with_rtol():
-    params = constant_params(1.0, 2.8, 0.05)
+    # a constant drive is integrated exactly at any rtol; a sinusoidal
+    # detuning is not, and its residual follows the ODE tolerance
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.sinusoid(2.8, 0.1, 0.7),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
     residuals = []
     for rtol in (1e-6, 5e-7, 2.5e-7):
         traj = solve_aux(
@@ -358,11 +366,18 @@ def test_solver_stats_first_try_certification():
     assert traj.stats.effective_rtol == 1e-10 / 16
 
 
-def test_solver_stats_count_accepted_steps_over_segments():
+def test_solver_stats_count_accepted_steps_over_segments(monkeypatch):
     # n_steps counts accepted steps, as PropagationResult does: the same
-    # DOP853 runs between the table knots, replayed here, take that many
-    from scipy.integrate import solve_ivp
+    # Magnus integration, replayed here segment by segment between the table
+    # knots, takes that many steps and evaluations
+    integrations = []
+    real = auxiliary.magnus
 
+    def recording(*args):
+        integrations.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(auxiliary, "magnus", recording)
     knots = [0.0, 1.5, 3.0, 4.5, 6.0]
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
@@ -373,23 +388,14 @@ def test_solver_stats_count_accepted_steps_over_segments():
     )
     initial = AuxState(math.pi / 3, 0.0)
     traj = solve_aux(initial, (0.0, 6.0), params, LAM6, rtol=1e-10, atol=1e-12)
-    assert traj.stats.refinements == 0
-
-    def rhs(t, n):
-        # the invariant's vector: dn/dt = 2 h x n (resonant, so no rotating frame)
-        omega, omega0, g = params.evaluate(t)
-        h = [math.sqrt(LAM6) * g.real, math.sqrt(LAM6) * g.imag, 0.5 * (omega0 - 3 * omega)]
-        return 2.0 * np.cross(h, n)
-
-    sin_t = math.sin(initial.theta)
-    y = [-sin_t * math.cos(initial.phi), sin_t * math.sin(initial.phi), math.cos(initial.theta)]
+    assert traj.stats.refinements == 0 and len(integrations) == 1
+    field, _, vectors, kinks, tol, failure, shift = integrations[0]
+    assert kinks.tolist() == knots[1:-1] and tol == (1e-10 + 1e-12) / 16
     steps, calls = 0, 0
     for a, b in zip(knots[:-1], knots[1:]):
-        sol = solve_ivp(
-            rhs, (a, b), y, method="DOP853", rtol=1e-10 / 16, atol=1e-12 / 16, dense_output=True
-        )
-        y = sol.y[:, -1]
-        steps += sol.t.size - 1
+        sol = real(field, (a, b), vectors, np.empty(0), tol, failure, shift)
+        vectors = sol.states[-1, :3].reshape(3, 1)
+        steps += sol.times.size - 1
         calls += sol.nfev
     assert (traj.stats.n_steps, traj.stats.n_rhs_evaluations) == (steps, calls)
 
@@ -404,6 +410,37 @@ DRIVEN = ModelParams(
 )
 
 
+def test_driven_phases_match_a_tight_reference_solve():
+    # the benchmark's driven family (m = 2 and 10) at the default rtol, in
+    # its drive frame, against DOP853 at rtol 1e-13 on the lab-frame rates
+    # of the vector, B and G, integrated through G' as printed
+    from scipy.integrate import solve_ivp
+
+    lams = [lambda_value(m, 3) for m in (2, 10)]
+    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), [DRIVEN] * 2, lams)
+
+    def rhs(t, state):
+        omega, omega0, g = DRIVEN.evaluate(t)
+        n, b_g = state.reshape(2, 5)[:, :3], []
+        for (x, y, z), lam in zip(n, lams):
+            hx, hy, hz = math.sqrt(lam) * g.real, math.sqrt(lam) * g.imag, 0.5 * (omega0 - 3 * omega)
+            inplane = hx * x + hy * y
+            b_g.append((*(2 * np.cross([hx, hy, hz], [x, y, z])), inplane + hz * z,
+                        hz * (1 - z) - z * inplane / (1 + z)))
+        return np.ravel(b_g)
+
+    n0 = [-math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3), 0.0, 0.0]
+    times = np.linspace(0.0, 10.0, 201)
+    ref = solve_ivp(rhs, (0.0, 10.0), n0 * 2, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
+    ref = ref.y.reshape(2, 5, -1)
+    angles, b, g = family_sample(family)(times)
+    theta, phi = angles.theta, angles.phi
+    n = np.stack([-np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    assert np.max(np.abs(n - ref[:, :3].transpose(1, 2, 0))) < 1e-9
+    assert np.max(np.abs(b - ref[:, 3].T)) < 1e-9
+    assert np.max(np.abs(g - ref[:, 4].T)) < 1e-9
+
+
 def test_solver_stats_record_refinement():
     # at a loose atol, the m = 2 block of a chirp/table/sinusoid drive
     # certifies only after one tighter pass; the stats must say so and keep
@@ -411,7 +448,7 @@ def test_solver_stats_record_refinement():
     rtol = 1e-10
     traj = solve_aux(
         AuxState(1.0471975511965976, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3),
-        rtol=rtol, atol=1e-8,
+        rtol=rtol, atol=1e-7,
     )
     assert traj.stats.refinements == 1
     assert traj.stats.effective_rtol == rtol / 16**2  # the first pass is at rtol / 16
@@ -489,7 +526,8 @@ def test_solver_stats_record_grid_size_and_cap(params, lam, n_samples, capped):
 
 
 # resonant, g = 3: lambda = 1716 precesses too fast to certify on the capped
-# grid (9.08e-8 after the first pass, 9.02e-8 after one refinement)
+# grid (8.91e-8 after the first pass and after one refinement: the constant
+# drive is integrated exactly, so only the grid's error is left)
 CAPPED = constant_params(1.0, 3.0, 3.0)
 
 
@@ -497,13 +535,13 @@ def test_certification_error_names_the_sample_cap(monkeypatch):
     # the first refinement lowers the residual by less than a factor of 2:
     # the grid, not the ODE, holds it up, so the error comes after 2 passes
     passes = []
-    real = auxiliary.integrate_segments
+    real = auxiliary.magnus
 
     def counting(*args, **kwargs):
-        passes.append(args[4])  # the solver rtol
+        passes.append(args[4])  # the solver tolerance
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(auxiliary, "integrate_segments", counting)
+    monkeypatch.setattr(auxiliary, "magnus", counting)
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
         solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, 1716)
     assert len(passes) == 2 and passes[1] == passes[0] / 16
@@ -576,7 +614,7 @@ def closed_form_errors(traj: AuxTrajectory, initial: AuxState, t):
     omega, omega0, g = traj.params.evaluate(0.0)
     root = math.sqrt(traj.lam)
     h = np.array([root * g.real, root * g.imag, (omega0 - traj.params.k * omega) / 2])
-    axis = h / np.linalg.norm(h)
+    axis = h / np.linalg.norm(h) if h.any() else np.array([0.0, 0.0, 1.0])  # h = 0: n stays
     n0 = np.array([-math.sin(initial.theta) * math.cos(initial.phi),
                    math.sin(initial.theta) * math.sin(initial.phi), math.cos(initial.theta)])
     angle = 2 * np.linalg.norm(h) * t  # Rodrigues: n = R(axis, angle) n0
@@ -610,16 +648,48 @@ def test_constant_drive_solve_matches_the_closed_form(drive, m, initial, t_final
     assert max(errors) < 1e-11
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(
+    m=st.integers(0, 5),
+    omega=st.floats(0.5, 1.5),
+    omega0=st.floats(1.0, 5.0),
+    g_mod=st.floats(0.0, 0.3),
+    g_phase=st.floats(-math.pi, math.pi),
+    theta0=st.floats(0.02, math.pi - 0.02),
+    phi0=st.floats(-math.pi, math.pi),
+    t_final=st.floats(0.5, 5.0),
+)
+# ROADMAP item 6's constant-drive reproduction: within 1 + cos theta <= 6.2e-4
+# of the south pole, where G was 2.05e-7 off while G' was integrated
+@example(m=5, omega=1.1546, omega0=4.6986, g_mod=0.294, g_phase=-2.1004,
+         theta0=1.1677, phi0=0.7157, t_final=4.6761)  # fmt: skip
+def test_constant_drives_match_the_closed_form_or_raise_a_typed_error(
+    m, omega, omega0, g_mod, g_phase, theta0, phi0, t_final
+):
+    # ROADMAP item 11's ranges, with no draw left out: n, B and G (mod 2 pi)
+    # within the oracle's amplitude bound of the closed form, at the default
+    # tolerances, or a typed error
+    params = constant_params(omega, omega0, g_mod, g_phase)
+    initial = AuxState(theta0, phi0)
+    try:
+        traj = solve_aux(initial, (0.0, t_final), params, lambda_value(m, 3))
+    except SusyJCError:
+        return
+    errors = closed_form_errors(traj, initial, np.linspace(0.0, t_final, 201))
+    assert max(errors) < MAX_AMPLITUDE_ERROR
+
+
 def test_largest_coupled_lambda_that_certifies_within_the_cap():
     # resonant drive, g = 0.05: every m up to 146 certifies on the capped
-    # grid after one or two refinements; from m = 147 the grid error there
-    # exceeds the bound, and the error names the cap
+    # grid; the drive is constant, so one Magnus step is exact and no
+    # refinement is needed.  From m = 147 the grid error there exceeds the
+    # bound, and the error names the cap
     params = constant_params(1.0, 3.0, 0.05)
     initial = AuxState(math.pi / 3, 0.0)
     traj = solve_aux(initial, (0.0, 10.0), params, lambda_value(146, 3))
     assert traj.stats.sample_cap_hit and traj.stats.max_residual <= 1e-8
+    assert traj.stats.refinements == 0
     # no oracle reaches m = 146; the closed form checks n, B and G there
-    # (n 2.4e-12, B 3.9e-12, G 4.9e-11)
     errors = closed_form_errors(traj, initial, np.linspace(0.0, 10.0, 201))
     assert max(errors) < MAX_AMPLITUDE_ERROR
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
@@ -657,19 +727,17 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
 
 
 def test_family_evaluates_its_dense_output_once_per_pass(sample_calls):
-    # one (n, 5M) sample block per certification pass, whatever the number
+    # one (n, 4M) sample block per certification pass, whatever the number
     # of members; the grid is sized from the profiles, with no probe
     lams = [lambda_value(m, 3) for m in (0, 5, 10)]
-    params = constant_params(1.0, 3.0, 0.05)
-    # a loose atol makes the family refine
+    # a loose atol makes the family of a non-constant drive refine
     family = _solve_family(
-        AuxState(math.pi / 3, 0.0), (0.0, 10.0), [params] * len(lams), lams, atol=1e-7
+        AuxState(math.pi / 3, 0.0), (0.0, 10.0), [DRIVEN] * len(lams), lams, atol=1e-7
     )
     stats = family[0].stats
     assert stats.refinements >= 1
-    sizes = [size for kind, size, _ in sample_calls if kind == "dense"]
-    assert len(sizes) == 1 + stats.refinements
-    assert set(sizes) == {stats.n_samples}
+    blocks = [(size, columns) for kind, size, columns in sample_calls if kind == "dense"]
+    assert blocks == [(stats.n_samples, 4 * len(lams))] * (1 + stats.refinements)
 
 
 def test_family_singularity_error_names_the_member_at_the_pole():
@@ -765,7 +833,7 @@ def test_family_start_at_a_pole_names_its_theta_before_integrating(monkeypatch):
     # member starts at the pole, and the error tells it by its theta before
     # any integration
     integrations = []
-    monkeypatch.setattr(auxiliary, "integrate_segments", lambda *args: integrations.append(args))
+    monkeypatch.setattr(auxiliary, "magnus", lambda *args: integrations.append(args))
     params = [constant_params(1.0, 3.0, 0.05), constant_params(1.0, 2.9, 0.05)]
     initial = AuxState(np.array([1.0, 0.0]), 0.0)
     with pytest.raises(SingularityError, match=r"\(lambda=6\.0, theta0=0\.0\)$") as err:

@@ -64,23 +64,25 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
     # the tracer wraps ModelParams.evaluate on the class: it counts
     # profiles.evaluate.calls there and infers schrodinger.rhs_evals from the
     # calls made inside propagate, so a right-hand side that bypassed
-    # evaluate would empty both metrics.  Each solve makes one scalar call
-    # per right-hand-side call, plus its frame's at t0, for each distinct
-    # params object of its members.
+    # evaluate would empty both metrics.  The oracle makes one scalar call per
+    # right-hand-side call, plus its frame's at t0.  The angle route's
+    # generator makes one call per distinct params object of its members for
+    # all of its node times (a steady one's at t0), and the node times of the
+    # integration are its n_rhs_evaluations.
     import dataclasses
 
-    from susyjc import EXCITED, AuxState, ModelParams, SubspaceBlock, propagate
-    from susyjc.auxiliary import _solve_family
+    from susyjc import EXCITED, AuxState, ModelParams, SubspaceBlock, auxiliary, propagate
 
     cfg = cli.load_config(str(ROOT / config))
     window = (0.0, cfg.t_final)
     m = cfg.m_list[0]
-    scalar_calls = []
+    scalar_calls, evaluations = [], []
     evaluate = ModelParams.evaluate
 
     def counted(self, t):
         if np.ndim(t) == 0:
             scalar_calls.append(t)
+        evaluations.append(self)
         return evaluate(self, t)
 
     monkeypatch.setattr(ModelParams, "evaluate", counted)
@@ -91,18 +93,76 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
         psi0, window, cfg.params, cfg.spec, cfg.oracle_rtol, cfg.oracle_atol, max_norm_drift=1e-8
     )
     assert len(scalar_calls) == oracle.n_rhs_evaluations + 1
-    scalar_calls.clear()
+
+    fields, stepping = [], []  # (evaluate calls, node times) per generator call
+    generator, magnus = auxiliary._generator, auxiliary.magnus
+
+    def counting_generator(runs, lams, t0):
+        field = generator(runs, lams, t0)
+
+        def counted_field(t):
+            before = len(evaluations)
+            out = field(t)
+            fields.append((len(evaluations) - before, np.size(t)))
+            return out
+
+        return counted_field
+
+    def counting_magnus(*args):
+        start = len(fields)
+        try:
+            return magnus(*args)
+        finally:
+            stepping.append(sum(times for _, times in fields[start:]))
+
+    monkeypatch.setattr(auxiliary, "_generator", counting_generator)
+    monkeypatch.setattr(auxiliary, "magnus", counting_magnus)
     lam = SubspaceBlock.for_space(cfg.spec, m).lam
     initial = AuxState(cfg.theta0, cfg.phi0)
-    (traj,) = _solve_family(initial, window, [cfg.params], [lam], cfg.aux_rtol, cfg.aux_atol)
-    assert len(scalar_calls) == traj.stats.n_rhs_evaluations + 1
-    # G members: G distinct copies of the profiles cost G calls per call of
-    # the right-hand side, one shared object one call
+    # G members: G distinct copies of the profiles cost G evaluate calls per
+    # generator call, one shared object one call
     members = 3
     for params, calls in [
+        ([cfg.params], 1),
         ([dataclasses.replace(cfg.params) for _ in range(members)], members),
         ([cfg.params] * members, 1),
     ]:
-        scalar_calls.clear()
-        family = _solve_family(initial, window, params, [lam] * members, cfg.aux_rtol, cfg.aux_atol)
-        assert len(scalar_calls) == calls * (family[0].stats.n_rhs_evaluations + 1)
+        fields.clear()
+        stepping.clear()
+        lams = [lam] * len(params)
+        family = auxiliary._solve_family(initial, window, params, lams, cfg.aux_rtol, cfg.aux_atol)
+        assert fields and {count for count, _ in fields} == {calls}
+        assert sum(stepping) == family[0].stats.n_rhs_evaluations
+
+
+# Upper bounds on the profile evaluations of each workload's angle solve at
+# seed 0, summed over its integrations: the measured counts (resonant 9,
+# coherent-xi1 9, berry-sweep 9, driven 2430) with a little slack, so that a
+# change of the step control shows here and not only in timings.  DOP853
+# took 1100, 1814, 152 and 3638 right-hand-side calls.
+ANGLE_WORK = {"resonant": 12, "coherent-xi1": 12, "berry-sweep": 12, "driven": 2600}
+
+
+def test_seed_0_angle_solves_stay_within_their_work_counts(
+    perfbench, tmp_path, monkeypatch, capsys
+):
+    # the benchmark times these runs, and its timings are noisy; the
+    # evaluations behind them are deterministic
+    from susyjc import auxiliary
+
+    _, workloads = perfbench
+    counts = {}
+    magnus = auxiliary.magnus
+
+    def counting(*args):
+        solution = magnus(*args)
+        counts[name] = counts.get(name, 0) + solution.nfev
+        return solution
+
+    monkeypatch.setattr(auxiliary, "magnus", counting)
+    for name, workload in workloads.WORKLOADS.items():
+        prepared = workloads.Prepared(workload, 0, tmp_path, ROOT / workload.config, None)
+        assert cli.main(prepared.argv(prepared.config, tmp_path / name)) == 0, name
+    assert counts.keys() == ANGLE_WORK.keys()
+    assert all(counts[name] <= bound for name, bound in ANGLE_WORK.items()), counts
+    assert counts["driven"] <= 3638  # DOP853's right-hand-side calls there

@@ -310,18 +310,18 @@ def test_bound_check_passes_strictly_below_its_bound():
 
 
 def test_berry_sweep_is_one_integration(tmp_path, monkeypatch):
-    # every theta of the sweep is a member of one angle solve: one DOP853 run
-    # for the four thetas of configs/berry.ini, which have no profile kinks
-    from susyjc import quadrature
+    # every theta of the sweep is a member of one angle solve: one Magnus
+    # integration for the four thetas of configs/berry.ini
+    from susyjc import auxiliary
 
     runs = []
-    dop853 = quadrature.dop853
+    magnus = auxiliary.magnus
 
     def counting(*args, **kwargs):
         runs.append(args[1])
-        return dop853(*args, **kwargs)
+        return magnus(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "dop853", counting)
+    monkeypatch.setattr(auxiliary, "magnus", counting)
     config = str(ROOT / "configs" / "berry.ini")
     assert main(["berry", "--config", config, "--out", str(tmp_path / "o")]) == 0
     assert len(runs) == 1
@@ -367,6 +367,16 @@ def test_coherent_run_and_xi_zero_reduction(tmp_path):
     theta = read_column(out_p / "trajectory_m0.csv", "theta")
     sz = read_column(out / "inversion.csv", "sigma_z_exact")
     assert np.max(np.abs(sz - np.cos(theta))) < 1e-9
+
+
+def test_the_scale_scenario_passes(tmp_path, capsys):
+    # configs/coherent-xi2.ini: 23 blocks in one angle solve to t = 20, the
+    # family that the angle route's cost grows with (1.031e-12 measured)
+    config = str(ROOT / "configs" / "coherent-xi2.ini")
+    assert main(["coherent", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    inversion = re.search(r"^max \|sigma_z exact - oracle\|: (\S+) \(bound 1e-06\)$", out, re.M)
+    assert float(inversion[1]) < 1e-9
 
 
 def test_coherent_truncation_exit_2(tmp_path, capsys):
@@ -771,21 +781,30 @@ def test_a_drifting_oracle_column_is_named_by_block_and_sigma(tmp_path, capsys):
     assert (m, sigma) == [(0, 1), (0, -1), (1, 1), (1, -1)][column]
 
 
-def _stop_at_midpoint(monkeypatch, stops):
-    """Make each DOP853 run whose ``y0`` ``stops`` picks end at its span's
-    midpoint with a message, as a solver that gives up there does."""
+def _stop_at_midpoint(monkeypatch):
+    """Make each DOP853 run (the oracle's) end at its span's midpoint with a
+    message, as a solver that gives up there does."""
     from susyjc import quadrature
 
     dop853 = quadrature.dop853
 
     def stopping(rhs, span, y0, rtol, atol):
-        if not stops(y0):
-            return dop853(rhs, span, y0, rtol, atol)
         run = dop853(rhs, (span[0], 0.5 * (span[0] + span[1])), y0, rtol, atol)
         run.message = "forced stop"
         return run
 
     monkeypatch.setattr(quadrature, "dop853", stopping)
+
+
+def _stop_angles_at_midpoint(monkeypatch):
+    """Make the angle route's Magnus integration give up at its window's
+    midpoint, as a step that falls under the float spacing there does."""
+    from susyjc import auxiliary
+
+    def stopping(field, window, vectors, kinks, tol, failure, shift):
+        raise failure("forced stop", 0.5 * (window[0] + window[1]))
+
+    monkeypatch.setattr(auxiliary, "magnus", stopping)
 
 
 def test_a_stopped_angle_integration_is_a_singularity_at_the_time_reached(
@@ -794,7 +813,7 @@ def test_a_stopped_angle_integration_is_a_singularity_at_the_time_reached(
     # the solver gives up at t = 4 of [0, 8]: the error carries that time
     from susyjc import AuxState, SingularityError, constant_params, solve_aux
 
-    _stop_at_midpoint(monkeypatch, lambda y0: True)
+    _stop_angles_at_midpoint(monkeypatch)
     with pytest.raises(SingularityError, match="^angle integration failed: forced stop$") as info:
         solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 8.0), constant_params(1.0, 3.0, 0.05), 6.0)
     assert info.value.time == 4.0
@@ -806,18 +825,18 @@ def test_a_stopped_angle_integration_is_a_singularity_at_the_time_reached(
 
 def test_a_stopped_oracle_integration_names_no_column(tmp_path, capsys, monkeypatch):
     # the oracle's stop belongs to no one column, so propagate passes it on
-    # as it is; the angle solve (5 components for one block) runs unstopped
+    # as it is, with the time it stopped at; the angle solve runs unstopped
     from susyjc import FockSpaceSpec, PropagationError, constant_params, propagate
 
-    _stop_at_midpoint(monkeypatch, lambda y0: y0.size > 5)
+    _stop_at_midpoint(monkeypatch)
     spec = FockSpaceSpec(cutoff=32, k=3)
     with pytest.raises(PropagationError, match="^integration failed: forced stop$") as info:
         propagate(spec.basis_state(0, 0), (0.0, 8.0), constant_params(1.0, 3.0, 0.05), spec)
-    assert info.value.column is None
+    assert info.value.column is None and info.value.time == 4.0
     code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "verification failure: integration failed: forced stop\n" in err
+    assert "verification failure at t=4: integration failed: forced stop\n" in err
     assert "(m = " not in err
 
 
@@ -933,32 +952,15 @@ t_final = 4.6761
 @pytest.mark.parametrize(
     "config",
     [
-        pytest.param(
-            NEAR_SOUTH_POLE,
-            id="driven",
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="the geometric phase G' has the paper gauge's pole at theta = pi; this "
-                "trajectory passes within 0.0056 of it, certifies, and misses the oracle "
-                "(max oracle amplitude error 1.787e-08): ROADMAP item 6",
-            ),
-        ),
-        pytest.param(
-            NEAR_SOUTH_POLE_CONSTANT,
-            id="constant",
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="on constant profiles too, G is integrated through its pole at "
-                "theta = pi: this trajectory passes within 1 + cos theta <= 6.2e-4 of it, "
-                "certifies, and misses the oracle (max oracle amplitude error 2.058e-07, "
-                "infidelity 3.331e-16): ROADMAP item 6's constant-drive reproduction",
-            ),
-        ),
+        pytest.param(NEAR_SOUTH_POLE, id="driven"),
+        pytest.param(NEAR_SOUTH_POLE_CONSTANT, id="constant"),
     ],
 )
 def test_a_trajectory_near_the_south_pole_agrees_with_the_oracle(tmp_path, capsys, config):
+    # each passes near the paper gauge's pole of G' at theta = pi (within
+    # 0.0056, and within 1 + cos theta <= 6.2e-4): G comes from each step's
+    # rotation, not from integrating G' through the pole, and agrees with the
+    # oracle (amplitude errors 1.8e-10 and 2.3e-10)
     from susyjc.schrodinger import MAX_AMPLITUDE_ERROR
 
     path = write(tmp_path, config)

@@ -16,7 +16,7 @@ from susyjc import (
     propagate,
     solve_block_family,
 )
-from susyjc import evolution, quadrature
+from susyjc import auxiliary, evolution, quadrature
 from susyjc.coherent import CoherentSpec, m_max_for_tail, poisson_tail
 from susyjc.errors import ConfigurationError
 from susyjc.evolution import ExactSolution, PhaseIntegrals
@@ -174,15 +174,15 @@ def test_inversion_shows_nontrivial_dynamics():
 
 def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     # a table coupling splits the window into segments; the whole family is
-    # one DOP853 run per segment per pass, not one per block
+    # one Magnus integration per pass over every segment, not one per block
     calls = []
-    real_dop853 = quadrature.dop853
+    real_magnus = auxiliary.magnus
 
-    def counting_dop853(*args, **kwargs):
-        calls.append(args[1])
-        return real_dop853(*args, **kwargs)
+    def counting_magnus(*args, **kwargs):
+        calls.append(args[3])  # the kinks
+        return real_magnus(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "dop853", counting_dop853)
+    monkeypatch.setattr(auxiliary, "magnus", counting_magnus)
     params = TABLE_PARAMS
     rtol = 1e-10
     cs = CoherentSpec.for_xi(0.5)
@@ -190,10 +190,11 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     stats = [sol.trajectory.stats for sol in sols]
     segments = len(params.breakpoints(0.0, 4.0)) + 1
     assert len(sols) == cs.m_max + 1 > 1 and segments == 2
-    assert len(calls) == (1 + stats[0].refinements) * segments
+    assert len(calls) == 1 + stats[0].refinements
+    assert all(len(kinks) == segments - 1 for kinks in calls)
     shared = {(s.n_steps, s.n_rhs_evaluations, s.refinements, s.effective_rtol) for s in stats}
     assert len(shared) == 1
-    # the error norm is an RMS over the family: the solver gets rtol / sqrt(M),
+    # the family's share of the request: the solver gets rtol / sqrt(M),
     # one refinement notch (/16) below the request on the first pass
     passes = 1 + stats[0].refinements
     assert stats[0].effective_rtol == rtol / 16**passes / math.sqrt(len(sols))

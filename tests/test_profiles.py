@@ -36,6 +36,27 @@ def test_table_interpolation_and_domain():
         TimeProfile.table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        TimeProfile.constant(2.0),
+        TimeProfile.linear(0.3, -1.5),
+        TimeProfile.sinusoid(0.5, 0.2, 1.3, 0.4),
+        TimeProfile.chirp(0.0, 0.5, 0.7, 0.05, -0.2),
+        TimeProfile.table([0.0, 1.0, 2.5], [1.0, 3.0, 2.4]),
+    ],
+    ids=lambda profile: profile.kind,
+)
+def test_rate_is_the_derivative(profile):
+    # the drive frame's rate; at a table knot, the segment that starts there
+    for t in (0.0, 0.35, 1.0, 1.7):
+        step = 1e-6
+        ahead = (profile(t + step) - profile(t)) / step
+        assert profile.rate(t) == pytest.approx(ahead, abs=1e-5), t
+    if profile.kind == "table":
+        assert profile.rate(2.5) == pytest.approx((2.4 - 3.0) / 1.5)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ConfigurationError):
         TimeProfile("quadratic", (1.0,))

@@ -25,10 +25,11 @@ from susyjc import (
     propagate,
     solve_aux,
 )
-from susyjc import quadrature
+from susyjc import magnus, quadrature
 from susyjc.auxiliary import _solve_family
 from susyjc.errors import ConfigurationError
 from susyjc.evolution import PhaseIntegrals
+from susyjc.magnus import MagnusSolution
 from susyjc.quadrature import (
     RTOL_FLOOR,
     Dop853Solution,
@@ -51,11 +52,11 @@ DRIVEN = ModelParams(
 
 def test_kinked_solution_single_time_matches_array_column():
     # a kink is a step boundary: the solve over DRIVEN's table knots is one
-    # DOP853 solution whose step times hold each knot once, and scalar,
+    # Magnus solution whose step times hold each knot once, and scalar,
     # array and one-element calls agree bit for bit at and between them
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3))
     dense = traj._dense
-    assert isinstance(dense, Dop853Solution)
+    assert isinstance(dense, MagnusSolution) and traj.stats.refinements == 0
     assert np.all(np.diff(dense.times) > 0)
     for knot in (2.5, 5.0, 7.5):
         assert np.count_nonzero(dense.times == knot) == 1, knot
@@ -145,16 +146,26 @@ def test_segmented_grid_gives_a_short_segment_eight_samples():
 
 
 def test_only_quadrature_integrates_or_splines():
-    # segments are handled in one module: no other module binds the ODE
-    # solver or the per-segment stencils
-    workers = (quadrature.dop853, quadrature._segment_derivative, quadrature._spacing)
-    binders = {
-        info.name
-        for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
-        for value in vars(importlib.import_module(info.name)).values()
-        if any(value is worker for worker in workers)
+    # segments are handled in one module: no other module binds the oracle's
+    # ODE solver or the per-segment stencils, and the angle route's Magnus
+    # scheme has one home of its own
+    homes = {
+        quadrature.dop853: "susyjc.quadrature",
+        quadrature._segment_derivative: "susyjc.quadrature",
+        quadrature._spacing: "susyjc.quadrature",
+        magnus._exponent: "susyjc.magnus",
     }
-    assert binders == {"susyjc.quadrature"}
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(susyjc.__path__, "susyjc.")
+    ]
+    for worker, home in homes.items():
+        binders = {
+            module.__name__
+            for module in modules
+            if any(value is worker for value in vars(module).values())
+        }
+        assert binders == {home}, worker.__name__
 
 
 def test_only_evolution_integrates_phases():
@@ -283,42 +294,42 @@ def _captured_runs(monkeypatch, solve):
     return runs
 
 
-def _stacked_oracle(window):
+def _stacked_oracle(window, params=constant_params(1.0, 3.0, 0.05)):
     spec = FockSpaceSpec(cutoff=16, k=3, guard=3)
-    params = constant_params(1.0, 3.0, 0.05)
     turn = [math.cos(0.4), math.sin(0.4) * 1j]
     stack = np.array([embed_state(SubspaceBlock.for_space(spec, m), turn) for m in (0, 1, 2)])
-    return lambda: propagate(stack, window, params, spec, t_eval=np.linspace(0.0, 5.0, 11))
+    t_eval = np.linspace(min(window), max(window), 11)
+    return lambda: propagate(stack, window, params, spec, t_eval=t_eval)
+
+
+def _bloch_family():
+    """DOP853 on a real state with a Python right-hand side: three frame
+    vectors of the resonant drive, dn/dt = 2 h x n, with B and G beside."""
+    roots = np.array([2.0 * math.sqrt(lambda_value(m, 3)) * 0.05 for m in (0, 1, 2)])
+
+    def rhs(t, y):
+        x, yy, z = y[:3], y[3:6], y[6:9]
+        return np.concatenate([0 * x, -roots * z, roots * yy, 0.5 * roots * x, 0 * x])
+
+    a = math.pi / 3
+    y0 = np.concatenate([np.repeat([-math.sin(a), 0.0, math.cos(a)], 3), np.zeros(6)])
+    return quadrature.dop853(rhs, (0.0, 10.0), y0, 1e-10 / 16 / math.sqrt(3), 1e-12 / 16 / math.sqrt(3))
 
 
 @pytest.mark.parametrize(
     "solve,segments",
     [
-        pytest.param(
-            lambda: _solve_family(
-                AuxState(math.pi / 3, 0.0),
-                (0.0, 10.0),
-                [constant_params(1.0, 3.0, 0.05)] * 3,
-                [lambda_value(m, 3) for m in (0, 1, 2)],
-                certify=False,
-            ),
-            1,
-            id="bloch-family-real",
-        ),
+        pytest.param(_bloch_family, 1, id="bloch-family-real"),
         pytest.param(_stacked_oracle((0.0, 5.0)), 1, id="stacked-oracle-forward"),
         pytest.param(_stacked_oracle((5.0, 0.0)), 1, id="stacked-oracle-backward"),
-        pytest.param(
-            lambda: solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), DRIVEN, lambda_value(2, 3)),
-            4,
-            id="table-kinked-window",
-        ),
+        pytest.param(_stacked_oracle((0.0, 10.0), DRIVEN), 4, id="table-kinked-window"),
     ],
 )
 def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
     # scipy's solve_ivp is the reference: the same accepted step times and
-    # right-hand-side calls, and dense output equal to rounding, on the real
-    # (5M,) family vector, the stacked oracle's (re, im) view both ways and
-    # a window cut at table knots
+    # right-hand-side calls, and dense output equal to rounding, on a real
+    # (5M,) Bloch family vector, the stacked oracle's (re, im) view both
+    # ways and the oracle's window cut at table knots
     runs = _captured_runs(monkeypatch, solve)
     assert len(runs) == segments
     for (rhs, span, y0, rtol, atol), ours in runs:
