@@ -26,8 +26,9 @@ are functions of n,
 
 and phi_d(sigma) = (m + k/2) int w + sigma B, phi_g(sigma) = sigma G
 (:class:`susyjc.evolution.PhaseIntegrals`).  B + G is the phase of each
-step's SU(2) rotation, so the solve has it in closed form; B is a Gauss
-quadrature of h.n on the step's nodes, and G their difference.  The paper
+step's SU(2) rotation, so the solve has it in closed form; B' = h.n is
+linear in n, and B is stepped with n by the same Magnus scheme (exact when
+h' is constant); G is their difference.  The paper
 gauge's pole of G' at theta = pi is not integrated through: it leaves only
 a 2 pi ambiguity, which the chart resolves.  Readers sample the one dense
 output, (n_t, 5M): B and G are its last 2M columns, and :func:`_angle_chart`
@@ -268,8 +269,9 @@ def _generator(runs, lams, t0: float):
     """``generators(t)``: the generators 2 h' of the M members' frame vectors
     (module docstring), (3, ..., M) over times t of any shape, each run in
     its drive frame.  A run's profiles are evaluated once per call for all
-    its members, as arrays; a steady run's (:func:`_steady`) once, at t0,
-    so that its generator is constant to the bit.
+    its members, as arrays; a steady run's (:func:`_steady`) once, at t0:
+    its generator is constant, and evaluating it at every node time of the
+    dense samples made the Berry sweep a fifth slower.
     """
     roots = 2.0 * np.sqrt(lams)  # so that the components below are 2 h'
     steady = [_steady(run.params) for run in runs]
@@ -415,9 +417,12 @@ def _solve_family(
     solve on it once, (n, 5M), checks the poles, converts the vector columns
     to the (n, M) thetas and phis and certifies each member
     (:func:`_printed_residual`); if any fails, the whole family is
-    re-integrated at a further rtol/16, up to three times; on a grid cut to
-    the cap it stops as soon as a refinement lowers the worst residual by
-    less than a factor of 2, since the grid's error then holds it up.  The
+    re-integrated at a further rtol/16, up to three times.  It stops
+    earlier when the tighter pass would take the same steps
+    (``MagnusSolution.settled``), as an exactly integrated constant drive
+    would at any tolerance, and, on a grid cut to the cap, as soon as a
+    refinement lowers the worst residual by less than a factor of 2, since
+    the grid's error then holds it up.  The
     solver's rtol is clamped at the floor of 100 eps
     (``quadrature.RTOL_FLOOR``).  Errors raised for one member of a family
     name its lambda and its initial theta.  M = 1 is :func:`solve_aux`
@@ -504,12 +509,14 @@ def _solve_family(
         for frame, run in zip(frames, runs)
         for j in range(run.lo, run.hi, step)
     ]
+    def tolerances(r):
+        """Pass r's (rtol, tol): the request / 16**(r + 1) / sqrt(M) (docstring)."""
+        solver_rtol = max(rtol / 16.0**r / (16.0 * shrink), RTOL_FLOOR)
+        return solver_rtol, solver_rtol + atol / 16.0**r / (16.0 * shrink)  # |n| = 1
+
     total_nfev, previous = 0, math.inf
     for refinements in range(4):
-        # pass r runs at the request / 16**(r + 1) / sqrt(M) (docstring)
-        solver_rtol = max(rtol / 16.0**refinements / (16.0 * shrink), RTOL_FLOOR)
-        solver_atol = atol / 16.0**refinements / (16.0 * shrink)
-        tol = solver_rtol + solver_atol  # the vectors are of unit length
+        solver_rtol, tol = tolerances(refinements)
         vectors = magnus(generators, window, np.transpose(n0), kinks, tol, failed, drives)
         total_nfev += vectors.nfev
         block = vectors.spin(times)  # (n, 4M)
@@ -533,6 +540,8 @@ def _solve_family(
             break
         if capped and worst > 0.5 * previous:
             break  # the capped grid's error, not the ODE's, holds the residual up
+        if vectors.settled <= tolerances(refinements + 1)[1]:
+            break  # a tighter pass would take these same steps
         previous = worst
         del thetas, phis, series  # frees the rejected pass before the next one samples
 

@@ -7,14 +7,17 @@ Each step rotates every vector by Rodrigues' formula about its exponent, so
 |n| = 1 to rounding, and a constant A is integrated exactly in one step
 however far the vectors turn: the step is set by how fast A changes, not by
 how fast n turns.  Alongside, each step gives the phases of the spin-1/2
-lift of its rotation: its total phase in closed form, and a Gauss
-quadrature of the dynamical rate.  The step is controlled by step doubling
-(Richardson), and the profiles' kinks (``params.breakpoints``) are step
-boundaries, as in :mod:`susyjc.quadrature`.  Vectors are component first,
-(3, ...), so that each component is one contiguous array.  This is a module
-of its own, not part of :mod:`susyjc.quadrature`, to keep every module's
-source small: the interpreter's compile of a module without cached bytecode
-is the largest transient of a fresh process's memory.
+lift of its rotation: its total phase in closed form, and the dynamical
+phase B, whose rate h.n is linear in n, by the same scheme on the
+generator of (n, B) together (:func:`_bracket`), so that B too is of
+sixth order and exact under a constant A.  The step is controlled by step
+doubling (Richardson) on both, and the profiles' kinks
+(``params.breakpoints``) are step boundaries, as in :mod:`susyjc.quadrature`.
+Vectors are component first, (3, ...), so that each component is one
+contiguous array.  This is a module of its own, not part of
+:mod:`susyjc.quadrature`, to keep every module's source small: the
+interpreter's compile of a module without cached bytecode is the largest
+transient of a fresh process's memory.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import numpy as np
 
 from .quadrature import _SAFETY, _TOO_SMALL_STEP
 
-# the Gauss-Legendre nodes of a step, and their quadrature weights, on [0, 1]
+# the Gauss-Legendre nodes of a step on [0, 1]
 _ROOT15 = math.sqrt(15.0)
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * _ROOT15 / 10.0
-_GAUSS_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 _RICHARDSON = 2.0**6 - 1.0  # sixth order: a step's error over its two halves', less one
 _MOST_PIECES = 16  # most pieces that one round splits a rejected step into
 # most (time, vector) pairs per vectorized pass: its (3, n, M) arrays stay
@@ -41,7 +43,7 @@ def _dot(a, b):
 
 
 def _cross(a, b):
-    """a x b for (3, ...) vectors of one shape: the commutator of so(3)."""
+    """a x b for (3, ...) vectors of one shape."""
     out = np.empty(a.shape)
     np.multiply(a[1], b[2], out=out[0])
     out[0] -= a[2] * b[1]
@@ -52,6 +54,17 @@ def _cross(a, b):
     return out
 
 
+def _bracket(x, y):
+    """The commutator [x, y] of so(3) on (3, ...) generators a, and on
+    (6, ...) ones (a, w) of the vector and its dynamical phase together: the
+    generator [[a x, 0], [w^T, 0]] of (n, B), which obeys n' = a x n and
+    B' = w.n, and whose commutator is (a1 x a2, a1 x w2 - a2 x w1)."""
+    turn = _cross(x[:3], y[:3])
+    if x.shape[0] == 3:
+        return turn
+    return np.concatenate([turn, _cross(x[:3], y[3:]) - _cross(y[:3], x[3:])])
+
+
 def _moments(fields, tau):
     """(alpha1, alpha2, alpha3): tau times the Taylor coefficients of the
     generator about the step's midpoint, in units of the step, from
@@ -59,26 +72,29 @@ def _moments(fields, tau):
     broadcasts against the trailing axes."""
     f1, f2, f3 = fields[:, 0], fields[:, 1], fields[:, 2]
     odd, even = f3 - f1, f3 - 2.0 * f2 + f1
-    if not (odd.any() or even.any()):  # a constant generator
+    if not (odd.any() or even.any()):  # a constant generator (a steady run's dense samples)
         return tau * f2, odd, even
     return tau * f2, ((_ROOT15 / 3.0) * tau) * odd, ((10.0 / 3.0) * tau) * even
 
 
+def _lift(moments, tau, shift):
+    """The (6, ...) moments of the generator of (n, B) from the vectors'
+    (3, ...) moments: w = (A - shift z)/2 is the lab frame's dynamical rate,
+    B' = h.n, for vectors in a frame that turns at ``shift`` about z."""
+    a1, a2, a3 = moments
+    w1 = 0.5 * a1
+    w1[2] -= (0.5 * shift) * tau
+    return [np.concatenate([a, w]) for a, w in ((a1, w1), (a2, 0.5 * a2), (a3, 0.5 * a3))]
+
+
 def _exponent(a1, a2, a3):
-    """The sixth-order Magnus exponent of one step from its moments."""
+    """The sixth-order Magnus exponent of one step from its moments, (3, ...)
+    or (6, ...) (:func:`_bracket`)."""
     if not (a2.any() or a3.any()):  # a constant generator: the exponent is exact, bit for bit
         return a1
-    c1 = _cross(a1, a2)
-    c2 = _cross(a1, 2.0 * a3 + c1) / -60.0
-    return a1 + a3 / 12.0 + _cross(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
-
-
-def _head(moments, c: float):
-    """The moments of the step's first fraction ``c``, from the quadratic
-    through its three node values."""
-    a1, a2, a3 = moments
-    d = 0.5 * (c - 1.0)  # the head's midpoint, from the step's, in units of the step
-    return c * (a1 + d * (a2 + d * a3)), c * c * (a2 + 2.0 * d * a3), c**3 * a3
+    c1 = _bracket(a1, a2)
+    c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
 def _half_angle(omega):
@@ -98,6 +114,22 @@ def _rotate(omega, v, half):
     turned = _cross(omega, v)
     # sin(a)/a = 2 ratio cos(a/2) and (1 - cos a)/a^2 = 2 ratio^2
     return v + (2.0 * ratio * cos_half) * turned + (2.0 * ratio * ratio) * _cross(omega, turned)
+
+
+def _dynamical_row(exponent, half):
+    """u, (3, ...), such that a step of (6, ...) ``exponent`` (a, w) from the
+    vector n adds u.n to B, given ``half`` = :func:`_half_angle` of a: the
+    exponential of [[a x, 0], [w^T, 0]] adds w.(int_0^1 R(s a) ds) n, where
+    int_0^1 R(s a) ds = 1 + (1 - cos |a|)/|a|^2 a x + (|a| - sin |a|)/|a|^3 a x a x:
+    u is that matrix's transpose applied to w."""
+    a, w = exponent[:3], exponent[3:]
+    cos_half, ratio = half
+    square = _dot(a, a)
+    # (|a| - sin |a|)/|a|^3 = (1 - 2 ratio cos(a/2))/|a|^2, 1/6 to 1e-10 for |a| <= 1e-4
+    cubic = np.full(square.shape, 1.0 / 6.0)
+    np.divide(1.0 - 2.0 * ratio * cos_half, square, out=cubic, where=square > 1e-8)
+    turned = _cross(a, w)
+    return w - (2.0 * ratio * ratio) * turned + cubic * _cross(a, turned)
 
 
 def _rotations(omegas):
@@ -140,18 +172,6 @@ def _total_phase(tau, omega, half, a, shift):
     return spin - 0.5 * shift * tau[..., None]
 
 
-def _dynamical_phase(fields, tau, moments, a, shift):
-    """dB of Magnus steps from a: a Gauss quadrature of the lab frame's
-    dynamical rate (A.n - shift n_z)/2 on the step's nodes, where n comes from
-    sixth-order sub-steps of the quadratic through the node values."""
-    rates = 0.0
-    for j, (c, weight) in enumerate(zip(_GAUSS, _GAUSS_WEIGHTS)):
-        omega = _exponent(*_head(moments, c))
-        n = _rotate(omega, a, _half_angle(omega))
-        rates = rates + weight * (_dot(fields[:, j], n) - shift * n[2])
-    return 0.5 * tau[..., None] * rates
-
-
 def _slices(size: int, members: int) -> list:
     """Consecutive slices of ``size`` items, each under _CHUNK with ``members`` vectors."""
     step = max(1, _CHUNK // members)
@@ -172,13 +192,16 @@ class MagnusSolution:
     sample keeps the scheme's order.  A time on a step boundary belongs to
     the step that starts there (a knot takes the state the solver restarted
     from), the last time to the last step.  :meth:`spin` gives the vectors
-    and B + G alone, without B's quadrature.
+    and B + G alone, without B.  ``settled`` is the smallest tolerance down
+    to which :func:`magnus` takes these same steps: the largest error
+    estimate of its steps, or its own tolerance if it rejected any.
     """
 
-    def __init__(self, field, shift, times, states, nfev):
+    def __init__(self, field, shift, times, states, nfev, settled):
         self.times = times
         self.states = states
         self.nfev = nfev
+        self.settled = settled
         self._field = field
         self._shift = shift
 
@@ -209,7 +232,10 @@ class MagnusSolution:
         tau = t - start
         fields = self._field(start + np.multiply.outer(_GAUSS, tau))  # (3, 3 nodes, n, M)
         moments = _moments(fields, tau[:, None])
-        omega = _exponent(*moments)
+        if dynamical:
+            moments = _lift(moments, tau[:, None], self._shift)
+        exponent = _exponent(*moments)
+        omega = exponent[:3]
         half = _half_angle(omega)
         vectors = state[:, : 3 * members].reshape(-1, 3, members)
         a = np.ascontiguousarray(vectors.transpose(1, 0, 2))  # (3, n, M)
@@ -218,33 +244,35 @@ class MagnusSolution:
         b_then, g_then = np.split(state[:, 3 * members :], 2, axis=1)
         if not dynamical:
             return np.hstack([b, b_then + g_then + total])
-        db = _dynamical_phase(fields, tau, moments, a, self._shift)
+        db = _dot(_dynamical_row(exponent, half), a)
         return np.hstack([b, b_then + db, g_then + (total - db)])
 
 
 def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusSolution:
     """Integrate dn/dt = A(t) x n for M unit vectors over ``window`` (t0 < t1)
-    by the sixth-order Magnus scheme, restarted at every kink.
+    by the sixth-order Magnus scheme, restarted at every kink, with the
+    dynamical phases B alongside.
 
     ``field(t)`` maps an array of times of any shape S to the generators A,
     (3,) + S + (M,), component first; ``vectors`` is the (3, M) start;
     ``shift`` (M,) is the rate at which each vector's frame turns about z,
     which the solution's phases correct for (:class:`MagnusSolution`).  Each
     candidate step is taken whole and as two halves (nine evaluations); the
-    halves are kept when the largest difference of the two rotations over
-    the members, over 2^6 - 1 (Richardson's estimate of the halves' error),
-    is within ``tol``, and a rejected step is split by its estimate into 2
-    to 16 pieces that the next round tries, all of a round's candidates in
-    vectorized passes.  The first candidate of each segment between kinks
-    is the whole segment: a generator constant in time is integrated exactly
-    in one candidate.  A piece under ten float spacings of its start raises
-    ``failure(message, time)`` at that start.
+    halves are kept when the largest difference of the two, over the
+    members, in the rotation or in B's increment from any unit vector, over
+    2^6 - 1 (Richardson's estimate of the halves' error), is within ``tol``,
+    and a rejected step is split by its estimate into 2 to 16 pieces that
+    the next round tries, all of a round's candidates in vectorized passes.
+    The first candidate of each segment between kinks is the whole segment:
+    a generator constant in time is integrated exactly in one candidate.  A
+    piece under ten float spacings of its start raises ``failure(message,
+    time)`` at that start.
     """
     t0, t1 = float(window[0]), float(window[1])
     members = len(shift)
     edges = np.concatenate([[t0], kinks, [t1]])
     starts, ends = edges[:-1], edges[1:]
-    kept, nfev = [], 0
+    kept, nfev, settled = [], 0, 0.0
     batch = max(1, _CHUNK // (9 * members))  # candidates per vectorized pass
     while starts.size:
         now, last = starts[:batch], ends[:batch]
@@ -254,16 +282,24 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
         taus = rights - lefts  # (3 pieces: the whole and its halves, K)
         fields = field(lefts + np.multiply.outer(_GAUSS, taus))  # (3, 3 nodes, 3, K, M)
         nfev += 3 * taus.size
-        moments = _moments(fields, taus[..., None])
-        omegas = _exponent(*moments)
+        moments = _lift(_moments(fields, taus[..., None]), taus[..., None], shift)
+        exponents = _exponent(*moments)  # (6, 3, K, M)
+        omegas = exponents[:3]
         cos_half, ratio = _half_angle(omegas)
+        rows = _dynamical_row(exponents, (cos_half, ratio))
         q = np.concatenate([cos_half[None], ratio * omegas])  # (4, 3, K, M) quaternions
         gap = _compose(q[:, 2], q[:, 1]) - q[:, 0]
-        errors = 2.0 * np.sqrt(np.max(np.sum(gap * gap, axis=0), axis=-1)) / _RICHARDSON
+        # B over the halves from n is u1.n + u2.R1 n = (u1 + R1^T u2).n
+        back = _rotate(-omegas[:, 1], rows[:, 2], (cos_half[1], ratio[1]))
+        drift = rows[:, 1] + back - rows[:, 0]
+        spread = np.maximum(4.0 * np.sum(gap * gap, axis=0), _dot(drift, drift))
+        errors = np.sqrt(np.max(spread, axis=-1)) / _RICHARDSON
         ok = errors <= tol
-        kept.append((lefts[1:, ok], taus[1:, ok], fields[:, :, 1:, ok], omegas[:, 1:, ok]))
+        kept.append((lefts[1:, ok], taus[1:, ok], omegas[:, 1:, ok], rows[:, 1:, ok]))
         if ok.all():
+            settled = max(settled, float(errors.max()))
             continue
+        settled = tol
         bad = ~ok
         excess = np.minimum(np.nan_to_num(errors[bad] / tol, nan=np.inf), _MOST_PIECES**7.0)
         pieces = np.clip(np.ceil(excess ** (1 / 7) / _SAFETY), 2, _MOST_PIECES).astype(int)
@@ -281,9 +317,10 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     order = np.argsort(lefts, kind="stable")
     lefts = lefts[order]
     taus = np.concatenate([piece[1].ravel() for piece in kept])[order]
-    fields = np.concatenate([piece[2].reshape(3, 3, -1, members) for piece in kept], axis=2)
-    omegas = np.concatenate([piece[3].reshape(3, -1, members) for piece in kept], axis=1)
-    fields, omegas = fields[:, :, order], omegas[:, order]
+    omegas, rows = (
+        np.concatenate([piece[i].reshape(3, -1, members) for piece in kept], axis=1)[:, order]
+        for i in (2, 3)
+    )
     steps = lefts.size
     chain = np.empty((steps + 1, members, 3, 1))  # the vectors at the boundaries
     chain[0, :, :, 0] = np.transpose(vectors)
@@ -291,14 +328,12 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     for i in range(steps):
         np.matmul(rotations[i], chain[i], out=chain[i + 1])
     chain = chain[..., 0].transpose(2, 0, 1)  # (3, steps + 1, M)
+    a = chain[:, :-1]
     phases = np.zeros((2, steps + 1, members))
-    for part in _slices(steps, members):
-        a, omega = chain[:, :-1][:, part], omegas[:, part]
-        moments = _moments(fields[:, :, part], taus[part, None])
-        db = _dynamical_phase(fields[:, :, part], taus[part], moments, a, shift)
-        total = _total_phase(taus[part], omega, _half_angle(omega), a, shift)
-        phases[0, 1:][part], phases[1, 1:][part] = db, total - db
+    phases[0, 1:] = _dot(rows, a)
+    phases[1, 1:] = _total_phase(taus, omegas, _half_angle(omegas), a, shift) - phases[0, 1:]
     np.cumsum(phases, axis=1, out=phases)
     vectors_out = chain.transpose(1, 0, 2).reshape(steps + 1, 3 * members)
     states = np.concatenate([vectors_out, phases[0], phases[1]], axis=1)
-    return MagnusSolution(field, np.asarray(shift, dtype=float), np.append(lefts, t1), states, nfev)
+    shift = np.asarray(shift, dtype=float)
+    return MagnusSolution(field, shift, np.append(lefts, t1), states, nfev, settled)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +208,7 @@ def test_residual_decreases_with_rtol():
         k=3,
     )
     residuals = []
-    for rtol in (1e-6, 5e-7, 2.5e-7):
+    for rtol in (1e-6, 4e-7, 1.6e-7):
         traj = solve_aux(
             AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, LAM6, rtol=rtol, certify=False
         )
@@ -410,17 +411,28 @@ DRIVEN = ModelParams(
 )
 
 
-def test_driven_phases_match_a_tight_reference_solve():
-    # the benchmark's driven family (m = 2 and 10) at the default rtol, in
-    # its drive frame, against DOP853 at rtol 1e-13 on the lab-frame rates
-    # of the vector, B and G, integrated through G' as printed
+# a coupling that turns at a constant rate, started off its fixed point: the
+# drive frame makes h' constant, but n'_z swings about it at |2 h'| ~ 1
+LINEAR_PHASE = replace(constant_params(1.0, 3.0, 0.05), g_phase=TimeProfile.linear(0.0, -1.0))
+
+
+@pytest.mark.parametrize(
+    "params,t_final",
+    [pytest.param(DRIVEN, 10.0, id="driven"), pytest.param(LINEAR_PHASE, 20.0, id="linear-phase")],
+)
+def test_driven_phases_match_a_tight_reference_solve(params, t_final):
+    # the benchmark's driven family, and a linear coupling phase, m = 2 and
+    # 10, at the default rtol, in their drive frames, against DOP853 at
+    # rtol 1e-13 on the lab-frame rates of the vector, B and G, integrated
+    # through G' as printed
     from scipy.integrate import solve_ivp
 
     lams = [lambda_value(m, 3) for m in (2, 10)]
-    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), [DRIVEN] * 2, lams)
+    window = (0.0, t_final)
+    family = _solve_family(AuxState(math.pi / 3, 0.0), window, [params] * 2, lams)
 
     def rhs(t, state):
-        omega, omega0, g = DRIVEN.evaluate(t)
+        omega, omega0, g = params.evaluate(t)
         n, b_g = state.reshape(2, 5)[:, :3], []
         for (x, y, z), lam in zip(n, lams):
             hx, hy, hz = math.sqrt(lam) * g.real, math.sqrt(lam) * g.imag, 0.5 * (omega0 - 3 * omega)
@@ -430,8 +442,8 @@ def test_driven_phases_match_a_tight_reference_solve():
         return np.ravel(b_g)
 
     n0 = [-math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3), 0.0, 0.0]
-    times = np.linspace(0.0, 10.0, 201)
-    ref = solve_ivp(rhs, (0.0, 10.0), n0 * 2, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
+    times = np.linspace(*window, 201)
+    ref = solve_ivp(rhs, window, n0 * 2, method="DOP853", rtol=1e-13, atol=1e-15, t_eval=times)
     ref = ref.y.reshape(2, 5, -1)
     angles, b, g = family_sample(family)(times)
     theta, phi = angles.theta, angles.phi
@@ -531,20 +543,47 @@ def test_solver_stats_record_grid_size_and_cap(params, lam, n_samples, capped):
 CAPPED = constant_params(1.0, 3.0, 3.0)
 
 
-def test_certification_error_names_the_sample_cap(monkeypatch):
-    # the first refinement lowers the residual by less than a factor of 2:
-    # the grid, not the ODE, holds it up, so the error comes after 2 passes
+def _count_passes(monkeypatch):
+    """The solver tolerance of each angle integration, as it is made."""
     passes = []
     real = auxiliary.magnus
 
     def counting(*args, **kwargs):
-        passes.append(args[4])  # the solver tolerance
+        passes.append(args[4])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(auxiliary, "magnus", counting)
+    return passes
+
+
+def test_certification_error_names_the_sample_cap(monkeypatch):
+    # CAPPED with a slow sweep of the detuning, which the integration does
+    # not take exactly: the first refinement lowers the residual by less
+    # than a factor of 2, the grid, not the ODE, holds it up, so the error
+    # comes after 2 passes
+    swept = replace(CAPPED, omega0=TimeProfile.sinusoid(3.0, 1e-3, 0.5))
+    passes = _count_passes(monkeypatch)
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
-        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), CAPPED, 1716)
+        solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), swept, 1716)
     assert len(passes) == 2 and passes[1] == passes[0] / 16
+
+
+@pytest.mark.parametrize(
+    "window,params,lam",
+    [
+        pytest.param((0.0, 10.0), CAPPED, 1716, id="capped-grid"),
+        pytest.param((0.0, 1e-9), constant_params(1.0, 3.0, 0.05), 60, id="short-window"),
+    ],
+)
+def test_an_exact_integration_is_not_refined(window, params, lam, monkeypatch):
+    # a constant drive is integrated exactly, so a tighter pass would take
+    # the same steps and give the same residual: a solve that fails its
+    # certificate fails after one integration (the short window's residual
+    # is the grid's rounding)
+    passes = _count_passes(monkeypatch)
+    with pytest.raises(CertificationError):
+        solve_aux(AuxState(math.pi / 3, 0.0), window, params, lam)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize(

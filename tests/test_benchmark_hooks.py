@@ -137,10 +137,10 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
 
 # Upper bounds on the profile evaluations of each workload's angle solve at
 # seed 0, summed over its integrations: the measured counts (resonant 9,
-# coherent-xi1 9, berry-sweep 9, driven 2430) with a little slack, so that a
+# coherent-xi1 9, berry-sweep 9, driven 2673) with a little slack, so that a
 # change of the step control shows here and not only in timings.  DOP853
 # took 1100, 1814, 152 and 3638 right-hand-side calls.
-ANGLE_WORK = {"resonant": 12, "coherent-xi1": 12, "berry-sweep": 12, "driven": 2600}
+ANGLE_WORK = {"resonant": 12, "coherent-xi1": 12, "berry-sweep": 12, "driven": 2850}
 
 
 def test_seed_0_angle_solves_stay_within_their_work_counts(

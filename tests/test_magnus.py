@@ -14,10 +14,11 @@ def _spinor(n):
 
 
 def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate():
-    # three vectors turning 22 to 45 times about fixed axes: the one
-    # candidate (the whole window and its two halves, nine evaluations) is
-    # exact, at every time; B is (A.a / 2) t, and B + G is the phase of the
-    # spin-1/2 lift exp(-i t A.sigma / 2), by brute force
+    # three vectors turning 22 to 45 times about fixed axes, in frames that
+    # turn about z: the one candidate (the whole window and its two halves,
+    # nine evaluations) is exact, at every time.  B is the integral of
+    # (A.n - shift n_z) / 2, in closed form, and B + G is the phase of the
+    # spin-1/2 lift exp(-i t A.sigma / 2), by brute force, less shift t / 2
     from scipy.linalg import expm
 
     rng = np.random.default_rng(3)
@@ -28,7 +29,7 @@ def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate():
     def field(t):
         return np.broadcast_to(generators.reshape(3, *(1,) * np.ndim(t), 3), (3, *np.shape(t), 3))
 
-    shift = np.zeros(3)  # the lab frame
+    shift = rng.normal(size=3) * 10.0
     sol = magnus.magnus(field, (0.0, 7.0), vectors, np.empty(0), 1e-12, RuntimeError, shift)
     assert sol.times.tolist() == [0.0, 3.5, 7.0] and sol.nfev == 9
     times = np.linspace(0.0, 7.0, 57)
@@ -42,9 +43,11 @@ def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate():
             c, s = math.cos(rate * t), math.sin(rate * t)
             exact = a * c + np.cross(axis, a) * s + axis * (axis @ a) * (1 - c)
             assert np.max(np.abs(n - exact)) < 1e-12
-            assert abs(state[9 + j] - 0.5 * (h @ a) * t) < 1e-11
+            # the integral of n from 0 to t
+            mean = (a * s + np.cross(axis, a) * (1 - c)) / rate + axis * (axis @ a) * (t - s / rate)
+            assert abs(state[9 + j] - 0.5 * (h @ a) * t + 0.5 * shift[j] * mean[2]) < 1e-11
             lift = expm(-0.5j * t * sum(hk * sk for hk, sk in zip(h, sigma)))
-            phase = -np.angle(np.vdot(_spinor(exact), lift @ _spinor(a)))
+            phase = -np.angle(np.vdot(_spinor(exact), lift @ _spinor(a))) - 0.5 * shift[j] * t
             total = state[9 + j] + state[12 + j]
             assert abs((total - phase + math.pi) % (2 * math.pi) - math.pi) < 1e-10
 
