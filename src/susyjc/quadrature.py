@@ -328,7 +328,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step, from a NaN state, stops too
                 message = _TOO_SMALL_STEP
                 break
             t_new = t + h_abs * direction

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from susyjc import cli
+from susyjc import TimeProfile, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,7 +59,15 @@ def test_seed_0_workloads_pass_the_benchmark_gate(perfbench, checks, tmp_path, c
         assert checks.check_run(prepared, code, stdout, out_dir, reference, None) == [], name
 
 
-@pytest.mark.parametrize("config", ["configs/resonant.ini", "perfbench/configs/driven.ini"])
+# the oracle propagates constant profiles exactly, with no right-hand side:
+# resonant.ini's omega0 swings here, 3 + 0.1 sin(0.3 t), so that it integrates
+SWINGS = {
+    "configs/resonant.ini": {"omega0": TimeProfile.sinusoid(3.0, 0.1, 0.3)},
+    "perfbench/configs/driven.ini": {},
+}
+
+
+@pytest.mark.parametrize("config", list(SWINGS))
 def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypatch):
     # the tracer wraps ModelParams.evaluate on the class: it counts
     # profiles.evaluate.calls there and infers schrodinger.rhs_evals from the
@@ -74,6 +82,7 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
     from susyjc import EXCITED, AuxState, ModelParams, SubspaceBlock, auxiliary, propagate
 
     cfg = cli.load_config(str(ROOT / config))
+    cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, **SWINGS[config]))
     window = (0.0, cfg.t_final)
     m = cfg.m_list[0]
     scalar_calls, evaluations = [], []
@@ -92,6 +101,7 @@ def test_each_right_hand_side_call_evaluates_the_profiles_once(config, monkeypat
     oracle = propagate(
         psi0, window, cfg.params, cfg.spec, cfg.oracle_rtol, cfg.oracle_atol, max_norm_drift=1e-8
     )
+    assert oracle.n_rhs_evaluations > 0
     assert len(scalar_calls) == oracle.n_rhs_evaluations + 1
 
     fields, stepping = [], []  # (evaluate calls, node times) per generator call

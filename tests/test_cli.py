@@ -45,6 +45,13 @@ enabled = true
 max_infidelity = 1e-6
 """
 
+# BASE with omega0 = 3 + 0.1 sin(0.3 t): H depends on time, so the oracle
+# integrates it with DOP853 (constant profiles it propagates exactly)
+SWINGING = BASE.replace(
+    "omega0.kind = constant\nomega0.value = 3.0\n",
+    "omega0.kind = sinusoid\nomega0.offset = 3.0\nomega0.amplitude = 0.1\nomega0.frequency = 0.3\n",
+)
+
 BERRY = """\
 [space]
 k = 3
@@ -771,7 +778,7 @@ def test_propagate_makes_one_oracle_call_for_every_block_and_sigma(tmp_path, mon
 def test_a_drifting_oracle_column_is_named_by_block_and_sigma(tmp_path, capsys):
     # at a loose oracle rtol the worst column's drift rejects the whole run,
     # and the message turns the column into its (m, sigma)
-    cfg = BASE.replace("m = 0", "m = 0, 1") + "rtol = 1e-4\n"
+    cfg = SWINGING.replace("m = 0", "m = 0, 1") + "rtol = 1e-4\n"
     code = main(["propagate", "--config", write(tmp_path, cfg), "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 1
@@ -826,14 +833,16 @@ def test_a_stopped_angle_integration_is_a_singularity_at_the_time_reached(
 def test_a_stopped_oracle_integration_names_no_column(tmp_path, capsys, monkeypatch):
     # the oracle's stop belongs to no one column, so propagate passes it on
     # as it is, with the time it stopped at; the angle solve runs unstopped
-    from susyjc import FockSpaceSpec, PropagationError, constant_params, propagate
+    from susyjc import FockSpaceSpec, PropagationError, propagate
 
     _stop_at_midpoint(monkeypatch)
     spec = FockSpaceSpec(cutoff=32, k=3)
+    cfg = write(tmp_path, SWINGING)
+    params = load_config(cfg).params
     with pytest.raises(PropagationError, match="^integration failed: forced stop$") as info:
-        propagate(spec.basis_state(0, 0), (0.0, 8.0), constant_params(1.0, 3.0, 0.05), spec)
+        propagate(spec.basis_state(0, 0), (0.0, 8.0), params, spec)
     assert info.value.column is None and info.value.time == 4.0
-    code = main(["propagate", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o")])
+    code = main(["propagate", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
     assert "verification failure at t=4: integration failed: forced stop\n" in err

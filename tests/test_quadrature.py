@@ -19,7 +19,6 @@ from susyjc import (
     ModelParams,
     SubspaceBlock,
     TimeProfile,
-    constant_params,
     embed_state,
     lambda_value,
     propagate,
@@ -294,7 +293,18 @@ def _captured_runs(monkeypatch, solve):
     return runs
 
 
-def _stacked_oracle(window, params=constant_params(1.0, 3.0, 0.05)):
+# the acceptance suite's sinusoidal omega0: smooth and time-dependent, so the
+# oracle integrates it in one segment (constant profiles it does not integrate)
+SINUSOIDAL = ModelParams(
+    omega=TimeProfile.constant(1.0),
+    omega0=TimeProfile.sinusoid(3.0, 0.1, 0.3),
+    g_mod=TimeProfile.constant(0.05),
+    g_phase=TimeProfile.constant(0.0),
+    k=3,
+)
+
+
+def _stacked_oracle(window, params=SINUSOIDAL):
     spec = FockSpaceSpec(cutoff=16, k=3, guard=3)
     turn = [math.cos(0.4), math.sin(0.4) * 1j]
     stack = np.array([embed_state(SubspaceBlock.for_space(spec, m), turn) for m in (0, 1, 2)])
@@ -375,6 +385,15 @@ def test_dop853_stops_where_scipy_does_when_the_solution_blows_up():
     assert ours.message == ref.message == "Required step size is less than spacing between numbers."
     assert ours.times[-1] == 1.0000000000082259 and ours.times.size == 270
     assert np.array_equal(ours.times, ref.t) and ours.nfev == ref.nfev
+
+
+def test_dop853_stops_on_a_nan_state():
+    # a NaN state gives a NaN step size, which compares False with the step
+    # floor, so only a floor test that catches NaN ends the run: it stops at
+    # once with the floor's message, where it started
+    ours = dop853(lambda t, y: -y, (0.0, 1.0), np.array([1.0, math.nan]), 1e-8, 1e-10)
+    assert ours.message == "Required step size is less than spacing between numbers."
+    assert ours.times.tolist() == [0.0]
 
 
 def test_a_failed_segment_raises_the_callers_failure_at_the_time_reached(monkeypatch):

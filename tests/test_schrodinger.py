@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -10,8 +11,10 @@ from susyjc import (
     ConfigurationError,
     EXCITED,
     FockSpaceSpec,
+    ModelParams,
     PropagationError,
     SubspaceBlock,
+    TimeProfile,
     build_generators,
     constant_params,
     embed_state,
@@ -24,6 +27,31 @@ from susyjc.evolution import invariant_operator
 from susyjc.quadrature import RTOL_FLOOR
 
 SPEC = FockSpaceSpec(cutoff=32, k=3)
+
+
+def _swinging(omega0, g_phase=0.0):
+    """constant_params(1.0, omega0, 0.05, g_phase) but for a coupling modulus
+    that swings by 0.01 at frequency 0.3: H depends on time, so the oracle
+    integrates it (constant profiles it propagates exactly), and w and w0
+    stay constant, so an unlinked level stands still in its frame."""
+    return ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(omega0),
+        g_mod=TimeProfile.sinusoid(0.05, 0.01, 0.3),
+        g_phase=TimeProfile.constant(g_phase),
+        k=3,
+    )
+
+
+# the acceptance suite's sinusoidal-omega0 scenario: resonant.ini's profiles
+# but for omega0 = 3 + 0.1 sin(0.3 t), which the oracle integrates
+SINUSOIDAL_OMEGA0 = ModelParams(
+    omega=TimeProfile.constant(1.0),
+    omega0=TimeProfile.sinusoid(3.0, 0.1, 0.3),
+    g_mod=TimeProfile.constant(0.05),
+    g_phase=TimeProfile.constant(0.0),
+    k=3,
+)
 
 
 def test_decoupled_evolution_is_a_phase():
@@ -67,7 +95,7 @@ def test_initial_state_validation():
 
 
 def test_norm_drift_rejection():
-    params = constant_params(1.0, 2.8, 0.05)
+    params = _swinging(2.8)
     block = SubspaceBlock.for_space(SPEC, 0)
     psi0 = embed_state(block, [1.0, 0.0])
     with pytest.raises(PropagationError, match="norm drift"):
@@ -92,15 +120,32 @@ def test_t_eval_outside_the_window_is_rejected_naming_the_first_time(late):
 @pytest.mark.xfail(
     strict=True,
     raises=PropagationError,
-    reason="the dense output's interpolation error on 3.3-unit steps exceeds MAX_NORM_DRIFT",
+    reason="the dense output's interpolation error on long steps exceeds MAX_NORM_DRIFT",
 )
 def test_a_lone_basis_state_stays_within_the_default_norm_drift():
     # configs/resonant.ini's profiles and space at the oracle's default
-    # tolerances: the interaction frame barely moves a lone basis state, so
-    # DOP853 takes 9 steps over [0, 20]; the norm drifts 1.43e-11 at the step
-    # ends but 1.067e-9 at the 401 dense samples, past the 1e-9 bound
-    params = constant_params(1.0, 3.0, 0.05)
+    # tolerances, but for a coupling modulus that swings by 1e-4, so that
+    # DOP853 integrates it: the interaction frame barely moves a lone basis
+    # state, so DOP853 takes 9 steps over [0, 20], and the norm drifts
+    # 1.073e-9 at the 401 dense samples, past the 1e-9 bound
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.constant(3.0),
+        g_mod=TimeProfile.sinusoid(0.05, 1e-4, 0.1),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
     propagate(SPEC.basis_state(EXCITED, 0), (0.0, 20.0), params, SPEC, 1e-10, 1e-12)
+
+
+def test_a_lone_basis_state_under_constant_profiles_keeps_its_norm():
+    # the same state under configs/resonant.ini's constant profiles: each
+    # sample is the exact Rabi rotation of its link, so no step is taken and
+    # the norm holds to rounding at all 401 samples
+    params = constant_params(1.0, 3.0, 0.05)
+    result = propagate(SPEC.basis_state(EXCITED, 0), (0.0, 20.0), params, SPEC, 1e-10, 1e-12)
+    assert result.n_steps == result.n_rhs_evaluations == 0
+    assert result.norm_drift < 1e-14
 
 
 def test_fidelity_cases():
@@ -168,8 +213,6 @@ def test_invariant_expectation_drift_rejects_an_operator_of_another_dimension():
 
 def test_table_profile_keeps_drift_budget():
     # kinks in H(t) must not degrade the run past the rejection threshold
-    from susyjc import ModelParams, TimeProfile
-
     knots = np.linspace(0.0, 20.0, 11)
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
@@ -186,8 +229,8 @@ def test_table_profile_keeps_drift_budget():
 
 
 def test_refining_tolerance_improves_decoupled_phase():
-    # constant profiles, g = 0: the rotating frame removes the whole phase,
-    # so the oracle is exact at any tolerance
+    # constant profiles, g = 0: the oracle applies the free phase exactly,
+    # at any tolerance
     psi0 = SPEC.basis_state(EXCITED, 1)
     for rtol in (1e-6, 5e-7):
         result = propagate(
@@ -199,8 +242,6 @@ def test_refining_tolerance_improves_decoupled_phase():
 
     # an omega0 ramp leaves the phase -i b t^2 / 4 to integrate; its closed
     # form is exp(-i (m w t + (a t + b t^2 / 2) / 2)) for omega0 = a + b t
-    from susyjc import ModelParams, TimeProfile
-
     a, b = 3.0, 0.05
     params = ModelParams(
         omega=TimeProfile.constant(1.0),
@@ -245,7 +286,7 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
     # its Q partner; it must act exactly like the dense matrix, truncated
     # top photon levels included, on one state and on a stack, and with
     # -i folded into the coefficients as the oracle's right-hand side does
-    from susyjc import ModelParams, TimeProfile, build_hamiltonian
+    from susyjc import build_hamiltonian
     from susyjc.fock import build_generators
     from susyjc.schrodinger import _apply_hamiltonian, _Structure
 
@@ -306,8 +347,10 @@ def _superposition(spec, ms, seed):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_oracle_matches_matrix_exponential_for_constant_coupled_h(k):
-    # detuned (k w != w0) and complex g, so the Q links carry a phase in the
-    # rotating frame; the window starts at t0 != 0, so tau = t - t0 counts
+    # detuned (k w != w0) and complex g, so each link's rotation is tilted
+    # and carries g's phase; the window starts at t0 != 0, so tau = t - t0
+    # counts, and runs either way.  Constant profiles are propagated
+    # exactly, so only rounding separates the two
     from scipy.linalg import expm
 
     from susyjc import build_hamiltonian
@@ -316,11 +359,37 @@ def test_oracle_matches_matrix_exponential_for_constant_coupled_h(k):
     params = constant_params(1.0, k * 1.0 - 0.2, 0.07, g_phase=0.6, k=k)
     psi0 = _superposition(spec, range(4), seed=k)
     h = build_hamiltonian(spec, params, 0.0)
-    t0, t1 = 1.5, 21.5
-    ts = np.linspace(t0, t1, 9)
-    result = propagate(psi0, (t0, t1), params, spec, t_eval=ts)
-    for t, psi in zip(ts, result.states):
-        assert np.max(np.abs(psi - expm(-1j * h * (t - t0)) @ psi0)) < 1e-8, (k, t)
+    for t0, t1 in [(1.5, 21.5), (21.5, 1.5)]:
+        ts = np.linspace(t0, t1, 9)
+        result = propagate(psi0, (t0, t1), params, spec, t_eval=ts)
+        assert result.n_steps == result.n_rhs_evaluations == 0
+        for t, psi in zip(ts, result.states):
+            assert np.max(np.abs(psi - expm(-1j * h * (t - t0)) @ psi0)) < 1e-12, (k, t0, t)
+
+
+@pytest.mark.parametrize(
+    "swing",
+    [
+        pytest.param(("g_mod", TimeProfile.sinusoid(0.07, 0.0, 0.3)), id="zero-amplitude-sinusoid"),
+        pytest.param(("g_phase", TimeProfile.linear(0.6, 0.0)), id="zero-slope-linear-phase"),
+    ],
+)
+def test_a_time_dependent_kind_with_constant_values_is_integrated(swing):
+    # the exact path is taken on the profiles' kind, not on their values:
+    # a drive that only happens to stay constant goes to DOP853, and agrees
+    # with the constant kind's exact rotation within the oracle's own bound
+    from susyjc.schrodinger import MAX_AMPLITUDE_ERROR
+
+    spec = FockSpaceSpec(cutoff=14, k=3)
+    exact = constant_params(1.0, 2.8, 0.07, g_phase=0.6)
+    name, profile = swing
+    integrated = dataclasses.replace(exact, **{name: profile})
+    psi0 = _superposition(spec, range(4), seed=3)
+    ts = np.linspace(1.5, 21.5, 41)
+    want = propagate(psi0, (1.5, 21.5), exact, spec, t_eval=ts)
+    got = propagate(psi0, (1.5, 21.5), integrated, spec, t_eval=ts)
+    assert want.n_rhs_evaluations == 0 < got.n_rhs_evaluations
+    assert np.max(np.abs(got.states - want.states)) < MAX_AMPLITUDE_ERROR
 
 
 @pytest.mark.parametrize("window", [(0.5, 10.0), (9.5, 0.0)], ids=["forward", "backward"])
@@ -330,7 +399,7 @@ def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
     # with H(t) assembled from the operator builders' matrices
     from scipy.integrate import solve_ivp
 
-    from susyjc import ModelParams, TimeProfile, build_ladder
+    from susyjc import build_ladder
 
     spec = FockSpaceSpec(cutoff=16, k=3)
     knots = [0.0, 2.5, 5.0, 7.5, 10.0]
@@ -372,12 +441,14 @@ def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
 
 
 def test_oracle_work_budget_on_the_resonant_block():
-    # resonant.ini's m = 2, sigma = +1 run at its rtol; in the lab frame the
-    # solver followed the free phases and needed 2522 right-hand sides
+    # resonant.ini's m = 2, sigma = +1 run at its rtol, with the acceptance
+    # suite's sinusoidal omega0 (3 + 0.1 sin 0.3 t), which DOP853 integrates
+    # in 374 right-hand sides; in the lab frame the solver followed the free
+    # phases and needed 2522 on the constant profiles
     from susyjc.evolution import ExactSolution
 
     spec = FockSpaceSpec(cutoff=32, k=3, guard=3)
-    params = constant_params(1.0, 3.0, 0.05)
+    params = SINUSOIDAL_OMEGA0
     block = SubspaceBlock.for_space(spec, 2)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, block.lam, rtol=1e-10)
     psi0 = ExactSolution(block, +1, traj).state_at(0.0)
@@ -388,7 +459,9 @@ def test_oracle_work_budget_on_the_resonant_block():
 
 def _resonant_runs():
     """resonant.ini's six exact initial states, (m, sigma) for m = 0, 1, 2 and
-    sigma = +1, -1, in the order the CLI stacks them."""
+    sigma = +1, -1, in the order the CLI stacks them, and the drive that the
+    oracle propagates them under: ``SINUSOIDAL_OMEGA0``, which it integrates
+    (resonant.ini's constant profiles it propagates exactly)."""
     from susyjc.evolution import ExactSolution
 
     spec = FockSpaceSpec(cutoff=32, k=3, guard=3)
@@ -398,32 +471,33 @@ def _resonant_runs():
         block = SubspaceBlock.for_space(spec, m)
         traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 20.0), params, block.lam, rtol=1e-10)
         states += [ExactSolution(block, sigma, traj).state_at(0.0) for sigma in (+1, -1)]
-    return spec, params, np.array(states)
+    return spec, SINUSOIDAL_OMEGA0, np.array(states)
 
 
 def test_a_one_row_stack_is_the_single_state_call():
-    # one state is the R = 1 case of the stacked code, bit for bit
-    params = constant_params(1.0, 2.8, 0.05, g_phase=0.4)
+    # one state is the R = 1 case of the stacked code, bit for bit, whether
+    # it is propagated exactly or integrated
     block = SubspaceBlock.for_space(SPEC, 1)
     psi0 = embed_state(block, [1 / math.sqrt(2), 1j / math.sqrt(2)])
     ts = np.linspace(0.0, 20.0, 41)
-    one = propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=ts)
-    stack = propagate(psi0[None, :], (0.0, 20.0), params, SPEC, t_eval=ts)
-    assert one.states.shape == (41, SPEC.dim) and stack.states.shape == (1, 41, SPEC.dim)
-    assert np.array_equal(stack.states[0], one.states)
-    assert (stack.norm_drift, stack.nprime_drift) == (one.norm_drift, one.nprime_drift)
-    assert (stack.n_steps, stack.n_rhs_evaluations) == (one.n_steps, one.n_rhs_evaluations)
+    for params in (constant_params(1.0, 2.8, 0.05, g_phase=0.4), _swinging(2.8, g_phase=0.4)):
+        one = propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=ts)
+        stack = propagate(psi0[None, :], (0.0, 20.0), params, SPEC, t_eval=ts)
+        assert one.states.shape == (41, SPEC.dim) and stack.states.shape == (1, 41, SPEC.dim)
+        assert np.array_equal(stack.states[0], one.states)
+        assert (stack.norm_drift, stack.nprime_drift) == (one.norm_drift, one.nprime_drift)
+        assert (stack.n_steps, stack.n_rhs_evaluations) == (one.n_steps, one.n_rhs_evaluations)
 
 
 def test_stacked_columns_match_their_solo_runs():
-    # resonant.ini's six oracle runs as one solve at rtol / sqrt(12): each
-    # column agrees with its solo run, and drifts well inside the 1e-9 bound
-    # that the solo runs came within 2 % of
+    # resonant.ini's six oracle runs, on the sinusoidal omega0, as one solve
+    # at rtol / sqrt(12): each column agrees with its solo run, and drifts
+    # inside the 1e-9 bound, as the solo runs do (6.8e-10 at worst)
     spec, params, initial = _resonant_runs()
     ts = np.linspace(0.0, 20.0, 201)
     stack = propagate(initial, (0.0, 20.0), params, spec, t_eval=ts)
     assert stack.states.shape == (6, 201, spec.dim)
-    assert stack.n_rhs_evaluations <= 400  # the six solo runs take 1392
+    assert stack.n_rhs_evaluations <= 400  # the six solo runs take 1884
     drifts = np.max(np.abs(np.linalg.norm(stack.states, axis=-1) - 1.0), axis=-1)
     assert np.max(drifts) == stack.norm_drift <= 6e-10
     for psi0, states in zip(initial, stack.states):
@@ -440,6 +514,51 @@ def test_a_tight_stack_stays_above_the_solver_floor(rtol):
     assert result.norm_drift < 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_row_is_named_before_any_propagation(bad):
+    # NaN compares False with any bound, so the normalization test alone lets
+    # a NaN amplitude through, after which DOP853 would never finish and the
+    # exact path would return NaN states.  Under both kinds of drive it is a
+    # ConfigurationError naming the row
+    good = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    broken = good.copy()
+    broken[3] = bad
+    for params in (constant_params(1.0, 3.0, 0.05), _swinging(3.0)):
+        message = "initial state row 1 has a non-finite amplitude"
+        with pytest.raises(ConfigurationError, match=message):
+            propagate(np.array([good, broken]), (0.0, 1.0), params, SPEC)
+        with pytest.raises(ConfigurationError, match="^initial state has a non-finite"):
+            propagate(broken, (0.0, 1.0), params, SPEC)
+
+
+@pytest.mark.parametrize("what,bound", [("norm drift", 1e-9), ("guard-band amplitude", 1e-8)])
+def test_a_nan_column_fails_the_drift_and_leakage_rejections(what, bound):
+    # NaN > bound is False, so a check written that way lets a NaN drift or
+    # leakage through; NaN is rejected as the worst column's value, ahead of
+    # a finite excess
+    from susyjc.schrodinger import _reject_above
+
+    values = np.array([0.0, 2 * bound, math.nan])
+    message = f"^run rejected: {what} nan in column 2 exceeds {bound:g}$"
+    with pytest.raises(PropagationError, match=message) as exc:
+        _reject_above(what, values, bound, True)
+    assert exc.value.column == 2
+    with pytest.raises(PropagationError, match=rf"^run rejected: {what} nan exceeds"):
+        _reject_above(what, values[2:], bound, False)
+    _reject_above(what, np.array([0.0, bound]), bound, True)  # at the bound passes
+
+
+def test_nan_states_are_rejected_by_the_norm_drift_check(monkeypatch):
+    # the exact rotation of a finite state is finite, but should it give NaN
+    # (an overflowing phase), the run is rejected, not returned
+    from susyjc import schrodinger
+
+    monkeypatch.setattr(schrodinger, "_rotated", lambda *args: np.full((1, 2, SPEC.dim), np.nan))
+    psi0 = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    with pytest.raises(PropagationError, match=r"^run rejected: norm drift nan exceeds 1e-09$"):
+        propagate(psi0, (0.0, 1.0), constant_params(1.0, 3.0, 0.05), SPEC, t_eval=[0.0, 1.0])
+
+
 def test_a_bad_row_in_a_stack_is_named():
     params = constant_params(1.0, 3.0, 0.05)
     good = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
@@ -453,12 +572,12 @@ def test_a_bad_row_in_a_stack_is_named():
 
 
 def test_drift_rejection_names_the_worst_column():
-    # ground levels 0 .. k - 1 have no Q partner, so with constant profiles
+    # ground levels 0 .. k - 1 have no Q partner, so with constant w and w0
     # they stand still in the rotating frame and cannot drift; the coupled
     # column in between is the only one a loose rtol lets drift
     from susyjc import GROUND
 
-    params = constant_params(1.0, 2.8, 0.05)
+    params = _swinging(2.8)
     coupled = embed_state(SubspaceBlock.for_space(SPEC, 1), [1.0, 0.0])
     stack = np.array([SPEC.basis_state(GROUND, 0), coupled, SPEC.basis_state(GROUND, 1)])
     with pytest.raises(PropagationError, match=r"norm drift \S+ in column 1 exceeds 1e-12") as exc:
@@ -508,7 +627,7 @@ def test_the_solver_steps_the_real_view_at_tolerances_over_sqrt_2r(
         return real(rhs, window, y0, params, rtol, atol, failure)
 
     monkeypatch.setattr(schrodinger, "integrate_segments", recording)
-    params = constant_params(1.0, 2.8, 0.05, g_phase=0.4)
+    params = _swinging(2.8, g_phase=0.4)
     stack = np.array([
         embed_state(SubspaceBlock.for_space(SPEC, m), [math.cos(0.3), 1j * math.sin(0.3)])
         for m in range(rows)
