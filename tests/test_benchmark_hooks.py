@@ -176,3 +176,42 @@ def test_seed_0_angle_solves_stay_within_their_work_counts(
     assert counts.keys() == ANGLE_WORK.keys()
     assert all(counts[name] <= bound for name, bound in ANGLE_WORK.items()), counts
     assert counts["driven"] <= 3638  # DOP853's right-hand-side calls there
+
+
+# Upper bounds on each workload's oracle integration at seed 0, as (accepted
+# steps, right-hand-side calls) summed over its DOP853 solves: driven's
+# measured counts, which integrating only the live levels left unchanged.
+# The oracle propagates the other workloads' constant profiles exactly (or,
+# for berry-sweep, does not run), with no step.
+ORACLE_WORK = {
+    "resonant": (0, 0),
+    "coherent-xi1": (0, 0),
+    "berry-sweep": (0, 0),
+    "driven": (108, 1640),
+}
+
+
+def test_seed_0_oracle_integrations_stay_within_their_work_counts(
+    perfbench, tmp_path, monkeypatch, capsys
+):
+    from susyjc import schrodinger
+
+    _, workloads = perfbench
+    counts = {}
+    integrate = schrodinger.integrate_segments
+
+    def counting(*args):
+        solution = integrate(*args)
+        steps, calls = counts[name]
+        counts[name] = (steps + solution.times.size - 1, calls + solution.nfev)
+        return solution
+
+    monkeypatch.setattr(schrodinger, "integrate_segments", counting)
+    for name, workload in workloads.WORKLOADS.items():
+        counts[name] = (0, 0)
+        prepared = workloads.Prepared(workload, 0, tmp_path, ROOT / workload.config, None)
+        assert cli.main(prepared.argv(prepared.config, tmp_path / name)) == 0, name
+    assert counts.keys() == ORACLE_WORK.keys()
+    for name, (steps, calls) in ORACLE_WORK.items():
+        assert counts[name][0] <= steps and counts[name][1] <= calls, (name, counts[name])
+    assert counts["driven"][0] > 0

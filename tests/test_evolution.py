@@ -585,6 +585,80 @@ def test_generalized_photon_number_end_to_end(k):
         assert fidelity(sol.state_at(t), psi / np.linalg.norm(psi)) >= 1 - 1e-6
 
 
+@st.composite
+def _profile(draw, kind, centre, spread, t_final):
+    """A profile of ``kind`` that stays within ``spread`` of ``centre`` on
+    [0, t_final]."""
+    from susyjc import TimeProfile
+
+    fraction = st.floats(-1.0, 1.0)
+    if kind == "constant":
+        return TimeProfile.constant(centre)
+    if kind == "linear":
+        return TimeProfile.linear(centre, draw(fraction) * spread / t_final)
+    if kind == "table":
+        inner = draw(st.lists(st.floats(0.05, 0.95), max_size=4, unique=True))
+        times = np.array([0.0, *sorted(inner), 1.0]) * t_final
+        return TimeProfile.table(times, [centre + draw(fraction) * spread for _ in times])
+    amplitude, frequency = draw(fraction) * spread, draw(st.floats(0.1, 1.0))
+    phase = draw(st.floats(-math.pi, math.pi))
+    if kind == "sinusoid":
+        return TimeProfile.sinusoid(centre, amplitude, frequency, phase)
+    sweep = draw(st.floats(-0.05, 0.05))
+    return TimeProfile.chirp(centre, amplitude, frequency, sweep, phase)
+
+
+@st.composite
+def _scenarios(draw):
+    """Whole scenarios: each of the four profiles of any kind, near k-photon
+    resonance, two blocks, the initial angles and the window."""
+    from susyjc import ModelParams
+    from susyjc.profiles import PROFILE_KINDS
+
+    kinds = st.sampled_from(PROFILE_KINDS)
+    k, t_final = draw(st.integers(1, 3)), draw(st.floats(0.5, 5.0))
+    omega = draw(st.floats(0.5, 1.5))
+    detuning = draw(st.floats(-0.3, 0.3))
+    coupling = draw(st.floats(0.0, 0.2))
+    params = ModelParams(
+        omega=draw(_profile(draw(kinds), omega, 0.05, t_final)),
+        omega0=draw(_profile(draw(kinds), k * omega + detuning, 0.2, t_final)),
+        g_mod=draw(_profile(draw(kinds), coupling, coupling / 2, t_final)),
+        g_phase=draw(_profile(draw(kinds), draw(st.floats(-math.pi, math.pi)), 1.0, t_final)),
+        k=k,
+    )
+    ms = draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+    initial = AuxState(draw(st.floats(0.02, math.pi - 0.02)), draw(st.floats(-math.pi, math.pi)))
+    return params, ms, initial, t_final
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(scenario=_scenarios())
+def test_every_profile_kind_matches_the_oracle_or_raises_a_typed_error(scenario):
+    # ROADMAP's property test over the whole profile vocabulary, no draw left
+    # out: both exact solutions of two blocks, as the four columns of one
+    # oracle stack at its default tolerances, within the oracle's amplitude
+    # bound amplitude by amplitude, or a typed error.  A stack of drives
+    # that are not all constant is integrated on its live levels
+    from susyjc.schrodinger import MAX_AMPLITUDE_ERROR
+
+    params, ms, initial, t_final = scenario
+    spec = FockSpaceSpec(cutoff=16, k=params.k)
+    ts = np.linspace(0.0, t_final, 11)
+    try:
+        solutions = []
+        for m in ms:
+            block = SubspaceBlock.for_space(spec, m)
+            traj = solve_aux(initial, (0.0, t_final), params, block.lam)
+            solutions += [ExactSolution(block, sigma, traj) for sigma in (+1, -1)]
+        stack = np.array([sol.state_at(0.0) for sol in solutions])
+        oracle = propagate(stack, (0.0, t_final), params, spec, t_eval=ts)
+    except SusyJCError:
+        return
+    exact = np.array([sol.state_at(ts) for sol in solutions])
+    assert np.max(np.abs(exact - oracle.states)) < MAX_AMPLITUDE_ERROR
+
+
 def test_invariant_equation_residual_certified_and_sensitive():
     params = constant_params(1.0, 2.8, 0.05)
     block, traj = solved(params, m=0)

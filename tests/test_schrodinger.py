@@ -117,6 +117,53 @@ def test_t_eval_outside_the_window_is_rejected_naming_the_first_time(late):
         propagate(psi0, (0.0, 20.0), params, SPEC, t_eval=[-1.0, 5.0, late])
 
 
+@pytest.mark.parametrize("drive", ["constant", "swinging"])
+def test_an_empty_t_eval_is_named_before_any_solve(drive, monkeypatch):
+    # an empty t_eval reached the norm-drift reduction, an untyped
+    # ValueError (zero-size array) on both routes; it is a configuration
+    # error that names t_eval, raised before either route starts
+    from susyjc import schrodinger
+
+    def unreachable(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(schrodinger, "_rotated", unreachable)
+    monkeypatch.setattr(schrodinger, "integrate_segments", unreachable)
+    params = constant_params(1.0, 2.8, 0.05) if drive == "constant" else _swinging(2.8)
+    psi0 = embed_state(SubspaceBlock.for_space(SPEC, 0), [1.0, 0.0])
+    for empty in ([], np.empty(0), np.empty((0, 3))):
+        with pytest.raises(ConfigurationError, match=r"^t_eval must be a non-empty 1-d array"):
+            propagate(psi0, (0.0, 1.0), params, SPEC, t_eval=empty)
+    with pytest.raises(ConfigurationError, match=r"^t_eval .* got shape \(\)$"):
+        propagate(np.array([psi0, psi0]), (0.0, 1.0), params, SPEC, t_eval=0.5)
+
+
+def test_the_structure_is_built_once_per_space(monkeypatch):
+    # the dense generators are built for a space's first propagation only,
+    # and the structure read off them is shared read-only
+    from susyjc import schrodinger
+
+    calls = []
+    build = schrodinger.build_generators
+
+    def counting(spec):
+        calls.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(schrodinger, "build_generators", counting)
+    schrodinger._Structure.for_space.cache_clear()
+    spec = FockSpaceSpec(cutoff=14, k=2)
+    psi0 = spec.basis_state(EXCITED, 1)
+    ts = np.linspace(0.0, 1.0, 5)
+    for params in (constant_params(1.0, 2.1, 0.05, k=2), dataclasses.replace(_swinging(2.1), k=2)):
+        propagate(psi0, (0.0, 1.0), params, spec, t_eval=ts)
+    propagate(psi0, (0.0, 1.0), constant_params(1.0, 2.1, 0.05, k=2), FockSpaceSpec(14, 2), t_eval=ts)
+    assert calls == [spec]
+    structure = schrodinger._Structure.for_space(spec)
+    for field in dataclasses.fields(structure):
+        assert not getattr(structure, field.name).flags.writeable, field.name
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=PropagationError,
@@ -282,13 +329,15 @@ def test_oracle_shares_nothing_with_the_analytic_route():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_structured_rhs_matches_dense_hamiltonian(k):
-    # the oracle applies H as one coefficient product over each level and
-    # its Q partner; it must act exactly like the dense matrix, truncated
-    # top photon levels included, on one state and on a stack, and with
-    # -i folded into the coefficients as the oracle's right-hand side does
+    # the oracle integrates only the live levels, those a column populates
+    # and their Q partners, by one real generator: it must act exactly like
+    # the dense matrix restricted to them, truncated top photon levels and
+    # the unlinked bottom ground levels included, on one state and on a
+    # stack, with -i folded in as the oracle's right-hand side does; and the
+    # dense matrix must couple no live level to any other
     from susyjc import build_hamiltonian
     from susyjc.fock import build_generators
-    from susyjc.schrodinger import _apply_hamiltonian, _Structure
+    from susyjc.schrodinger import _live_generators, _live_levels, _Structure
 
     spec = FockSpaceSpec(cutoff=12, k=k)
     knots = [0.0, 2.5, 5.0, 7.5, 10.0]
@@ -315,23 +364,35 @@ def test_structured_rhs_matches_dense_hamiltonian(k):
     top[:, -2 * k :] = 1.0 + 0.5j  # only the levels where truncation cuts the ladder
     bottom = np.zeros((2, spec.cutoff), dtype=complex)
     bottom[1, :k] = 0.3 - 1.0j  # the ground levels below every Q link
+    one = spec.basis_state(EXCITED, 1)  # live with its partner, ground level 1 + k
     stack = np.array(
-        [rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim), top.ravel(), bottom.ravel()]
+        [
+            rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim),
+            top.ravel(),
+            bottom.ravel(),
+            one,
+        ]
     )
-    for t in (0.0, 1.3, 2.5, 6.1, 10.0):
-        omega, omega0, g = params.evaluate(t)
-        dense = build_hamiltonian(spec, params, t)
-        coefficients = (omega, omega0, g, g.conjugate())
-        for factor in (1.0, -1j):
-            scaled = tuple(factor * c for c in coefficients)
-            want = factor * (stack @ dense.T)
-            got = _apply_hamiltonian(structure, scaled, stack)
-            assert got.shape == stack.shape
+    assert np.array_equal(_live_levels(structure, one[None]), [1, spec.cutoff + 1 + k])
+    assert np.array_equal(_live_levels(structure, stack[2:3]), np.r_[spec.cutoff : spec.cutoff + k])
+    for columns in [stack, stack[1:]] + [row[None] for row in stack]:
+        live = _live_levels(structure, columns)
+        others = np.setdiff1d(np.arange(spec.dim), live)
+        assert not np.any(columns[:, others])
+        table = _live_generators(structure, live)
+        assert table.shape == (4, 2 * live.size, 2 * live.size) and table.dtype == np.float64
+        amplitudes = np.ascontiguousarray(columns[:, live])
+        for t in (0.0, 1.3, 2.5, 6.1, 10.0):
+            omega, omega0, g = params.evaluate(t)
+            dense = build_hamiltonian(spec, params, t)
+            assert not np.any(dense[np.ix_(live, others)]) and not np.any(dense[np.ix_(others, live)])
+            generator = np.tensordot((omega, omega0, g.real, g.imag), table, 1)
+            got = (amplitudes.view(float) @ generator).view(complex)
+            want = amplitudes @ (-1j * dense[np.ix_(live, live)]).T
+            assert got.shape == want.shape == amplitudes.shape
             for row, (g_row, w_row) in enumerate(zip(got, want)):
                 error = np.linalg.norm(g_row - w_row)
-                assert error <= 1e-13 * np.linalg.norm(w_row), (k, t, factor, row)
-                one = _apply_hamiltonian(structure, scaled, stack[row])
-                assert np.linalg.norm(one - w_row) <= 1e-13 * np.linalg.norm(w_row)
+                assert error <= 1e-13 * np.linalg.norm(w_row), (k, t, row)
 
 
 def _superposition(spec, ms, seed):
@@ -440,6 +501,75 @@ def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
         assert np.max(np.abs(psi - ref)) < 1e-8, t
 
 
+def test_the_live_solve_takes_the_steps_of_a_full_space_solve(monkeypatch):
+    # a stack on the driven scenario's chirp, table and sinusoid kinds, with
+    # an unlinked bottom ground level among its columns: DOP853 on the live
+    # levels takes the same steps, at the same times, and the same
+    # right-hand-side calls as DOP853 on all 2 R dim components at rtol and
+    # atol over sqrt(2R), with a dense-matrix right-hand side in the same
+    # t0-diagonal frame, kept here.  The first step, from the initial-step
+    # estimate, is so short that its error estimate is rounding, and the
+    # next step's length follows it: the two solves' times differ there,
+    # by 7.6e-6 relative at most.  Without the sqrt(dim / L) = 2.1 factor
+    # the live solve's steps would be 2.1^(1/8) times, or 10 %, shorter
+    from susyjc import GROUND, build_ladder, schrodinger
+    from susyjc.quadrature import integrate_segments
+
+    spec = FockSpaceSpec(cutoff=16, k=3)
+    knots = [0.0, 2.5, 5.0, 7.5, 10.0]
+    params = ModelParams(
+        omega=TimeProfile.constant(1.0),
+        omega0=TimeProfile.chirp(3.0, 0.2, 0.5, 0.05),
+        g_mod=TimeProfile.table(knots, [0.05, 0.08, 0.04, 0.07, 0.05]),
+        g_phase=TimeProfile.sinusoid(0.0, 0.5, 0.3),
+        k=3,
+    )
+    stack = np.array(
+        [
+            _superposition(spec, [0], seed=1),
+            _superposition(spec, [2, 5], seed=2),
+            spec.basis_state(GROUND, 1),
+        ]
+    )
+    solutions = []
+
+    def recording(*args):
+        solutions.append(integrate_segments(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(schrodinger, "integrate_segments", recording)
+    window, ts = (0.5, 10.0), np.linspace(0.5, 10.0, 21)
+    result = propagate(stack, window, params, spec, rtol=1e-10, atol=1e-12, t_eval=ts)
+    [live] = solutions
+    assert live.states.shape[1] == 2 * len(stack) * 7  # 3 blocks and ground 1 of 32 levels
+
+    gen = build_generators(spec)
+    a_op, adag = build_ladder(spec)
+    number, half_sz = adag @ a_op, 0.5 * gen.sigma_z
+    t0 = window[0]
+    omega_ref, omega0_ref, _ = params.evaluate(t0)
+    energies = np.diag(omega_ref * number + omega0_ref * half_sz).real
+
+    def dense_rhs(t, y):
+        omega, omega0, g = params.evaluate(t)
+        h = omega * number + omega0 * half_sz + g * gen.Q + np.conj(g) * gen.Qdag
+        h -= np.diag(energies)
+        phase = np.exp(1j * energies * (t - t0))
+        frame = -1j * (phase[:, None] * h * phase.conj())  # -i e^{iE tau} (H - E) e^{-iE tau}
+        return (y.view(complex).reshape(len(stack), -1) @ frame.T).reshape(-1).view(float)
+
+    def failed(message, time):
+        raise AssertionError(message)
+
+    shrink = math.sqrt(2 * len(stack))
+    y0 = stack.reshape(-1).view(float)
+    kinks = params.breakpoints(*window)
+    full = integrate_segments(dense_rhs, window, y0, kinks, 1e-10 / shrink, 1e-12 / shrink, failed)
+    assert live.nfev == full.nfev == result.n_rhs_evaluations
+    assert live.times.size == full.times.size == result.n_steps + 1
+    assert_allclose(live.times, full.times, rtol=1e-4, atol=0)
+
+
 def test_oracle_work_budget_on_the_resonant_block():
     # resonant.ini's m = 2, sigma = +1 run at its rtol, with the acceptance
     # suite's sinusoidal omega0 (3 + 0.1 sin 0.3 t), which DOP853 integrates
@@ -505,10 +635,11 @@ def test_stacked_columns_match_their_solo_runs():
         assert np.max(np.abs(states - solo.states)) < 2e-9
 
 
-@pytest.mark.parametrize("rtol", [1e-13, 4e-14])
+@pytest.mark.parametrize("rtol", [1e-13, 4e-14, 1e-14])
 def test_a_tight_stack_stays_above_the_solver_floor(rtol):
-    # rtol / sqrt(12) is clamped at the solver's floor of 100 eps, below which
-    # DOP853 raises a ConfigurationError (4e-14 / sqrt(12) lies below it)
+    # the six columns populate L = 6 live levels of 64, so the solver gets
+    # rtol sqrt(64 / 6) / sqrt(12) = 0.943 rtol, clamped at its floor of 100
+    # eps, below which DOP853 raises a ConfigurationError (1e-14 lies below)
     spec, params, initial = _resonant_runs()
     result = propagate(initial, (0.0, 1.0), params, spec, rtol=rtol, atol=1e-15)
     assert result.norm_drift < 1e-12
@@ -604,19 +735,21 @@ def test_guard_band_rejection_names_the_leaking_column():
     assert exc.value.column is None
 
 
+# each row populates both levels of one block, so L = 2R live levels
 @pytest.mark.parametrize(
     "rows,rtol,solver_rtol",
     [
-        pytest.param(1, 1e-10, 1e-10 / math.sqrt(2), id="one-state"),
-        pytest.param(3, 1e-10, 1e-10 / math.sqrt(6), id="stack"),
-        pytest.param(3, 4e-14, RTOL_FLOOR, id="stack-at-the-floor"),
+        pytest.param(1, 1e-10, 1e-10 * math.sqrt(SPEC.dim / 2) / math.sqrt(2), id="one-state"),
+        pytest.param(3, 1e-10, 1e-10 * math.sqrt(SPEC.dim / 6) / math.sqrt(6), id="stack"),
+        pytest.param(3, 1e-14, RTOL_FLOOR, id="stack-at-the-floor"),
     ],
 )
 def test_the_solver_steps_the_real_view_at_tolerances_over_sqrt_2r(
     monkeypatch, rows, rtol, solver_rtol
 ):
-    # DOP853 gets the 2 R dim (re, im) floats of the stack, at rtol and atol
-    # over sqrt(2R), and the states come back complex in the usual shapes
+    # DOP853 gets the 2 R L (re, im) floats of the stack's L live levels, at
+    # rtol and atol times sqrt(dim / L) / sqrt(2R), the rtol clamped at the
+    # floor, and the states come back complex in the usual full shapes
     from susyjc import schrodinger
 
     solves = []
@@ -637,10 +770,13 @@ def test_the_solver_steps_the_real_view_at_tolerances_over_sqrt_2r(
     result = propagate(initial, (0.0, 2.0), params, SPEC, rtol=rtol, atol=1e-12, t_eval=ts)
 
     [(y0, got_rtol, got_atol)] = solves
-    assert y0.dtype == np.float64 and y0.flags.c_contiguous and y0.shape == (2 * rows * SPEC.dim,)
-    assert np.array_equal(y0.view(complex), stack.reshape(-1))
+    live = np.flatnonzero(np.any(stack, axis=0))
+    assert live.size == 2 * rows
+    assert y0.dtype == np.float64 and y0.flags.c_contiguous and y0.shape == (2 * rows * live.size,)
+    assert np.array_equal(y0.view(complex), stack[:, live].reshape(-1))
     assert got_rtol == pytest.approx(solver_rtol, rel=1e-15)
-    assert got_atol == pytest.approx(1e-12 / math.sqrt(2 * rows), rel=1e-15)
+    scale = math.sqrt(SPEC.dim / live.size) / math.sqrt(2 * rows)
+    assert got_atol == pytest.approx(1e-12 * scale, rel=1e-15)
     assert result.states.dtype == complex
     assert result.states.shape == ((rows,) if rows > 1 else ()) + (ts.size, SPEC.dim)
     assert np.array_equal(result.states[..., 0, :], initial)
