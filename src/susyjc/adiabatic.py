@@ -44,7 +44,6 @@ class AdiabaticScenario:
     m: int
     k: int
     g_mod: float
-    phi0: float
     params: ModelParams
     period: float
 
@@ -63,12 +62,12 @@ def build_adiabatic_scenario(
     m: int,
     k: int = 3,
     g_mod: float = 0.05,
-    phi0: float = 0.0,
 ) -> AdiabaticScenario:
-    """Derive (omega0, coupling profiles) that freeze theta with phi-dot = omega.
+    """Derive (omega0, coupling profiles) that freeze theta with phi-dot = omega
+    from phi(0) = 0.
 
     Only constant mode-frequency profiles are supported: phi(t) must equal
-    phi0 + integral of omega, and only the constant case stays inside the
+    the integral of omega, and only the constant case stays inside the
     profile vocabulary exactly.
     """
     if not 0.0 < theta < math.pi:
@@ -89,7 +88,7 @@ def build_adiabatic_scenario(
         omega=omega,
         omega0=TimeProfile.constant(omega0),
         g_mod=TimeProfile.constant(g_mod),
-        g_phase=TimeProfile.linear(-phi0, -w),
+        g_phase=TimeProfile.linear(0.0, -w),
         k=k,
     )
     return AdiabaticScenario(
@@ -97,7 +96,6 @@ def build_adiabatic_scenario(
         m=m,
         k=k,
         g_mod=float(g_mod),
-        phi0=float(phi0),
         params=params,
         period=2.0 * math.pi / w,
     )
@@ -120,8 +118,7 @@ def hamiltonian_invariant_relation_residual(scenario: AdiabaticScenario, t: floa
     k = scenario.k
     h2 = block_hamiltonian(scenario.block, params, t)
 
-    phi_t = scenario.phi0 + w * t
-    inv = invariant_matrix(AuxState(theta, phi_t))
+    inv = invariant_matrix(AuxState(theta, w * t))
     n_block = np.diag([scenario.m + k / 2.0, scenario.m + k / 2.0 + 1.0]).astype(complex)
     coeff = ((k - 1) * w - w0) / (2.0 * math.cos(theta))
     rhs = w * n_block - 0.5 * w * np.eye(2) - coeff * inv
@@ -177,10 +174,7 @@ def berry_phase_numeric(
         raise ConfigurationError(
             f"scenarios of one sweep must share one period, got {', '.join(map(str, periods))}"
         )
-    initial = AuxState(
-        np.array([scenario.theta for scenario in scenarios]),
-        np.array([scenario.phi0 for scenario in scenarios]),
-    )
+    initial = AuxState(np.array([scenario.theta for scenario in scenarios]), 0.0)
     trajs = _solve_family(
         initial,
         (0.0, periods[0]),

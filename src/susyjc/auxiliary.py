@@ -53,12 +53,14 @@ That is the sample grid's one job.
 
 The chart has genuine poles at theta in {0, pi}.  A coupled trajectory
 whose |sin theta| drops below THETA_MIN raises SingularityError at that
-time, located between the grid's samples; no regularization is applied, as
-masking the pole would corrupt geometric phases.  (With g identically zero
-polar initial angles are legitimate.)  The grid and the derivatives are
-split at table kinks by :mod:`susyjc.quadrature`, which owns the rtol
-floor, and the integration takes the kinks as step boundaries; the pole
-locator finds its root by bisection.
+time: at a sample before certification, between the grid's samples after
+it, since locating a pole there trusts the grid to resolve the motion; no
+regularization is applied, as masking the pole would corrupt geometric
+phases.  (With g identically zero polar initial angles are legitimate.)
+The grid and the derivatives are split at table kinks by
+:mod:`susyjc.quadrature`, which owns the rtol floor, and the integration
+takes the kinks as step boundaries; the pole locator finds its root by
+bisection.
 """
 
 from __future__ import annotations
@@ -320,7 +322,11 @@ def _angle_chart(spins, times, phi0: np.ndarray, t0: float, drives, detunings):
     grid_tau = (times - t0)[:, None]
     x, y, z, totals = np.split(spins, 4, axis=-1)
     phis = _unwrap(phi0, azimuth(x, y, grid_tau)) + detunings * grid_tau
-    turns = _unwrap(np.zeros(members), frame_phase(totals, grid_tau)).astype(np.float32)
+    turns = _unwrap(np.zeros(members), frame_phase(totals, grid_tau))
+    # a phase past single precision's range (an inf branch) turns far
+    # faster than rounding lets any grid certify
+    with np.errstate(over="ignore"):
+        turns = turns.astype(np.float32)
     last = times.size - 1
 
     def to_chart(n, t):
@@ -347,22 +353,31 @@ def _unwrap(first, angles):
     return angles - _TWO_PI * np.cumsum(np.round(steps / _TWO_PI), axis=0)
 
 
-def _first_pole(vectors: MagnusSolution, times, n, live: np.ndarray):
-    """(time, member) of the earliest |sin theta| < THETA_MIN among the
-    ``live`` (coupled) members, an (M,) mask, in the solve's vectors ``n``,
-    (n_t, 4M) on ``times`` from ``vectors.spin`` (x and y columns first), or
-    None.
-
-    A pole is at a sample, or between two samples across which a member's
-    (x, y) reverses direction, located where (x, y) is perpendicular to the
-    chord between them: the crossing itself, or the closest approach.
+def _poles(times, n, live: np.ndarray):
+    """The poles that the samples show among the ``live`` (coupled) members,
+    an (M,) mask, in the solve's vectors ``n``, (n_t, 4M) on ``times`` from
+    ``vectors.spin`` (x and y columns first): ``found``, the (time, member)
+    of each sample with |sin theta| < THETA_MIN, and ``reversals``, the
+    (i, j, cx, cy) arrays of the samples i, i + 1 across which member j's
+    (x, y) reverses direction, with the chord between them, in time order.
     """
     members = live.size
     x, y = n[:, :members], n[:, members : 2 * members]
     found = [(times[i], j) for i, j in zip(*np.nonzero((np.hypot(x, y) < THETA_MIN) & live))]
-    reversed_ = (x[:-1] * x[1:] + y[:-1] * y[1:] < 0) & live
-    for i, j in zip(*np.nonzero(reversed_)):
-        cx, cy = x[i + 1, j] - x[i, j], y[i + 1, j] - y[i, j]
+    i, j = np.nonzero((x[:-1] * x[1:] + y[:-1] * y[1:] < 0) & live)
+    return found, (i, j, x[i + 1, j] - x[i, j], y[i + 1, j] - y[i, j])
+
+
+def _first_pole(vectors: MagnusSolution, times, found, reversals, members: int):
+    """(time, member) of the earliest pole of :func:`_poles`' ``found`` and
+    ``reversals`` that start before them, or None.  A reversal holds a pole
+    where (x, y) is perpendicular to its chord, located by bisection: the
+    crossing itself, or the closest approach.
+    """
+    first = min(found, default=(math.inf, 0))[0]
+    for i, j, cx, cy in zip(*reversals):
+        if times[i] >= first:
+            break
 
         def along(t, j=j, cx=cx, cy=cy):
             v = vectors.spin(t)
@@ -408,14 +423,17 @@ def _solve_family(
     The state is (5M,): the M members' frame vectors, then their B and G,
     both zero at t0 (module docstring), and the family steps together: a
     step is kept when its worst member's error is within the solver's
-    rtol + atol (the vectors are of unit length), with rtol/sqrt(M) and
-    atol/sqrt(M) as a family's share of the request.  The first integration
-    runs at rtol/16 and atol/16, one refinement notch below the request.
+    rtol + atol (the vectors are of unit length), so each member's solver
+    tolerance is the one its solo solve takes.  The first integration runs at
+    rtol/16 and atol/16, one refinement notch below the request.
 
     The family shares one sample grid, sized before the solve for the run
-    and member that need the densest.  Each certification pass evaluates the
-    solve on it once, (n, 5M), checks the poles, converts the vector columns
-    to the (n, M) thetas and phis and certifies each member
+    and member that need the densest; a window whose floor grid's spacings
+    overflow or underflow when multiplied together, as the sizing rule's
+    derivative does, is a ConfigurationError.  Each certification pass
+    evaluates the solve on it once, (n, 5M), checks the poles at the
+    samples, converts the vector columns to the (n, M) thetas and phis and
+    certifies each member
     (:func:`_printed_residual`); if any fails, the whole family is
     re-integrated at a further rtol/16, up to three times.  It stops
     earlier when the tighter pass would take the same steps
@@ -425,8 +443,9 @@ def _solve_family(
     the grid's error then holds it up.  The
     solver's rtol is clamped at the floor of 100 eps
     (``quadrature.RTOL_FLOOR``).  Errors raised for one member of a family
-    name its lambda and its initial theta.  M = 1 is :func:`solve_aux`
-    exactly.
+    name its lambda and its initial theta.  The poles between samples are
+    located on the certified grid of the last pass (:func:`_first_pole`).
+    M = 1 is :func:`solve_aux` exactly.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not t1 > t0:
@@ -436,7 +455,6 @@ def _solve_family(
     params = list(params)
     if len(params) != members:
         raise ConfigurationError(f"{len(params)} params objects do not fit {members} members")
-    shrink = math.sqrt(members)
     try:
         theta0, phi0 = np.broadcast_arrays(initial.theta, initial.phi, np.zeros(members))[:2]
     except ValueError as exc:
@@ -472,18 +490,27 @@ def _solve_family(
     kinks = np.unique(np.concatenate([run.params.breakpoints(t0, t1) for run in runs]))
     edges = np.concatenate([[t0], kinks, [t1]])
     times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
+    gaps = np.diff(times)
+    small, large = float(gaps.min()), float(gaps.max())
+    # np.gradient below divides by products of two spacings
+    if not (small * small > 0.0 and 2.0 * large * large < math.inf):
+        raise ConfigurationError(
+            f"window {window} is out of floating-point range for its {times.size}-sample grid: "
+            f"spacings {small:.3g} to {large:.3g}"
+        )
     frames = [_frame(run.params, times) for run in runs]
     budget = max(10.0 * rtol, 1e-13)
 
     def density(run, frame):
         coupling = 2.0 * math.sqrt(lams[run.lo : run.hi].max()) * np.abs(frame[2])
-        precession = max(1.0 / (t1 - t0), float(np.max(np.hypot(frame[1], coupling))))
+        precession = float(np.max(np.hypot(frame[1], coupling)))
         phase_rate = np.gradient(run.params.g_phase(times), times)
         turning = float(np.max(np.abs(run.detuning + phase_rate)))
         rates = precession * (precession / budget) ** (1 / 6)
         rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
-        # factor 2: the motion's harmonics sit above these rates
-        return 2 * int(np.ceil((t1 - t0) * rates))
+        # factor 2: the motion's harmonics sit above these rates; more than
+        # the cap, infinity included, counts as the cap
+        return 2 * math.ceil(min((t1 - t0) * rates, _SAMPLE_CAP))
 
     n_auto = max(density(run, frame) for run, frame in zip(runs, frames))
     capped = n_auto > _SAMPLE_CAP
@@ -510,9 +537,9 @@ def _solve_family(
         for j in range(run.lo, run.hi, step)
     ]
     def tolerances(r):
-        """Pass r's (rtol, tol): the request / 16**(r + 1) / sqrt(M) (docstring)."""
-        solver_rtol = max(rtol / 16.0**r / (16.0 * shrink), RTOL_FLOOR)
-        return solver_rtol, solver_rtol + atol / 16.0**r / (16.0 * shrink)  # |n| = 1
+        """Pass r's (rtol, tol): the request / 16**(r + 1) (docstring)."""
+        solver_rtol = max(rtol / 16.0 ** (r + 1), RTOL_FLOOR)
+        return solver_rtol, solver_rtol + atol / 16.0 ** (r + 1)  # |n| = 1
 
     total_nfev, previous = 0, math.inf
     for refinements in range(4):
@@ -520,9 +547,9 @@ def _solve_family(
         vectors = magnus(generators, window, np.transpose(n0), kinks, tol, failed, drives)
         total_nfev += vectors.nfev
         block = vectors.spin(times)  # (n, 4M)
-        pole = _first_pole(vectors, times, block, live) if live.any() else None
-        if pole is not None:
-            raise at_pole(*pole)
+        found, reversals = _poles(times, block, live)
+        if found:
+            raise at_pole(*_first_pole(vectors, times, found, reversals, members))
         # (n, M) each; member j keeps views of column j
         to_chart, thetas, phis = _angle_chart(block, times, phi0, t0, drives, detunings)
         norms = np.sqrt(np.sum(block[:, : 3 * members].reshape(-1, 3, members) ** 2, axis=1))
@@ -565,6 +592,11 @@ def _solve_family(
                     j,
                 )
             )
+    # locating a pole between samples trusts the grid to resolve the motion:
+    # it waits for the certificate, or a solve that skips it
+    pole = _first_pole(vectors, times, [], reversals, members)
+    if pole is not None:
+        raise at_pole(*pole)
     return [
         AuxTrajectory(
             times=times,

@@ -33,6 +33,9 @@ _ROOT15 = math.sqrt(15.0)
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * _ROOT15 / 10.0
 _RICHARDSON = 2.0**6 - 1.0  # sixth order: a step's error over its two halves', less one
 _MOST_PIECES = 16  # most pieces that one round splits a rejected step into
+# most profile evaluations of one integration, 31 times the largest that the
+# tests and the benchmark's workloads take (33525)
+_WORK_BUDGET = 1 << 20
 # most (time, vector) pairs per vectorized pass: its (3, n, M) arrays stay
 # at 48 KiB, far under the size at which a temporary costs a fresh mapping
 _CHUNK = 1 << 11
@@ -248,6 +251,7 @@ class MagnusSolution:
         return np.hstack([b, b_then + db, g_then + (total - db)])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows is a non-finite estimate
 def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusSolution:
     """Integrate dn/dt = A(t) x n for M unit vectors over ``window`` (t0 < t1)
     by the sixth-order Magnus scheme, restarted at every kink, with the
@@ -265,8 +269,10 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     the next round tries, all of a round's candidates in vectorized passes.
     The first candidate of each segment between kinks is the whole segment:
     a generator constant in time is integrated exactly in one candidate.  A
-    piece under ten float spacings of its start raises ``failure(message,
-    time)`` at that start.
+    piece under ten float spacings of its start, or a non-finite generator,
+    exponent or estimate, raises ``failure(message, time)`` at that piece's
+    start, and running out of the _WORK_BUDGET evaluations raises it at the
+    time reached.
     """
     t0, t1 = float(window[0]), float(window[1])
     members = len(shift)
@@ -275,6 +281,9 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     kept, nfev, settled = [], 0, 0.0
     batch = max(1, _CHUNK // (9 * members))  # candidates per vectorized pass
     while starts.size:
+        if nfev >= _WORK_BUDGET:
+            message = f"no steps within {_WORK_BUDGET} profile evaluations"
+            raise failure(message, float(starts.min()))
         now, last = starts[:batch], ends[:batch]
         starts, ends = starts[batch:], ends[batch:]
         mids = now + 0.5 * (last - now)
@@ -294,6 +303,10 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
         drift = rows[:, 1] + back - rows[:, 0]
         spread = np.maximum(4.0 * np.sum(gap * gap, axis=0), _dot(drift, drift))
         errors = np.sqrt(np.max(spread, axis=-1)) / _RICHARDSON
+        broken = ~np.isfinite(errors)
+        if broken.any():
+            message = "non-finite step (generator, exponent or estimate)"
+            raise failure(message, float(now[broken].min()))
         ok = errors <= tol
         kept.append((lefts[1:, ok], taus[1:, ok], omegas[:, 1:, ok], rows[:, 1:, ok]))
         if ok.all():
@@ -301,7 +314,7 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
             continue
         settled = tol
         bad = ~ok
-        excess = np.minimum(np.nan_to_num(errors[bad] / tol, nan=np.inf), _MOST_PIECES**7.0)
+        excess = errors[bad] / tol
         pieces = np.clip(np.ceil(excess ** (1 / 7) / _SAFETY), 2, _MOST_PIECES).astype(int)
         first, final = now[bad], last[bad]
         small = (final - first) / pieces < 10.0 * np.spacing(np.abs(first))

@@ -494,22 +494,18 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
 
 
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
-    """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys).
+    """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys), both (n,).
 
-    ``ys`` is (n,) or (n, K), time first.  On each smooth segment, which
-    must be uniform with at least 6 samples, F(t) integrates the degree-5
-    interpolant through the 6 samples around t's interval (shifted at the
-    segment's ends; sixth order) and carries the integral over the segments
-    before it, so it stays continuous across the edges; an edge belongs to
-    the segment that starts there.  Each column is summed on its own, in the
-    same order whatever K is.  F(t) is (n_t, K) over n_t times and (K,) at a
-    scalar t, trailing axes of ys flattened to K ((n_t,) and 0-d for (n,)
-    ys).  (The name is kept for the benchmark's tracer, which wraps it by
-    name.)
+    On each smooth segment, which must be uniform with at least 6 samples,
+    F(t) integrates the degree-5 interpolant through the 6 samples around
+    t's interval (shifted at the segment's ends; sixth order) and carries
+    the integral over the segments before it, so it stays continuous across
+    the edges; an edge belongs to the segment that starts there.  F(t) is
+    (n_t,) over n_t times and 0-d at a scalar t.  (The name is kept for the
+    benchmark's tracer, which wraps it by name.)
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    columns = ys.reshape(ts.size, -1)
     bounds = _bounds(edge_indices, ts.size)
     firsts, lasts = np.array(bounds[:-1]), np.array(bounds[1:])
     spacings = np.array([_spacing(ts[a : b + 1], 6) for a, b in zip(firsts, lasts)])
@@ -520,13 +516,13 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
     starts = np.clip(intervals - 2, firsts[segment], lasts[segment] - 5)
     nodes = intervals - starts
 
-    def combine(weights, i):  # sum_j weights[:, j] y[starts[i] + j], (len(i), K)
-        return sum(weights[:, j, None] * columns[starts[i] + j] for j in range(6))
+    def combine(weights, i):  # sum_j weights[:, j] y[starts[i] + j], (len(i),)
+        return sum(weights[:, j] * ys[starts[i] + j] for j in range(6))
 
-    steps = spacings[segment, None] * combine(_INTERVAL[nodes], intervals)
+    steps = spacings[segment] * combine(_INTERVAL[nodes], intervals)
     running, carried = [], 0.0  # F at each interval's start; F at the segment's end
     for a, b in zip(firsts, lasts):
-        piece = np.concatenate([np.zeros((1, columns.shape[1])), np.cumsum(steps[a:b], axis=0)])
+        piece = np.concatenate([[0.0], np.cumsum(steps[a:b])])
         piece += carried
         running.append(piece[:-1])
         carried = piece[-1]
@@ -543,8 +539,7 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
         x = (t - ts[i]) / h
         powers = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)  # x .. x^6
         weights = np.einsum("ijp,ip->ij", _ANTIDERIVATIVE[nodes[i]], powers)
-        out = running[i] + h[:, None] * combine(weights, i)
-        out = out[0] if scalar else out
-        return out if ys.ndim > 1 else out[..., 0]
+        out = running[i] + h * combine(weights, i)
+        return out[0] if scalar else out
 
     return antiderivative

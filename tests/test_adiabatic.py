@@ -58,7 +58,7 @@ def test_scenario_rejects_bad_inputs():
 
 def test_scenario_is_fixed_point_of_angle_equations():
     scen = build_adiabatic_scenario(math.pi / 3, OMEGA, m=1, k=3, g_mod=0.05)
-    traj = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
+    traj = solve_aux(AuxState(scen.theta, 0.0), (0.0, scen.period), scen.params, scen.lam)
     assert np.max(np.abs(traj.thetas - math.pi / 3)) < 1e-8
     for t in np.linspace(0.0, traj.t1, 9):
         dtheta, dphi = traj.rates_at(t)
@@ -82,7 +82,7 @@ def test_invariant_coupling_form_matches_angle_form():
     scen = build_adiabatic_scenario(math.pi / 3, OMEGA, m=0, k=3, g_mod=0.05)
     for t in (0.0, 0.9, 3.3):
         from_couplings = invariant_from_couplings(scen, t)
-        from_angles = invariant_matrix(AuxState(scen.theta, scen.phi0 + 1.0 * t))
+        from_angles = invariant_matrix(AuxState(scen.theta, 1.0 * t))
         assert np.max(np.abs(from_couplings - from_angles)) < 1e-12
 
 
@@ -120,7 +120,7 @@ def test_berry_sweep_matches_the_solo_solves():
     phases = berry_phase_numeric(scenarios, -1)
     assert len(phases) == len(thetas)
     for scen, phase in zip(scenarios, phases):
-        solo = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
+        solo = solve_aux(AuxState(scen.theta, 0.0), (0.0, scen.period), scen.params, scen.lam)
         _, _, g = family_sample([solo])(solo.t1)
         assert abs(phase - (-g[0])) <= 1e-9
 

@@ -856,6 +856,18 @@ def test_family_members_start_from_their_own_angles():
         assert np.array_equal(a.thetas, b.thetas) and np.array_equal(a.phis, b.phis)
 
 
+def test_a_family_member_solves_at_its_solo_tolerance():
+    # the family steps on its worst member's error: each member's solver
+    # tolerance is the one its solo solve takes, whatever M is
+    params = constant_params(1.0, 3.0, 0.05)
+    lams = [lambda_value(m, 3) for m in range(5)]
+    family = _solve_family(AuxState(1.0, 0.0), (0.0, 8.0), [params] * len(lams), lams, rtol=1e-9)
+    for lam, member in zip(lams, family):
+        solo = solve_aux(AuxState(1.0, 0.0), (0.0, 8.0), params, lam, rtol=1e-9)
+        assert member.stats.refinements == solo.stats.refinements
+        assert member.stats.effective_rtol == solo.stats.effective_rtol == 1e-9 / 16
+
+
 def test_family_start_at_a_pole_names_that_member():
     params = constant_params(1.0, 3.0, 0.05)
     lams = [LAM6, lambda_value(1, 3)]

@@ -393,6 +393,30 @@ def test_coherent_truncation_exit_2(tmp_path, capsys):
     assert "too small" in capsys.readouterr().err
 
 
+# values at the ends of floating point, each one change to a committed
+# config; tier-1's warnings-as-errors turns an untyped overflow into a failure
+EDGES = {
+    "t_final-1e-300": ("propagate", "resonant.ini", "t_final = 20.0", "t_final = 1e-300"),
+    "t_final-5e-324": ("propagate", "resonant.ini", "t_final = 20.0", "t_final = 5e-324"),
+    "berry-omega-1e-300": ("berry", "berry.ini", "omega = 1.0", "omega = 1e-300"),
+    "omega-1e300": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e300"),
+    "omega-1e150": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e150"),
+}
+
+
+@pytest.mark.parametrize("command,base,old,new", list(EDGES.values()), ids=list(EDGES))
+def test_values_at_the_ends_of_floating_point_end_typed(tmp_path, capsys, command, base, old, new):
+    text = (ROOT / "configs" / base).read_text()
+    assert text.count(old) == 1
+    config = write(tmp_path, text.replace(old, new))
+    code = main([command, "--config", config, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (1, 2)
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: " if code == 2 else "verification failure")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "old,new,key",
     [

@@ -194,10 +194,10 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
     assert all(len(kinks) == segments - 1 for kinks in calls)
     shared = {(s.n_steps, s.n_rhs_evaluations, s.refinements, s.effective_rtol) for s in stats}
     assert len(shared) == 1
-    # the family's share of the request: the solver gets rtol / sqrt(M),
-    # one refinement notch (/16) below the request on the first pass
+    # the solver gets the request one refinement notch (/16) below it per
+    # pass, whatever the family's size
     passes = 1 + stats[0].refinements
-    assert stats[0].effective_rtol == rtol / 16**passes / math.sqrt(len(sols))
+    assert stats[0].effective_rtol == rtol / 16**passes
     for sol, s in zip(sols, stats):
         assert s.max_residual <= 100 * rtol
         assert s.n_samples == sol.trajectory.times.size

@@ -686,7 +686,7 @@ def _grid_trajectory(kind):
     if kind == "berry":
         scen = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(1.0), m=1, k=3)
         block = SubspaceBlock.for_space(SPEC, scen.m)
-        traj = solve_aux(AuxState(scen.theta, scen.phi0), (0.0, scen.period), scen.params, scen.lam)
+        traj = solve_aux(AuxState(scen.theta, 0.0), (0.0, scen.period), scen.params, scen.lam)
         return block, traj, scen.period
     knots = np.linspace(0.0, 10.0, 11)
     profiles = {

@@ -69,3 +69,37 @@ def test_magnus_stops_where_the_step_falls_under_the_float_spacing():
     message, time = info.value.args
     assert message == "Required step size is less than spacing between numbers."
     assert abs(time - 0.3) < 1e-12
+
+
+def test_magnus_raises_at_a_non_finite_step_without_a_warning():
+    # a rotation by 1e300 radians: |omega|^2 overflows, and the estimate is
+    # not finite; ``failure`` gets it at the piece's start, with no overflow
+    # warning first (the tests turn warnings into errors)
+    def field(t):
+        out = np.zeros((3,) + np.shape(t) + (1,))
+        out[2] = 1e300
+        return out
+
+    start = np.array([[1.0], [0.0], [0.0]])
+    with pytest.raises(RuntimeError) as info:
+        magnus.magnus(field, (0.0, 20.0), start, np.empty(0), 1e-12, RuntimeError, np.zeros(1))
+    assert info.value.args == ("non-finite step (generator, exponent or estimate)", 0.0)
+
+
+def test_magnus_stops_at_its_work_budget(monkeypatch):
+    # still on [0, 0.5], then turning at a rate that no step resolves: the
+    # candidates after 0.5 split round after round until the budget runs
+    # out, and ``failure`` gets the time reached, 0.5
+    monkeypatch.setattr(magnus, "_WORK_BUDGET", 900)
+
+    def field(t):
+        t = np.asarray(t)
+        out = np.zeros((3,) + t.shape + (1,))
+        out[0] = 1.0
+        out[2] = np.where(t < 0.5, 0.0, 1e4 * np.cos(1e4 * t))[..., None]
+        return out
+
+    start = np.array([[0.0], [1.0], [0.0]])
+    with pytest.raises(RuntimeError) as info:
+        magnus.magnus(field, (0.0, 1.0), start, np.empty(0), 1e-12, RuntimeError, np.zeros(1))
+    assert info.value.args == ("no steps within 900 profile evaluations", 0.5)

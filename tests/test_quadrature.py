@@ -184,47 +184,19 @@ def test_only_evolution_integrates_phases():
         assert "susyjc.evolution" in binders, name
 
 
-def test_multi_column_antiderivative_matches_per_column_calls():
-    # (n, K) integrands share one fit per segment, and each column is bit for
-    # bit its own 1-D call, at scalar and array times, across the kinks
-    ts, edge_indices = segmented_grid(np.array([0.0, 2.5, 5.0, 7.5, 10.0]), 400)
-    ys = np.stack(
-        [np.sin(1.3 * ts) + np.abs(ts - 5.0), np.cos(ts) * np.abs(ts - 2.5), np.exp(-0.1 * ts)],
-        axis=1,
-    )
-    together = cumulative_antiderivative(ts, ys, edge_indices)
-    alone = [cumulative_antiderivative(ts, ys[:, j], edge_indices) for j in range(ys.shape[1])]
-    times = np.array([0.0, 1.1, 2.5, 2.5 + 1e-9, 4.2, 5.0, 7.5, 9.3, 10.0 - 1e-12, 10.0])
-    grid = together(times)
-    assert grid.shape == (times.size, ys.shape[1])
-    for j, column in enumerate(alone):
-        assert np.array_equal(grid[:, j], column(times)), j
-    for i, t in enumerate(times):
-        single = together(float(t))
-        assert single.shape == (ys.shape[1],)
-        assert np.array_equal(single, grid[i]), t
-        assert np.array_equal(single, [column(float(t)) for column in alone]), t
-
-
-@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["1-D", "2-D", "3-D"])
-def test_antiderivative_matches_closed_forms_across_kinks(shape):
-    # sin(j t) + |t - 5| on the segmented floor grid, a kink at the edge
-    # t = 5: each column's running integral is its closed form, at any time
-    # in the window, in the shapes of the integrand's trailing axes
+def test_antiderivative_matches_closed_forms_across_kinks():
+    # sin t + |t - 5| on the segmented floor grid, a kink at the edge t = 5:
+    # the running integral is its closed form at any time in the window
     ts, edge_indices = segmented_grid(np.array([0.0, 2.5, 5.0, 7.5, 10.0]), 2001)
-    rates = np.arange(1.0, 1.0 + np.prod(shape, dtype=int))
-    kink = np.abs(ts - 5.0)[:, None]
-    ys = np.sin(np.multiply.outer(ts, rates)) + kink
-    ours = cumulative_antiderivative(ts, ys.reshape(ts.shape + shape), edge_indices)
+    ours = cumulative_antiderivative(ts, np.sin(ts) + np.abs(ts - 5.0), edge_indices)
     times = np.concatenate([np.linspace(0.0, 10.0, 997), [2.5, 5.0, 5.0 + 1e-9, 7.5]])
     ramp = np.where(times <= 5.0, 5.0 * times - times**2 / 2, 12.5 + (times - 5.0) ** 2 / 2)
-    exact = (1.0 - np.cos(np.multiply.outer(rates, times))) / rates[:, None] + ramp
     got = ours(times)
-    assert got.shape == times.shape + ((rates.size,) if shape else ())
-    assert np.max(np.abs(got - (exact.T if shape else exact[0]))) <= 1e-12
-    at = (1.0 - np.cos(rates * 7.3)) / rates + 12.5 + 2.3**2 / 2  # one scalar time
-    assert np.shape(ours(7.3)) == np.shape(got[0])
-    assert np.max(np.abs(ours(7.3) - (at if shape else at[0]))) <= 1e-12
+    assert got.shape == times.shape
+    assert np.max(np.abs(got - (1.0 - np.cos(times) + ramp))) <= 1e-12
+    at = 1.0 - math.cos(7.3) + 12.5 + 2.3**2 / 2  # one scalar time
+    assert np.shape(ours(7.3)) == ()
+    assert abs(ours(7.3) - at) <= 1e-12
 
 
 def test_phase_integrals_fit_once_per_segment(monkeypatch):
