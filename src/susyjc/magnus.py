@@ -33,8 +33,9 @@ _ROOT15 = math.sqrt(15.0)
 _GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * _ROOT15 / 10.0
 _RICHARDSON = 2.0**6 - 1.0  # sixth order: a step's error over its two halves', less one
 _MOST_PIECES = 16  # most pieces that one round splits a rejected step into
-# most profile evaluations of one integration, 31 times the largest that the
-# tests and the benchmark's workloads take (33525)
+# most vector evaluations (profile evaluations times members) of one
+# integration, 31 times the most that the tests and the benchmark's
+# workloads take (33525)
 _WORK_BUDGET = 1 << 20
 # most (time, vector) pairs per vectorized pass: its (3, n, M) arrays stay
 # at 48 KiB, far under the size at which a temporary costs a fresh mapping
@@ -271,19 +272,26 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     a generator constant in time is integrated exactly in one candidate.  A
     piece under ten float spacings of its start, or a non-finite generator,
     exponent or estimate, raises ``failure(message, time)`` at that piece's
-    start, and running out of the _WORK_BUDGET evaluations raises it at the
-    time reached.
+    start, and spending the _WORK_BUDGET raises it at the time reached, the
+    earliest start still queued.
     """
     t0, t1 = float(window[0]), float(window[1])
     members = len(shift)
     edges = np.concatenate([[t0], kinks, [t1]])
     starts, ends = edges[:-1], edges[1:]
+    # the split pieces, queued behind starts: appending them to starts on
+    # every pass would copy the whole queue each time
+    later = []
     kept, nfev, settled = [], 0, 0.0
     batch = max(1, _CHUNK // (9 * members))  # candidates per vectorized pass
-    while starts.size:
-        if nfev >= _WORK_BUDGET:
-            message = f"no steps within {_WORK_BUDGET} profile evaluations"
-            raise failure(message, float(starts.min()))
+    while starts.size or later:
+        if not starts.size:
+            starts, ends = (np.concatenate(pieces) for pieces in zip(*later))
+            later = []
+        if nfev * members >= _WORK_BUDGET:
+            message = f"work budget spent: {nfev} profile evaluations for {members} vectors"
+            pending = [starts] + [piece for piece, _ in later]
+            raise failure(message, float(min(piece.min() for piece in pending)))
         now, last = starts[:batch], ends[:batch]
         starts, ends = starts[batch:], ends[batch:]
         mids = now + 0.5 * (last - now)
@@ -325,7 +333,7 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
         # neighbouring pieces share their boundary, bit for bit
         split_starts = first + (final - first) * (j / k)
         split_ends = np.where(j == k - 1, final, first + (final - first) * ((j + 1) / k))
-        starts, ends = np.concatenate([starts, split_starts]), np.concatenate([ends, split_ends])
+        later.append((split_starts, split_ends))
     lefts = np.concatenate([piece[0].ravel() for piece in kept])
     order = np.argsort(lefts, kind="stable")
     lefts = lefts[order]

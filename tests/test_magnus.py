@@ -88,8 +88,9 @@ def test_magnus_raises_at_a_non_finite_step_without_a_warning():
 
 def test_magnus_stops_at_its_work_budget(monkeypatch):
     # still on [0, 0.5], then turning at a rate that no step resolves: the
-    # candidates after 0.5 split round after round until the budget runs
-    # out, and ``failure`` gets the time reached, 0.5
+    # candidates after 0.5 split round after round until the budget is
+    # spent (rounds of 1, 16 and 128 candidates, nine evaluations each),
+    # and ``failure`` gets the time reached, 0.5
     monkeypatch.setattr(magnus, "_WORK_BUDGET", 900)
 
     def field(t):
@@ -102,4 +103,4 @@ def test_magnus_stops_at_its_work_budget(monkeypatch):
     start = np.array([[0.0], [1.0], [0.0]])
     with pytest.raises(RuntimeError) as info:
         magnus.magnus(field, (0.0, 1.0), start, np.empty(0), 1e-12, RuntimeError, np.zeros(1))
-    assert info.value.args == ("no steps within 900 profile evaluations", 0.5)
+    assert info.value.args == ("work budget spent: 1305 profile evaluations for 1 vectors", 0.5)
