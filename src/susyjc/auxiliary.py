@@ -98,8 +98,9 @@ class SolverStats:
 
     ``n_steps`` counts the accepted Magnus steps of the integration kept,
     over all segments between profile kinks, and ``n_rhs_evaluations`` the
-    times at which the profiles were evaluated for them, summed over every
-    integration of the solve (nine per candidate step).  ``rtol``/``atol``
+    node times of their candidate steps (nine per candidate), at which a
+    time-dependent run's profiles are evaluated, summed over every
+    integration of the solve.  ``rtol``/``atol``
     are the requested tolerances; the first
     integration runs at rtol/16 and atol/16, ``refinements`` counts the
     re-integrations (each a further /16) that certification forced, and
@@ -268,26 +269,41 @@ def _steady(params: ModelParams) -> bool:
 
 
 def _generator(runs, lams, t0: float):
-    """``generators(t)``: the generators 2 h' of the M members' frame vectors
-    (module docstring), (3, ..., M) over times t of any shape, each run in
-    its drive frame.  A run's profiles are evaluated once per call for all
-    its members, as arrays; a steady run's (:func:`_steady`) once, at t0:
-    its generator is constant, and evaluating it at every node time of the
-    dense samples made the Berry sweep a fifth slower.
+    """The generators 2 h' of the M members' frame vectors (module
+    docstring), each run in its drive frame: the (3, M) array itself when
+    every run is steady (:func:`_steady`), as its generator is constant,
+    and otherwise ``generators(t)``, (3, ..., M) over times t of any shape.
+    A steady run's profiles are evaluated once per solve, at t0, and each
+    call evaluates a time-dependent run's once for all its members, as
+    arrays: a call that evaluated every run made a Berry sweep of M angles
+    take O(M^2) profile evaluations.
     """
     roots = 2.0 * np.sqrt(lams)  # so that the components below are 2 h'
+
+    def fill(out, run, at):
+        omega, omega0, g = run.params.evaluate(at)
+        g = g * np.exp(1j * run.drive * (np.asarray(at) - t0))
+        x, y, z = out[..., run.lo : run.hi]
+        x[...] = np.multiply.outer(g.real, roots[run.lo : run.hi])
+        y[...] = np.multiply.outer(g.imag, roots[run.lo : run.hi])
+        z[...] = np.expand_dims(omega0 - run.params.k * omega + run.drive, -1)
+
     steady = [_steady(run.params) for run in runs]
+    moving = [run for run, still in zip(runs, steady) if not still]
+    fixed = np.zeros((3, roots.size))
+    for run, still in zip(runs, steady):
+        if still:
+            fill(fixed, run, t0)
+    if not moving:
+        return fixed
+    mixed = len(moving) < len(runs)
 
     def generators(t):
         out = np.empty((3,) + np.shape(t) + (roots.size,))
-        for run, fixed in zip(runs, steady):
-            at = t0 if fixed else t
-            omega, omega0, g = run.params.evaluate(at)
-            g = g * np.exp(1j * run.drive * (np.asarray(at) - t0))
-            x, y, z = out[..., run.lo : run.hi]
-            x[...] = np.multiply.outer(g.real, roots[run.lo : run.hi])
-            y[...] = np.multiply.outer(g.imag, roots[run.lo : run.hi])
-            z[...] = np.expand_dims(omega0 - run.params.k * omega + run.drive, -1)
+        if mixed:  # the steady runs' columns, then the others' over them
+            out[...] = fixed.reshape((3,) + (1,) * np.ndim(t) + (roots.size,))
+        for run in moving:
+            fill(out, run, t)
         return out
 
     return generators
@@ -392,10 +408,18 @@ def _first_pole(vectors: MagnusSolution, times, found, reversals, members: int):
 
 def _frame(params: ModelParams, times):
     """(Delta0 tau, k w - w0 - Delta0, g e^{i Delta0 tau}) on a time grid:
-    the solve's frame, with Delta0 = k w - w0 at tau = t - times[0] = 0."""
+    the solve's frame, with Delta0 = k w - w0 at tau = t - times[0] = 0.  A
+    detuning, or its turn over the grid, past the float range is a
+    ConfigurationError."""
     omega, omega0, g = params.evaluate(times)
-    detuning = params.k * omega - omega0
-    turn = detuning[0] * (times - times[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        detuning = params.k * omega - omega0
+        turn = detuning[0] * (times - times[0])
+    if not (np.isfinite(detuning).all() and math.isfinite(turn[-1])):
+        raise ConfigurationError(
+            f"detuning k w - w0 = {float(np.max(np.abs(detuning))):.3g} over the window "
+            f"({times[0]}, {times[-1]}) is out of floating-point range"
+        )
     return turn, detuning - detuning[0], g * np.exp(1j * turn)
 
 
@@ -413,8 +437,9 @@ def _solve_family(
     ``initial``'s float angles, shared, or from entry j of its (M,) arrays.
 
     Consecutive members that share one params object (by identity) form a
-    run.  A run's profiles are evaluated once per generator call for all its
-    members (:func:`_generator`), and the run has one drive frame (module
+    run.  A run's profiles are evaluated for all its members at once, a
+    steady run's once per solve (:func:`_generator`), and the run has one
+    drive frame (module
     docstring) and one certification :func:`_frame` on the shared grid.  The
     blocks m of a propagate or coherent run are one run, as they differ only
     in lambda; a Berry sweep's thetas are one run each.  The grid's edges and the

@@ -13,6 +13,9 @@ generator of (n, B) together (:func:`_bracket`), so that B too is of
 sixth order and exact under a constant A.  The step is controlled by step
 doubling (Richardson) on both, and the profiles' kinks
 (``params.breakpoints``) are step boundaries, as in :mod:`susyjc.quadrature`.
+The dense output inside a step is one more sub-step from its start, or,
+for a generator constant in time, the rotation about it in closed form
+(Rabi, Phys. Rev. 51, 652 (1937)), which evaluates nothing.
 Vectors are component first, (3, ...), so that each component is one
 contiguous array.  This is a module of its own, not part of
 :mod:`susyjc.quadrature`, to keep every module's source small: the
@@ -76,8 +79,6 @@ def _moments(fields, tau):
     broadcasts against the trailing axes."""
     f1, f2, f3 = fields[:, 0], fields[:, 1], fields[:, 2]
     odd, even = f3 - f1, f3 - 2.0 * f2 + f1
-    if not (odd.any() or even.any()):  # a constant generator (a steady run's dense samples)
-        return tau * f2, odd, even
     return tau * f2, ((_ROOT15 / 3.0) * tau) * odd, ((10.0 / 3.0) * tau) * even
 
 
@@ -176,6 +177,18 @@ def _total_phase(tau, omega, half, a, shift):
     return spin - 0.5 * shift * tau[..., None]
 
 
+def _constant_field(generator):
+    """``field(t)`` of the (3, M) ``generator``, constant in time: a
+    read-only view of it, (3,) + S + (M,) over times of any shape S."""
+
+    def field(t):
+        shape = np.shape(t)
+        spread = generator.reshape((3,) + (1,) * len(shape) + generator.shape[1:])
+        return np.broadcast_to(spread, (3,) + shape + generator.shape[1:])
+
+    return field
+
+
 def _slices(size: int, members: int) -> list:
     """Consecutive slices of ``size`` items, each under _CHUNK with ``members`` vectors."""
     step = max(1, _CHUNK // members)
@@ -189,25 +202,33 @@ class MagnusSolution:
     ``states`` (len(times), 5M) the states there, time first: the M vectors'
     x's, y's and z's, then the M dynamical phases B and the M geometric
     phases G of the spin-1/2 lift (G modulo 2 pi, see :func:`_total_phase`);
-    ``nfev`` the times at which the generator was evaluated.  Calling it at
-    scalar t gives (5M,), over an array of N times
-    (N, 5M): each time t takes one Magnus sub-step from the start of its
-    step to t, with three fresh evaluations of the generator, so every
-    sample keeps the scheme's order.  A time on a step boundary belongs to
-    the step that starts there (a knot takes the state the solver restarted
-    from), the last time to the last step.  :meth:`spin` gives the vectors
-    and B + G alone, without B.  ``settled`` is the smallest tolerance down
-    to which :func:`magnus` takes these same steps: the largest error
-    estimate of its steps, or its own tolerance if it rejected any.
+    ``nfev`` the node times of the candidate steps, at which a generator
+    that depends on time was evaluated (nine per candidate).  Calling it at
+    scalar t gives (5M,), over an array of N times (N, 5M), each time t
+    from the start of its step.  Under a generator constant in time
+    (``constant``, (3, M)) that is the exact rotation about it, in closed form
+    (:meth:`_turn`); otherwise it is one Magnus sub-step to t, with three
+    fresh evaluations of the generator, so every sample keeps the scheme's
+    order (:meth:`_substep`).  A time on a step boundary belongs to the step
+    that starts there (a knot takes the state the solver restarted from),
+    the last time to the last step.  :meth:`spin` gives the vectors and
+    B + G alone, without B, by the same path: the certificate checks the
+    very samples that the outputs read.  ``settled`` is the smallest
+    tolerance down to which :func:`magnus` takes these same steps: the
+    largest error estimate of its steps, or its own tolerance if it
+    rejected any.
     """
 
-    def __init__(self, field, shift, times, states, nfev, settled):
+    def __init__(self, field, shift, times, states, nfev, settled, constant=None):
         self.times = times
         self.states = states
         self.nfev = nfev
         self.settled = settled
         self._field = field
         self._shift = shift
+        self._constant = constant
+        if constant is not None:
+            self._terms = self._rotation_terms(constant)
 
     def __call__(self, t):
         return self._sample(t, True)
@@ -225,8 +246,67 @@ class MagnusSolution:
         np.clip(idx, 0, self.times.size - 2, out=idx)
         out = np.empty((t.size, (5 if dynamical else 4) * members))
         for part in _slices(t.size, members):  # each part's temporaries go with its call
-            out[part] = self._substep(t[part], idx[part], dynamical)
+            if self._constant is None:
+                out[part] = self._substep(t[part], idx[part], dynamical)
+            else:
+                self._turn(t[part], idx[part], dynamical, out[part])
         return out[0] if scalar else out
+
+    def _rotation_terms(self, generator):
+        """What the samples of each step share under the constant (3, M)
+        ``generator`` A: its rate |A| (M,), and (steps, 9, M) for each
+        step's start a: A^ x a and A^ x (A^ x a), with the unit axis A^
+        (zero where A = 0), then the coefficients P, 1 + z and Q of
+        :func:`_total_phase`'s arctan2 over the sine and cosine of the half
+        angle, whose q is sin(|A| tau / 2) A^."""
+        members = self._shift.size
+        rate = np.sqrt(_dot(generator, generator))
+        axis = np.divide(generator, rate, out=np.zeros(generator.shape), where=rate > 0.0)
+        starts = self.states[:-1, : 3 * members].reshape(-1, 3, members)
+        a = np.ascontiguousarray(starts.transpose(1, 0, 2))  # (3, steps, M)
+        along = np.broadcast_to(axis[:, None], a.shape)
+        turned = _cross(along, a)
+        x, y, z = a
+        lift = 1.0 + z
+        coefficients = [axis[2] * lift + axis[0] * x + axis[1] * y, lift, axis[0] * y - axis[1] * x]
+        terms = np.concatenate([turned, _cross(along, turned), coefficients])
+        return rate, np.ascontiguousarray(terms.transpose(1, 0, 2))
+
+    def _turn(self, t, idx, dynamical: bool, out):
+        """:meth:`_substep` under the constant generator A, written into
+        ``out``, (n, 5M) or (n, 4M): each time's vectors are the exact
+        rotation of the start a of its step idx by the angle |A| tau, tau =
+        t - start, n = a + 2 s c A^ x a + 2 s^2 A^ x (A^ x a) with (c, s) the
+        cosine and sine of the half angle, and B + G is
+        :func:`_total_phase` in the same terms.  B is
+        :func:`_dynamical_row` on the exponent tau (A, w), w = (A - shift
+        z)/2 (:func:`_lift`)."""
+        members = self._shift.size
+        rate, terms = self._terms
+        tau = t - self.times[idx]
+        half = np.multiply.outer(0.5 * tau, rate)  # (n, M)
+        s, c = np.sin(half), np.cos(half)
+        then = self.states[idx].reshape(t.size, 5, members)  # a, B and G at the steps' starts
+        step = terms[idx]
+        blocks = out.reshape(t.size, -1, members)
+        vectors = blocks[:, :3]
+        np.multiply((2.0 * s * c)[:, None], step[:, 0:3], out=vectors)
+        vectors += (2.0 * s * s)[:, None] * step[:, 3:6]
+        vectors += then[:, :3]
+        spin = np.arctan2(s * step[:, 6], c * step[:, 7] + s * step[:, 8])
+        total = spin - 0.5 * self._shift * tau[:, None]
+        if not dynamical:
+            blocks[:, 3] = then[:, 3] + then[:, 4] + total
+            return
+        angle = 2.0 * half
+        ratio = np.divide(s, angle, out=np.full(angle.shape, 0.5), where=angle > 0.0)
+        omega = tau[:, None] * self._constant[:, None]
+        w = 0.5 * omega
+        w[2] -= (0.5 * self._shift) * tau[:, None]
+        a = then[:, :3].transpose(1, 0, 2)  # (3, n, M)
+        db = _dot(_dynamical_row(np.concatenate([omega, w]), (c, ratio)), a)
+        blocks[:, 3] = then[:, 3] + db
+        blocks[:, 4] = then[:, 4] + (total - db)
 
     def _substep(self, t, idx, dynamical: bool):
         """The states at times t, (n, 5M) or (n, 4M), each by one sub-step
@@ -259,7 +339,10 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     dynamical phases B alongside.
 
     ``field(t)`` maps an array of times of any shape S to the generators A,
-    (3,) + S + (M,), component first; ``vectors`` is the (3, M) start;
+    (3,) + S + (M,), component first, or ``field`` is the (3, M) array of a
+    generator constant in time, whose dense output is then its exact
+    rotation in closed form (:class:`MagnusSolution`); ``vectors`` is the
+    (3, M) start;
     ``shift`` (M,) is the rate at which each vector's frame turns about z,
     which the solution's phases correct for (:class:`MagnusSolution`).  Each
     candidate step is taken whole and as two halves (nine evaluations); the
@@ -277,6 +360,9 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     """
     t0, t1 = float(window[0]), float(window[1])
     members = len(shift)
+    constant = field if isinstance(field, np.ndarray) else None
+    if constant is not None:
+        field = _constant_field(constant)
     edges = np.concatenate([[t0], kinks, [t1]])
     starts, ends = edges[:-1], edges[1:]
     # the split pieces, queued behind starts: appending them to starts on
@@ -357,4 +443,4 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     vectors_out = chain.transpose(1, 0, 2).reshape(steps + 1, 3 * members)
     states = np.concatenate([vectors_out, phases[0], phases[1]], axis=1)
     shift = np.asarray(shift, dtype=float)
-    return MagnusSolution(field, shift, np.append(lefts, t1), states, nfev, settled)
+    return MagnusSolution(field, shift, np.append(lefts, t1), states, nfev, settled, constant)

@@ -125,6 +125,32 @@ def test_berry_sweep_matches_the_solo_solves():
         assert abs(phase - (-g[0])) <= 1e-9
 
 
+def test_berry_sweep_profile_evaluations_grow_linearly_in_its_angles(monkeypatch):
+    # each angle is a steady run of its own: its profiles are evaluated a
+    # fixed number of times per solve, not once per generator call for every
+    # run, which made the count grow as the square of the angles
+    from susyjc import ModelParams
+
+    calls = []
+    evaluate = ModelParams.evaluate
+
+    def counted(self, t):
+        calls.append(self)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(ModelParams, "evaluate", counted)
+    counts = {}
+    for size in (8, 64):
+        scenarios = [
+            build_adiabatic_scenario(theta, OMEGA, m=0, k=3, g_mod=0.05)
+            for theta in np.linspace(0.4, 2.7, size)
+        ]
+        calls.clear()
+        berry_phase_numeric(scenarios, +1)
+        counts[size] = len(calls)
+    assert counts[64] <= 8 * counts[8], counts
+
+
 def test_berry_sweep_needs_one_period():
     fast = build_adiabatic_scenario(math.pi / 3, TimeProfile.constant(2.0), m=0)
     slow = build_adiabatic_scenario(math.pi / 6, OMEGA, m=0)

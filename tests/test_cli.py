@@ -401,6 +401,7 @@ EDGES = {
     "berry-omega-1e-300": ("berry", "berry.ini", "omega = 1.0", "omega = 1e-300"),
     "omega-1e300": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e300"),
     "omega-1e150": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e150"),
+    "omega-1e307": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e307"),
 }
 
 

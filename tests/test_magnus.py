@@ -104,3 +104,85 @@ def test_magnus_stops_at_its_work_budget(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         magnus.magnus(field, (0.0, 1.0), start, np.empty(0), 1e-12, RuntimeError, np.zeros(1))
     assert info.value.args == ("work budget spent: 1305 profile evaluations for 1 vectors", 0.5)
+
+
+def _steady_family(name):
+    """The dense output of a steady family's angle solve (one exact step,
+    halved): coherent-xi1's 13 blocks, a Berry sweep of 4 runs, or a run
+    whose generator is zero (resonance, g = 0) beside a coupled one."""
+    from susyjc import AuxState, TimeProfile, build_adiabatic_scenario, constant_params
+    from susyjc import lambda_value
+    from susyjc.auxiliary import _solve_family
+
+    start = AuxState(math.pi / 3, 0.0)
+    if name == "coherent-xi1":
+        params = constant_params(1.0, 3.0, 0.05)
+        lams = [lambda_value(m, 3) for m in range(13)]
+        family = _solve_family(start, (0.0, 5.0), [params] * 13, lams)
+    elif name == "berry":
+        thetas = [math.pi / 6, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
+        scenarios = [build_adiabatic_scenario(t, TimeProfile.constant(1.0), 0) for t in thetas]
+        initial = AuxState(np.array(thetas), 0.0)
+        family = _solve_family(
+            initial, (0.0, 2 * math.pi), [s.params for s in scenarios], [s.lam for s in scenarios]
+        )
+    else:
+        params = [constant_params(1.0, 3.0, 0.0), constant_params(1.0, 3.0, 0.05)]
+        family = _solve_family(start, (0.0, 20.0), params, [6.0, 6.0])
+    return family[0]._dense
+
+
+@pytest.mark.parametrize("name", ["coherent-xi1", "berry", "zero-rate"])
+def test_a_steady_dense_output_is_the_general_sub_step_in_closed_form(name):
+    # the exact rotation about the constant generator, against one Magnus
+    # sub-step with its three fresh evaluations, on the same solution: at the
+    # step boundaries (where both give the step's start), the window's end,
+    # a scalar time and unsorted times
+    sol = _steady_family(name)
+    assert sol._constant is not None and sol.times.size == 3
+    members = sol._shift.size
+    if name == "zero-rate":
+        assert not sol._constant[:, 0].any() and sol._constant[:, 1].any()
+    rng = np.random.default_rng(7)
+    t0, t1 = sol.times[0], sol.times[-1]
+    for t in [sol.times, t1, 0.37 * t1, rng.uniform(t0, t1, 300)]:
+        times = np.atleast_1d(t)
+        idx = np.clip(np.searchsorted(sol.times, times, side="right") - 1, 0, sol.times.size - 2)
+        for dynamical, closed in [(True, sol(t)), (False, sol.spin(t))]:
+            general = sol._substep(times, idx, dynamical)
+            assert closed.shape == (general[0] if np.ndim(t) == 0 else general).shape
+            closed = np.atleast_2d(closed)
+            vectors = slice(0, 3 * members)
+            assert np.max(np.abs(closed[:, vectors] - general[:, vectors])) <= 1e-15
+            phases = slice(3 * members, None)
+            assert np.max(np.abs(closed[:, phases] - general[:, phases])) <= 4e-15
+    if name == "zero-rate":  # an identity rotation, with no 0/0
+        states = sol(rng.uniform(t0, t1, 50))
+        assert np.all(np.isfinite(states))
+        assert np.all(states[:, 0:6:2] == sol.states[0, 0:6:2])
+
+
+def test_a_steady_dense_output_evaluates_no_generator(monkeypatch):
+    # the certification grid's samples (spin) and the outputs' (__call__)
+    # of a steady family read the closed form alone
+    from susyjc import ModelParams
+
+    sol = _steady_family("coherent-xi1")
+    calls = []
+    evaluate, field = ModelParams.evaluate, sol._field
+
+    def counted_evaluate(self, t):
+        calls.append("evaluate")
+        return evaluate(self, t)
+
+    def counted_field(t):
+        calls.append("generator")
+        return field(t)
+
+    monkeypatch.setattr(ModelParams, "evaluate", counted_evaluate)
+    monkeypatch.setattr(sol, "_field", counted_field)
+    times = np.linspace(sol.times[0], sol.times[-1], 2178)
+    sol.spin(times)
+    sol(times)
+    sol(1.5)
+    assert calls == []
