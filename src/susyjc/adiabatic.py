@@ -81,9 +81,14 @@ def build_adiabatic_scenario(
     w = float(omega(0.0))
     if w <= 0:
         raise ConfigurationError(f"mode frequency must be positive, got {w}")
-    lam = lambda_value(m, k)
+    try:
+        root = math.sqrt(lambda_value(m, k))
+    except OverflowError:
+        raise ConfigurationError(
+            f"m = {m}: lambda = (m+1)...(m+k) is out of floating-point range"
+        ) from None
     # Steady azimuth: w0 = (k-1) w - 2 |g| sqrt(lam) cot(theta).
-    omega0 = (k - 1) * w - 2.0 * g_mod * math.sqrt(lam) / math.tan(theta)
+    omega0 = (k - 1) * w - 2.0 * g_mod * root / math.tan(theta)
     params = ModelParams(
         omega=omega,
         omega0=TimeProfile.constant(omega0),

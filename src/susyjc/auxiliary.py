@@ -14,8 +14,9 @@ about z at Delta = -(arg g)'(t0): n' = R_z(Delta (t - t0)) n obeys
 dn'/dt = 2 h' x n' with g' = g e^{+i Delta (t - t0)} and
 h'_z = (w0 - k w + Delta)/2.  For a drive of constant phase this is the lab
 frame.  Under a constant drive, and in the Berry scenarios, whose coupling
-turns at a constant rate, h' is constant there, and one step is exact
-however many turns n makes.
+turns at a constant rate, h' is constant there, and the solve is one step
+in closed form, the rotation about h' however many turns n makes, with no
+step search.
 
 The exact solutions carry exp(-i (phi_d + phi_g)), the Lewis-Riesenfeld
 construction, with phi_g a Berry-type geometric phase.  Both phase rates
@@ -100,7 +101,8 @@ class SolverStats:
     over all segments between profile kinks, and ``n_rhs_evaluations`` the
     node times of their candidate steps (nine per candidate), at which a
     time-dependent run's profiles are evaluated, summed over every
-    integration of the solve.  ``rtol``/``atol``
+    integration of the solve.  A steady solve is one step in closed form
+    and evaluates at no node: 1 and 0.  ``rtol``/``atol``
     are the requested tolerances; the first
     integration runs at rtol/16 and atol/16, ``refinements`` counts the
     re-integrations (each a further /16) that certification forced, and
@@ -270,42 +272,28 @@ def _steady(params: ModelParams) -> bool:
 
 def _generator(runs, lams, t0: float):
     """The generators 2 h' of the M members' frame vectors (module
-    docstring), each run in its drive frame: the (3, M) array itself when
-    every run is steady (:func:`_steady`), as its generator is constant,
-    and otherwise ``generators(t)``, (3, ..., M) over times t of any shape.
-    A steady run's profiles are evaluated once per solve, at t0, and each
-    call evaluates a time-dependent run's once for all its members, as
-    arrays: a call that evaluated every run made a Berry sweep of M angles
-    take O(M^2) profile evaluations.
+    docstring), each run in its drive frame: the (3, M) array itself,
+    evaluated once at t0, when every run is steady (:func:`_steady`), as its
+    generator is constant and :func:`susyjc.magnus.magnus` then solves it
+    in closed form, and otherwise ``generators(t)``, (3, ..., M) over times
+    t of any shape, which evaluates every run's profiles once for all its
+    members, as arrays.
     """
     roots = 2.0 * np.sqrt(lams)  # so that the components below are 2 h'
 
-    def fill(out, run, at):
-        omega, omega0, g = run.params.evaluate(at)
-        g = g * np.exp(1j * run.drive * (np.asarray(at) - t0))
-        x, y, z = out[..., run.lo : run.hi]
-        x[...] = np.multiply.outer(g.real, roots[run.lo : run.hi])
-        y[...] = np.multiply.outer(g.imag, roots[run.lo : run.hi])
-        z[...] = np.expand_dims(omega0 - run.params.k * omega + run.drive, -1)
-
-    steady = [_steady(run.params) for run in runs]
-    moving = [run for run, still in zip(runs, steady) if not still]
-    fixed = np.zeros((3, roots.size))
-    for run, still in zip(runs, steady):
-        if still:
-            fill(fixed, run, t0)
-    if not moving:
-        return fixed
-    mixed = len(moving) < len(runs)
-
     def generators(t):
         out = np.empty((3,) + np.shape(t) + (roots.size,))
-        if mixed:  # the steady runs' columns, then the others' over them
-            out[...] = fixed.reshape((3,) + (1,) * np.ndim(t) + (roots.size,))
-        for run in moving:
-            fill(out, run, t)
+        for run in runs:
+            omega, omega0, g = run.params.evaluate(t)
+            g = g * np.exp(1j * run.drive * (np.asarray(t) - t0))
+            x, y, z = out[..., run.lo : run.hi]
+            x[...] = np.multiply.outer(g.real, roots[run.lo : run.hi])
+            y[...] = np.multiply.outer(g.imag, roots[run.lo : run.hi])
+            z[...] = np.expand_dims(omega0 - run.params.k * omega + run.drive, -1)
         return out
 
+    if all(_steady(run.params) for run in runs):
+        return generators(t0)
     return generators
 
 
@@ -437,9 +425,8 @@ def _solve_family(
     ``initial``'s float angles, shared, or from entry j of its (M,) arrays.
 
     Consecutive members that share one params object (by identity) form a
-    run.  A run's profiles are evaluated for all its members at once, a
-    steady run's once per solve (:func:`_generator`), and the run has one
-    drive frame (module
+    run.  A run's profiles are evaluated for all its members at once
+    (:func:`_generator`), and the run has one drive frame (module
     docstring) and one certification :func:`_frame` on the shared grid.  The
     blocks m of a propagate or coherent run are one run, as they differ only
     in lambda; a Berry sweep's thetas are one run each.  The grid's edges and the
@@ -449,8 +436,11 @@ def _solve_family(
     both zero at t0 (module docstring), and the family steps together: a
     step is kept when its worst member's error is within the solver's
     rtol + atol (the vectors are of unit length), so each member's solver
-    tolerance is the one its solo solve takes.  The first integration runs at
-    rtol/16 and atol/16, one refinement notch below the request.
+    tolerance is the one its solo solve takes.  When every run is steady,
+    the profiles are evaluated once, at t0, and the integration is one
+    exact step in closed form, with no step search
+    (:func:`susyjc.magnus.magnus`).  The first integration runs at rtol/16
+    and atol/16, one refinement notch below the request.
 
     The family shares one sample grid, sized before the solve for the run
     and member that need the densest; a window whose floor grid's spacings
@@ -462,8 +452,8 @@ def _solve_family(
     (:func:`_printed_residual`); if any fails, the whole family is
     re-integrated at a further rtol/16, up to three times.  It stops
     earlier when the tighter pass would take the same steps
-    (``MagnusSolution.settled``), as an exactly integrated constant drive
-    would at any tolerance, and, on a grid cut to the cap, as soon as a
+    (``MagnusSolution.settled``), as the closed-form step of a steady
+    family would at any tolerance, and, on a grid cut to the cap, as soon as a
     refinement lowers the worst residual by less than a factor of 2, since
     the grid's error then holds it up.  The
     solver's rtol is clamped at the floor of 100 eps

@@ -5,8 +5,9 @@ default; :func:`load_config` reads them all and rejects any key left unread.
 Each ``cmd_*`` writes its CSVs and returns its checks, and :func:`main`
 prints their lines once the command has returned.  Exit codes: 0 all checks
 passed, 1 a check failed or a verification error was raised, 2 usage/config
-error.  Output is deterministic: fixed significant-digit formatting, no
-timestamps, identical configs produce byte-identical files.
+error, a scenario whose arrays do not fit in memory included.  Output is
+deterministic: fixed significant-digit formatting, no timestamps, identical
+configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -495,6 +496,9 @@ def main(argv=None) -> int:
     except SusyJCError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # an array that the scenario's size asks for
+        print(f"config error: the scenario does not fit in memory: {exc}", file=sys.stderr)
+        return 2
     for check in checks:
         print(check.line)
     return 0 if all(check.passed for check in checks) else 1

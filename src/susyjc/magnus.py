@@ -13,9 +13,10 @@ generator of (n, B) together (:func:`_bracket`), so that B too is of
 sixth order and exact under a constant A.  The step is controlled by step
 doubling (Richardson) on both, and the profiles' kinks
 (``params.breakpoints``) are step boundaries, as in :mod:`susyjc.quadrature`.
-The dense output inside a step is one more sub-step from its start, or,
-for a generator constant in time, the rotation about it in closed form
-(Rabi, Phys. Rev. 51, 652 (1937)), which evaluates nothing.
+The dense output inside a step is one more sub-step from its start.  A
+generator given as constant in time needs none of this: the solution is
+one step, the rotation about it in closed form (Rabi, Phys. Rev. 51, 652
+(1937)), with no step search, and its samples evaluate nothing.
 Vectors are component first, (3, ...), so that each component is one
 contiguous array.  This is a module of its own, not part of
 :mod:`susyjc.quadrature`, to keep every module's source small: the
@@ -95,8 +96,6 @@ def _lift(moments, tau, shift):
 def _exponent(a1, a2, a3):
     """The sixth-order Magnus exponent of one step from its moments, (3, ...)
     or (6, ...) (:func:`_bracket`)."""
-    if not (a2.any() or a3.any()):  # a constant generator: the exponent is exact, bit for bit
-        return a1
     c1 = _bracket(a1, a2)
     c2 = _bracket(a1, 2.0 * a3 + c1) / -60.0
     return a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
@@ -177,18 +176,6 @@ def _total_phase(tau, omega, half, a, shift):
     return spin - 0.5 * shift * tau[..., None]
 
 
-def _constant_field(generator):
-    """``field(t)`` of the (3, M) ``generator``, constant in time: a
-    read-only view of it, (3,) + S + (M,) over times of any shape S."""
-
-    def field(t):
-        shape = np.shape(t)
-        spread = generator.reshape((3,) + (1,) * len(shape) + generator.shape[1:])
-        return np.broadcast_to(spread, (3,) + shape + generator.shape[1:])
-
-    return field
-
-
 def _slices(size: int, members: int) -> list:
     """Consecutive slices of ``size`` items, each under _CHUNK with ``members`` vectors."""
     step = max(1, _CHUNK // members)
@@ -204,19 +191,20 @@ class MagnusSolution:
     phases G of the spin-1/2 lift (G modulo 2 pi, see :func:`_total_phase`);
     ``nfev`` the node times of the candidate steps, at which a generator
     that depends on time was evaluated (nine per candidate).  Calling it at
-    scalar t gives (5M,), over an array of N times (N, 5M), each time t
-    from the start of its step.  Under a generator constant in time
-    (``constant``, (3, M)) that is the exact rotation about it, in closed form
-    (:meth:`_turn`); otherwise it is one Magnus sub-step to t, with three
-    fresh evaluations of the generator, so every sample keeps the scheme's
-    order (:meth:`_substep`).  A time on a step boundary belongs to the step
-    that starts there (a knot takes the state the solver restarted from),
-    the last time to the last step.  :meth:`spin` gives the vectors and
-    B + G alone, without B, by the same path: the certificate checks the
-    very samples that the outputs read.  ``settled`` is the smallest
-    tolerance down to which :func:`magnus` takes these same steps: the
-    largest error estimate of its steps, or its own tolerance if it
-    rejected any.
+    scalar t gives (5M,), over an array of N times (N, 5M).  Under a
+    generator constant in time (``constant``, (3, M)) there is one step, the
+    window, and each sample is the exact rotation about the generator from
+    the start, in closed form (:meth:`_turn`), with ``nfev`` 0 and
+    ``settled`` 0.  Otherwise each sample is one Magnus sub-step from the
+    start of its step to t, with three fresh evaluations of the generator,
+    so every sample keeps the scheme's order (:meth:`_substep`); a time on a
+    step boundary belongs to the step that starts there (a knot takes the
+    state the solver restarted from), the last time to the last step.
+    :meth:`spin` gives the vectors and B + G alone, without B, by the same
+    path: the certificate checks the very samples that the outputs read.
+    ``settled`` is the smallest tolerance down to which :func:`magnus` takes
+    these same steps: the largest error estimate of its steps, or its own
+    tolerance if it rejected any.
     """
 
     def __init__(self, field, shift, times, states, nfev, settled, constant=None):
@@ -249,64 +237,57 @@ class MagnusSolution:
             if self._constant is None:
                 out[part] = self._substep(t[part], idx[part], dynamical)
             else:
-                self._turn(t[part], idx[part], dynamical, out[part])
+                self._turn(t[part], dynamical, out[part])
         return out[0] if scalar else out
 
     def _rotation_terms(self, generator):
-        """What the samples of each step share under the constant (3, M)
-        ``generator`` A: its rate |A| (M,), and (steps, 9, M) for each
-        step's start a: A^ x a and A^ x (A^ x a), with the unit axis A^
-        (zero where A = 0), then the coefficients P, 1 + z and Q of
-        :func:`_total_phase`'s arctan2 over the sine and cosine of the half
-        angle, whose q is sin(|A| tau / 2) A^."""
-        members = self._shift.size
+        """What every sample shares under the constant (3, M) ``generator``
+        A: its rate |A| (M,), and (9, M) for the start a: A^ x a and
+        A^ x (A^ x a), with the unit axis A^ (zero where A = 0), then the
+        coefficients P, 1 + z and Q of :func:`_total_phase`'s arctan2 over
+        the sine and cosine of the half angle, whose q is sin(|A| tau / 2) A^."""
         rate = np.sqrt(_dot(generator, generator))
         axis = np.divide(generator, rate, out=np.zeros(generator.shape), where=rate > 0.0)
-        starts = self.states[:-1, : 3 * members].reshape(-1, 3, members)
-        a = np.ascontiguousarray(starts.transpose(1, 0, 2))  # (3, steps, M)
-        along = np.broadcast_to(axis[:, None], a.shape)
-        turned = _cross(along, a)
+        a = self.states[0, : 3 * self._shift.size].reshape(3, -1)
+        turned = _cross(axis, a)
         x, y, z = a
         lift = 1.0 + z
         coefficients = [axis[2] * lift + axis[0] * x + axis[1] * y, lift, axis[0] * y - axis[1] * x]
-        terms = np.concatenate([turned, _cross(along, turned), coefficients])
-        return rate, np.ascontiguousarray(terms.transpose(1, 0, 2))
+        return rate, np.concatenate([turned, _cross(axis, turned), coefficients])
 
-    def _turn(self, t, idx, dynamical: bool, out):
+    def _turn(self, t, dynamical: bool, out):
         """:meth:`_substep` under the constant generator A, written into
         ``out``, (n, 5M) or (n, 4M): each time's vectors are the exact
-        rotation of the start a of its step idx by the angle |A| tau, tau =
-        t - start, n = a + 2 s c A^ x a + 2 s^2 A^ x (A^ x a) with (c, s) the
-        cosine and sine of the half angle, and B + G is
+        rotation of the start a, where B = G = 0, by the angle |A| tau,
+        tau = t - t0, n = a + 2 s c A^ x a + 2 s^2 A^ x (A^ x a) with (c, s)
+        the cosine and sine of the half angle, and B + G is
         :func:`_total_phase` in the same terms.  B is
         :func:`_dynamical_row` on the exponent tau (A, w), w = (A - shift
         z)/2 (:func:`_lift`)."""
         members = self._shift.size
         rate, terms = self._terms
-        tau = t - self.times[idx]
+        tau = t - self.times[0]
         half = np.multiply.outer(0.5 * tau, rate)  # (n, M)
         s, c = np.sin(half), np.cos(half)
-        then = self.states[idx].reshape(t.size, 5, members)  # a, B and G at the steps' starts
-        step = terms[idx]
+        a = self.states[0, : 3 * members].reshape(3, members)
         blocks = out.reshape(t.size, -1, members)
         vectors = blocks[:, :3]
-        np.multiply((2.0 * s * c)[:, None], step[:, 0:3], out=vectors)
-        vectors += (2.0 * s * s)[:, None] * step[:, 3:6]
-        vectors += then[:, :3]
-        spin = np.arctan2(s * step[:, 6], c * step[:, 7] + s * step[:, 8])
+        np.multiply((2.0 * s * c)[:, None], terms[0:3], out=vectors)
+        vectors += (2.0 * s * s)[:, None] * terms[3:6]
+        vectors += a
+        spin = np.arctan2(s * terms[6], c * terms[7] + s * terms[8])
         total = spin - 0.5 * self._shift * tau[:, None]
         if not dynamical:
-            blocks[:, 3] = then[:, 3] + then[:, 4] + total
+            blocks[:, 3] = total
             return
         angle = 2.0 * half
         ratio = np.divide(s, angle, out=np.full(angle.shape, 0.5), where=angle > 0.0)
         omega = tau[:, None] * self._constant[:, None]
         w = 0.5 * omega
         w[2] -= (0.5 * self._shift) * tau[:, None]
-        a = then[:, :3].transpose(1, 0, 2)  # (3, n, M)
         db = _dot(_dynamical_row(np.concatenate([omega, w]), (c, ratio)), a)
-        blocks[:, 3] = then[:, 3] + db
-        blocks[:, 4] = then[:, 4] + (total - db)
+        blocks[:, 3] = db
+        blocks[:, 4] = total - db
 
     def _substep(self, t, idx, dynamical: bool):
         """The states at times t, (n, 5M) or (n, 4M), each by one sub-step
@@ -339,30 +320,41 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     dynamical phases B alongside.
 
     ``field(t)`` maps an array of times of any shape S to the generators A,
-    (3,) + S + (M,), component first, or ``field`` is the (3, M) array of a
-    generator constant in time, whose dense output is then its exact
-    rotation in closed form (:class:`MagnusSolution`); ``vectors`` is the
-    (3, M) start;
+    (3,) + S + (M,), component first; ``vectors`` is the (3, M) start;
     ``shift`` (M,) is the rate at which each vector's frame turns about z,
-    which the solution's phases correct for (:class:`MagnusSolution`).  Each
-    candidate step is taken whole and as two halves (nine evaluations); the
-    halves are kept when the largest difference of the two, over the
-    members, in the rotation or in B's increment from any unit vector, over
-    2^6 - 1 (Richardson's estimate of the halves' error), is within ``tol``,
-    and a rejected step is split by its estimate into 2 to 16 pieces that
-    the next round tries, all of a round's candidates in vectorized passes.
-    The first candidate of each segment between kinks is the whole segment:
-    a generator constant in time is integrated exactly in one candidate.  A
-    piece under ten float spacings of its start, or a non-finite generator,
-    exponent or estimate, raises ``failure(message, time)`` at that piece's
-    start, and spending the _WORK_BUDGET raises it at the time reached, the
-    earliest start still queued.
+    which the solution's phases correct for (:class:`MagnusSolution`).
+
+    If ``field`` is instead the (3, M) array of a generator constant in
+    time, the solution is one step over the window in closed form, kinks or
+    not: its end is the exact rotation about A, with no step search, no
+    evaluation (``nfev`` 0) and ``settled`` 0, as no tighter tolerance would
+    change it; a non-finite |A| (t1 - t0) raises ``failure`` at t0.
+
+    Otherwise each candidate step is taken whole and as two halves (nine
+    evaluations); the halves are kept when the largest difference of the
+    two, over the members, in the rotation or in B's increment from any
+    unit vector, over 2^6 - 1 (Richardson's estimate of the halves' error),
+    is within ``tol``, and a rejected step is split by its estimate into 2
+    to 16 pieces that the next round tries, all of a round's candidates in
+    vectorized passes.  The first candidate of each segment between kinks
+    is the whole segment: a field constant in time is integrated exactly in
+    one candidate.  A piece under ten float spacings of its start, or a
+    non-finite generator, exponent or estimate, raises
+    ``failure(message, time)`` at that piece's start, and spending the
+    _WORK_BUDGET raises it at the time reached, the earliest start still
+    queued.
     """
     t0, t1 = float(window[0]), float(window[1])
     members = len(shift)
-    constant = field if isinstance(field, np.ndarray) else None
-    if constant is not None:
-        field = _constant_field(constant)
+    shift = np.asarray(shift, dtype=float)
+    if isinstance(field, np.ndarray):  # one exact step, in closed form
+        states = np.zeros((2, 5 * members))
+        states[0, : 3 * members] = np.ravel(vectors)
+        solution = MagnusSolution(None, shift, np.array([t0, t1]), states, 0, 0.0, field)
+        if not np.isfinite(solution._terms[0] * (t1 - t0)).all():
+            raise failure("non-finite step (generator, exponent or estimate)", t0)
+        states[1] = solution(t1)
+        return solution
     edges = np.concatenate([[t0], kinks, [t1]])
     starts, ends = edges[:-1], edges[1:]
     # the split pieces, queued behind starts: appending them to starts on
@@ -442,5 +434,4 @@ def magnus(field, window, vectors, kinks, tol: float, failure, shift) -> MagnusS
     np.cumsum(phases, axis=1, out=phases)
     vectors_out = chain.transpose(1, 0, 2).reshape(steps + 1, 3 * members)
     states = np.concatenate([vectors_out, phases[0], phases[1]], axis=1)
-    shift = np.asarray(shift, dtype=float)
-    return MagnusSolution(field, shift, np.append(lefts, t1), states, nfev, settled, constant)
+    return MagnusSolution(field, shift, np.append(lefts, t1), states, nfev, settled)

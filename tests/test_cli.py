@@ -1,9 +1,11 @@
 import ast
 import configparser
+import contextlib
 import io
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from dataclasses import fields
@@ -402,7 +404,27 @@ EDGES = {
     "omega-1e300": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e300"),
     "omega-1e150": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e150"),
     "omega-1e307": ("propagate", "resonant.ini", "omega.value = 1.0", "omega.value = 1e307"),
+    # integers whose arrays, or lambda, no machine holds
+    "samples-1e12": ("propagate", "resonant.ini", "samples = 201", "samples = 1000000000000"),
+    "cutoff-1e8": ("propagate", "resonant.ini", "cutoff = 32", "cutoff = 100000000"),
+    "berry-m-1e160": ("berry", "berry.ini", "m = 0", f"m = {10**160}"),
 }
+
+
+@contextlib.contextmanager
+def _address_space(extra: int):
+    """Let this process map at most ``extra`` more bytes while the block
+    runs, as ``ulimit -v`` bounds CI's fresh processes: an input that asks
+    for more memory than the machine has then fails at once on any machine,
+    before it takes the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    limits = [mapped + extra] + [x for x in (soft, hard) if x != resource.RLIM_INFINITY]
+    resource.setrlimit(resource.RLIMIT_AS, (min(limits), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 @pytest.mark.parametrize("command,base,old,new", list(EDGES.values()), ids=list(EDGES))
@@ -410,7 +432,8 @@ def test_values_at_the_ends_of_floating_point_end_typed(tmp_path, capsys, comman
     text = (ROOT / "configs" / base).read_text()
     assert text.count(old) == 1
     config = write(tmp_path, text.replace(old, new))
-    code = main([command, "--config", config, "--out", str(tmp_path / "o")])
+    with _address_space(2 << 30):
+        code = main([command, "--config", config, "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code in (1, 2)
     assert len(err.splitlines()) == 1

@@ -13,10 +13,23 @@ def _spinor(n):
     return np.array([c, (x + 1j * y) / (2.0 * c)])
 
 
-def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate():
+def _broadcast(generators):
+    """``field(t)`` of the (3, M) ``generators``, constant in time."""
+
+    def field(t):
+        spread = generators.reshape(3, *(1,) * np.ndim(t), -1)
+        return np.broadcast_to(spread, (3, *np.shape(t), generators.shape[1]))
+
+    return field
+
+
+@pytest.mark.parametrize("given", ["callable", "array"])
+def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate(given):
     # three vectors turning 22 to 45 times about fixed axes, in frames that
-    # turn about z: the one candidate (the whole window and its two halves,
-    # nine evaluations) is exact, at every time.  B is the integral of
+    # turn about z.  As a callable field, the one candidate (the whole
+    # window and its two halves, nine evaluations) is exact, at every time;
+    # as the (3, M) array, the solution is one step in closed form, with no
+    # evaluation and nothing left to settle.  B is the integral of
     # (A.n - shift n_z) / 2, in closed form, and B + G is the phase of the
     # spin-1/2 lift exp(-i t A.sigma / 2), by brute force, less shift t / 2
     from scipy.linalg import expm
@@ -25,13 +38,13 @@ def test_magnus_integrates_a_constant_generator_exactly_in_one_candidate():
     generators = rng.normal(size=(3, 3)) * 40.0  # (component, member)
     vectors = rng.normal(size=(3, 3))
     vectors /= np.linalg.norm(vectors, axis=0)
-
-    def field(t):
-        return np.broadcast_to(generators.reshape(3, *(1,) * np.ndim(t), 3), (3, *np.shape(t), 3))
-
+    field = _broadcast(generators) if given == "callable" else generators
     shift = rng.normal(size=3) * 10.0
     sol = magnus.magnus(field, (0.0, 7.0), vectors, np.empty(0), 1e-12, RuntimeError, shift)
-    assert sol.times.tolist() == [0.0, 3.5, 7.0] and sol.nfev == 9
+    if given == "callable":
+        assert sol.times.tolist() == [0.0, 3.5, 7.0] and sol.nfev == 9
+    else:
+        assert sol.times.tolist() == [0.0, 7.0] and sol.nfev == 0 and sol.settled == 0.0
     times = np.linspace(0.0, 7.0, 57)
     states = sol(times)
     sigma = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
@@ -107,8 +120,8 @@ def test_magnus_stops_at_its_work_budget(monkeypatch):
 
 
 def _steady_family(name):
-    """The dense output of a steady family's angle solve (one exact step,
-    halved): coherent-xi1's 13 blocks, a Berry sweep of 4 runs, or a run
+    """The dense output of a steady family's angle solve (one exact step):
+    coherent-xi1's 13 blocks, a Berry sweep of 4 runs, or a run
     whose generator is zero (resonance, g = 0) beside a coupled one."""
     from susyjc import AuxState, TimeProfile, build_adiabatic_scenario, constant_params
     from susyjc import lambda_value
@@ -135,11 +148,11 @@ def _steady_family(name):
 @pytest.mark.parametrize("name", ["coherent-xi1", "berry", "zero-rate"])
 def test_a_steady_dense_output_is_the_general_sub_step_in_closed_form(name):
     # the exact rotation about the constant generator, against one Magnus
-    # sub-step with its three fresh evaluations, on the same solution: at the
-    # step boundaries (where both give the step's start), the window's end,
-    # a scalar time and unsorted times
+    # sub-step with its three fresh evaluations of a broadcast field, on the
+    # same solution: at the step's ends, a scalar time and unsorted times
     sol = _steady_family(name)
-    assert sol._constant is not None and sol.times.size == 3
+    assert sol._constant is not None and sol.times.size == 2
+    sol._field = _broadcast(sol._constant)
     members = sol._shift.size
     if name == "zero-rate":
         assert not sol._constant[:, 0].any() and sol._constant[:, 1].any()
