@@ -36,8 +36,8 @@ output, (n_t, 5M): B and G are its last 2M columns, and :func:`_angle_chart`
 gives theta = atan2(hypot(x', y'), z'), phi = atan2(y', -x') + Delta (t - t0)
 and G, phi and G on the branches continuous along the certification grid.
 The certificate works in its own frame, which turns at
-Delta0 = k w(t0) - w0(t0) (:func:`_frame`), where the grid rule resolves
-the motion.
+Delta0 = k w(t0) - w0(t0) (:func:`_frame`), where the grid, sized by its
+measured error, resolves the motion.
 
 One solve carries M members, each with its own lambda (which scales the
 coupling by sqrt(lam)), its own start or a shared one, and its own profiles
@@ -75,7 +75,15 @@ import numpy as np
 from .errors import CertificationError, ConfigurationError, SingularityError
 from .magnus import MagnusSolution, magnus
 from .profiles import ModelParams
-from .quadrature import RTOL_FLOOR, check_window, segmented_grid, spline_derivative
+from .quadrature import (
+    RICHARDSON,
+    RTOL_FLOOR,
+    antiderivative_error,
+    check_window,
+    segmented_grid,
+    spline_derivative,
+    stride2,
+)
 
 THETA_MIN = 1e-8  # |sin theta| below this at a live pole is a singularity
 _MIN_SAMPLES = 2001  # smallest solve_aux grid
@@ -107,11 +115,14 @@ class SolverStats:
     integration runs at rtol/16 and atol/16, ``refinements`` counts the
     re-integrations (each a further /16) that certification forced, and
     ``effective_rtol`` is the solver rtol of the integration kept.
-    ``n_samples`` is the size of the certified grid, ``sample_cap_hit``
-    marks a grid cut down to the cap, and ``max_norm_deviation`` is the
-    largest ||n| - 1| of the integrated vector on it.  The members of one
-    family solve (``_solve_family``) share everything but ``max_residual``
-    and ``max_norm_deviation``.
+    ``n_samples`` is the size of the certified grid, ``doublings`` counts
+    the grid doublings kept on the way to it from the floor (apart from
+    ``refinements``), ``sample_cap_hit`` marks a grid doubled up to the
+    cap, ``grid_error`` is the member's measured stencil error on it
+    (:func:`_printed_residual`), and ``max_norm_deviation`` is the largest
+    ||n| - 1| of the integrated vector on it.  The members of one family
+    solve (``_solve_family``) share everything but ``max_residual``,
+    ``grid_error`` and ``max_norm_deviation``.
     """
 
     n_steps: int
@@ -124,6 +135,8 @@ class SolverStats:
     n_samples: int = 0
     sample_cap_hit: bool = False
     max_norm_deviation: float = math.nan
+    doublings: int = 0
+    grid_error: float = math.nan
 
 
 def aux_rhs(state: AuxState, t, params: ModelParams, lam: float):
@@ -247,6 +260,27 @@ def family_sample(trajectories):
         return AuxState(theta[..., columns], phi[..., columns]), b[..., columns], g[..., columns]
 
     return sample
+
+
+class _Pass(NamedTuple):
+    """One certification pass of a family solve on its grid of ``n``
+    requested samples (``times``; more when a short segment takes its 12
+    gaps): the chart, the (n, M) angles and residual series, the members'
+    worst residuals, the measured errors (the M members' stencil errors,
+    then int w's of each run) and norm deviations, and :func:`_poles`'
+    reversals."""
+
+    n: int
+    times: np.ndarray
+    edge_indices: tuple
+    to_chart: object
+    thetas: np.ndarray
+    phis: np.ndarray
+    series: np.ndarray
+    residuals: np.ndarray
+    errors: np.ndarray
+    deviations: np.ndarray
+    reversals: tuple
 
 
 class _Run(NamedTuple):
@@ -442,20 +476,30 @@ def _solve_family(
     (:func:`susyjc.magnus.magnus`).  The first integration runs at rtol/16
     and atol/16, one refinement notch below the request.
 
-    The family shares one sample grid, sized before the solve for the run
-    and member that need the densest; a window whose floor grid's spacings
-    overflow or underflow when multiplied together, as the sizing rule's
-    derivative does, is a ConfigurationError.  Each certification pass
-    evaluates the solve on it once, (n, 5M), checks the poles at the
-    samples, converts the vector columns to the (n, M) thetas and phis and
-    certifies each member
-    (:func:`_printed_residual`); if any fails, the whole family is
-    re-integrated at a further rtol/16, up to three times.  It stops
-    earlier when the tighter pass would take the same steps
-    (``MagnusSolution.settled``), as the closed-form step of a steady
-    family would at any tolerance, and, on a grid cut to the cap, as soon as a
-    refinement lowers the worst residual by less than a factor of 2, since
-    the grid's error then holds it up.  The
+    The family shares one sample grid, which starts on the floor of
+    ``_MIN_SAMPLES`` (:func:`susyjc.quadrature.segmented_grid`); a window
+    whose floor grid's spacings overflow or underflow when multiplied
+    together is a ConfigurationError.  Each certification pass evaluates
+    the solve on the grid once, (n, 5M), checks the poles at the samples,
+    converts the vector columns to the (n, M) thetas and phis, certifies
+    each member and measures its stencils' error by Richardson's estimate
+    from the stride-2 subgrid (:func:`_printed_residual`), and measures
+    each run's int w the same way
+    (:func:`susyjc.quadrature.antiderivative_error`).  While a measured
+    error exceeds its budget (10 rtol for the stencils, an order below the
+    bound; rtol / 10 for int w), or a member's residual is over the bound
+    by no more than its stencil error, the same solve is sampled again on a
+    grid twice as dense, up to ``_SAMPLE_CAP``.  A doubling that does not
+    lower an error over its budget shows the samples' rounding, not the
+    grid, holding it up: the family keeps the coarser grid and stops there,
+    and a member that fails then raises a CertificationError that names
+    the rounding floor.  If a member fails on a grid within its budgets,
+    the whole family is re-integrated at a further rtol/16, up to three
+    times, and sampled on the same grid.  It stops earlier when the tighter
+    pass would take the same steps (``MagnusSolution.settled``), as the
+    closed-form step of a steady family would at any tolerance, and on the
+    capped grid when the grid's error alone takes a member over the bound,
+    as that error holds it up (a CertificationError naming the cap).  The
     solver's rtol is clamped at the floor of 100 eps
     (``quadrature.RTOL_FLOOR``).  Errors raised for one member of a family
     name its lambda and its initial theta.  The poles between samples are
@@ -496,43 +540,34 @@ def _solve_family(
     drives = np.repeat([run.drive for run in runs], sizes)
     detunings = np.repeat([run.detuning for run in runs], sizes)
 
-    # Sample density rule, per run from its profiles on the floor grid: a
-    # component of amplitude a at rate w of the frame vector costs the
-    # certificate's sixth-order stencils a derivative error ~ a w (h w)^6,
-    # kept within 10 * rtol, an order below the bound.  The vector precesses
-    # at 2 |h'| (a = 1); h''s coupling part c = 2 sqrt(lam) |g| turns at
-    # Delta0 + (arg g)', a wobble of a = c / w.  The densest run sets the grid.
     kinks = np.unique(np.concatenate([run.params.breakpoints(t0, t1) for run in runs]))
     edges = np.concatenate([[t0], kinks, [t1]])
-    times, edge_indices = segmented_grid(edges, _MIN_SAMPLES)
+    grids = {}  # the last grid asked for, by its n
+
+    def grid(n):
+        """The n-sample grid, its edge indices, each run's :func:`_frame`
+        on it and the measured error of each run's int w there."""
+        if n not in grids:
+            times, edge_indices = segmented_grid(edges, n)
+            frames = [_frame(run.params, times) for run in runs]
+            omegas = [
+                antiderivative_error(times, run.params.omega(times), edge_indices) for run in runs
+            ]
+            grids.clear()
+            grids[n] = times, edge_indices, frames, omegas
+        return grids[n]
+
+    times, _, floor_frames, _ = grid(_MIN_SAMPLES)
     gaps = np.diff(times)
     small, large = float(gaps.min()), float(gaps.max())
-    # np.gradient below divides by products of two spacings
+    # a window so short or so long that its spacings square out of the
+    # float range is rejected before any integration
     if not (small * small > 0.0 and 2.0 * large * large < math.inf):
         raise ConfigurationError(
             f"window {window} is out of floating-point range for its {times.size}-sample grid: "
             f"spacings {small:.3g} to {large:.3g}"
         )
-    frames = [_frame(run.params, times) for run in runs]
-    budget = max(10.0 * rtol, 1e-13)
-
-    def density(run, frame):
-        coupling = 2.0 * math.sqrt(lams[run.lo : run.hi].max()) * np.abs(frame[2])
-        precession = float(np.max(np.hypot(frame[1], coupling)))
-        phase_rate = np.gradient(run.params.g_phase(times), times)
-        turning = float(np.max(np.abs(run.detuning + phase_rate)))
-        rates = precession * (precession / budget) ** (1 / 6)
-        rates = max(rates, (precession + turning) * (float(np.max(coupling)) / budget) ** (1 / 6))
-        # factor 2: the motion's harmonics sit above these rates; more than
-        # the cap, infinity included, counts as the cap
-        return 2 * math.ceil(min((t1 - t0) * rates, _SAMPLE_CAP))
-
-    n_auto = max(density(run, frame) for run, frame in zip(runs, frames))
-    capped = n_auto > _SAMPLE_CAP
-    if n_auto > _MIN_SAMPLES:
-        times, edge_indices = segmented_grid(edges, min(n_auto, _SAMPLE_CAP))
-        frames = [_frame(run.params, times) for run in runs]
-    live = np.repeat([bool(np.any(frame[2] != 0)) for frame in frames], sizes)  # coupled members
+    live = np.repeat([bool(np.any(frame[2] != 0)) for frame in floor_frames], sizes)  # coupled
     starts = list(zip(theta0.tolist(), phi0.tolist()))
     polar = [j for j, (a, _) in enumerate(starts) if live[j] and abs(math.sin(a)) < THETA_MIN]
     if polar:
@@ -545,22 +580,22 @@ def _solve_family(
     def failed(message, time):
         return SingularityError(f"angle integration failed: {message}", time=time)
 
-    step = max(1, _CHUNK // times.size)  # members per certification derivative
-    chunks = [
-        (frame, slice(j, min(j + step, run.hi)))
-        for frame, run in zip(frames, runs)
-        for j in range(run.lo, run.hi, step)
-    ]
     def tolerances(r):
         """Pass r's (rtol, tol): the request / 16**(r + 1) (docstring)."""
         solver_rtol = max(rtol / 16.0 ** (r + 1), RTOL_FLOOR)
         return solver_rtol, solver_rtol + atol / 16.0 ** (r + 1)  # |n| = 1
 
-    total_nfev, previous = 0, math.inf
-    for refinements in range(4):
-        solver_rtol, tol = tolerances(refinements)
-        vectors = magnus(generators, window, np.transpose(n0), kinks, tol, failed, drives)
-        total_nfev += vectors.nfev
+    def integrate(r):
+        return magnus(generators, window, np.transpose(n0), kinks, tolerances(r)[1], failed, drives)
+
+    # the measured errors' budgets: the stencils' an order below the 100 rtol
+    # bound, int w's an order below the rtol that the phases B and G are
+    # stepped to
+    budgets = np.repeat([max(10.0 * rtol, 1e-13), max(0.1 * rtol, 1e-15)], [members, len(runs)])
+
+    def certify_pass(vectors, n):
+        """The solve sampled on the n-sample grid and certified there."""
+        times, edge_indices, frames, omegas = grid(n)
         block = vectors.spin(times)  # (n, 4M)
         found, reversals = _poles(times, block, live)
         if found:
@@ -570,22 +605,48 @@ def _solve_family(
         norms = np.sqrt(np.sum(block[:, : 3 * members].reshape(-1, 3, members) ** 2, axis=1))
         deviations = np.max(np.abs(norms - 1.0), axis=0)
         del block, norms
-        series = np.hstack(
-            [
-                _printed_residual(times, edge_indices, thetas[:, c], phis[:, c], frame, lams[c])
-                for frame, c in chunks
-            ]
+        step = max(1, _CHUNK // times.size)  # members per certification derivative
+        parts = [
+            _printed_residual(times, edge_indices, thetas[:, c], phis[:, c], frame, lams[c])
+            for run, frame in zip(runs, frames)
+            for c in (slice(j, min(j + step, run.hi)) for j in range(run.lo, run.hi, step))
+        ]
+        series = np.hstack([part[0] for part in parts])
+        errors = np.concatenate([part[1] for part in parts] + [omegas])
+        return _Pass(
+            n, times, edge_indices, to_chart, thetas, phis, series, np.max(series, axis=0),
+            errors, deviations, reversals,
         )
-        residuals = np.max(series, axis=0).tolist()
-        worst = max(residuals)
-        if not certify or worst <= 100.0 * rtol or refinements == 3:
+
+    bound = 100.0 * rtol
+    refinements, doublings, rounding = 0, 0, None
+    vectors = integrate(0)
+    total_nfev = vectors.nfev
+    current = certify_pass(vectors, _MIN_SAMPLES)
+    while True:
+        over = current.errors > budgets
+        failing = current.residuals > bound
+        # a residual that the grid's error alone takes over the bound
+        held = failing & (current.residuals - current.errors[:members] <= bound)
+        if (over.any() or held.any()) and current.n < _SAMPLE_CAP:
+            finer = certify_pass(vectors, min(2 * current.n - 1, _SAMPLE_CAP))
+            if np.any(finer.errors[over] >= current.errors[over]):
+                # a doubling that does not lower the measured error: the
+                # samples' rounding, not the grid, holds the error up
+                rounding = finer.times.size, finer.errors
+                break
+            current, doublings = finer, doublings + 1
+            continue
+        if not certify or not failing.any() or held.any() or refinements == 3:
             break
-        if capped and worst > 0.5 * previous:
-            break  # the capped grid's error, not the ODE's, holds the residual up
         if vectors.settled <= tolerances(refinements + 1)[1]:
             break  # a tighter pass would take these same steps
-        previous = worst
-        del thetas, phis, series  # frees the rejected pass before the next one samples
+        n = current.n
+        del current  # frees the rejected pass before the next one samples
+        refinements += 1
+        vectors = integrate(refinements)
+        total_nfev += vectors.nfev
+        current = certify_pass(vectors, n)
 
     stats = SolverStats(
         vectors.times.size - 1,
@@ -593,54 +654,62 @@ def _solve_family(
         rtol,
         atol,
         refinements=refinements,
-        effective_rtol=solver_rtol,
-        n_samples=times.size,
-        sample_cap_hit=capped,
+        effective_rtol=tolerances(refinements)[0],
+        n_samples=current.times.size,
+        sample_cap_hit=current.n == _SAMPLE_CAP,
+        doublings=doublings,
     )
-    for j, residual in enumerate(residuals):
-        if certify and residual > 100.0 * rtol:
-            cap = f" on a grid capped at {_SAMPLE_CAP} samples" if capped else ""
-            raise CertificationError(
-                located(
-                    f"angle trajectory residual {residual:.3e} exceeds "
-                    f"100*rtol={100 * rtol:.3e}{cap}",
-                    j,
+    for j, residual in enumerate(current.residuals.tolist()):
+        if certify and residual > bound:
+            message = f"angle trajectory residual {residual:.3e} exceeds 100*rtol={bound:.3e}"
+            if rounding is not None:
+                size, errors = rounding
+                message += (
+                    f" at the rounding floor: doubling the grid to {size} samples did not "
+                    f"lower the measured stencil error ({current.errors[j]:.3e} to {errors[j]:.3e})"
                 )
-            )
+            elif stats.sample_cap_hit:
+                message += f" on a grid capped at {_SAMPLE_CAP} samples"
+            raise CertificationError(located(message, j))
     # locating a pole between samples trusts the grid to resolve the motion:
     # it waits for the certificate, or a solve that skips it
-    pole = _first_pole(vectors, times, [], reversals, members)
+    pole = _first_pole(vectors, current.times, [], current.reversals, members)
     if pole is not None:
         raise at_pole(*pole)
     return [
         AuxTrajectory(
-            times=times,
-            thetas=thetas[:, j],
-            phis=phis[:, j],
+            times=current.times,
+            thetas=current.thetas[:, j],
+            phis=current.phis[:, j],
             params=member_params,
             lam=float(lam),
-            stats=replace(stats, max_residual=residual, max_norm_deviation=float(deviation)),
-            edge_indices=edge_indices,
-            residuals=series[:, j],
+            stats=replace(
+                stats,
+                max_residual=float(current.residuals[j]),
+                max_norm_deviation=float(current.deviations[j]),
+                grid_error=float(current.errors[j]),
+            ),
+            edge_indices=current.edge_indices,
+            residuals=current.series[:, j],
             _dense=vectors,
-            _chart=to_chart,
+            _chart=current.to_chart,
             _member=j,
         )
-        for j, (member_params, lam, residual, deviation) in enumerate(
-            zip(params, lams, residuals, deviations)
-        )
+        for j, (member_params, lam) in enumerate(zip(params, lams))
     ]
 
 
-def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray:
-    """Per-sample max modulus of the two complex angle equations as printed,
+def _printed_residual(times, edge_indices, theta, phi, frame, lam):
+    """``(series, error)``: the per-sample max modulus of the two complex
+    angle equations as printed,
 
         E1 = th' cos(th) e^{-i phi} - i ph' sin(th) e^{-i phi}
              + i [ (k w - w0) sin(th) e^{-i phi} - 2 g sqrt(lam) cos(th) ]
         E2 = th' - i sqrt(lam) [ g e^{i phi} - g* e^{-i phi} ]
 
     on sampled angles ((n,), or (n, K) with K ``lam`` values), with
-    ``frame`` = :func:`_frame` on ``times``.  The derivatives are
+    ``frame`` = :func:`_frame` on ``times``, and the stencils' error in it,
+    () or (K,).  The derivatives are
     sixth-order finite differences of s~ = sin(th) e^{-i phi~} and
     c = cos(th), phi~ = phi - Delta0 tau: the frame vector's -(x' + i y')
     and z', smooth near a pole and at rest under free precession.  The first two terms of E1 are
@@ -648,28 +717,45 @@ def _printed_residual(times, edge_indices, theta, phi, frame, lam) -> np.ndarray
 
         E1 e^{i Delta0 tau} = s~' + i ((k w - w0 - Delta0) s~ - 2 g' sqrt(lam) c),
 
-    and th' = c Re(s~' e^{i phi~}) - sin(th) c' needs no division.
+    and th' = c Re(s~' e^{i phi~}) - sin(th) c' needs no division.  The
+    error is Richardson's estimate of the error of the derivatives
+    (s~', c'), the frame vector's velocity: the largest length of their
+    change when taken on the grid's stride-2 subgrid, at the samples the
+    two share, over 63.  As the rest of each equation is the same on both
+    grids, it bounds the stencils' error in E1, which is ds~', and in E2,
+    which is cos(th) Re(ds~' e^{i phi~}) - sin(th) dc' and so at most
+    |(ds~', dc')| (Cauchy-Schwarz).
     """
     columns = (...,) + (None,) * (np.ndim(theta) - 1)  # the frame's (n,) parts as (n, 1)
     turn, offset, g_frame = (part[columns] for part in frame)
     root = np.sqrt(lam)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     e_m = np.exp(-1j * (phi - turn))  # e^{-i phi~}
+    e_p = np.conj(e_m)  # e^{i phi~}
     s = sin_t * e_m
-    derivatives = spline_derivative(times, np.stack([s.real, s.imag, cos_t], axis=-1), edge_indices)
+    values = np.stack([s.real, s.imag, cos_t], axis=-1)
+    derivatives = spline_derivative(times, values, edge_indices)
     ds, dc = derivatives[..., 0] + 1j * derivatives[..., 1], derivatives[..., 2]
     eq1 = ds + 1j * (offset * s - 2.0 * root * g_frame * cos_t)
-    dtheta = cos_t * (ds * np.conj(e_m)).real - sin_t * dc
-    rotated = g_frame * np.conj(e_m)  # g e^{i phi}
-    eq2 = dtheta - 1j * root * (rotated - np.conj(rotated))
-    return np.maximum(np.abs(eq1), np.abs(eq2))
+    dtheta = cos_t * (ds * e_p).real - sin_t * dc
+    # E2 is real: g e^{i phi} - g* e^{-i phi} = 2 i Im(g e^{i phi})
+    eq2 = dtheta + root * (2.0 * (g_frame * e_p).imag)
+    series = np.maximum(np.abs(eq1), np.abs(eq2))
+    del s, e_m, e_p, ds, dc, eq1, dtheta, eq2  # frees them before the stride-2 pass
+    # the stride-2 derivatives' change at the shared samples, squared
+    coarse_times, coarse_edges = stride2(times, edge_indices)
+    coarse = spline_derivative(coarse_times, np.ascontiguousarray(values[::2]), coarse_edges)
+    coarse -= derivatives[::2]
+    coarse *= coarse
+    return series, np.sqrt(np.max(np.sum(coarse, axis=-1), axis=0)) / RICHARDSON
 
 
 def residual_series(traj: AuxTrajectory, params: ModelParams, lam: float) -> np.ndarray:
-    """:func:`_printed_residual` along ``traj`` for ``params`` and ``lam``: its
-    derivatives come from the samples, not from the integrated right-hand side."""
+    """:func:`_printed_residual`'s series along ``traj`` for ``params`` and
+    ``lam``: its derivatives come from the samples, not from the integrated
+    right-hand side."""
     frame = _frame(params, traj.times)
-    return _printed_residual(traj.times, traj.edge_indices, traj.thetas, traj.phis, frame, lam)
+    return _printed_residual(traj.times, traj.edge_indices, traj.thetas, traj.phis, frame, lam)[0]
 
 
 def residual_check(traj: AuxTrajectory, params: ModelParams, lam: float) -> float:

@@ -20,7 +20,10 @@ Sampled series are differentiated with 7-point finite-difference stencils
 (sixth order) on each segment's uniform grid, and integrated with the local
 degree-5 interpolant (sixth order); the stencil weights come from
 Fornberg's algorithm (Math. Comp. 51, 699 (1988)).  Sixth-order derivatives
-keep certification residuals well below the ODE tolerances they audit.
+keep certification residuals well below the ODE tolerances they audit, and
+the error of either is measured on the grid itself by Richardson's
+two-grid estimate: the change when it is taken on every other sample
+(:func:`stride2`), over 63.
 Sampled arrays are time first, (n_t, n).  numpy is the only dependency.
 """
 
@@ -36,6 +39,9 @@ from .errors import ConfigurationError
 RTOL_FLOOR = 100 * float(np.finfo(float).eps)  # smallest rtol DOP853 accepts; callers clamp to it
 _STENCIL = 7  # finite-difference stencil width: sixth-order first derivatives
 _UNIFORM = 1e-6  # largest spread of a segment's spacings, relative to the spacing
+# a sixth-order result on spacing h is off by about (F(2 h) - F(h)) / 63
+# (Richardson, Phil. Trans. R. Soc. A 210, 307 (1911))
+RICHARDSON = 2 ** (_STENCIL - 1) - 1  # 63
 
 
 def _fornberg(z: float, nodes, order: int) -> np.ndarray:
@@ -424,16 +430,29 @@ def integrate_segments(rhs, window, y0, kinks, rtol, atol, failure) -> Dop853Sol
 
 def segmented_grid(edges: np.ndarray, n: int) -> tuple[np.ndarray, tuple]:
     """Sample grid containing every edge exactly, and ``edge_indices``: each
-    segment gets its share of n - 1 gaps by length, but at least 7, so the
-    grid has n points unless a segment's share is under 7 gaps, which adds
-    the difference (n = 2001 on edges 0, 9.99, 10 gives 2006 points)."""
-    shares = np.round((n - 1) * (edges - edges[0]) / (edges[-1] - edges[0]))
-    gaps = np.maximum(7, np.diff(shares).astype(int))
+    segment gets an even share of the n - 1 gaps (n odd) by length, but at
+    least 12, so that every other sample (:func:`stride2`) is a grid on the
+    same edges with a stencil's 7 samples or more on each segment.  The grid
+    has n points unless a segment's share is under 12 gaps, which adds the
+    difference (n = 2001 on edges 0, 9.99, 10 gives 2011 points)."""
+    pairs = np.round((n - 1) // 2 * (edges - edges[0]) / (edges[-1] - edges[0]))
+    gaps = np.maximum(2 * _STENCIL - 2, 2 * np.diff(pairs).astype(int))
     bounds = tuple(accumulate(gaps.tolist(), initial=0))
     pieces = [np.linspace(a, b, c + 1) for a, b, c in zip(edges[:-1], edges[1:], gaps)]
     # neighbouring segments share their edge sample
     times = np.concatenate([pieces[0]] + [piece[1:] for piece in pieces[1:]])
     return times, bounds
+
+
+def stride2(ts: np.ndarray, edge_indices=None) -> tuple[np.ndarray, tuple]:
+    """Every other sample of ts and the edge indices among them: a grid on
+    the same edges with twice the spacing.  Each segment must have an even
+    number of gaps, as :func:`segmented_grid` gives it (ConfigurationError
+    otherwise)."""
+    bounds = _bounds(edge_indices, ts.size)
+    if any(i % 2 for i in bounds):
+        raise ConfigurationError(f"segment edges {bounds} are not all every other sample")
+    return ts[::2], tuple(i // 2 for i in bounds)
 
 
 def _bounds(edge_indices, size: int) -> list:
@@ -463,11 +482,19 @@ def _segment_derivative(ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     n, half = ts.size, _STENCIL // 2
     out = np.empty(ys.shape, dtype=np.result_type(ys, float))
     inner = out[half : n - half]
-    inner[...] = _CENTRED[0] * (ys[half + 1 : n - half + 1] - ys[half - 1 : n - half - 1])
+    # in place, one scratch array: a temporary per term costs twice the time
+    np.subtract(ys[half + 1 : n - half + 1], ys[half - 1 : n - half - 1], out=inner)
+    inner *= _CENTRED[0]
+    term = np.empty_like(inner)
     for j in range(2, half + 1):
-        inner += _CENTRED[j - 1] * (ys[half + j : n - half + j] - ys[half - j : n - half - j])
-    out[:half] = np.tensordot(_DERIVATIVE[:half], ys[:_STENCIL], axes=1)
-    out[n - half :] = np.tensordot(_DERIVATIVE[half + 1 :], ys[n - _STENCIL :], axes=1)
+        np.subtract(ys[half + j : n - half + j], ys[half - j : n - half - j], out=term)
+        term *= _CENTRED[j - 1]
+        inner += term
+    # the shifted stencils, one (3, 7) product at each end: matmul on the
+    # samples' 2-d view gives tensordot's result at a fifth of its overhead
+    first, last, tail = ys[:_STENCIL], ys[n - _STENCIL :], (half,) + ys.shape[1:]
+    out[:half] = (_DERIVATIVE[:half] @ first.reshape(_STENCIL, -1)).reshape(tail)
+    out[n - half :] = (_DERIVATIVE[half + 1 :] @ last.reshape(_STENCIL, -1)).reshape(tail)
     out /= h
     return out
 
@@ -493,6 +520,49 @@ def spline_derivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> np.n
     return out
 
 
+def antiderivative_error(ts: np.ndarray, ys: np.ndarray, edge_indices=None) -> float:
+    """Richardson's estimate of the largest error of
+    :func:`cumulative_antiderivative` at the samples ts: its largest change
+    when taken on the :func:`stride2` subgrid instead, at the samples the
+    two share, over 63.  Constant ys integrate exactly: 0.0."""
+    coarse_ts, coarse_edges = stride2(ts, edge_indices)
+    if ys.min() == ys.max():
+        return 0.0
+    fine = _running_integral(ts, ys, _bounds(edge_indices, ts.size))[-1][::2]
+    coarse = _running_integral(coarse_ts, ys[::2], coarse_edges)[-1]
+    return float(np.max(np.abs(fine - coarse))) / RICHARDSON
+
+
+def _running_integral(ts: np.ndarray, ys: np.ndarray, bounds) -> tuple:
+    """The pieces of :func:`cumulative_antiderivative`'s F on the segments
+    between the sample indices ``bounds``: (firsts, lasts, spacings,
+    starts, nodes, at_samples), the segments' first and last sample and
+    spacing, the first sample of each interval's 6-sample stencil and the
+    interval's node in it, and F at every sample."""
+    firsts, lasts = np.array(bounds[:-1]), np.array(bounds[1:])
+    spacings = np.array([_spacing(ts[a : b + 1], 6) for a, b in zip(firsts, lasts)])
+    # interval i, ts[i] .. ts[i + 1], is node nodes[i] of the 6-sample
+    # stencil that starts at starts[i], inside the interval's segment
+    intervals = np.arange(ts.size - 1)
+    segment = np.repeat(np.arange(firsts.size), lasts - firsts)
+    starts = np.clip(intervals - 2, firsts[segment], lasts[segment] - 5)
+    nodes = intervals - starts
+    steps = spacings[segment] * _combine(ys, starts, _INTERVAL[nodes], intervals)
+    at_samples, carried = [], 0.0  # F at each interval's start; F at the segment's end
+    for a, b in zip(firsts, lasts):
+        piece = np.concatenate([[0.0], np.cumsum(steps[a:b])])
+        piece += carried
+        at_samples.append(piece[:-1])
+        carried = piece[-1]
+    at_samples.append([carried])
+    return firsts, lasts, spacings, starts, nodes, np.concatenate(at_samples)
+
+
+def _combine(ys, starts, weights, i):
+    """sum_j weights[:, j] ys[starts[i] + j] over a 6-sample stencil, (len(i),)."""
+    return sum(weights[:, j] * ys[starts[i] + j] for j in range(6))
+
+
 def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None):
     """Callable F with F(ts[0]) = 0 and F' interpolating (ts, ys), both (n,).
 
@@ -507,26 +577,7 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     bounds = _bounds(edge_indices, ts.size)
-    firsts, lasts = np.array(bounds[:-1]), np.array(bounds[1:])
-    spacings = np.array([_spacing(ts[a : b + 1], 6) for a, b in zip(firsts, lasts)])
-    # interval i, ts[i] .. ts[i + 1], is node nodes[i] of the 6-sample
-    # stencil that starts at starts[i], inside the interval's segment
-    intervals = np.arange(ts.size - 1)
-    segment = np.repeat(np.arange(firsts.size), lasts - firsts)
-    starts = np.clip(intervals - 2, firsts[segment], lasts[segment] - 5)
-    nodes = intervals - starts
-
-    def combine(weights, i):  # sum_j weights[:, j] y[starts[i] + j], (len(i),)
-        return sum(weights[:, j] * ys[starts[i] + j] for j in range(6))
-
-    steps = spacings[segment] * combine(_INTERVAL[nodes], intervals)
-    running, carried = [], 0.0  # F at each interval's start; F at the segment's end
-    for a, b in zip(firsts, lasts):
-        piece = np.concatenate([[0.0], np.cumsum(steps[a:b])])
-        piece += carried
-        running.append(piece[:-1])
-        carried = piece[-1]
-    running = np.concatenate(running)
+    firsts, lasts, spacings, starts, nodes, running = _running_integral(ts, ys, bounds)
     edges = ts[bounds]
 
     def antiderivative(t):
@@ -539,7 +590,7 @@ def cumulative_antiderivative(ts: np.ndarray, ys: np.ndarray, edge_indices=None)
         x = (t - ts[i]) / h
         powers = np.cumprod(np.repeat(x[:, None], 6, axis=1), axis=1)  # x .. x^6
         weights = np.einsum("ijp,ip->ij", _ANTIDERIVATIVE[nodes[i]], powers)
-        out = running[i] + h * combine(weights, i)
+        out = running[i] + h * _combine(ys, starts, weights, i)
         return out[0] if scalar else out
 
     return antiderivative

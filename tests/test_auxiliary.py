@@ -524,14 +524,15 @@ def test_constant_profiles_match_the_exact_precession(k, omega0, g_mod, g_phase,
     "params,lam,n_samples,capped",
     [
         pytest.param(constant_params(1.0, 3.0, 2.0), 1716, _SAMPLE_CAP, True, id="g2-lambda1716-capped"),
-        pytest.param(constant_params(1.0, 3.0, 0.05), 1716, 3322, False, id="g0.05-lambda1716-uncapped"),
+        pytest.param(constant_params(1.0, 3.0, 0.05), 1716, 2001, False, id="g0.05-lambda1716-uncapped"),
         pytest.param(constant_params(0.1, 0.0, 0.0), LAM6, 2001, False, id="detuning-0.3-floor"),
     ],
 )
 def test_solver_stats_record_grid_size_and_cap(params, lam, n_samples, capped):
-    # the density rule follows the frame vector's precession rate 2 |h'|,
-    # 2 sqrt(lam) |g| at resonance: it asks for more samples than the cap at
-    # g = 2, lambda = 1716; at g = 0 the vector stands still in the frame
+    # the grid doubles while the stencils' measured error exceeds 10 rtol:
+    # it follows the frame vector's precession rate 2 |h'|, 2 sqrt(lam) |g|
+    # at resonance, up to the cap at g = 2, lambda = 1716; at g = 0.05 the
+    # floor resolves it, and at g = 0 the vector stands still in the frame
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lam, certify=False)
     assert traj.stats.n_samples == traj.times.size == n_samples
     assert traj.stats.sample_cap_hit is capped
@@ -558,14 +559,46 @@ def _count_passes(monkeypatch):
 
 def test_certification_error_names_the_sample_cap(monkeypatch):
     # CAPPED with a slow sweep of the detuning, which the integration does
-    # not take exactly: the first refinement lowers the residual by less
-    # than a factor of 2, the grid, not the ODE, holds it up, so the error
-    # comes after 2 passes
+    # not take exactly: on the capped grid the stencils' measured error
+    # alone takes the residual over the bound, so the grid, not the ODE,
+    # holds it up, and the error comes after one integration, unrefined
     swept = replace(CAPPED, omega0=TimeProfile.sinusoid(3.0, 1e-3, 0.5))
     passes = _count_passes(monkeypatch)
     with pytest.raises(CertificationError, match=f"capped at {_SAMPLE_CAP} samples$"):
         solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), swept, 1716)
-    assert len(passes) == 2 and passes[1] == passes[0] / 16
+    assert len(passes) == 1
+
+
+def test_short_window_names_the_rounding_floor(monkeypatch):
+    # configs/resonant.ini cut to t_final = 1e-9: the residual is the samples'
+    # rounding over a spacing of 5e-13, and a grid twice as dense doubles
+    # the measured stencil error instead of lowering it, so the family stops
+    # there, after one integration, unrefined, and names the floor
+    passes = _count_passes(monkeypatch)
+    lams = [lambda_value(m, 3) for m in (0, 1, 2)]
+    params = constant_params(1.0, 3.0, 0.05)
+    with pytest.raises(CertificationError) as err:
+        _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 1e-9), [params] * 3, lams)
+    assert str(err.value).startswith(
+        "angle trajectory residual 2.403e-03 exceeds 100*rtol=1.000e-08 at the rounding floor: "
+        "doubling the grid to 4001 samples did not lower the measured stencil error"
+    )
+    assert len(passes) == 1
+
+
+def test_driven_certifies_on_the_floor_grid():
+    # the benchmark's driven family at seed 0: one integration of 446 steps
+    # and 2619 evaluations, certified on the 2001-sample floor with no
+    # doubling and no refinement, each member's measured stencil error
+    # within 10 rtol
+    rtol = 1e-10
+    lams = [lambda_value(m, 3) for m in (2, 10)]
+    family = _solve_family(AuxState(math.pi / 3, 0.0), (0.0, 10.0), [DRIVEN] * 2, lams, rtol=rtol)
+    for member in family:
+        stats = member.stats
+        assert (stats.n_samples, stats.doublings, stats.refinements) == (2001, 0, 0)
+        assert (stats.n_steps, stats.n_rhs_evaluations) == (446, 2619)
+        assert stats.grid_error < 10 * rtol and stats.max_residual <= 100 * rtol
 
 
 @pytest.mark.parametrize(
@@ -605,10 +638,13 @@ def test_smooth_certificate_needs_no_cap_and_no_refinement(theta0, params, lam):
 
 def test_detuned_coupled_drive_sizes_the_grid_for_its_turn():
     # at detuning 10 the coupling turns in the frame at Delta0 = 10, far
-    # faster than the precession 2 |h'| = 1.8: the grid follows the turn
+    # faster than the precession 2 |h'| = 1.8: the floor grid under-resolves
+    # the turn, so the same solve is sampled once more, twice as dense, and
+    # certifies there with its measured stencil error within 10 rtol
     params = constant_params(1.0, -7.0, 0.05)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, lambda_value(5, 3))
-    assert traj.stats.n_samples > 4 * 2001
+    assert traj.stats.n_samples == 4001 and traj.stats.doublings == 1
+    assert traj.stats.grid_error < 10 * 1e-10
     assert traj.stats.refinements == 0 and traj.stats.max_residual <= 1e-8
 
 
@@ -621,14 +657,16 @@ def test_detuned_coupled_drive_sizes_the_grid_for_its_turn():
     ],
 )
 def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, params, ms):
-    # the rule sizes the grid so that the sixth-order stencils add at most
-    # 10 rtol to the printed residual: on a grid twice as dense their error
-    # is 64 times smaller, so each member's worst residual moves by less
+    # the grid is sized so that the sixth-order stencils add at most 10 rtol
+    # to the printed residual, by their measured error: on a grid twice as
+    # dense their error is 64 times smaller, so each member's worst residual
+    # moves by less.  These three certify on the floor grid
     rtol = 1e-10
     lams = [lambda_value(m, 3) for m in ms]
     trajs = _solve_family(AuxState(theta0, 0.0), (0.0, t1), [params] * len(lams), lams, rtol=rtol)
     n = trajs[0].stats.n_samples
-    assert n > 2001 and not trajs[0].stats.sample_cap_hit
+    assert n == 2001 and trajs[0].stats.doublings == 0 and not trajs[0].stats.sample_cap_hit
+    assert all(traj.stats.grid_error < 10 * rtol for traj in trajs)
     edges = np.concatenate([[0.0], params.breakpoints(0.0, t1), [t1]])
     lam_columns = np.array(lams, dtype=float)[None, :]
     worst = []
@@ -638,9 +676,9 @@ def test_density_rule_keeps_the_stencil_error_within_its_budget(theta0, t1, para
         thetas = np.stack([state.theta for state in states], axis=-1)
         phis = np.stack([state.phi for state in states], axis=-1)
         frame = _frame(params, times)
-        series = _printed_residual(times, edge_indices, thetas, phis, frame, lam_columns)
+        series, _ = _printed_residual(times, edge_indices, thetas, phis, frame, lam_columns)
         worst.append(np.max(series, axis=0))
-    # the rule's grid is the one certification ran on
+    # the sized grid is the one certification ran on
     assert np.array_equal(worst[0], [traj.stats.max_residual for traj in trajs])
     assert np.max(np.abs(worst[0] - worst[1])) < 10 * rtol
 
@@ -767,14 +805,14 @@ def test_family_certification_error_names_a_lambda_and_the_sample_cap():
 
 def test_family_evaluates_its_dense_output_once_per_pass(sample_calls):
     # one (n, 4M) sample block per certification pass, whatever the number
-    # of members; the grid is sized from the profiles, with no probe
+    # of members; this family certifies on the floor grid, with no doubling
     lams = [lambda_value(m, 3) for m in (0, 5, 10)]
     # a loose atol makes the family of a non-constant drive refine
     family = _solve_family(
         AuxState(math.pi / 3, 0.0), (0.0, 10.0), [DRIVEN] * len(lams), lams, atol=1e-7
     )
     stats = family[0].stats
-    assert stats.refinements >= 1
+    assert stats.refinements >= 1 and stats.doublings == 0
     blocks = [(size, columns) for kind, size, columns in sample_calls if kind == "dense"]
     assert blocks == [(stats.n_samples, 4 * len(lams))] * (1 + stats.refinements)
 

@@ -202,7 +202,7 @@ def test_block_family_is_one_solve_per_pass_certified_per_block(monkeypatch):
         assert s.max_residual <= 100 * rtol
         assert s.n_samples == sol.trajectory.times.size
         assert sol.trajectory.lam == sol.block.lam
-    # one grid for the whole family, sized by its fastest block
+    # one grid for the whole family, doubled for the block that needs it most
     assert len({s.n_samples for s in stats}) == 1
     assert all(sol.trajectory.times is sols[0].trajectory.times for sol in sols)
 
@@ -225,9 +225,10 @@ def test_superposition_evaluates_the_family_once(monkeypatch, sample_calls, time
 
 
 def test_family_fits_its_phases_once_per_segment(monkeypatch):
-    # per segment: each certification pass differentiates every member, a
-    # chunk of members per stencil pass, then one running integral of w
-    # serves the whole family; the phases themselves come with the solve
+    # per segment: each certification pass differentiates every member on
+    # its grid and on the grid's stride-2 subgrid, a chunk of members per
+    # stencil pass, then one running integral of w serves the whole family;
+    # the phases themselves come with the solve
     fits = []
     real_derivative = quadrature._segment_derivative
     real_antiderivative = evolution.cumulative_antiderivative
@@ -245,13 +246,14 @@ def test_family_fits_its_phases_once_per_segment(monkeypatch):
     cs = CoherentSpec.for_xi(0.5)
     sols = solve_block_family(cs, SPEC, TABLE_PARAMS, (0.0, 4.0), AuxState(math.pi / 3, 0.0))
     segments = len(TABLE_PARAMS.breakpoints(0.0, 4.0)) + 1
-    passes = 1 + sols[0].trajectory.stats.refinements
+    stats = sols[0].trajectory.stats
+    passes = 1 + stats.refinements + stats.doublings
     members = cs.m_max + 1
     assert segments == 2 and members > 1
     certification, omega = fits[:-1], fits[-1]
     # s~ (real and imaginary parts) and cos theta of each member
     assert {shape[-1] for shape in certification} == {3}
-    assert sum(shape[1] for shape in certification) == segments * passes * members
+    assert sum(shape[1] for shape in certification) == 2 * segments * passes * members
     assert omega == ("int w", segments, 1)  # one fit of one column over both segments
     # every member reads its own columns of the one solve
     assert len({id(sol.phases) for sol in sols}) == 1

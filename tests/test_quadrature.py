@@ -32,11 +32,13 @@ from susyjc.magnus import MagnusSolution
 from susyjc.quadrature import (
     RTOL_FLOOR,
     Dop853Solution,
+    antiderivative_error,
     cumulative_antiderivative,
     dop853,
     integrate_segments,
     segmented_grid,
     spline_derivative,
+    stride2,
 )
 
 # the chirp/table/sinusoid drive of the benchmark's driven scenario
@@ -128,7 +130,7 @@ def test_a_knot_belongs_to_the_segment_that_starts_there(monkeypatch, window):
 @pytest.mark.parametrize(
     "edges", [[0.0, 10.0], [0.0, 2.5, 5.0, 7.5, 10.0], [0.0, 0.3, 7.1, 9.9, 10.0]]
 )
-@pytest.mark.parametrize("n", [2001, 4590, 60001])
+@pytest.mark.parametrize("n", [2001, 4001, 60001])
 def test_segmented_grid_has_exactly_n_samples(edges, n):
     times, edge_indices = segmented_grid(np.array(edges), n)
     assert times.size == n
@@ -138,10 +140,13 @@ def test_segmented_grid_has_exactly_n_samples(edges, n):
         assert np.ptp(np.diff(times[a : b + 1])) <= 1e-12 * (edges[-1] - edges[0])
 
 
-def test_segmented_grid_gives_a_short_segment_eight_samples():
-    # 0.01 of the window would get 2 of 2000 gaps; it gets 7, the grid 5 more
+def test_segmented_grid_gives_a_short_segment_thirteen_samples():
+    # 0.01 of the window would get 2 of 2000 gaps; it gets 12, the grid 10
+    # more, so that its every other sample still holds a 7-point stencil
     times, edge_indices = segmented_grid(np.array([0.0, 9.99, 10.0]), 2001)
-    assert edge_indices == (0, 1998, 2005) and times.size == 2006
+    assert edge_indices == (0, 1998, 2010) and times.size == 2011
+    coarse, coarse_edges = stride2(times, edge_indices)
+    assert coarse_edges == (0, 999, 1005) and np.array_equal(coarse, times[::2])
 
 
 def test_only_quadrature_integrates_or_splines():
@@ -227,9 +232,9 @@ def test_phase_integrals_fit_once_per_segment(monkeypatch):
 
 
 def test_phase_integrals_integrate_a_fast_omega_on_the_certification_grid():
-    # int w is the one quadrature on the certification grid, which is sized
-    # for the angles, not for w: w = 1 + a sin(f t) at f = 20 turns faster
-    # than the m = 10 precession, and int w must still be exact to 1e-11
+    # int w is the one quadrature on the certification grid: w = 1 + a sin(f t)
+    # at f = 20 turns faster than the m = 10 precession, and int w must
+    # still be exact to 1e-11
     a, f = 0.1, 20.0
     params = ModelParams(
         omega=TimeProfile.sinusoid(1.0, a, f),
@@ -240,13 +245,71 @@ def test_phase_integrals_integrate_a_fast_omega_on_the_certification_grid():
     )
     block = SubspaceBlock(m=10, k=3, cutoff=16)
     traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
-    assert traj.times.size > 2001  # above the floor: the rule, not the floor, sized it
+    assert traj.stats.doublings == 1  # the stencils' measured error, not the floor, sized it
     ts = np.linspace(0.0, 10.0, 1001)
     _, phi_d, _ = PhaseIntegrals([traj], [block]).sample(ts)
     # phi_d(+1) + phi_d(-1) = 2 (m + k/2) int w
     omega_integral = (phi_d[:, 0, 0] + phi_d[:, 0, 1]) / (2.0 * (block.m + block.k / 2.0))
     exact = ts + a * (1.0 - np.cos(f * ts)) / f
     assert np.max(np.abs(omega_integral - exact)) < 1e-11
+
+
+def test_antiderivative_error_measures_the_quadrature_of_a_fast_omega():
+    # Richardson's stride-2 estimate of int w's error on the grid, against
+    # the closed form: on the floor grid it reads within 20 % of the error,
+    # and a grid twice as dense cuts both by the sixth order's 64
+    a, f = 0.1, 20.0
+    readings = []
+    for n in (2001, 4001):
+        ts, edge_indices = segmented_grid(np.array([0.0, 10.0]), n)
+        omega = 1.0 + a * np.sin(f * ts)
+        exact = ts + a * (1.0 - np.cos(f * ts)) / f
+        error = np.max(np.abs(cumulative_antiderivative(ts, omega, edge_indices)(ts) - exact))
+        readings.append((error, antiderivative_error(ts, omega, edge_indices)))
+    (error, estimate), (finer_error, _) = readings
+    assert 1e-11 < error and abs(estimate / error - 1.0) < 0.2
+    assert finer_error < error / 40
+
+
+def test_int_omega_alone_doubles_the_grid_of_a_resonantly_swept_drive():
+    # w0 = 3 w keeps k w - w0 = 0, so the frame vector precesses slowly and
+    # the stencils certify the floor grid with room to spare; int w of the
+    # fast w does not meet its rtol / 10 there, and its measured error alone
+    # doubles the grid, on which int w is exact to 1e-11
+    a, f = 0.1, 20.0
+    params = ModelParams(
+        omega=TimeProfile.sinusoid(1.0, a, f),
+        omega0=TimeProfile.sinusoid(3.0, 3 * a, f),
+        g_mod=TimeProfile.constant(0.05),
+        g_phase=TimeProfile.constant(0.0),
+        k=3,
+    )
+    block = SubspaceBlock(m=10, k=3, cutoff=16)
+    traj = solve_aux(AuxState(math.pi / 3, 0.0), (0.0, 10.0), params, block.lam)
+    assert traj.stats.doublings == 1 and traj.times.size == 4001
+    assert traj.stats.grid_error * 64 < 1e-9  # the floor's stencil error, within 10 rtol
+    floor, floor_edges = segmented_grid(np.array([0.0, 10.0]), 2001)
+    assert antiderivative_error(floor, params.omega(floor), floor_edges) > 1e-11
+    ts = np.linspace(0.0, 10.0, 1001)
+    _, phi_d, _ = PhaseIntegrals([traj], [block]).sample(ts)
+    omega_integral = (phi_d[:, 0, 0] + phi_d[:, 0, 1]) / (2.0 * (block.m + block.k / 2.0))
+    assert np.max(np.abs(omega_integral - ts - a * (1.0 - np.cos(f * ts)) / f)) < 1e-11
+
+
+def test_stride2_halves_a_segmented_grid_on_its_own_edges():
+    # every segment of a segmented grid has an even number of gaps, at
+    # least 12: the knot-gap table case's 1e-6 segment, 0.01 % of a 2000-gap
+    # share, gets 12, and its stride-2 subgrid keeps the stencil's 7 samples
+    edges = np.array([0.0, 5.0, 5.0 + 1e-6, 10.0])
+    times, edge_indices = segmented_grid(edges, 2001)
+    assert edge_indices == (0, 1000, 1012, 2012)
+    coarse, coarse_edges = stride2(times, edge_indices)
+    assert coarse_edges == (0, 500, 506, 1006)
+    assert [coarse[i] for i in coarse_edges] == edges.tolist()
+    assert spline_derivative(coarse, np.sin(coarse), coarse_edges).shape == coarse.shape
+    # an odd gap count puts a segment edge between two coarse samples
+    with pytest.raises(ConfigurationError, match="every other sample"):
+        stride2(np.linspace(0.0, 1.0, 16), (0, 7, 15))
 
 
 def _captured_runs(monkeypatch, solve):
