@@ -96,6 +96,31 @@ def destroy_matrix(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff, dtype=float)), 1).astype(complex)
 
 
+def raising_weights(cutoff: int, k: int) -> np.ndarray:
+    """The nonzero entries (adag^k)[m + k, m], m = 0 .. cutoff - 1 - k, of
+    the bare Fock factor's adag^k, in O(cutoff): the products of
+    ``destroy_matrix``'s sqrt(m + 1) .. sqrt(m + k), grouped as
+    ``np.linalg.matrix_power`` groups them in ``build_generators``, so they
+    are its entries bit for bit."""
+    one = (1, np.sqrt(np.arange(1, cutoff, dtype=float)))
+
+    def times(left, right):  # (adag^p adag^q)[m + p + q, m] = w_p[m + q] w_q[m]
+        (p, wp), (q, wq) = left, right
+        return p + q, wp[q:] * wq[: wq.size - p]
+
+    if k == 3:  # matrix_power's short-cut
+        return times(times(one, one), one)[1]
+    # its binary decomposition, which its other short-cuts agree with:
+    # adag^(2^i) into the result, low bits first
+    z = result = None
+    while k > 0:
+        z = one if z is None else times(z, z)
+        k, bit = divmod(k, 2)
+        if bit:
+            result = z if result is None else times(result, z)
+    return result[1]
+
+
 def build_ladder(spec: FockSpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Full-space annihilation/creation pair (a, adag), identity on the atom."""
     a = np.kron(np.eye(2), destroy_matrix(spec.cutoff))

@@ -14,8 +14,11 @@ The oracle's ODE solver is DOP853, the Dormand-Prince 8(5,3) pair with its
 7th-order dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, 2nd ed.,
 sections II.5-II.6), with the error norm, step controller and initial step
 of the widely used scipy implementation, so that it takes the same steps.  It
-integrates real states only (the oracle passes the (re, im) view of its
-complex amplitudes), so every per-step product is a real BLAS product.
+integrates the oracle's linear system, y' = y G(t) with the state's rows
+times a real generator.  Once a step's length is chosen, all its stage
+times are fixed, so the step asks for its generators at all of them in one
+call.  States are real (the oracle passes the (re, im) view of its complex
+amplitudes), so every per-step product is a real BLAS product.
 Sampled series are differentiated with 7-point finite-difference stencils
 (sixth order) on each segment's uniform grid, and integrated with the local
 degree-5 interpolant (sixth order); the stencil weights come from
@@ -248,13 +251,16 @@ class Dop853Solution:
 
     ``times`` are the step boundaries in integration order, both ends
     included, ``states`` (len(times), n) the states there, time first,
-    ``nfev`` the right-hand-side calls (3 per step for the dense output
-    included), and ``message`` None, or why the solver stopped early at
-    ``times[-1]``.  Calling it at scalar t gives (n,), over an array of N
-    times (N, n), all times in one vectorized pass.  A kink is a step
-    boundary (:func:`integrate_segments`), and any time on a step boundary
-    belongs to the step that starts there in ascending time, so a kink takes
-    the state the solver restarted from; the first or last step extrapolates.
+    ``nfev`` the stage evaluations, as scipy counts them (12 per attempted
+    step, 3 more per kept step for the dense output, and 2 per run, 1 on an
+    empty window), and ``message`` None, or why the solver stopped early at
+    ``times[-1]``.  The generators are asked for fewer times: 14 per
+    attempted step, and the same 2 per run.  Calling it at scalar t gives
+    (n,), over an array of N times (N, n), all times in one vectorized
+    pass.  A kink is a step boundary (:func:`integrate_segments`), and any
+    time on a step boundary belongs to the step that starts there in
+    ascending time, so a kink takes the state the solver restarted from;
+    the first or last step extrapolates.
     """
 
     def __init__(self, times, states, coefficients, nfev, message):
@@ -290,16 +296,26 @@ class Dop853Solution:
         return y[0] if scalar else y
 
 
-def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
-    """Integrate y' = rhs(t, y) over ``span`` (either direction) by DOP853.
+def dop853(generators, span, y0, rtol: float, atol) -> Dop853Solution:
+    """Integrate the linear system y' = y G(t) over ``span`` (either
+    direction) by DOP853.
 
+    The flat state ``y0`` is read as rows of n, (R, n), each multiplied by
+    the real (n, n) generator: ``generators(times)`` takes a 1-d array of
+    times and returns their generators, (len(times), n, n), which fixes n.
+    Each attempted step asks for its 14 distinct stage times at once (stages
+    11 and 12 share t + h; the 3 dense-output stages' times are asked for
+    even if the step is rejected); the first stage of a run and the
+    initial-step estimate's probe ask for one time each.  Each stage's
+    derivative, its state times its generator, is written straight into its
+    row of stages.
     The state is real: ``y0`` is cast to float64, and a complex ``y0`` is a
     ConfigurationError (integrate its real view, as the oracle does).
-    ``rhs`` may return any sequence, which is cast to float64.  ``atol`` is
-    a scalar or one value per component.  An rtol below ``RTOL_FLOOR`` is a
-    ConfigurationError: callers clamp.
-    The steps, right-hand-side calls and rounding are those of the scipy
-    implementation (error norm, step controller, initial step).
+    ``atol`` is a scalar or one value per component.  An rtol below
+    ``RTOL_FLOOR`` is a ConfigurationError: callers clamp.
+    The steps, stage evaluations and rounding are those of the scipy
+    implementation (error norm, step controller, initial step) on the
+    right-hand side y G(t).
     """
     if not rtol >= RTOL_FLOOR:
         raise ConfigurationError(f"rtol={rtol!r} is below the DOP853 floor {RTOL_FLOOR!r}")
@@ -310,21 +326,34 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
     t, t_end = float(span[0]), float(span[1])
     direction = 1.0 if t_end >= t else -1.0
 
-    K = np.empty((16, y.size))  # the stages, one per row; assignment casts to float
-    K[0] = rhs(t, y)
+    G0 = generators(np.array([t]))[0]
+    n = G0.shape[-1]
+    K = np.empty((16, y.size))  # the stages, one per row
+    rows = K.reshape(16, -1, n)  # each stage's (R, n) view
+
+    def derivative(t, y):  # one stage at one time, as the initial step's probe asks
+        return np.dot(y.reshape(-1, n), generators(np.array([t]))[0]).reshape(-1)
+
+    np.dot(y.reshape(-1, n), G0, out=rows[0])
     nfev = 1 if t == t_end else 2
-    h_abs = _initial_step(rhs, t, y, K[0], abs(t_end - t), direction, rtol, atol)
-    # stage s at t + c_s h, y + h sum_j a_sj K[j]: (s, c_s, K[:s]^T, a_s[:s])
-    stages = [(s, float(_C[s]), K[:s].T, _A[s, :s]) for s in range(16)]
-    trial, dense = stages[1:12], stages[13:]  # stage 12 is the new end point's
+    h_abs = _initial_step(derivative, t, y, K[0], abs(t_end - t), direction, rtol, atol)
+    # stage s at t + c_s h, y + h sum_j a_sj K[j]: (its node, K[:s]^T, a_s[:s],
+    # K[s] as (R, n)); a step's 14 nodes are c_1 .. c_11 and c_13 .. c_15, as
+    # the end point's stage 12 shares stage 11's t + h
+    nodes = np.delete(_C, [0, 12])
+    stages = [(s - 1 if s < 12 else s - 2, K[:s].T, _A[s, :s], rows[s]) for s in range(16)]
+    trial, dense = stages[1:12], stages[13:]
     K12, K13 = K[:12].T, K[:13].T
 
-    def evaluate(stages, t, y, h):
-        for s, c, previous, a in stages:
-            dy = np.dot(previous, a)
-            dy *= h
-            dy += y
-            K[s] = rhs(t + c * h, dy)
+    dy = np.empty(y.size)  # a stage's state, y + h sum_j a_sj K[j]
+    dy_rows = dy.reshape(-1, n)
+
+    def evaluate(stages, y, h, G):
+        for node, previous, a, row in stages:
+            np.dot(previous, a, out=dy)
+            np.multiply(dy, h, out=dy)
+            np.add(dy, y, out=dy)
+            np.dot(dy_rows, G[node], out=row)
 
     times, states, coefficients = [t], [y], []
     abs_y = np.abs(y)  # carried from step to step into the error scale
@@ -342,11 +371,12 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
                 t_new = t_end
             h = t_new - t
             h_abs = abs(h)
-            evaluate(trial, t, y, h)
+            G = generators(t + nodes * h)  # every stage's generator, the dense three's too
+            evaluate(trial, y, h, G)
             y_new = np.dot(K12, _B)
             y_new *= h
             y_new += y
-            K[12] = rhs(t + h, y_new)
+            np.dot(y_new.reshape(-1, n), G[10], out=rows[12])  # at t + h, stage 11's node
             nfev += 12
             abs_new = np.abs(y_new)
             scale = np.maximum(abs_y, abs_new)
@@ -370,7 +400,7 @@ def dop853(rhs, span, y0, rtol: float, atol) -> Dop853Solution:
         if message is not None:
             break
         # the dense output: three more stages, then the 7 rows in one product
-        evaluate(dense, t, y, h)
+        evaluate(dense, y, h, G)
         nfev += 3
         F = np.dot(_DENSE, K)
         F *= h
@@ -398,9 +428,10 @@ def check_window(t, a: float, b: float, name: str) -> np.ndarray:
     return t
 
 
-def integrate_segments(rhs, window, y0, kinks, rtol, atol, failure) -> Dop853Solution:
-    """:func:`dop853` with dense output over ``window``, restarted at every
-    kink: ``kinks`` are the profiles' interior breakpoints, ascending.
+def integrate_segments(generators, window, y0, kinks, rtol, atol, failure) -> Dop853Solution:
+    """:func:`dop853` on y' = y G(t), ``generators`` giving G at an array
+    of times, with dense output over ``window``, restarted at every kink:
+    ``kinks`` are the profiles' interior breakpoints, ascending.
 
     ``window`` may run backward (t1 < t0).  The segments' runs join into one
     :class:`Dop853Solution` in integration order: each kink is in ``times``
@@ -412,7 +443,7 @@ def integrate_segments(rhs, window, y0, kinks, rtol, atol, failure) -> Dop853Sol
     points = np.concatenate([[t0], kinks if t1 >= t0 else kinks[::-1], [t1]])
     runs, y = [], y0
     for span in zip(points[:-1], points[1:]):
-        run = dop853(rhs, span, y, rtol, atol)
+        run = dop853(generators, span, y, rtol, atol)
         if run.message is not None:
             raise failure(run.message, float(run.times[-1]))
         runs.append(run)

@@ -1,8 +1,9 @@
 """Brute-force propagation of the time-dependent Schrodinger equation.
 
 This propagator serves as ground truth for the invariant-based solutions
-and deliberately shares nothing with them beyond the operator builders:
-it advances the Schrodinger equation on the full truncated space.  The norm
+and deliberately shares nothing with them beyond the operator builders'
+numbers (``fock.raising_weights`` forms adag^k's entries as they do): it
+advances the Schrodinger equation on the full truncated space.  The norm
 is never renormalized; its drift is a diagnostic and runs exceeding the
 drift bound are rejected.
 
@@ -47,12 +48,16 @@ integrates the live amplitudes of all columns as one state, so the solver's
 per-step cost is paid once per step for all of them.  It steps their real
 view, 2 R L interleaved (re, im) floats: real per-step BLAS products stay on
 one thread at these sizes, where complex ones wake a spinning helper
-thread.  Each right-hand side evaluates the profiles once, takes the
-product of the four scalars with a fixed (4, 2L, 2L) real table
-(``_live_generators``) and right-multiplies the (R, 2L) view by it.  The
-time-first dense sample is read, as a view, as (n_t, R, L) amplitudes, and
-the lab-frame states are scattered from it into the full (R, n_t, dim)
-arrays, on which the norm-drift, guard-band and N' checks run.
+thread.  The system is linear, dc/dt = c G(t) on the (R, 2L) view, so the
+solver asks for generators, not right-hand sides: each attempted step asks
+for those at its 14 distinct stage times at once.  The generator function
+evaluates the profiles once per time and forms all the times' generators
+in one product of their (n_t, 4) scalars with a fixed (4, 2L, 2L) real
+table (``_live_generators``); each stage right-multiplies its (R, 2L) view
+by its time's generator.  The time-first dense sample is read, as a view,
+as (n_t, R, L) amplitudes, and the lab-frame states are scattered from it
+into the full (R, n_t, dim) arrays, on which the norm-drift, guard-band and
+N' checks run.
 
 DOP853's error norm is an RMS over all components, and an entry's complex
 error is at most sqrt(2) times the larger of its parts, so a full-space
@@ -79,7 +84,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, PropagationError
-from .fock import FockSpaceSpec, build_generators, build_ladder
+from .fock import FockSpaceSpec, raising_weights
 from .profiles import ModelParams
 from .quadrature import RTOL_FLOOR, check_window, integrate_segments
 
@@ -99,9 +104,9 @@ class PropagationResult:
     ``states`` is (n_times, dim) for one initial state and (R, n_times, dim)
     for a stack of R.  ``norm_drift`` and ``nprime_drift`` are the worst
     column's.  ``n_steps`` (accepted solver steps) and ``n_rhs_evaluations``
-    count the one integration of all columns, summed over the segments
-    between profile kinks; both are 0 for constant profiles, which are
-    propagated exactly.
+    (the solver's stage evaluations) count the one integration of all
+    columns, summed over the segments between profile kinks; both are 0 for
+    constant profiles, which are propagated exactly.
     """
 
     times: np.ndarray
@@ -114,17 +119,21 @@ class PropagationResult:
 
 @dataclass(frozen=True)
 class _Structure:
-    """H(t)'s pieces, and N', as the constants that the right-hand side and
-    the exact rotation apply.
+    """H(t)'s pieces, and N', as the constants that the generators and the
+    exact rotation apply.
 
     In the atom-major basis adag a, sigma_z and N' are diagonal.  Q = adag^k
     sigma_- only links excited level m to ground level m + k, and Qdag = Q^T
     links them back with the same real entries.  So each of adag a, sigma_z
     / 2, Q and Qdag weights a level and its partner across its link (the top
     k excited and bottom k ground levels are their own, with weight 0).  All
-    are read off the operator builders' matrices, not re-derived: adag a's
-    diagonal is the squared superdiagonal of the ladder's a, and the links
-    are Q's nonzero entries.  One read-only instance per space is kept.
+    are built in O(cutoff) from ``fock.raising_weights``, the entries of
+    adag^k as the operator builders form them, so they hold the builders'
+    numbers bit for bit: adag a's diagonal is the square of adag's entries
+    (the ladder's superdiagonal), the links are Q's nonzero entries, adag^k's,
+    and N''s diagonal is their square, a^k adag^k on the excited levels and
+    adag^k a^k on the ground ones.  No (2 cutoff)^2 operator is formed.  One
+    read-only instance per space is kept.
     """
 
     number: np.ndarray  # diagonal of adag a
@@ -136,18 +145,21 @@ class _Structure:
     @classmethod
     @functools.lru_cache(maxsize=16)
     def for_space(cls, spec: FockSpaceSpec) -> "_Structure":
-        gen = build_generators(spec)
-        a, _ = build_ladder(spec)
-        # (adag a)[i, i] = a[i - 1, i]^2, and 0 at i = 0, which has no level below
-        number = np.concatenate([[0.0], np.diagonal(a, offset=1).real ** 2])
-        half_sz = 0.5 * np.diagonal(gen.sigma_z).real
-        ground, excited = np.nonzero(gen.Q)  # Q[ground m + k, excited m]
+        cutoff, k = spec.cutoff, spec.k
+        # (adag a)[m, m] = a[m - 1, m]^2 on each atom level, and 0 at m = 0
+        number = np.tile(np.concatenate([[0.0], raising_weights(cutoff, 1) ** 2]), 2)
+        half_sz = np.repeat([0.5, -0.5], cutoff)
+        links = raising_weights(cutoff, k)  # Q[ground m + k, excited m]
+        excited = np.arange(links.size)
+        ground = cutoff + k + excited
         pairs = np.stack([np.arange(spec.dim)] * 2, axis=-1)
         pairs[ground, 1], pairs[excited, 1] = excited, ground
         basis = np.zeros((4, spec.dim, 2), dtype=complex)
         basis[0, :, 0], basis[1, :, 0] = number, half_sz
-        basis[2, ground, 1] = basis[3, excited, 1] = gen.Q[ground, excited].real
-        nprime = np.diagonal(gen.Nprime).real.copy()
+        basis[2, ground, 1] = basis[3, excited, 1] = links
+        # N' = a^k adag^k on the excited levels and adag^k a^k on the ground ones
+        nprime = np.zeros(spec.dim)
+        nprime[excited] = nprime[ground] = links * links
         for array in (number, half_sz, pairs, basis, nprime):
             array.flags.writeable = False
         return cls(number, half_sz, pairs, basis.reshape(4, -1), nprime)
@@ -337,12 +349,15 @@ def _integrated(structure, params, spec, columns, window, t_eval, rtol, atol):
     energies = omega_ref * structure.number[live] + omega0_ref * structure.half_sz[live]
     gap = spec.k * omega_ref - omega0_ref
 
-    def rhs(t, c):  # c: the (re, im) view of the (R, L) live amplitudes
-        omega, omega0, g = params.evaluate(t)
-        g_rot = g * cmath.exp(1j * gap * (t - t0))
-        scalars = (omega - omega_ref, omega0 - omega0_ref, g_rot.real, g_rot.imag)
-        generator = np.dot(scalars, table).reshape(size, size)
-        return np.dot(c.reshape(n_runs, size), generator).reshape(-1)
+    # the frame's -i (H(t) - E) at each time, as the (2L, 2L) real matrix that
+    # right-multiplies the (R, 2L) (re, im) view of the live amplitudes
+    def generators(times):
+        scalars = []  # flat: a list of floats converts faster than one of tuples
+        for t in times.tolist():
+            omega, omega0, g = params.evaluate(t)
+            g_rot = g * cmath.exp(1j * gap * (t - t0))
+            scalars += omega - omega_ref, omega0 - omega0_ref, g_rot.real, g_rot.imag
+        return np.dot(np.array(scalars).reshape(-1, 4), table).reshape(-1, size, size)
 
     def failed(message, time):
         return PropagationError(f"integration failed: {message}", None, time)
@@ -352,7 +367,7 @@ def _integrated(structure, params, spec, columns, window, t_eval, rtol, atol):
     solver_rtol = max(rtol * scale, RTOL_FLOOR)
     kinks = params.breakpoints(min(window), max(window))
     y0 = columns[:, live].reshape(-1).view(float)
-    dense = integrate_segments(rhs, window, y0, kinks, solver_rtol, atol * scale, failed)
+    dense = integrate_segments(generators, window, y0, kinks, solver_rtol, atol * scale, failed)
     rotating = dense(t_eval).view(complex).reshape(t_eval.size, n_runs, live.size)
     phases = np.exp(-1j * np.outer(t_eval - t0, energies))
     states = np.zeros((n_runs, t_eval.size, spec.dim), dtype=complex)

@@ -843,8 +843,8 @@ def _stop_at_midpoint(monkeypatch):
 
     dop853 = quadrature.dop853
 
-    def stopping(rhs, span, y0, rtol, atol):
-        run = dop853(rhs, (span[0], 0.5 * (span[0] + span[1])), y0, rtol, atol)
+    def stopping(generators, span, y0, rtol, atol):
+        run = dop853(generators, (span[0], 0.5 * (span[0] + span[1])), y0, rtol, atol)
         run.message = "forced stop"
         return run
 

@@ -98,9 +98,12 @@ def test_a_knot_belongs_to_the_segment_that_starts_there(monkeypatch, window):
     # integrate_segments joins DRIVEN's four runs into one solution; at each
     # knot it gives, bit for bit, the value of the run over the segment that
     # starts there in ascending time, and inside a segment that run's value
-    def rhs(t, y):
-        omega, omega0, g = DRIVEN.evaluate(t)
-        return [omega0 * y[1] - g.real * y[2], -omega0 * y[0], g.real * y[0] - omega * y[2]]
+    # y' = y G: y0' = w0 y1 - Re g y2, y1' = -w0 y0, y2' = Re g y0 - w y2
+    def generators(times):
+        omega, omega0, g = DRIVEN.evaluate(times)
+        zero = np.zeros_like(times)
+        rows = [[zero, -omega0, g.real], [omega0, zero, zero], [-g.real, zero, -omega]]
+        return np.moveaxis(np.array(rows), -1, 0)
 
     def failed(message, time):
         return AssertionError(message)
@@ -108,7 +111,7 @@ def test_a_knot_belongs_to_the_segment_that_starts_there(monkeypatch, window):
     def solve():
         y0 = np.array([0.6, 0.0, 0.8])
         kinks = DRIVEN.breakpoints(0.0, 10.0)
-        return integrate_segments(rhs, window, y0, kinks, 1e-10, 1e-12, failed)
+        return integrate_segments(generators, window, y0, kinks, 1e-10, 1e-12, failed)
 
     runs = [run for _, run in _captured_runs(monkeypatch, solve)]
     joined = solve()
@@ -316,9 +319,9 @@ def _captured_runs(monkeypatch, solve):
     """(args, result) of every DOP853 run that ``solve()`` makes."""
     runs = []
 
-    def recording(rhs, span, y0, rtol, atol):
-        result = dop853(rhs, span, y0, rtol, atol)
-        runs.append(((rhs, tuple(span), np.array(y0), rtol, atol), result))
+    def recording(generators, span, y0, rtol, atol):
+        result = dop853(generators, span, y0, rtol, atol)
+        runs.append(((generators, tuple(span), np.array(y0), rtol, atol), result))
         return result
 
     monkeypatch.setattr(quadrature, "dop853", recording)
@@ -348,17 +351,24 @@ def _stacked_oracle(window, params=SINUSOIDAL):
 
 
 def _bloch_family():
-    """DOP853 on a real state with a Python right-hand side: three frame
-    vectors of the resonant drive, dn/dt = 2 h x n, with B and G beside."""
+    """DOP853 on one real row of 15 under a constant generator: three frame
+    vectors (x, y, z) of the resonant drive, dn/dt = 2 h x n, with B and G
+    beside."""
     roots = np.array([2.0 * math.sqrt(lambda_value(m, 3)) * 0.05 for m in (0, 1, 2)])
+    generator = np.zeros((15, 15))
+    member = np.arange(3)
+    generator[6 + member, 3 + member] = -roots  # y' = -root z
+    generator[3 + member, 6 + member] = roots  # z' = root y
+    generator[member, 9 + member] = 0.5 * roots  # B' = root x / 2
 
-    def rhs(t, y):
-        x, yy, z = y[:3], y[3:6], y[6:9]
-        return np.concatenate([0 * x, -roots * z, roots * yy, 0.5 * roots * x, 0 * x])
+    def generators(times):
+        return np.repeat(generator[None], len(times), axis=0)
 
     a = math.pi / 3
     y0 = np.concatenate([np.repeat([-math.sin(a), 0.0, math.cos(a)], 3), np.zeros(6)])
-    return quadrature.dop853(rhs, (0.0, 10.0), y0, 1e-10 / 16 / math.sqrt(3), 1e-12 / 16 / math.sqrt(3))
+    return quadrature.dop853(
+        generators, (0.0, 10.0), y0, 1e-10 / 16 / math.sqrt(3), 1e-12 / 16 / math.sqrt(3)
+    )
 
 
 @pytest.mark.parametrize(
@@ -371,13 +381,19 @@ def _bloch_family():
     ],
 )
 def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
-    # scipy's solve_ivp is the reference: the same accepted step times and
-    # right-hand-side calls, and dense output equal to rounding, on a real
-    # (5M,) Bloch family vector, the stacked oracle's (re, im) view both
-    # ways and the oracle's window cut at table knots
+    # scipy's solve_ivp is the reference, on the right-hand side y G(t) that
+    # the same generators make one time at a time: the same accepted step
+    # times, stage evaluations and states bit for bit, and dense output equal
+    # to rounding, on a real (5M,) Bloch family vector, the stacked oracle's
+    # (re, im) view both ways and the oracle's window cut at table knots
     runs = _captured_runs(monkeypatch, solve)
     assert len(runs) == segments
-    for (rhs, span, y0, rtol, atol), ours in runs:
+    for (generators, span, y0, rtol, atol), ours in runs:
+        n = generators(np.array(span[:1])).shape[-1]
+
+        def rhs(t, y):
+            return (y.reshape(-1, n) @ generators(np.array([t]))[0]).ravel()
+
         ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
         assert np.array_equal(ours.times, ref.t)
         assert ours.nfev == ref.nfev
@@ -389,36 +405,51 @@ def test_dop853_takes_the_steps_of_scipy(monkeypatch, solve, segments):
         assert np.max(np.abs(ours(times[100]) - ref.sol(times[100]))) <= 1e-14 * scale
 
 
+def _decay(times):
+    """y' = -y on rows of two: the generator -1."""
+    return np.repeat(-np.eye(2)[None], len(times), axis=0)
+
+
+def _blowup(times):
+    """y' = 2 y / (1 - t): y(0) = 1 gives 1 / (1 - t)^2, which blows up at t = 1."""
+    return (2.0 / (1.0 - times)).reshape(-1, 1, 1)
+
+
 def test_dop853_rejects_an_rtol_below_its_floor():
     # the callers clamp at the floor; the solver itself does not clamp quietly
     with pytest.raises(ConfigurationError, match="below the DOP853 floor"):
-        dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), 0.5 * RTOL_FLOOR, 1e-12)
-    ours = dop853(lambda t, y: -y, (0.0, 1.0), np.ones(2), RTOL_FLOOR, 1e-15)
+        dop853(_decay, (0.0, 1.0), np.ones(2), 0.5 * RTOL_FLOOR, 1e-12)
+    ours = dop853(_decay, (0.0, 1.0), np.ones(2), RTOL_FLOOR, 1e-15)
     assert abs(ours.states[-1, 0] - math.exp(-1.0)) < 1e-14
 
 
 def test_dop853_rejects_a_complex_state():
     # the port is real: a complex problem is integrated through its real view
     with pytest.raises(ConfigurationError, match="real states"):
-        dop853(lambda t, y: 1j * y, (0.0, 1.0), np.array([1.0 + 0j, 0.5j]), 1e-10, 1e-12)
+        dop853(_decay, (0.0, 1.0), np.array([1.0 + 0j, 0.5j]), 1e-10, 1e-12)
 
 
 def test_dop853_on_an_empty_window_stays_put():
-    ours = dop853(lambda t, y: -y, (2.0, 2.0), np.array([1.0, 0.5]), 1e-10, 1e-12)
+    ours = dop853(_decay, (2.0, 2.0), np.array([1.0, 0.5]), 1e-10, 1e-12)
     assert ours.times.tolist() == [2.0] and ours.nfev == 1 and ours.message is None
     assert np.array_equal(ours(2.0), [1.0, 0.5])
     assert ours(np.array([2.0, 2.0])).shape == (2, 2)
 
 
 def test_dop853_stops_where_scipy_does_when_the_solution_blows_up():
-    # y' = y^2, y(0) = 1 blows up at t = 1: the step falls under the spacing
-    # of the floats there, and the run stops with scipy's message, at
-    # scipy's time, after scipy's steps (and its dense output's calls)
-    rhs = lambda t, y: y**2
-    ours = dop853(rhs, (0.0, 2.0), [1.0], 1e-10, 1e-12)
-    ref = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True)
+    # y' = 2 y / (1 - t), y(0) = 1 blows up at t = 1: the step falls under
+    # the spacing of the floats there, and the run stops with scipy's
+    # message, at scipy's time, after scipy's steps (and its dense output's
+    # stage evaluations); at rtol 1e-10 the rounding of 1 - t near 1 holds
+    # the steps there to 33099, and both solves to seconds
+    ours = dop853(_blowup, (0.0, 2.0), [1.0], 1e-6, 1e-8)
+
+    def rhs(t, y):
+        return y @ _blowup(np.array([t]))[0]
+
+    ref = solve_ivp(rhs, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-6, atol=1e-8, dense_output=True)
     assert ours.message == ref.message == "Required step size is less than spacing between numbers."
-    assert ours.times[-1] == 1.0000000000082259 and ours.times.size == 270
+    assert ours.times[-1] == 0.9999999999996025 and ours.times.size == 380
     assert np.array_equal(ours.times, ref.t) and ours.nfev == ref.nfev
 
 
@@ -426,7 +457,7 @@ def test_dop853_stops_on_a_nan_state():
     # a NaN state gives a NaN step size, which compares False with the step
     # floor, so only a floor test that catches NaN ends the run: it stops at
     # once with the floor's message, where it started
-    ours = dop853(lambda t, y: -y, (0.0, 1.0), np.array([1.0, math.nan]), 1e-8, 1e-10)
+    ours = dop853(_decay, (0.0, 1.0), np.array([1.0, math.nan]), 1e-8, 1e-10)
     assert ours.message == "Required step size is less than spacing between numbers."
     assert ours.times.tolist() == [0.0]
 
@@ -436,17 +467,15 @@ def test_a_failed_segment_raises_the_callers_failure_at_the_time_reached(monkeyp
     # stops, and its message and time go to ``failure``
     spans = []
 
-    def recording(rhs, span, y0, rtol, atol):
+    def recording(generators, span, y0, rtol, atol):
         spans.append(tuple(span))
-        return dop853(rhs, span, y0, rtol, atol)
+        return dop853(generators, span, y0, rtol, atol)
 
     monkeypatch.setattr(quadrature, "dop853", recording)
     with pytest.raises(RuntimeError) as info:
-        integrate_segments(
-            lambda t, y: y**2, (0.0, 2.0), np.array([1.0]), np.array([0.5]), 1e-10, 1e-12, RuntimeError
-        )
+        integrate_segments(_blowup, (0.0, 2.0), np.array([1.0]), np.array([0.5]), 1e-6, 1e-8, RuntimeError)
     assert spans == [(0.0, 0.5), (0.5, 2.0)]
-    assert info.value.args == ("Required step size is less than spacing between numbers.", 1.000000000007991)
+    assert info.value.args == ("Required step size is less than spacing between numbers.", 0.9999999999996017)
 
 
 def _spline_derivative_reference(ts, ys, edge_indices):

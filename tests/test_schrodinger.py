@@ -139,18 +139,18 @@ def test_an_empty_t_eval_is_named_before_any_solve(drive, monkeypatch):
 
 
 def test_the_structure_is_built_once_per_space(monkeypatch):
-    # the dense generators are built for a space's first propagation only,
-    # and the structure read off them is shared read-only
+    # the ladder weights are built for a space's first propagation only,
+    # and the structure made of them is shared read-only
     from susyjc import schrodinger
 
     calls = []
-    build = schrodinger.build_generators
+    build = schrodinger.raising_weights
 
-    def counting(spec):
-        calls.append(spec)
-        return build(spec)
+    def counting(cutoff, k):
+        calls.append((cutoff, k))
+        return build(cutoff, k)
 
-    monkeypatch.setattr(schrodinger, "build_generators", counting)
+    monkeypatch.setattr(schrodinger, "raising_weights", counting)
     schrodinger._Structure.for_space.cache_clear()
     spec = FockSpaceSpec(cutoff=14, k=2)
     psi0 = spec.basis_state(EXCITED, 1)
@@ -158,10 +158,62 @@ def test_the_structure_is_built_once_per_space(monkeypatch):
     for params in (constant_params(1.0, 2.1, 0.05, k=2), dataclasses.replace(_swinging(2.1), k=2)):
         propagate(psi0, (0.0, 1.0), params, spec, t_eval=ts)
     propagate(psi0, (0.0, 1.0), constant_params(1.0, 2.1, 0.05, k=2), FockSpaceSpec(14, 2), t_eval=ts)
-    assert calls == [spec]
+    assert calls == [(14, 1), (14, 2)]  # adag a's diagonal, then Q's links
     structure = schrodinger._Structure.for_space(spec)
     for field in dataclasses.fields(structure):
         assert not getattr(structure, field.name).flags.writeable, field.name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [16, 32])
+def test_the_structure_holds_the_builders_numbers_bit_for_bit(cutoff, k):
+    # the O(cutoff) structure against the same fields read off the dense
+    # operator builders: adag a's diagonal is the squared superdiagonal of
+    # the ladder's a, the links are Q's nonzero entries (adag^k by
+    # matrix_power, whose grouping of the square roots sets their rounding)
+    from susyjc import build_ladder
+    from susyjc.schrodinger import _Structure
+
+    spec = FockSpaceSpec(cutoff=cutoff, k=k)
+    gen = build_generators(spec)
+    a, _ = build_ladder(spec)
+    number = np.concatenate([[0.0], np.diagonal(a, offset=1).real ** 2])
+    half_sz = 0.5 * np.diagonal(gen.sigma_z).real
+    ground, excited = np.nonzero(gen.Q)
+    pairs = np.stack([np.arange(spec.dim)] * 2, axis=-1)
+    pairs[ground, 1], pairs[excited, 1] = excited, ground
+    basis = np.zeros((4, spec.dim, 2), dtype=complex)
+    basis[0, :, 0], basis[1, :, 0] = number, half_sz
+    basis[2, ground, 1] = basis[3, excited, 1] = gen.Q[ground, excited].real
+    nprime = np.diagonal(gen.Nprime).real
+    structure = _Structure.for_space(spec)
+    for name, dense in [
+        ("number", number),
+        ("half_sz", half_sz),
+        ("pairs", pairs),
+        ("basis", basis.reshape(4, -1)),
+        ("nprime", nprime),
+    ]:
+        field = getattr(structure, name)
+        assert field.dtype == dense.dtype and np.array_equal(field, dense), name
+
+
+def test_the_structure_is_linear_in_the_cutoff():
+    # at cutoff 1e5 one dense (2 cutoff)^2 complex operator would take 160 GB;
+    # the structure's fields take 33.6 MB and building them peaked at 36.8 MB
+    import tracemalloc
+
+    from susyjc.schrodinger import _Structure
+
+    spec = FockSpaceSpec(cutoff=100_000, k=3)
+    tracemalloc.start()
+    try:
+        structure = _Structure.for_space.__wrapped__(_Structure, spec)  # not cached
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert structure.basis.shape == (4, 2 * spec.dim)
+    assert peak < 40e6
 
 
 @pytest.mark.xfail(
@@ -504,13 +556,13 @@ def test_oracle_matches_lab_frame_integration_on_driven_profiles(window):
 def test_the_live_solve_takes_the_steps_of_a_full_space_solve(monkeypatch):
     # a stack on the driven scenario's chirp, table and sinusoid kinds, with
     # an unlinked bottom ground level among its columns: DOP853 on the live
-    # levels takes the same steps, at the same times, and the same
-    # right-hand-side calls as DOP853 on all 2 R dim components at rtol and
-    # atol over sqrt(2R), with a dense-matrix right-hand side in the same
-    # t0-diagonal frame, kept here.  The first step, from the initial-step
+    # levels takes the same steps, at the same times, and the same stage
+    # evaluations as DOP853 on all 2 R dim components at rtol and atol over
+    # sqrt(2R), with dense full-space generators in the same t0-diagonal
+    # frame, kept here.  The first step, from the initial-step
     # estimate, is so short that its error estimate is rounding, and the
     # next step's length follows it: the two solves' times differ there,
-    # by 7.6e-6 relative at most.  Without the sqrt(dim / L) = 2.1 factor
+    # by 7.3e-5 relative at most.  Without the sqrt(dim / L) = 2.1 factor
     # the live solve's steps would be 2.1^(1/8) times, or 10 %, shorter
     from susyjc import GROUND, build_ladder, schrodinger
     from susyjc.quadrature import integrate_segments
@@ -550,13 +602,24 @@ def test_the_live_solve_takes_the_steps_of_a_full_space_solve(monkeypatch):
     omega_ref, omega0_ref, _ = params.evaluate(t0)
     energies = np.diag(omega_ref * number + omega0_ref * half_sz).real
 
-    def dense_rhs(t, y):
-        omega, omega0, g = params.evaluate(t)
-        h = omega * number + omega0 * half_sz + g * gen.Q + np.conj(g) * gen.Qdag
-        h -= np.diag(energies)
-        phase = np.exp(1j * energies * (t - t0))
-        frame = -1j * (phase[:, None] * h * phase.conj())  # -i e^{iE tau} (H - E) e^{-iE tau}
-        return (y.view(complex).reshape(len(stack), -1) @ frame.T).reshape(-1).view(float)
+    def dense_generators(times):
+        tables = []
+        for t in times.tolist():
+            omega, omega0, g = params.evaluate(t)
+            h = omega * number + omega0 * half_sz + g * gen.Q + np.conj(g) * gen.Qdag
+            h -= np.diag(energies)
+            phase = np.exp(1j * energies * (t - t0))
+            frame = -1j * (phase[:, None] * h * phase.conj())  # -i e^{iE tau} (H - E) e^{-iE tau}
+            # an amplitude row c goes to c frame^T; on the (re, im) view, entry
+            # z of frame^T maps (re, im) of amplitude j to (Re z re - Im z im,
+            # Im z re + Re z im) of amplitude i
+            z = frame.T
+            table = np.empty((spec.dim, 2, spec.dim, 2))
+            table[:, 0, :, 0] = table[:, 1, :, 1] = z.real
+            table[:, 1, :, 0] = -z.imag
+            table[:, 0, :, 1] = z.imag
+            tables.append(table.reshape(2 * spec.dim, 2 * spec.dim))
+        return np.array(tables)
 
     def failed(message, time):
         raise AssertionError(message)
@@ -564,7 +627,7 @@ def test_the_live_solve_takes_the_steps_of_a_full_space_solve(monkeypatch):
     shrink = math.sqrt(2 * len(stack))
     y0 = stack.reshape(-1).view(float)
     kinks = params.breakpoints(*window)
-    full = integrate_segments(dense_rhs, window, y0, kinks, 1e-10 / shrink, 1e-12 / shrink, failed)
+    full = integrate_segments(dense_generators, window, y0, kinks, 1e-10 / shrink, 1e-12 / shrink, failed)
     assert live.nfev == full.nfev == result.n_rhs_evaluations
     assert live.times.size == full.times.size == result.n_steps + 1
     assert_allclose(live.times, full.times, rtol=1e-4, atol=0)
